@@ -28,7 +28,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .objectives import SpectrumSpec, make_quadratic, sample_in_ball
+from .objectives import (MinimizerUnknownError, SpectrumSpec,
+                         make_quadratic, sample_in_ball)
 from .optimizers import Trajectory, run
 from .report import CertReport
 
@@ -159,6 +160,9 @@ def bound_curve(theorem: str, f_x0_gap: float, dist0_sq: float, mu: float,
 
 def _theorem_gaps(trajectory: Trajectory, theorem: str,
                   allow_mismatch: bool = False) -> np.ndarray:
+    """Objective gaps along the sequence the theorem bounds: the recorded
+    ``f_gap`` column when that is the trajectory's reference sequence,
+    otherwise evaluated point by point."""
     methods, ref = THEOREM_METHODS[theorem]
     f = trajectory.objective
     if f is None:
@@ -169,9 +173,13 @@ def _theorem_gaps(trajectory: Trajectory, theorem: str,
                 f"theorem {theorem!r} applies to methods {methods}, "
                 f"not {trajectory.method_id!r}")
         # cross-method comparison: use the method's own reference sequence
-        points = trajectory.reference_points()
-    else:
-        points = trajectory.xs if ref == "x" else trajectory.ys
+        ref = trajectory.reference
+    if ref == trajectory.reference:
+        if f.min_value is None:
+            raise MinimizerUnknownError(
+                f"objective {f.name!r} has no known minimum")
+        return trajectory.f_gap
+    points = trajectory.xs if ref == "x" else trajectory.ys
     return np.array([f.gap(p) for p in points])
 
 
@@ -198,6 +206,11 @@ def check_bound(trajectory: Trajectory, theorem: str,
     ``allow_mismatch`` is set, which compares the method's own reference
     gaps against the curve (a baseline need not satisfy an accelerated
     bound; the report then locates its first failure).
+
+    The trajectory must be one that :func:`~accelcert.optimizers.run`
+    produced: where the theorem bounds the sequence the run recorded its
+    gaps at, the recorded ``f_gap`` column is read instead of calling the
+    oracle again.
     """
     gaps = _theorem_gaps(trajectory, theorem, allow_mismatch=allow_mismatch)
     curve = _curve_for(trajectory, theorem)

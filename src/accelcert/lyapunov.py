@@ -66,6 +66,18 @@ def _check_weights(alpha: float, beta: float):
         raise ValueError("kinetic/mixed weights must satisfy alpha + beta = 1")
 
 
+def _gc_record(potential: float, g: Vector, y_next: Vector, v_k: Vector,
+               xstar: Vector, s: float, mu: float, alpha: float, beta: float,
+               k: float) -> LyapunovRecord:
+    kinetic = 0.5 * alpha * float(v_k @ v_k)
+    combo = v_k + 2.0 * math.sqrt(mu) * (y_next - xstar) + math.sqrt(s) * g
+    mixed = 0.5 * beta * float(combo @ combo)
+    additional = -0.5 * s * float(g @ g)
+    return LyapunovRecord(k_or_t=k, energy=potential + kinetic + mixed + additional,
+                          potential=potential, kinetic=kinetic, mixed=mixed,
+                          additional=additional)
+
+
 def lyap_gc(f: Objective, y_k: Vector, y_next: Vector, v_k: Vector,
             s: float, mu: float, alpha: float = DEFAULT_ALPHA,
             beta: float = DEFAULT_BETA, k: float = 0.0) -> LyapunovRecord:
@@ -79,15 +91,20 @@ def lyap_gc(f: Objective, y_k: Vector, y_next: Vector, v_k: Vector,
     """
     _require_minimizer(f)
     _check_weights(alpha, beta)
-    g = f.grad(y_k)
-    potential = f.gap(y_k)
-    kinetic = 0.5 * alpha * float(v_k @ v_k)
-    combo = v_k + 2.0 * math.sqrt(mu) * (y_next - f.minimizer) + math.sqrt(s) * g
+    return _gc_record(f.gap(y_k), f.grad(y_k), y_next, v_k, f.minimizer, s, mu,
+                      alpha, beta, k)
+
+
+def _iv_record(potential: float, v_next: Vector, x_next: Vector,
+               xstar: Vector, s: float, mu: float, alpha: float, beta: float,
+               k: float) -> LyapunovRecord:
+    c = momentum_denominator(mu, s)
+    kinetic = 0.5 * alpha * float(v_next @ v_next) / (c * c)
+    combo = v_next + 2.0 * math.sqrt(mu) * (x_next - xstar)
     mixed = 0.5 * beta * float(combo @ combo)
-    additional = -0.5 * s * float(g @ g)
-    return LyapunovRecord(k_or_t=k, energy=potential + kinetic + mixed + additional,
+    return LyapunovRecord(k_or_t=k, energy=potential + kinetic + mixed,
                           potential=potential, kinetic=kinetic, mixed=mixed,
-                          additional=additional)
+                          additional=0.0)
 
 
 def lyap_iv(f: Objective, y_k: Vector, v_next: Vector, x_next: Vector,
@@ -102,14 +119,8 @@ def lyap_iv(f: Objective, y_k: Vector, v_next: Vector, x_next: Vector,
     """
     _require_minimizer(f)
     _check_weights(alpha, beta)
-    c = momentum_denominator(mu, s)
-    potential = f.gap(y_k)
-    kinetic = 0.5 * alpha * float(v_next @ v_next) / (c * c)
-    combo = v_next + 2.0 * math.sqrt(mu) * (x_next - f.minimizer)
-    mixed = 0.5 * beta * float(combo @ combo)
-    return LyapunovRecord(k_or_t=k, energy=potential + kinetic + mixed,
-                          potential=potential, kinetic=kinetic, mixed=mixed,
-                          additional=0.0)
+    return _iv_record(f.gap(y_k), v_next, x_next, f.minimizer, s, mu, alpha,
+                      beta, k)
 
 
 def lyap_ode(f: Objective, X: Vector, Xdot: Vector, s: float, mu: float,
@@ -146,29 +157,41 @@ def _form_for(trajectory: Trajectory, form: str):
 
 def energies(trajectory: Trajectory, form: str) -> np.ndarray:
     """E(k) for k = 0..K-1 along a trajectory (E(k) needs the state after
-    step k, so the last record has no energy)."""
+    step k, so the last record has no energy).
+
+    The trajectory must be one that :func:`~accelcert.optimizers.run`
+    produced: the potential f(y_k) - f* is read from its recorded ``f_gap``
+    column, which every method a form applies to records at y_k.  So the
+    iv form makes no oracle call, and the gc form one gradient per k.
+    """
     _form_for(trajectory, form)
     f = trajectory.objective
+    _require_minimizer(f)
     s, mu = trajectory.s, trajectory.mu
+    xstar = f.minimizer
+    gaps = trajectory.f_gap.tolist()
+    ys, vs, xs = trajectory.ys, trajectory.vs, trajectory.xs
     K = trajectory.K
     out = np.empty(K)
     for k in range(K):
         if form == "gc":
-            rec = lyap_gc(f, trajectory.ys[k], trajectory.ys[k + 1],
-                          trajectory.vs[k + 1], s, mu, k=k)
+            rec = _gc_record(gaps[k], f.grad(ys[k]), ys[k + 1], vs[k + 1], xstar,
+                             s, mu, DEFAULT_ALPHA, DEFAULT_BETA, k)
         else:
-            rec = lyap_iv(f, trajectory.ys[k], trajectory.vs[k + 1],
-                          trajectory.xs[k + 1], s, mu, k=k)
+            rec = _iv_record(gaps[k], vs[k + 1], xs[k + 1], xstar, s, mu,
+                             DEFAULT_ALPHA, DEFAULT_BETA, k)
         out[k] = rec.energy
     return out
 
 
 def attach_energies(trajectory: Trajectory, form: str) -> np.ndarray:
-    """Fill the trajectory's ``lyapunov`` column (NaN at the final record)."""
+    """Fill the trajectory's ``lyapunov`` column (NaN at the final record)
+    and note its form in ``lyapunov_form``."""
     vals = energies(trajectory, form)
     col = np.full(len(trajectory), np.nan)
     col[: len(vals)] = vals
     trajectory.lyapunov = col
+    trajectory.lyapunov_form = form
     return col
 
 
@@ -213,10 +236,14 @@ def certify_contraction(trajectory: Trajectory, form: str,
     ``rho`` defaults to sqrt(mu s) / 4.  The check carries absolute slack
     ``slack_scale * max(1, E(0))`` because the energy spans many orders of
     magnitude along a linearly converging run.  The report includes the
-    worst implied per-step contraction factor max_k E(k+1)/E(k).
+    worst implied per-step contraction factor max_k E(k+1)/E(k).  A
+    ``lyapunov`` column that ``run`` attached in the same form is reused.
     """
     _form_for(trajectory, form)
-    e = energies(trajectory, form)
+    if trajectory.lyapunov_form == form:
+        e = trajectory.lyapunov[: trajectory.K]
+    else:
+        e = energies(trajectory, form)
     if rho is None:
         rho = math.sqrt(trajectory.mu * trajectory.s) / 4.0
     slack = slack_scale * max(1.0, e[0] if len(e) else 1.0)

@@ -18,16 +18,22 @@ against one another:
   whose last term is the gradient correction, and its phase-space form
   ``gc-phase`` with velocity v_k = (y_{k+1} - y_k) / sqrt(s).
 
-Every scheme evaluates exactly one gradient per iteration; the previous
-gradient needed by the gc family is carried in the state, never recomputed.
+Every scheme evaluates exactly one gradient per iteration.  A state
+carries the gradient at its reference point (y_k for the momentum family,
+x_k for gd and heavy-ball), which is where the next step needs it; a step
+consumes that gradient and evaluates its successor's.  The previous
+gradient needed by the gc family is carried too, never recomputed.
+``run`` records the norm of the carried gradient and the objective gap at
+the reference point, so K steps cost exactly K+1 gradient and K+1 value
+evaluations.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from collections import namedtuple
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -64,8 +70,13 @@ class OptimizerState:
 
     The meaning of ``v`` is method-specific: displacement / sqrt(s) for the
     momentum schemes, the raw previous displacement for heavy-ball, and
-    unused (zero) for plain gradient descent.  ``grad_prev`` caches the
-    gradient at the previous reference point for the gc family.
+    unused (zero) for plain gradient descent.  ``grad`` is the gradient at
+    the reference point, which the next step descends along; a state built
+    by hand may leave it None, and the step then evaluates it.  The gc
+    family also carries the previous gradient in ``grad_prev`` and, for
+    ``gc-modified``, the previous iterate y_{k-1} in ``y_prev``.
+    ``v_first``, when set, is the velocity the next ``iv-phase`` step takes
+    instead of the recursion's (see :func:`initial_state`).
     """
 
     x: Vector
@@ -74,10 +85,18 @@ class OptimizerState:
     k: int
     s: float
     grad_prev: Optional[Vector] = None
+    grad: Optional[Vector] = None
+    y_prev: Optional[Vector] = None
+    v_first: Optional[Vector] = None
 
     def __post_init__(self):
         if not self.s > 0:
             raise ValueError("step size s must be positive")
+
+
+def _gradient(f: Objective, state: OptimizerState, point: Vector) -> Vector:
+    """The state's carried gradient, or grad f(point) for a state without one."""
+    return f.grad(point) if state.grad is None else state.grad
 
 
 def gd_step(f: Objective, state: OptimizerState) -> OptimizerState:
@@ -85,8 +104,9 @@ def gd_step(f: Objective, state: OptimizerState) -> OptimizerState:
 
     y and v are copied through unchanged.
     """
-    x1 = state.x - state.s * f.grad(state.x)
-    return replace(state, x=x1, k=state.k + 1)
+    x1 = state.x - state.s * _gradient(f, state, state.x)
+    return OptimizerState(x=x1, y=state.y, v=state.v, k=state.k + 1,
+                          s=state.s, grad=f.grad(x1))
 
 
 def default_heavy_ball_beta(mu: float, s: float) -> float:
@@ -96,23 +116,27 @@ def default_heavy_ball_beta(mu: float, s: float) -> float:
 
 
 def heavy_ball_step(f: Objective, state: OptimizerState,
-                    beta: float) -> OptimizerState:
+                    beta: Optional[float] = None) -> OptimizerState:
     """Momentum baseline x_{k+1} = x_k - s grad f(x_k) + beta (x_k - x_{k-1}).
 
-    The previous displacement x_k - x_{k-1} is carried in ``v``.
+    The previous displacement x_k - x_{k-1} is carried in ``v``.  ``beta``
+    defaults to :func:`default_heavy_ball_beta`.
     """
-    x1 = state.x - state.s * f.grad(state.x) + beta * state.v
-    return replace(state, x=x1, v=x1 - state.x, k=state.k + 1)
+    if beta is None:
+        beta = default_heavy_ball_beta(f.mu, state.s)
+    x1 = state.x - state.s * _gradient(f, state, state.x) + beta * state.v
+    return OptimizerState(x=x1, y=state.y, v=x1 - state.x, k=state.k + 1,
+                          s=state.s, grad=f.grad(x1))
 
 
 def nag_classic_step(f: Objective, state: OptimizerState) -> OptimizerState:
     """Accelerated scheme with momentum (1 - sqrt(mu s)) / (1 + sqrt(mu s))."""
     s = state.s
     r = math.sqrt(f.mu * s)
-    x1 = state.y - s * f.grad(state.y)
+    x1 = state.y - s * _gradient(f, state, state.y)
     y1 = x1 + ((1.0 - r) / (1.0 + r)) * (x1 - state.x)
-    return replace(state, x=x1, y=y1, v=(x1 - state.x) / math.sqrt(s),
-                   k=state.k + 1)
+    return OptimizerState(x=x1, y=y1, v=(x1 - state.x) / math.sqrt(s),
+                          k=state.k + 1, s=s, grad=f.grad(y1))
 
 
 def nag_modified_step(f: Objective, state: OptimizerState) -> OptimizerState:
@@ -121,25 +145,31 @@ def nag_modified_step(f: Objective, state: OptimizerState) -> OptimizerState:
     v is maintained as (x_{k+1} - x_k) / sqrt(s) for diagnostics.
     """
     s = state.s
-    x1 = state.y - s * f.grad(state.y)
+    x1 = state.y - s * _gradient(f, state, state.y)
     y1 = x1 + (x1 - state.x) / momentum_denominator(f.mu, s)
-    return replace(state, x=x1, y=y1, v=(x1 - state.x) / math.sqrt(s),
-                   k=state.k + 1)
+    return OptimizerState(x=x1, y=y1, v=(x1 - state.x) / math.sqrt(s),
+                          k=state.k + 1, s=s, grad=f.grad(y1))
 
 
-def gc_modified_step(f: Objective, y_curr: Vector, y_prev: Vector,
-                     grad_prev: Vector, s: float,
-                     mu: float) -> tuple[Vector, Vector]:
+def gc_modified_step(f: Objective, state: OptimizerState) -> OptimizerState:
     """One step of the single-sequence gradient-correction scheme.
 
-    ``grad_prev`` must be grad f(y_prev) as supplied by the caller; the
-    gradient at y_curr is evaluated once and returned for reuse.
+    The state carries y_k in ``y``, y_{k-1} in ``y_prev`` and
+    grad f(y_{k-1}) in ``grad_prev``.  The successor's ``x`` is the
+    gradient-step image x_{k+1} = y_k - s grad f(y_k) and its ``v`` is
+    (y_{k+1} - y_k) / sqrt(s).
     """
-    c = momentum_denominator(mu, s)
-    g = f.grad(y_curr)
-    y_next = (y_curr + (y_curr - y_prev) / c - (s / c) * g
-              - (s / c) * (g - grad_prev))
-    return y_next, g
+    if state.y_prev is None or state.grad_prev is None:
+        raise ValueError("gc-modified state must carry the previous iterate "
+                         "and its gradient")
+    s = state.s
+    c = momentum_denominator(f.mu, s)
+    g = _gradient(f, state, state.y)
+    y1 = (state.y + (state.y - state.y_prev) / c - (s / c) * g
+          - (s / c) * (g - state.grad_prev))
+    return OptimizerState(x=state.y - s * g, y=y1,
+                          v=(y1 - state.y) / math.sqrt(s), k=state.k + 1, s=s,
+                          grad_prev=g, grad=f.grad(y1), y_prev=state.y)
 
 
 def gc_phase_step(f: Objective, state: OptimizerState) -> OptimizerState:
@@ -160,11 +190,12 @@ def gc_phase_step(f: Objective, state: OptimizerState) -> OptimizerState:
         raise ValueError("gc-phase state must carry the cached previous gradient")
     s = state.s
     c = momentum_denominator(f.mu, s)
-    g = f.grad(state.y)
+    g = _gradient(f, state, state.y)
     v1 = (state.v - math.sqrt(s) * (2.0 * g - state.grad_prev)) / c
     y1 = state.y + math.sqrt(s) * v1
     x1 = state.y - s * g
-    return OptimizerState(x=x1, y=y1, v=v1, k=state.k + 1, s=s, grad_prev=g)
+    return OptimizerState(x=x1, y=y1, v=v1, k=state.k + 1, s=s, grad_prev=g,
+                          grad=f.grad(y1))
 
 
 def iv_phase_step(f: Objective, state: OptimizerState) -> OptimizerState:
@@ -175,36 +206,68 @@ def iv_phase_step(f: Objective, state: OptimizerState) -> OptimizerState:
     then x_{k+1} = x_k + sqrt(s) v_{k+1}.  The probe point
     x_k + sqrt(s) v_k / c is exactly the y_k of the two-sequence scheme,
     and the successor's ``y`` is kept consistent with that identity:
-    y_{k+1} = x_{k+1} + sqrt(s) v_{k+1} / c.
+    y_{k+1} = x_{k+1} + sqrt(s) v_{k+1} / c, computed by the same
+    expression, so the successor's gradient is the next probe gradient.
+    A state with ``v_first`` set takes that velocity as v_{k+1}.
     """
     s = state.s
     c = momentum_denominator(f.mu, s)
-    probe = state.x + math.sqrt(s) * state.v / c
-    g = f.grad(probe)
-    v1 = state.v - 2.0 * math.sqrt(f.mu * s) * state.v / c - math.sqrt(s) * g
+    if state.v_first is not None:
+        v1 = state.v_first
+    else:
+        g = state.grad
+        if g is None:
+            g = f.grad(state.x + math.sqrt(s) * state.v / c)
+        v1 = state.v - 2.0 * math.sqrt(f.mu * s) * state.v / c - math.sqrt(s) * g
     x1 = state.x + math.sqrt(s) * v1
     y1 = x1 + math.sqrt(s) * v1 / c
-    return replace(state, x=x1, y=y1, v=v1, k=state.k + 1)
+    return OptimizerState(x=x1, y=y1, v=v1, k=state.k + 1, s=s, grad=f.grad(y1))
 
 
-def initial_state(f: Objective, method: str, x0: Vector, s: float) -> OptimizerState:
-    """State at k = 0 for the given method.
+#: The step function of each method; all map ``(f, state)`` to the successor.
+STEPS = {
+    "gd": gd_step,
+    "heavy-ball": heavy_ball_step,
+    "nag-classic": nag_classic_step,
+    "nag-modified": nag_modified_step,
+    "gc-modified": gc_modified_step,
+    "gc-phase": gc_phase_step,
+    "iv-phase": iv_phase_step,
+}
+
+
+def initial_state(f: Objective, method: str, x0: Vector, s: float,
+                  first_velocity: str = "scheme") -> OptimizerState:
+    """State at k = 0 for the given method, carrying grad f(x_0).
 
     For the gc family the phase recursion is seeded with a virtual
-    v_{-1} = 0 and grad f(y_{-1}) = grad f(y_0), which reproduces the
-    scheme's initial velocity v_0 = -sqrt(s) grad f(x_0) / c after the
-    first step (and hence y_1 = x_0 - s grad f(x_0) / c).
+    v_{-1} = 0, y_{-1} = y_0 and grad f(y_{-1}) = grad f(y_0), which
+    reproduces the scheme's initial velocity v_0 = -sqrt(s) grad f(x_0) / c
+    after the first step (and hence y_1 = x_0 - s grad f(x_0) / c).
+
+    For ``iv-phase``, a ``first_velocity`` other than "scheme" prescribes
+    v_1 instead of following the recursion from v_0 = 0: "zero" takes
+    v_1 = 0 and "corollary" v_1 = 2 sqrt(mu s) grad f(y_0).  Other methods
+    ignore it.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+    if first_velocity not in FIRST_VELOCITY_CONVENTIONS:
+        raise ValueError(f"unknown first_velocity {first_velocity!r}")
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (f.dim,):
         raise ValueError(f"x0 has shape {x0.shape}, objective dimension is {f.dim}")
-    zero = np.zeros(f.dim)
+    g0 = f.grad(x0)
+    state = OptimizerState(x=x0.copy(), y=x0.copy(), v=np.zeros(f.dim), k=0,
+                           s=s, grad=g0)
     if method in ("gc-phase", "gc-modified"):
-        return OptimizerState(x=x0.copy(), y=x0.copy(), v=zero, k=0, s=s,
-                              grad_prev=f.grad(x0))
-    return OptimizerState(x=x0.copy(), y=x0.copy(), v=zero, k=0, s=s)
+        state.grad_prev = g0
+        state.y_prev = state.y
+    elif method == "iv-phase" and first_velocity == "zero":
+        state.v_first = np.zeros(f.dim)
+    elif method == "iv-phase" and first_velocity == "corollary":
+        state.v_first = 2.0 * math.sqrt(f.mu * s) * g0
+    return state
 
 
 class NonFiniteIterateError(RuntimeError):
@@ -223,7 +286,8 @@ class Trajectory:
     ``ys[k]``, velocity ``vs[k]``, the objective gap ``f_gap[k]`` and
     gradient norm at the method's natural reference point (y_k for the
     momentum family, x_k for gd and heavy-ball).  ``lyapunov`` and
-    ``bound`` are optional diagnostic columns (NaN where undefined).
+    ``bound`` are optional diagnostic columns (NaN where undefined);
+    ``lyapunov_form`` names the energy form the ``lyapunov`` column holds.
     """
 
     method_id: str
@@ -236,6 +300,7 @@ class Trajectory:
     f_gap: np.ndarray
     grad_norm: np.ndarray
     lyapunov: Optional[np.ndarray] = None
+    lyapunov_form: Optional[str] = None
     bound: Optional[np.ndarray] = None
     objective: Optional[Objective] = field(default=None, repr=False)
 
@@ -247,27 +312,14 @@ class Trajectory:
         """Number of steps taken (records run k = 0..K)."""
         return self.xs.shape[0] - 1
 
-    def record(self, k: int) -> "TrajectoryRecord":
-        return TrajectoryRecord(
-            k=k, x=self.xs[k], y=self.ys[k], v=self.vs[k],
-            f_gap=float(self.f_gap[k]), grad_norm=float(self.grad_norm[k]),
-            lyapunov=float(self.lyapunov[k]) if self.lyapunov is not None else None,
-            bound=float(self.bound[k]) if self.bound is not None else None)
-
     @property
-    def records(self) -> list:
-        return [self.record(k) for k in range(len(self))]
+    def reference(self) -> str:
+        """The sequence, "y" or "x", that ``f_gap`` and ``grad_norm`` are
+        recorded at."""
+        return "y" if self.method_id in NAG_FAMILY else "x"
 
     def reference_points(self) -> np.ndarray:
-        return self.ys if self.method_id in NAG_FAMILY else self.xs
-
-
-TrajectoryRecord = namedtuple(
-    "TrajectoryRecord", "k x y v f_gap grad_norm lyapunov bound")
-
-
-def _reference(method: str, state: OptimizerState) -> Vector:
-    return state.y if method in NAG_FAMILY else state.x
+        return self.ys if self.reference == "y" else self.xs
 
 
 def run(f: Objective, method: str, x0: Vector, s: float, K: int, *,
@@ -282,11 +334,13 @@ def run(f: Objective, method: str, x0: Vector, s: float, K: int, *,
     for the first velocity iterate of iv-phase; anything but "scheme"
     deliberately overrides the recursion at k = 0 and exists to probe the
     initial-energy conventions.
+
+    The run itself makes K+1 gradient and K+1 value evaluations: one of
+    each per recorded point, the gradient shared by the record and the
+    next step.
     """
     if K < 0:
         raise ValueError("K must be nonnegative")
-    if first_velocity not in FIRST_VELOCITY_CONVENTIONS:
-        raise ValueError(f"unknown first_velocity {first_velocity!r}")
     if s > 1.0 / f.lipschitz * (1.0 + 1e-12):
         warnings.warn(
             f"step size s={s:.6g} exceeds 1/L={1.0 / f.lipschitz:.6g}; "
@@ -295,11 +349,10 @@ def run(f: Objective, method: str, x0: Vector, s: float, K: int, *,
         warnings.warn("nag-classic run with mu*s > 1; momentum coefficient "
                       "is negative", stacklevel=2)
 
-    state = initial_state(f, method, x0, s)
-    beta = heavy_ball_beta
-    if method == "heavy-ball" and beta is None:
-        beta = default_heavy_ball_beta(f.mu, s)
-    y_prev = state.y.copy()  # virtual y_{-1} = y_0 for gc-modified
+    state = initial_state(f, method, x0, s, first_velocity)
+    step = STEPS[method]
+    if method == "heavy-ball" and heavy_ball_beta is not None:
+        step = partial(heavy_ball_step, beta=heavy_ball_beta)
 
     xs = np.empty((K + 1, f.dim))
     ys = np.empty((K + 1, f.dim))
@@ -307,48 +360,19 @@ def run(f: Objective, method: str, x0: Vector, s: float, K: int, *,
     f_gap = np.empty(K + 1)
     grad_norm = np.empty(K + 1)
     have_min = f.min_value is not None
+    on_y = method in NAG_FAMILY
 
     def record(i: int, st: OptimizerState):
         xs[i] = st.x
         ys[i] = st.y
         vs[i] = st.v
-        ref = _reference(method, st)
+        ref = st.y if on_y else st.x
         f_gap[i] = f.value(ref) - f.min_value if have_min else np.nan
-        grad_norm[i] = np.linalg.norm(f.grad(ref))
+        grad_norm[i] = np.linalg.norm(st.grad)
 
     record(0, state)
     for k in range(K):
-        if method == "gd":
-            state = gd_step(f, state)
-        elif method == "heavy-ball":
-            state = heavy_ball_step(f, state, beta)
-        elif method == "nag-classic":
-            state = nag_classic_step(f, state)
-        elif method == "nag-modified":
-            state = nag_modified_step(f, state)
-        elif method == "gc-phase":
-            state = gc_phase_step(f, state)
-        elif method == "gc-modified":
-            # single-sequence recursion; x is the gradient-step image of y
-            y1, g = gc_modified_step(f, state.y, y_prev, state.grad_prev, s, f.mu)
-            v1 = (y1 - state.y) / math.sqrt(s)
-            x1 = state.y - s * g
-            y_prev = state.y
-            state = OptimizerState(x=x1, y=y1, v=v1, k=state.k + 1, s=s,
-                                   grad_prev=g)
-        elif method == "iv-phase":
-            if k == 0 and first_velocity != "scheme":
-                c = momentum_denominator(f.mu, s)
-                g0 = f.grad(state.x)
-                if first_velocity == "zero":
-                    v1 = np.zeros(f.dim)
-                else:  # "corollary": v_1 = 2 sqrt(mu s) grad f(y_0)
-                    v1 = 2.0 * math.sqrt(f.mu * s) * g0
-                x1 = state.x + math.sqrt(s) * v1
-                state = replace(state, x=x1, y=x1 + math.sqrt(s) * v1 / c,
-                                v=v1, k=1)
-            else:
-                state = iv_phase_step(f, state)
+        state = step(f, state)
         if not np.all(np.isfinite(state.x)):
             raise NonFiniteIterateError(method, state.k)
         record(k + 1, state)

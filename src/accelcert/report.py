@@ -26,16 +26,3 @@ class CertReport:
     @property
     def passed(self) -> bool:
         return self.n_failed == 0
-
-    def summary_lines(self) -> list[str]:
-        """Machine-parsable ``key: value`` lines describing the report."""
-        lines = [
-            f"{self.name}_checked: {self.n_checked}",
-            f"{self.name}_violations: {self.n_failed}",
-            f"{self.name}_worst_margin: {self.worst_margin!r}",
-        ]
-        if self.first_failure is not None:
-            lines.append(f"{self.name}_first_failure: {self.first_failure}")
-        for key, value in self.details.items():
-            lines.append(f"{self.name}_{key}: {value}")
-        return lines

@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 
 from accelcert import (bound_curve, characteristic_roots, check_bound,
                        empirical_rate, make_quadratic, max_reality_threshold,
-                       monotonic_window, monotonicity_scan, reality_threshold,
-                       run)
+                       make_reg_logistic, monotonic_window, monotonicity_scan,
+                       reality_threshold, resolve_minimizer, run)
+from accelcert.objectives import MinimizerUnknownError
 
 
 def poly_residual(root, lam, mu, s):
@@ -163,6 +164,27 @@ class TestCheckBound:
         report = check_bound(traj, "rate-iv", allow_mismatch=True)
         assert not report.passed
         assert 0 < report.first_failure < 8000
+
+    @pytest.mark.parametrize("method", ["gd", "heavy-ball", "nag-classic",
+                                        "iv-phase", "gc-modified"])
+    def test_recorded_gaps_are_the_oracle_gaps(self, method):
+        # the premise of reading f_gap instead of calling the oracle again
+        for f in (make_quadratic([1, 4, 25], rotation_seed=3),
+                  resolve_minimizer(make_reg_logistic(3, 50, 2, 0.1))):
+            traj = run(f, method, np.full(f.dim, 0.7), 1.0 / f.lipschitz, 60)
+            np.testing.assert_array_equal(
+                traj.f_gap, [f.gap(p) for p in traj.reference_points()])
+
+    @pytest.mark.parametrize("method, theorem, allow_mismatch", [
+        ("iv-phase", "rate-iv", False), ("gd", "gd", False),
+        ("gd", "rate-iv", True), ("gc-phase", "rate-gc", False),
+        ("iv-phase", "rate-iv-x", False)])
+    def test_unresolved_objective_rejected(self, method, theorem,
+                                           allow_mismatch):
+        f = make_reg_logistic(3, 50, 2, 0.1)
+        traj = run(f, method, np.ones(2), 1.0 / f.lipschitz, 10)
+        with pytest.raises(MinimizerUnknownError):
+            check_bound(traj, theorem, allow_mismatch=allow_mismatch)
 
     def test_incompatible_gc_pairing_rejected(self):
         f = make_quadratic([1, 100])

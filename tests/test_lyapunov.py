@@ -131,6 +131,18 @@ class TestMinimizerRequired:
         with pytest.raises(MinimizerUnknownError):
             lyap_iv(f, np.zeros(2), np.zeros(2), np.zeros(2), s=1.0, mu=0.1)
 
+    @pytest.mark.parametrize("method, form", [("iv-phase", "iv"),
+                                              ("gc-phase", "gc")])
+    def test_unresolved_trajectory_rejected(self, method, form):
+        # the recorded gaps are NaN here; reading them must not hide that
+        f = make_reg_logistic(3, 50, 2, 0.1)
+        traj = run(f, method, np.ones(2), 1.0 / f.lipschitz, 10)
+        assert np.all(np.isnan(traj.f_gap))
+        with pytest.raises(MinimizerUnknownError):
+            energies(traj, form)
+        with pytest.raises(MinimizerUnknownError):
+            certify_contraction(traj, form)
+
 
 class TestCertifyContraction:
     def test_optimum_start_trivially_certified(self):
@@ -155,6 +167,19 @@ class TestCertifyContraction:
         report = certify_contraction(traj, "iv", rho=10.0 * math.sqrt(f.mu * s))
         assert not report.passed
         assert report.first_failure is not None and report.first_failure < 50
+
+    @pytest.mark.parametrize("method, form", [
+        ("iv-phase", "iv"), ("nag-modified", "iv"),
+        ("gc-phase", "gc"), ("gc-modified", "gc")])
+    def test_attached_column_gives_same_report(self, method, form):
+        f = make_quadratic([1, 100])
+        x0 = np.array([1.0, -0.5])
+        plain = run(f, method, x0, 0.01, 200)
+        attached = run(f, method, x0, 0.01, 200, lyapunov=form)
+        assert plain.lyapunov_form is None and attached.lyapunov_form == form
+        for rho in (None, 0.3):
+            assert (repr(certify_contraction(plain, form, rho=rho))
+                    == repr(certify_contraction(attached, form, rho=rho)))
 
     def test_incompatible_method_rejected(self):
         f = make_quadratic([1, 100])

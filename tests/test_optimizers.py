@@ -103,15 +103,18 @@ class TestNagModifiedStep:
 
 class TestGcSteps:
     def test_single_sequence_substitution(self, quad_1):
-        y_next, g = gc_modified_step(quad_1, np.array([1.0]), np.array([1.0]),
-                                     grad_prev=np.array([1.0]), s=1.0, mu=1.0)
-        assert y_next == pytest.approx([2.0 / 3.0])
-        assert g == pytest.approx([1.0])
+        st = OptimizerState(x=np.array([1.0]), y=np.array([1.0]),
+                            v=np.zeros(1), k=0, s=1.0,
+                            grad_prev=np.array([1.0]), y_prev=np.array([1.0]))
+        nxt = gc_modified_step(quad_1, st)  # quad_1 has mu = 1
+        assert nxt.y == pytest.approx([2.0 / 3.0])
+        assert nxt.grad_prev == pytest.approx([1.0])  # grad f(y_k), carried
 
     def test_single_sequence_stationary(self, quad_1):
-        y_next, _ = gc_modified_step(quad_1, np.array([0.0]), np.array([0.0]),
-                                     grad_prev=np.array([0.0]), s=0.5, mu=1.0)
-        assert y_next == pytest.approx([0.0])
+        st = OptimizerState(x=np.zeros(1), y=np.zeros(1), v=np.zeros(1), k=0,
+                            s=0.5, grad_prev=np.zeros(1), y_prev=np.zeros(1))
+        nxt = gc_modified_step(quad_1, st)
+        assert nxt.y == pytest.approx([0.0])
 
     def test_phase_initialization(self, quad_1):
         # first step realizes v_0 = -sqrt(s) grad f(x_0) / (1 + 2 sqrt(mu s))
