@@ -12,8 +12,8 @@ import math
 
 import numpy as np
 
-from accelcert import (check_continuous_bound, integrate, lyap_ode,
-                       make_quadratic, run)
+from accelcert import (check_continuous_bound, integrate, make_quadratic,
+                       ode_energies, run)
 
 f = make_quadratic([1, 4])
 s = 0.25
@@ -32,14 +32,12 @@ traj = run(f, "iv-phase", x0, s, K)
 print("\n  k    t=k*sqrt(s)   discrete f_gap   continuous f_gap")
 for k in range(0, K + 1, 8):
     t = k * math.sqrt(s)
-    st = solution[int(round(t / 1e-3))]
-    probe = st.X + math.sqrt(s) * st.Xdot / (1 + 2 * math.sqrt(f.mu * s))
-    print(f"{k:>4}   {t:>10.3f}   {traj.f_gap[k]:>14.6e}   "
-          f"{f.gap(probe):>15.6e}")
+    gap = solution.f_gap[int(round(t / 1e-3))]  # recorded at the probe point
+    print(f"{k:>4}   {t:>10.3f}   {traj.f_gap[k]:>14.6e}   {gap:>15.6e}")
 
-# energy along the flow is monotone
-e = [lyap_ode(f, st.X, st.Xdot, s, f.mu, t=st.t).energy for st in solution]
-e = np.array(e)
+# energy along the flow is monotone; its potential is the probe gap that
+# integrate recorded, so this makes no oracle call
+e = ode_energies(solution, f, s, f.mu)
 print(f"\nenergy monotone along the flow: {bool(np.all(np.diff(e) <= 1e-8))}")
 print(f"E(0) = {e[0]:.4f}, E(T) = {e[-1]:.3e}, "
       f"certified ceiling E(0) e^(-sqrt(mu) T / 4) = "

@@ -17,9 +17,10 @@ from .optimizers import (METHODS, NAG_FAMILY, OptimizerState, Trajectory,
                          initial_state, iv_phase_step, momentum_denominator,
                          nag_classic_step, nag_modified_step, run)
 from .lyapunov import (LyapunovRecord, certify_contraction, energies,
-                       initial_energy, lyap_gc, lyap_iv, lyap_ode)
-from .hires_ode import (OdeState, check_continuous_bound, integrate,
-                        probe_point, rhs_original, rhs_simplified)
+                       initial_energy, lyap_gc, lyap_iv, lyap_ode,
+                       ode_energies)
+from .hires_ode import (OdeSolution, OdeState, check_continuous_bound,
+                        integrate, probe_point, rhs_original, rhs_simplified)
 from .analysis import (RootPair, ScanReport, bound_curve, characteristic_roots,
                        check_bound, empirical_rate, max_reality_threshold,
                        monotonic_window, monotonicity_scan, reality_threshold)
@@ -37,7 +38,8 @@ __all__ = [
     "heavy_ball_step", "initial_state", "iv_phase_step",
     "momentum_denominator", "nag_classic_step", "nag_modified_step", "run",
     "LyapunovRecord", "certify_contraction", "energies", "initial_energy",
-    "lyap_gc", "lyap_iv", "lyap_ode", "OdeState", "check_continuous_bound",
+    "lyap_gc", "lyap_iv", "lyap_ode", "ode_energies", "OdeSolution",
+    "OdeState", "check_continuous_bound",
     "integrate", "probe_point", "rhs_original", "rhs_simplified",
     "RootPair", "ScanReport",
     "bound_curve", "characteristic_roots", "check_bound", "empirical_rate",

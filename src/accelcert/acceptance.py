@@ -154,13 +154,21 @@ def criterion_5() -> CriterionResult:
 
 def gradient_step_margins(traj: Trajectory) -> np.ndarray:
     """Margins of f(x_{k+1}) - f* <= f(y_k) - f* - (s/2)||grad f(y_k)||^2
-    along a momentum-family trajectory (positive = satisfied)."""
+    along a momentum-family trajectory (positive = satisfied).
+
+    f(y_k) - f* is read from the recorded ``f_gap`` column; the gradient is
+    evaluated again, because the recorded norm squared is not bit-equal to
+    g @ g.
+    """
+    if traj.reference != "y":
+        raise ValueError(f"{traj.method_id!r} records f_gap at x_k, not y_k; "
+                         "the margins need a momentum-family trajectory")
     f = traj.objective
     s = traj.s
     out = np.empty(traj.K)
     for k in range(traj.K):
         g = f.grad(traj.ys[k])
-        rhs = f.gap(traj.ys[k]) - 0.5 * s * float(g @ g)
+        rhs = traj.f_gap[k] - 0.5 * s * float(g @ g)
         out[k] = rhs - f.gap(traj.xs[k + 1])
     return out
 
@@ -175,8 +183,7 @@ def criterion_6() -> CriterionResult:
                        "gc-modified"):
             traj = run(f, method, x0, s, 500)
             margins = gradient_step_margins(traj)
-            slack = 1e-12 * np.maximum(1.0, np.array(
-                [f.gap(traj.ys[k]) for k in range(traj.K)]))
+            slack = 1e-12 * np.maximum(1.0, traj.f_gap[:traj.K])
             bad = np.flatnonzero(margins < -slack)
             lines.append(f"{label} {method}: worst margin {margins.min():.3e}, "
                          f"violations {len(bad)}")

@@ -15,11 +15,11 @@ import sys
 import numpy as np
 
 from . import analysis
-from .harness import (ConfigError, OUTPUT_ROOT_ENV, _output_root, fmt,
-                      load_config, execute, suite, write_ode_csv,
+from .harness import (ConfigError, OUTPUT_ROOT_ENV, _OBJECTIVE_PARAMS,
+                      _output_root, execute, fmt, load_config,
+                      objective_from_params, suite, write_ode_csv,
                       write_scan_csv, write_summary)
 from .hires_ode import check_continuous_bound, integrate
-from .objectives import SpectrumSpec, make_quadratic, make_reg_logistic, resolve_minimizer
 
 
 def _floats(text: str) -> list[float]:
@@ -46,7 +46,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        choices=("quad", "quad-rot", "reg-logistic"))
     p_ode.add_argument("--spectrum", type=_floats, default=[1.0, 4.0],
                        help="comma-separated eigenvalues (quad objectives)")
-    p_ode.add_argument("--rotation-seed", type=int, default=None)
+    p_ode.add_argument("--rotation-seed", type=int, default=0)
     p_ode.add_argument("--data-seed", type=int, default=3)
     p_ode.add_argument("--n-samples", type=int, default=50)
     p_ode.add_argument("--dim", type=int, default=2)
@@ -82,14 +82,9 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_ode(args) -> int:
-    if args.objective == "quad":
-        f = make_quadratic(SpectrumSpec(args.spectrum))
-    elif args.objective == "quad-rot":
-        f = make_quadratic(SpectrumSpec(args.spectrum),
-                           rotation_seed=args.rotation_seed or 0)
-    else:
-        f = make_reg_logistic(args.data_seed, args.n_samples, args.dim, args.reg)
-    f = resolve_minimizer(f)
+    params = {key: getattr(args, key)
+              for key in _OBJECTIVE_PARAMS[args.objective]}
+    f = objective_from_params(args.objective, params)
     x0 = np.ones(f.dim) if args.x0 is None else np.asarray(args.x0, float)
     if x0.shape != (f.dim,):
         raise ConfigError(f"x0: length {len(x0)} does not match dimension {f.dim}")

@@ -22,8 +22,7 @@ from typing import Optional
 import numpy as np
 
 from . import analysis, lyapunov
-from .hires_ode import OdeState, probe_point
-from .lyapunov import lyap_ode
+from .hires_ode import OdeSolution, probe_gaps
 from .objectives import (Objective, SpectrumSpec, make_quadratic,
                          make_reg_logistic, resolve_minimizer, sample_in_ball)
 from .optimizers import METHODS, NonFiniteIterateError, Trajectory, run
@@ -177,16 +176,23 @@ def load_config(path: str | Path) -> ExperimentConfig:
     return parse_config(Path(path).read_text())
 
 
+def objective_from_params(objective: str, params: dict) -> Objective:
+    """Instantiate an objective id from its flat parameters (see
+    ``_OBJECTIVE_PARAMS``) with its minimizer resolved."""
+    if objective == "quad":
+        f = make_quadratic(SpectrumSpec(params["spectrum"]))
+    elif objective == "quad-rot":
+        f = make_quadratic(SpectrumSpec(params["spectrum"]),
+                           rotation_seed=params["rotation_seed"])
+    else:
+        f = make_reg_logistic(params["data_seed"], params["n_samples"],
+                              params["dim"], params["reg"])
+    return resolve_minimizer(f)
+
+
 def build_objective(config: ExperimentConfig) -> Objective:
     """Instantiate the configured objective with its minimizer resolved."""
-    p = config.objective_params
-    if config.objective == "quad":
-        f = make_quadratic(SpectrumSpec(p["spectrum"]))
-    elif config.objective == "quad-rot":
-        f = make_quadratic(SpectrumSpec(p["spectrum"]), rotation_seed=p["rotation_seed"])
-    else:
-        f = make_reg_logistic(p["data_seed"], p["n_samples"], p["dim"], p["reg"])
-    return resolve_minimizer(f)
+    return objective_from_params(config.objective, config.objective_params)
 
 
 def resolve_s(spec: float | str, f: Objective) -> float:
@@ -255,23 +261,24 @@ def write_trajectory_csv(traj: Trajectory, path: Path):
             writer.writerow(row)
 
 
-def write_ode_csv(solution: list[OdeState], f: Objective, s: float, mu: float,
+def write_ode_csv(solution: OdeSolution, f: Objective, s: float, mu: float,
                   path: Path):
     """Schema: t,X0..X{d-1},Xdot0..Xdot{d-1},f_gap,lyapunov (gap and energy
-    at the probe point / along the solution)."""
+    at the probe point / along the solution).  On the solution that
+    ``integrate`` returned for ``f`` at (s, mu) the gap column is the
+    recorded one, so writing makes no oracle call."""
     d = f.dim
     header = (["t"] + [f"X{i}" for i in range(d)]
               + [f"Xdot{i}" for i in range(d)] + ["f_gap", "lyapunov"])
+    gaps = probe_gaps(solution, f, s, mu)
+    energy = lyapunov.ode_energies(solution, f, s, mu, gaps)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for st in solution:
-            gap = f.gap(probe_point(st.X, st.Xdot, s, mu))
-            energy = lyap_ode(f, st.X, st.Xdot, s, mu, t=st.t).energy
-            row = ([fmt(st.t)] + [fmt(float(v)) for v in st.X]
-                   + [fmt(float(v)) for v in st.Xdot]
-                   + [fmt(float(gap)), fmt(float(energy))])
-            writer.writerow(row)
+        for i, (t, gap, e) in enumerate(zip(solution.t.tolist(), gaps.tolist(),
+                                            energy.tolist())):
+            row = [t, *solution.X[i].tolist(), *solution.Xdot[i].tolist(), gap, e]
+            writer.writerow(map(fmt, row))
 
 
 def write_scan_csv(report: analysis.ScanReport, path: Path):

@@ -15,18 +15,25 @@ the simplified equation and is verified sample-wise by
 Integration is fixed-step classical Runge-Kutta 4 on the first-order
 system: the dynamics are smooth and non-stiff for the problems treated
 here, and a fixed step keeps runs bit-deterministic for regression tests.
+
+:func:`integrate` returns an :class:`OdeSolution`, whose preallocated
+columns hold t, X, X' and the objective gap at the probe point, evaluated
+once per sample.  :func:`check_continuous_bound`, the continuous energy
+:func:`accelcert.lyapunov.ode_energies` and the ODE CSV writer read that
+recorded gap instead of calling the oracle again.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Iterator, Optional
 
 import numpy as np
 
 from .objectives import Objective, Vector
 from .optimizers import momentum_denominator
-from .lyapunov import lyap_ode
+from .lyapunov import ode_energies
 from .report import CertReport
 
 
@@ -37,6 +44,41 @@ class OdeState:
     t: float
     X: Vector
     Xdot: Vector
+
+
+@dataclass
+class OdeSolution:
+    """Samples of one integrated solution, stored column-wise.
+
+    Row i holds the state at time ``t[i]``: position ``X[i]``, velocity
+    ``Xdot[i]`` and ``f_gap[i]``, the objective gap at the probe point
+    (NaN when the objective's minimum is unknown).  ``s``, ``mu``,
+    ``which`` and ``objective`` record how the solution was integrated.
+    ``len``, indexing and iteration give :class:`OdeState` rows whose
+    arrays are views into the columns.
+    """
+
+    t: np.ndarray
+    X: np.ndarray
+    Xdot: np.ndarray
+    f_gap: np.ndarray
+    s: float
+    mu: float
+    which: str
+    objective: Optional[Objective] = field(default=None, repr=False)
+
+    def __len__(self) -> int:
+        return self.t.shape[0]
+
+    def __getitem__(self, i: int) -> OdeState:
+        return OdeState(t=float(self.t[i]), X=self.X[i], Xdot=self.Xdot[i])
+
+    def __iter__(self) -> Iterator[OdeState]:
+        return (self[i] for i in range(len(self)))
+
+    def records_gap(self, f: Objective, s: float, mu: float) -> bool:
+        """Whether ``f_gap`` is the probe gap of ``f`` at (s, mu)."""
+        return self.objective is f and self.s == s and self.mu == mu
 
 
 class NonFiniteSolutionError(RuntimeError):
@@ -81,11 +123,13 @@ def default_step(s: float) -> float:
 
 
 def integrate(f: Objective, x0: Vector, s: float, T: float,
-              h: float | None = None, which: str = "simplified") -> list[OdeState]:
-    """RK4 solution states at t = 0, h, 2h, ..., T from (x0, 0).
+              h: float | None = None, which: str = "simplified") -> OdeSolution:
+    """RK4 solution sampled at t = 0, h, 2h, ..., T from (x0, 0).
 
     T should be an integer multiple of h; the step count is rounded to the
-    nearest integer.  Deterministic for fixed inputs.
+    nearest integer.  Deterministic for fixed inputs.  The n RK4 steps make
+    4n gradient evaluations, and recording the probe gap at the n+1
+    samples makes n+1 value evaluations (none when the minimum is unknown).
     """
     if which not in _RHS:
         raise ValueError(f"unknown equation {which!r}; expected one of {tuple(_RHS)}")
@@ -102,7 +146,17 @@ def integrate(f: Objective, x0: Vector, s: float, T: float,
     n = int(round(T / h)) if T > 0 else 0
     if n > 0 and abs(n * h - T) > 1e-9 * max(1.0, T):
         raise ValueError(f"T={T} is not an integer multiple of h={h}")
-    out = [OdeState(t=0.0, X=X.copy(), Xdot=V.copy())]
+    Xs = np.empty((n + 1,) + X.shape)
+    Vs = np.empty((n + 1,) + X.shape)
+    f_gap = np.empty(n + 1)
+    have_min = f.min_value is not None
+
+    def record(i: int, X: Vector, V: Vector):
+        Xs[i] = X
+        Vs[i] = V
+        f_gap[i] = f.gap(probe_point(X, V, s, mu)) if have_min else np.nan
+
+    record(0, X, V)
     for i in range(n):
         k1x, k1v = rhs(f, OdeState(0.0, X, V), s, mu)
         k2x, k2v = rhs(f, OdeState(0.0, X + 0.5 * h * k1x, V + 0.5 * h * k1v), s, mu)
@@ -110,14 +164,25 @@ def integrate(f: Objective, x0: Vector, s: float, T: float,
         k4x, k4v = rhs(f, OdeState(0.0, X + h * k3x, V + h * k3v), s, mu)
         X = X + (h / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
         V = V + (h / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-        t = (i + 1) * h
-        if not (np.all(np.isfinite(X)) and np.all(np.isfinite(V))):
-            raise NonFiniteSolutionError(t)
-        out.append(OdeState(t=t, X=X.copy(), Xdot=V.copy()))
-    return out
+        if not (np.isfinite(X).all() and np.isfinite(V).all()):
+            raise NonFiniteSolutionError((i + 1) * h)
+        record(i + 1, X, V)
+    return OdeSolution(t=np.arange(n + 1) * h, X=Xs, Xdot=Vs, f_gap=f_gap,
+                       s=s, mu=mu, which=which, objective=f)
 
 
-def check_continuous_bound(solution: list[OdeState], f: Objective, s: float,
+def probe_gaps(solution: OdeSolution, f: Objective, s: float,
+               mu: float) -> np.ndarray:
+    """f(probe(t)) - f* at every sample: the recorded ``f_gap`` column when
+    ``solution`` was integrated on ``f`` at (s, mu), otherwise evaluated
+    once per sample."""
+    if solution.records_gap(f, s, mu):
+        return solution.f_gap
+    return np.array([f.gap(probe_point(X, Xdot, s, mu))
+                     for X, Xdot in zip(solution.X, solution.Xdot)])
+
+
+def check_continuous_bound(solution: OdeSolution, f: Objective, s: float,
                            mu: float, bound_tol: float = 1e-6,
                            decay_tol: float = 1e-8) -> CertReport:
     """Verify the continuous convergence theorem along a solution.
@@ -130,37 +195,41 @@ def check_continuous_bound(solution: list[OdeState], f: Objective, s: float,
                             * exp(-sqrt(mu) t / 4)``
       with absolute slack ``bound_tol * max(1, RHS(0))``;
     * the energy decay ``E(t+h) / E(t) <= exp(-sqrt(mu) h / 4) + decay_tol``
-      for consecutive samples, via :func:`accelcert.lyapunov.lyap_ode`.
+      for consecutive samples, via :func:`accelcert.lyapunov.ode_energies`.
+
+    The probe gap comes from :func:`probe_gaps`, so on the solution that
+    ``integrate`` returned for ``f`` at (s, mu) the check makes one value
+    evaluation, f(x_0), and no gradient evaluation.
     """
     if not solution:
         raise ValueError("empty solution")
-    x0 = solution[0].X
+    x0 = solution.X[0]
     gap0 = f.gap(x0)
     dist0_sq = float(np.sum((x0 - f.minimizer) ** 2))
     numerator = 0.5 * (gap0 + mu * dist0_sq)
     slack = bound_tol * max(1.0, numerator)
+    gaps = probe_gaps(solution, f, s, mu)
+    energies = ode_energies(solution, f, s, mu, gaps)
+    ts = solution.t.tolist()
 
     n_failed = 0
     first_failure = None
     worst_margin = np.inf
-    energies = np.empty(len(solution))
-    for i, state in enumerate(solution):
-        lhs = f.gap(probe_point(state.X, state.Xdot, s, mu))
-        rhs_val = numerator * math.exp(-math.sqrt(mu) * state.t / 4.0)
+    for i, (t, lhs) in enumerate(zip(ts, gaps.tolist())):
+        rhs_val = numerator * math.exp(-math.sqrt(mu) * t / 4.0)
         margin = rhs_val - lhs
         worst_margin = min(worst_margin, margin)
         if margin < -slack:
             n_failed += 1
             if first_failure is None:
                 first_failure = i
-        energies[i] = lyap_ode(f, state.X, state.Xdot, s, mu, t=state.t).energy
 
     decay_failed = 0
     decay_first = None
     worst_ratio = 0.0
     floor = 1e-14 * max(1.0, energies[0])
     for i in range(len(solution) - 1):
-        h = solution[i + 1].t - solution[i].t
+        h = ts[i + 1] - ts[i]
         limit = math.exp(-math.sqrt(mu) * h / 4.0) + decay_tol
         if energies[i] <= floor:
             continue  # both energies at rounding level

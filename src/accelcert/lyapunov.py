@@ -15,13 +15,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
 from .objectives import MinimizerUnknownError, Objective, Vector
 from .optimizers import Trajectory, momentum_denominator
 from .report import CertReport
+
+if TYPE_CHECKING:
+    from .hires_ode import OdeSolution
 
 #: Trajectory methods each energy form applies to.
 FORM_METHODS = {
@@ -123,6 +126,18 @@ def lyap_iv(f: Objective, y_k: Vector, v_next: Vector, x_next: Vector,
                       beta, k)
 
 
+def _ode_record(potential: float, X: Vector, Xdot: Vector, xstar: Vector,
+                s: float, mu: float, alpha: float, beta: float,
+                t: float) -> LyapunovRecord:
+    c = momentum_denominator(mu, s)
+    kinetic = 0.5 * alpha * float(Xdot @ Xdot) / (c * c)
+    combo = Xdot + 2.0 * math.sqrt(mu) * (X - xstar)
+    mixed = 0.5 * beta * float(combo @ combo)
+    return LyapunovRecord(k_or_t=t, energy=potential + kinetic + mixed,
+                          potential=potential, kinetic=kinetic, mixed=mixed,
+                          additional=0.0)
+
+
 def lyap_ode(f: Objective, X: Vector, Xdot: Vector, s: float, mu: float,
              alpha: float = DEFAULT_ALPHA, beta: float = DEFAULT_BETA,
              t: float = 0.0) -> LyapunovRecord:
@@ -133,15 +148,32 @@ def lyap_ode(f: Objective, X: Vector, Xdot: Vector, s: float, mu: float,
     """
     _require_minimizer(f)
     _check_weights(alpha, beta)
-    c = momentum_denominator(mu, s)
-    probe = X + math.sqrt(s) * Xdot / c
-    potential = f.gap(probe)
-    kinetic = 0.5 * alpha * float(Xdot @ Xdot) / (c * c)
-    combo = Xdot + 2.0 * math.sqrt(mu) * (X - f.minimizer)
-    mixed = 0.5 * beta * float(combo @ combo)
-    return LyapunovRecord(k_or_t=t, energy=potential + kinetic + mixed,
-                          potential=potential, kinetic=kinetic, mixed=mixed,
-                          additional=0.0)
+    probe = X + math.sqrt(s) * Xdot / momentum_denominator(mu, s)
+    return _ode_record(f.gap(probe), X, Xdot, f.minimizer, s, mu, alpha, beta, t)
+
+
+def ode_energies(solution: OdeSolution, f: Objective, s: float, mu: float,
+                 gaps: Optional[np.ndarray] = None) -> np.ndarray:
+    """E(t) of :func:`lyap_ode` at every sample of an integrated solution.
+
+    The potential is ``gaps`` when given, else the solution's recorded
+    ``f_gap`` column, which must then be the probe gap of ``f`` at
+    (s, mu) (see :meth:`~accelcert.hires_ode.OdeSolution.records_gap`).
+    Makes no oracle call.
+    """
+    _require_minimizer(f)
+    if gaps is None:
+        if not solution.records_gap(f, s, mu):
+            raise ValueError("the solution's recorded gap is not that of this "
+                             "objective at this (s, mu); pass gaps")
+        gaps = solution.f_gap
+    xstar = f.minimizer
+    out = np.empty(len(solution))
+    for i, (t, X, Xdot, gap) in enumerate(zip(solution.t.tolist(), solution.X,
+                                              solution.Xdot, gaps.tolist())):
+        out[i] = _ode_record(gap, X, Xdot, xstar, s, mu, DEFAULT_ALPHA,
+                             DEFAULT_BETA, t).energy
+    return out
 
 
 def _form_for(trajectory: Trajectory, form: str):

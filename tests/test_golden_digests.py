@@ -1,8 +1,10 @@
 """Golden SHA-256 digests of byte-stable outputs.
 
-The digests pin the five ``figures`` suite CSVs and the CSV, summary and
-config-echo files of three small ``execute`` configs, so that a refactor
-cannot drift the numbers silently.  They read the same with OpenBLAS at
+The digests pin the five ``figures`` suite CSVs, the CSV, summary and
+config-echo files of three small ``execute`` configs, the ODE CSV of two
+solutions together with their continuous-bound reports, and the CSV and
+summary files of ``accelcert ode``, so that a refactor cannot drift the
+numbers silently.  They read the same with OpenBLAS at
 one and at two threads.
 
 Update rule: a change that alters any digest is a change to the library's
@@ -17,7 +19,11 @@ import json
 import numpy as np
 import pytest
 
-from accelcert.harness import figures_suite, execute, parse_config
+from accelcert import (check_continuous_bound, integrate, make_quadratic,
+                       make_reg_logistic, resolve_minimizer)
+from accelcert.cli import main
+from accelcert.harness import (figures_suite, execute, parse_config,
+                               write_ode_csv)
 
 FIGURE_DIGESTS = {
     "fig_gap_gd.csv":
@@ -79,3 +85,67 @@ def test_execute_digests(tmp_path, name):
     assert result.ok
     got = {suffix: sha256(tmp_path / f"{name}{suffix}") for suffix in want}
     assert got == want
+
+
+#: name -> (objective factory, x0, step size from f, CSV digest, report
+#: fields).  T = 1, h = 1e-2: 101 samples.
+ODE_CASES = {
+    "quad14": (
+        lambda: make_quadratic([1, 4]), [1.0, 0.5], lambda f: 0.25,
+        "224352258643978f8f8141b03846000e5982412bd5305a0ca0513cc52c9c7895",
+        dict(n_checked=101, n_failed=0, worst_margin=0.125, first_failure=None,
+             details={"bound_failures": 0, "decay_failures": 0,
+                      "worst_energy_ratio": 0.9882755905773176,
+                      "numerator": 1.125})),
+    "logistic": (
+        lambda: resolve_minimizer(make_reg_logistic(3, 50, 2, 0.1)), [1.0, 1.0],
+        lambda f: 1.0 / f.lipschitz,
+        "9f8af7ff517a804a74a439d6e28c1f02ad7ae22d5bd0c5bde75e52b22da90002",
+        dict(n_checked=101, n_failed=55, worst_margin=-0.04866233016784749,
+             first_failure=0,
+             details={"bound_failures": 55, "decay_failures": 0,
+                      "worst_energy_ratio": 0.9940922717612773,
+                      "numerator": 0.2057798131516394})),
+}
+
+#: ``accelcert ode`` arguments -> (CSV digest, summary digest); every case
+#: runs with --s 0.25 --T 1 --h 1e-2.
+CLI_ODE_CASES = {
+    "quad": (
+        ["--objective", "quad"],
+        "746fd05e523a9c82897264dfce9258d7c28ba3152edafb90a658003f7a2648e8",
+        "7963e5438be30583eccb88dc979d94df79db00294532bdc2b6ba6bada0ccf8d3"),
+    "quad-rot": (
+        ["--objective", "quad-rot", "--spectrum", "0.5,3"],
+        "1e51e190042f3a2f7eacc3ced404e7134bd3ac2353899f2cfd89ea185e3e4e79",
+        "0986b379854bc57f51a21e0e6018908319781f48e6c5136248f44db46465b7f7"),
+    "reg-logistic": (
+        ["--objective", "reg-logistic"],
+        "6fe77517a4c8110b6c3b71b796031346be9068e3793cf7bfd05d8aab8f9e8b30",
+        "7f171a6ea0e773937a02ffcd190bafd5e58d73998b1d4322f460195fed0b9e7c"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ODE_CASES))
+def test_ode_csv_and_report(tmp_path, name):
+    make, x0, step, digest, fields = ODE_CASES[name]
+    f = make()
+    s = step(f)
+    sol = integrate(f, np.array(x0), s, T=1.0, h=1e-2)
+    path = tmp_path / f"{name}.csv"
+    write_ode_csv(sol, f, s, f.mu, path)
+    assert sha256(path) == digest
+    report = check_continuous_bound(sol, f, s, f.mu)
+    got = dict(n_checked=report.n_checked, n_failed=report.n_failed,
+               worst_margin=report.worst_margin,
+               first_failure=report.first_failure, details=report.details)
+    assert got == fields
+
+
+@pytest.mark.parametrize("name", sorted(CLI_ODE_CASES))
+def test_cli_ode_digests(tmp_path, name):
+    args, csv_digest, summary_digest = CLI_ODE_CASES[name]
+    main(["ode", *args, "--s", "0.25", "--T", "1", "--h", "1e-2",
+          "--out", str(tmp_path), "--output-path", f"{name}.csv"])
+    assert sha256(tmp_path / f"{name}.csv") == csv_digest
+    assert sha256(tmp_path / f"{name}.summary.txt") == summary_digest

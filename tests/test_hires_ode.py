@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from accelcert import (check_continuous_bound, integrate, lyap_ode,
-                       make_quadratic, rhs_original, rhs_simplified)
-from accelcert.hires_ode import NonFiniteSolutionError, OdeState
+                       make_quadratic, make_reg_logistic, probe_point,
+                       rhs_original, rhs_simplified)
+from accelcert.hires_ode import NonFiniteSolutionError, OdeSolution, OdeState
 
 # X(1) for X'' + 2 X' + X = 0 from X(0) = 1, X'(0) = 0: X(t) = (1 + t) e^{-t}
 DAMPED_X1 = 0.7357588823428847  # 2 * exp(-1)
@@ -105,6 +106,41 @@ class TestIntegrate:
         b = integrate(quad_1, one(1), s=0.25, T=1.0, h=1e-3)
         np.testing.assert_array_equal(a[-1].X, b[-1].X)
         np.testing.assert_array_equal(a[-1].Xdot, b[-1].Xdot)
+
+
+class TestOdeSolution:
+    def test_columns_and_rows(self):
+        f = make_quadratic([1, 4])
+        sol = integrate(f, np.array([1.0, 0.5]), s=0.25, T=0.5, h=0.1)
+        assert isinstance(sol, OdeSolution)
+        assert (sol.s, sol.mu, sol.which, sol.objective) == (0.25, 1.0,
+                                                             "simplified", f)
+        assert sol.t.shape == sol.f_gap.shape == (6,)
+        assert sol.X.shape == sol.Xdot.shape == (6, 2)
+        assert len(sol) == 6
+        assert sol.t.tolist() == [i * 0.1 for i in range(6)]
+        rows = list(sol)
+        assert len(rows) == 6 and all(isinstance(st, OdeState) for st in rows)
+        last = sol[-1]
+        assert type(last.t) is float and last.t == sol.t[5]
+        np.testing.assert_array_equal(last.X, sol.X[5])
+        np.testing.assert_array_equal(last.Xdot, sol.Xdot[5])
+        np.testing.assert_array_equal(sol.Xdot[0], [0.0, 0.0])
+
+    def test_records_probe_gap(self):
+        f = make_quadratic([1, 4], rotation_seed=1)
+        sol = integrate(f, np.array([1.0, 0.5]), s=0.25, T=0.5, h=0.1)
+        want = [f.gap(probe_point(st.X, st.Xdot, 0.25, f.mu)) for st in sol]
+        assert sol.f_gap.tolist() == want
+        assert sol.records_gap(f, 0.25, f.mu)
+        assert not sol.records_gap(f, 0.5, f.mu)
+        assert not sol.records_gap(make_quadratic([1, 4], rotation_seed=1),
+                                   0.25, f.mu)
+
+    def test_unknown_minimum_records_nan(self):
+        f = make_reg_logistic(3, 50, 2, 0.1)
+        sol = integrate(f, np.ones(2), s=1.0, T=0.1, h=1e-2)
+        assert len(sol) == 11 and np.all(np.isnan(sol.f_gap))
 
 
 class TestContinuousBound:

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from accelcert import (certify_contraction, energies, initial_energy, lyap_gc,
-                       lyap_iv, lyap_ode, make_quadratic, make_reg_logistic,
-                       run)
+from accelcert import (certify_contraction, energies, initial_energy, integrate,
+                       lyap_gc, lyap_iv, lyap_ode, make_quadratic,
+                       make_reg_logistic, ode_energies, resolve_minimizer, run)
 from accelcert.objectives import MinimizerUnknownError, Objective
 
 
@@ -93,12 +93,40 @@ class TestLyapOde:
         assert rec.energy == pytest.approx(1.5)
 
     def test_nonincreasing_along_integration(self):
-        from accelcert import integrate
         f = make_quadratic([1, 4])
         sol = integrate(f, np.array([1.0, 0.5]), s=0.25, T=5.0, h=1e-3)
         e = np.array([lyap_ode(f, st.X, st.Xdot, 0.25, 1.0).energy
                       for st in sol])
         assert np.all(np.diff(e) <= 1e-8)
+
+
+class TestOdeEnergies:
+    @pytest.mark.parametrize("make, s", [
+        (lambda: make_quadratic([1, 4], rotation_seed=3), 0.25),
+        (lambda: resolve_minimizer(make_reg_logistic(3, 50, 2, 0.1)), 1.0),
+    ])
+    def test_matches_lyap_ode_per_sample(self, make, s):
+        # the recorded probe gap is the potential lyap_ode evaluates, so
+        # the column agrees bit for bit
+        f = make()
+        sol = integrate(f, np.array([1.0, -0.5]), s, T=0.5, h=1e-2)
+        want = [lyap_ode(f, st.X, st.Xdot, s, f.mu, t=st.t).energy for st in sol]
+        assert ode_energies(sol, f, s, f.mu).tolist() == want
+
+    def test_needs_a_matching_gap(self):
+        f = make_quadratic([1, 4])
+        sol = integrate(f, np.array([1.0, 0.5]), 0.25, T=0.1, h=1e-2)
+        with pytest.raises(ValueError):
+            ode_energies(sol, f, 0.5, f.mu)
+        gaps = np.zeros(len(sol))
+        e = ode_energies(sol, f, 0.5, f.mu, gaps)
+        assert e[0] == pytest.approx(0.5 * 0.5 * 4 * (1.0 + 0.25))
+
+    def test_requires_minimizer(self):
+        f = make_reg_logistic(3, 50, 2, 0.1)
+        sol = integrate(f, np.ones(2), 1.0, T=0.1, h=1e-2)
+        with pytest.raises(MinimizerUnknownError):
+            ode_energies(sol, f, 1.0, f.mu)
 
 
 class TestRecordDecomposition:

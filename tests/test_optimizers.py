@@ -264,3 +264,11 @@ class TestSchemeInequalities:
             margins = gradient_step_margins(traj)
             gaps = np.array([f.gap(traj.ys[k]) for k in range(traj.K)])
             assert np.all(margins >= -1e-12 * np.maximum(1.0, gaps)), method
+
+    def test_gradient_step_margins_need_gap_at_y(self):
+        # gd records f_gap at x_k, so the margins cannot read it as f(y_k)
+        from accelcert.acceptance import gradient_step_margins
+        f = make_quadratic([1, 100])
+        traj = run(f, "gd", np.array([1.0, 1.0]), 0.01, 10)
+        with pytest.raises(ValueError):
+            gradient_step_margins(traj)

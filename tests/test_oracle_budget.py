@@ -5,6 +5,10 @@ A recorded point needs one gradient (its norm is recorded, and the next
 step descends along it) and one value (its gap is recorded), so ``run``
 makes exactly K+1 of each.  Certificates read the recorded ``f_gap`` and
 ``lyapunov`` columns instead of calling the oracles again.
+
+The same holds for the high-resolution ODE: ``integrate`` makes four
+gradients per RK4 step and records the probe gap with one value per
+sample; the continuous check and the ODE CSV read that column.
 """
 
 from dataclasses import replace
@@ -13,8 +17,11 @@ import numpy as np
 import pytest
 
 from accelcert import (METHODS, certify_contraction, check_bound,
-                       make_quadratic, make_reg_logistic, resolve_minimizer,
-                       run)
+                       check_continuous_bound, integrate, lyap_ode,
+                       make_quadratic, make_reg_logistic, ode_energies,
+                       probe_point, resolve_minimizer, run)
+from accelcert.harness import write_ode_csv
+from accelcert.hires_ode import probe_gaps
 from accelcert.optimizers import FIRST_VELOCITY_CONVENTIONS
 
 
@@ -101,3 +108,64 @@ def test_gd_bound_reads_recorded_gaps(counted):
     counted.reset()
     check_bound(traj, "gd")
     assert counted.calls == (0, 1)  # bound(0) needs f(x0)
+
+
+ODE_STEPS = 20
+
+
+def solve(f, s):
+    return integrate(f, start(f), s, T=ODE_STEPS * 0.05, h=0.05)
+
+
+def test_integrate_budget(counted):
+    f = counted.f
+    counted.reset()
+    sol = solve(f, 1.0 / f.lipschitz)
+    assert len(sol) == ODE_STEPS + 1
+    assert counted.calls == (4 * ODE_STEPS, ODE_STEPS + 1)
+
+
+def test_continuous_check_reads_recorded_gap(counted):
+    f = counted.f
+    s = 1.0 / f.lipschitz
+    sol = solve(f, s)
+    counted.reset()
+    assert check_continuous_bound(sol, f, s, f.mu).n_checked == ODE_STEPS + 1
+    assert counted.calls == (0, 1)  # the numerator needs f(x0)
+
+
+def test_ode_csv_reads_recorded_gap(counted, tmp_path):
+    f = counted.f
+    s = 1.0 / f.lipschitz
+    sol = solve(f, s)
+    counted.reset()
+    write_ode_csv(sol, f, s, f.mu, tmp_path / "ode.csv")
+    assert counted.calls == (0, 0)
+
+
+@pytest.mark.parametrize("other", ["s", "mu", "objective"])
+def test_mismatched_check_recomputes(counted, other):
+    f = counted.f
+    s = 1.0 / f.lipschitz
+    sol = solve(f, s)
+    g, s2, mu2 = f, s, f.mu
+    if other == "s":
+        s2 = 0.5 * s
+    elif other == "mu":
+        mu2 = 0.5 * f.mu
+    else:
+        g = replace(f)  # same oracles, another objective
+    counted.reset()
+    report = check_continuous_bound(sol, g, s2, mu2)
+    assert counted.calls == (0, 1 + len(sol))  # f(x0), then one per sample
+
+    # per-sample reference: f.gap at the probe point and lyap_ode
+    gaps = [g.gap(probe_point(st.X, st.Xdot, s2, mu2)) for st in sol]
+    energy = [lyap_ode(g, st.X, st.Xdot, s2, mu2, t=st.t).energy for st in sol]
+    recomputed = probe_gaps(sol, g, s2, mu2)
+    assert recomputed.tolist() == gaps
+    assert ode_energies(sol, g, s2, mu2, recomputed).tolist() == energy
+    recorded = replace(sol, f_gap=np.array(gaps), s=s2, mu=mu2, objective=g)
+    assert check_continuous_bound(recorded, g, s2, mu2) == report
+    with pytest.raises(ValueError):
+        ode_energies(sol, g, s2, mu2)
