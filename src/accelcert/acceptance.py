@@ -19,6 +19,7 @@ from .hires_ode import check_continuous_bound, integrate
 from .objectives import (Objective, make_quadratic, make_reg_logistic,
                          resolve_minimizer, sample_in_ball)
 from .optimizers import Trajectory, run
+from .report import margin_report
 
 #: (label, objective factory, x0 seed); x0 is a radius-2 ball point.
 _SUITE_SPECS = (
@@ -30,6 +31,12 @@ _SUITE_SPECS = (
 )
 
 X0_RADIUS = 2.0
+
+#: Relative slack of criteria 2-4 (times max(1, bound(0))), 5 (times
+#: max(1, E(0))) and 6 (times max(1, gap)); each check and its title read it.
+BOUND_SLACK = 1e-10
+CONTRACTION_SLACK = 1e-10
+GRADIENT_STEP_SLACK = 1e-12
 
 
 def suite_objectives() -> list[tuple[str, Objective, np.ndarray]]:
@@ -86,12 +93,13 @@ def _bound_criterion(number: int, theorem: str, method: str,
         for frac in s_specs:
             s = frac / f.lipschitz
             traj = run(f, method, x0, s, 1000)
-            report = analysis.check_bound(traj, theorem)
+            report = analysis.check_bound(traj, theorem, BOUND_SLACK)
             lines.append(f"{label} s={frac:g}/L: violations {report.n_failed}, "
                          f"worst margin {report.worst_margin:.3e}")
             ok = ok and report.passed
     return _result(number, f"{theorem} bound holds along {method} "
-                           "(slack 1e-10 * bound(0))", ok, lines)
+                           f"(slack {BOUND_SLACK:g} * max(1, bound(0)))",
+                   ok, lines)
 
 
 def criterion_2() -> CriterionResult:
@@ -114,10 +122,11 @@ def criterion_4() -> CriterionResult:
     for label, f, x0 in suite_objectives():
         s = 1.0 / f.lipschitz
         primary = analysis.check_bound(
-            run(f, "iv-phase", x0, s, 1000, first_velocity="scheme"), "rate-iv-x")
+            run(f, "iv-phase", x0, s, 1000, first_velocity="scheme"),
+            "rate-iv-x", BOUND_SLACK)
         alternate = analysis.check_bound(
             run(f, "iv-phase", x0, s, 1000, first_velocity="corollary"),
-            "rate-iv-x")
+            "rate-iv-x", BOUND_SLACK)
         alt = ("holds" if alternate.passed
                else f"violates (first k={alternate.first_failure})")
         if primary.passed:
@@ -142,14 +151,15 @@ def criterion_5() -> CriterionResult:
             s = frac / f.lipschitz
             for form, method in (("iv", "iv-phase"), ("gc", "gc-phase")):
                 traj = run(f, method, x0, s, 1000)
-                report = lyapunov.certify_contraction(traj, form)
+                report = lyapunov.certify_contraction(
+                    traj, form, slack_scale=CONTRACTION_SLACK)
                 lines.append(
                     f"{label} s={frac:g}/L {form}: violations {report.n_failed}, "
                     f"worst margin {report.worst_margin:.3e}, "
                     f"E(0)={report.details['initial_energy']:.4g}")
                 ok = ok and report.passed
     return _result(5, "Lyapunov contraction E(k+1) <= E(k)/(1+sqrt(mu s)/4) "
-                      "(slack 1e-10 * max(1, E(0)))", ok, lines)
+                      f"(slack {CONTRACTION_SLACK:g} * max(1, E(0)))", ok, lines)
 
 
 def gradient_step_margins(traj: Trajectory) -> np.ndarray:
@@ -182,14 +192,14 @@ def criterion_6() -> CriterionResult:
         for method in ("nag-modified", "nag-classic", "iv-phase", "gc-phase",
                        "gc-modified"):
             traj = run(f, method, x0, s, 500)
-            margins = gradient_step_margins(traj)
-            slack = 1e-12 * np.maximum(1.0, traj.f_gap[:traj.K])
-            bad = np.flatnonzero(margins < -slack)
-            lines.append(f"{label} {method}: worst margin {margins.min():.3e}, "
-                         f"violations {len(bad)}")
-            ok = ok and len(bad) == 0
-    return _result(6, "gradient-step inequality (slack 1e-12 * max(1, gap))",
-                   ok, lines)
+            slack = GRADIENT_STEP_SLACK * np.maximum(1.0, traj.f_gap[:traj.K])
+            report = margin_report("gradient_step", gradient_step_margins(traj),
+                                   slack)
+            lines.append(f"{label} {method}: worst margin "
+                         f"{report.worst_margin:.3e}, violations {report.n_failed}")
+            ok = ok and report.passed
+    return _result(6, "gradient-step inequality "
+                      f"(slack {GRADIENT_STEP_SLACK:g} * max(1, gap))", ok, lines)
 
 
 def criterion_7() -> CriterionResult:

@@ -31,7 +31,7 @@ import numpy as np
 from .objectives import (MinimizerUnknownError, SpectrumSpec,
                          make_quadratic, sample_in_ball)
 from .optimizers import Trajectory, run
-from .report import CertReport
+from .report import CertReport, margin_report
 
 THEOREMS = ("rate-gc", "rate-iv", "rate-iv-x", "gd", "classic")
 
@@ -215,16 +215,8 @@ def check_bound(trajectory: Trajectory, theorem: str,
     gaps = _theorem_gaps(trajectory, theorem, allow_mismatch=allow_mismatch)
     curve = _curve_for(trajectory, theorem)
     slack = slack_scale * max(1.0, curve[0])
-    margins = curve - gaps
-    failures = np.flatnonzero(margins < -slack)
-    return CertReport(
-        name=f"bound_{theorem}",
-        n_checked=len(gaps),
-        n_failed=int(len(failures)),
-        worst_margin=float(margins.min()),
-        first_failure=int(failures[0]) if len(failures) else None,
-        details={"slack": slack, "bound_at_0": float(curve[0])},
-    )
+    return margin_report(f"bound_{theorem}", curve - gaps, slack,
+                         {"slack": slack, "bound_at_0": float(curve[0])})
 
 
 def empirical_rate(trajectory: Trajectory,

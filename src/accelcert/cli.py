@@ -117,9 +117,9 @@ def _cmd_scan(args) -> int:
     root = _output_root(args.out)
     write_scan_csv(report, root / args.output_path)
     for s, (pred, obs) in report.per_s.items():
-        print(f"s={s:g}: predicted_monotone={str(pred).lower()} "
-              f"observed_monotone={str(obs).lower()}")
-    print(f"agreement: {str(report.agreement).lower()}")
+        print(f"s={s:g}: predicted_monotone={fmt(pred)} "
+              f"observed_monotone={fmt(obs)}")
+    print(f"agreement: {fmt(report.agreement)}")
     return 0
 
 

@@ -41,18 +41,24 @@ _OBJECTIVE_PARAMS = {
 
 _S_SYMBOLS = ("1/L", "1/(2L)", "1/(4mu)")
 
+#: Rows per block of :func:`write_csv`.
+_CSV_BLOCK_ROWS = 256
+
 
 class ConfigError(ValueError):
     """A config document failed validation; the message names the field."""
 
 
 def fmt(x) -> str:
-    """Shortest round-trip decimal form of a float (RFC-4180 safe)."""
+    """One CSV or summary cell: shortest round-trip decimal form of a float
+    (empty for NaN; RFC-4180 safe), true/false for a bool, else ``str``."""
     if isinstance(x, (float, np.floating)):
         x = float(x)
         if math.isnan(x):
             return ""
         return repr(x)
+    if isinstance(x, (bool, np.bool_)):
+        return "true" if x else "false"
     return str(x)
 
 
@@ -242,23 +248,27 @@ def _output_root(out_root: Optional[str | Path]) -> Path:
     return root
 
 
-def write_trajectory_csv(traj: Trajectory, path: Path):
-    """Schema: k,f_gap,grad_norm[,lyapunov][,bound]."""
-    header = ["k", "f_gap", "grad_norm"]
-    if traj.lyapunov is not None:
-        header.append("lyapunov")
-    if traj.bound is not None:
-        header.append("bound")
+def write_csv(columns: dict, path: Path):
+    """Write ``columns`` (header -> equal-length column) as CSV: the header,
+    then one row per index, every cell formatted by :func:`fmt`.  Rows are
+    converted a block at a time, never the whole table at once."""
+    n_rows = len(next(iter(columns.values()), ()))
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(header)
-        for k in range(len(traj)):
-            row = [str(k), fmt(float(traj.f_gap[k])), fmt(float(traj.grad_norm[k]))]
-            if traj.lyapunov is not None:
-                row.append(fmt(float(traj.lyapunov[k])))
-            if traj.bound is not None:
-                row.append(fmt(float(traj.bound[k])))
-            writer.writerow(row)
+        writer.writerow(columns)
+        for start in range(0, n_rows, _CSV_BLOCK_ROWS):
+            block = [np.asarray(col[start:start + _CSV_BLOCK_ROWS]).tolist()
+                     for col in columns.values()]
+            writer.writerows(map(fmt, row) for row in zip(*block))
+
+
+def write_trajectory_csv(traj: Trajectory, path: Path):
+    """Schema: k,f_gap,grad_norm[,lyapunov][,bound]."""
+    columns = {"k": range(len(traj)), "f_gap": traj.f_gap,
+               "grad_norm": traj.grad_norm, "lyapunov": traj.lyapunov,
+               "bound": traj.bound}
+    write_csv({name: col for name, col in columns.items() if col is not None},
+              path)
 
 
 def write_ode_csv(solution: OdeSolution, f: Objective, s: float, mu: float,
@@ -267,36 +277,27 @@ def write_ode_csv(solution: OdeSolution, f: Objective, s: float, mu: float,
     at the probe point / along the solution).  On the solution that
     ``integrate`` returned for ``f`` at (s, mu) the gap column is the
     recorded one, so writing makes no oracle call."""
-    d = f.dim
-    header = (["t"] + [f"X{i}" for i in range(d)]
-              + [f"Xdot{i}" for i in range(d)] + ["f_gap", "lyapunov"])
     gaps = probe_gaps(solution, f, s, mu)
-    energy = lyapunov.ode_energies(solution, f, s, mu, gaps)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for i, (t, gap, e) in enumerate(zip(solution.t.tolist(), gaps.tolist(),
-                                            energy.tolist())):
-            row = [t, *solution.X[i].tolist(), *solution.Xdot[i].tolist(), gap, e]
-            writer.writerow(map(fmt, row))
+    write_csv({"t": solution.t,
+               **{f"X{i}": col for i, col in enumerate(solution.X.T)},
+               **{f"Xdot{i}": col for i, col in enumerate(solution.Xdot.T)},
+               "f_gap": gaps,
+               "lyapunov": lyapunov.ode_energies(solution, f, s, mu, gaps)},
+              path)
 
 
 def write_scan_csv(report: analysis.ScanReport, path: Path):
     """Schema: s,lambda,discriminant,root1_re,root1_im,root2_re,root2_im,
     predicted_monotone,observed_monotone."""
-    header = ["s", "lambda", "discriminant", "root1_re", "root1_im",
-              "root2_re", "root2_im", "predicted_monotone", "observed_monotone"]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in report.rows:
-            r1, r2 = row.roots
-            writer.writerow([
-                fmt(row.s), fmt(row.lam), fmt(row.discriminant),
-                fmt(r1.real), fmt(r1.imag), fmt(r2.real), fmt(r2.imag),
-                "true" if row.predicted_monotone else "false",
-                "true" if row.observed_monotone else "false",
-            ])
+    rows = report.rows
+    roots = np.array([row.roots for row in rows], dtype=complex).reshape(-1, 2)
+    write_csv({"s": [row.s for row in rows], "lambda": [row.lam for row in rows],
+               "discriminant": [row.discriminant for row in rows],
+               "root1_re": roots[:, 0].real, "root1_im": roots[:, 0].imag,
+               "root2_re": roots[:, 1].real, "root2_im": roots[:, 1].imag,
+               "predicted_monotone": [row.predicted_monotone for row in rows],
+               "observed_monotone": [row.observed_monotone for row in rows]},
+              path)
 
 
 def write_summary(summary: dict, path: Path):
@@ -345,7 +346,7 @@ def execute(config: ExperimentConfig,
         "s": fmt(s),
         "K": config.K,
         "seed": config.seed,
-        "bound_guaranteed": "true" if guaranteed else "false",
+        "bound_guaranteed": fmt(guaranteed),
     }
     reports: list[CertReport] = []
     ok = True

@@ -8,7 +8,10 @@ the gc form).  The per-step contraction
     E(k+1) - E(k) <= -rho * E(k+1),  i.e.  E(k+1) <= E(k) / (1 + rho)
 
 with rho = sqrt(mu s) / 4 certifies the geometric convergence rate of the
-corresponding scheme for step sizes 0 < s <= 1/L.
+corresponding scheme for step sizes 0 < s <= 1/L; :func:`certify_contraction`
+checks it as one margin scan (:func:`~accelcert.report.margin_report`).
+The continuous energy along the high-resolution ODE is the iv energy read
+at the probe point X + sqrt(s) X' / c, so one formula serves both.
 """
 
 from __future__ import annotations
@@ -20,8 +23,8 @@ from typing import TYPE_CHECKING, Optional
 import numpy as np
 
 from .objectives import MinimizerUnknownError, Objective, Vector
-from .optimizers import Trajectory, momentum_denominator
-from .report import CertReport
+from .optimizers import Trajectory, momentum_denominator, run
+from .report import CertReport, margin_report
 
 if TYPE_CHECKING:
     from .hires_ode import OdeSolution
@@ -43,18 +46,14 @@ class LyapunovRecord:
     """One energy evaluation, with its decomposition.
 
     ``energy == potential + kinetic + mixed + additional`` holds exactly by
-    construction.  ``contraction_ok`` is set by the contraction certificate
-    when the record takes part in a pairwise check; it is None for
-    standalone evaluations.
+    construction.
     """
 
-    k_or_t: float
     energy: float
     potential: float
     kinetic: float
     mixed: float
     additional: float
-    contraction_ok: Optional[bool] = None
 
 
 def _require_minimizer(f: Objective):
@@ -70,20 +69,20 @@ def _check_weights(alpha: float, beta: float):
 
 
 def _gc_record(potential: float, g: Vector, y_next: Vector, v_k: Vector,
-               xstar: Vector, s: float, mu: float, alpha: float, beta: float,
-               k: float) -> LyapunovRecord:
+               xstar: Vector, s: float, mu: float, alpha: float,
+               beta: float) -> LyapunovRecord:
     kinetic = 0.5 * alpha * float(v_k @ v_k)
     combo = v_k + 2.0 * math.sqrt(mu) * (y_next - xstar) + math.sqrt(s) * g
     mixed = 0.5 * beta * float(combo @ combo)
     additional = -0.5 * s * float(g @ g)
-    return LyapunovRecord(k_or_t=k, energy=potential + kinetic + mixed + additional,
+    return LyapunovRecord(energy=potential + kinetic + mixed + additional,
                           potential=potential, kinetic=kinetic, mixed=mixed,
                           additional=additional)
 
 
 def lyap_gc(f: Objective, y_k: Vector, y_next: Vector, v_k: Vector,
             s: float, mu: float, alpha: float = DEFAULT_ALPHA,
-            beta: float = DEFAULT_BETA, k: float = 0.0) -> LyapunovRecord:
+            beta: float = DEFAULT_BETA) -> LyapunovRecord:
     """Energy of the gradient-correction scheme at iteration k.
 
     E(k) = f(y_k) - f* + (alpha/2) ||v_k||^2
@@ -95,24 +94,24 @@ def lyap_gc(f: Objective, y_k: Vector, y_next: Vector, v_k: Vector,
     _require_minimizer(f)
     _check_weights(alpha, beta)
     return _gc_record(f.gap(y_k), f.grad(y_k), y_next, v_k, f.minimizer, s, mu,
-                      alpha, beta, k)
+                      alpha, beta)
 
 
 def _iv_record(potential: float, v_next: Vector, x_next: Vector,
-               xstar: Vector, s: float, mu: float, alpha: float, beta: float,
-               k: float) -> LyapunovRecord:
+               xstar: Vector, s: float, mu: float, alpha: float,
+               beta: float) -> LyapunovRecord:
     c = momentum_denominator(mu, s)
     kinetic = 0.5 * alpha * float(v_next @ v_next) / (c * c)
     combo = v_next + 2.0 * math.sqrt(mu) * (x_next - xstar)
     mixed = 0.5 * beta * float(combo @ combo)
-    return LyapunovRecord(k_or_t=k, energy=potential + kinetic + mixed,
+    return LyapunovRecord(energy=potential + kinetic + mixed,
                           potential=potential, kinetic=kinetic, mixed=mixed,
                           additional=0.0)
 
 
 def lyap_iv(f: Objective, y_k: Vector, v_next: Vector, x_next: Vector,
             s: float, mu: float, alpha: float = DEFAULT_ALPHA,
-            beta: float = DEFAULT_BETA, k: float = 0.0) -> LyapunovRecord:
+            beta: float = DEFAULT_BETA) -> LyapunovRecord:
     """Energy of the implicit-velocity scheme at iteration k.
 
     E(k) = f(y_k) - f* + (alpha/2) ||v_{k+1}||^2 / (1 + 2 sqrt(mu s))^2
@@ -123,33 +122,21 @@ def lyap_iv(f: Objective, y_k: Vector, v_next: Vector, x_next: Vector,
     _require_minimizer(f)
     _check_weights(alpha, beta)
     return _iv_record(f.gap(y_k), v_next, x_next, f.minimizer, s, mu, alpha,
-                      beta, k)
-
-
-def _ode_record(potential: float, X: Vector, Xdot: Vector, xstar: Vector,
-                s: float, mu: float, alpha: float, beta: float,
-                t: float) -> LyapunovRecord:
-    c = momentum_denominator(mu, s)
-    kinetic = 0.5 * alpha * float(Xdot @ Xdot) / (c * c)
-    combo = Xdot + 2.0 * math.sqrt(mu) * (X - xstar)
-    mixed = 0.5 * beta * float(combo @ combo)
-    return LyapunovRecord(k_or_t=t, energy=potential + kinetic + mixed,
-                          potential=potential, kinetic=kinetic, mixed=mixed,
-                          additional=0.0)
+                      beta)
 
 
 def lyap_ode(f: Objective, X: Vector, Xdot: Vector, s: float, mu: float,
-             alpha: float = DEFAULT_ALPHA, beta: float = DEFAULT_BETA,
-             t: float = 0.0) -> LyapunovRecord:
+             alpha: float = DEFAULT_ALPHA,
+             beta: float = DEFAULT_BETA) -> LyapunovRecord:
     """Continuous energy along the implicit-velocity differential equation.
 
     E(t) = f(X + sqrt(s) X' / c) - f* + (alpha/2) ||X'||^2 / c^2
-           + (beta/2) ||X' + 2 sqrt(mu) (X - x*)||^2,  c = 1 + 2 sqrt(mu s).
+           + (beta/2) ||X' + 2 sqrt(mu) (X - x*)||^2,  c = 1 + 2 sqrt(mu s),
+
+    which is :func:`lyap_iv` at (probe point, X', X).
     """
-    _require_minimizer(f)
-    _check_weights(alpha, beta)
     probe = X + math.sqrt(s) * Xdot / momentum_denominator(mu, s)
-    return _ode_record(f.gap(probe), X, Xdot, f.minimizer, s, mu, alpha, beta, t)
+    return lyap_iv(f, probe, Xdot, X, s, mu, alpha, beta)
 
 
 def ode_energies(solution: OdeSolution, f: Objective, s: float, mu: float,
@@ -168,12 +155,10 @@ def ode_energies(solution: OdeSolution, f: Objective, s: float, mu: float,
                              "objective at this (s, mu); pass gaps")
         gaps = solution.f_gap
     xstar = f.minimizer
-    out = np.empty(len(solution))
-    for i, (t, X, Xdot, gap) in enumerate(zip(solution.t.tolist(), solution.X,
-                                              solution.Xdot, gaps.tolist())):
-        out[i] = _ode_record(gap, X, Xdot, xstar, s, mu, DEFAULT_ALPHA,
-                             DEFAULT_BETA, t).energy
-    return out
+    return np.array([_iv_record(gap, Xdot, X, xstar, s, mu, DEFAULT_ALPHA,
+                                DEFAULT_BETA).energy
+                     for X, Xdot, gap in zip(solution.X, solution.Xdot,
+                                             gaps.tolist())], dtype=float)
 
 
 def _form_for(trajectory: Trajectory, form: str):
@@ -208,10 +193,10 @@ def energies(trajectory: Trajectory, form: str) -> np.ndarray:
     for k in range(K):
         if form == "gc":
             rec = _gc_record(gaps[k], f.grad(ys[k]), ys[k + 1], vs[k + 1], xstar,
-                             s, mu, DEFAULT_ALPHA, DEFAULT_BETA, k)
+                             s, mu, DEFAULT_ALPHA, DEFAULT_BETA)
         else:
             rec = _iv_record(gaps[k], vs[k + 1], xs[k + 1], xstar, s, mu,
-                             DEFAULT_ALPHA, DEFAULT_BETA, k)
+                             DEFAULT_ALPHA, DEFAULT_BETA)
         out[k] = rec.energy
     return out
 
@@ -229,35 +214,19 @@ def attach_energies(trajectory: Trajectory, form: str) -> np.ndarray:
 
 def initial_energy(f: Objective, x0: Vector, s: float, form: str,
                    convention: str = "scheme") -> float:
-    """E(0) from the scheme's initial conditions.
+    """E(0) from the scheme's initial conditions: the first energy of a
+    one-step run of the form's phase-space method.
 
-    For the iv form the first velocity iterate entering E(0) can follow
-    three conventions: "scheme" (v_1 = -sqrt(s) grad f(x_0), the value the
-    recursion produces from v_0 = 0), "zero" (v_1 = 0) and "corollary"
-    (v_1 = 2 sqrt(mu s) grad f(y_0)).  The contraction certificate itself
-    only inspects consecutive pairs and does not depend on the convention.
+    For the iv form, ``convention`` picks the first velocity v_1 entering
+    E(0), as in :func:`~accelcert.optimizers.initial_state`: "scheme"
+    (-sqrt(s) grad f(x_0)), "zero" or "corollary" (2 sqrt(mu s) grad f(y_0)).
+    The contraction certificate only inspects consecutive pairs and does
+    not depend on the convention.
     """
-    _require_minimizer(f)
-    x0 = np.asarray(x0, dtype=float)
-    mu = f.mu
-    c = momentum_denominator(mu, s)
-    g0 = f.grad(x0)
-    if form == "gc":
-        v0 = -math.sqrt(s) * g0 / c
-        y1 = x0 + math.sqrt(s) * v0
-        return lyap_gc(f, x0, y1, v0, s, mu).energy
-    if form == "iv":
-        if convention == "scheme":
-            v1 = -math.sqrt(s) * g0
-        elif convention == "zero":
-            v1 = np.zeros(f.dim)
-        elif convention == "corollary":
-            v1 = 2.0 * math.sqrt(mu * s) * g0
-        else:
-            raise ValueError(f"unknown initial-velocity convention {convention!r}")
-        x1 = x0 + math.sqrt(s) * v1
-        return lyap_iv(f, x0, v1, x1, s, mu).energy
-    raise ValueError(f"unknown Lyapunov form {form!r}")
+    if form not in FORM_METHODS:
+        raise ValueError(f"unknown Lyapunov form {form!r}")
+    traj = run(f, FORM_METHODS[form][0], x0, s, 1, first_velocity=convention)
+    return float(energies(traj, form)[0])
 
 
 def certify_contraction(trajectory: Trajectory, form: str,
@@ -279,34 +248,17 @@ def certify_contraction(trajectory: Trajectory, form: str,
     if rho is None:
         rho = math.sqrt(trajectory.mu * trajectory.s) / 4.0
     slack = slack_scale * max(1.0, e[0] if len(e) else 1.0)
-    n_failed = 0
-    first_failure = None
-    worst_margin = np.inf
-    worst_factor = 0.0
     # factors are only meaningful while the energy resolves above rounding
     floor = 1e-13 * float(e.max()) if len(e) and e.max() > 0 else 0.0
-    for k in range(len(e) - 1):
-        margin = e[k] / (1.0 + rho) - e[k + 1]
-        worst_margin = min(worst_margin, margin)
-        if e[k] > floor:
-            worst_factor = max(worst_factor, e[k + 1] / e[k])
-        if margin < -slack:
-            n_failed += 1
-            if first_failure is None:
-                first_failure = k
-    nonneg = bool(len(e) == 0 or e.min() >= -slack)
-    return CertReport(
-        name=f"contraction_{form}",
-        n_checked=max(len(e) - 1, 0),
-        n_failed=n_failed,
-        worst_margin=float(worst_margin) if len(e) > 1 else np.inf,
-        first_failure=first_failure,
-        details={
-            "rho": rho,
-            "slack": slack,
-            "worst_step_factor": worst_factor,
-            "guaranteed_factor": 1.0 / (1.0 + rho),
-            "energy_nonnegative": nonneg,
-            "initial_energy": float(e[0]) if len(e) else np.nan,
-        },
-    )
+    resolved = e[:-1] > floor
+    factors = e[1:][resolved] / e[:-1][resolved]
+    details = {
+        "rho": rho,
+        "slack": slack,
+        "worst_step_factor": float(np.fmax.reduce(factors, initial=0.0)),
+        "guaranteed_factor": 1.0 / (1.0 + rho),
+        "energy_nonnegative": bool(len(e) == 0 or e.min() >= -slack),
+        "initial_energy": float(e[0]) if len(e) else np.nan,
+    }
+    return margin_report(f"contraction_{form}", e[:-1] / (1.0 + rho) - e[1:],
+                         slack, details)

@@ -33,7 +33,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -324,7 +323,6 @@ class Trajectory:
 
 def run(f: Objective, method: str, x0: Vector, s: float, K: int, *,
         lyapunov: Optional[str] = None, bound: Optional[str] = None,
-        heavy_ball_beta: Optional[float] = None,
         first_velocity: str = "scheme") -> Trajectory:
     """Execute K steps of ``method`` on ``f`` and record diagnostics.
 
@@ -351,8 +349,6 @@ def run(f: Objective, method: str, x0: Vector, s: float, K: int, *,
 
     state = initial_state(f, method, x0, s, first_velocity)
     step = STEPS[method]
-    if method == "heavy-ball" and heavy_ball_beta is not None:
-        step = partial(heavy_ball_step, beta=heavy_ball_beta)
 
     xs = np.empty((K + 1, f.dim))
     ys = np.empty((K + 1, f.dim))

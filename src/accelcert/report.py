@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 
 @dataclass
 class CertReport:
@@ -26,3 +28,21 @@ class CertReport:
     @property
     def passed(self) -> bool:
         return self.n_failed == 0
+
+
+def margin_report(name: str, margins: np.ndarray, slack: float | np.ndarray,
+                  details: dict | None = None) -> CertReport:
+    """The report of a margin scan: every certificate checks a margin per
+    iteration, sample or pair, and check i holds when
+    ``margins[i] >= -slack`` (``slack`` a scalar or one value per check).
+    ``worst_margin`` is the smallest margin, or inf when there is none.  A
+    NaN margin (energies that overflowed) neither fails nor counts as worst."""
+    failures = np.flatnonzero(margins < -slack)
+    return CertReport(
+        name=name,
+        n_checked=len(margins),
+        n_failed=len(failures),
+        worst_margin=float(np.fmin.reduce(margins, initial=np.inf)),
+        first_failure=int(failures[0]) if len(failures) else None,
+        details={} if details is None else details,
+    )

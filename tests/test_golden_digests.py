@@ -2,10 +2,11 @@
 
 The digests pin the five ``figures`` suite CSVs, the CSV, summary and
 config-echo files of three small ``execute`` configs, the ODE CSV of two
-solutions together with their continuous-bound reports, and the CSV and
-summary files of ``accelcert ode``, so that a refactor cannot drift the
-numbers silently.  They read the same with OpenBLAS at
-one and at two threads.
+solutions together with their continuous-bound reports, the CSV and
+summary files of ``accelcert ode`` and the CSV of ``accelcert scan``, so
+that a refactor cannot drift the numbers silently.  The report fields of
+certificates that fail, or that check no pair at all, are pinned too.
+They read the same with OpenBLAS at one and at two threads.
 
 Update rule: a change that alters any digest is a change to the library's
 floating-point results.  It says so in CHANGES.md, reports the max
@@ -15,12 +16,14 @@ previous outputs, and only then records the new digests here.
 
 import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
 
-from accelcert import (check_continuous_bound, integrate, make_quadratic,
-                       make_reg_logistic, resolve_minimizer)
+from accelcert import (certify_contraction, check_continuous_bound, integrate,
+                       make_quadratic, make_reg_logistic, resolve_minimizer,
+                       run)
 from accelcert.cli import main
 from accelcert.harness import (figures_suite, execute, parse_config,
                                write_ode_csv)
@@ -149,3 +152,144 @@ def test_cli_ode_digests(tmp_path, name):
           "--out", str(tmp_path), "--output-path", f"{name}.csv"])
     assert sha256(tmp_path / f"{name}.csv") == csv_digest
     assert sha256(tmp_path / f"{name}.summary.txt") == summary_digest
+
+
+#: ``accelcert scan`` arguments -> CSV digest.
+CLI_SCAN_CASES = {
+    "window": (
+        ["--mu", "1", "--spectrum", "1,3", "--s-grid", "0.2,0.26,0.3,0.33",
+         "--K", "200", "--seed", "8"],
+        "6335c9740f6f7816b92664b0a4955ad0cdd93b49df12464689933194df52a0eb"),
+    "aligned": (
+        ["--mu", "0.1", "--spectrum", "0.1,2", "--s-grid", "0.05,0.5",
+         "--x0", "0,1", "--K", "200"],
+        "1bfba5a17a265b99650e028d1736717ff49e8d5fd5643e9c28de3a18be8b79d8"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLI_SCAN_CASES))
+def test_cli_scan_digests(tmp_path, name):
+    args, digest = CLI_SCAN_CASES[name]
+    main(["scan", *args, "--out", str(tmp_path), "--output-path", f"{name}.csv"])
+    assert sha256(tmp_path / f"{name}.csv") == digest
+
+
+def report_fields(report) -> dict:
+    return dict(n_checked=report.n_checked, n_failed=report.n_failed,
+                worst_margin=report.worst_margin,
+                first_failure=report.first_failure, details=report.details)
+
+
+def same_fields(got: dict, want: dict) -> bool:
+    """Field-by-field equality in which NaN equals NaN."""
+    if got.keys() != want.keys():
+        return False
+    for key, w in want.items():
+        g = got[key]
+        if isinstance(w, dict):
+            if not same_fields(g, w):
+                return False
+        elif not (g == w or (isinstance(w, float) and math.isnan(w)
+                             and math.isnan(g))):
+            return False
+    return True
+
+
+def test_contraction_failing_rho():
+    # rho = 10 sqrt(mu s) asks for far more contraction than iv-phase gives
+    f = make_quadratic([1, 100])
+    s = 0.01
+    traj = run(f, "iv-phase", [1.0, 1.0], s, 500)
+    report = certify_contraction(traj, "iv", rho=10 * math.sqrt(f.mu * s))
+    assert same_fields(report_fields(report), dict(
+        n_checked=499, n_failed=96, worst_margin=-0.46135651764416763,
+        first_failure=2,
+        details={"rho": 1.0, "slack": 9.374644722222223e-09,
+                 "worst_step_factor": 0.932877736852488,
+                 "guaranteed_factor": 0.5, "energy_nonnegative": True,
+                 "initial_energy": 93.74644722222223}))
+
+
+#: (form, K) -> report fields on [1,100], s = 0.01, from x0 = [1, 1].  K = 0
+#: and K = 1 leave no pair of energies to check; K = 2 leaves one.
+SHORT_CONTRACTION_CASES = {
+    ("iv", 0): dict(
+        n_checked=0, n_failed=0, worst_margin=math.inf, first_failure=None,
+        details={"rho": 0.025, "slack": 1e-10, "worst_step_factor": 0.0,
+                 "guaranteed_factor": 0.9756097560975611,
+                 "energy_nonnegative": True, "initial_energy": math.nan}),
+    ("gc", 0): dict(
+        n_checked=0, n_failed=0, worst_margin=math.inf, first_failure=None,
+        details={"rho": 0.025, "slack": 1e-10, "worst_step_factor": 0.0,
+                 "guaranteed_factor": 0.9756097560975611,
+                 "energy_nonnegative": True, "initial_energy": math.nan}),
+    ("iv", 1): dict(
+        n_checked=0, n_failed=0, worst_margin=math.inf, first_failure=None,
+        details={"rho": 0.025, "slack": 9.374644722222223e-09,
+                 "worst_step_factor": 0.0,
+                 "guaranteed_factor": 0.9756097560975611,
+                 "energy_nonnegative": True,
+                 "initial_energy": 93.74644722222223}),
+    ("gc", 1): dict(
+        n_checked=0, n_failed=0, worst_margin=math.inf, first_failure=None,
+        details={"rho": 0.025, "slack": 1.985784722222223e-09,
+                 "worst_step_factor": 0.0,
+                 "guaranteed_factor": 0.9756097560975611,
+                 "energy_nonnegative": True,
+                 "initial_energy": 19.857847222222226}),
+    ("iv", 2): dict(
+        n_checked=1, n_failed=0, worst_margin=55.473835214415665,
+        first_failure=None,
+        details={"rho": 0.025, "slack": 9.374644722222223e-09,
+                 "worst_step_factor": 0.3838664222630837,
+                 "guaranteed_factor": 0.9756097560975611,
+                 "energy_nonnegative": True,
+                 "initial_energy": 93.74644722222223}),
+    ("gc", 2): dict(
+        n_checked=1, n_failed=0, worst_margin=17.4676727566998,
+        first_failure=None,
+        details={"rho": 0.025, "slack": 1.985784722222223e-09,
+                 "worst_step_factor": 0.09597398484677151,
+                 "guaranteed_factor": 0.9756097560975611,
+                 "energy_nonnegative": True,
+                 "initial_energy": 19.857847222222226}),
+}
+
+
+@pytest.mark.parametrize("form,K", sorted(SHORT_CONTRACTION_CASES))
+def test_contraction_short_runs(form, K):
+    method = {"iv": "iv-phase", "gc": "gc-phase"}[form]
+    traj = run(make_quadratic([1, 100]), method, [1.0, 1.0], 0.01, K)
+    report = certify_contraction(traj, form)
+    assert same_fields(report_fields(report), SHORT_CONTRACTION_CASES[form, K])
+
+
+def test_continuous_decay_failures():
+    # a negative decay_tol demands more decay than the dynamics give, so
+    # the decay scan fails late in the run while the envelope holds
+    f = make_quadratic([1, 4])
+    sol = integrate(f, np.array([1.0, 0.5]), 0.25, T=1.0, h=1e-2)
+    report = check_continuous_bound(sol, f, 0.25, f.mu, decay_tol=-0.01)
+    assert same_fields(report_fields(report), dict(
+        n_checked=101, n_failed=25, worst_margin=0.125, first_failure=75,
+        details={"bound_failures": 0, "decay_failures": 25,
+                 "worst_energy_ratio": 0.9882755905773176,
+                 "numerator": 1.125}))
+
+
+def test_contraction_overflowing_energies():
+    # s = 3/L diverges: from k = 261 the energies overflow to inf, so 38 of
+    # the 299 margins are inf - inf = NaN; they neither fail nor count as
+    # the worst margin, which is a finite E(260) / (1 + rho) minus inf
+    f = make_quadratic([1, 100])
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.warns(UserWarning):
+            traj = run(f, "iv-phase", [1.0, 1.0], 0.03, 300)
+        report = certify_contraction(traj, "iv")
+    assert same_fields(report_fields(report), dict(
+        n_checked=299, n_failed=261, worst_margin=-math.inf, first_failure=0,
+        details={"rho": 0.04330127018922193, "slack": 2.0629754309663712e-08,
+                 "worst_step_factor": 0.0,
+                 "guaranteed_factor": 0.9584959096413557,
+                 "energy_nonnegative": True,
+                 "initial_energy": 206.29754309663713}))

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from accelcert import ConfigError, execute, parse_config
-from accelcert.harness import (build_objective, load_config, resolve_s,
-                               resolve_x0, suite, write_ode_csv)
+from accelcert.harness import (build_objective, fmt, load_config, resolve_s,
+                               resolve_x0, suite, write_csv, write_ode_csv)
 from accelcert.hires_ode import integrate
 from accelcert.objectives import make_quadratic
 from accelcert import cli
@@ -225,3 +225,23 @@ class TestCli:
         path.write_text(json.dumps({**MINIMAL, "x0": [1.0, 1.0]}))
         assert cli.main(["run", "--config", str(path)]) == 0
         assert (tmp_path / "envroot" / "quad_iv-phase_K100.csv").exists()
+
+
+class TestWriteCsv:
+    def test_fmt_cells(self):
+        assert fmt(0.1) == "0.1" and fmt(np.float64(1e-300)) == "1e-300"
+        assert fmt(float("nan")) == ""
+        assert (fmt(True), fmt(np.bool_(False))) == ("true", "false")
+        assert (fmt(7), fmt("x")) == ("7", "x")
+
+    def test_header_then_rows(self, tmp_path):
+        path = tmp_path / "t.csv"
+        write_csv({"k": range(3), "v": np.array([0.5, np.nan, 1e-20]),
+                   "ok": [True, False, True]}, path)
+        assert path.read_text().splitlines() == [
+            "k,v,ok", "0,0.5,true", "1,,false", "2,1e-20,true"]
+
+    def test_no_rows(self, tmp_path):
+        path = tmp_path / "t.csv"
+        write_csv({"a": [], "b": np.empty(0)}, path)
+        assert path.read_text().splitlines() == ["a,b"]

@@ -161,7 +161,7 @@ def test_mismatched_check_recomputes(counted, other):
 
     # per-sample reference: f.gap at the probe point and lyap_ode
     gaps = [g.gap(probe_point(st.X, st.Xdot, s2, mu2)) for st in sol]
-    energy = [lyap_ode(g, st.X, st.Xdot, s2, mu2, t=st.t).energy for st in sol]
+    energy = [lyap_ode(g, st.X, st.Xdot, s2, mu2).energy for st in sol]
     recomputed = probe_gaps(sol, g, s2, mu2)
     assert recomputed.tolist() == gaps
     assert ode_energies(sol, g, s2, mu2, recomputed).tolist() == energy
