@@ -3,7 +3,8 @@
 The digests pin the five ``figures`` suite CSVs, the CSV, summary and
 config-echo files of three small ``execute`` configs, the ODE CSV of two
 solutions together with their continuous-bound reports, the CSV and
-summary files of ``accelcert ode`` and the CSV of ``accelcert scan``, so
+summary files of ``accelcert ode`` for both equations and the CSV of
+``accelcert scan``, so
 that a refactor cannot drift the numbers silently.  The report fields of
 certificates that fail, or that check no pair at all, are pinned too.
 They read the same with OpenBLAS at one and at two threads.
@@ -126,6 +127,14 @@ CLI_ODE_CASES = {
         ["--objective", "reg-logistic"],
         "6fe77517a4c8110b6c3b71b796031346be9068e3793cf7bfd05d8aab8f9e8b30",
         "7f171a6ea0e773937a02ffcd190bafd5e58d73998b1d4322f460195fed0b9e7c"),
+    "quad-original": (
+        ["--objective", "quad", "--which", "original"],
+        "01b14c3737f57fc90f36610e5ee0f402f53aae8c23a8508cc874cda3929f3b20",
+        "06321b28bb6c3d7c19ff9afd829c371501a4bbc5085341615cea555b2478b20d"),
+    "reg-logistic-original": (
+        ["--objective", "reg-logistic", "--which", "original"],
+        "d593e79a525a1df26f8b5f1d399752418a0d6f741d7942590f4906a3c3d2635e",
+        "9a5d6ac6088dec14bfbc37fed7b15ca53f4fd688d8aa099ab1d8a56ede59909b"),
 }
 
 
