@@ -37,7 +37,7 @@ for k in range(0, K + 1, 8):
 
 # energy along the flow is monotone; its potential is the probe gap that
 # integrate recorded, so this makes no oracle call
-e = ode_energies(solution, f, s, f.mu)
+e = ode_energies(solution)
 print(f"\nenergy monotone along the flow: {bool(np.all(np.diff(e) <= 1e-8))}")
 print(f"E(0) = {e[0]:.4f}, E(T) = {e[-1]:.3e}, "
       f"certified ceiling E(0) e^(-sqrt(mu) T / 4) = "

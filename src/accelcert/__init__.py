@@ -19,8 +19,8 @@ from .optimizers import (METHODS, NAG_FAMILY, OptimizerState, Trajectory,
 from .lyapunov import (LyapunovRecord, certify_contraction, energies,
                        initial_energy, lyap_gc, lyap_iv, lyap_ode,
                        ode_energies)
-from .hires_ode import (OdeSolution, OdeState, check_continuous_bound,
-                        integrate, probe_point, rhs_original, rhs_simplified)
+from .hires_ode import (OdeSolution, OdeState, acceleration,
+                        check_continuous_bound, integrate, probe_point)
 from .analysis import (RootPair, ScanReport, bound_curve, characteristic_roots,
                        check_bound, empirical_rate, max_reality_threshold,
                        monotonic_window, monotonicity_scan, reality_threshold)
@@ -39,8 +39,8 @@ __all__ = [
     "momentum_denominator", "nag_classic_step", "nag_modified_step", "run",
     "LyapunovRecord", "certify_contraction", "energies", "initial_energy",
     "lyap_gc", "lyap_iv", "lyap_ode", "ode_energies", "OdeSolution",
-    "OdeState", "check_continuous_bound",
-    "integrate", "probe_point", "rhs_original", "rhs_simplified",
+    "OdeState", "acceleration", "check_continuous_bound",
+    "integrate", "probe_point",
     "RootPair", "ScanReport",
     "bound_curve", "characteristic_roots", "check_bound", "empirical_rate",
     "max_reality_threshold", "monotonic_window", "monotonicity_scan",

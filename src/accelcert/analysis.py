@@ -158,8 +158,7 @@ def bound_curve(theorem: str, f_x0_gap: float, dist0_sq: float, mu: float,
     return (f_x0_gap + 0.5 * mu * dist0_sq) * (1.0 - math.sqrt(mu * s)) ** k
 
 
-def _theorem_gaps(trajectory: Trajectory, theorem: str,
-                  allow_mismatch: bool = False) -> np.ndarray:
+def _theorem_gaps(trajectory: Trajectory, theorem: str) -> np.ndarray:
     """Objective gaps along the sequence the theorem bounds: the recorded
     ``f_gap`` column when that is the trajectory's reference sequence,
     otherwise evaluated point by point."""
@@ -168,12 +167,9 @@ def _theorem_gaps(trajectory: Trajectory, theorem: str,
     if f is None:
         raise ValueError("trajectory carries no objective reference")
     if trajectory.method_id not in methods:
-        if not allow_mismatch:
-            raise ValueError(
-                f"theorem {theorem!r} applies to methods {methods}, "
-                f"not {trajectory.method_id!r}")
-        # cross-method comparison: use the method's own reference sequence
-        ref = trajectory.reference
+        raise ValueError(
+            f"theorem {theorem!r} applies to methods {methods}, "
+            f"not {trajectory.method_id!r}")
     if ref == trajectory.reference:
         if f.min_value is None:
             raise MinimizerUnknownError(
@@ -197,22 +193,18 @@ def attach_bound(trajectory: Trajectory, theorem: str) -> np.ndarray:
 
 
 def check_bound(trajectory: Trajectory, theorem: str,
-                slack_scale: float = 1e-10,
-                allow_mismatch: bool = False) -> CertReport:
+                slack_scale: float = 1e-10) -> CertReport:
     """Check the theorem's gap bound at every recorded iteration.
 
     Pass/fail per k with absolute slack ``slack_scale * max(1, bound(0))``.
-    Incompatible trajectory/theorem pairings are rejected unless
-    ``allow_mismatch`` is set, which compares the method's own reference
-    gaps against the curve (a baseline need not satisfy an accelerated
-    bound; the report then locates its first failure).
+    Incompatible trajectory/theorem pairings are rejected with ValueError.
 
     The trajectory must be one that :func:`~accelcert.optimizers.run`
     produced: where the theorem bounds the sequence the run recorded its
     gaps at, the recorded ``f_gap`` column is read instead of calling the
     oracle again.
     """
-    gaps = _theorem_gaps(trajectory, theorem, allow_mismatch=allow_mismatch)
+    gaps = _theorem_gaps(trajectory, theorem)
     curve = _curve_for(trajectory, theorem)
     slack = slack_scale * max(1.0, curve[0])
     return margin_report(f"bound_{theorem}", curve - gaps, slack,

@@ -19,7 +19,7 @@ from .harness import (ConfigError, OUTPUT_ROOT_ENV, _OBJECTIVE_PARAMS,
                       _output_root, execute, fmt, load_config,
                       objective_from_params, suite, write_ode_csv,
                       write_scan_csv, write_summary)
-from .hires_ode import check_continuous_bound, integrate
+from .hires_ode import EQUATIONS, check_continuous_bound, integrate
 
 
 def _floats(text: str) -> list[float]:
@@ -54,8 +54,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ode.add_argument("--s", type=float, required=True)
     p_ode.add_argument("--T", type=float, required=True)
     p_ode.add_argument("--h", type=float, required=True)
-    p_ode.add_argument("--which", choices=("simplified", "original"),
-                       default="simplified")
+    p_ode.add_argument("--which", choices=EQUATIONS, default="simplified")
     p_ode.add_argument("--x0", type=_floats, default=None,
                        help="comma-separated start (default: ones)")
     p_ode.add_argument("--out", default=None)

@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from . import analysis, lyapunov
-from .hires_ode import OdeSolution, probe_gaps
+from .hires_ode import OdeSolution, require_integrated_with
 from .objectives import (Objective, SpectrumSpec, make_quadratic,
                          make_reg_logistic, resolve_minimizer, sample_in_ball)
 from .optimizers import METHODS, NonFiniteIterateError, Trajectory, run
@@ -274,15 +274,15 @@ def write_trajectory_csv(traj: Trajectory, path: Path):
 def write_ode_csv(solution: OdeSolution, f: Objective, s: float, mu: float,
                   path: Path):
     """Schema: t,X0..X{d-1},Xdot0..Xdot{d-1},f_gap,lyapunov (gap and energy
-    at the probe point / along the solution).  On the solution that
-    ``integrate`` returned for ``f`` at (s, mu) the gap column is the
-    recorded one, so writing makes no oracle call."""
-    gaps = probe_gaps(solution, f, s, mu)
+    at the probe point / along the solution).  ``solution`` must be the one
+    that ``integrate`` returned for ``f`` at (s, mu), else ValueError; its
+    recorded gap column is written, so writing makes no oracle call."""
+    require_integrated_with(solution, f, s, mu)
     write_csv({"t": solution.t,
                **{f"X{i}": col for i, col in enumerate(solution.X.T)},
                **{f"Xdot{i}": col for i, col in enumerate(solution.Xdot.T)},
-               "f_gap": gaps,
-               "lyapunov": lyapunov.ode_energies(solution, f, s, mu, gaps)},
+               "f_gap": solution.f_gap,
+               "lyapunov": lyapunov.ode_energies(solution)},
               path)
 
 
@@ -352,8 +352,7 @@ def execute(config: ExperimentConfig,
     ok = True
     traj = None
     try:
-        traj = run(f, config.method, x0, s, config.K,
-                   lyapunov=config.lyapunov, bound=config.bound)
+        traj = run(f, config.method, x0, s, config.K)
     except NonFiniteIterateError as exc:
         summary["status"] = "nonfinite"
         summary["failed_at_k"] = exc.k
@@ -361,6 +360,10 @@ def execute(config: ExperimentConfig,
         return ExecutionResult(config=resolved, ok=False, summary=summary,
                                summary_path=summary_path, echo_path=echo_path)
 
+    if config.lyapunov is not None:
+        lyapunov.attach_energies(traj, config.lyapunov)
+    if config.bound is not None:
+        analysis.attach_bound(traj, config.bound)
     summary["status"] = "ok"
     summary["final_f_gap"] = fmt(float(traj.f_gap[-1]))
     summary["final_grad_norm"] = fmt(float(traj.grad_norm[-1]))

@@ -1,33 +1,38 @@
 """The implicit-velocity high-resolution differential equation.
 
-Two right-hand sides are provided for the second-order dynamics in
-(position X, velocity X'):
+Two equations are provided for the second-order dynamics in (position X,
+velocity X'):
 
 * ``simplified``:  X'' + 2 sqrt(mu) X' + grad f(X + sqrt(s) X' / c) = 0
 * ``original``:    (1 + sqrt(mu s)) X'' + 2 sqrt(mu) X'
                    + c * grad f(X + sqrt(s) X' / c) = 0
 
 with c = 1 + 2 sqrt(mu s), both started from X(0) = x_0, X'(0) = 0.  The
-two agree to O(sqrt(s)).  The continuous convergence theorem is stated for
-the simplified equation; :func:`check_continuous_bound` verifies it with
-two margin scans (:func:`accelcert.report.margin_report`) over the samples.
+simplified equation is the original with the coefficients 1 + sqrt(mu s)
+on X'' and c on the gradient set to 1, so :func:`acceleration` serves both;
+the two agree to O(sqrt(s)).  The continuous convergence theorem is stated
+for the simplified equation; :func:`check_continuous_bound` verifies it
+with two margin scans (:func:`accelcert.report.margin_report`) over the
+samples.
 
 Integration is fixed-step classical Runge-Kutta 4 on the first-order
-system: the dynamics are smooth and non-stiff for the problems treated
-here, and a fixed step keeps runs bit-deterministic for regression tests.
+system in plain (X, X') arrays: the dynamics are smooth and non-stiff for
+the problems treated here, and a fixed step keeps runs bit-deterministic
+for regression tests.
 
 :func:`integrate` returns an :class:`OdeSolution`, whose preallocated
 columns hold t, X, X' and the objective gap at the probe point, evaluated
 once per sample.  :func:`check_continuous_bound`, the continuous energy
 :func:`accelcert.lyapunov.ode_energies` and the ODE CSV writer read that
-recorded gap instead of calling the oracle again.
+recorded gap; they accept only the objective and (s, mu) the solution was
+integrated with.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -65,7 +70,7 @@ class OdeSolution:
     s: float
     mu: float
     which: str
-    objective: Optional[Objective] = field(default=None, repr=False)
+    objective: Objective = field(repr=False)
 
     def __len__(self) -> int:
         return self.t.shape[0]
@@ -75,10 +80,6 @@ class OdeSolution:
 
     def __iter__(self) -> Iterator[OdeState]:
         return (self[i] for i in range(len(self)))
-
-    def records_gap(self, f: Objective, s: float, mu: float) -> bool:
-        """Whether ``f_gap`` is the probe gap of ``f`` at (s, mu)."""
-        return self.objective is f and self.s == s and self.mu == mu
 
 
 class NonFiniteSolutionError(RuntimeError):
@@ -95,23 +96,32 @@ def probe_point(X: Vector, Xdot: Vector, s: float, mu: float) -> Vector:
     return X + math.sqrt(s) * Xdot / momentum_denominator(mu, s)
 
 
-def rhs_simplified(f: Objective, state: OdeState, s: float,
-                   mu: float) -> tuple[Vector, Vector]:
-    """(dX, dX') for X'' = -2 sqrt(mu) X' - grad f(probe)."""
-    g = f.grad(probe_point(state.X, state.Xdot, s, mu))
-    return state.Xdot, -2.0 * math.sqrt(mu) * state.Xdot - g
+EQUATIONS = ("simplified", "original")
 
 
-def rhs_original(f: Objective, state: OdeState, s: float,
-                 mu: float) -> tuple[Vector, Vector]:
-    """(dX, dX') for the un-simplified equation, solved for X''."""
+def acceleration(f: Objective, s: float,
+                 which: str = "simplified") -> Callable[[Vector, Vector], Vector]:
+    """X'' of the ``which`` equation on ``f`` (with mu = f.mu), as a
+    function of (X, X'):
+
+        X'' = (-2 sqrt(mu) X' - gain * grad f(probe)) / mass,
+
+    with (mass, gain) = (1 + sqrt(mu s), c) for the original equation and
+    (1, 1) for the simplified one.  The coefficients are computed once;
+    each call makes one gradient evaluation.
+    """
+    if which not in EQUATIONS:
+        raise ValueError(f"unknown equation {which!r}; expected one of {EQUATIONS}")
+    mu = f.mu
+    sqrt_s = math.sqrt(s)
     c = momentum_denominator(mu, s)
-    g = f.grad(probe_point(state.X, state.Xdot, s, mu))
-    dv = (-2.0 * math.sqrt(mu) * state.Xdot - c * g) / (1.0 + math.sqrt(mu * s))
-    return state.Xdot, dv
+    damping = -2.0 * math.sqrt(mu)
+    mass, gain = (1.0 + math.sqrt(mu * s), c) if which == "original" else (1.0, 1.0)
 
-
-_RHS = {"simplified": rhs_simplified, "original": rhs_original}
+    def xddot(X: Vector, Xdot: Vector) -> Vector:
+        g = f.grad(X + sqrt_s * Xdot / c)
+        return (damping * Xdot - gain * g) / mass
+    return xddot
 
 
 def default_step(s: float) -> float:
@@ -131,15 +141,13 @@ def integrate(f: Objective, x0: Vector, s: float, T: float,
     4n gradient evaluations, and recording the probe gap at the n+1
     samples makes n+1 value evaluations (none when the minimum is unknown).
     """
-    if which not in _RHS:
-        raise ValueError(f"unknown equation {which!r}; expected one of {tuple(_RHS)}")
+    xddot = acceleration(f, s, which)
     if h is None:
         h = default_step(s)
     if not h > 0:
         raise ValueError("step size h must be positive")
     if T < 0:
         raise ValueError("horizon T must be nonnegative")
-    rhs = _RHS[which]
     mu = f.mu
     X = np.asarray(x0, dtype=float).copy()
     V = np.zeros_like(X)
@@ -156,14 +164,18 @@ def integrate(f: Objective, x0: Vector, s: float, T: float,
         Vs[i] = V
         f_gap[i] = f.gap(probe_point(X, V, s, mu)) if have_min else np.nan
 
+    half, sixth = 0.5 * h, h / 6.0
     record(0, X, V)
     for i in range(n):
-        k1x, k1v = rhs(f, OdeState(0.0, X, V), s, mu)
-        k2x, k2v = rhs(f, OdeState(0.0, X + 0.5 * h * k1x, V + 0.5 * h * k1v), s, mu)
-        k3x, k3v = rhs(f, OdeState(0.0, X + 0.5 * h * k2x, V + 0.5 * h * k2v), s, mu)
-        k4x, k4v = rhs(f, OdeState(0.0, X + h * k3x, V + h * k3v), s, mu)
-        X = X + (h / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
-        V = V + (h / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
+        A1 = xddot(X, V)
+        V2 = V + half * A1
+        A2 = xddot(X + half * V, V2)
+        V3 = V + half * A2
+        A3 = xddot(X + half * V2, V3)
+        V4 = V + h * A3
+        A4 = xddot(X + h * V3, V4)
+        X = X + sixth * (V + 2.0 * V2 + 2.0 * V3 + V4)
+        V = V + sixth * (A1 + 2.0 * A2 + 2.0 * A3 + A4)
         if not (np.isfinite(X).all() and np.isfinite(V).all()):
             raise NonFiniteSolutionError((i + 1) * h)
         record(i + 1, X, V)
@@ -171,15 +183,13 @@ def integrate(f: Objective, x0: Vector, s: float, T: float,
                        s=s, mu=mu, which=which, objective=f)
 
 
-def probe_gaps(solution: OdeSolution, f: Objective, s: float,
-               mu: float) -> np.ndarray:
-    """f(probe(t)) - f* at every sample: the recorded ``f_gap`` column when
-    ``solution`` was integrated on ``f`` at (s, mu), otherwise evaluated
-    once per sample."""
-    if solution.records_gap(f, s, mu):
-        return solution.f_gap
-    return np.array([f.gap(probe_point(X, Xdot, s, mu))
-                     for X, Xdot in zip(solution.X, solution.Xdot)])
+def require_integrated_with(solution: OdeSolution, f: Objective, s: float,
+                            mu: float):
+    """Raise ValueError unless ``solution`` was integrated on ``f`` at
+    (s, mu), so that its recorded ``f_gap`` is the probe gap of ``f``."""
+    if not (solution.objective is f and solution.s == s and solution.mu == mu):
+        raise ValueError("the solution was integrated with another objective "
+                         "or (s, mu)")
 
 
 def _exp(x: np.ndarray) -> np.ndarray:
@@ -194,7 +204,8 @@ def check_continuous_bound(solution: OdeSolution, f: Objective, s: float,
     """Verify the continuous convergence theorem along a solution.
 
     Checks, at every sample of a ``simplified``-equation solution started
-    from rest at x_0:
+    from rest at x_0, which :func:`integrate` returned for ``f`` at (s, mu)
+    (anything else raises ValueError):
 
     * the objective-gap bound
       ``f(probe(t)) - f* <= (f(x_0) - f* + mu ||x_0 - x*||^2) / 2
@@ -208,20 +219,22 @@ def check_continuous_bound(solution: OdeSolution, f: Objective, s: float,
     ``worst_margin`` is the envelope's, and ``first_failure`` the
     envelope's first failure, else the decay's.
 
-    The probe gap comes from :func:`probe_gaps`, so on the solution that
-    ``integrate`` returned for ``f`` at (s, mu) the check makes one value
-    evaluation, f(x_0), and no gradient evaluation.
+    The probe gap is the solution's recorded ``f_gap``, so the check makes
+    one value evaluation, f(x_0), and no gradient evaluation.
     """
+    require_integrated_with(solution, f, s, mu)
+    if solution.which != "simplified":
+        raise ValueError("the continuous bound is stated for the simplified "
+                         f"equation, not {solution.which!r}")
     if not solution:
         raise ValueError("empty solution")
     x0 = solution.X[0]
     gap0 = f.gap(x0)
     dist0_sq = float(np.sum((x0 - f.minimizer) ** 2))
     numerator = 0.5 * (gap0 + mu * dist0_sq)
-    gaps = probe_gaps(solution, f, s, mu)
-    energies = ode_energies(solution, f, s, mu, gaps)
+    energies = ode_energies(solution)
     envelope = numerator * _exp(-math.sqrt(mu) * solution.t / 4.0)
-    bound = margin_report("bound", envelope - gaps,
+    bound = margin_report("bound", envelope - solution.f_gap,
                           bound_tol * max(1.0, numerator))
 
     limit = _exp(-math.sqrt(mu) * np.diff(solution.t) / 4.0) + decay_tol

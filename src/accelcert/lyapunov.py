@@ -139,26 +139,21 @@ def lyap_ode(f: Objective, X: Vector, Xdot: Vector, s: float, mu: float,
     return lyap_iv(f, probe, Xdot, X, s, mu, alpha, beta)
 
 
-def ode_energies(solution: OdeSolution, f: Objective, s: float, mu: float,
-                 gaps: Optional[np.ndarray] = None) -> np.ndarray:
-    """E(t) of :func:`lyap_ode` at every sample of an integrated solution.
+def ode_energies(solution: OdeSolution) -> np.ndarray:
+    """E(t) of :func:`lyap_ode` at every sample of an integrated solution,
+    on the objective and at the (s, mu) it was integrated with.
 
-    The potential is ``gaps`` when given, else the solution's recorded
-    ``f_gap`` column, which must then be the probe gap of ``f`` at
-    (s, mu) (see :meth:`~accelcert.hires_ode.OdeSolution.records_gap`).
-    Makes no oracle call.
+    The potential is the solution's recorded ``f_gap`` column, so this
+    makes no oracle call.
     """
+    f, s, mu = solution.objective, solution.s, solution.mu
     _require_minimizer(f)
-    if gaps is None:
-        if not solution.records_gap(f, s, mu):
-            raise ValueError("the solution's recorded gap is not that of this "
-                             "objective at this (s, mu); pass gaps")
-        gaps = solution.f_gap
     xstar = f.minimizer
     return np.array([_iv_record(gap, Xdot, X, xstar, s, mu, DEFAULT_ALPHA,
                                 DEFAULT_BETA).energy
                      for X, Xdot, gap in zip(solution.X, solution.Xdot,
-                                             gaps.tolist())], dtype=float)
+                                             solution.f_gap.tolist())],
+                    dtype=float)
 
 
 def _form_for(trajectory: Trajectory, form: str):
@@ -249,7 +244,8 @@ def certify_contraction(trajectory: Trajectory, form: str,
         rho = math.sqrt(trajectory.mu * trajectory.s) / 4.0
     slack = slack_scale * max(1.0, e[0] if len(e) else 1.0)
     # factors are only meaningful while the energy resolves above rounding
-    floor = 1e-13 * float(e.max()) if len(e) and e.max() > 0 else 0.0
+    # of its largest finite value (a diverging run's energies overflow)
+    floor = 1e-13 * float(np.max(e[np.isfinite(e)], initial=0.0))
     resolved = e[:-1] > floor
     factors = e[1:][resolved] / e[:-1][resolved]
     details = {

@@ -223,11 +223,9 @@ def resolve_minimizer(f: Objective, grad_tol: float = 1e-12,
     """
     if f.minimizer is not None and f.min_value is not None:
         return f
-    from .optimizers import OptimizerState, nag_modified_step
+    from .optimizers import initial_state, nag_modified_step
 
-    s = 1.0 / f.lipschitz
-    x0 = np.zeros(f.dim)
-    state = OptimizerState(x=x0, y=x0.copy(), v=np.zeros(f.dim), k=0, s=s)
+    state = initial_state(f, "nag-modified", np.zeros(f.dim), 1.0 / f.lipschitz)
     for _ in range(max_iters):
         if np.linalg.norm(f.grad(state.x)) <= grad_tol:
             break

@@ -70,8 +70,7 @@ class OptimizerState:
     The meaning of ``v`` is method-specific: displacement / sqrt(s) for the
     momentum schemes, the raw previous displacement for heavy-ball, and
     unused (zero) for plain gradient descent.  ``grad`` is the gradient at
-    the reference point, which the next step descends along; a state built
-    by hand may leave it None, and the step then evaluates it.  The gc
+    the reference point, which the next step descends along.  The gc
     family also carries the previous gradient in ``grad_prev`` and, for
     ``gc-modified``, the previous iterate y_{k-1} in ``y_prev``.
     ``v_first``, when set, is the velocity the next ``iv-phase`` step takes
@@ -83,8 +82,8 @@ class OptimizerState:
     v: Vector
     k: int
     s: float
+    grad: Vector
     grad_prev: Optional[Vector] = None
-    grad: Optional[Vector] = None
     y_prev: Optional[Vector] = None
     v_first: Optional[Vector] = None
 
@@ -93,17 +92,12 @@ class OptimizerState:
             raise ValueError("step size s must be positive")
 
 
-def _gradient(f: Objective, state: OptimizerState, point: Vector) -> Vector:
-    """The state's carried gradient, or grad f(point) for a state without one."""
-    return f.grad(point) if state.grad is None else state.grad
-
-
 def gd_step(f: Objective, state: OptimizerState) -> OptimizerState:
     """Vanilla gradient descent x_{k+1} = x_k - s grad f(x_k).
 
     y and v are copied through unchanged.
     """
-    x1 = state.x - state.s * _gradient(f, state, state.x)
+    x1 = state.x - state.s * state.grad
     return OptimizerState(x=x1, y=state.y, v=state.v, k=state.k + 1,
                           s=state.s, grad=f.grad(x1))
 
@@ -123,7 +117,7 @@ def heavy_ball_step(f: Objective, state: OptimizerState,
     """
     if beta is None:
         beta = default_heavy_ball_beta(f.mu, state.s)
-    x1 = state.x - state.s * _gradient(f, state, state.x) + beta * state.v
+    x1 = state.x - state.s * state.grad + beta * state.v
     return OptimizerState(x=x1, y=state.y, v=x1 - state.x, k=state.k + 1,
                           s=state.s, grad=f.grad(x1))
 
@@ -132,7 +126,7 @@ def nag_classic_step(f: Objective, state: OptimizerState) -> OptimizerState:
     """Accelerated scheme with momentum (1 - sqrt(mu s)) / (1 + sqrt(mu s))."""
     s = state.s
     r = math.sqrt(f.mu * s)
-    x1 = state.y - s * _gradient(f, state, state.y)
+    x1 = state.y - s * state.grad
     y1 = x1 + ((1.0 - r) / (1.0 + r)) * (x1 - state.x)
     return OptimizerState(x=x1, y=y1, v=(x1 - state.x) / math.sqrt(s),
                           k=state.k + 1, s=s, grad=f.grad(y1))
@@ -144,7 +138,7 @@ def nag_modified_step(f: Objective, state: OptimizerState) -> OptimizerState:
     v is maintained as (x_{k+1} - x_k) / sqrt(s) for diagnostics.
     """
     s = state.s
-    x1 = state.y - s * _gradient(f, state, state.y)
+    x1 = state.y - s * state.grad
     y1 = x1 + (x1 - state.x) / momentum_denominator(f.mu, s)
     return OptimizerState(x=x1, y=y1, v=(x1 - state.x) / math.sqrt(s),
                           k=state.k + 1, s=s, grad=f.grad(y1))
@@ -163,7 +157,7 @@ def gc_modified_step(f: Objective, state: OptimizerState) -> OptimizerState:
                          "and its gradient")
     s = state.s
     c = momentum_denominator(f.mu, s)
-    g = _gradient(f, state, state.y)
+    g = state.grad
     y1 = (state.y + (state.y - state.y_prev) / c - (s / c) * g
           - (s / c) * (g - state.grad_prev))
     return OptimizerState(x=state.y - s * g, y=y1,
@@ -189,7 +183,7 @@ def gc_phase_step(f: Objective, state: OptimizerState) -> OptimizerState:
         raise ValueError("gc-phase state must carry the cached previous gradient")
     s = state.s
     c = momentum_denominator(f.mu, s)
-    g = _gradient(f, state, state.y)
+    g = state.grad
     v1 = (state.v - math.sqrt(s) * (2.0 * g - state.grad_prev)) / c
     y1 = state.y + math.sqrt(s) * v1
     x1 = state.y - s * g
@@ -214,10 +208,8 @@ def iv_phase_step(f: Objective, state: OptimizerState) -> OptimizerState:
     if state.v_first is not None:
         v1 = state.v_first
     else:
-        g = state.grad
-        if g is None:
-            g = f.grad(state.x + math.sqrt(s) * state.v / c)
-        v1 = state.v - 2.0 * math.sqrt(f.mu * s) * state.v / c - math.sqrt(s) * g
+        v1 = (state.v - 2.0 * math.sqrt(f.mu * s) * state.v / c
+              - math.sqrt(s) * state.grad)
     x1 = state.x + math.sqrt(s) * v1
     y1 = x1 + math.sqrt(s) * v1 / c
     return OptimizerState(x=x1, y=y1, v=v1, k=state.k + 1, s=s, grad=f.grad(y1))
@@ -322,16 +314,15 @@ class Trajectory:
 
 
 def run(f: Objective, method: str, x0: Vector, s: float, K: int, *,
-        lyapunov: Optional[str] = None, bound: Optional[str] = None,
         first_velocity: str = "scheme") -> Trajectory:
     """Execute K steps of ``method`` on ``f`` and record diagnostics.
 
-    ``lyapunov`` requests an energy column ("gc" or "iv"); ``bound``
-    requests a theoretical bound column by theorem id (see
-    :mod:`accelcert.analysis`).  ``first_velocity`` selects the convention
-    for the first velocity iterate of iv-phase; anything but "scheme"
-    deliberately overrides the recursion at k = 0 and exists to probe the
-    initial-energy conventions.
+    ``first_velocity`` selects the convention for the first velocity
+    iterate of iv-phase; anything but "scheme" deliberately overrides the
+    recursion at k = 0 and exists to probe the initial-energy conventions.
+    The ``lyapunov`` and ``bound`` columns are filled afterwards by
+    :func:`accelcert.lyapunov.attach_energies` and
+    :func:`accelcert.analysis.attach_bound`.
 
     The run itself makes K+1 gradient and K+1 value evaluations: one of
     each per recorded point, the gradient shared by the record and the
@@ -373,7 +364,7 @@ def run(f: Objective, method: str, x0: Vector, s: float, K: int, *,
             raise NonFiniteIterateError(method, state.k)
         record(k + 1, state)
 
-    traj = Trajectory(
+    return Trajectory(
         method_id=method,
         objective_id=f.name,
         s=s,
@@ -385,10 +376,3 @@ def run(f: Objective, method: str, x0: Vector, s: float, K: int, *,
         grad_norm=grad_norm,
         objective=f,
     )
-    if lyapunov is not None:
-        from .lyapunov import attach_energies
-        attach_energies(traj, lyapunov)
-    if bound is not None:
-        from .analysis import attach_bound
-        attach_bound(traj, bound)
-    return traj

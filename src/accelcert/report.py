@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,14 +36,15 @@ def margin_report(name: str, margins: np.ndarray, slack: float | np.ndarray,
     """The report of a margin scan: every certificate checks a margin per
     iteration, sample or pair, and check i holds when
     ``margins[i] >= -slack`` (``slack`` a scalar or one value per check).
-    ``worst_margin`` is the smallest margin, or inf when there is none.  A
-    NaN margin (energies that overflowed) neither fails nor counts as worst."""
-    failures = np.flatnonzero(margins < -slack)
+    A NaN margin (energies that overflowed) fails.  ``worst_margin`` is the
+    smallest margin, -inf when any is NaN, or inf when there is none."""
+    failures = np.flatnonzero(~(margins >= -slack))
+    worst = float(np.min(margins, initial=np.inf))
     return CertReport(
         name=name,
         n_checked=len(margins),
         n_failed=len(failures),
-        worst_margin=float(np.fmin.reduce(margins, initial=np.inf)),
+        worst_margin=-math.inf if math.isnan(worst) else worst,
         first_failure=int(failures[0]) if len(failures) else None,
         details={} if details is None else details,
     )

@@ -10,6 +10,7 @@ from accelcert import (bound_curve, characteristic_roots, check_bound,
                        make_reg_logistic, monotonic_window, monotonicity_scan,
                        reality_threshold, resolve_minimizer, run)
 from accelcert.objectives import MinimizerUnknownError
+from accelcert.report import margin_report
 
 
 def poly_residual(root, lam, mu, s):
@@ -160,8 +161,13 @@ class TestCheckBound:
         f = make_quadratic([1, 10_000])
         traj = run(f, "gd", np.array([1.0, 1.0]), 1.0 / f.lipschitz, 8000)
         with pytest.raises(ValueError):
-            check_bound(traj, "rate-iv")  # pairing rejected by default
-        report = check_bound(traj, "rate-iv", allow_mismatch=True)
+            check_bound(traj, "rate-iv")  # pairing rejected
+        x0 = traj.xs[0]
+        dist0_sq = float(np.sum((x0 - f.minimizer) ** 2))
+        curve = bound_curve("rate-iv", f.gap(x0), dist0_sq, f.mu, f.lipschitz,
+                            traj.s, traj.K)
+        report = margin_report("gd_vs_rate_iv", curve - traj.f_gap,
+                               1e-10 * max(1.0, curve[0]))
         assert not report.passed
         assert 0 < report.first_failure < 8000
 
@@ -175,16 +181,14 @@ class TestCheckBound:
             np.testing.assert_array_equal(
                 traj.f_gap, [f.gap(p) for p in traj.reference_points()])
 
-    @pytest.mark.parametrize("method, theorem, allow_mismatch", [
-        ("iv-phase", "rate-iv", False), ("gd", "gd", False),
-        ("gd", "rate-iv", True), ("gc-phase", "rate-gc", False),
-        ("iv-phase", "rate-iv-x", False)])
-    def test_unresolved_objective_rejected(self, method, theorem,
-                                           allow_mismatch):
+    @pytest.mark.parametrize("method, theorem", [
+        ("iv-phase", "rate-iv"), ("gd", "gd"), ("gc-phase", "rate-gc"),
+        ("iv-phase", "rate-iv-x")])
+    def test_unresolved_objective_rejected(self, method, theorem):
         f = make_reg_logistic(3, 50, 2, 0.1)
         traj = run(f, method, np.ones(2), 1.0 / f.lipschitz, 10)
         with pytest.raises(MinimizerUnknownError):
-            check_bound(traj, theorem, allow_mismatch=allow_mismatch)
+            check_bound(traj, theorem)
 
     def test_incompatible_gc_pairing_rejected(self):
         f = make_quadratic([1, 100])

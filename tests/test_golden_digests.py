@@ -288,17 +288,18 @@ def test_continuous_decay_failures():
 
 def test_contraction_overflowing_energies():
     # s = 3/L diverges: from k = 261 the energies overflow to inf, so 38 of
-    # the 299 margins are inf - inf = NaN; they neither fail nor count as
-    # the worst margin, which is a finite E(260) / (1 + rho) minus inf
+    # the 299 margins are inf - inf = NaN; a NaN margin fails and makes the
+    # worst margin -inf, and the factor E(261) / E(260) = inf is the worst
+    # step factor (the rounding floor comes from the largest finite energy)
     f = make_quadratic([1, 100])
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.warns(UserWarning):
             traj = run(f, "iv-phase", [1.0, 1.0], 0.03, 300)
         report = certify_contraction(traj, "iv")
     assert same_fields(report_fields(report), dict(
-        n_checked=299, n_failed=261, worst_margin=-math.inf, first_failure=0,
+        n_checked=299, n_failed=299, worst_margin=-math.inf, first_failure=0,
         details={"rho": 0.04330127018922193, "slack": 2.0629754309663712e-08,
-                 "worst_step_factor": 0.0,
+                 "worst_step_factor": math.inf,
                  "guaranteed_factor": 0.9584959096413557,
                  "energy_nonnegative": True,
                  "initial_energy": 206.29754309663713}))

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from accelcert import (check_continuous_bound, integrate, lyap_ode,
-                       make_quadratic, make_reg_logistic, probe_point,
-                       rhs_original, rhs_simplified)
+from accelcert import (acceleration, check_continuous_bound, integrate,
+                       lyap_ode, make_quadratic, make_reg_logistic,
+                       probe_point)
 from accelcert.hires_ode import NonFiniteSolutionError, OdeSolution, OdeState
 
 # X(1) for X'' + 2 X' + X = 0 from X(0) = 1, X'(0) = 0: X(t) = (1 + t) e^{-t}
@@ -22,38 +22,59 @@ def quad_1():
 
 
 class TestRightHandSides:
+    # acceleration(f, s, which) is X'' as a function of (X, X'); dX = X'
     def test_simplified_equilibrium(self, quad_1):
-        dx, dv = rhs_simplified(quad_1, OdeState(0.0, one(0), one(0)), 1.0, 1.0)
-        assert dx == pytest.approx([0.0]) and dv == pytest.approx([0.0])
+        dv = acceleration(quad_1, 1.0, "simplified")(one(0), one(0))
+        assert dv == pytest.approx([0.0])
 
     def test_simplified_at_rest(self, quad_1):
-        _, dv = rhs_simplified(quad_1, OdeState(0.0, one(1), one(0)), 1.0, 1.0)
+        dv = acceleration(quad_1, 1.0, "simplified")(one(1), one(0))
         assert dv == pytest.approx([-1.0])
 
     def test_simplified_moving(self, quad_1):
         # probe = 0 + 1/3; dv = -2 - 1/3
-        _, dv = rhs_simplified(quad_1, OdeState(0.0, one(0), one(1)), 1.0, 1.0)
+        dv = acceleration(quad_1, 1.0, "simplified")(one(0), one(1))
         assert dv == pytest.approx([-7.0 / 3.0])
 
     def test_original_equilibrium(self, quad_1):
-        dx, dv = rhs_original(quad_1, OdeState(0.0, one(0), one(0)), 1.0, 1.0)
-        assert dx == pytest.approx([0.0]) and dv == pytest.approx([0.0])
+        dv = acceleration(quad_1, 1.0, "original")(one(0), one(0))
+        assert dv == pytest.approx([0.0])
 
     def test_original_at_rest(self, quad_1):
         # (1 + 2 sqrt(mu s)) / (1 + sqrt(mu s)) * grad = 3/2
-        _, dv = rhs_original(quad_1, OdeState(0.0, one(1), one(0)), 1.0, 1.0)
+        dv = acceleration(quad_1, 1.0, "original")(one(1), one(0))
         assert dv == pytest.approx([-1.5])
 
     def test_forms_agree_in_small_s_limit(self):
         f = make_quadratic([0.5, 3])
         rng = np.random.default_rng(4)
         s = 1e-8
+        simplified = acceleration(f, s, "simplified")
+        original = acceleration(f, s, "original")
         for _ in range(20):
             st = OdeState(0.0, rng.standard_normal(2), rng.standard_normal(2))
-            _, dv_a = rhs_simplified(f, st, s, f.mu)
-            _, dv_b = rhs_original(f, st, s, f.mu)
+            dv_a = simplified(st.X, st.Xdot)
+            dv_b = original(st.X, st.Xdot)
             scale = max(1.0, np.linalg.norm(st.X), np.linalg.norm(st.Xdot))
             assert np.linalg.norm(dv_a - dv_b) < 1e-3 * scale
+
+    def test_simplified_is_original_with_unit_coefficients(self):
+        # the simplified right-hand side is the original one with the
+        # coefficients 1 + sqrt(mu s) on X'' and c on the gradient set to 1;
+        # against a per-equation reference formula, bit for bit
+        f = make_quadratic([0.5, 3], rotation_seed=2)
+        s = 0.3
+        c = 1.0 + 2.0 * math.sqrt(f.mu * s)
+        rng = np.random.default_rng(5)
+        for _ in range(5):
+            X, Xdot = rng.standard_normal(2), rng.standard_normal(2)
+            g = f.grad(probe_point(X, Xdot, s, f.mu))
+            damped = -2.0 * math.sqrt(f.mu) * Xdot
+            np.testing.assert_array_equal(
+                acceleration(f, s, "simplified")(X, Xdot), damped - g)
+            np.testing.assert_array_equal(
+                acceleration(f, s, "original")(X, Xdot),
+                (damped - c * g) / (1.0 + math.sqrt(f.mu * s)))
 
 
 class TestIntegrate:
@@ -132,10 +153,6 @@ class TestOdeSolution:
         sol = integrate(f, np.array([1.0, 0.5]), s=0.25, T=0.5, h=0.1)
         want = [f.gap(probe_point(st.X, st.Xdot, 0.25, f.mu)) for st in sol]
         assert sol.f_gap.tolist() == want
-        assert sol.records_gap(f, 0.25, f.mu)
-        assert not sol.records_gap(f, 0.5, f.mu)
-        assert not sol.records_gap(make_quadratic([1, 4], rotation_seed=1),
-                                   0.25, f.mu)
 
     def test_unknown_minimum_records_nan(self):
         f = make_reg_logistic(3, 50, 2, 0.1)
@@ -158,6 +175,14 @@ class TestContinuousBound:
         assert report.passed
         assert report.details["bound_failures"] == 0
         assert report.details["decay_failures"] == 0
+
+    def test_rejects_original_equation(self):
+        # the theorem is stated for the simplified equation only
+        f = make_quadratic([1, 4])
+        sol = integrate(f, np.array([1.0, 0.5]), s=0.25, T=0.1, h=1e-2,
+                        which="original")
+        with pytest.raises(ValueError, match="simplified"):
+            check_continuous_bound(sol, f, s=0.25, mu=f.mu)
 
     def test_inflated_decay_rate_fails(self, quad_1):
         # the certified per-step energy factor is exp(-sqrt(mu) h / 4);

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from accelcert import (certify_contraction, energies, initial_energy, integrate,
                        lyap_gc, lyap_iv, lyap_ode, make_quadratic,
                        make_reg_logistic, ode_energies, resolve_minimizer, run)
+from accelcert.lyapunov import attach_energies
 from accelcert.objectives import MinimizerUnknownError, Objective
 
 
@@ -111,22 +113,19 @@ class TestOdeEnergies:
         f = make()
         sol = integrate(f, np.array([1.0, -0.5]), s, T=0.5, h=1e-2)
         want = [lyap_ode(f, st.X, st.Xdot, s, f.mu).energy for st in sol]
-        assert ode_energies(sol, f, s, f.mu).tolist() == want
+        assert ode_energies(sol).tolist() == want
 
-    def test_needs_a_matching_gap(self):
+    def test_potential_is_the_recorded_gap(self):
         f = make_quadratic([1, 4])
         sol = integrate(f, np.array([1.0, 0.5]), 0.25, T=0.1, h=1e-2)
-        with pytest.raises(ValueError):
-            ode_energies(sol, f, 0.5, f.mu)
-        gaps = np.zeros(len(sol))
-        e = ode_energies(sol, f, 0.5, f.mu, gaps)
+        e = ode_energies(replace(sol, f_gap=np.zeros(len(sol))))
         assert e[0] == pytest.approx(0.5 * 0.5 * 4 * (1.0 + 0.25))
 
     def test_requires_minimizer(self):
         f = make_reg_logistic(3, 50, 2, 0.1)
         sol = integrate(f, np.ones(2), 1.0, T=0.1, h=1e-2)
         with pytest.raises(MinimizerUnknownError):
-            ode_energies(sol, f, 1.0, f.mu)
+            ode_energies(sol)
 
 
 class TestRecordDecomposition:
@@ -203,7 +202,8 @@ class TestCertifyContraction:
         f = make_quadratic([1, 100])
         x0 = np.array([1.0, -0.5])
         plain = run(f, method, x0, 0.01, 200)
-        attached = run(f, method, x0, 0.01, 200, lyapunov=form)
+        attached = run(f, method, x0, 0.01, 200)
+        attach_energies(attached, form)
         assert plain.lyapunov_form is None and attached.lyapunov_form == form
         for rho in (None, 0.3):
             assert (repr(certify_contraction(plain, form, rho=rho))

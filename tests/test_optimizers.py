@@ -9,9 +9,13 @@ from accelcert.optimizers import NonFiniteIterateError
 
 
 def state_1d(x, y=None, v=0.0, s=1.0):
+    """A state for ``quad_1`` (f = x^2 / 2): it carries grad f(x) = x, the
+    gradient at every reference point these tests step from (gd and
+    heavy-ball read x; the momentum steps read y, which is x there)."""
     x = np.array([float(x)])
     y = x.copy() if y is None else np.array([float(y)])
-    return OptimizerState(x=x, y=y, v=np.array([float(v)]), k=0, s=s)
+    return OptimizerState(x=x, y=y, v=np.array([float(v)]), k=0, s=s,
+                          grad=x.copy())
 
 
 @pytest.fixture(scope="module")
@@ -36,7 +40,8 @@ class TestGdStep:
 
     def test_coordinatewise(self, quad_ill):
         st = OptimizerState(x=np.array([1.0, 1.0]), y=np.array([1.0, 1.0]),
-                            v=np.zeros(2), k=0, s=0.01)
+                            v=np.zeros(2), k=0, s=0.01,
+                            grad=quad_ill.grad(np.array([1.0, 1.0])))
         nxt = gd_step(quad_ill, st)
         np.testing.assert_allclose(nxt.x, [0.99, 0.0])
 
@@ -50,7 +55,8 @@ class TestGdStep:
 class TestHeavyBallStep:
     def test_beta_zero_is_gd(self, quad_ill):
         st = OptimizerState(x=np.array([1.0, -2.0]), y=np.array([1.0, -2.0]),
-                            v=np.array([0.4, 0.1]), k=0, s=0.005)
+                            v=np.array([0.4, 0.1]), k=0, s=0.005,
+                            grad=quad_ill.grad(np.array([1.0, -2.0])))
         np.testing.assert_array_equal(heavy_ball_step(quad_ill, st, 0.0).x,
                                       gd_step(quad_ill, st).x)
 
@@ -95,7 +101,7 @@ class TestNagModifiedStep:
 
     def test_stationary_fixed_point(self, quad_ill):
         st = OptimizerState(x=np.zeros(2), y=np.zeros(2), v=np.zeros(2),
-                            k=3, s=0.01)
+                            k=3, s=0.01, grad=np.zeros(2))
         nxt = nag_modified_step(quad_ill, st)
         np.testing.assert_array_equal(nxt.x, np.zeros(2))
         np.testing.assert_array_equal(nxt.y, np.zeros(2))
@@ -104,7 +110,7 @@ class TestNagModifiedStep:
 class TestGcSteps:
     def test_single_sequence_substitution(self, quad_1):
         st = OptimizerState(x=np.array([1.0]), y=np.array([1.0]),
-                            v=np.zeros(1), k=0, s=1.0,
+                            v=np.zeros(1), k=0, s=1.0, grad=np.array([1.0]),
                             grad_prev=np.array([1.0]), y_prev=np.array([1.0]))
         nxt = gc_modified_step(quad_1, st)  # quad_1 has mu = 1
         assert nxt.y == pytest.approx([2.0 / 3.0])
@@ -112,7 +118,8 @@ class TestGcSteps:
 
     def test_single_sequence_stationary(self, quad_1):
         st = OptimizerState(x=np.zeros(1), y=np.zeros(1), v=np.zeros(1), k=0,
-                            s=0.5, grad_prev=np.zeros(1), y_prev=np.zeros(1))
+                            s=0.5, grad=np.zeros(1), grad_prev=np.zeros(1),
+                            y_prev=np.zeros(1))
         nxt = gc_modified_step(quad_1, st)
         assert nxt.y == pytest.approx([0.0])
 
@@ -125,7 +132,7 @@ class TestGcSteps:
 
     def test_phase_fixed_point(self, quad_ill):
         st = OptimizerState(x=np.zeros(2), y=np.zeros(2), v=np.zeros(2), k=0,
-                            s=0.01, grad_prev=np.zeros(2))
+                            s=0.01, grad=np.zeros(2), grad_prev=np.zeros(2))
         nxt = gc_phase_step(quad_ill, st)
         np.testing.assert_array_equal(nxt.y, np.zeros(2))
         np.testing.assert_array_equal(nxt.v, np.zeros(2))
@@ -161,7 +168,7 @@ class TestIvPhaseStep:
 
     def test_fixed_point(self, quad_ill):
         st = OptimizerState(x=np.zeros(2), y=np.zeros(2), v=np.zeros(2),
-                            k=0, s=0.01)
+                            k=0, s=0.01, grad=np.zeros(2))
         nxt = iv_phase_step(quad_ill, st)
         np.testing.assert_array_equal(nxt.x, np.zeros(2))
         np.testing.assert_array_equal(nxt.v, np.zeros(2))

@@ -8,7 +8,8 @@ makes exactly K+1 of each.  Certificates read the recorded ``f_gap`` and
 
 The same holds for the high-resolution ODE: ``integrate`` makes four
 gradients per RK4 step and records the probe gap with one value per
-sample; the continuous check and the ODE CSV read that column.
+sample; the continuous check and the ODE CSV read that column, and reject
+an objective or (s, mu) other than the solution's.
 """
 
 from dataclasses import replace
@@ -17,11 +18,10 @@ import numpy as np
 import pytest
 
 from accelcert import (METHODS, certify_contraction, check_bound,
-                       check_continuous_bound, integrate, lyap_ode,
-                       make_quadratic, make_reg_logistic, ode_energies,
-                       probe_point, resolve_minimizer, run)
+                       check_continuous_bound, integrate, make_quadratic,
+                       make_reg_logistic, resolve_minimizer, run)
 from accelcert.harness import write_ode_csv
-from accelcert.hires_ode import probe_gaps
+from accelcert.lyapunov import attach_energies
 from accelcert.optimizers import FIRST_VELOCITY_CONVENTIONS
 
 
@@ -96,7 +96,8 @@ def test_certificate_budget(counted, method, form, theorem, extra):
 @pytest.mark.parametrize("method, form", [("iv-phase", "iv"), ("gc-phase", "gc")])
 def test_contraction_reuses_attached_column(counted, method, form):
     f = counted.f
-    traj = run(f, method, start(f), 1.0 / f.lipschitz, 25, lyapunov=form)
+    traj = run(f, method, start(f), 1.0 / f.lipschitz, 25)
+    attach_energies(traj, form)
     counted.reset()
     certify_contraction(traj, form)
     assert counted.calls == (0, 0)
@@ -144,7 +145,9 @@ def test_ode_csv_reads_recorded_gap(counted, tmp_path):
 
 
 @pytest.mark.parametrize("other", ["s", "mu", "objective"])
-def test_mismatched_check_recomputes(counted, other):
+def test_mismatched_parameters_rejected(counted, other, tmp_path):
+    # the recorded probe gap belongs to the objective and (s, mu) the
+    # solution was integrated with; nothing else may read it as its own
     f = counted.f
     s = 1.0 / f.lipschitz
     sol = solve(f, s)
@@ -156,16 +159,32 @@ def test_mismatched_check_recomputes(counted, other):
     else:
         g = replace(f)  # same oracles, another objective
     counted.reset()
-    report = check_continuous_bound(sol, g, s2, mu2)
-    assert counted.calls == (0, 1 + len(sol))  # f(x0), then one per sample
-
-    # per-sample reference: f.gap at the probe point and lyap_ode
-    gaps = [g.gap(probe_point(st.X, st.Xdot, s2, mu2)) for st in sol]
-    energy = [lyap_ode(g, st.X, st.Xdot, s2, mu2).energy for st in sol]
-    recomputed = probe_gaps(sol, g, s2, mu2)
-    assert recomputed.tolist() == gaps
-    assert ode_energies(sol, g, s2, mu2, recomputed).tolist() == energy
-    recorded = replace(sol, f_gap=np.array(gaps), s=s2, mu=mu2, objective=g)
-    assert check_continuous_bound(recorded, g, s2, mu2) == report
     with pytest.raises(ValueError):
-        ode_energies(sol, g, s2, mu2)
+        check_continuous_bound(sol, g, s2, mu2)
+    with pytest.raises(ValueError):
+        write_ode_csv(sol, g, s2, mu2, tmp_path / "ode.csv")
+    assert counted.calls == (0, 0)
+    assert not (tmp_path / "ode.csv").exists()
+
+
+def test_resolve_minimizer_budget():
+    # the search steps nag-modified from 0 at s = 1/L until the gradient at
+    # x_k is small: n steps cost n + 1 gradients at y_k (the state carries
+    # them) and n + 1 at x_k for the stopping test, plus one in the
+    # returned objective's minimizer check.  Reference: the two-sequence
+    # recursion, bit for bit.
+    counted = Counted(make_reg_logistic(3, 50, 2, 0.1))
+    f = counted.f
+    s = 1.0 / f.lipschitz
+    c = 1.0 + 2.0 * np.sqrt(f.mu * s)
+    x = y = np.zeros(f.dim)
+    n = 0
+    while np.linalg.norm(f.grad_fn(x)) > 1e-12:
+        x1 = y - s * f.grad_fn(y)
+        y = x1 + (x1 - x) / c
+        x = x1
+        n += 1
+    counted.reset()
+    resolved = resolve_minimizer(f)
+    np.testing.assert_array_equal(resolved.minimizer, x)
+    assert counted.calls == (2 * n + 3, 1)

@@ -30,11 +30,14 @@ class TestMarginReport:
         report = margin_report("m", np.array([np.inf, -1.0, np.inf]), 0.0)
         assert (report.n_failed, report.first_failure) == (1, 1)
 
-    def test_nan_margins_neither_fail_nor_count_as_worst(self):
+    def test_nan_margins_fail_and_make_worst_minus_inf(self):
+        # a NaN margin (inf - inf from overflowing energies) is a failed check
         report = margin_report("m", np.array([np.nan, 2.0, -1.0, np.nan]), 0.0)
-        assert (report.n_failed, report.first_failure) == (1, 2)
-        assert report.worst_margin == -1.0
-        assert margin_report("m", np.array([np.nan]), 0.0).worst_margin == math.inf
+        assert (report.n_failed, report.first_failure) == (3, 0)
+        assert report.worst_margin == -math.inf
+        assert margin_report("m", np.array([np.nan]), 0.0).worst_margin == -math.inf
+        report = margin_report("m", np.array([2.0, np.nan]), 10.0)
+        assert (report.n_failed, report.first_failure) == (1, 1)
 
     def test_slack_per_check(self):
         margins = np.array([-0.5, -0.5, -0.5])
