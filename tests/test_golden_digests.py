@@ -3,9 +3,10 @@
 The digests pin the five ``figures`` suite CSVs, the CSV, summary and
 config-echo files of three small ``execute`` configs, the ODE CSV of two
 solutions together with their continuous-bound reports, the CSV and
-summary files of ``accelcert ode`` for both equations and the CSV of
-``accelcert scan``, so
-that a refactor cannot drift the numbers silently.  The report fields of
+summary files of ``accelcert ode`` for both equations, the CSV of
+``accelcert scan`` and the energy columns of both Lyapunov forms on a
+d = 50 rotated quadratic, so that a refactor cannot drift the numbers
+silently.  The report fields of
 certificates that fail, or that check no pair at all, are pinned too.
 They read the same with OpenBLAS at one and at two threads.
 
@@ -22,9 +23,9 @@ import math
 import numpy as np
 import pytest
 
-from accelcert import (certify_contraction, check_continuous_bound, integrate,
-                       make_quadratic, make_reg_logistic, resolve_minimizer,
-                       run)
+from accelcert import (certify_contraction, check_continuous_bound, energies,
+                       integrate, make_quadratic, make_reg_logistic,
+                       resolve_minimizer, run, sample_in_ball)
 from accelcert.cli import main
 from accelcert.harness import (figures_suite, execute, parse_config,
                                write_ode_csv)
@@ -181,6 +182,35 @@ def test_cli_scan_digests(tmp_path, name):
     args, digest = CLI_SCAN_CASES[name]
     main(["scan", *args, "--out", str(tmp_path), "--output-path", f"{name}.csv"])
     assert sha256(tmp_path / f"{name}.csv") == digest
+
+
+#: (method, form) -> SHA-256 of ``energies(traj, form).tobytes()`` along a
+#: K = 200 run at s = 1/L on a rotated quadratic with d = 50, where a
+#: change in the order of a dot product's terms moves the last bits.
+ENERGY_DIGESTS = {
+    ("gc-phase", "gc"):
+        "f90c5c95a6178bd603460a61f85b87147e08bb75c700fcf3a8059138785631d6",
+    ("gc-modified", "gc"):
+        "86bad1f35c0dd60ab1a5d3d57b86ac3c52de38e2129986463fc59bb2ee292d5f",
+    ("iv-phase", "iv"):
+        "90d110b371db4bc90510d861ad22a3a323129f3023c1a536ed40f641635ec391",
+    ("nag-modified", "iv"):
+        "f13c5d1bf61c9f3682623873aecc324b7ab1732e6d8b031286dbf3568de55e64",
+}
+
+
+@pytest.fixture(scope="module")
+def rot50():
+    f = make_quadratic(np.logspace(0, 2, 50), rotation_seed=5)
+    return f, sample_in_ball(np.random.default_rng(9), f.dim, 2.0)
+
+
+@pytest.mark.parametrize("method,form", sorted(ENERGY_DIGESTS))
+def test_energy_digests(rot50, method, form):
+    f, x0 = rot50
+    traj = run(f, method, x0, 1.0 / f.lipschitz, 200)
+    digest = hashlib.sha256(energies(traj, form).tobytes()).hexdigest()
+    assert digest == ENERGY_DIGESTS[method, form]
 
 
 def report_fields(report) -> dict:
