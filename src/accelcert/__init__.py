@@ -7,7 +7,7 @@ them numerically.
 """
 
 from .report import CertReport
-from .objectives import (GENERATOR, Objective, SpectrumSpec, certify_class,
+from .objectives import (Objective, SpectrumSpec, certify_class,
                          make_quadratic, make_reg_logistic,
                          reg_logistic_from_data, resolve_minimizer,
                          sample_in_ball)
@@ -16,9 +16,8 @@ from .optimizers import (METHODS, NAG_FAMILY, OptimizerState, Trajectory,
                          gc_phase_step, gd_step, heavy_ball_step,
                          initial_state, iv_phase_step, momentum_denominator,
                          nag_classic_step, nag_modified_step, run)
-from .lyapunov import (LyapunovRecord, certify_contraction, energies,
-                       initial_energy, lyap_gc, lyap_iv, lyap_ode,
-                       ode_energies)
+from .lyapunov import (certify_contraction, energies, initial_energy, lyap_gc,
+                       lyap_iv, lyap_ode, ode_energies)
 from .hires_ode import (OdeSolution, OdeState, acceleration,
                         check_continuous_bound, integrate, probe_point)
 from .analysis import (RootPair, ScanReport, bound_curve, characteristic_roots,
@@ -30,14 +29,14 @@ from .harness import (ExperimentConfig, ConfigError, execute, load_config,
 __version__ = "0.1.0"
 
 __all__ = [
-    "CertReport", "GENERATOR", "Objective", "SpectrumSpec", "certify_class",
+    "CertReport", "Objective", "SpectrumSpec", "certify_class",
     "make_quadratic", "make_reg_logistic", "reg_logistic_from_data",
     "resolve_minimizer",
     "sample_in_ball", "METHODS", "NAG_FAMILY", "OptimizerState", "Trajectory",
     "default_heavy_ball_beta", "gc_modified_step", "gc_phase_step", "gd_step",
     "heavy_ball_step", "initial_state", "iv_phase_step",
     "momentum_denominator", "nag_classic_step", "nag_modified_step", "run",
-    "LyapunovRecord", "certify_contraction", "energies", "initial_energy",
+    "certify_contraction", "energies", "initial_energy",
     "lyap_gc", "lyap_iv", "lyap_ode", "ode_energies", "OdeSolution",
     "OdeState", "acceleration", "check_continuous_bound",
     "integrate", "probe_point",

@@ -314,7 +314,7 @@ def criterion_11() -> CriterionResult:
     errs = {}
     for h in (1e-2, 5e-3, 1e-3):
         sol = integrate(f, [1.0], s=0.0, T=1.0, h=h)
-        errs[h] = abs(float(sol[-1].X[0]) - exact)
+        errs[h] = abs(float(sol.X[-1, 0]) - exact)
     ratio = errs[1e-2] / errs[5e-3]
     lines = [f"endpoint errors: h=1e-2 {errs[1e-2]:.3e}, h=5e-3 "
              f"{errs[5e-3]:.3e}, h=1e-3 {errs[1e-3]:.3e}",
@@ -328,15 +328,16 @@ CRITERIA = (criterion_1, criterion_2, criterion_3, criterion_4, criterion_5,
             criterion_11)
 
 
-def run_all(out_root=None, verbose: bool = True) -> int:
-    """Run every criterion; print one pass/fail line each; 0 iff all pass."""
+def run_all(out_root=None) -> int:
+    """Run every criterion; print one pass/fail line each, followed by the
+    lines of a failed criterion; 0 iff all pass."""
     results = []
     for criterion in CRITERIA:
         result = criterion()
         results.append(result)
         status = "PASS" if result.passed else "FAIL"
         print(f"criterion {result.number:2d} {status} - {result.title}")
-        if verbose and not result.passed:
+        if not result.passed:
             for line in result.lines:
                 print(f"    {line}")
     n_failed = sum(not r.passed for r in results)

@@ -33,8 +33,6 @@ from .objectives import (MinimizerUnknownError, SpectrumSpec,
 from .optimizers import Trajectory, run
 from .report import CertReport, margin_report
 
-THEOREMS = ("rate-gc", "rate-iv", "rate-iv-x", "gd", "classic")
-
 #: Trajectory methods each bound theorem applies to, and the sequence
 #: (x_k or y_k) whose objective gap the theorem bounds.
 THEOREM_METHODS = {
@@ -94,16 +92,16 @@ def reality_threshold(lam: float, mu: float) -> float:
     return (lam - mu) / (lam * lam)
 
 
-def max_reality_threshold(mu: float, n_grid: int = 512) -> tuple[float, float]:
-    """Maximize (lam - mu) / lam^2 over lam by grid search plus ternary
-    refinement; returns (argmax, max).  Closed form: 1/(4 mu) at lam = 2 mu,
-    which this serves as an independent check of.
+def max_reality_threshold(mu: float) -> tuple[float, float]:
+    """Maximize (lam - mu) / lam^2 over lam by a 512-point grid search plus
+    ternary refinement; returns (argmax, max).  Closed form: 1/(4 mu) at
+    lam = 2 mu, which this serves as an independent check of.
     """
-    lams = np.linspace(mu, 4.0 * mu, n_grid)
+    lams = np.linspace(mu, 4.0 * mu, 512)
     vals = (lams - mu) / lams**2
     i = int(np.argmax(vals))
     lo = lams[max(i - 1, 0)]
-    hi = lams[min(i + 1, n_grid - 1)]
+    hi = lams[min(i + 1, len(lams) - 1)]
     while hi - lo > 1e-12 * mu:
         m1 = lo + (hi - lo) / 3.0
         m2 = hi - (hi - lo) / 3.0
@@ -139,8 +137,9 @@ def bound_curve(theorem: str, f_x0_gap: float, dist0_sq: float, mu: float,
     The momentum bounds are guaranteed for 0 < s <= 1/L; larger steps get a
     warning and the curve is still evaluated.
     """
-    if theorem not in THEOREMS:
-        raise ValueError(f"unknown theorem {theorem!r}; expected one of {THEOREMS}")
+    if theorem not in THEOREM_METHODS:
+        raise ValueError(f"unknown theorem {theorem!r}; expected one of "
+                         f"{tuple(THEOREM_METHODS)}")
     if f_x0_gap < 0 or dist0_sq < 0 or K < 0:
         raise ValueError("f_x0_gap, dist0_sq and K must be nonnegative")
     if s > 1.0 / L * (1.0 + 1e-12):
@@ -164,8 +163,6 @@ def _theorem_gaps(trajectory: Trajectory, theorem: str) -> np.ndarray:
     otherwise evaluated point by point."""
     methods, ref = THEOREM_METHODS[theorem]
     f = trajectory.objective
-    if f is None:
-        raise ValueError("trajectory carries no objective reference")
     if trajectory.method_id not in methods:
         raise ValueError(
             f"theorem {theorem!r} applies to methods {methods}, "
@@ -183,7 +180,7 @@ def _curve_for(trajectory: Trajectory, theorem: str) -> np.ndarray:
     f = trajectory.objective
     x0 = trajectory.xs[0]
     return bound_curve(theorem, f.gap(x0), float(np.sum((x0 - f.minimizer) ** 2)),
-                       trajectory.mu, f.lipschitz, trajectory.s, trajectory.K)
+                       f.mu, f.lipschitz, trajectory.s, trajectory.K)
 
 
 def attach_bound(trajectory: Trajectory, theorem: str) -> np.ndarray:
@@ -206,7 +203,7 @@ def check_bound(trajectory: Trajectory, theorem: str,
     """
     gaps = _theorem_gaps(trajectory, theorem)
     curve = _curve_for(trajectory, theorem)
-    slack = slack_scale * max(1.0, curve[0])
+    slack = float(slack_scale * max(1.0, curve[0]))
     return margin_report(f"bound_{theorem}", curve - gaps, slack,
                          {"slack": slack, "bound_at_0": float(curve[0])})
 

@@ -15,10 +15,10 @@ import sys
 import numpy as np
 
 from . import analysis
-from .harness import (ConfigError, OUTPUT_ROOT_ENV, _OBJECTIVE_PARAMS,
-                      _output_root, execute, fmt, load_config,
-                      objective_from_params, suite, write_ode_csv,
-                      write_scan_csv, write_summary)
+from .harness import (ConfigError, OBJECTIVE_IDS, OUTPUT_ROOT_ENV,
+                      _OBJECTIVE_PARAMS, _output_root, execute, fmt,
+                      load_config, objective_from_params, suite,
+                      write_ode_csv, write_scan_csv, write_summary)
 from .hires_ode import EQUATIONS, check_continuous_bound, integrate
 
 
@@ -43,7 +43,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_ode = sub.add_parser("ode", help="integrate the high-resolution equation")
     p_ode.add_argument("--objective", default="quad",
-                       choices=("quad", "quad-rot", "reg-logistic"))
+                       choices=OBJECTIVE_IDS)
     p_ode.add_argument("--spectrum", type=_floats, default=[1.0, 4.0],
                        help="comma-separated eigenvalues (quad objectives)")
     p_ode.add_argument("--rotation-seed", type=int, default=0)

@@ -30,14 +30,14 @@ from .report import CertReport
 
 OUTPUT_ROOT_ENV = "ACCELCERT_OUT"
 
-OBJECTIVE_IDS = ("quad", "quad-rot", "reg-logistic")
-
 #: Flat config keys that parameterize each objective id.
 _OBJECTIVE_PARAMS = {
     "quad": ("spectrum",),
     "quad-rot": ("spectrum", "rotation_seed"),
     "reg-logistic": ("data_seed", "n_samples", "dim", "reg"),
 }
+
+OBJECTIVE_IDS = tuple(_OBJECTIVE_PARAMS)
 
 _S_SYMBOLS = ("1/L", "1/(2L)", "1/(4mu)")
 
@@ -236,7 +236,6 @@ class ExecutionResult:
     summary_path: Optional[Path] = None
     echo_path: Optional[Path] = None
     reports: list = field(default_factory=list)
-    trajectory: Optional[Trajectory] = None
 
 
 def _output_root(out_root: Optional[str | Path]) -> Path:
@@ -350,7 +349,6 @@ def execute(config: ExperimentConfig,
     }
     reports: list[CertReport] = []
     ok = True
-    traj = None
     try:
         traj = run(f, config.method, x0, s, config.K)
     except NonFiniteIterateError as exc:
@@ -391,7 +389,7 @@ def execute(config: ExperimentConfig,
     write_summary(summary, summary_path)
     return ExecutionResult(config=resolved, ok=ok, summary=summary,
                            csv_path=csv_path, summary_path=summary_path,
-                           echo_path=echo_path, reports=reports, trajectory=traj)
+                           echo_path=echo_path, reports=reports)
 
 
 def figures_suite(out_root: Optional[str | Path] = None) -> int:

@@ -124,26 +124,18 @@ def acceleration(f: Objective, s: float,
     return xddot
 
 
-def default_step(s: float) -> float:
-    """Default integration step: fine enough to resolve the sqrt(s)-scale
-    correction term (and 1e-3 in the s -> 0 limit)."""
-    if s <= 0.0:
-        return 1e-3
-    return min(1e-3, math.sqrt(s) / 10.0)
-
-
-def integrate(f: Objective, x0: Vector, s: float, T: float,
-              h: float | None = None, which: str = "simplified") -> OdeSolution:
+def integrate(f: Objective, x0: Vector, s: float, T: float, h: float,
+              which: str = "simplified") -> OdeSolution:
     """RK4 solution sampled at t = 0, h, 2h, ..., T from (x0, 0).
 
-    T should be an integer multiple of h; the step count is rounded to the
-    nearest integer.  Deterministic for fixed inputs.  The n RK4 steps make
-    4n gradient evaluations, and recording the probe gap at the n+1
-    samples makes n+1 value evaluations (none when the minimum is unknown).
+    The step ``h`` is required; resolving the sqrt(s)-scale correction
+    term takes h well below sqrt(s).  T should be an integer multiple of
+    h; the step count is rounded to the nearest integer.  Deterministic
+    for fixed inputs.  The n RK4 steps make 4n gradient evaluations, and
+    recording the probe gap at the n+1 samples makes n+1 value
+    evaluations (none when the minimum is unknown).
     """
     xddot = acceleration(f, s, which)
-    if h is None:
-        h = default_step(s)
     if not h > 0:
         raise ValueError("step size h must be positive")
     if T < 0:

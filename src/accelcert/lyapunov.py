@@ -1,9 +1,10 @@
 """Discrete and continuous Lyapunov energies and contraction certificates.
 
-Each energy decomposes into potential (objective gap), kinetic (scaled
-squared velocity), mixed (squared norm of a velocity/position/gradient
-combination) and an additional gradient-norm correction (zero except for
-the gc form).  The per-step contraction
+Each energy E(k) is a plain float: the objective gap, plus a kinetic and
+a mixed term that are each a quarter of a squared norm (of the scaled
+velocity, and of a velocity/position combination), plus for the gc form
+a negative gradient-norm term.  Each formula's docstring spells out its
+terms.  The per-step contraction
 
     E(k+1) - E(k) <= -rho * E(k+1),  i.e.  E(k+1) <= E(k) / (1 + rho)
 
@@ -17,7 +18,6 @@ at the probe point X + sqrt(s) X' / c, so one formula serves both.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 import numpy as np
@@ -35,26 +35,6 @@ FORM_METHODS = {
     "iv": ("iv-phase", "nag-modified"),
 }
 
-#: Kinetic/mixed weighting; may be varied subject to alpha + beta = 1,
-#: the default halves are used throughout the certificates.
-DEFAULT_ALPHA = 0.5
-DEFAULT_BETA = 0.5
-
-
-@dataclass
-class LyapunovRecord:
-    """One energy evaluation, with its decomposition.
-
-    ``energy == potential + kinetic + mixed + additional`` holds exactly by
-    construction.
-    """
-
-    energy: float
-    potential: float
-    kinetic: float
-    mixed: float
-    additional: float
-
 
 def _require_minimizer(f: Objective):
     if f.minimizer is None or f.min_value is None:
@@ -63,80 +43,57 @@ def _require_minimizer(f: Objective):
             "evaluation; resolve it first")
 
 
-def _check_weights(alpha: float, beta: float):
-    if abs(alpha + beta - 1.0) > 1e-12:
-        raise ValueError("kinetic/mixed weights must satisfy alpha + beta = 1")
-
-
-def _gc_record(potential: float, g: Vector, y_next: Vector, v_k: Vector,
-               xstar: Vector, s: float, mu: float, alpha: float,
-               beta: float) -> LyapunovRecord:
-    kinetic = 0.5 * alpha * float(v_k @ v_k)
+def _gc_energy(potential: float, g: Vector, y_next: Vector, v_k: Vector,
+               xstar: Vector, s: float, mu: float) -> float:
     combo = v_k + 2.0 * math.sqrt(mu) * (y_next - xstar) + math.sqrt(s) * g
-    mixed = 0.5 * beta * float(combo @ combo)
-    additional = -0.5 * s * float(g @ g)
-    return LyapunovRecord(energy=potential + kinetic + mixed + additional,
-                          potential=potential, kinetic=kinetic, mixed=mixed,
-                          additional=additional)
+    return (potential + 0.25 * float(v_k @ v_k) + 0.25 * float(combo @ combo)
+            - 0.5 * s * float(g @ g))
 
 
 def lyap_gc(f: Objective, y_k: Vector, y_next: Vector, v_k: Vector,
-            s: float, mu: float, alpha: float = DEFAULT_ALPHA,
-            beta: float = DEFAULT_BETA) -> LyapunovRecord:
+            s: float, mu: float) -> float:
     """Energy of the gradient-correction scheme at iteration k.
 
-    E(k) = f(y_k) - f* + (alpha/2) ||v_k||^2
-           + (beta/2) ||v_k + 2 sqrt(mu) (y_{k+1} - x*) + sqrt(s) grad f(y_k)||^2
+    E(k) = f(y_k) - f* + (1/4) ||v_k||^2
+           + (1/4) ||v_k + 2 sqrt(mu) (y_{k+1} - x*) + sqrt(s) grad f(y_k)||^2
            - (s/2) ||grad f(y_k)||^2.
 
-    For 0 < s <= 1/L the additional term is dominated and E(k) >= 0.
+    For 0 < s <= 1/L the last term is dominated and E(k) >= 0.
     """
     _require_minimizer(f)
-    _check_weights(alpha, beta)
-    return _gc_record(f.gap(y_k), f.grad(y_k), y_next, v_k, f.minimizer, s, mu,
-                      alpha, beta)
+    return _gc_energy(f.gap(y_k), f.grad(y_k), y_next, v_k, f.minimizer, s, mu)
 
 
-def _iv_record(potential: float, v_next: Vector, x_next: Vector,
-               xstar: Vector, s: float, mu: float, alpha: float,
-               beta: float) -> LyapunovRecord:
+def _iv_energy(potential: float, v_next: Vector, x_next: Vector,
+               xstar: Vector, s: float, mu: float) -> float:
     c = momentum_denominator(mu, s)
-    kinetic = 0.5 * alpha * float(v_next @ v_next) / (c * c)
     combo = v_next + 2.0 * math.sqrt(mu) * (x_next - xstar)
-    mixed = 0.5 * beta * float(combo @ combo)
-    return LyapunovRecord(energy=potential + kinetic + mixed,
-                          potential=potential, kinetic=kinetic, mixed=mixed,
-                          additional=0.0)
+    return (potential + 0.25 * float(v_next @ v_next) / (c * c)
+            + 0.25 * float(combo @ combo))
 
 
 def lyap_iv(f: Objective, y_k: Vector, v_next: Vector, x_next: Vector,
-            s: float, mu: float, alpha: float = DEFAULT_ALPHA,
-            beta: float = DEFAULT_BETA) -> LyapunovRecord:
+            s: float, mu: float) -> float:
     """Energy of the implicit-velocity scheme at iteration k.
 
-    E(k) = f(y_k) - f* + (alpha/2) ||v_{k+1}||^2 / (1 + 2 sqrt(mu s))^2
-           + (beta/2) ||v_{k+1} + 2 sqrt(mu) (x_{k+1} - x*)||^2.
-
-    No additional term is needed for this form.
+    E(k) = f(y_k) - f* + (1/4) ||v_{k+1}||^2 / (1 + 2 sqrt(mu s))^2
+           + (1/4) ||v_{k+1} + 2 sqrt(mu) (x_{k+1} - x*)||^2.
     """
     _require_minimizer(f)
-    _check_weights(alpha, beta)
-    return _iv_record(f.gap(y_k), v_next, x_next, f.minimizer, s, mu, alpha,
-                      beta)
+    return _iv_energy(f.gap(y_k), v_next, x_next, f.minimizer, s, mu)
 
 
-def lyap_ode(f: Objective, X: Vector, Xdot: Vector, s: float, mu: float,
-             alpha: float = DEFAULT_ALPHA,
-             beta: float = DEFAULT_BETA) -> LyapunovRecord:
+def lyap_ode(f: Objective, X: Vector, Xdot: Vector, s: float,
+             mu: float) -> float:
     """Continuous energy along the implicit-velocity differential equation.
 
-    E(t) = f(X + sqrt(s) X' / c) - f* + (alpha/2) ||X'||^2 / c^2
-           + (beta/2) ||X' + 2 sqrt(mu) (X - x*)||^2,  c = 1 + 2 sqrt(mu s),
+    E(t) = f(X + sqrt(s) X' / c) - f* + (1/4) ||X'||^2 / c^2
+           + (1/4) ||X' + 2 sqrt(mu) (X - x*)||^2,  c = 1 + 2 sqrt(mu s),
 
     which is :func:`lyap_iv` at (probe point, X', X).
     """
     probe = X + math.sqrt(s) * Xdot / momentum_denominator(mu, s)
-    return lyap_iv(f, probe, Xdot, X, s, mu, alpha, beta)
+    return lyap_iv(f, probe, Xdot, X, s, mu)
 
 
 def ode_energies(solution: OdeSolution) -> np.ndarray:
@@ -149,8 +106,7 @@ def ode_energies(solution: OdeSolution) -> np.ndarray:
     f, s, mu = solution.objective, solution.s, solution.mu
     _require_minimizer(f)
     xstar = f.minimizer
-    return np.array([_iv_record(gap, Xdot, X, xstar, s, mu, DEFAULT_ALPHA,
-                                DEFAULT_BETA).energy
+    return np.array([_iv_energy(gap, Xdot, X, xstar, s, mu)
                      for X, Xdot, gap in zip(solution.X, solution.Xdot,
                                              solution.f_gap.tolist())],
                     dtype=float)
@@ -163,8 +119,6 @@ def _form_for(trajectory: Trajectory, form: str):
         raise ValueError(
             f"form {form!r} applies to methods {FORM_METHODS[form]}, "
             f"not {trajectory.method_id!r}")
-    if trajectory.objective is None:
-        raise ValueError("trajectory carries no objective reference")
 
 
 def energies(trajectory: Trajectory, form: str) -> np.ndarray:
@@ -179,7 +133,7 @@ def energies(trajectory: Trajectory, form: str) -> np.ndarray:
     _form_for(trajectory, form)
     f = trajectory.objective
     _require_minimizer(f)
-    s, mu = trajectory.s, trajectory.mu
+    s, mu = trajectory.s, f.mu
     xstar = f.minimizer
     gaps = trajectory.f_gap.tolist()
     ys, vs, xs = trajectory.ys, trajectory.vs, trajectory.xs
@@ -187,12 +141,10 @@ def energies(trajectory: Trajectory, form: str) -> np.ndarray:
     out = np.empty(K)
     for k in range(K):
         if form == "gc":
-            rec = _gc_record(gaps[k], f.grad(ys[k]), ys[k + 1], vs[k + 1], xstar,
-                             s, mu, DEFAULT_ALPHA, DEFAULT_BETA)
+            out[k] = _gc_energy(gaps[k], f.grad(ys[k]), ys[k + 1], vs[k + 1],
+                                xstar, s, mu)
         else:
-            rec = _iv_record(gaps[k], vs[k + 1], xs[k + 1], xstar, s, mu,
-                             DEFAULT_ALPHA, DEFAULT_BETA)
-        out[k] = rec.energy
+            out[k] = _iv_energy(gaps[k], vs[k + 1], xs[k + 1], xstar, s, mu)
     return out
 
 
@@ -241,8 +193,8 @@ def certify_contraction(trajectory: Trajectory, form: str,
     else:
         e = energies(trajectory, form)
     if rho is None:
-        rho = math.sqrt(trajectory.mu * trajectory.s) / 4.0
-    slack = slack_scale * max(1.0, e[0] if len(e) else 1.0)
+        rho = math.sqrt(trajectory.objective.mu * trajectory.s) / 4.0
+    slack = float(slack_scale * max(1.0, e[0] if len(e) else 1.0))
     # factors are only meaningful while the energy resolves above rounding
     # of its largest finite value (a diverging run's energies overflow)
     floor = 1e-13 * float(np.max(e[np.isfinite(e)], initial=0.0))

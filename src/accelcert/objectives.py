@@ -19,14 +19,8 @@ from .report import CertReport
 
 Vector = np.ndarray
 
-#: Generator family used for every seeded draw in the library.
-GENERATOR = "numpy.random.default_rng (PCG64)"
-
 #: Gradient norm allowed at a declared minimizer.
 MINIMIZER_GRAD_TOL = 1e-10
-
-#: Central-difference step used for every finite-difference check.
-FD_STEP = 1e-6
 
 
 class MinimizerUnknownError(ValueError):

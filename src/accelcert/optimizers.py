@@ -39,16 +39,6 @@ import numpy as np
 
 from .objectives import Objective, Vector
 
-METHODS = (
-    "gd",
-    "heavy-ball",
-    "nag-classic",
-    "nag-modified",
-    "gc-modified",
-    "gc-phase",
-    "iv-phase",
-)
-
 #: Methods whose natural reference point for the objective gap is y_k.
 NAG_FAMILY = ("nag-classic", "nag-modified", "gc-modified", "gc-phase", "iv-phase")
 
@@ -226,6 +216,8 @@ STEPS = {
     "iv-phase": iv_phase_step,
 }
 
+METHODS = tuple(STEPS)
+
 
 def initial_state(f: Objective, method: str, x0: Vector, s: float,
                   first_velocity: str = "scheme") -> OptimizerState:
@@ -276,24 +268,23 @@ class Trajectory:
     Row k holds the state after k steps: iterate ``xs[k]``, reference point
     ``ys[k]``, velocity ``vs[k]``, the objective gap ``f_gap[k]`` and
     gradient norm at the method's natural reference point (y_k for the
-    momentum family, x_k for gd and heavy-ball).  ``lyapunov`` and
-    ``bound`` are optional diagnostic columns (NaN where undefined);
-    ``lyapunov_form`` names the energy form the ``lyapunov`` column holds.
+    momentum family, x_k for gd and heavy-ball).  ``objective`` is the
+    objective the run stepped on.  ``lyapunov`` and ``bound`` are optional
+    diagnostic columns (NaN where undefined); ``lyapunov_form`` names the
+    energy form the ``lyapunov`` column holds.
     """
 
     method_id: str
-    objective_id: str
     s: float
-    mu: float
     xs: np.ndarray
     ys: np.ndarray
     vs: np.ndarray
     f_gap: np.ndarray
     grad_norm: np.ndarray
+    objective: Objective = field(repr=False)
     lyapunov: Optional[np.ndarray] = None
     lyapunov_form: Optional[str] = None
     bound: Optional[np.ndarray] = None
-    objective: Optional[Objective] = field(default=None, repr=False)
 
     def __len__(self) -> int:
         return self.xs.shape[0]
@@ -308,9 +299,6 @@ class Trajectory:
         """The sequence, "y" or "x", that ``f_gap`` and ``grad_norm`` are
         recorded at."""
         return "y" if self.method_id in NAG_FAMILY else "x"
-
-    def reference_points(self) -> np.ndarray:
-        return self.ys if self.reference == "y" else self.xs
 
 
 def run(f: Objective, method: str, x0: Vector, s: float, K: int, *,
@@ -366,9 +354,7 @@ def run(f: Objective, method: str, x0: Vector, s: float, K: int, *,
 
     return Trajectory(
         method_id=method,
-        objective_id=f.name,
         s=s,
-        mu=f.mu,
         xs=xs,
         ys=ys,
         vs=vs,

@@ -154,6 +154,9 @@ class TestCheckBound:
         traj = run(f, "iv-phase", np.array([1.0, 1.0]), 0.01, 1000)
         report = check_bound(traj, "rate-iv")
         assert report.passed and report.n_checked == 1001
+        # bound(0) > 1, where max(1, bound(0)) is an np.float64
+        assert report.details["bound_at_0"] > 1.0
+        assert [type(v) for v in report.details.values()] == [float, float]
 
     def test_gd_violates_accelerated_bound(self):
         # wide spectrum so the accelerated curve outpaces gd while the gap
@@ -178,8 +181,9 @@ class TestCheckBound:
         for f in (make_quadratic([1, 4, 25], rotation_seed=3),
                   resolve_minimizer(make_reg_logistic(3, 50, 2, 0.1))):
             traj = run(f, method, np.full(f.dim, 0.7), 1.0 / f.lipschitz, 60)
-            np.testing.assert_array_equal(
-                traj.f_gap, [f.gap(p) for p in traj.reference_points()])
+            points = traj.ys if traj.reference == "y" else traj.xs
+            np.testing.assert_array_equal(traj.f_gap,
+                                          [f.gap(p) for p in points])
 
     @pytest.mark.parametrize("method, theorem", [
         ("iv-phase", "rate-iv"), ("gd", "gd"), ("gc-phase", "rate-gc"),

@@ -333,3 +333,7 @@ def test_contraction_overflowing_energies():
                  "guaranteed_factor": 0.9584959096413557,
                  "energy_nonnegative": True,
                  "initial_energy": 206.29754309663713}))
+    # every float detail is a Python float, not an np.float64 (which
+    # subclasses float and compares equal, so same_fields cannot tell)
+    assert [k for k, v in report.details.items()
+            if isinstance(v, np.floating)] == []

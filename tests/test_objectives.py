@@ -5,7 +5,10 @@ import pytest
 
 from accelcert import (certify_class, make_quadratic, make_reg_logistic,
                        reg_logistic_from_data, resolve_minimizer)
-from accelcert.objectives import FD_STEP, SpectrumSpec
+from accelcert.objectives import SpectrumSpec
+
+#: Central-difference step of every finite-difference check.
+FD_STEP = 1e-6
 
 
 def central_difference_grad(f, x, h=FD_STEP):
