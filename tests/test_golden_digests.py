@@ -4,9 +4,12 @@ The digests pin the five ``figures`` suite CSVs, the CSV, summary and
 config-echo files of three small ``execute`` configs, the ODE CSV of two
 solutions together with their continuous-bound reports, the CSV and
 summary files of ``accelcert ode`` for both equations, the CSV of
-``accelcert scan`` and the energy columns of both Lyapunov forms on a
-d = 50 rotated quadratic, so that a refactor cannot drift the numbers
-silently.  The report fields of
+``accelcert scan``, and, on a d = 50 rotated quadratic, the energy
+columns of both Lyapunov forms, the ``grad_norm`` column of every method
+and the bound curve and ``check_bound`` report of every theorem pairing.
+The gradient-step margins of acceptance criterion 6 are pinned for all
+25 of its (objective, method) runs.  Together they keep a refactor from
+drifting the numbers silently.  The report fields of
 certificates that fail, or that check no pair at all, are pinned too.
 They read the same with OpenBLAS at one and at two threads.
 
@@ -23,9 +26,12 @@ import math
 import numpy as np
 import pytest
 
-from accelcert import (certify_contraction, check_continuous_bound, energies,
-                       integrate, make_quadratic, make_reg_logistic,
-                       resolve_minimizer, run, sample_in_ball)
+from accelcert import (certify_contraction, check_bound,
+                       check_continuous_bound, energies, integrate,
+                       make_quadratic, make_reg_logistic, resolve_minimizer,
+                       run, sample_in_ball)
+from accelcert.acceptance import gradient_step_margins, suite_objectives
+from accelcert.analysis import attach_bound
 from accelcert.cli import main
 from accelcert.harness import (figures_suite, execute, parse_config,
                                write_ode_csv)
@@ -211,6 +217,168 @@ def test_energy_digests(rot50, method, form):
     traj = run(f, method, x0, 1.0 / f.lipschitz, 200)
     digest = hashlib.sha256(energies(traj, form).tobytes()).hexdigest()
     assert digest == ENERGY_DIGESTS[method, form]
+
+
+#: method -> SHA-256 of ``run(...).grad_norm.tobytes()`` on the same d = 50
+#: run (s = 1/L, K = 200).
+GRAD_NORM_DIGESTS = {
+    "gc-modified":
+        "79bfce0b3d2b028a635177cd2753c3a559fd4f6ef75fe4ad7d7024b139c59691",
+    "gc-phase":
+        "323cbc40a58a07510b9ae8e7915cf9eaac75fca4cbeb2c60c5f13e37084e37f3",
+    "gd":
+        "47c7154dd0b13713f4cd82108304e8e137ce7121e9af171fe6c40475a262d2ef",
+    "heavy-ball":
+        "76d5fca9178c9e985a42b006889290f4911c64cd9c1d8625b846648383891581",
+    "iv-phase":
+        "7cd640c8de859e11ad307d8ba94bde5ea0ca38d885613b4e8d82d1468ecfea48",
+    "nag-classic":
+        "8126509fdf697e18e57a86d3f090c5a8294846f30894a821c2c0e80a45919c30",
+    "nag-modified":
+        "9aa05956af17da9b317806e36130d0fcfd91639e74d6ea98307c733bdc030374",
+}
+
+
+@pytest.mark.parametrize("method", sorted(GRAD_NORM_DIGESTS))
+def test_grad_norm_digests(rot50, method):
+    f, x0 = rot50
+    traj = run(f, method, x0, 1.0 / f.lipschitz, 200)
+    digest = hashlib.sha256(traj.grad_norm.tobytes()).hexdigest()
+    assert digest == GRAD_NORM_DIGESTS[method]
+
+
+#: (suite objective, method) -> SHA-256 of
+#: ``gradient_step_margins(traj).tobytes()`` along the K = 500 run at
+#: s = 1/L that acceptance criterion 6 checks.
+MARGIN_DIGESTS = {
+    ("quad-20d", "gc-modified"):
+        "1555c0c59df6b57e23e958254d3e863fbb5f99f7c7ddbae7614130e672922311",
+    ("quad-20d", "gc-phase"):
+        "9c3eaf4dd998b14ba91be440b2437fc17174073f01a2ad97da64d46e3586f712",
+    ("quad-20d", "iv-phase"):
+        "ee768d69a0b23a11b3d61a0c9b1fe8ce4ace684c109baed61da81eccb0419f06",
+    ("quad-20d", "nag-classic"):
+        "53963d35bf98cd18238d5b4a2d4894285af26883de97f22431c24d42ff5ddb9d",
+    ("quad-20d", "nag-modified"):
+        "42e55cc99ea67f34ee7bd7fb360c78f65f35b6b9272a728877c7b83eb68798b2",
+    ("quad-ill", "gc-modified"):
+        "b8d51eca1ec90f8b30f3957b7b0cc4c6212be40578b4d906807fb4e7b55dbbe4",
+    ("quad-ill", "gc-phase"):
+        "1643a0c8177803d53fcf7349d1e01c081fa8ddc8f5aa1dc8faf33f83b573080c",
+    ("quad-ill", "iv-phase"):
+        "00dbf9fe3efec2b0be0327218248c4bb36689b9e68a7c8eab1c36c3c1d2634c4",
+    ("quad-ill", "nag-classic"):
+        "7df1bb03671837ad25738c2e379b84bfe05a0d9f9f5fa992760cb5e52472600b",
+    ("quad-ill", "nag-modified"):
+        "0dbbcab8d630b21ed9ddf18b02c82b9939e52c6971319ee436c3c5f9aac8cc3d",
+    ("quad-mild", "gc-modified"):
+        "d7334a1a54da4be9276a2face31cf4c94c8352f4ff8af240aac1bf6c8069d5a5",
+    ("quad-mild", "gc-phase"):
+        "7355c65ddf08354d21a6730cc503d79bd4678ea3fe20d0ae111f8b0bd8951e89",
+    ("quad-mild", "iv-phase"):
+        "08e2d12c13a824ca4a4dfe3ca1fbbda0684175e6b87496dcc5bb2abc15760ac5",
+    ("quad-mild", "nag-classic"):
+        "125afe8010b612f9784138a86d969fba98e979ce8214e00dfd311d97a4b42aaa",
+    ("quad-mild", "nag-modified"):
+        "324eff81bfb0ab2b131c58bd45180a3d0045795e6c28de9c5cc318fe7ff15869",
+    ("quad-rot", "gc-modified"):
+        "7fbcab154b32b2c676286ae547db925834be6d2ec8530043437438e2f095ff45",
+    ("quad-rot", "gc-phase"):
+        "c565aec511685a6eac0588aff302138fa099caf91fe555f9c30dfecad2db7539",
+    ("quad-rot", "iv-phase"):
+        "0e33880d1b2863e019fce28db8cc97b9ae8c38f625b924380e02f0f9b43df607",
+    ("quad-rot", "nag-classic"):
+        "9da311e0e17ef5551cb7b340bbec43766ca39aeaf48d17a457fc2e70de0b9f40",
+    ("quad-rot", "nag-modified"):
+        "c23ec7f68e961c398778c07fefc2f9bb3cf6d4e59ca75e60e94c16c62034bf32",
+    ("reg-logistic", "gc-modified"):
+        "7d4add109146e9795a477462098453ecc622c6acc8a93e9a50c88ca16f76ea1e",
+    ("reg-logistic", "gc-phase"):
+        "cb2ca2960e605f8c198b7096999288b0f19bd9e5f7d2dadc257c062edb845c14",
+    ("reg-logistic", "iv-phase"):
+        "f95ee9eb120ff26cc56d8503fd2db16999cc911e7ea1f0dc2d67f02115fae93a",
+    ("reg-logistic", "nag-classic"):
+        "1aeca3b205ac594cc142703aa6ce3b8a4efee66997256fb4f2088d9195493135",
+    ("reg-logistic", "nag-modified"):
+        "39bd356713c01f3298dc6cbb857a68525a80748e46ee9ff653a3ec0d72a6ea01",
+}
+
+
+@pytest.fixture(scope="module")
+def suite_starts():
+    return {label: (f, x0) for label, f, x0 in suite_objectives()}
+
+
+@pytest.mark.parametrize("label,method", sorted(MARGIN_DIGESTS))
+def test_gradient_step_margin_digests(suite_starts, label, method):
+    f, x0 = suite_starts[label]
+    traj = run(f, method, x0, 1.0 / f.lipschitz, 500)
+    digest = hashlib.sha256(gradient_step_margins(traj).tobytes()).hexdigest()
+    assert digest == MARGIN_DIGESTS[label, method]
+
+
+#: (theorem, method) -> (SHA-256 of the ``attach_bound`` curve, report
+#: fields of ``check_bound``) on the d = 50 run (s = 1/L, K = 200).
+BOUND_CASES = {
+    ("classic", "nag-classic"): (
+        "f2528ac40e82c5962b554ba07e854df7540b7f317d595ae678a01c161e2e2209",
+        dict(n_checked=201, n_failed=0, worst_margin=2.416229118265838e-09,
+             first_failure=None,
+             details={"slack": 3.424807973340908e-10,
+                      "bound_at_0": 3.424807973340908})),
+    ("gd", "gd"): (
+        "0107791f8bd12ebe8a19563650bdb839aef1fe026e90bd4de0a15ffafda22e22",
+        dict(n_checked=201, n_failed=0, worst_margin=0.0,
+             first_failure=None,
+             details={"slack": 3.2817293273899683e-10,
+                      "bound_at_0": 3.281729327389968})),
+    ("rate-gc", "gc-modified"): (
+        "f9f15a0351b6addec980f5acfd663d4369be5c174140b45934f38d479da23d58",
+        dict(n_checked=201, n_failed=0, worst_margin=0.051129078108050986,
+             first_failure=None,
+             details={"slack": 7.135773238583696e-10,
+                      "bound_at_0": 7.135773238583695})),
+    ("rate-gc", "gc-phase"): (
+        "f9f15a0351b6addec980f5acfd663d4369be5c174140b45934f38d479da23d58",
+        dict(n_checked=201, n_failed=0, worst_margin=0.051129078108050986,
+             first_failure=None,
+             details={"slack": 7.135773238583696e-10,
+                      "bound_at_0": 7.135773238583695})),
+    ("rate-iv-x", "iv-phase"): (
+        "ddf4c20ab31111113dc579f5dca49321b0f59a2637ae5ebc681eaac4c3f2aa37",
+        dict(n_checked=201, n_failed=0, worst_margin=0.049078710468882084,
+             first_failure=None,
+             details={"slack": 6.849615946681816e-10,
+                      "bound_at_0": 6.849615946681816})),
+    ("rate-iv-x", "nag-modified"): (
+        "ddf4c20ab31111113dc579f5dca49321b0f59a2637ae5ebc681eaac4c3f2aa37",
+        dict(n_checked=201, n_failed=0, worst_margin=0.049078710468882084,
+             first_failure=None,
+             details={"slack": 6.849615946681816e-10,
+                      "bound_at_0": 6.849615946681816})),
+    ("rate-iv", "iv-phase"): (
+        "74c0ecaac8770cbad78e3fc761d3b70289292641a7ec926cf1da6375a65050ec",
+        dict(n_checked=201, n_failed=0, worst_margin=0.8201470556675658,
+             first_failure=None,
+             details={"slack": 1.14462916760752e-08,
+                      "bound_at_0": 114.462916760752})),
+    ("rate-iv", "nag-modified"): (
+        "74c0ecaac8770cbad78e3fc761d3b70289292641a7ec926cf1da6375a65050ec",
+        dict(n_checked=201, n_failed=0, worst_margin=0.8201470556675658,
+             first_failure=None,
+             details={"slack": 1.14462916760752e-08,
+                      "bound_at_0": 114.462916760752})),
+}
+
+
+@pytest.mark.parametrize("theorem,method", sorted(BOUND_CASES))
+def test_bound_digests(rot50, theorem, method):
+    f, x0 = rot50
+    digest, fields = BOUND_CASES[theorem, method]
+    traj = run(f, method, x0, 1.0 / f.lipschitz, 200)
+    curve = attach_bound(traj, theorem)
+    assert hashlib.sha256(curve.tobytes()).hexdigest() == digest
+    assert report_fields(check_bound(traj, theorem)) == fields
 
 
 def report_fields(report) -> dict:
