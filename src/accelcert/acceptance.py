@@ -166,21 +166,15 @@ def gradient_step_margins(traj: Trajectory) -> np.ndarray:
     """Margins of f(x_{k+1}) - f* <= f(y_k) - f* - (s/2)||grad f(y_k)||^2
     along a momentum-family trajectory (positive = satisfied).
 
-    f(y_k) - f* is read from the recorded ``f_gap`` column; the gradient is
-    evaluated again, because the recorded norm squared is not bit-equal to
-    g @ g.
+    f(y_k) - f* and ||grad f(y_k)||^2 are read from the recorded ``f_gap``
+    and ``grad_sq`` columns, so the only oracle calls are the K values
+    f(x_{k+1}), a point the run does not record a gap at.
     """
     if traj.reference != "y":
         raise ValueError(f"{traj.method_id!r} records f_gap at x_k, not y_k; "
                          "the margins need a momentum-family trajectory")
-    f = traj.objective
-    s = traj.s
-    out = np.empty(traj.K)
-    for k in range(traj.K):
-        g = f.grad(traj.ys[k])
-        rhs = traj.f_gap[k] - 0.5 * s * float(g @ g)
-        out[k] = rhs - f.gap(traj.xs[k + 1])
-    return out
+    rhs = traj.f_gap[:-1] - 0.5 * traj.s * traj.grad_sq[:-1]
+    return rhs - np.array([traj.objective.gap(x) for x in traj.xs[1:]])
 
 
 def criterion_6() -> CriterionResult:

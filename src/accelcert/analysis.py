@@ -168,18 +168,21 @@ def _theorem_gaps(trajectory: Trajectory, theorem: str) -> np.ndarray:
             f"theorem {theorem!r} applies to methods {methods}, "
             f"not {trajectory.method_id!r}")
     if ref == trajectory.reference:
-        if f.min_value is None:
-            raise MinimizerUnknownError(
-                f"objective {f.name!r} has no known minimum")
         return trajectory.f_gap
     points = trajectory.xs if ref == "x" else trajectory.ys
     return np.array([f.gap(p) for p in points])
 
 
 def _curve_for(trajectory: Trajectory, theorem: str) -> np.ndarray:
+    """The theorem's curve for the trajectory's start.  f(x_0) - f* is the
+    recorded ``f_gap[0]``: record 0 sits at x_0 = y_0 for every method."""
     f = trajectory.objective
+    if f.min_value is None:
+        raise MinimizerUnknownError(
+            f"objective {f.name!r} has no known minimum")
     x0 = trajectory.xs[0]
-    return bound_curve(theorem, f.gap(x0), float(np.sum((x0 - f.minimizer) ** 2)),
+    return bound_curve(theorem, float(trajectory.f_gap[0]),
+                       float(np.sum((x0 - f.minimizer) ** 2)),
                        f.mu, f.lipschitz, trajectory.s, trajectory.K)
 
 
@@ -197,9 +200,10 @@ def check_bound(trajectory: Trajectory, theorem: str,
     Incompatible trajectory/theorem pairings are rejected with ValueError.
 
     The trajectory must be one that :func:`~accelcert.optimizers.run`
-    produced: where the theorem bounds the sequence the run recorded its
-    gaps at, the recorded ``f_gap`` column is read instead of calling the
-    oracle again.
+    produced: f(x_0) - f* for bound(0) is the recorded ``f_gap[0]``, and
+    where the theorem bounds the sequence the run recorded its gaps at,
+    the whole ``f_gap`` column is read.  Only a bound on the other
+    sequence calls the value oracle, once per record.
     """
     gaps = _theorem_gaps(trajectory, theorem)
     curve = _curve_for(trajectory, theorem)
@@ -208,20 +212,17 @@ def check_bound(trajectory: Trajectory, theorem: str,
                          {"slack": slack, "bound_at_0": float(curve[0])})
 
 
-def empirical_rate(trajectory: Trajectory,
-                   tail_fraction: float = 0.5) -> Optional[float]:
+def empirical_rate(trajectory: Trajectory) -> Optional[float]:
     """Per-iteration contraction factor fitted to the gap sequence.
 
-    Log-linear least squares of f_gap over the trailing ``tail_fraction``
-    of the records that still resolve above 1e-14; returns the factor r
-    with f_gap(k) ~ C r^k, or None when fewer than 10 usable records
-    remain (the gap underflowed or the run started at the optimum).
+    Log-linear least squares of f_gap over the trailing half of the
+    records that still resolve above 1e-14; returns the factor r with
+    f_gap(k) ~ C r^k, or None when fewer than 10 usable records remain
+    (the gap underflowed or the run started at the optimum).
     """
-    if not 0.0 < tail_fraction <= 1.0:
-        raise ValueError("tail_fraction must lie in (0, 1]")
     gaps = trajectory.f_gap
     usable = np.flatnonzero(np.isfinite(gaps) & (gaps > 1e-14))
-    n_tail = math.ceil(tail_fraction * len(usable))
+    n_tail = math.ceil(0.5 * len(usable))
     tail = usable[len(usable) - n_tail:]
     if len(tail) < 10:
         return None
@@ -248,27 +249,27 @@ class ScanReport:
     agreement: bool
 
 
-def observed_monotone(f_gap: np.ndarray, tol_scale: float = 1e-12) -> bool:
+def observed_monotone(f_gap: np.ndarray) -> bool:
     """True when the gap sequence never strictly increases beyond
-    ``tol_scale * max(1, f_gap[0])`` (rounding noise near convergence must
+    ``1e-12 * max(1, f_gap[0])`` (rounding noise near convergence must
     not flag false oscillation)."""
-    tol = tol_scale * max(1.0, float(f_gap[0]))
+    tol = 1e-12 * max(1.0, float(f_gap[0]))
     return bool(np.all(np.diff(f_gap) <= tol))
 
 
 def monotonicity_scan(mu: float, spectrum: SpectrumSpec | Sequence[float],
                       s_grid: Sequence[float], K: int,
                       x0: Optional[Sequence[float]] = None,
-                      x0_seed: int = 0, x0_radius: float = 2.0) -> ScanReport:
+                      x0_seed: int = 0) -> ScanReport:
     """Compare predicted and observed monotonicity of the gradient-correction
     scheme on a quadratic, across a grid of step sizes.
 
     For each s the prediction is "all characteristic roots real" across the
     spectrum; the observation runs gc-phase for K steps from ``x0`` (or a
-    seeded random ball point) and applies strict-increase detection to the
-    objective gap.  The report keeps per-eigenvalue root data, so alignment
-    effects can be inspected per component rather than assuming a universal
-    equivalence.
+    point of the radius-2 ball drawn from ``x0_seed``) and applies
+    strict-increase detection to the objective gap.  The report keeps
+    per-eigenvalue root data, so alignment effects can be inspected per
+    component rather than assuming a universal equivalence.
     """
     if not isinstance(spectrum, SpectrumSpec):
         spectrum = SpectrumSpec(spectrum)
@@ -279,7 +280,7 @@ def monotonicity_scan(mu: float, spectrum: SpectrumSpec | Sequence[float],
         f = replace(f, mu=mu)  # weaker declared modulus is still valid
     if x0 is None:
         rng = np.random.default_rng(x0_seed)
-        x0 = sample_in_ball(rng, spectrum.dim, x0_radius)
+        x0 = sample_in_ball(rng, spectrum.dim, 2.0)
     x0 = np.asarray(x0, dtype=float)
 
     rows = []

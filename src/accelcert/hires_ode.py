@@ -211,8 +211,9 @@ def check_continuous_bound(solution: OdeSolution, f: Objective, s: float,
     ``worst_margin`` is the envelope's, and ``first_failure`` the
     envelope's first failure, else the decay's.
 
-    The probe gap is the solution's recorded ``f_gap``, so the check makes
-    one value evaluation, f(x_0), and no gradient evaluation.
+    The probe gap is the solution's recorded ``f_gap``, and f(x_0) - f* is
+    its first entry, because the probe point at rest is x_0; so the check
+    makes no oracle call.
     """
     require_integrated_with(solution, f, s, mu)
     if solution.which != "simplified":
@@ -220,11 +221,10 @@ def check_continuous_bound(solution: OdeSolution, f: Objective, s: float,
                          f"equation, not {solution.which!r}")
     if not solution:
         raise ValueError("empty solution")
+    energies = ode_energies(solution)  # raises on an unresolved objective
     x0 = solution.X[0]
-    gap0 = f.gap(x0)
     dist0_sq = float(np.sum((x0 - f.minimizer) ** 2))
-    numerator = 0.5 * (gap0 + mu * dist0_sq)
-    energies = ode_energies(solution)
+    numerator = 0.5 * (float(solution.f_gap[0]) + mu * dist0_sq)
     envelope = numerator * _exp(-math.sqrt(mu) * solution.t / 4.0)
     bound = margin_report("bound", envelope - solution.f_gap,
                           bound_tol * max(1.0, numerator))

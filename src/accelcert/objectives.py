@@ -206,28 +206,27 @@ def make_reg_logistic(data_seed: int, n_samples: int, dim: int,
         name=f"reg-logistic(seed={data_seed},n={n_samples},d={dim},reg={reg})")
 
 
-def resolve_minimizer(f: Objective, grad_tol: float = 1e-12,
-                      max_iters: int = 500_000) -> Objective:
+def resolve_minimizer(f: Objective) -> Objective:
     """Return a copy of ``f`` with ``minimizer``/``min_value`` filled in.
 
     Objectives that already know their minimizer are returned unchanged.
     Otherwise the minimizer is located by the library's own momentum scheme
-    (run at s = 1/L until the gradient norm drops below ``grad_tol``), which
-    avoids any external solver dependency.
+    (run at s = 1/L until the gradient norm drops to 1e-12, within 500,000
+    steps), which avoids any external solver dependency.
     """
     if f.minimizer is not None and f.min_value is not None:
         return f
     from .optimizers import initial_state, nag_modified_step
 
     state = initial_state(f, "nag-modified", np.zeros(f.dim), 1.0 / f.lipschitz)
-    for _ in range(max_iters):
-        if np.linalg.norm(f.grad(state.x)) <= grad_tol:
+    for _ in range(500_000):
+        if np.linalg.norm(f.grad(state.x)) <= 1e-12:
             break
         state = nag_modified_step(f, state)
     else:
         raise RuntimeError(
-            f"minimizer search did not reach gradient norm {grad_tol:.0e} "
-            f"within {max_iters} iterations"
+            "minimizer search did not reach gradient norm 1e-12 "
+            "within 500000 iterations"
         )
     xstar = state.x.copy()
     return replace(f, minimizer=xstar, min_value=f.value(xstar))
@@ -240,17 +239,16 @@ def sample_in_ball(rng: np.random.Generator, dim: int, radius: float) -> Vector:
     return direction * rng.uniform(0.0, radius)
 
 
-def certify_class(f: Objective, n_pairs: int, sample_seed: int,
-                  radius: float = 10.0, rel_slack: float = 1e-9) -> CertReport:
+def certify_class(f: Objective, n_pairs: int, sample_seed: int) -> CertReport:
     """Sampled check that ``f`` belongs to the declared (mu, L) class.
 
-    For seeded random pairs (x, y) in the ball of the given radius around
-    the minimizer (or the origin when unknown), verifies the strong
+    For seeded random pairs (x, y) in the radius-10 ball around the
+    minimizer (or the origin when unknown), verifies the strong
     convexity inequality
     ``f(y) >= f(x) + <grad f(x), y - x> + (mu/2) ||y - x||^2``
     and gradient Lipschitz continuity
     ``||grad f(y) - grad f(x)|| <= L ||y - x||``,
-    each with relative slack ``rel_slack``.  Failures are counted, never
+    each with relative slack 1e-9.  Failures are counted, never
     raised; the report carries the worst margins of both inequalities.
     """
     if n_pairs < 1:
@@ -262,8 +260,8 @@ def certify_class(f: Objective, n_pairs: int, sample_seed: int,
     worst_sc = np.inf
     worst_smooth = np.inf
     for i in range(n_pairs):
-        x = center + sample_in_ball(rng, f.dim, radius)
-        y = center + sample_in_ball(rng, f.dim, radius)
+        x = center + sample_in_ball(rng, f.dim, 10.0)
+        y = center + sample_in_ball(rng, f.dim, 10.0)
         fx, fy = f.value(x), f.value(y)
         gx = f.grad(x)
         diff = y - x
@@ -274,8 +272,8 @@ def certify_class(f: Objective, n_pairs: int, sample_seed: int,
         smooth_scale = max(1.0, f.lipschitz * dist)
         worst_sc = min(worst_sc, sc_margin)
         worst_smooth = min(worst_smooth, smooth_margin)
-        ok = (sc_margin >= -rel_slack * sc_scale
-              and smooth_margin >= -rel_slack * smooth_scale)
+        ok = (sc_margin >= -1e-9 * sc_scale
+              and smooth_margin >= -1e-9 * smooth_scale)
         if not ok:
             n_failed += 1
             if first_failure is None:
@@ -289,6 +287,6 @@ def certify_class(f: Objective, n_pairs: int, sample_seed: int,
         details={
             "worst_strong_convexity_margin": worst_sc,
             "worst_smoothness_margin": worst_smooth,
-            "radius": radius,
+            "radius": 10.0,
         },
     )

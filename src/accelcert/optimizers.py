@@ -23,9 +23,10 @@ carries the gradient at its reference point (y_k for the momentum family,
 x_k for gd and heavy-ball), which is where the next step needs it; a step
 consumes that gradient and evaluates its successor's.  The previous
 gradient needed by the gc family is carried too, never recomputed.
-``run`` records the norm of the carried gradient and the objective gap at
-the reference point, so K steps cost exactly K+1 gradient and K+1 value
-evaluations.
+``run`` records the squared norm of the carried gradient and the
+objective gap at the reference point, so K steps cost exactly K+1
+gradient and K+1 value evaluations, and certificates that need either
+read the record instead of calling the oracles again.
 """
 
 from __future__ import annotations
@@ -98,15 +99,13 @@ def default_heavy_ball_beta(mu: float, s: float) -> float:
     return ((1.0 - r) / (1.0 + r)) ** 2
 
 
-def heavy_ball_step(f: Objective, state: OptimizerState,
-                    beta: Optional[float] = None) -> OptimizerState:
-    """Momentum baseline x_{k+1} = x_k - s grad f(x_k) + beta (x_k - x_{k-1}).
+def heavy_ball_step(f: Objective, state: OptimizerState) -> OptimizerState:
+    """Momentum baseline x_{k+1} = x_k - s grad f(x_k) + beta (x_k - x_{k-1})
+    with beta = :func:`default_heavy_ball_beta`.
 
-    The previous displacement x_k - x_{k-1} is carried in ``v``.  ``beta``
-    defaults to :func:`default_heavy_ball_beta`.
+    The previous displacement x_k - x_{k-1} is carried in ``v``.
     """
-    if beta is None:
-        beta = default_heavy_ball_beta(f.mu, state.s)
+    beta = default_heavy_ball_beta(f.mu, state.s)
     x1 = state.x - state.s * state.grad + beta * state.v
     return OptimizerState(x=x1, y=state.y, v=x1 - state.x, k=state.k + 1,
                           s=state.s, grad=f.grad(x1))
@@ -266,8 +265,9 @@ class Trajectory:
     """Ordered per-iteration records of one run, stored column-wise.
 
     Row k holds the state after k steps: iterate ``xs[k]``, reference point
-    ``ys[k]``, velocity ``vs[k]``, the objective gap ``f_gap[k]`` and
-    gradient norm at the method's natural reference point (y_k for the
+    ``ys[k]``, velocity ``vs[k]``, and the objective gap ``f_gap[k]`` and
+    squared gradient norm ``grad_sq[k]`` (``g @ g`` of the gradient g the
+    state carries) at the method's natural reference point (y_k for the
     momentum family, x_k for gd and heavy-ball).  ``objective`` is the
     objective the run stepped on.  ``lyapunov`` and ``bound`` are optional
     diagnostic columns (NaN where undefined); ``lyapunov_form`` names the
@@ -280,7 +280,7 @@ class Trajectory:
     ys: np.ndarray
     vs: np.ndarray
     f_gap: np.ndarray
-    grad_norm: np.ndarray
+    grad_sq: np.ndarray
     objective: Objective = field(repr=False)
     lyapunov: Optional[np.ndarray] = None
     lyapunov_form: Optional[str] = None
@@ -295,8 +295,15 @@ class Trajectory:
         return self.xs.shape[0] - 1
 
     @property
+    def grad_norm(self) -> np.ndarray:
+        """Gradient norm at each record: ``np.sqrt(grad_sq)``, bit-equal to
+        ``np.linalg.norm`` of the carried gradient, which takes the root of
+        the same dot product."""
+        return np.sqrt(self.grad_sq)
+
+    @property
     def reference(self) -> str:
-        """The sequence, "y" or "x", that ``f_gap`` and ``grad_norm`` are
+        """The sequence, "y" or "x", that ``f_gap`` and ``grad_sq`` are
         recorded at."""
         return "y" if self.method_id in NAG_FAMILY else "x"
 
@@ -333,7 +340,7 @@ def run(f: Objective, method: str, x0: Vector, s: float, K: int, *,
     ys = np.empty((K + 1, f.dim))
     vs = np.empty((K + 1, f.dim))
     f_gap = np.empty(K + 1)
-    grad_norm = np.empty(K + 1)
+    grad_sq = np.empty(K + 1)
     have_min = f.min_value is not None
     on_y = method in NAG_FAMILY
 
@@ -343,7 +350,7 @@ def run(f: Objective, method: str, x0: Vector, s: float, K: int, *,
         vs[i] = st.v
         ref = st.y if on_y else st.x
         f_gap[i] = f.value(ref) - f.min_value if have_min else np.nan
-        grad_norm[i] = np.linalg.norm(st.grad)
+        grad_sq[i] = st.grad @ st.grad
 
     record(0, state)
     for k in range(K):
@@ -359,6 +366,6 @@ def run(f: Objective, method: str, x0: Vector, s: float, K: int, *,
         ys=ys,
         vs=vs,
         f_gap=f_gap,
-        grad_norm=grad_norm,
+        grad_sq=grad_sq,
         objective=f,
     )

@@ -9,6 +9,7 @@ from accelcert import (bound_curve, characteristic_roots, check_bound,
                        empirical_rate, make_quadratic, max_reality_threshold,
                        make_reg_logistic, monotonic_window, monotonicity_scan,
                        reality_threshold, resolve_minimizer, run)
+from accelcert.analysis import attach_bound
 from accelcert.objectives import MinimizerUnknownError
 from accelcert.report import margin_report
 
@@ -177,13 +178,19 @@ class TestCheckBound:
     @pytest.mark.parametrize("method", ["gd", "heavy-ball", "nag-classic",
                                         "iv-phase", "gc-modified"])
     def test_recorded_gaps_are_the_oracle_gaps(self, method):
-        # the premise of reading f_gap instead of calling the oracle again
+        # the premise of reading f_gap and grad_sq instead of calling the
+        # oracles again; grad_norm is bit-equal to np.linalg.norm
         for f in (make_quadratic([1, 4, 25], rotation_seed=3),
                   resolve_minimizer(make_reg_logistic(3, 50, 2, 0.1))):
             traj = run(f, method, np.full(f.dim, 0.7), 1.0 / f.lipschitz, 60)
             points = traj.ys if traj.reference == "y" else traj.xs
+            grads = [f.grad(p) for p in points]
             np.testing.assert_array_equal(traj.f_gap,
                                           [f.gap(p) for p in points])
+            np.testing.assert_array_equal(traj.grad_sq,
+                                          [g @ g for g in grads])
+            np.testing.assert_array_equal(traj.grad_norm,
+                                          [np.linalg.norm(g) for g in grads])
 
     @pytest.mark.parametrize("method, theorem", [
         ("iv-phase", "rate-iv"), ("gd", "gd"), ("gc-phase", "rate-gc"),
@@ -193,6 +200,8 @@ class TestCheckBound:
         traj = run(f, method, np.ones(2), 1.0 / f.lipschitz, 10)
         with pytest.raises(MinimizerUnknownError):
             check_bound(traj, theorem)
+        with pytest.raises(MinimizerUnknownError):
+            attach_bound(traj, theorem)
 
     def test_incompatible_gc_pairing_rejected(self):
         f = make_quadratic([1, 100])
@@ -222,12 +231,6 @@ class TestEmpiricalRate:
         r_gd = empirical_rate(run(f, "gd", x0, s, 4000))
         assert r_iv <= 1.0 - 0.5 * math.sqrt(f.mu / f.lipschitz)
         assert r_iv < r_gd < 1.0
-
-    def test_tail_fraction_validated(self):
-        f = make_quadratic([1])
-        traj = run(f, "gd", np.array([1.0]), 0.5, 50)
-        with pytest.raises(ValueError):
-            empirical_rate(traj, tail_fraction=0.0)
 
 
 class TestMonotonicityScan:

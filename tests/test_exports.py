@@ -1,5 +1,7 @@
 """The package's export list names each public object once, and every
-name in it resolves."""
+name in it resolves.  The size of the public API is pinned."""
+
+import inspect
 
 import accelcert
 
@@ -12,3 +14,23 @@ def test_all_names_resolve():
 
 def test_all_names_unique():
     assert len(set(accelcert.__all__)) == len(accelcert.__all__)
+
+
+def public_callables():
+    """Exported functions, and the public methods of exported classes."""
+    for name in accelcert.__all__:
+        obj = getattr(accelcert, name)
+        if inspect.isfunction(obj):
+            yield obj
+        elif inspect.isclass(obj):
+            yield from (v for attr, v in vars(obj).items()
+                        if not attr.startswith("_") and inspect.isfunction(v))
+
+
+def test_api_surface_pinned():
+    # (callables, parameters, parameters with a default): a new knob is a
+    # reviewed edit of this pin
+    params = [p for fn in public_callables()
+              for p in inspect.signature(fn).parameters.values()]
+    defaults = sum(p.default is not p.empty for p in params)
+    assert (len(list(public_callables())), len(params), defaults) == (44, 132, 16)

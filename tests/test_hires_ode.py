@@ -7,6 +7,7 @@ from accelcert import (acceleration, check_continuous_bound, integrate,
                        lyap_ode, make_quadratic, make_reg_logistic,
                        probe_point)
 from accelcert.hires_ode import NonFiniteSolutionError, OdeSolution, OdeState
+from accelcert.objectives import MinimizerUnknownError
 
 # X(1) for X'' + 2 X' + X = 0 from X(0) = 1, X'(0) = 0: X(t) = (1 + t) e^{-t}
 DAMPED_X1 = 0.7357588823428847  # 2 * exp(-1)
@@ -175,6 +176,14 @@ class TestContinuousBound:
         assert report.passed
         assert report.details["bound_failures"] == 0
         assert report.details["decay_failures"] == 0
+
+    def test_unresolved_objective_rejected(self):
+        # the recorded gaps are NaN here; reading f(x_0) from them must not
+        # hide that
+        f = make_reg_logistic(3, 50, 2, 0.1)
+        sol = integrate(f, np.ones(2), s=1.0, T=0.1, h=1e-2)
+        with pytest.raises(MinimizerUnknownError):
+            check_continuous_bound(sol, f, s=1.0, mu=f.mu)
 
     def test_rejects_original_equation(self):
         # the theorem is stated for the simplified equation only

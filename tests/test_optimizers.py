@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from accelcert import (OptimizerState, gc_modified_step, gc_phase_step,
-                       gd_step, heavy_ball_step, initial_state, iv_phase_step,
+from accelcert import (OptimizerState, default_heavy_ball_beta,
+                       gc_modified_step, gc_phase_step, gd_step,
+                       heavy_ball_step, initial_state, iv_phase_step,
                        make_quadratic, make_reg_logistic, nag_classic_step,
                        nag_modified_step, resolve_minimizer, run)
 from accelcert.optimizers import NonFiniteIterateError
@@ -53,21 +54,25 @@ class TestGdStep:
 
 
 class TestHeavyBallStep:
-    def test_beta_zero_is_gd(self, quad_ill):
+    def test_beta_vanishes_at_mus_one(self, quad_ill):
+        # mu s = 1 makes beta = ((1 - 1) / (1 + 1))^2 exactly 0
+        assert default_heavy_ball_beta(quad_ill.mu, 1.0) == 0.0
         st = OptimizerState(x=np.array([1.0, -2.0]), y=np.array([1.0, -2.0]),
-                            v=np.array([0.4, 0.1]), k=0, s=0.005,
+                            v=np.array([0.4, 0.1]), k=0, s=1.0,
                             grad=quad_ill.grad(np.array([1.0, -2.0])))
-        np.testing.assert_array_equal(heavy_ball_step(quad_ill, st, 0.0).x,
+        np.testing.assert_array_equal(heavy_ball_step(quad_ill, st).x,
                                       gd_step(quad_ill, st).x)
 
     def test_substitution(self, quad_1):
-        nxt = heavy_ball_step(quad_1, state_1d(1.0, v=0.0), beta=0.5)
-        assert nxt.x == pytest.approx([0.0])
+        # mu s = 1/4: beta = ((1 - 1/2) / (1 + 1/2))^2 = 1/9
+        assert default_heavy_ball_beta(1.0, 0.25) == pytest.approx(1 / 9)
+        nxt = heavy_ball_step(quad_1, state_1d(1.0, v=0.3, s=0.25))
+        assert nxt.x == pytest.approx([0.75 + 0.3 / 9])
 
     def test_pure_momentum(self, quad_1):
-        nxt = heavy_ball_step(quad_1, state_1d(0.0, v=1.0), beta=0.5)
-        assert nxt.x == pytest.approx([0.5])
-        assert nxt.v == pytest.approx([0.5])  # new displacement
+        nxt = heavy_ball_step(quad_1, state_1d(0.0, v=1.0, s=0.25))
+        assert nxt.x == pytest.approx([1 / 9])
+        assert nxt.v == pytest.approx([1 / 9])  # new displacement
 
 
 class TestNagClassicStep:

@@ -1,15 +1,21 @@
 """Oracle budget: how many gradient and value evaluations a run and its
 certificates make.
 
-A recorded point needs one gradient (its norm is recorded, and the next
-step descends along it) and one value (its gap is recorded), so ``run``
-makes exactly K+1 of each.  Certificates read the recorded ``f_gap`` and
-``lyapunov`` columns instead of calling the oracles again.
+A recorded point needs one gradient (its squared norm is recorded, and
+the next step descends along it) and one value (its gap is recorded), so
+``run`` makes exactly K+1 of each.  Certificates read the recorded
+``f_gap``, ``grad_sq`` and ``lyapunov`` columns instead of calling the
+oracles again; f(x_0) is ``f_gap[0]``.  Two evaluations remain: the
+``gc`` energy takes the gradient at y_k, because no gradient column is
+recorded, and a gap on a sequence the run did not record (x_k where
+y_k was recorded, and x_{k+1} in the gradient-step margins) takes one
+value per point.
 
 The same holds for the high-resolution ODE: ``integrate`` makes four
 gradients per RK4 step and records the probe gap with one value per
-sample; the continuous check and the ODE CSV read that column, and reject
-an objective or (s, mu) other than the solution's.
+sample; the continuous check (which reads f(x_0) as the gap at rest) and
+the ODE CSV read that column, and reject an objective or (s, mu) other
+than the solution's.
 """
 
 from dataclasses import replace
@@ -20,6 +26,7 @@ import pytest
 from accelcert import (METHODS, certify_contraction, check_bound,
                        check_continuous_bound, integrate, make_quadratic,
                        make_reg_logistic, resolve_minimizer, run)
+from accelcert.acceptance import gradient_step_margins
 from accelcert.harness import write_ode_csv
 from accelcert.lyapunov import attach_energies
 from accelcert.optimizers import FIRST_VELOCITY_CONVENTIONS
@@ -78,10 +85,10 @@ def test_run_makes_one_gradient_and_one_value_per_record(counted, method,
 
 
 @pytest.mark.parametrize("method, form, theorem, extra", [
-    ("iv-phase", "iv", "rate-iv", lambda K: (0, 1)),
-    ("nag-modified", "iv", "rate-iv", lambda K: (0, 1)),
-    ("gc-phase", "gc", "rate-gc", lambda K: (K, K + 2)),
-    ("gc-modified", "gc", "rate-gc", lambda K: (K, K + 2)),
+    ("iv-phase", "iv", "rate-iv", lambda K: (0, 0)),
+    ("nag-modified", "iv", "rate-iv", lambda K: (0, 0)),
+    ("gc-phase", "gc", "rate-gc", lambda K: (K, K + 1)),
+    ("gc-modified", "gc", "rate-gc", lambda K: (K, K + 1)),
 ])
 def test_certificate_budget(counted, method, form, theorem, extra):
     f = counted.f
@@ -108,7 +115,19 @@ def test_gd_bound_reads_recorded_gaps(counted):
     traj = run(f, "gd", start(f), 1.0 / f.lipschitz, 25)
     counted.reset()
     check_bound(traj, "gd")
-    assert counted.calls == (0, 1)  # bound(0) needs f(x0)
+    assert counted.calls == (0, 0)
+
+
+@pytest.mark.parametrize("method", ["nag-modified", "nag-classic", "iv-phase",
+                                    "gc-phase", "gc-modified"])
+def test_gradient_step_margins_budget(counted, method):
+    # f(y_k) and ||grad f(y_k)||^2 are recorded; f(x_{k+1}) is not
+    f = counted.f
+    K = 25
+    traj = run(f, method, start(f), 1.0 / f.lipschitz, K)
+    counted.reset()
+    assert len(gradient_step_margins(traj)) == K
+    assert counted.calls == (0, K)
 
 
 ODE_STEPS = 20
@@ -132,7 +151,7 @@ def test_continuous_check_reads_recorded_gap(counted):
     sol = solve(f, s)
     counted.reset()
     assert check_continuous_bound(sol, f, s, f.mu).n_checked == ODE_STEPS + 1
-    assert counted.calls == (0, 1)  # the numerator needs f(x0)
+    assert counted.calls == (0, 0)
 
 
 def test_ode_csv_reads_recorded_gap(counted, tmp_path):
