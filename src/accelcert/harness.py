@@ -49,6 +49,30 @@ class ConfigError(ValueError):
     """A config document failed validation; the message names the field."""
 
 
+def _is_number(v) -> bool:
+    """A finite JSON number; a boolean is not one."""
+    return (isinstance(v, (int, float)) and not isinstance(v, bool)
+            and math.isfinite(v))
+
+
+def _is_count(v) -> bool:
+    """A nonnegative JSON integer; a boolean is not one."""
+    return isinstance(v, int) and not isinstance(v, bool) and v >= 0
+
+
+#: What each objective parameter must be: (test, description).
+_PARAM_CHECKS = {
+    "spectrum": (lambda v: isinstance(v, list) and len(v) > 0
+                 and all(_is_number(x) and x > 0 for x in v),
+                 "a nonempty array of positive numbers"),
+    "rotation_seed": (_is_count, "a nonnegative integer"),
+    "data_seed": (_is_count, "a nonnegative integer"),
+    "n_samples": (lambda v: _is_count(v) and v > 0, "a positive integer"),
+    "dim": (lambda v: _is_count(v) and v > 0, "a positive integer"),
+    "reg": (lambda v: _is_number(v) and v > 0, "a positive number"),
+}
+
+
 def fmt(x) -> str:
     """One CSV or summary cell: shortest round-trip decimal form of a float
     (empty for NaN; RFC-4180 safe), true/false for a bool, else ``str``."""
@@ -100,7 +124,9 @@ def parse_config(text: str) -> ExperimentConfig:
     "1/L", "1/(2L)", "1/(4mu)"), ``K``, ``seed``.  Optional: ``x0``
     (explicit array, or {"random_ball": {"radius": r}} drawn from ``seed``;
     defaults to a radius-1 ball point), ``lyapunov`` ("gc"/"iv"),
-    ``bound`` (theorem id), ``output_path``.
+    ``bound`` (theorem id), ``output_path``.  Numbers must be finite, and
+    a boolean is not a number; a malformed field raises
+    :class:`ConfigError` naming it.
     """
     try:
         doc = json.loads(text)
@@ -122,6 +148,9 @@ def parse_config(text: str) -> ExperimentConfig:
     for key in _OBJECTIVE_PARAMS[objective]:
         if key not in doc:
             raise ConfigError(f"{key}: required by objective {objective!r}")
+        valid, what = _PARAM_CHECKS[key]
+        if not valid(doc[key]):
+            raise ConfigError(f"{key}: must be {what}")
         params[key] = doc[key]
 
     method = require("method")
@@ -133,7 +162,7 @@ def parse_config(text: str) -> ExperimentConfig:
         if s not in _S_SYMBOLS:
             raise ConfigError(f"s: unknown symbolic value {s!r}; "
                               f"expected a number or one of {_S_SYMBOLS}")
-    elif isinstance(s, (int, float)):
+    elif _is_number(s):
         if not s > 0:
             raise ConfigError("s: must be positive")
         s = float(s)
@@ -141,28 +170,37 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigError("s: must be a number or a symbolic string")
 
     K = require("K")
-    if not isinstance(K, int) or K < 0:
+    if not _is_count(K):
         raise ConfigError("K: must be a nonnegative integer")
     seed = require("seed")
-    if not isinstance(seed, int):
-        raise ConfigError("seed: must be an integer")
+    if not _is_count(seed):
+        raise ConfigError("seed: must be a nonnegative integer")
 
     x0 = doc.get("x0")
-    if x0 is not None and not isinstance(x0, (list, dict)):
-        raise ConfigError("x0: must be an array or a random_ball object")
-    if isinstance(x0, dict):
-        if set(x0) != {"random_ball"} or "radius" not in x0["random_ball"]:
+    if isinstance(x0, list):
+        if not all(_is_number(v) for v in x0):
+            raise ConfigError("x0: array entries must be numbers")
+    elif isinstance(x0, dict):
+        ball = x0.get("random_ball")
+        if not (set(x0) == {"random_ball"} and isinstance(ball, dict)
+                and "radius" in ball):
             raise ConfigError('x0: object form must be {"random_ball": {"radius": r}}')
+        if not (_is_number(ball["radius"]) and ball["radius"] >= 0):
+            raise ConfigError("x0: radius must be a nonnegative number")
+    elif x0 is not None:
+        raise ConfigError("x0: must be an array or a random_ball object")
 
+    # ids are looked up in tuples, which compare an array or object value
+    # instead of hashing it
     lyap_form = doc.get("lyapunov")
-    if lyap_form is not None and lyap_form not in lyapunov.FORM_METHODS:
+    if lyap_form is not None and lyap_form not in tuple(lyapunov.FORM_METHODS):
         raise ConfigError(f"lyapunov: unknown form {lyap_form!r}")
     if lyap_form is not None and method not in lyapunov.FORM_METHODS[lyap_form]:
         raise ConfigError(
             f"lyapunov: form {lyap_form!r} is incompatible with method {method!r}")
     bound = doc.get("bound")
     if bound is not None:
-        if bound not in analysis.THEOREM_METHODS:
+        if bound not in tuple(analysis.THEOREM_METHODS):
             raise ConfigError(f"bound: unknown theorem {bound!r}")
         if method not in analysis.THEOREM_METHODS[bound][0]:
             raise ConfigError(

@@ -190,6 +190,29 @@ class TestCli:
         assert cli.main(["run", "--config", str(path),
                          "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("overrides", [
+        {"spectrum": "abc"}, {"spectrum": [1, -4]}, {"spectrum": []},
+        {"spectrum": [1, True]},
+        {"objective": "quad-rot", "spectrum": [1, 4], "rotation_seed": "x"},
+        {"objective": "quad-rot", "spectrum": [1, 4], "rotation_seed": -1},
+        {"x0": ["a", "b"]}, {"x0": [1.0, True]},
+        {"x0": {"random_ball": {"radius": "big"}}},
+        {"x0": {"random_ball": "radius"}},
+        {"s": True}, {"K": True}, {"seed": True}, {"seed": -1},
+        {"lyapunov": ["iv"]}, {"bound": {"rate-iv": 1}},
+        {"objective": "reg-logistic", "data_seed": 3, "n_samples": 0,
+         "dim": 2, "reg": 0.1},
+        {"objective": "reg-logistic", "data_seed": 3, "n_samples": 20,
+         "dim": 2, "reg": "big"},
+    ], ids=repr)
+    def test_malformed_field_exits_2(self, tmp_path, capsys, overrides):
+        # a malformed field is a config error, never a traceback
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({**MINIMAL, **overrides}))
+        assert cli.main(["run", "--config", str(path),
+                         "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("config error:")
+
     def test_missing_config_exits_2(self, tmp_path):
         assert cli.main(["run", "--config", str(tmp_path / "nope.json"),
                          "--out", str(tmp_path)]) == 2
