@@ -30,7 +30,7 @@ def public_callables():
 def test_api_surface_pinned():
     # (callables, parameters, parameters with a default): a new knob is a
     # reviewed edit of this pin
-    params = [p for fn in public_callables()
-              for p in inspect.signature(fn).parameters.values()]
+    fns = list(public_callables())
+    params = [p for fn in fns for p in inspect.signature(fn).parameters.values()]
     defaults = sum(p.default is not p.empty for p in params)
-    assert (len(list(public_callables())), len(params), defaults) == (44, 132, 16)
+    assert (len(fns), len(params), defaults) == (44, 132, 16)

@@ -54,7 +54,7 @@ class TestGdStep:
 
 
 class TestHeavyBallStep:
-    def test_beta_vanishes_at_mus_one(self, quad_ill):
+    def test_beta_zero_is_gd(self, quad_ill):
         # mu s = 1 makes beta = ((1 - 1) / (1 + 1))^2 exactly 0
         assert default_heavy_ball_beta(quad_ill.mu, 1.0) == 0.0
         st = OptimizerState(x=np.array([1.0, -2.0]), y=np.array([1.0, -2.0]),
