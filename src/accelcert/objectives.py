@@ -137,7 +137,7 @@ def make_quadratic(spec: SpectrumSpec | Sequence[float],
         name = f"quad{_spectrum_label(spec)}"
     else:
         q = _orthogonal_matrix(spec.dim, rotation_seed)
-        hessian = q @ np.diag(lams) @ q.T
+        hessian = (q * lams) @ q.T  # q diag(lams) q^T, bit for bit
         hessian = 0.5 * (hessian + hessian.T)  # exact symmetry
         name = f"quad-rot{_spectrum_label(spec)}#{rotation_seed}"
 

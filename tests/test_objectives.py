@@ -5,7 +5,7 @@ import pytest
 
 from accelcert import (certify_class, make_quadratic, make_reg_logistic,
                        reg_logistic_from_data, resolve_minimizer)
-from accelcert.objectives import SpectrumSpec
+from accelcert.objectives import SpectrumSpec, _orthogonal_matrix
 
 #: Central-difference step of every finite-difference check.
 FD_STEP = 1e-6
@@ -65,6 +65,17 @@ class TestMakeQuadratic:
         eigs = np.linalg.eigvalsh(f.hessian)
         np.testing.assert_allclose(eigs, [0.1, 0.4], atol=1e-12)
         assert abs(f.hessian[0, 1]) > 1e-3  # actually rotated
+
+    @pytest.mark.parametrize("dim", [1, 2, 50])
+    def test_rotated_hessian_matches_diagonal_product(self, dim):
+        # scaling q's columns by the eigenvalues is the product with
+        # diag(lams), bit for bit
+        lams = np.logspace(0, 2, dim)
+        q = _orthogonal_matrix(dim, 5)
+        reference = q @ np.diag(lams) @ q.T
+        reference = 0.5 * (reference + reference.T)
+        np.testing.assert_array_equal(
+            make_quadratic(lams, rotation_seed=5).hessian, reference)
 
     def test_diagonal_without_rotation(self):
         f = make_quadratic([2, 5])
