@@ -33,8 +33,12 @@ class Objective:
     """A mu-strongly convex, L-smooth function with value/gradient oracles.
 
     ``value_fn`` and ``grad_fn`` must be deterministic: identical inputs
-    yield bit-identical outputs.  ``hessian`` is populated for quadratics
-    and used by tests as an independent oracle.
+    yield bit-identical outputs.  ``value_and_grad_fn``, when given, is a
+    fused oracle that returns ``(value_fn(x), grad_fn(x))`` from shared
+    work, and must match the two separate oracles bit for bit: a run
+    records the values it returns, and certificates compare them with
+    values ``value_fn`` takes elsewhere.  ``hessian`` is populated for
+    quadratics and used by tests as an independent oracle.
     """
 
     dim: int
@@ -46,6 +50,7 @@ class Objective:
     min_value: Optional[float] = None
     name: str = "custom"
     hessian: Optional[np.ndarray] = None
+    value_and_grad_fn: Optional[Callable[[Vector], tuple[float, Vector]]] = None
 
     def __post_init__(self):
         if self.dim < 1:
@@ -68,6 +73,14 @@ class Objective:
 
     def grad(self, x: Vector) -> Vector:
         return np.asarray(self.grad_fn(np.asarray(x, dtype=float)), dtype=float)
+
+    def value_and_grad(self, x: Vector) -> tuple[float, Vector]:
+        """``(value(x), grad(x))``: one call of the fused oracle, or one of
+        each separate oracle when the objective has none."""
+        if self.value_and_grad_fn is None:
+            return self.value(x), self.grad(x)
+        value, grad = self.value_and_grad_fn(np.asarray(x, dtype=float))
+        return float(value), np.asarray(grad, dtype=float)
 
     def gap(self, x: Vector) -> float:
         """f(x) - f(x*); requires a known minimum value."""
@@ -128,6 +141,10 @@ def make_quadratic(spec: SpectrumSpec | Sequence[float],
     with it, A is conjugated by a seeded random orthogonal matrix, which
     keeps the spectrum (hence mu and L) unchanged.  The minimizer is the
     origin with minimum value 0.
+
+    The gradient is ``A @ x``, elementwise ``lams * x`` for a diagonal A
+    (the same bits in O(d)), and the value is ``0.5 * x @ grad``, so the
+    fused oracle takes both from one product with A.
     """
     if not isinstance(spec, SpectrumSpec):
         spec = SpectrumSpec(spec)
@@ -135,17 +152,24 @@ def make_quadratic(spec: SpectrumSpec | Sequence[float],
     if rotation_seed is None:
         hessian = np.diag(lams)
         name = f"quad{_spectrum_label(spec)}"
+
+        def grad_fn(x: Vector) -> Vector:
+            return lams * x
     else:
         q = _orthogonal_matrix(spec.dim, rotation_seed)
         hessian = (q * lams) @ q.T  # q diag(lams) q^T, bit for bit
         hessian = 0.5 * (hessian + hessian.T)  # exact symmetry
         name = f"quad-rot{_spectrum_label(spec)}#{rotation_seed}"
 
-    def value_fn(x: Vector) -> float:
-        return 0.5 * float(x @ hessian @ x)
+        def grad_fn(x: Vector) -> Vector:
+            return hessian @ x
 
-    def grad_fn(x: Vector) -> Vector:
-        return hessian @ x
+    def value_fn(x: Vector) -> float:
+        return 0.5 * float(x @ grad_fn(x))
+
+    def value_and_grad_fn(x: Vector) -> tuple[float, Vector]:
+        g = grad_fn(x)
+        return 0.5 * float(x @ g), g
 
     return Objective(
         dim=spec.dim,
@@ -157,6 +181,7 @@ def make_quadratic(spec: SpectrumSpec | Sequence[float],
         min_value=0.0,
         name=name,
         hessian=hessian,
+        value_and_grad_fn=value_and_grad_fn,
     )
 
 
@@ -166,7 +191,8 @@ def reg_logistic_from_data(features: np.ndarray, labels: np.ndarray,
 
     f(x) = mean_i log(1 + exp(-b_i <a_i, x>)) + (reg/2) ||x||^2.
     mu = reg; L = reg + sum_i ||a_i||^2 / (4 n), the standard curvature
-    bound for the averaged logistic loss.
+    bound for the averaged logistic loss.  The fused oracle computes the
+    margins b_i <a_i, x> once for the value and the gradient.
     """
     if not reg > 0:
         raise ValueError("reg must be positive")
@@ -175,17 +201,26 @@ def reg_logistic_from_data(features: np.ndarray, labels: np.ndarray,
     n_samples, dim = features.shape
     lipschitz = reg + float(np.sum(features * features)) / (4.0 * n_samples)
 
-    def value_fn(x: Vector) -> float:
-        margins = labels * (features @ x)
+    def value_at(x: Vector, margins: Vector) -> float:
         return float(np.mean(np.logaddexp(0.0, -margins)) + 0.5 * reg * (x @ x))
 
-    def grad_fn(x: Vector) -> Vector:
-        margins = labels * (features @ x)
+    def grad_at(x: Vector, margins: Vector) -> Vector:
         weights = expit(-margins)  # sigma(-b_i <a_i, x>)
         return -(features.T @ (labels * weights)) / n_samples + reg * x
 
+    def value_fn(x: Vector) -> float:
+        return value_at(x, labels * (features @ x))
+
+    def grad_fn(x: Vector) -> Vector:
+        return grad_at(x, labels * (features @ x))
+
+    def value_and_grad_fn(x: Vector) -> tuple[float, Vector]:
+        margins = labels * (features @ x)
+        return value_at(x, margins), grad_at(x, margins)
+
     return Objective(dim=dim, mu=reg, lipschitz=lipschitz, value_fn=value_fn,
-                     grad_fn=grad_fn, name=name)
+                     grad_fn=grad_fn, name=name,
+                     value_and_grad_fn=value_and_grad_fn)
 
 
 def make_reg_logistic(data_seed: int, n_samples: int, dim: int,

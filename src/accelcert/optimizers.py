@@ -18,15 +18,16 @@ against one another:
   whose last term is the gradient correction, and its phase-space form
   ``gc-phase`` with velocity v_k = (y_{k+1} - y_k) / sqrt(s).
 
-Every scheme evaluates exactly one gradient per iteration.  A state
-carries the gradient at its reference point (y_k for the momentum family,
-x_k for gd and heavy-ball), which is where the next step needs it; a step
-consumes that gradient and evaluates its successor's.  The previous
-gradient needed by the gc family is carried too, never recomputed.
-``run`` records the squared norm of the carried gradient and the
-objective gap at the reference point, so K steps cost exactly K+1
-gradient and K+1 value evaluations, and certificates that need either
-read the record instead of calling the oracles again.
+Every scheme makes exactly one fused value-and-gradient evaluation
+(:meth:`~accelcert.objectives.Objective.value_and_grad`) per iteration.
+A state carries the value and the gradient at its reference point (y_k
+for the momentum family, x_k for gd and heavy-ball), which is where the
+next step needs the gradient; a step consumes that gradient and
+evaluates its successor's pair.  The previous gradient needed by the gc
+family is carried too, never recomputed.  ``run`` records the objective
+gap and the squared norm of the carried gradient at the reference point,
+so K steps cost exactly K+1 fused evaluations, and certificates that
+need either read the record instead of calling the oracles again.
 """
 
 from __future__ import annotations
@@ -60,8 +61,9 @@ class OptimizerState:
 
     The meaning of ``v`` is method-specific: displacement / sqrt(s) for the
     momentum schemes, the raw previous displacement for heavy-ball, and
-    unused (zero) for plain gradient descent.  ``grad`` is the gradient at
-    the reference point, which the next step descends along.  The gc
+    unused (zero) for plain gradient descent.  ``value`` and ``grad`` are
+    the objective value and gradient at the reference point; the next step
+    descends along ``grad``, and ``run`` records ``value``.  The gc
     family also carries the previous gradient in ``grad_prev`` and, for
     ``gc-modified``, the previous iterate y_{k-1} in ``y_prev``.
     ``v_first``, when set, is the velocity the next ``iv-phase`` step takes
@@ -74,6 +76,7 @@ class OptimizerState:
     k: int
     s: float
     grad: Vector
+    value: float
     grad_prev: Optional[Vector] = None
     y_prev: Optional[Vector] = None
     v_first: Optional[Vector] = None
@@ -89,8 +92,9 @@ def gd_step(f: Objective, state: OptimizerState) -> OptimizerState:
     y and v are copied through unchanged.
     """
     x1 = state.x - state.s * state.grad
+    value, grad = f.value_and_grad(x1)
     return OptimizerState(x=x1, y=state.y, v=state.v, k=state.k + 1,
-                          s=state.s, grad=f.grad(x1))
+                          s=state.s, grad=grad, value=value)
 
 
 def default_heavy_ball_beta(mu: float, s: float) -> float:
@@ -107,8 +111,9 @@ def heavy_ball_step(f: Objective, state: OptimizerState) -> OptimizerState:
     """
     beta = default_heavy_ball_beta(f.mu, state.s)
     x1 = state.x - state.s * state.grad + beta * state.v
+    value, grad = f.value_and_grad(x1)
     return OptimizerState(x=x1, y=state.y, v=x1 - state.x, k=state.k + 1,
-                          s=state.s, grad=f.grad(x1))
+                          s=state.s, grad=grad, value=value)
 
 
 def nag_classic_step(f: Objective, state: OptimizerState) -> OptimizerState:
@@ -117,8 +122,9 @@ def nag_classic_step(f: Objective, state: OptimizerState) -> OptimizerState:
     r = math.sqrt(f.mu * s)
     x1 = state.y - s * state.grad
     y1 = x1 + ((1.0 - r) / (1.0 + r)) * (x1 - state.x)
+    value, grad = f.value_and_grad(y1)
     return OptimizerState(x=x1, y=y1, v=(x1 - state.x) / math.sqrt(s),
-                          k=state.k + 1, s=s, grad=f.grad(y1))
+                          k=state.k + 1, s=s, grad=grad, value=value)
 
 
 def nag_modified_step(f: Objective, state: OptimizerState) -> OptimizerState:
@@ -129,8 +135,9 @@ def nag_modified_step(f: Objective, state: OptimizerState) -> OptimizerState:
     s = state.s
     x1 = state.y - s * state.grad
     y1 = x1 + (x1 - state.x) / momentum_denominator(f.mu, s)
+    value, grad = f.value_and_grad(y1)
     return OptimizerState(x=x1, y=y1, v=(x1 - state.x) / math.sqrt(s),
-                          k=state.k + 1, s=s, grad=f.grad(y1))
+                          k=state.k + 1, s=s, grad=grad, value=value)
 
 
 def gc_modified_step(f: Objective, state: OptimizerState) -> OptimizerState:
@@ -149,9 +156,10 @@ def gc_modified_step(f: Objective, state: OptimizerState) -> OptimizerState:
     g = state.grad
     y1 = (state.y + (state.y - state.y_prev) / c - (s / c) * g
           - (s / c) * (g - state.grad_prev))
+    value, grad = f.value_and_grad(y1)
     return OptimizerState(x=state.y - s * g, y=y1,
                           v=(y1 - state.y) / math.sqrt(s), k=state.k + 1, s=s,
-                          grad_prev=g, grad=f.grad(y1), y_prev=state.y)
+                          grad_prev=g, grad=grad, value=value, y_prev=state.y)
 
 
 def gc_phase_step(f: Objective, state: OptimizerState) -> OptimizerState:
@@ -176,8 +184,9 @@ def gc_phase_step(f: Objective, state: OptimizerState) -> OptimizerState:
     v1 = (state.v - math.sqrt(s) * (2.0 * g - state.grad_prev)) / c
     y1 = state.y + math.sqrt(s) * v1
     x1 = state.y - s * g
+    value, grad = f.value_and_grad(y1)
     return OptimizerState(x=x1, y=y1, v=v1, k=state.k + 1, s=s, grad_prev=g,
-                          grad=f.grad(y1))
+                          grad=grad, value=value)
 
 
 def iv_phase_step(f: Objective, state: OptimizerState) -> OptimizerState:
@@ -201,7 +210,9 @@ def iv_phase_step(f: Objective, state: OptimizerState) -> OptimizerState:
               - math.sqrt(s) * state.grad)
     x1 = state.x + math.sqrt(s) * v1
     y1 = x1 + math.sqrt(s) * v1 / c
-    return OptimizerState(x=x1, y=y1, v=v1, k=state.k + 1, s=s, grad=f.grad(y1))
+    value, grad = f.value_and_grad(y1)
+    return OptimizerState(x=x1, y=y1, v=v1, k=state.k + 1, s=s, grad=grad,
+                          value=value)
 
 
 #: The step function of each method; all map ``(f, state)`` to the successor.
@@ -220,7 +231,8 @@ METHODS = tuple(STEPS)
 
 def initial_state(f: Objective, method: str, x0: Vector, s: float,
                   first_velocity: str = "scheme") -> OptimizerState:
-    """State at k = 0 for the given method, carrying grad f(x_0).
+    """State at k = 0 for the given method, carrying f(x_0) and grad f(x_0)
+    from one fused evaluation.
 
     For the gc family the phase recursion is seeded with a virtual
     v_{-1} = 0, y_{-1} = y_0 and grad f(y_{-1}) = grad f(y_0), which
@@ -239,9 +251,9 @@ def initial_state(f: Objective, method: str, x0: Vector, s: float,
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (f.dim,):
         raise ValueError(f"x0 has shape {x0.shape}, objective dimension is {f.dim}")
-    g0 = f.grad(x0)
+    value, g0 = f.value_and_grad(x0)
     state = OptimizerState(x=x0.copy(), y=x0.copy(), v=np.zeros(f.dim), k=0,
-                           s=s, grad=g0)
+                           s=s, grad=g0, value=value)
     if method in ("gc-phase", "gc-modified"):
         state.grad_prev = g0
         state.y_prev = state.y
@@ -319,9 +331,11 @@ def run(f: Objective, method: str, x0: Vector, s: float, K: int, *,
     :func:`accelcert.lyapunov.attach_energies` and
     :func:`accelcert.analysis.attach_bound`.
 
-    The run itself makes K+1 gradient and K+1 value evaluations: one of
-    each per recorded point, the gradient shared by the record and the
-    next step.
+    The run itself makes K+1 fused value-and-gradient evaluations, one
+    per recorded point: the record reads the value and the gradient's
+    squared norm, and the next step descends along the gradient.  An
+    objective without a fused oracle makes K+1 separate evaluations of
+    each instead.
     """
     if K < 0:
         raise ValueError("K must be nonnegative")
@@ -342,14 +356,12 @@ def run(f: Objective, method: str, x0: Vector, s: float, K: int, *,
     f_gap = np.empty(K + 1)
     grad_sq = np.empty(K + 1)
     have_min = f.min_value is not None
-    on_y = method in NAG_FAMILY
 
     def record(i: int, st: OptimizerState):
         xs[i] = st.x
         ys[i] = st.y
         vs[i] = st.v
-        ref = st.y if on_y else st.x
-        f_gap[i] = f.value(ref) - f.min_value if have_min else np.nan
+        f_gap[i] = st.value - f.min_value if have_min else np.nan
         grad_sq[i] = st.grad @ st.grad
 
     record(0, state)

@@ -64,8 +64,8 @@ EXECUTE_CASES = {
          "method": "gc-phase", "s": "1/L", "K": 150, "seed": 6,
          "x0": {"random_ball": {"radius": 2.0}}, "lyapunov": "gc",
          "bound": "rate-gc"},
-        {".csv": "8d5b73771834a396ba4d105b582c7793c51d277f0315c9f1c4a191d83e26643c",
-         ".summary.txt": "db84c865433b0f5cc7b0391b8ea1ed76504fbb6c1b3084acd6569a2b3e290d8c",
+        {".csv": "093db710c065d283deb13484a31b3aec042cbcdc7557f9129e9c0d54b3d4aa9f",
+         ".summary.txt": "46ea292ca0b98c831983cbabcc4d36b80339f0148343b6a834b7b02eac209c89",
          ".config.json": "52a221c5986858cfb61dab9821515291849ea2093d68622f2fcdd68fbc07da5b"}),
     "logistic2-nag": (
         {"objective": "reg-logistic", "data_seed": 3, "n_samples": 50, "dim": 2,
@@ -128,7 +128,7 @@ CLI_ODE_CASES = {
         "7963e5438be30583eccb88dc979d94df79db00294532bdc2b6ba6bada0ccf8d3"),
     "quad-rot": (
         ["--objective", "quad-rot", "--spectrum", "0.5,3"],
-        "1e51e190042f3a2f7eacc3ced404e7134bd3ac2353899f2cfd89ea185e3e4e79",
+        "cfa0e8b6001b65611ef50e6d33c3955452df91df692af53df138407b6023d93e",
         "0986b379854bc57f51a21e0e6018908319781f48e6c5136248f44db46465b7f7"),
     "reg-logistic": (
         ["--objective", "reg-logistic"],
@@ -195,13 +195,13 @@ def test_cli_scan_digests(tmp_path, name):
 #: change in the order of a dot product's terms moves the last bits.
 ENERGY_DIGESTS = {
     ("gc-phase", "gc"):
-        "f90c5c95a6178bd603460a61f85b87147e08bb75c700fcf3a8059138785631d6",
+        "3dada8c8322fe15f90e61797cf117bca5cd00a76457366e370665299d119b8d2",
     ("gc-modified", "gc"):
-        "86bad1f35c0dd60ab1a5d3d57b86ac3c52de38e2129986463fc59bb2ee292d5f",
+        "2c02028690a701d343a916e5e4e15a65b0494fdae97b3314d6b9cebc0c3c537c",
     ("iv-phase", "iv"):
-        "90d110b371db4bc90510d861ad22a3a323129f3023c1a536ed40f641635ec391",
+        "02c552e616e04f922ef7269bf7f9b9b57bdadc01a2e61e2e55bc234c1c9f3776",
     ("nag-modified", "iv"):
-        "f13c5d1bf61c9f3682623873aecc324b7ab1732e6d8b031286dbf3568de55e64",
+        "20e23c29954223fe8d082e83b96ebe3baa4bdd02c69432750a65f3a240a25e06",
 }
 
 
@@ -282,15 +282,15 @@ MARGIN_DIGESTS = {
     ("quad-mild", "nag-modified"):
         "324eff81bfb0ab2b131c58bd45180a3d0045795e6c28de9c5cc318fe7ff15869",
     ("quad-rot", "gc-modified"):
-        "7fbcab154b32b2c676286ae547db925834be6d2ec8530043437438e2f095ff45",
+        "16ea4ff1092174e8887f246861293be9a0700516b81f74b3fb333a1e21983c97",
     ("quad-rot", "gc-phase"):
-        "c565aec511685a6eac0588aff302138fa099caf91fe555f9c30dfecad2db7539",
+        "7c9c211d03bf7dfa49a34590ae1ee3f09d275dda04e9c2b18f29f7d3f6082b78",
     ("quad-rot", "iv-phase"):
-        "0e33880d1b2863e019fce28db8cc97b9ae8c38f625b924380e02f0f9b43df607",
+        "cbfab9f85ce5d6555130c70011ecac4a3660509db453581d067c0b3cada12348",
     ("quad-rot", "nag-classic"):
-        "9da311e0e17ef5551cb7b340bbec43766ca39aeaf48d17a457fc2e70de0b9f40",
+        "e01e99690af7f0f2e09e7b54e6892f64d90e25800d418d010dfd18046aa16b88",
     ("quad-rot", "nag-modified"):
-        "c23ec7f68e961c398778c07fefc2f9bb3cf6d4e59ca75e60e94c16c62034bf32",
+        "a6d2bb4ee631a994af78e8098c4d14ae9485973c1377ae009b545601d67737df",
     ("reg-logistic", "gc-modified"):
         "7d4add109146e9795a477462098453ecc622c6acc8a93e9a50c88ca16f76ea1e",
     ("reg-logistic", "gc-phase"):
@@ -321,41 +321,41 @@ def test_gradient_step_margin_digests(suite_starts, label, method):
 #: fields of ``check_bound``) on the d = 50 run (s = 1/L, K = 200).
 BOUND_CASES = {
     ("classic", "nag-classic"): (
-        "f2528ac40e82c5962b554ba07e854df7540b7f317d595ae678a01c161e2e2209",
+        "ed69abb9bdf4f2077d237a544a620e059bb93737352167f4f8ed84d415ff6f05",
         dict(n_checked=201, n_failed=0, worst_margin=2.416229118265838e-09,
              first_failure=None,
-             details={"slack": 3.424807973340908e-10,
-                      "bound_at_0": 3.424807973340908})),
+             details={"slack": 3.4248079733409086e-10,
+                      "bound_at_0": 3.4248079733409083})),
     ("gd", "gd"): (
-        "0107791f8bd12ebe8a19563650bdb839aef1fe026e90bd4de0a15ffafda22e22",
+        "76a46755cdae4339b85d682b4ab57924cbb7782c0c0a564202ab3fd51ae49870",
         dict(n_checked=201, n_failed=0, worst_margin=0.0,
              first_failure=None,
              details={"slack": 3.2817293273899683e-10,
-                      "bound_at_0": 3.281729327389968})),
+                      "bound_at_0": 3.2817293273899684})),
     ("rate-gc", "gc-modified"): (
-        "f9f15a0351b6addec980f5acfd663d4369be5c174140b45934f38d479da23d58",
-        dict(n_checked=201, n_failed=0, worst_margin=0.051129078108050986,
+        "ef97125d8975171c14743c5202fd7d1dde10658bcc00c0ef8e71b435ca715d1f",
+        dict(n_checked=201, n_failed=0, worst_margin=0.05112907810805099,
              first_failure=None,
-             details={"slack": 7.135773238583696e-10,
-                      "bound_at_0": 7.135773238583695})),
+             details={"slack": 7.135773238583698e-10,
+                      "bound_at_0": 7.135773238583697})),
     ("rate-gc", "gc-phase"): (
-        "f9f15a0351b6addec980f5acfd663d4369be5c174140b45934f38d479da23d58",
-        dict(n_checked=201, n_failed=0, worst_margin=0.051129078108050986,
+        "ef97125d8975171c14743c5202fd7d1dde10658bcc00c0ef8e71b435ca715d1f",
+        dict(n_checked=201, n_failed=0, worst_margin=0.05112907810805099,
              first_failure=None,
-             details={"slack": 7.135773238583696e-10,
-                      "bound_at_0": 7.135773238583695})),
+             details={"slack": 7.135773238583698e-10,
+                      "bound_at_0": 7.135773238583697})),
     ("rate-iv-x", "iv-phase"): (
-        "ddf4c20ab31111113dc579f5dca49321b0f59a2637ae5ebc681eaac4c3f2aa37",
-        dict(n_checked=201, n_failed=0, worst_margin=0.049078710468882084,
+        "a8a47c664f1899f02520badc7a9764ddf561044ccd3db2e67e1c70a1ccd713f2",
+        dict(n_checked=201, n_failed=0, worst_margin=0.04907871046888209,
              first_failure=None,
-             details={"slack": 6.849615946681816e-10,
-                      "bound_at_0": 6.849615946681816})),
+             details={"slack": 6.849615946681817e-10,
+                      "bound_at_0": 6.8496159466818165})),
     ("rate-iv-x", "nag-modified"): (
-        "ddf4c20ab31111113dc579f5dca49321b0f59a2637ae5ebc681eaac4c3f2aa37",
-        dict(n_checked=201, n_failed=0, worst_margin=0.049078710468882084,
+        "a8a47c664f1899f02520badc7a9764ddf561044ccd3db2e67e1c70a1ccd713f2",
+        dict(n_checked=201, n_failed=0, worst_margin=0.04907871046888209,
              first_failure=None,
-             details={"slack": 6.849615946681816e-10,
-                      "bound_at_0": 6.849615946681816})),
+             details={"slack": 6.849615946681817e-10,
+                      "bound_at_0": 6.8496159466818165})),
     ("rate-iv", "iv-phase"): (
         "74c0ecaac8770cbad78e3fc761d3b70289292641a7ec926cf1da6375a65050ec",
         dict(n_checked=201, n_failed=0, worst_margin=0.8201470556675658,

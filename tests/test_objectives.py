@@ -2,8 +2,10 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from accelcert import (certify_class, make_quadratic, make_reg_logistic,
+from accelcert import (Objective, certify_class, make_quadratic, make_reg_logistic,
                        reg_logistic_from_data, resolve_minimizer)
 from accelcert.objectives import SpectrumSpec, _orthogonal_matrix
 
@@ -178,6 +180,51 @@ class TestClassInvariants:
         for f in (make_quadratic([1, 100]), make_reg_logistic(3, 50, 2, 0.1)):
             assert f.value(x) == f.value(x)
             np.testing.assert_array_equal(f.grad(x), f.grad(x))
+
+
+def same_bits(a, b) -> bool:
+    return np.asarray(a, dtype=float).tobytes() == np.asarray(b, dtype=float).tobytes()
+
+
+@st.composite
+def objective_and_point(draw):
+    """An objective of each kind, diagonal or rotated quadratic (mu = L
+    included), logistic, or custom without a fused oracle, and a point."""
+    kind = draw(st.sampled_from(["diag", "rot", "logistic", "custom"]))
+    dim = draw(st.integers(1, 6))
+    if kind == "logistic":
+        f = make_reg_logistic(draw(st.integers(0, 2**32)),
+                              draw(st.integers(1, 20)), dim,
+                              draw(st.floats(1e-3, 10.0)))
+    elif kind == "custom":
+        f = Objective(dim=dim, mu=1.0, lipschitz=1.0,
+                      value_fn=lambda x: 0.5 * float(x @ x),
+                      grad_fn=lambda x: x.copy())
+    else:
+        lam = st.floats(1e-3, 1e3)
+        spectrum = draw(st.one_of(
+            st.lists(lam, min_size=dim, max_size=dim),
+            lam.map(lambda v: [v] * dim)))  # mu = L
+        f = make_quadratic(spectrum, rotation_seed=(
+            draw(st.integers(0, 2**32)) if kind == "rot" else None))
+    x = draw(st.lists(st.floats(-1e3, 1e3), min_size=dim, max_size=dim))
+    return kind, f, np.array(x)
+
+
+class TestFusedOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(objective_and_point())
+    def test_value_and_grad_matches_separate_oracles(self, case):
+        kind, f, x = case
+        assert (f.value_and_grad_fn is None) == (kind == "custom")
+        value, grad = f.value_and_grad(x)
+        assert isinstance(value, float)
+        assert same_bits(value, f.value(x))
+        assert same_bits(grad, f.grad(x))
+        if kind == "diag":
+            # the elementwise gradient and its value are the matvec's
+            np.testing.assert_array_equal(grad, f.hessian @ x)
+            assert value == 0.5 * float(x @ f.hessian @ x)
 
 
 class TestObjectiveValidation:

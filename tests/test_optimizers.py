@@ -10,13 +10,13 @@ from accelcert.optimizers import NonFiniteIterateError
 
 
 def state_1d(x, y=None, v=0.0, s=1.0):
-    """A state for ``quad_1`` (f = x^2 / 2): it carries grad f(x) = x, the
-    gradient at every reference point these tests step from (gd and
+    """A state for ``quad_1`` (f = x^2 / 2): it carries f(x) = x^2 / 2 and
+    grad f(x) = x, at every reference point these tests step from (gd and
     heavy-ball read x; the momentum steps read y, which is x there)."""
     x = np.array([float(x)])
     y = x.copy() if y is None else np.array([float(y)])
     return OptimizerState(x=x, y=y, v=np.array([float(v)]), k=0, s=s,
-                          grad=x.copy())
+                          grad=x.copy(), value=0.5 * float(x @ x))
 
 
 @pytest.fixture(scope="module")
@@ -42,7 +42,8 @@ class TestGdStep:
     def test_coordinatewise(self, quad_ill):
         st = OptimizerState(x=np.array([1.0, 1.0]), y=np.array([1.0, 1.0]),
                             v=np.zeros(2), k=0, s=0.01,
-                            grad=quad_ill.grad(np.array([1.0, 1.0])))
+                            grad=quad_ill.grad(np.array([1.0, 1.0])),
+                            value=quad_ill.value(np.array([1.0, 1.0])))
         nxt = gd_step(quad_ill, st)
         np.testing.assert_allclose(nxt.x, [0.99, 0.0])
 
@@ -59,7 +60,8 @@ class TestHeavyBallStep:
         assert default_heavy_ball_beta(quad_ill.mu, 1.0) == 0.0
         st = OptimizerState(x=np.array([1.0, -2.0]), y=np.array([1.0, -2.0]),
                             v=np.array([0.4, 0.1]), k=0, s=1.0,
-                            grad=quad_ill.grad(np.array([1.0, -2.0])))
+                            grad=quad_ill.grad(np.array([1.0, -2.0])),
+                            value=quad_ill.value(np.array([1.0, -2.0])))
         np.testing.assert_array_equal(heavy_ball_step(quad_ill, st).x,
                                       gd_step(quad_ill, st).x)
 
@@ -106,7 +108,7 @@ class TestNagModifiedStep:
 
     def test_stationary_fixed_point(self, quad_ill):
         st = OptimizerState(x=np.zeros(2), y=np.zeros(2), v=np.zeros(2),
-                            k=3, s=0.01, grad=np.zeros(2))
+                            k=3, s=0.01, grad=np.zeros(2), value=0.0)
         nxt = nag_modified_step(quad_ill, st)
         np.testing.assert_array_equal(nxt.x, np.zeros(2))
         np.testing.assert_array_equal(nxt.y, np.zeros(2))
@@ -116,14 +118,15 @@ class TestGcSteps:
     def test_single_sequence_substitution(self, quad_1):
         st = OptimizerState(x=np.array([1.0]), y=np.array([1.0]),
                             v=np.zeros(1), k=0, s=1.0, grad=np.array([1.0]),
-                            grad_prev=np.array([1.0]), y_prev=np.array([1.0]))
+                            value=0.5, grad_prev=np.array([1.0]), y_prev=np.array([1.0]))
         nxt = gc_modified_step(quad_1, st)  # quad_1 has mu = 1
         assert nxt.y == pytest.approx([2.0 / 3.0])
         assert nxt.grad_prev == pytest.approx([1.0])  # grad f(y_k), carried
 
     def test_single_sequence_stationary(self, quad_1):
         st = OptimizerState(x=np.zeros(1), y=np.zeros(1), v=np.zeros(1), k=0,
-                            s=0.5, grad=np.zeros(1), grad_prev=np.zeros(1),
+                            s=0.5, grad=np.zeros(1), value=0.0,
+                            grad_prev=np.zeros(1),
                             y_prev=np.zeros(1))
         nxt = gc_modified_step(quad_1, st)
         assert nxt.y == pytest.approx([0.0])
@@ -137,7 +140,8 @@ class TestGcSteps:
 
     def test_phase_fixed_point(self, quad_ill):
         st = OptimizerState(x=np.zeros(2), y=np.zeros(2), v=np.zeros(2), k=0,
-                            s=0.01, grad=np.zeros(2), grad_prev=np.zeros(2))
+                            s=0.01, grad=np.zeros(2), value=0.0,
+                            grad_prev=np.zeros(2))
         nxt = gc_phase_step(quad_ill, st)
         np.testing.assert_array_equal(nxt.y, np.zeros(2))
         np.testing.assert_array_equal(nxt.v, np.zeros(2))
@@ -173,7 +177,7 @@ class TestIvPhaseStep:
 
     def test_fixed_point(self, quad_ill):
         st = OptimizerState(x=np.zeros(2), y=np.zeros(2), v=np.zeros(2),
-                            k=0, s=0.01, grad=np.zeros(2))
+                            k=0, s=0.01, grad=np.zeros(2), value=0.0)
         nxt = iv_phase_step(quad_ill, st)
         np.testing.assert_array_equal(nxt.x, np.zeros(2))
         np.testing.assert_array_equal(nxt.v, np.zeros(2))

@@ -2,8 +2,10 @@
 certificates make.
 
 A recorded point needs one gradient (its squared norm is recorded, and
-the next step descends along it) and one value (its gap is recorded), so
-``run`` makes exactly K+1 of each.  Certificates read the recorded
+the next step descends along it) and one value (its gap is recorded),
+both at the same point, so ``run`` makes exactly K+1 fused
+value-and-gradient evaluations on an objective that has a fused oracle,
+and K+1 of each separate one otherwise.  Certificates read the recorded
 ``f_gap``, ``grad_sq`` and ``lyapunov`` columns instead of calling the
 oracles again; f(x_0) is ``f_gap[0]``.  Two evaluations remain: the
 ``gc`` energy takes the gradient at y_k, because no gradient column is
@@ -18,6 +20,7 @@ the ODE CSV read that column, and reject an objective or (s, mu) other
 than the solution's.
 """
 
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -27,13 +30,15 @@ from accelcert import (METHODS, certify_contraction, check_bound,
                        check_continuous_bound, integrate, make_quadratic,
                        make_reg_logistic, resolve_minimizer, run)
 from accelcert.acceptance import gradient_step_margins
-from accelcert.harness import write_ode_csv
+from accelcert import harness
+from accelcert.harness import execute, parse_config, write_ode_csv
 from accelcert.lyapunov import attach_energies
 from accelcert.optimizers import FIRST_VELOCITY_CONVENTIONS
 
 
 class Counted:
-    """An objective whose ``grad_fn`` / ``value_fn`` count their calls."""
+    """An objective whose ``grad_fn`` / ``value_fn`` / ``value_and_grad_fn``
+    count their calls; ``calls`` is (gradients, values, fused pairs)."""
 
     def __init__(self, f):
         def grad_fn(x):
@@ -44,16 +49,23 @@ class Counted:
             self.values += 1
             return f.value_fn(x)
 
+        def value_and_grad_fn(x):
+            self.fused += 1
+            return f.value_and_grad_fn(x)
+
         self.reset()
-        self.f = replace(f, grad_fn=grad_fn, value_fn=value_fn)
+        self.f = replace(f, grad_fn=grad_fn, value_fn=value_fn,
+                         value_and_grad_fn=(None if f.value_and_grad_fn is None
+                                            else value_and_grad_fn))
 
     def reset(self):
         self.grads = 0
         self.values = 0
+        self.fused = 0
 
     @property
     def calls(self):
-        return self.grads, self.values
+        return self.grads, self.values, self.fused
 
 
 OBJECTIVES = {
@@ -81,14 +93,28 @@ def test_run_makes_one_gradient_and_one_value_per_record(counted, method,
     traj = run(f, method, start(f), 1.0 / f.lipschitz, K,
                first_velocity=first_velocity)
     assert len(traj) == K + 1
-    assert counted.calls == (K + 1, K + 1)
+    assert counted.calls == (0, 0, K + 1)
+
+
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("K", [0, 1, 25])
+def test_run_without_fused_oracle_makes_separate_calls(method, K):
+    counted = Counted(replace(OBJECTIVES["quad"](), value_and_grad_fn=None))
+    f = counted.f
+    counted.reset()
+    traj = run(f, method, start(f), 1.0 / f.lipschitz, K)
+    assert counted.calls == (K + 1, K + 1, 0)
+    # the same record as with the fused oracle, bit for bit
+    fused = run(OBJECTIVES["quad"](), method, start(f), 1.0 / f.lipschitz, K)
+    np.testing.assert_array_equal(traj.f_gap, fused.f_gap)
+    np.testing.assert_array_equal(traj.grad_sq, fused.grad_sq)
 
 
 @pytest.mark.parametrize("method, form, theorem, extra", [
-    ("iv-phase", "iv", "rate-iv", lambda K: (0, 0)),
-    ("nag-modified", "iv", "rate-iv", lambda K: (0, 0)),
-    ("gc-phase", "gc", "rate-gc", lambda K: (K, K + 1)),
-    ("gc-modified", "gc", "rate-gc", lambda K: (K, K + 1)),
+    ("iv-phase", "iv", "rate-iv", lambda K: (0, 0, 0)),
+    ("nag-modified", "iv", "rate-iv", lambda K: (0, 0, 0)),
+    ("gc-phase", "gc", "rate-gc", lambda K: (K, K + 1, 0)),
+    ("gc-modified", "gc", "rate-gc", lambda K: (K, K + 1, 0)),
 ])
 def test_certificate_budget(counted, method, form, theorem, extra):
     f = counted.f
@@ -100,6 +126,25 @@ def test_certificate_budget(counted, method, form, theorem, extra):
     assert counted.calls == extra(K)
 
 
+@pytest.mark.parametrize("method, form, theorem, extra", [
+    ("iv-phase", "iv", "rate-iv", lambda K: (0, 0, K + 1)),
+    ("gc-phase", "gc", "rate-gc", lambda K: (K, K + 1, K + 1)),
+])
+def test_execute_budget(counted, monkeypatch, tmp_path, method, form, theorem,
+                        extra):
+    # the run's fused evaluations, the gc energy's gradients at y_k and the
+    # rate-gc bound's values at x_k; nothing else
+    f = counted.f
+    K = 25
+    monkeypatch.setattr(harness, "build_objective", lambda config: f)
+    config = parse_config(json.dumps(
+        {"objective": "quad", "spectrum": [1.0], "method": method,
+         "s": "1/L", "K": K, "seed": 2, "lyapunov": form, "bound": theorem}))
+    counted.reset()
+    assert execute(config, out_root=tmp_path).ok
+    assert counted.calls == extra(K)
+
+
 @pytest.mark.parametrize("method, form", [("iv-phase", "iv"), ("gc-phase", "gc")])
 def test_contraction_reuses_attached_column(counted, method, form):
     f = counted.f
@@ -107,7 +152,7 @@ def test_contraction_reuses_attached_column(counted, method, form):
     attach_energies(traj, form)
     counted.reset()
     certify_contraction(traj, form)
-    assert counted.calls == (0, 0)
+    assert counted.calls == (0, 0, 0)
 
 
 def test_gd_bound_reads_recorded_gaps(counted):
@@ -115,7 +160,7 @@ def test_gd_bound_reads_recorded_gaps(counted):
     traj = run(f, "gd", start(f), 1.0 / f.lipschitz, 25)
     counted.reset()
     check_bound(traj, "gd")
-    assert counted.calls == (0, 0)
+    assert counted.calls == (0, 0, 0)
 
 
 @pytest.mark.parametrize("method", ["nag-modified", "nag-classic", "iv-phase",
@@ -127,7 +172,7 @@ def test_gradient_step_margins_budget(counted, method):
     traj = run(f, method, start(f), 1.0 / f.lipschitz, K)
     counted.reset()
     assert len(gradient_step_margins(traj)) == K
-    assert counted.calls == (0, K)
+    assert counted.calls == (0, K, 0)
 
 
 ODE_STEPS = 20
@@ -142,7 +187,7 @@ def test_integrate_budget(counted):
     counted.reset()
     sol = solve(f, 1.0 / f.lipschitz)
     assert len(sol) == ODE_STEPS + 1
-    assert counted.calls == (4 * ODE_STEPS, ODE_STEPS + 1)
+    assert counted.calls == (4 * ODE_STEPS, ODE_STEPS + 1, 0)
 
 
 def test_continuous_check_reads_recorded_gap(counted):
@@ -151,7 +196,7 @@ def test_continuous_check_reads_recorded_gap(counted):
     sol = solve(f, s)
     counted.reset()
     assert check_continuous_bound(sol, f, s, f.mu).n_checked == ODE_STEPS + 1
-    assert counted.calls == (0, 0)
+    assert counted.calls == (0, 0, 0)
 
 
 def test_ode_csv_reads_recorded_gap(counted, tmp_path):
@@ -160,7 +205,7 @@ def test_ode_csv_reads_recorded_gap(counted, tmp_path):
     sol = solve(f, s)
     counted.reset()
     write_ode_csv(sol, f, s, f.mu, tmp_path / "ode.csv")
-    assert counted.calls == (0, 0)
+    assert counted.calls == (0, 0, 0)
 
 
 @pytest.mark.parametrize("other", ["s", "mu", "objective"])
@@ -182,16 +227,17 @@ def test_mismatched_parameters_rejected(counted, other, tmp_path):
         check_continuous_bound(sol, g, s2, mu2)
     with pytest.raises(ValueError):
         write_ode_csv(sol, g, s2, mu2, tmp_path / "ode.csv")
-    assert counted.calls == (0, 0)
+    assert counted.calls == (0, 0, 0)
     assert not (tmp_path / "ode.csv").exists()
 
 
 def test_resolve_minimizer_budget():
     # the search steps nag-modified from 0 at s = 1/L until the gradient at
-    # x_k is small: n steps cost n + 1 gradients at y_k (the state carries
-    # them) and n + 1 at x_k for the stopping test, plus one in the
-    # returned objective's minimizer check.  Reference: the two-sequence
-    # recursion, bit for bit.
+    # x_k is small: n steps cost n + 1 fused evaluations at y_k (the state
+    # carries them) and n + 1 gradients at x_k for the stopping test, plus
+    # one gradient in the returned objective's minimizer check and one
+    # value for its minimum.  Reference: the two-sequence recursion, bit
+    # for bit.
     counted = Counted(make_reg_logistic(3, 50, 2, 0.1))
     f = counted.f
     s = 1.0 / f.lipschitz
@@ -206,4 +252,4 @@ def test_resolve_minimizer_budget():
     counted.reset()
     resolved = resolve_minimizer(f)
     np.testing.assert_array_equal(resolved.minimizer, x)
-    assert counted.calls == (2 * n + 3, 1)
+    assert counted.calls == (n + 2, 1, n + 1)
