@@ -16,9 +16,10 @@ import numpy as np
 
 from . import analysis
 from .harness import (ConfigError, OBJECTIVE_IDS, OUTPUT_ROOT_ENV,
-                      _OBJECTIVE_PARAMS, _output_root, execute, fmt,
-                      load_config, objective_from_params, suite,
-                      write_ode_csv, write_scan_csv, write_summary)
+                      _OBJECTIVE_PARAMS, _PARAM_CHECKS, _is_number,
+                      _output_root, execute, fmt, load_config,
+                      objective_from_params, suite, write_ode_csv,
+                      write_scan_csv, write_summary)
 from .hires_ode import EQUATIONS, check_continuous_bound, integrate
 
 
@@ -80,14 +81,32 @@ def _cmd_run(args) -> int:
     return 0 if result.ok else 1
 
 
+def _check_ode_args(args):
+    """Reject values that argparse's types accept but the objective or the
+    integrator cannot take, naming the argument."""
+    for key in _OBJECTIVE_PARAMS[args.objective]:
+        valid, what = _PARAM_CHECKS[key]
+        if not valid(getattr(args, key)):
+            raise ConfigError(f"--{key.replace('_', '-')}: must be {what}")
+    for key, what, ok in (("s", "a positive number", args.s > 0),
+                          ("h", "a positive number", args.h > 0),
+                          ("T", "a nonnegative number", args.T >= 0)):
+        if not (ok and _is_number(getattr(args, key))):
+            raise ConfigError(f"--{key}: must be {what}")
+
+
 def _cmd_ode(args) -> int:
+    _check_ode_args(args)
     params = {key: getattr(args, key)
               for key in _OBJECTIVE_PARAMS[args.objective]}
     f = objective_from_params(args.objective, params)
     x0 = np.ones(f.dim) if args.x0 is None else np.asarray(args.x0, float)
     if x0.shape != (f.dim,):
         raise ConfigError(f"x0: length {len(x0)} does not match dimension {f.dim}")
-    solution = integrate(f, x0, args.s, args.T, args.h, which=args.which)
+    try:
+        solution = integrate(f, x0, args.s, args.T, args.h, which=args.which)
+    except ValueError as exc:  # the arguments checked, T is not n * h
+        raise ConfigError(f"--T: {exc}") from exc
     root = _output_root(args.out)
     csv_path = root / args.output_path
     write_ode_csv(solution, f, args.s, f.mu, csv_path)

@@ -225,6 +225,23 @@ class TestCli:
         assert (tmp_path / "ode.csv").exists()
         assert "bound_violations: 0" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("args, named", [
+        (["--spectrum", "1,-4"], "--spectrum"),
+        (["--s", "-1"], "--s"),
+        (["--h", "0"], "--h"),
+        (["--objective", "reg-logistic", "--n-samples", "0"], "--n-samples"),
+        (["--T", "-1"], "--T"),
+        (["--h", "0.3"], "--T"),  # T = 1 is not a whole number of steps
+    ], ids=repr)
+    def test_ode_bad_argument_exits_2(self, tmp_path, capsys, args, named):
+        # a value argparse accepts but the run cannot take is a config
+        # error naming the argument, never a traceback
+        rc = cli.main(["ode", "--s", "0.25", "--T", "1", "--h", "0.01",
+                       *args, "--out", str(tmp_path)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"config error: {named}:")
+        assert not (tmp_path / "ode.csv").exists()
+
     def test_scan_subcommand(self, tmp_path, capsys):
         rc = cli.main(["scan", "--mu", "1", "--spectrum", "1,3",
                        "--s-grid", "0.26,0.30", "--K", "100",
