@@ -164,12 +164,12 @@ def make_quadratic(spec: SpectrumSpec | Sequence[float],
         def grad_fn(x: Vector) -> Vector:
             return hessian @ x
 
-    def value_fn(x: Vector) -> float:
-        return 0.5 * float(x @ grad_fn(x))
-
     def value_and_grad_fn(x: Vector) -> tuple[float, Vector]:
         g = grad_fn(x)
         return 0.5 * float(x @ g), g
+
+    def value_fn(x: Vector) -> float:
+        return value_and_grad_fn(x)[0]
 
     return Objective(
         dim=spec.dim,
