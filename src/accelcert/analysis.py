@@ -28,9 +28,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .objectives import (MinimizerUnknownError, SpectrumSpec,
-                         make_quadratic, sample_in_ball)
-from .optimizers import Trajectory, run
+from .objectives import (SpectrumSpec, make_quadratic, require_minimizer,
+                         sample_in_ball)
+from .optimizers import Trajectory, run, step_guaranteed
 from .report import CertReport, margin_report
 
 #: Trajectory methods each bound theorem applies to, and the sequence
@@ -42,6 +42,20 @@ THEOREM_METHODS = {
     "gd": (("gd",), "x"),
     "classic": (("nag-classic",), "x"),
 }
+
+
+def require_theorem(theorem: str, method: Optional[str] = None) -> str:
+    """The sequence ("x" or "y") whose gap ``theorem`` bounds; ValueError for
+    an unknown theorem, or one that does not apply to ``method`` if given."""
+    # a tuple compares a config's array or object value instead of hashing it
+    if theorem not in tuple(THEOREM_METHODS):
+        raise ValueError(f"unknown theorem {theorem!r}; expected one of "
+                         f"{tuple(THEOREM_METHODS)}")
+    methods, ref = THEOREM_METHODS[theorem]
+    if method is not None and method not in methods:
+        raise ValueError(f"theorem {theorem!r} applies to methods {methods}, "
+                         f"not {method!r}")
+    return ref
 
 
 @dataclass
@@ -137,12 +151,10 @@ def bound_curve(theorem: str, f_x0_gap: float, dist0_sq: float, mu: float,
     The momentum bounds are guaranteed for 0 < s <= 1/L; larger steps get a
     warning and the curve is still evaluated.
     """
-    if theorem not in THEOREM_METHODS:
-        raise ValueError(f"unknown theorem {theorem!r}; expected one of "
-                         f"{tuple(THEOREM_METHODS)}")
+    require_theorem(theorem)
     if f_x0_gap < 0 or dist0_sq < 0 or K < 0:
         raise ValueError("f_x0_gap, dist0_sq and K must be nonnegative")
-    if s > 1.0 / L * (1.0 + 1e-12):
+    if not step_guaranteed(s, L):
         warnings.warn(f"s={s:.6g} exceeds 1/L={1.0 / L:.6g}; the bound is "
                       "not guaranteed", stacklevel=2)
     k = np.arange(K + 1)
@@ -157,29 +169,11 @@ def bound_curve(theorem: str, f_x0_gap: float, dist0_sq: float, mu: float,
     return (f_x0_gap + 0.5 * mu * dist0_sq) * (1.0 - math.sqrt(mu * s)) ** k
 
 
-def _theorem_gaps(trajectory: Trajectory, theorem: str) -> np.ndarray:
-    """Objective gaps along the sequence the theorem bounds: the recorded
-    ``f_gap`` column when that is the trajectory's reference sequence,
-    otherwise evaluated point by point."""
-    methods, ref = THEOREM_METHODS[theorem]
-    f = trajectory.objective
-    if trajectory.method_id not in methods:
-        raise ValueError(
-            f"theorem {theorem!r} applies to methods {methods}, "
-            f"not {trajectory.method_id!r}")
-    if ref == trajectory.reference:
-        return trajectory.f_gap
-    points = trajectory.xs if ref == "x" else trajectory.ys
-    return np.array([f.gap(p) for p in points])
-
-
 def _curve_for(trajectory: Trajectory, theorem: str) -> np.ndarray:
     """The theorem's curve for the trajectory's start.  f(x_0) - f* is the
     recorded ``f_gap[0]``: record 0 sits at x_0 = y_0 for every method."""
     f = trajectory.objective
-    if f.min_value is None:
-        raise MinimizerUnknownError(
-            f"objective {f.name!r} has no known minimum")
+    require_minimizer(f)
     x0 = trajectory.xs[0]
     return bound_curve(theorem, float(trajectory.f_gap[0]),
                        float(np.sum((x0 - f.minimizer) ** 2)),
@@ -187,7 +181,9 @@ def _curve_for(trajectory: Trajectory, theorem: str) -> np.ndarray:
 
 
 def attach_bound(trajectory: Trajectory, theorem: str) -> np.ndarray:
-    """Fill the trajectory's ``bound`` column with the theorem curve."""
+    """Fill the trajectory's ``bound`` column with the theorem curve;
+    pairings are checked as in :func:`check_bound`."""
+    require_theorem(theorem, trajectory.method_id)
     trajectory.bound = _curve_for(trajectory, theorem)
     return trajectory.bound
 
@@ -205,8 +201,13 @@ def check_bound(trajectory: Trajectory, theorem: str,
     the whole ``f_gap`` column is read.  Only a bound on the other
     sequence calls the value oracle, once per record.
     """
-    gaps = _theorem_gaps(trajectory, theorem)
+    ref = require_theorem(theorem, trajectory.method_id)
     curve = _curve_for(trajectory, theorem)
+    if ref == trajectory.reference:
+        gaps = trajectory.f_gap
+    else:
+        points = trajectory.xs if ref == "x" else trajectory.ys
+        gaps = np.array([trajectory.objective.gap(p) for p in points])
     slack = float(slack_scale * max(1.0, curve[0]))
     return margin_report(f"bound_{theorem}", curve - gaps, slack,
                          {"slack": slack, "bound_at_0": float(curve[0])})
@@ -286,8 +287,6 @@ def monotonicity_scan(mu: float, spectrum: SpectrumSpec | Sequence[float],
     rows = []
     per_s = {}
     for s in s_grid:
-        if not s > 0:
-            raise ValueError("step sizes must be positive")
         pairs = [characteristic_roots(lam, mu, s) for lam in spectrum.eigenvalues]
         predicted = all(p.real for p in pairs)
         traj = run(f, "gc-phase", x0, s, K)

@@ -15,11 +15,11 @@ import sys
 import numpy as np
 
 from . import analysis
-from .harness import (ConfigError, OBJECTIVE_IDS, OUTPUT_ROOT_ENV,
-                      _OBJECTIVE_PARAMS, _PARAM_CHECKS, _is_number,
-                      _output_root, execute, fmt, load_config,
-                      objective_from_params, suite, write_ode_csv,
-                      write_scan_csv, write_summary)
+from .harness import (ConfigError, OBJECTIVE_IDS, OBJECTIVE_PARAMS,
+                      OUTPUT_ROOT_ENV, checked_fields, execute, fmt,
+                      load_config, objective_from_params, output_root, suite,
+                      summary_path, write_ode_csv, write_scan_csv,
+                      write_summary)
 from .hires_ode import EQUATIONS, check_continuous_bound, integrate
 
 
@@ -81,24 +81,19 @@ def _cmd_run(args) -> int:
     return 0 if result.ok else 1
 
 
-def _check_ode_args(args):
-    """Reject values that argparse's types accept but the objective or the
-    integrator cannot take, naming the argument."""
-    for key in _OBJECTIVE_PARAMS[args.objective]:
-        valid, what = _PARAM_CHECKS[key]
-        if not valid(getattr(args, key)):
-            raise ConfigError(f"--{key.replace('_', '-')}: must be {what}")
-    for key, what, ok in (("s", "a positive number", args.s > 0),
-                          ("h", "a positive number", args.h > 0),
-                          ("T", "a nonnegative number", args.T >= 0)):
-        if not (ok and _is_number(getattr(args, key))):
-            raise ConfigError(f"--{key}: must be {what}")
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
 
 
 def _cmd_ode(args) -> int:
-    _check_ode_args(args)
-    params = {key: getattr(args, key)
-              for key in _OBJECTIVE_PARAMS[args.objective]}
+    # values argparse's types accept but the objective or the integrator
+    # cannot take are config errors naming the flag
+    params = checked_fields(vars(args), OBJECTIVE_PARAMS[args.objective], _flag)
+    for key, what, ok in (("s", "a positive number", args.s > 0),
+                          ("h", "a positive number", args.h > 0),
+                          ("T", "a nonnegative number", args.T >= 0)):
+        if not (ok and np.isfinite(getattr(args, key))):
+            raise ConfigError(f"--{key}: must be {what}")
     f = objective_from_params(args.objective, params)
     x0 = np.ones(f.dim) if args.x0 is None else np.asarray(args.x0, float)
     if x0.shape != (f.dim,):
@@ -107,8 +102,7 @@ def _cmd_ode(args) -> int:
         solution = integrate(f, x0, args.s, args.T, args.h, which=args.which)
     except ValueError as exc:  # the arguments checked, T is not n * h
         raise ConfigError(f"--T: {exc}") from exc
-    root = _output_root(args.out)
-    csv_path = root / args.output_path
+    csv_path = output_root(args.out) / args.output_path
     write_ode_csv(solution, f, args.s, f.mu, csv_path)
     summary = {
         "objective": f.name, "equation": args.which, "s": fmt(args.s),
@@ -121,8 +115,7 @@ def _cmd_ode(args) -> int:
         summary["bound_worst_margin"] = fmt(report.worst_margin)
         summary["worst_energy_ratio"] = fmt(report.details["worst_energy_ratio"])
         status = 0 if report.passed else 1
-    base = csv_path.with_suffix("")
-    write_summary(summary, base.parent / (base.name + ".summary.txt"))
+    write_summary(summary, summary_path(csv_path))
     for key, value in summary.items():
         print(f"{key}: {value}")
     return status
@@ -132,8 +125,7 @@ def _cmd_scan(args) -> int:
     report = analysis.monotonicity_scan(args.mu, args.spectrum, args.s_grid,
                                         K=args.K, x0=args.x0,
                                         x0_seed=args.seed)
-    root = _output_root(args.out)
-    write_scan_csv(report, root / args.output_path)
+    write_scan_csv(report, output_root(args.out) / args.output_path)
     for s, (pred, obs) in report.per_s.items():
         print(f"s={s:g}: predicted_monotone={fmt(pred)} "
               f"observed_monotone={fmt(obs)}")

@@ -25,21 +25,25 @@ from . import analysis, lyapunov
 from .hires_ode import OdeSolution, require_integrated_with
 from .objectives import (Objective, SpectrumSpec, make_quadratic,
                          make_reg_logistic, resolve_minimizer, sample_in_ball)
-from .optimizers import METHODS, NonFiniteIterateError, Trajectory, run
+from .optimizers import (METHODS, NonFiniteIterateError, Trajectory, run,
+                         step_guaranteed)
 from .report import CertReport
 
 OUTPUT_ROOT_ENV = "ACCELCERT_OUT"
 
 #: Flat config keys that parameterize each objective id.
-_OBJECTIVE_PARAMS = {
+OBJECTIVE_PARAMS = {
     "quad": ("spectrum",),
     "quad-rot": ("spectrum", "rotation_seed"),
     "reg-logistic": ("data_seed", "n_samples", "dim", "reg"),
 }
 
-OBJECTIVE_IDS = tuple(_OBJECTIVE_PARAMS)
+OBJECTIVE_IDS = tuple(OBJECTIVE_PARAMS)
 
-_S_SYMBOLS = ("1/L", "1/(2L)", "1/(4mu)")
+#: Each symbolic step size, as a function of the objective.
+_S_SYMBOLS = {"1/L": lambda f: 1.0 / f.lipschitz,
+              "1/(2L)": lambda f: 1.0 / (2.0 * f.lipschitz),
+              "1/(4mu)": lambda f: 1.0 / (4.0 * f.mu)}
 
 #: Rows per block of :func:`write_csv`.
 _CSV_BLOCK_ROWS = 256
@@ -60,8 +64,8 @@ def _is_count(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool) and v >= 0
 
 
-#: What each objective parameter must be: (test, description).
-_PARAM_CHECKS = {
+#: What each checked config field must be: (test, description).
+_FIELD_CHECKS = {
     "spectrum": (lambda v: isinstance(v, list) and len(v) > 0
                  and all(_is_number(x) and x > 0 for x in v),
                  "a nonempty array of positive numbers"),
@@ -70,6 +74,8 @@ _PARAM_CHECKS = {
     "n_samples": (lambda v: _is_count(v) and v > 0, "a positive integer"),
     "dim": (lambda v: _is_count(v) and v > 0, "a positive integer"),
     "reg": (lambda v: _is_number(v) and v > 0, "a positive number"),
+    "K": (_is_count, "a nonnegative integer"),
+    "seed": (_is_count, "a nonnegative integer"),
 }
 
 
@@ -144,14 +150,7 @@ def parse_config(text: str) -> ExperimentConfig:
     if objective not in OBJECTIVE_IDS:
         raise ConfigError(
             f"objective: unknown id {objective!r}; expected one of {OBJECTIVE_IDS}")
-    params = {}
-    for key in _OBJECTIVE_PARAMS[objective]:
-        if key not in doc:
-            raise ConfigError(f"{key}: required by objective {objective!r}")
-        valid, what = _PARAM_CHECKS[key]
-        if not valid(doc[key]):
-            raise ConfigError(f"{key}: must be {what}")
-        params[key] = doc[key]
+    params = checked_fields(doc, OBJECTIVE_PARAMS[objective])
 
     method = require("method")
     if method not in METHODS:
@@ -160,8 +159,8 @@ def parse_config(text: str) -> ExperimentConfig:
     s = require("s")
     if isinstance(s, str):
         if s not in _S_SYMBOLS:
-            raise ConfigError(f"s: unknown symbolic value {s!r}; "
-                              f"expected a number or one of {_S_SYMBOLS}")
+            raise ConfigError(f"s: unknown symbolic value {s!r}; expected "
+                              f"a number or one of {tuple(_S_SYMBOLS)}")
     elif _is_number(s):
         if not s > 0:
             raise ConfigError("s: must be positive")
@@ -169,12 +168,7 @@ def parse_config(text: str) -> ExperimentConfig:
     else:
         raise ConfigError("s: must be a number or a symbolic string")
 
-    K = require("K")
-    if not _is_count(K):
-        raise ConfigError("K: must be a nonnegative integer")
-    seed = require("seed")
-    if not _is_count(seed):
-        raise ConfigError("seed: must be a nonnegative integer")
+    K, seed = checked_fields(doc, ("K", "seed")).values()
 
     x0 = doc.get("x0")
     if isinstance(x0, list):
@@ -190,21 +184,14 @@ def parse_config(text: str) -> ExperimentConfig:
     elif x0 is not None:
         raise ConfigError("x0: must be an array or a random_ball object")
 
-    # ids are looked up in tuples, which compare an array or object value
-    # instead of hashing it
-    lyap_form = doc.get("lyapunov")
-    if lyap_form is not None and lyap_form not in tuple(lyapunov.FORM_METHODS):
-        raise ConfigError(f"lyapunov: unknown form {lyap_form!r}")
-    if lyap_form is not None and method not in lyapunov.FORM_METHODS[lyap_form]:
-        raise ConfigError(
-            f"lyapunov: form {lyap_form!r} is incompatible with method {method!r}")
-    bound = doc.get("bound")
-    if bound is not None:
-        if bound not in tuple(analysis.THEOREM_METHODS):
-            raise ConfigError(f"bound: unknown theorem {bound!r}")
-        if method not in analysis.THEOREM_METHODS[bound][0]:
-            raise ConfigError(
-                f"bound: theorem {bound!r} is incompatible with method {method!r}")
+    lyap_form, bound = doc.get("lyapunov"), doc.get("bound")
+    for key, value, check in (("lyapunov", lyap_form, lyapunov.require_form),
+                              ("bound", bound, analysis.require_theorem)):
+        if value is not None:
+            try:
+                check(value, method)
+            except ValueError as exc:
+                raise ConfigError(f"{key}: {exc}") from exc
 
     output_path = doc.get("output_path")
     if output_path is not None and not isinstance(output_path, str):
@@ -216,13 +203,26 @@ def parse_config(text: str) -> ExperimentConfig:
                             output_path=output_path)
 
 
+def checked_fields(values: dict, keys, spell=str) -> dict:
+    """``{key: values[key]}`` for ``keys``, each checked by its rule in
+    ``_FIELD_CHECKS``; a missing or malformed one raises :class:`ConfigError`
+    naming it ``spell(key)``: the config key, or the CLI's flag for it."""
+    for key in keys:
+        if key not in values:
+            raise ConfigError(f"missing required field: {spell(key)}")
+        valid, what = _FIELD_CHECKS[key]
+        if not valid(values[key]):
+            raise ConfigError(f"{spell(key)}: must be {what}")
+    return {key: values[key] for key in keys}
+
+
 def load_config(path: str | Path) -> ExperimentConfig:
     return parse_config(Path(path).read_text())
 
 
 def objective_from_params(objective: str, params: dict) -> Objective:
     """Instantiate an objective id from its flat parameters (see
-    ``_OBJECTIVE_PARAMS``) with its minimizer resolved."""
+    ``OBJECTIVE_PARAMS``) with its minimizer resolved."""
     if objective == "quad":
         f = make_quadratic(SpectrumSpec(params["spectrum"]))
     elif objective == "quad-rot":
@@ -240,15 +240,11 @@ def build_objective(config: ExperimentConfig) -> Objective:
 
 
 def resolve_s(spec: float | str, f: Objective) -> float:
-    if isinstance(spec, str):
-        if spec == "1/L":
-            return 1.0 / f.lipschitz
-        if spec == "1/(2L)":
-            return 1.0 / (2.0 * f.lipschitz)
-        if spec == "1/(4mu)":
-            return 1.0 / (4.0 * f.mu)
+    if not isinstance(spec, str):
+        return float(spec)
+    if spec not in _S_SYMBOLS:
         raise ConfigError(f"s: unknown symbolic value {spec!r}")
-    return float(spec)
+    return _S_SYMBOLS[spec](f)
 
 
 def resolve_x0(config: ExperimentConfig, f: Objective) -> np.ndarray:
@@ -276,13 +272,19 @@ class ExecutionResult:
     reports: list = field(default_factory=list)
 
 
-def _output_root(out_root: Optional[str | Path]) -> Path:
+def output_root(out_root: Optional[str | Path]) -> Path:
+    """``out_root``, else $ACCELCERT_OUT, else ".", created if missing."""
     if out_root is not None:
         root = Path(out_root)
     else:
         root = Path(os.environ.get(OUTPUT_ROOT_ENV, "."))
     root.mkdir(parents=True, exist_ok=True)
     return root
+
+
+def summary_path(csv_path: Path) -> Path:
+    """The ``key: value`` summary beside a run's CSV: ``<stem>.summary.txt``."""
+    return csv_path.with_suffix(".summary.txt")
 
 
 def write_csv(columns: dict, path: Path):
@@ -353,7 +355,7 @@ def execute(config: ExperimentConfig,
     A non-finite iterate aborts the run; the summary then records the
     failing iteration and the result is marked failed.
     """
-    root = _output_root(out_root)
+    root = output_root(out_root)
     f = build_objective(config)
     s = resolve_s(config.s, f)
     x0 = resolve_x0(config, f)
@@ -361,9 +363,8 @@ def execute(config: ExperimentConfig,
     stem = config.output_path or f"{config.objective}_{config.method}_K{config.K}.csv"
     csv_path = root / stem
     csv_path.parent.mkdir(parents=True, exist_ok=True)
-    base = csv_path.with_suffix("")
-    summary_path = base.parent / (base.name + ".summary.txt")
-    echo_path = base.parent / (base.name + ".config.json")
+    summary_file = summary_path(csv_path)
+    echo_path = csv_path.with_suffix(".config.json")
 
     resolved = ExperimentConfig(
         objective=config.objective,
@@ -373,7 +374,7 @@ def execute(config: ExperimentConfig,
         bound=config.bound, output_path=stem)
     echo_path.write_text(json.dumps(resolved.to_dict(), sort_keys=True, indent=2) + "\n")
 
-    guaranteed = s <= 1.0 / f.lipschitz * (1.0 + 1e-12)
+    guaranteed = step_guaranteed(s, f.lipschitz)
     summary = {
         "objective": f.name,
         "method": config.method,
@@ -392,9 +393,9 @@ def execute(config: ExperimentConfig,
     except NonFiniteIterateError as exc:
         summary["status"] = "nonfinite"
         summary["failed_at_k"] = exc.k
-        write_summary(summary, summary_path)
+        write_summary(summary, summary_file)
         return ExecutionResult(config=resolved, ok=False, summary=summary,
-                               summary_path=summary_path, echo_path=echo_path)
+                               summary_path=summary_file, echo_path=echo_path)
 
     if config.lyapunov is not None:
         lyapunov.attach_energies(traj, config.lyapunov)
@@ -424,15 +425,15 @@ def execute(config: ExperimentConfig,
             ok = False
 
     write_trajectory_csv(traj, csv_path)
-    write_summary(summary, summary_path)
+    write_summary(summary, summary_file)
     return ExecutionResult(config=resolved, ok=ok, summary=summary,
-                           csv_path=csv_path, summary_path=summary_path,
+                           csv_path=csv_path, summary_path=summary_file,
                            echo_path=echo_path, reports=reports)
 
 
 def figures_suite(out_root: Optional[str | Path] = None) -> int:
     """Gap-vs-iteration CSVs for each method on the condition-100 quadratic."""
-    root = _output_root(out_root)
+    root = output_root(out_root)
     for method in ("gd", "heavy-ball", "nag-classic", "nag-modified", "iv-phase"):
         config = ExperimentConfig(
             objective="quad", objective_params={"spectrum": [1, 100]},
@@ -446,7 +447,7 @@ def suite(name: str, out_root: Optional[str | Path] = None) -> int:
     """Run a predefined experiment suite; nonzero on certificate failure."""
     if name == "acceptance":
         from .acceptance import run_all
-        return run_all(out_root=_output_root(out_root))
+        return run_all(out_root=output_root(out_root))
     if name == "figures":
         return figures_suite(out_root=out_root)
     raise ConfigError(f"unknown suite {name!r}; expected 'acceptance' or 'figures'")

@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from .objectives import MinimizerUnknownError, Objective, Vector
+from .objectives import Objective, Vector, require_minimizer
 from .optimizers import Trajectory, momentum_denominator, run
 from .report import CertReport, margin_report
 
@@ -36,11 +36,18 @@ FORM_METHODS = {
 }
 
 
-def _require_minimizer(f: Objective):
-    if f.minimizer is None or f.min_value is None:
-        raise MinimizerUnknownError(
-            f"objective {f.name!r} needs a known minimizer for Lyapunov "
-            "evaluation; resolve it first")
+def require_form(form: str, method: Optional[str] = None) -> tuple:
+    """The methods the energy ``form`` applies to; ValueError for an unknown
+    form, or one that does not apply to ``method`` if given."""
+    # a tuple compares a config's array or object value instead of hashing it
+    if form not in tuple(FORM_METHODS):
+        raise ValueError(f"unknown form {form!r}; expected one of "
+                         f"{tuple(FORM_METHODS)}")
+    methods = FORM_METHODS[form]
+    if method is not None and method not in methods:
+        raise ValueError(f"form {form!r} applies to methods {methods}, "
+                         f"not {method!r}")
+    return methods
 
 
 def _gc_energy(potential: float, g: Vector, y_next: Vector, v_k: Vector,
@@ -60,7 +67,7 @@ def lyap_gc(f: Objective, y_k: Vector, y_next: Vector, v_k: Vector,
 
     For 0 < s <= 1/L the last term is dominated and E(k) >= 0.
     """
-    _require_minimizer(f)
+    require_minimizer(f)
     return _gc_energy(f.gap(y_k), f.grad(y_k), y_next, v_k, f.minimizer, s, mu)
 
 
@@ -79,7 +86,7 @@ def lyap_iv(f: Objective, y_k: Vector, v_next: Vector, x_next: Vector,
     E(k) = f(y_k) - f* + (1/4) ||v_{k+1}||^2 / (1 + 2 sqrt(mu s))^2
            + (1/4) ||v_{k+1} + 2 sqrt(mu) (x_{k+1} - x*)||^2.
     """
-    _require_minimizer(f)
+    require_minimizer(f)
     return _iv_energy(f.gap(y_k), v_next, x_next, f.minimizer, s, mu)
 
 
@@ -104,21 +111,12 @@ def ode_energies(solution: OdeSolution) -> np.ndarray:
     makes no oracle call.
     """
     f, s, mu = solution.objective, solution.s, solution.mu
-    _require_minimizer(f)
+    require_minimizer(f)
     xstar = f.minimizer
     return np.array([_iv_energy(gap, Xdot, X, xstar, s, mu)
                      for X, Xdot, gap in zip(solution.X, solution.Xdot,
                                              solution.f_gap.tolist())],
                     dtype=float)
-
-
-def _form_for(trajectory: Trajectory, form: str):
-    if form not in FORM_METHODS:
-        raise ValueError(f"unknown Lyapunov form {form!r}")
-    if trajectory.method_id not in FORM_METHODS[form]:
-        raise ValueError(
-            f"form {form!r} applies to methods {FORM_METHODS[form]}, "
-            f"not {trajectory.method_id!r}")
 
 
 def energies(trajectory: Trajectory, form: str) -> np.ndarray:
@@ -130,9 +128,9 @@ def energies(trajectory: Trajectory, form: str) -> np.ndarray:
     column, which every method a form applies to records at y_k.  So the
     iv form makes no oracle call, and the gc form one gradient per k.
     """
-    _form_for(trajectory, form)
+    require_form(form, trajectory.method_id)
     f = trajectory.objective
-    _require_minimizer(f)
+    require_minimizer(f)
     s, mu = trajectory.s, f.mu
     xstar = f.minimizer
     gaps = trajectory.f_gap.tolist()
@@ -170,9 +168,7 @@ def initial_energy(f: Objective, x0: Vector, s: float, form: str,
     The contraction certificate only inspects consecutive pairs and does
     not depend on the convention.
     """
-    if form not in FORM_METHODS:
-        raise ValueError(f"unknown Lyapunov form {form!r}")
-    traj = run(f, FORM_METHODS[form][0], x0, s, 1, first_velocity=convention)
+    traj = run(f, require_form(form)[0], x0, s, 1, first_velocity=convention)
     return float(energies(traj, form)[0])
 
 
@@ -187,7 +183,7 @@ def certify_contraction(trajectory: Trajectory, form: str,
     worst implied per-step contraction factor max_k E(k+1)/E(k).  A
     ``lyapunov`` column that ``run`` attached in the same form is reused.
     """
-    _form_for(trajectory, form)
+    require_form(form, trajectory.method_id)
     if trajectory.lyapunov_form == form:
         e = trajectory.lyapunov[: trajectory.K]
     else:

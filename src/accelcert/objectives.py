@@ -93,6 +93,13 @@ class Objective:
         return self.lipschitz / self.mu
 
 
+def require_minimizer(f: Objective):
+    """Raise :class:`MinimizerUnknownError` unless ``f`` knows x* and f*."""
+    if f.minimizer is None or f.min_value is None:
+        raise MinimizerUnknownError(
+            f"objective {f.name!r} has no known minimizer; resolve it first")
+
+
 @dataclass(frozen=True)
 class SpectrumSpec:
     """Ascending positive eigenvalues of a quadratic's Hessian."""

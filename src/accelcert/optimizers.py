@@ -55,6 +55,11 @@ def momentum_denominator(mu: float, s: float) -> float:
     return 1.0 + 2.0 * math.sqrt(mu * s)
 
 
+def step_guaranteed(s: float, lipschitz: float) -> bool:
+    """s <= 1/L, the step window of the guarantees, up to rounding of 1/L."""
+    return s <= 1.0 / lipschitz * (1.0 + 1e-12)
+
+
 @dataclass
 class OptimizerState:
     """Per-iteration variables of one scheme.
@@ -339,7 +344,7 @@ def run(f: Objective, method: str, x0: Vector, s: float, K: int, *,
     """
     if K < 0:
         raise ValueError("K must be nonnegative")
-    if s > 1.0 / f.lipschitz * (1.0 + 1e-12):
+    if not step_guaranteed(s, f.lipschitz):
         warnings.warn(
             f"step size s={s:.6g} exceeds 1/L={1.0 / f.lipschitz:.6g}; "
             "convergence bounds are not guaranteed", stacklevel=2)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -208,6 +209,24 @@ class TestCheckBound:
         traj = run(f, "iv-phase", np.array([1.0, 1.0]), 0.01, 50)
         with pytest.raises(ValueError):
             check_bound(traj, "rate-gc")
+        with pytest.raises(ValueError, match="applies to methods"):
+            attach_bound(traj, "rate-gc")
+        assert traj.bound is None
+
+    @pytest.mark.parametrize("check", [check_bound, attach_bound])
+    def test_unknown_theorem_is_a_value_error(self, check):
+        # a KeyError would escape callers that catch ValueError
+        traj = run(make_quadratic([1, 100]), "iv-phase", np.ones(2), 0.01, 5)
+        with pytest.raises(ValueError, match="unknown theorem 'nope'"):
+            check(traj, "nope")
+
+    @pytest.mark.parametrize("check", [check_bound, attach_bound])
+    def test_minimum_without_minimizer_rejected(self, check):
+        # f* alone does not give the bound's ||x_0 - x*||^2
+        f = replace(make_quadratic([1, 100]), minimizer=None)
+        traj = run(f, "iv-phase", np.ones(2), 0.01, 5)
+        with pytest.raises(MinimizerUnknownError):
+            check(traj, "rate-iv")
 
 
 class TestEmpiricalRate:

@@ -63,6 +63,21 @@ class TestParseConfig:
         with pytest.raises(ConfigError):
             parse_config(json.dumps({**MINIMAL, "bound": "rate-gc"}))
 
+    @pytest.mark.parametrize("field, overrides, says", [
+        ("lyapunov", {"lyapunov": "iv", "method": "gd"},
+         "form 'iv' applies to methods ('iv-phase', 'nag-modified'), not 'gd'"),
+        ("lyapunov", {"lyapunov": "xx"}, "unknown form 'xx'; expected one of"),
+        ("bound", {"bound": "rate-gc"},
+         "theorem 'rate-gc' applies to methods ('gc-phase', 'gc-modified'), "
+         "not 'iv-phase'"),
+        ("bound", {"bound": "nope"}, "unknown theorem 'nope'; expected one of"),
+    ], ids=repr)
+    def test_pairing_errors_name_their_field(self, field, overrides, says):
+        # the library's own pairing check, prefixed with the config field
+        with pytest.raises(ConfigError) as err:
+            parse_config(json.dumps({**MINIMAL, **overrides}))
+        assert str(err.value).startswith(f"{field}: {says}")
+
     def test_lossless_round_trip(self):
         config = config_with(x0={"random_ball": {"radius": 2.0}},
                              lyapunov="iv", bound="rate-iv",

@@ -1,12 +1,14 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from accelcert import (OptimizerState, default_heavy_ball_beta,
+from accelcert import (OptimizerState, bound_curve, default_heavy_ball_beta,
                        gc_modified_step, gc_phase_step, gd_step,
                        heavy_ball_step, initial_state, iv_phase_step,
                        make_quadratic, make_reg_logistic, nag_classic_step,
                        nag_modified_step, resolve_minimizer, run)
-from accelcert.optimizers import NonFiniteIterateError
+from accelcert.optimizers import NonFiniteIterateError, step_guaranteed
 
 
 def state_1d(x, y=None, v=0.0, s=1.0):
@@ -215,6 +217,19 @@ class TestRun:
     def test_warns_above_one_over_L(self, quad_ill):
         with pytest.warns(UserWarning, match="exceeds 1/L"):
             run(quad_ill, "gd", np.array([0.1, 0.1]), 0.02, 1)
+
+    @pytest.mark.parametrize("rel, inside", [(0.0, True), (1e-13, True),
+                                             (1e-11, False)])
+    def test_step_window_edge(self, quad_ill, rel, inside):
+        # run and bound_curve warn outside one window, s <= 1/L up to the
+        # rounding of 1/L
+        s = 1.0 / quad_ill.lipschitz * (1.0 + rel)
+        assert step_guaranteed(s, quad_ill.lipschitz) is inside
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            run(quad_ill, "gd", np.array([0.1, 0.1]), s, 1)
+            bound_curve("gd", 1.0, 1.0, quad_ill.mu, quad_ill.lipschitz, s, 1)
+        assert len(caught) == (0 if inside else 2)
 
     def test_determinism_bit_identical(self, quad_ill):
         a = run(quad_ill, "iv-phase", np.array([1.0, -0.5]), 0.01, 200)
