@@ -85,19 +85,33 @@ def _flag(key: str) -> str:
     return "--" + key.replace("_", "-")
 
 
+def _positive(values) -> bool:
+    """Every value finite and positive."""
+    values = np.asarray(values, dtype=float)
+    return bool(np.all(np.isfinite(values) & (values > 0)))
+
+
+def _check_flags(*checks):
+    """Raise ConfigError naming the first flag that fails its check: values
+    argparse's types accept but the run cannot take are config errors."""
+    for key, what, ok in checks:
+        if not ok:
+            raise ConfigError(f"{_flag(key)}: must be {what}")
+
+
+def _x0_check(x0, dim: int):
+    return ("x0", f"{dim} finite numbers",
+            x0 is None or (len(x0) == dim and bool(np.all(np.isfinite(x0)))))
+
+
 def _cmd_ode(args) -> int:
-    # values argparse's types accept but the objective or the integrator
-    # cannot take are config errors naming the flag
     params = checked_fields(vars(args), OBJECTIVE_PARAMS[args.objective], _flag)
-    for key, what, ok in (("s", "a positive number", args.s > 0),
-                          ("h", "a positive number", args.h > 0),
-                          ("T", "a nonnegative number", args.T >= 0)):
-        if not (ok and np.isfinite(getattr(args, key))):
-            raise ConfigError(f"--{key}: must be {what}")
+    _check_flags(("s", "a positive number", _positive(args.s)),
+                 ("h", "a positive number", _positive(args.h)),
+                 ("T", "a nonnegative number", _positive(args.T) or args.T == 0))
     f = objective_from_params(args.objective, params)
+    _check_flags(_x0_check(args.x0, f.dim))
     x0 = np.ones(f.dim) if args.x0 is None else np.asarray(args.x0, float)
-    if x0.shape != (f.dim,):
-        raise ConfigError(f"x0: length {len(x0)} does not match dimension {f.dim}")
     try:
         solution = integrate(f, x0, args.s, args.T, args.h, which=args.which)
     except ValueError as exc:  # the arguments checked, T is not n * h
@@ -122,9 +136,16 @@ def _cmd_ode(args) -> int:
 
 
 def _cmd_scan(args) -> int:
-    report = analysis.monotonicity_scan(args.mu, args.spectrum, args.s_grid,
-                                        K=args.K, x0=args.x0,
-                                        x0_seed=args.seed)
+    checked_fields(vars(args), ("spectrum", "K", "seed"), _flag)
+    _check_flags(("mu", "a positive number", _positive(args.mu)),
+                 ("s_grid", "positive numbers", _positive(args.s_grid)),
+                 _x0_check(args.x0, len(args.spectrum)))
+    try:
+        report = analysis.monotonicity_scan(args.mu, args.spectrum,
+                                            args.s_grid, K=args.K, x0=args.x0,
+                                            x0_seed=args.seed)
+    except ValueError as exc:  # flags checked: mu above the smallest eigenvalue
+        raise ConfigError(f"--mu: {exc}") from exc
     write_scan_csv(report, output_root(args.out) / args.output_path)
     for s, (pred, obs) in report.per_s.items():
         print(f"s={s:g}: predicted_monotone={fmt(pred)} "

@@ -112,6 +112,8 @@ def acceleration(f: Objective, s: float,
     """
     if which not in EQUATIONS:
         raise ValueError(f"unknown equation {which!r}; expected one of {EQUATIONS}")
+    if not s >= 0:  # s = 0 is the low-resolution limit
+        raise ValueError(f"s must be nonnegative, not {s!r}")
     mu = f.mu
     sqrt_s = math.sqrt(s)
     c = momentum_denominator(mu, s)

@@ -247,6 +247,7 @@ class TestCli:
         (["--objective", "reg-logistic", "--n-samples", "0"], "--n-samples"),
         (["--T", "-1"], "--T"),
         (["--h", "0.3"], "--T"),  # T = 1 is not a whole number of steps
+        (["--x0", "1"], "--x0"),  # the spectrum is 2-d
     ], ids=repr)
     def test_ode_bad_argument_exits_2(self, tmp_path, capsys, args, named):
         # a value argparse accepts but the run cannot take is a config
@@ -268,6 +269,23 @@ class TestCli:
                             "observed_monotone")
         assert len(lines) == 5  # header + 2 s values x 2 eigenvalues
         assert "agreement: true" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("args, named", [
+        (["--mu", "-1"], "--mu"),
+        (["--spectrum", "1,-3"], "--spectrum"),
+        (["--s-grid", "-0.2"], "--s-grid"),
+        (["--K", "-1"], "--K"),
+        (["--x0", "1"], "--x0"),  # the spectrum is 2-d
+        (["--seed", "-1"], "--seed"),
+        (["--mu", "2"], "--mu"),  # above the smallest eigenvalue, 1
+    ], ids=repr)
+    def test_scan_bad_argument_exits_2(self, tmp_path, capsys, args, named):
+        rc = cli.main(["scan", "--mu", "1", "--spectrum", "1,3",
+                       "--s-grid", "0.26", "--K", "10",
+                       *args, "--out", str(tmp_path)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"config error: {named}:")
+        assert not (tmp_path / "scan.csv").exists()
 
     def test_usage_error_exits_2(self):
         with pytest.raises(SystemExit) as err:

@@ -111,6 +111,12 @@ class TestIntegrate:
         with pytest.raises(ValueError):
             integrate(quad_1, one(1), s=0.25, T=1.0, h=1e-2, which="exact")
 
+    @pytest.mark.parametrize("s", [-1.0, float("nan")])
+    def test_rejects_negative_s(self, quad_1, s):
+        # s = 0 stays valid: it is the limit test_closed_form_limit checks
+        with pytest.raises(ValueError, match="s must be nonnegative"):
+            integrate(quad_1, one(1), s, 1.0, 0.01)
+
     def test_nonfinite_reported(self):
         f = make_quadratic([1, 4])
         with np.errstate(over="ignore", invalid="ignore"):
