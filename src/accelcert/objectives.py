@@ -304,13 +304,13 @@ def certify_class(f: Objective, n_pairs: int, sample_seed: int) -> CertReport:
     for i in range(n_pairs):
         x = center + sample_in_ball(rng, f.dim, 10.0)
         y = center + sample_in_ball(rng, f.dim, 10.0)
-        fx, fy = f.value(x), f.value(y)
-        gx = f.grad(x)
+        fx, gx = f.value_and_grad(x)
+        fy, gy = f.value_and_grad(y)
         diff = y - x
         sc_margin = fy - fx - float(gx @ diff) - 0.5 * f.mu * float(diff @ diff)
         sc_scale = max(1.0, abs(fx), abs(fy))
         dist = float(np.linalg.norm(diff))
-        smooth_margin = f.lipschitz * dist - float(np.linalg.norm(f.grad(y) - gx))
+        smooth_margin = f.lipschitz * dist - float(np.linalg.norm(gy - gx))
         smooth_scale = max(1.0, f.lipschitz * dist)
         worst_sc = min(worst_sc, sc_margin)
         worst_smooth = min(worst_smooth, smooth_margin)

@@ -26,9 +26,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from accelcert import (METHODS, certify_contraction, check_bound,
-                       check_continuous_bound, integrate, make_quadratic,
-                       make_reg_logistic, resolve_minimizer, run)
+from accelcert import (METHODS, certify_class, certify_contraction,
+                       check_bound, check_continuous_bound, integrate,
+                       make_quadratic, make_reg_logistic, resolve_minimizer,
+                       run)
 from accelcert.acceptance import gradient_step_margins
 from accelcert import harness
 from accelcert.harness import execute, parse_config, write_ode_csv
@@ -229,6 +230,13 @@ def test_mismatched_parameters_rejected(counted, other, tmp_path):
         write_ode_csv(sol, g, s2, mu2, tmp_path / "ode.csv")
     assert counted.calls == (0, 0, 0)
     assert not (tmp_path / "ode.csv").exists()
+
+
+def test_certify_class_budget(counted):
+    # one fused evaluation at each end of a sampled pair
+    counted.reset()
+    assert certify_class(counted.f, 1000, sample_seed=0).passed
+    assert counted.calls == (0, 0, 2000)
 
 
 def test_resolve_minimizer_budget():
