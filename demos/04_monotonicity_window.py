@@ -22,7 +22,7 @@ scan = monotonicity_scan(1.0, [1.0, 3.0], [0.20, 0.26, 0.30, 0.33], K=500,
 print(f"{'s':>6}  {'lambda':>7}  {'discriminant':>13}  {'predicted':>9}  "
       f"{'observed':>8}")
 for row in scan.rows:
-    print(f"{row.s:>6}  {row.lam:>7}  {row.discriminant:>13.4e}  "
+    print(f"{row.s:>6}  {row.lam:>7}  {row.pair.discriminant:>13.4e}  "
           f"{str(row.predicted_monotone):>9}  {str(row.observed_monotone):>8}")
 print("inside [0.25, 1/3] every eigenvalue has real roots and the runs are")
 print("monotone; at s=0.20 the lambda=3 component has complex roots, so no")
@@ -33,7 +33,7 @@ print("aligned start is guaranteed to expose the oscillation, as below.")
 print("\neigen-aligned start below the window (mu=0.1, lambda=2, s=0.05):")
 aligned = monotonicity_scan(0.1, [0.1, 2.0], [0.05], K=500, x0=[0.0, 1.0])
 for row in aligned.rows:
-    r1, _ = row.roots
+    r1, _ = row.pair.roots
     kind = "real" if abs(r1.imag) < 1e-12 else "complex"
     print(f"lambda={row.lam}: roots {kind}, |root| = {abs(r1):.4f}")
 (pred, obs), = aligned.per_s.values()

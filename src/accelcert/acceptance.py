@@ -228,8 +228,7 @@ def criterion_8() -> CriterionResult:
                                          x0=[0.0, 1.0])
     (pred, obs), = aligned.per_s.values()
     lam2 = [r for r in aligned.rows if r.lam == 2.0][0]
-    complex_reported = not analysis.RootPair(lam2.discriminant, lam2.roots,
-                                             0.0).real
+    complex_reported = not lam2.pair.real
     lines.append(f"mu=0.1 lambda=2 s=0.05: complex roots {complex_reported}, "
                  f"observed monotone {obs}")
     ok = ok and complex_reported and not pred and not obs

@@ -60,12 +60,10 @@ def require_theorem(theorem: str, method: Optional[str] = None) -> str:
 
 @dataclass
 class RootPair:
-    """Roots of one characteristic polynomial, with the discriminant of the
-    monic-normalized quadratic and the maximum root modulus."""
+    """Roots of one characteristic polynomial, with its discriminant."""
 
     discriminant: float
     roots: tuple
-    modulus_max: float
 
     @property
     def real(self) -> bool:
@@ -97,8 +95,7 @@ def characteristic_roots(lam: float, mu: float, s: float) -> RootPair:
         sq = math.sqrt(-disc)
         r1 = complex(b / (2 * a), sq / (2 * a))
         r2 = r1.conjugate()
-    return RootPair(discriminant=disc, roots=(r1, r2),
-                    modulus_max=max(abs(r1), abs(r2)))
+    return RootPair(discriminant=disc, roots=(r1, r2))
 
 
 def reality_threshold(lam: float, mu: float) -> float:
@@ -233,12 +230,12 @@ def empirical_rate(trajectory: Trajectory) -> Optional[float]:
 
 @dataclass
 class ScanRow:
-    """One (step size, eigenvalue) cell of a monotonicity scan."""
+    """One (step size, eigenvalue) cell of a monotonicity scan, with the
+    eigenvalue's characteristic roots."""
 
     s: float
     lam: float
-    discriminant: float
-    roots: tuple
+    pair: RootPair
     predicted_monotone: bool
     observed_monotone: bool
 
@@ -293,9 +290,7 @@ def monotonicity_scan(mu: float, spectrum: SpectrumSpec | Sequence[float],
         observed = observed_monotone(traj.f_gap)
         per_s[float(s)] = (predicted, observed)
         for lam, pair in zip(spectrum.eigenvalues, pairs):
-            rows.append(ScanRow(s=float(s), lam=float(lam),
-                                discriminant=pair.discriminant,
-                                roots=pair.roots,
+            rows.append(ScanRow(s=float(s), lam=float(lam), pair=pair,
                                 predicted_monotone=predicted,
                                 observed_monotone=observed))
     agreement = all(p == o for p, o in per_s.values())

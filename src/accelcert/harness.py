@@ -329,9 +329,10 @@ def write_scan_csv(report: analysis.ScanReport, path: Path):
     """Schema: s,lambda,discriminant,root1_re,root1_im,root2_re,root2_im,
     predicted_monotone,observed_monotone."""
     rows = report.rows
-    roots = np.array([row.roots for row in rows], dtype=complex).reshape(-1, 2)
+    roots = np.array([row.pair.roots for row in rows],
+                     dtype=complex).reshape(-1, 2)
     write_csv({"s": [row.s for row in rows], "lambda": [row.lam for row in rows],
-               "discriminant": [row.discriminant for row in rows],
+               "discriminant": [row.pair.discriminant for row in rows],
                "root1_re": roots[:, 0].real, "root1_im": roots[:, 0].imag,
                "root2_re": roots[:, 1].real, "root2_im": roots[:, 1].imag,
                "predicted_monotone": [row.predicted_monotone for row in rows],

@@ -266,7 +266,7 @@ class TestMonotonicityScan:
         (pred, obs), = report.per_s.values()
         assert not pred and not obs
         lam2_rows = [r for r in report.rows if r.lam == 2.0]
-        assert all(abs(r.roots[0].imag) > 1e-12 for r in lam2_rows)
+        assert all(abs(r.pair.roots[0].imag) > 1e-12 for r in lam2_rows)
 
     def test_single_eigenvalue_always_real(self):
         # (lam - mu) / lam^2 = 0 at lam = mu: any s gives real roots
