@@ -1,5 +1,7 @@
 """Quantitative analysis: convergence-bound curves and checkers, empirical
 rate estimation, and the step-size monotonicity analysis for quadratics.
+:func:`require_theorem` decides which methods a bound theorem applies to,
+for the checkers and for the config parser.
 
 On a quadratic with Hessian eigenvalues lambda_i, the gradient-correction
 scheme decouples per eigencoordinate into the linear three-term recursion

@@ -6,7 +6,10 @@ are CSV files with full double precision via shortest round-trip
 formatting, plus a machine-parsable ``key: value`` summary and an echo of
 the resolved config for provenance.  Relative output paths resolve under
 the directory named by the ``ACCELCERT_OUT`` environment variable (default:
-current directory).
+current directory; see :func:`output_root`), and a run's summary is
+:func:`summary_path` beside its CSV.  :func:`checked_fields` holds the
+rules for the objective parameters, ``K`` and ``seed``, which the CLI
+applies to its flags too.
 """
 
 from __future__ import annotations

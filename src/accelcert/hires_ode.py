@@ -7,10 +7,11 @@ velocity X'):
 * ``original``:    (1 + sqrt(mu s)) X'' + 2 sqrt(mu) X'
                    + c * grad f(X + sqrt(s) X' / c) = 0
 
-with c = 1 + 2 sqrt(mu s), both started from X(0) = x_0, X'(0) = 0.  The
-simplified equation is the original with the coefficients 1 + sqrt(mu s)
-on X'' and c on the gradient set to 1, so :func:`acceleration` serves both;
-the two agree to O(sqrt(s)).  The continuous convergence theorem is stated
+with c = 1 + 2 sqrt(mu s) and s >= 0 (s = 0 is the low-resolution limit),
+both started from X(0) = x_0, X'(0) = 0.  The simplified equation is the
+original with the coefficients 1 + sqrt(mu s) on X'' and c on the gradient
+set to 1, so :func:`acceleration` serves both; the two agree to
+O(sqrt(s)).  The continuous convergence theorem is stated
 for the simplified equation; :func:`check_continuous_bound` verifies it
 with two margin scans (:func:`accelcert.report.margin_report`) over the
 samples.

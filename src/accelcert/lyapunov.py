@@ -11,6 +11,8 @@ terms.  The per-step contraction
 with rho = sqrt(mu s) / 4 certifies the geometric convergence rate of the
 corresponding scheme for step sizes 0 < s <= 1/L; :func:`certify_contraction`
 checks it as one margin scan (:func:`~accelcert.report.margin_report`).
+:func:`require_form` decides which methods a form applies to, for this
+module and for the config parser.
 The continuous energy along the high-resolution ODE is the iv energy read
 at the probe point X + sqrt(s) X' / c, so one formula serves both.
 """

@@ -2,7 +2,8 @@
 
 Every objective carries its strong-convexity modulus ``mu`` and gradient
 Lipschitz constant ``lipschitz`` (written L below), and, when known, its
-minimizer and minimum value.  All randomness flows through explicit 64-bit
+minimizer and minimum value; every certificate checks for both with
+:func:`require_minimizer`.  All randomness flows through explicit 64-bit
 seeds fed to numpy's PCG64 generator (``numpy.random.default_rng``), so
 construction and sampling are reproducible bit for bit.
 """

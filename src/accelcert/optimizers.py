@@ -28,6 +28,10 @@ family is carried too, never recomputed.  ``run`` records the objective
 gap and the squared norm of the carried gradient at the reference point,
 so K steps cost exactly K+1 fused evaluations, and certificates that
 need either read the record instead of calling the oracles again.
+
+The guarantees hold for step sizes in the window s <= 1/L, which
+:func:`step_guaranteed` decides for ``run``, the bound curves and the
+harness alike.
 """
 
 from __future__ import annotations
