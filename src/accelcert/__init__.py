@@ -15,11 +15,11 @@ from .optimizers import (METHODS, NAG_FAMILY, OptimizerState, Trajectory,
                          default_heavy_ball_beta, gc_modified_step,
                          gc_phase_step, gd_step, heavy_ball_step,
                          initial_state, iv_phase_step, momentum_denominator,
-                         nag_classic_step, nag_modified_step, run)
+                         nag_classic_step, nag_modified_step, probe_point, run)
 from .lyapunov import (certify_contraction, energies, initial_energy, lyap_gc,
                        lyap_iv, lyap_ode, ode_energies)
 from .hires_ode import (OdeSolution, OdeState, acceleration,
-                        check_continuous_bound, integrate, probe_point)
+                        check_continuous_bound, integrate)
 from .analysis import (RootPair, ScanReport, bound_curve, characteristic_roots,
                        check_bound, empirical_rate, max_reality_threshold,
                        monotonic_window, monotonicity_scan, reality_threshold)

@@ -8,11 +8,12 @@ velocity X'):
                    + c * grad f(X + sqrt(s) X' / c) = 0
 
 with c = 1 + 2 sqrt(mu s) and s >= 0 (s = 0 is the low-resolution limit),
-both started from X(0) = x_0, X'(0) = 0.  The simplified equation is the
+both started from X(0) = x_0, X'(0) = 0, with the gradient taken at
+:func:`accelcert.optimizers.probe_point`.  The simplified equation is the
 original with the coefficients 1 + sqrt(mu s) on X'' and c on the gradient
 set to 1, so :func:`acceleration` serves both; the two agree to
-O(sqrt(s)).  The continuous convergence theorem is stated
-for the simplified equation; :func:`check_continuous_bound` verifies it
+O(sqrt(s)).  The continuous convergence theorem is stated for the
+simplified equation; :func:`check_continuous_bound` verifies it
 with two margin scans (:func:`accelcert.report.margin_report`) over the
 samples.
 
@@ -38,7 +39,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .objectives import Objective, Vector
-from .optimizers import momentum_denominator
+from .optimizers import momentum_denominator, probe_point
 from .lyapunov import ode_energies
 from .report import CertReport, margin_report
 
@@ -58,8 +59,8 @@ class OdeSolution:
 
     Row i holds the state at time ``t[i]``: position ``X[i]``, velocity
     ``Xdot[i]`` and ``f_gap[i]``, the objective gap at the probe point
-    (NaN when the objective's minimum is unknown).  ``s``, ``mu``,
-    ``which`` and ``objective`` record how the solution was integrated.
+    (NaN when the objective's minimum is unknown).  ``s``, ``which`` and
+    ``objective`` (with its ``mu``) record how the solution was integrated.
     ``len``, indexing and iteration give :class:`OdeState` rows whose
     arrays are views into the columns.
     """
@@ -69,7 +70,6 @@ class OdeSolution:
     Xdot: np.ndarray
     f_gap: np.ndarray
     s: float
-    mu: float
     which: str
     objective: Objective = field(repr=False)
 
@@ -91,12 +91,6 @@ class NonFiniteSolutionError(RuntimeError):
         self.t = t
 
 
-def probe_point(X: Vector, Xdot: Vector, s: float, mu: float) -> Vector:
-    """The velocity-corrected point X + sqrt(s) X' / (1 + 2 sqrt(mu s)) at
-    which the dynamics evaluate the gradient."""
-    return X + math.sqrt(s) * Xdot / momentum_denominator(mu, s)
-
-
 EQUATIONS = ("simplified", "original")
 
 
@@ -116,13 +110,12 @@ def acceleration(f: Objective, s: float,
     if not s >= 0:  # s = 0 is the low-resolution limit
         raise ValueError(f"s must be nonnegative, not {s!r}")
     mu = f.mu
-    sqrt_s = math.sqrt(s)
     c = momentum_denominator(mu, s)
     damping = -2.0 * math.sqrt(mu)
     mass, gain = (1.0 + math.sqrt(mu * s), c) if which == "original" else (1.0, 1.0)
 
     def xddot(X: Vector, Xdot: Vector) -> Vector:
-        g = f.grad(X + sqrt_s * Xdot / c)
+        g = f.grad(probe_point(X, Xdot, s, mu))
         return (damping * Xdot - gain * g) / mass
     return xddot
 
@@ -175,14 +168,14 @@ def integrate(f: Objective, x0: Vector, s: float, T: float, h: float,
             raise NonFiniteSolutionError((i + 1) * h)
         record(i + 1, X, V)
     return OdeSolution(t=np.arange(n + 1) * h, X=Xs, Xdot=Vs, f_gap=f_gap,
-                       s=s, mu=mu, which=which, objective=f)
+                       s=s, which=which, objective=f)
 
 
 def require_integrated_with(solution: OdeSolution, f: Objective, s: float,
                             mu: float):
-    """Raise ValueError unless ``solution`` was integrated on ``f`` at
-    (s, mu), so that its recorded ``f_gap`` is the probe gap of ``f``."""
-    if not (solution.objective is f and solution.s == s and solution.mu == mu):
+    """Raise ValueError unless ``solution`` was integrated on ``f`` at s and
+    mu == f.mu, so that its recorded ``f_gap`` is the probe gap of ``f``."""
+    if not (solution.objective is f and solution.s == s and mu == f.mu):
         raise ValueError("the solution was integrated with another objective "
                          "or (s, mu)")
 

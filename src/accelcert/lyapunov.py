@@ -14,7 +14,8 @@ checks it as one margin scan (:func:`~accelcert.report.margin_report`).
 :func:`require_form` decides which methods a form applies to, for this
 module and for the config parser.
 The continuous energy along the high-resolution ODE is the iv energy read
-at the probe point X + sqrt(s) X' / c, so one formula serves both.
+at the probe point X + sqrt(s) X' / c, so one formula serves both.  The
+energies read mu from the objective; a weaker one is ``replace(f, mu=...)``.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from typing import TYPE_CHECKING, Optional
 import numpy as np
 
 from .objectives import Objective, Vector, require_minimizer
-from .optimizers import Trajectory, momentum_denominator, run
+from .optimizers import Trajectory, momentum_denominator, probe_point, run
 from .report import CertReport, margin_report
 
 if TYPE_CHECKING:
@@ -60,7 +61,7 @@ def _gc_energy(potential: float, g: Vector, y_next: Vector, v_k: Vector,
 
 
 def lyap_gc(f: Objective, y_k: Vector, y_next: Vector, v_k: Vector,
-            s: float, mu: float) -> float:
+            s: float) -> float:
     """Energy of the gradient-correction scheme at iteration k.
 
     E(k) = f(y_k) - f* + (1/4) ||v_k||^2
@@ -70,7 +71,8 @@ def lyap_gc(f: Objective, y_k: Vector, y_next: Vector, v_k: Vector,
     For 0 < s <= 1/L the last term is dominated and E(k) >= 0.
     """
     require_minimizer(f)
-    return _gc_energy(f.gap(y_k), f.grad(y_k), y_next, v_k, f.minimizer, s, mu)
+    return _gc_energy(f.gap(y_k), f.grad(y_k), y_next, v_k, f.minimizer, s,
+                      f.mu)
 
 
 def _iv_energy(potential: float, v_next: Vector, x_next: Vector,
@@ -82,18 +84,17 @@ def _iv_energy(potential: float, v_next: Vector, x_next: Vector,
 
 
 def lyap_iv(f: Objective, y_k: Vector, v_next: Vector, x_next: Vector,
-            s: float, mu: float) -> float:
+            s: float) -> float:
     """Energy of the implicit-velocity scheme at iteration k.
 
     E(k) = f(y_k) - f* + (1/4) ||v_{k+1}||^2 / (1 + 2 sqrt(mu s))^2
            + (1/4) ||v_{k+1} + 2 sqrt(mu) (x_{k+1} - x*)||^2.
     """
     require_minimizer(f)
-    return _iv_energy(f.gap(y_k), v_next, x_next, f.minimizer, s, mu)
+    return _iv_energy(f.gap(y_k), v_next, x_next, f.minimizer, s, f.mu)
 
 
-def lyap_ode(f: Objective, X: Vector, Xdot: Vector, s: float,
-             mu: float) -> float:
+def lyap_ode(f: Objective, X: Vector, Xdot: Vector, s: float) -> float:
     """Continuous energy along the implicit-velocity differential equation.
 
     E(t) = f(X + sqrt(s) X' / c) - f* + (1/4) ||X'||^2 / c^2
@@ -101,20 +102,19 @@ def lyap_ode(f: Objective, X: Vector, Xdot: Vector, s: float,
 
     which is :func:`lyap_iv` at (probe point, X', X).
     """
-    probe = X + math.sqrt(s) * Xdot / momentum_denominator(mu, s)
-    return lyap_iv(f, probe, Xdot, X, s, mu)
+    return lyap_iv(f, probe_point(X, Xdot, s, f.mu), Xdot, X, s)
 
 
 def ode_energies(solution: OdeSolution) -> np.ndarray:
     """E(t) of :func:`lyap_ode` at every sample of an integrated solution,
-    on the objective and at the (s, mu) it was integrated with.
+    on the objective and at the s it was integrated with.
 
     The potential is the solution's recorded ``f_gap`` column, so this
     makes no oracle call.
     """
-    f, s, mu = solution.objective, solution.s, solution.mu
+    f, s = solution.objective, solution.s
     require_minimizer(f)
-    xstar = f.minimizer
+    xstar, mu = f.minimizer, f.mu
     return np.array([_iv_energy(gap, Xdot, X, xstar, s, mu)
                      for X, Xdot, gap in zip(solution.X, solution.Xdot,
                                              solution.f_gap.tolist())],

@@ -10,7 +10,7 @@ against one another:
       y_{k+1} = x_{k+1} + (x_{k+1} - x_k) / (1 + 2 sqrt(mu s))
   and its phase-space form ``iv-phase`` with velocity
   v_k = (x_k - x_{k-1}) / sqrt(s), where the gradient is taken at the
-  extrapolated probe point x_k + sqrt(s) v_k / (1 + 2 sqrt(mu s)) = y_k;
+  :func:`probe_point` x_k + sqrt(s) v_k / (1 + 2 sqrt(mu s)) = y_k;
 
 * the single-sequence scheme ``gc-modified``
       y_{k+1} = y_k + (y_k - y_{k-1}) / c - (s/c) grad f(y_k)
@@ -59,6 +59,12 @@ def momentum_denominator(mu: float, s: float) -> float:
     return 1.0 + 2.0 * math.sqrt(mu * s)
 
 
+def probe_point(X: Vector, Xdot: Vector, s: float, mu: float) -> Vector:
+    """X + sqrt(s) X' / (1 + 2 sqrt(mu s)), where the iv scheme (as y_k), its
+    high-resolution flow and the continuous energy take the gradient."""
+    return X + math.sqrt(s) * Xdot / momentum_denominator(mu, s)
+
+
 def step_guaranteed(s: float, lipschitz: float) -> bool:
     """s <= 1/L, the step window of the guarantees, up to rounding of 1/L."""
     return s <= 1.0 / lipschitz * (1.0 + 1e-12)
@@ -76,23 +82,18 @@ class OptimizerState:
     family also carries the previous gradient in ``grad_prev`` and, for
     ``gc-modified``, the previous iterate y_{k-1} in ``y_prev``.
     ``v_first``, when set, is the velocity the next ``iv-phase`` step takes
-    instead of the recursion's (see :func:`initial_state`).
+    instead of the recursion's; :func:`initial_state` sets it and checks s > 0.
     """
 
     x: Vector
     y: Vector
     v: Vector
-    k: int
     s: float
     grad: Vector
     value: float
     grad_prev: Optional[Vector] = None
     y_prev: Optional[Vector] = None
     v_first: Optional[Vector] = None
-
-    def __post_init__(self):
-        if not self.s > 0:
-            raise ValueError("step size s must be positive")
 
 
 def gd_step(f: Objective, state: OptimizerState) -> OptimizerState:
@@ -102,8 +103,8 @@ def gd_step(f: Objective, state: OptimizerState) -> OptimizerState:
     """
     x1 = state.x - state.s * state.grad
     value, grad = f.value_and_grad(x1)
-    return OptimizerState(x=x1, y=state.y, v=state.v, k=state.k + 1,
-                          s=state.s, grad=grad, value=value)
+    return OptimizerState(x=x1, y=state.y, v=state.v, s=state.s, grad=grad,
+                          value=value)
 
 
 def default_heavy_ball_beta(mu: float, s: float) -> float:
@@ -121,8 +122,8 @@ def heavy_ball_step(f: Objective, state: OptimizerState) -> OptimizerState:
     beta = default_heavy_ball_beta(f.mu, state.s)
     x1 = state.x - state.s * state.grad + beta * state.v
     value, grad = f.value_and_grad(x1)
-    return OptimizerState(x=x1, y=state.y, v=x1 - state.x, k=state.k + 1,
-                          s=state.s, grad=grad, value=value)
+    return OptimizerState(x=x1, y=state.y, v=x1 - state.x, s=state.s,
+                          grad=grad, value=value)
 
 
 def nag_classic_step(f: Objective, state: OptimizerState) -> OptimizerState:
@@ -133,7 +134,7 @@ def nag_classic_step(f: Objective, state: OptimizerState) -> OptimizerState:
     y1 = x1 + ((1.0 - r) / (1.0 + r)) * (x1 - state.x)
     value, grad = f.value_and_grad(y1)
     return OptimizerState(x=x1, y=y1, v=(x1 - state.x) / math.sqrt(s),
-                          k=state.k + 1, s=s, grad=grad, value=value)
+                          s=s, grad=grad, value=value)
 
 
 def nag_modified_step(f: Objective, state: OptimizerState) -> OptimizerState:
@@ -146,7 +147,7 @@ def nag_modified_step(f: Objective, state: OptimizerState) -> OptimizerState:
     y1 = x1 + (x1 - state.x) / momentum_denominator(f.mu, s)
     value, grad = f.value_and_grad(y1)
     return OptimizerState(x=x1, y=y1, v=(x1 - state.x) / math.sqrt(s),
-                          k=state.k + 1, s=s, grad=grad, value=value)
+                          s=s, grad=grad, value=value)
 
 
 def gc_modified_step(f: Objective, state: OptimizerState) -> OptimizerState:
@@ -167,7 +168,7 @@ def gc_modified_step(f: Objective, state: OptimizerState) -> OptimizerState:
           - (s / c) * (g - state.grad_prev))
     value, grad = f.value_and_grad(y1)
     return OptimizerState(x=state.y - s * g, y=y1,
-                          v=(y1 - state.y) / math.sqrt(s), k=state.k + 1, s=s,
+                          v=(y1 - state.y) / math.sqrt(s), s=s,
                           grad_prev=g, grad=grad, value=value, y_prev=state.y)
 
 
@@ -194,8 +195,8 @@ def gc_phase_step(f: Objective, state: OptimizerState) -> OptimizerState:
     y1 = state.y + math.sqrt(s) * v1
     x1 = state.y - s * g
     value, grad = f.value_and_grad(y1)
-    return OptimizerState(x=x1, y=y1, v=v1, k=state.k + 1, s=s, grad_prev=g,
-                          grad=grad, value=value)
+    return OptimizerState(x=x1, y=y1, v=v1, s=s, grad_prev=g, grad=grad,
+                          value=value)
 
 
 def iv_phase_step(f: Objective, state: OptimizerState) -> OptimizerState:
@@ -206,8 +207,8 @@ def iv_phase_step(f: Objective, state: OptimizerState) -> OptimizerState:
     then x_{k+1} = x_k + sqrt(s) v_{k+1}.  The probe point
     x_k + sqrt(s) v_k / c is exactly the y_k of the two-sequence scheme,
     and the successor's ``y`` is kept consistent with that identity:
-    y_{k+1} = x_{k+1} + sqrt(s) v_{k+1} / c, computed by the same
-    expression, so the successor's gradient is the next probe gradient.
+    y_{k+1} = :func:`probe_point` of (x_{k+1}, v_{k+1}), so the successor's
+    gradient is the next probe gradient.
     A state with ``v_first`` set takes that velocity as v_{k+1}.
     """
     s = state.s
@@ -218,10 +219,9 @@ def iv_phase_step(f: Objective, state: OptimizerState) -> OptimizerState:
         v1 = (state.v - 2.0 * math.sqrt(f.mu * s) * state.v / c
               - math.sqrt(s) * state.grad)
     x1 = state.x + math.sqrt(s) * v1
-    y1 = x1 + math.sqrt(s) * v1 / c
+    y1 = probe_point(x1, v1, s, f.mu)
     value, grad = f.value_and_grad(y1)
-    return OptimizerState(x=x1, y=y1, v=v1, k=state.k + 1, s=s, grad=grad,
-                          value=value)
+    return OptimizerState(x=x1, y=y1, v=v1, s=s, grad=grad, value=value)
 
 
 #: The step function of each method; all map ``(f, state)`` to the successor.
@@ -251,7 +251,7 @@ def initial_state(f: Objective, method: str, x0: Vector, s: float,
     For ``iv-phase``, a ``first_velocity`` other than "scheme" prescribes
     v_1 instead of following the recursion from v_0 = 0: "zero" takes
     v_1 = 0 and "corollary" v_1 = 2 sqrt(mu s) grad f(y_0).  Other methods
-    ignore it.
+    ignore it.  ValueError unless s > 0.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
@@ -260,9 +260,11 @@ def initial_state(f: Objective, method: str, x0: Vector, s: float,
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (f.dim,):
         raise ValueError(f"x0 has shape {x0.shape}, objective dimension is {f.dim}")
+    if not s > 0:
+        raise ValueError("step size s must be positive")
     value, g0 = f.value_and_grad(x0)
-    state = OptimizerState(x=x0.copy(), y=x0.copy(), v=np.zeros(f.dim), k=0,
-                           s=s, grad=g0, value=value)
+    state = OptimizerState(x=x0.copy(), y=x0.copy(), v=np.zeros(f.dim), s=s,
+                           grad=g0, value=value)
     if method in ("gc-phase", "gc-modified"):
         state.grad_prev = g0
         state.y_prev = state.y
@@ -377,7 +379,7 @@ def run(f: Objective, method: str, x0: Vector, s: float, K: int, *,
     for k in range(K):
         state = step(f, state)
         if not np.all(np.isfinite(state.x)):
-            raise NonFiniteIterateError(method, state.k)
+            raise NonFiniteIterateError(method, k + 1)
         record(k + 1, state)
 
     return Trajectory(

@@ -22,11 +22,11 @@ def quad_1():
 
 class TestLyapGc:
     def test_zero_at_optimum(self, quad_1):
-        assert lyap_gc(quad_1, one(0), one(0), one(0), s=1.0, mu=1.0) == 0.0
+        assert lyap_gc(quad_1, one(0), one(0), one(0), s=1.0) == 0.0
 
     def test_substitution(self, quad_1):
         # gap 0.5, kinetic 0, mixed (0 + 2 + 1)^2 / 4, gradient term -0.5
-        e = lyap_gc(quad_1, one(1), one(1), one(0), s=1.0, mu=1.0)
+        e = lyap_gc(quad_1, one(1), one(1), one(0), s=1.0)
         assert type(e) is float
         assert e == pytest.approx(2.25)
 
@@ -47,11 +47,11 @@ class TestLyapGc:
 
 class TestLyapIv:
     def test_zero_at_optimum(self, quad_1):
-        assert lyap_iv(quad_1, one(0), one(0), one(0), s=1.0, mu=1.0) == 0.0
+        assert lyap_iv(quad_1, one(0), one(0), one(0), s=1.0) == 0.0
 
     def test_substitution(self, quad_1):
         # gap 0.5, kinetic 0, mixed ||2||^2 / 4
-        e = lyap_iv(quad_1, one(1), one(0), one(1), s=1.0, mu=1.0)
+        e = lyap_iv(quad_1, one(1), one(0), one(1), s=1.0)
         assert type(e) is float
         assert e == pytest.approx(1.5)
 
@@ -75,24 +75,24 @@ class TestLyapIv:
             y = rng.standard_normal(2)
             v = rng.standard_normal(2)
             x = rng.standard_normal(2)
-            e0 = lyap_iv(base, y, v, x, s=0.25, mu=1.0)
-            e1 = lyap_iv(shifted, y + shift, v, x + shift, s=0.25, mu=1.0)
+            e0 = lyap_iv(base, y, v, x, s=0.25)
+            e1 = lyap_iv(shifted, y + shift, v, x + shift, s=0.25)
             assert e1 == pytest.approx(e0, rel=1e-12, abs=1e-12)
 
 
 class TestLyapOde:
     def test_zero_at_equilibrium(self, quad_1):
-        assert lyap_ode(quad_1, one(0), one(0), s=1.0, mu=1.0) == 0.0
+        assert lyap_ode(quad_1, one(0), one(0), s=1.0) == 0.0
 
     def test_substitution(self, quad_1):
-        e = lyap_ode(quad_1, one(1), one(0), s=1.0, mu=1.0)
+        e = lyap_ode(quad_1, one(1), one(0), s=1.0)
         assert type(e) is float
         assert e == pytest.approx(1.5)
 
     def test_nonincreasing_along_integration(self):
         f = make_quadratic([1, 4])
         sol = integrate(f, np.array([1.0, 0.5]), s=0.25, T=5.0, h=1e-3)
-        e = np.array([lyap_ode(f, st.X, st.Xdot, 0.25, 1.0) for st in sol])
+        e = np.array([lyap_ode(f, st.X, st.Xdot, 0.25) for st in sol])
         assert np.all(np.diff(e) <= 1e-8)
 
 
@@ -106,7 +106,7 @@ class TestOdeEnergies:
         # the column agrees bit for bit
         f = make()
         sol = integrate(f, np.array([1.0, -0.5]), s, T=0.5, h=1e-2)
-        want = [lyap_ode(f, st.X, st.Xdot, s, f.mu) for st in sol]
+        want = [lyap_ode(f, st.X, st.Xdot, s) for st in sol]
         assert ode_energies(sol).tolist() == want
 
     def test_potential_is_the_recorded_gap(self):
@@ -126,7 +126,7 @@ class TestMinimizerRequired:
     def test_unresolved_logistic_rejected(self):
         f = make_reg_logistic(3, 50, 2, 0.1)
         with pytest.raises(MinimizerUnknownError):
-            lyap_iv(f, np.zeros(2), np.zeros(2), np.zeros(2), s=1.0, mu=0.1)
+            lyap_iv(f, np.zeros(2), np.zeros(2), np.zeros(2), s=1.0)
 
     @pytest.mark.parametrize("method, form", [("iv-phase", "iv"),
                                               ("gc-phase", "gc")])

@@ -17,7 +17,7 @@ def state_1d(x, y=None, v=0.0, s=1.0):
     heavy-ball read x; the momentum steps read y, which is x there)."""
     x = np.array([float(x)])
     y = x.copy() if y is None else np.array([float(y)])
-    return OptimizerState(x=x, y=y, v=np.array([float(v)]), k=0, s=s,
+    return OptimizerState(x=x, y=y, v=np.array([float(v)]), s=s,
                           grad=x.copy(), value=0.5 * float(x @ x))
 
 
@@ -35,7 +35,6 @@ class TestGdStep:
     def test_one_step_exact(self, quad_1):
         nxt = gd_step(quad_1, state_1d(1.0, s=1.0))
         assert nxt.x == pytest.approx([0.0])
-        assert nxt.k == 1
 
     def test_contraction_factor(self, quad_1):
         nxt = gd_step(quad_1, state_1d(1.0, s=0.5))
@@ -43,7 +42,7 @@ class TestGdStep:
 
     def test_coordinatewise(self, quad_ill):
         st = OptimizerState(x=np.array([1.0, 1.0]), y=np.array([1.0, 1.0]),
-                            v=np.zeros(2), k=0, s=0.01,
+                            v=np.zeros(2), s=0.01,
                             grad=quad_ill.grad(np.array([1.0, 1.0])),
                             value=quad_ill.value(np.array([1.0, 1.0])))
         nxt = gd_step(quad_ill, st)
@@ -61,7 +60,7 @@ class TestHeavyBallStep:
         # mu s = 1 makes beta = ((1 - 1) / (1 + 1))^2 exactly 0
         assert default_heavy_ball_beta(quad_ill.mu, 1.0) == 0.0
         st = OptimizerState(x=np.array([1.0, -2.0]), y=np.array([1.0, -2.0]),
-                            v=np.array([0.4, 0.1]), k=0, s=1.0,
+                            v=np.array([0.4, 0.1]), s=1.0,
                             grad=quad_ill.grad(np.array([1.0, -2.0])),
                             value=quad_ill.value(np.array([1.0, -2.0])))
         np.testing.assert_array_equal(heavy_ball_step(quad_ill, st).x,
@@ -110,7 +109,7 @@ class TestNagModifiedStep:
 
     def test_stationary_fixed_point(self, quad_ill):
         st = OptimizerState(x=np.zeros(2), y=np.zeros(2), v=np.zeros(2),
-                            k=3, s=0.01, grad=np.zeros(2), value=0.0)
+                            s=0.01, grad=np.zeros(2), value=0.0)
         nxt = nag_modified_step(quad_ill, st)
         np.testing.assert_array_equal(nxt.x, np.zeros(2))
         np.testing.assert_array_equal(nxt.y, np.zeros(2))
@@ -119,14 +118,14 @@ class TestNagModifiedStep:
 class TestGcSteps:
     def test_single_sequence_substitution(self, quad_1):
         st = OptimizerState(x=np.array([1.0]), y=np.array([1.0]),
-                            v=np.zeros(1), k=0, s=1.0, grad=np.array([1.0]),
+                            v=np.zeros(1), s=1.0, grad=np.array([1.0]),
                             value=0.5, grad_prev=np.array([1.0]), y_prev=np.array([1.0]))
         nxt = gc_modified_step(quad_1, st)  # quad_1 has mu = 1
         assert nxt.y == pytest.approx([2.0 / 3.0])
         assert nxt.grad_prev == pytest.approx([1.0])  # grad f(y_k), carried
 
     def test_single_sequence_stationary(self, quad_1):
-        st = OptimizerState(x=np.zeros(1), y=np.zeros(1), v=np.zeros(1), k=0,
+        st = OptimizerState(x=np.zeros(1), y=np.zeros(1), v=np.zeros(1),
                             s=0.5, grad=np.zeros(1), value=0.0,
                             grad_prev=np.zeros(1),
                             y_prev=np.zeros(1))
@@ -141,7 +140,7 @@ class TestGcSteps:
         assert nxt.y == pytest.approx([2.0 / 3.0])
 
     def test_phase_fixed_point(self, quad_ill):
-        st = OptimizerState(x=np.zeros(2), y=np.zeros(2), v=np.zeros(2), k=0,
+        st = OptimizerState(x=np.zeros(2), y=np.zeros(2), v=np.zeros(2),
                             s=0.01, grad=np.zeros(2), value=0.0,
                             grad_prev=np.zeros(2))
         nxt = gc_phase_step(quad_ill, st)
@@ -179,7 +178,7 @@ class TestIvPhaseStep:
 
     def test_fixed_point(self, quad_ill):
         st = OptimizerState(x=np.zeros(2), y=np.zeros(2), v=np.zeros(2),
-                            k=0, s=0.01, grad=np.zeros(2), value=0.0)
+                            s=0.01, grad=np.zeros(2), value=0.0)
         nxt = iv_phase_step(quad_ill, st)
         np.testing.assert_array_equal(nxt.x, np.zeros(2))
         np.testing.assert_array_equal(nxt.v, np.zeros(2))
