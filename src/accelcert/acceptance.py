@@ -15,6 +15,7 @@ from typing import Optional
 import numpy as np
 
 from . import analysis, lyapunov
+from .harness import output_file
 from .hires_ode import check_continuous_bound, integrate
 from .objectives import (Objective, make_quadratic, make_reg_logistic,
                          resolve_minimizer, sample_in_ball)
@@ -336,10 +337,7 @@ def run_all(out_root=None) -> int:
     n_failed = sum(not r.passed for r in results)
     print(f"acceptance: {len(results) - n_failed}/{len(results)} criteria passed")
     if out_root is not None:
-        from pathlib import Path
-        root = Path(out_root)
-        root.mkdir(parents=True, exist_ok=True)
-        with open(root / "acceptance_summary.txt", "w") as fh:
+        with open(output_file(out_root, "acceptance_summary.txt"), "w") as fh:
             for r in results:
                 fh.write(f"criterion_{r.number}: "
                          f"{'pass' if r.passed else 'fail'}\n")

@@ -3,7 +3,8 @@
 Subcommands: ``run`` (one configured experiment), ``suite`` (acceptance or
 figures), ``ode`` (integrate the high-resolution equation and certify the
 continuous bound), ``scan`` (step-size monotonicity scan).  Relative
-outputs land under $ACCELCERT_OUT (default: current directory).  Exit
+outputs land under $ACCELCERT_OUT (default: current directory), their
+directories created (:func:`~accelcert.harness.output_file`).  Exit
 codes: 0 pass, 1 certificate failure, 2 usage or config error.  A flag
 value that its argparse type accepts but the run cannot take is a config
 error naming the flag, checked with the config's field rules where the
@@ -20,10 +21,11 @@ import numpy as np
 from . import analysis
 from .harness import (ConfigError, OBJECTIVE_IDS, OBJECTIVE_PARAMS,
                       OUTPUT_ROOT_ENV, checked_fields, execute, fmt,
-                      load_config, objective_from_params, output_root, suite,
+                      load_config, objective_from_params, output_file, suite,
                       summary_path, write_ode_csv, write_scan_csv,
                       write_summary)
 from .hires_ode import EQUATIONS, check_continuous_bound, integrate
+from .optimizers import NonFiniteIterateError
 
 
 def _floats(text: str) -> list[float]:
@@ -115,11 +117,11 @@ def _cmd_ode(args) -> int:
     f = objective_from_params(args.objective, params)
     _check_flags(_x0_check(args.x0, f.dim))
     x0 = np.ones(f.dim) if args.x0 is None else np.asarray(args.x0, float)
+    csv_path = output_file(args.out, args.output_path)
     try:
         solution = integrate(f, x0, args.s, args.T, args.h, which=args.which)
     except ValueError as exc:  # the arguments checked, T is not n * h
         raise ConfigError(f"--T: {exc}") from exc
-    csv_path = output_root(args.out) / args.output_path
     write_ode_csv(solution, f, args.s, f.mu, csv_path)
     summary = {
         "objective": f.name, "equation": args.which, "s": fmt(args.s),
@@ -143,13 +145,16 @@ def _cmd_scan(args) -> int:
     _check_flags(("mu", "a positive number", _positive(args.mu)),
                  ("s_grid", "positive numbers", _positive(args.s_grid)),
                  _x0_check(args.x0, len(args.spectrum)))
+    csv_path = output_file(args.out, args.output_path)
     try:
         report = analysis.monotonicity_scan(args.mu, args.spectrum,
                                             args.s_grid, K=args.K, x0=args.x0,
                                             x0_seed=args.seed)
     except ValueError as exc:  # flags checked: mu above the smallest eigenvalue
         raise ConfigError(f"--mu: {exc}") from exc
-    write_scan_csv(report, output_root(args.out) / args.output_path)
+    except NonFiniteIterateError as exc:  # a step size the scheme diverges at
+        raise ConfigError(f"--s-grid: {exc}") from exc
+    write_scan_csv(report, csv_path)
     for s, (pred, obs) in report.per_s.items():
         print(f"s={s:g}: predicted_monotone={fmt(pred)} "
               f"observed_monotone={fmt(obs)}")

@@ -6,8 +6,9 @@ are CSV files with full double precision via shortest round-trip
 formatting, plus a machine-parsable ``key: value`` summary and an echo of
 the resolved config for provenance.  Relative output paths resolve under
 the directory named by the ``ACCELCERT_OUT`` environment variable (default:
-current directory; see :func:`output_root`), and a run's summary is
-:func:`summary_path` beside its CSV.  :func:`checked_fields` holds the
+current directory; see :func:`output_root`) with their directories
+created (:func:`output_file`), and a run's summary is :func:`summary_path`
+beside its CSV.  :func:`checked_fields` holds the
 rules for the objective parameters, ``K`` and ``seed``, which the CLI
 applies to its flags too.
 """
@@ -285,6 +286,14 @@ def output_root(out_root: Optional[str | Path]) -> Path:
     return root
 
 
+def output_file(out_root: Optional[str | Path], path: str | Path) -> Path:
+    """``path`` under :func:`output_root` (an absolute ``path`` stays as it
+    is), with its parent directory created."""
+    file = output_root(out_root) / path
+    file.parent.mkdir(parents=True, exist_ok=True)
+    return file
+
+
 def summary_path(csv_path: Path) -> Path:
     """The ``key: value`` summary beside a run's CSV: ``<stem>.summary.txt``."""
     return csv_path.with_suffix(".summary.txt")
@@ -359,14 +368,12 @@ def execute(config: ExperimentConfig,
     A non-finite iterate aborts the run; the summary then records the
     failing iteration and the result is marked failed.
     """
-    root = output_root(out_root)
+    stem = config.output_path or f"{config.objective}_{config.method}_K{config.K}.csv"
+    csv_path = output_file(out_root, stem)
     f = build_objective(config)
     s = resolve_s(config.s, f)
     x0 = resolve_x0(config, f)
 
-    stem = config.output_path or f"{config.objective}_{config.method}_K{config.K}.csv"
-    csv_path = root / stem
-    csv_path.parent.mkdir(parents=True, exist_ok=True)
     summary_file = summary_path(csv_path)
     echo_path = csv_path.with_suffix(".config.json")
 

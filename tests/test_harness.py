@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from accelcert import ConfigError, execute, parse_config
-from accelcert.harness import (build_objective, fmt, load_config, resolve_s,
-                               resolve_x0, suite, write_csv, write_ode_csv)
+from accelcert.harness import (build_objective, fmt, load_config, output_file,
+                               resolve_s, resolve_x0, suite, write_csv,
+                               write_ode_csv)
 from accelcert.hires_ode import integrate
 from accelcert.objectives import make_quadratic
 from accelcert import cli
@@ -258,6 +259,15 @@ class TestCli:
         assert capsys.readouterr().err.startswith(f"config error: {named}:")
         assert not (tmp_path / "ode.csv").exists()
 
+    def test_ode_nested_output_path(self, tmp_path, capsys):
+        # the directories of --output-path are created, as execute does
+        rc = cli.main(["ode", "--spectrum", "1,4", "--s", "0.25", "--T", "1",
+                       "--h", "0.01", "--x0", "1,0.5", "--out", str(tmp_path),
+                       "--output-path", "sub/dir/o.csv"])
+        assert rc == 0
+        assert (tmp_path / "sub" / "dir" / "o.csv").exists()
+        assert (tmp_path / "sub" / "dir" / "o.summary.txt").exists()
+
     def test_scan_subcommand(self, tmp_path, capsys):
         rc = cli.main(["scan", "--mu", "1", "--spectrum", "1,3",
                        "--s-grid", "0.26,0.30", "--K", "100",
@@ -278,6 +288,7 @@ class TestCli:
         (["--x0", "1"], "--x0"),  # the spectrum is 2-d
         (["--seed", "-1"], "--seed"),
         (["--mu", "2"], "--mu"),  # above the smallest eigenvalue, 1
+        (["--s-grid", "5", "--K", "500"], "--s-grid"),  # diverges at step 453
     ], ids=repr)
     def test_scan_bad_argument_exits_2(self, tmp_path, capsys, args, named):
         rc = cli.main(["scan", "--mu", "1", "--spectrum", "1,3",
@@ -286,6 +297,13 @@ class TestCli:
         assert rc == 2
         assert capsys.readouterr().err.startswith(f"config error: {named}:")
         assert not (tmp_path / "scan.csv").exists()
+
+    def test_scan_nested_output_path(self, tmp_path):
+        rc = cli.main(["scan", "--mu", "1", "--spectrum", "1,3",
+                       "--s-grid", "0.26,0.3", "--K", "100",
+                       "--out", str(tmp_path), "--output-path", "sub/s.csv"])
+        assert rc == 0
+        assert (tmp_path / "sub" / "s.csv").exists()
 
     def test_usage_error_exits_2(self):
         with pytest.raises(SystemExit) as err:
@@ -298,6 +316,14 @@ class TestCli:
         path.write_text(json.dumps({**MINIMAL, "x0": [1.0, 1.0]}))
         assert cli.main(["run", "--config", str(path)]) == 0
         assert (tmp_path / "envroot" / "quad_iv-phase_K100.csv").exists()
+
+    def test_output_file(self, tmp_path):
+        # a relative path lands under the root with its parent created; an
+        # absolute one stays as it is
+        path = output_file(tmp_path / "root", "a/b.csv")
+        assert path == tmp_path / "root" / "a" / "b.csv"
+        assert path.parent.is_dir() and not path.exists()
+        assert output_file(tmp_path, tmp_path / "c.csv") == tmp_path / "c.csv"
 
 
 class TestWriteCsv:
