@@ -198,7 +198,10 @@ def check_continuous_bound(solution: OdeSolution, f: Objective, s: float,
     * the objective-gap bound
       ``f(probe(t)) - f* <= (f(x_0) - f* + mu ||x_0 - x*||^2) / 2
                             * exp(-sqrt(mu) t / 4)``
-      with absolute slack ``bound_tol * max(1, RHS(0))``;
+      with absolute slack ``bound_tol * max(1, RHS(0))``.  At t = 0 it
+      reads f(x_0) - f* <= RHS(0), which holds only from a start with
+      f(x_0) - f* <= mu ||x_0 - x*||^2; from any other start the first
+      sample fails;
     * the energy decay ``E(t+h) / E(t) <= exp(-sqrt(mu) h / 4) + decay_tol``
       for consecutive samples, via :func:`accelcert.lyapunov.ode_energies`;
       pairs whose E(t) is at rounding level are not checked.
