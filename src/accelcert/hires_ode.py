@@ -199,9 +199,8 @@ def check_continuous_bound(solution: OdeSolution, f: Objective, s: float,
       ``f(probe(t)) - f* <= (f(x_0) - f* + mu ||x_0 - x*||^2) / 2
                             * exp(-sqrt(mu) t / 4)``
       with absolute slack ``bound_tol * max(1, RHS(0))``.  At t = 0 it
-      reads f(x_0) - f* <= RHS(0), which holds only from a start with
-      f(x_0) - f* <= mu ||x_0 - x*||^2; from any other start the first
-      sample fails;
+      reads f(x_0) - f* <= mu ||x_0 - x*||^2 (up to the slack), so from a
+      start that breaks this the first sample fails;
     * the energy decay ``E(t+h) / E(t) <= exp(-sqrt(mu) h / 4) + decay_tol``
       for consecutive samples, via :func:`accelcert.lyapunov.ode_energies`;
       pairs whose E(t) is at rounding level are not checked.
