@@ -11,11 +11,9 @@ from .objectives import (Objective, SpectrumSpec, certify_class,
                          make_quadratic, make_reg_logistic,
                          reg_logistic_from_data, resolve_minimizer,
                          sample_in_ball)
-from .optimizers import (METHODS, NAG_FAMILY, OptimizerState, Trajectory,
-                         default_heavy_ball_beta, gc_modified_step,
-                         gc_phase_step, gd_step, heavy_ball_step,
-                         initial_state, iv_phase_step, momentum_denominator,
-                         nag_classic_step, nag_modified_step, probe_point, run)
+from .optimizers import (METHODS, NAG_FAMILY, Trajectory,
+                         default_heavy_ball_beta, momentum_denominator,
+                         probe_point, run)
 from .lyapunov import (certify_contraction, energies, initial_energy, lyap_gc,
                        lyap_iv, lyap_ode, ode_energies)
 from .hires_ode import (OdeSolution, OdeState, acceleration,
@@ -32,10 +30,8 @@ __all__ = [
     "CertReport", "Objective", "SpectrumSpec", "certify_class",
     "make_quadratic", "make_reg_logistic", "reg_logistic_from_data",
     "resolve_minimizer",
-    "sample_in_ball", "METHODS", "NAG_FAMILY", "OptimizerState", "Trajectory",
-    "default_heavy_ball_beta", "gc_modified_step", "gc_phase_step", "gd_step",
-    "heavy_ball_step", "initial_state", "iv_phase_step",
-    "momentum_denominator", "nag_classic_step", "nag_modified_step", "run",
+    "sample_in_ball", "METHODS", "NAG_FAMILY", "Trajectory",
+    "default_heavy_ball_beta", "momentum_denominator", "run",
     "certify_contraction", "energies", "initial_energy",
     "lyap_gc", "lyap_iv", "lyap_ode", "ode_energies", "OdeSolution",
     "OdeState", "acceleration", "check_continuous_bound",

@@ -165,7 +165,7 @@ def initial_energy(f: Objective, x0: Vector, s: float, form: str,
     one-step run of the form's phase-space method.
 
     For the iv form, ``convention`` picks the first velocity v_1 entering
-    E(0), as in :func:`~accelcert.optimizers.initial_state`: "scheme"
+    E(0), as in :func:`~accelcert.optimizers.run`: "scheme"
     (-sqrt(s) grad f(x_0)), "zero" or "corollary" (2 sqrt(mu s) grad f(y_0)).
     The contraction certificate only inspects consecutive pairs and does
     not depend on the convention.

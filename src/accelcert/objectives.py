@@ -259,20 +259,22 @@ def resolve_minimizer(f: Objective) -> Objective:
     """
     if f.minimizer is not None and f.min_value is not None:
         return f
-    from .optimizers import initial_state, nag_modified_step
+    from .optimizers import STEPS
 
-    state = initial_state(f, "nag-modified", np.zeros(f.dim), 1.0 / f.lipschitz)
+    step, s = STEPS["nag-modified"], 1.0 / f.lipschitz
+    x, y, v = np.zeros(f.dim), np.zeros(f.dim), np.zeros(f.dim)
+    _, g = f.value_and_grad(y)
     for _ in range(500_000):
-        if np.linalg.norm(f.grad(state.x)) <= 1e-12:
+        if np.linalg.norm(f.grad(x)) <= 1e-12:
             break
-        state = nag_modified_step(f, state)
+        x, y, v, _ = step(s, f.mu, x, y, v, g, None)
+        _, g = f.value_and_grad(y)
     else:
         raise RuntimeError(
             "minimizer search did not reach gradient norm 1e-12 "
             "within 500000 iterations"
         )
-    xstar = state.x.copy()
-    return replace(f, minimizer=xstar, min_value=f.value(xstar))
+    return replace(f, minimizer=x, min_value=f.value(x))
 
 
 def sample_in_ball(rng: np.random.Generator, dim: int, radius: float) -> Vector:

@@ -1,5 +1,6 @@
-"""Iteration schemes: plain and momentum gradient methods with a uniform
-single-step interface, plus a full-run driver that records diagnostics.
+"""Iteration schemes: plain and momentum gradient methods as step kernels
+on plain arrays, and the run driver that steps them and records
+diagnostics.
 
 Two families of momentum scheme are implemented in two algebraically
 equivalent representations each, so that the rewritings can be checked
@@ -18,16 +19,18 @@ against one another:
   whose last term is the gradient correction, and its phase-space form
   ``gc-phase`` with velocity v_k = (y_{k+1} - y_k) / sqrt(s).
 
-Every scheme makes exactly one fused value-and-gradient evaluation
-(:meth:`~accelcert.objectives.Objective.value_and_grad`) per iteration.
-A state carries the value and the gradient at its reference point (y_k
-for the momentum family, x_k for gd and heavy-ball), which is where the
-next step needs the gradient; a step consumes that gradient and
-evaluates its successor's pair.  The previous gradient needed by the gc
-family is carried too, never recomputed.  ``run`` records the objective
-gap and the squared norm of the carried gradient at the reference point,
-so K steps cost exactly K+1 fused evaluations, and certificates that
-need either read the record instead of calling the oracles again.
+Each method is one kernel in :data:`STEPS` that maps
+(s, mu, x, y, v, g, carry) to the next (x, y, v, carry) and calls no
+oracle; g is the gradient at the method's reference point (y_k for the
+momentum family, x_k for gd and heavy-ball), and ``carry`` holds what
+the gc family and a prescribed first velocity keep from the step before.
+``run`` owns the only loop: it makes exactly one fused value-and-gradient
+evaluation (:meth:`~accelcert.objectives.Objective.value_and_grad`) per
+recorded point, at the reference point, and carries the gradient into
+the next step.  It records the objective gap and the squared norm of
+that gradient, so K steps cost exactly K+1 fused evaluations, and
+certificates that need either read the record instead of calling the
+oracles again.
 
 The guarantees hold for step sizes in the window s <= 1/L, which
 :func:`step_guaranteed` decides for ``run``, the bound curves and the
@@ -70,209 +73,107 @@ def step_guaranteed(s: float, lipschitz: float) -> bool:
     return s <= 1.0 / lipschitz * (1.0 + 1e-12)
 
 
-@dataclass
-class OptimizerState:
-    """Per-iteration variables of one scheme.
-
-    The meaning of ``v`` is method-specific: displacement / sqrt(s) for the
-    momentum schemes, the raw previous displacement for heavy-ball, and
-    unused (zero) for plain gradient descent.  ``value`` and ``grad`` are
-    the objective value and gradient at the reference point; the next step
-    descends along ``grad``, and ``run`` records ``value``.  The gc
-    family also carries the previous gradient in ``grad_prev`` and, for
-    ``gc-modified``, the previous iterate y_{k-1} in ``y_prev``.
-    ``v_first``, when set, is the velocity the next ``iv-phase`` step takes
-    instead of the recursion's; :func:`initial_state` sets it and checks s > 0.
-    """
-
-    x: Vector
-    y: Vector
-    v: Vector
-    s: float
-    grad: Vector
-    value: float
-    grad_prev: Optional[Vector] = None
-    y_prev: Optional[Vector] = None
-    v_first: Optional[Vector] = None
-
-
-def gd_step(f: Objective, state: OptimizerState) -> OptimizerState:
-    """Vanilla gradient descent x_{k+1} = x_k - s grad f(x_k).
-
-    y and v are copied through unchanged.
-    """
-    x1 = state.x - state.s * state.grad
-    value, grad = f.value_and_grad(x1)
-    return OptimizerState(x=x1, y=state.y, v=state.v, s=state.s, grad=grad,
-                          value=value)
-
-
 def default_heavy_ball_beta(mu: float, s: float) -> float:
     """Locally optimal quadratic tuning ((1 - sqrt(mu s)) / (1 + sqrt(mu s)))^2."""
     r = math.sqrt(mu * s)
     return ((1.0 - r) / (1.0 + r)) ** 2
 
 
-def heavy_ball_step(f: Objective, state: OptimizerState) -> OptimizerState:
+# Step kernels: (s, mu, x, y, v, g, carry) -> (x, y, v, carry), where g is
+# the gradient at the reference point and carry is what a method keeps from
+# the step before (None for most).  No kernel calls the oracle.
+
+def _gd(s, mu, x, y, v, g, carry):
+    """Vanilla gradient descent x_{k+1} = x_k - s grad f(x_k); y and v are
+    copied through unchanged."""
+    return x - s * g, y, v, carry
+
+
+def _heavy_ball(s, mu, x, y, v, g, carry):
     """Momentum baseline x_{k+1} = x_k - s grad f(x_k) + beta (x_k - x_{k-1})
-    with beta = :func:`default_heavy_ball_beta`.
-
-    The previous displacement x_k - x_{k-1} is carried in ``v``.
-    """
-    beta = default_heavy_ball_beta(f.mu, state.s)
-    x1 = state.x - state.s * state.grad + beta * state.v
-    value, grad = f.value_and_grad(x1)
-    return OptimizerState(x=x1, y=state.y, v=x1 - state.x, s=state.s,
-                          grad=grad, value=value)
+    with beta = :func:`default_heavy_ball_beta`; v is the previous
+    displacement x_k - x_{k-1}."""
+    x1 = x - s * g + default_heavy_ball_beta(mu, s) * v
+    return x1, y, x1 - x, carry
 
 
-def nag_classic_step(f: Objective, state: OptimizerState) -> OptimizerState:
+def _nag_classic(s, mu, x, y, v, g, carry):
     """Accelerated scheme with momentum (1 - sqrt(mu s)) / (1 + sqrt(mu s))."""
-    s = state.s
-    r = math.sqrt(f.mu * s)
-    x1 = state.y - s * state.grad
-    y1 = x1 + ((1.0 - r) / (1.0 + r)) * (x1 - state.x)
-    value, grad = f.value_and_grad(y1)
-    return OptimizerState(x=x1, y=y1, v=(x1 - state.x) / math.sqrt(s),
-                          s=s, grad=grad, value=value)
+    r = math.sqrt(mu * s)
+    x1 = y - s * g
+    y1 = x1 + ((1.0 - r) / (1.0 + r)) * (x1 - x)
+    return x1, y1, (x1 - x) / math.sqrt(s), carry
 
 
-def nag_modified_step(f: Objective, state: OptimizerState) -> OptimizerState:
-    """Accelerated scheme with momentum 1 / (1 + 2 sqrt(mu s)).
+def _nag_modified(s, mu, x, y, v, g, carry):
+    """Accelerated scheme with momentum 1 / (1 + 2 sqrt(mu s)); v is
+    (x_{k+1} - x_k) / sqrt(s), for diagnostics."""
+    x1 = y - s * g
+    y1 = x1 + (x1 - x) / momentum_denominator(mu, s)
+    return x1, y1, (x1 - x) / math.sqrt(s), carry
 
-    v is maintained as (x_{k+1} - x_k) / sqrt(s) for diagnostics.
+
+def _gc_modified(s, mu, x, y, v, g, carry):
+    """Single-sequence gradient-correction scheme; carry is
+    (y_{k-1}, grad f(y_{k-1})).  The new x is the gradient-step image
+    x_{k+1} = y_k - s grad f(y_k) and the new v is (y_{k+1} - y_k) / sqrt(s).
     """
-    s = state.s
-    x1 = state.y - s * state.grad
-    y1 = x1 + (x1 - state.x) / momentum_denominator(f.mu, s)
-    value, grad = f.value_and_grad(y1)
-    return OptimizerState(x=x1, y=y1, v=(x1 - state.x) / math.sqrt(s),
-                          s=s, grad=grad, value=value)
+    y_prev, g_prev = carry
+    c = momentum_denominator(mu, s)
+    y1 = y + (y - y_prev) / c - (s / c) * g - (s / c) * (g - g_prev)
+    return y - s * g, y1, (y1 - y) / math.sqrt(s), (y, g)
 
 
-def gc_modified_step(f: Objective, state: OptimizerState) -> OptimizerState:
-    """One step of the single-sequence gradient-correction scheme.
-
-    The state carries y_k in ``y``, y_{k-1} in ``y_prev`` and
-    grad f(y_{k-1}) in ``grad_prev``.  The successor's ``x`` is the
-    gradient-step image x_{k+1} = y_k - s grad f(y_k) and its ``v`` is
-    (y_{k+1} - y_k) / sqrt(s).
-    """
-    if state.y_prev is None or state.grad_prev is None:
-        raise ValueError("gc-modified state must carry the previous iterate "
-                         "and its gradient")
-    s = state.s
-    c = momentum_denominator(f.mu, s)
-    g = state.grad
-    y1 = (state.y + (state.y - state.y_prev) / c - (s / c) * g
-          - (s / c) * (g - state.grad_prev))
-    value, grad = f.value_and_grad(y1)
-    return OptimizerState(x=state.y - s * g, y=y1,
-                          v=(y1 - state.y) / math.sqrt(s), s=s,
-                          grad_prev=g, grad=grad, value=value, y_prev=state.y)
-
-
-def gc_phase_step(f: Objective, state: OptimizerState) -> OptimizerState:
-    """Phase-space form of the gradient-correction scheme.
-
-    The state carries y_k in ``y``, v_{k-1} in ``v`` and grad f(y_{k-1}) in
-    ``grad_prev``.  The velocity relation
+def _gc_phase(s, mu, x, y, v, g, carry):
+    """Phase-space form of the gradient-correction scheme; v is v_{k-1} and
+    carry is grad f(y_{k-1}).  The velocity relation
         v_k - v_{k-1} = -2 sqrt(mu s) v_k
                         - sqrt(s) (grad f(y_k) - grad f(y_{k-1}))
                         - sqrt(s) grad f(y_k)
     is implicit in v_k; solving it in closed form gives
         v_k = (v_{k-1} - sqrt(s) (2 grad f(y_k) - grad f(y_{k-1}))) / c.
-    The successor carries (y_{k+1}, v_k, grad f(y_k)); its ``x`` is the
-    gradient-step image x_{k+1} = y_k - s grad f(y_k), the sequence whose
+    The step returns (x_{k+1}, y_{k+1}, v_k, grad f(y_k)), where x_{k+1} =
+    y_k - s grad f(y_k) is the gradient-step image, the sequence whose
     objective gap the convergence theorem for this scheme bounds.
     """
-    if state.grad_prev is None:
-        raise ValueError("gc-phase state must carry the cached previous gradient")
-    s = state.s
-    c = momentum_denominator(f.mu, s)
-    g = state.grad
-    v1 = (state.v - math.sqrt(s) * (2.0 * g - state.grad_prev)) / c
-    y1 = state.y + math.sqrt(s) * v1
-    x1 = state.y - s * g
-    value, grad = f.value_and_grad(y1)
-    return OptimizerState(x=x1, y=y1, v=v1, s=s, grad_prev=g, grad=grad,
-                          value=value)
+    c = momentum_denominator(mu, s)
+    v1 = (v - math.sqrt(s) * (2.0 * g - carry)) / c
+    return y - s * g, y + math.sqrt(s) * v1, v1, g
 
 
-def iv_phase_step(f: Objective, state: OptimizerState) -> OptimizerState:
+def _iv_phase(s, mu, x, y, v, g, carry):
     """Phase-space form of the implicit-velocity scheme.
 
     Computes v_{k+1} first (the update is explicit),
         v_{k+1} = v_k - 2 sqrt(mu s) v_k / c - sqrt(s) grad f(probe),
     then x_{k+1} = x_k + sqrt(s) v_{k+1}.  The probe point
     x_k + sqrt(s) v_k / c is exactly the y_k of the two-sequence scheme,
-    and the successor's ``y`` is kept consistent with that identity:
-    y_{k+1} = :func:`probe_point` of (x_{k+1}, v_{k+1}), so the successor's
-    gradient is the next probe gradient.
-    A state with ``v_first`` set takes that velocity as v_{k+1}.
+    and y_{k+1} is kept consistent with that identity:
+    y_{k+1} = :func:`probe_point` of (x_{k+1}, v_{k+1}), so the next
+    gradient is the next probe gradient.  A carry, when set, is the
+    prescribed first velocity, taken as v_{k+1} instead of the recursion's.
     """
-    s = state.s
-    c = momentum_denominator(f.mu, s)
-    if state.v_first is not None:
-        v1 = state.v_first
+    if carry is None:
+        c = momentum_denominator(mu, s)
+        v1 = v - 2.0 * math.sqrt(mu * s) * v / c - math.sqrt(s) * g
     else:
-        v1 = (state.v - 2.0 * math.sqrt(f.mu * s) * state.v / c
-              - math.sqrt(s) * state.grad)
-    x1 = state.x + math.sqrt(s) * v1
-    y1 = probe_point(x1, v1, s, f.mu)
-    value, grad = f.value_and_grad(y1)
-    return OptimizerState(x=x1, y=y1, v=v1, s=s, grad=grad, value=value)
+        v1 = carry
+    x1 = x + math.sqrt(s) * v1
+    return x1, probe_point(x1, v1, s, mu), v1, None
 
 
-#: The step function of each method; all map ``(f, state)`` to the successor.
+#: The step kernel of each method.
 STEPS = {
-    "gd": gd_step,
-    "heavy-ball": heavy_ball_step,
-    "nag-classic": nag_classic_step,
-    "nag-modified": nag_modified_step,
-    "gc-modified": gc_modified_step,
-    "gc-phase": gc_phase_step,
-    "iv-phase": iv_phase_step,
+    "gd": _gd,
+    "heavy-ball": _heavy_ball,
+    "nag-classic": _nag_classic,
+    "nag-modified": _nag_modified,
+    "gc-modified": _gc_modified,
+    "gc-phase": _gc_phase,
+    "iv-phase": _iv_phase,
 }
 
 METHODS = tuple(STEPS)
-
-
-def initial_state(f: Objective, method: str, x0: Vector, s: float,
-                  first_velocity: str = "scheme") -> OptimizerState:
-    """State at k = 0 for the given method, carrying f(x_0) and grad f(x_0)
-    from one fused evaluation.
-
-    For the gc family the phase recursion is seeded with a virtual
-    v_{-1} = 0, y_{-1} = y_0 and grad f(y_{-1}) = grad f(y_0), which
-    reproduces the scheme's initial velocity v_0 = -sqrt(s) grad f(x_0) / c
-    after the first step (and hence y_1 = x_0 - s grad f(x_0) / c).
-
-    For ``iv-phase``, a ``first_velocity`` other than "scheme" prescribes
-    v_1 instead of following the recursion from v_0 = 0: "zero" takes
-    v_1 = 0 and "corollary" v_1 = 2 sqrt(mu s) grad f(y_0).  Other methods
-    ignore it.  ValueError unless s > 0.
-    """
-    if method not in METHODS:
-        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
-    if first_velocity not in FIRST_VELOCITY_CONVENTIONS:
-        raise ValueError(f"unknown first_velocity {first_velocity!r}")
-    x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (f.dim,):
-        raise ValueError(f"x0 has shape {x0.shape}, objective dimension is {f.dim}")
-    if not s > 0:
-        raise ValueError("step size s must be positive")
-    value, g0 = f.value_and_grad(x0)
-    state = OptimizerState(x=x0.copy(), y=x0.copy(), v=np.zeros(f.dim), s=s,
-                           grad=g0, value=value)
-    if method in ("gc-phase", "gc-modified"):
-        state.grad_prev = g0
-        state.y_prev = state.y
-    elif method == "iv-phase" and first_velocity == "zero":
-        state.v_first = np.zeros(f.dim)
-    elif method == "iv-phase" and first_velocity == "corollary":
-        state.v_first = 2.0 * math.sqrt(f.mu * s) * g0
-    return state
 
 
 class NonFiniteIterateError(RuntimeError):
@@ -336,8 +237,14 @@ def run(f: Objective, method: str, x0: Vector, s: float, K: int, *,
     """Execute K steps of ``method`` on ``f`` and record diagnostics.
 
     ``first_velocity`` selects the convention for the first velocity
-    iterate of iv-phase; anything but "scheme" deliberately overrides the
-    recursion at k = 0 and exists to probe the initial-energy conventions.
+    iterate of iv-phase; anything but "scheme" prescribes v_1 instead of
+    following the recursion from v_0 = 0 ("zero" takes v_1 = 0 and
+    "corollary" v_1 = 2 sqrt(mu s) grad f(y_0)) and exists to probe the
+    initial-energy conventions; other methods ignore it.  The gc family
+    starts from a virtual v_{-1} = 0, y_{-1} = y_0 and grad f(y_{-1}) =
+    grad f(y_0), which reproduces the scheme's initial velocity
+    v_0 = -sqrt(s) grad f(x_0) / c after the first step (and hence
+    y_1 = x_0 - s grad f(x_0) / c).  ValueError unless s > 0.
     The ``lyapunov`` and ``bound`` columns are filled afterwards by
     :func:`accelcert.lyapunov.attach_energies` and
     :func:`accelcert.analysis.attach_bound`.
@@ -357,10 +264,18 @@ def run(f: Objective, method: str, x0: Vector, s: float, K: int, *,
     if method == "nag-classic" and f.mu * s > 1.0 + 1e-12:
         warnings.warn("nag-classic run with mu*s > 1; momentum coefficient "
                       "is negative", stacklevel=2)
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+    if first_velocity not in FIRST_VELOCITY_CONVENTIONS:
+        raise ValueError(f"unknown first_velocity {first_velocity!r}")
+    x0 = np.asarray(x0, dtype=float)
+    if x0.shape != (f.dim,):
+        raise ValueError(f"x0 has shape {x0.shape}, objective dimension is {f.dim}")
+    if not s > 0:
+        raise ValueError("step size s must be positive")
 
-    state = initial_state(f, method, x0, s, first_velocity)
     step = STEPS[method]
-
+    at_y = method in NAG_FAMILY
     xs = np.empty((K + 1, f.dim))
     ys = np.empty((K + 1, f.dim))
     vs = np.empty((K + 1, f.dim))
@@ -368,19 +283,29 @@ def run(f: Objective, method: str, x0: Vector, s: float, K: int, *,
     grad_sq = np.empty(K + 1)
     have_min = f.min_value is not None
 
-    def record(i: int, st: OptimizerState):
-        xs[i] = st.x
-        ys[i] = st.y
-        vs[i] = st.v
-        f_gap[i] = st.value - f.min_value if have_min else np.nan
-        grad_sq[i] = st.grad @ st.grad
+    x, y, v = x0.copy(), x0.copy(), np.zeros(f.dim)
+    value, g = f.value_and_grad(x0)
+    carry = None
+    if method == "gc-phase":
+        carry = g
+    elif method == "gc-modified":
+        carry = (y, g)
+    elif method == "iv-phase" and first_velocity == "zero":
+        carry = np.zeros(f.dim)
+    elif method == "iv-phase" and first_velocity == "corollary":
+        carry = 2.0 * math.sqrt(f.mu * s) * g
 
-    record(0, state)
-    for k in range(K):
-        state = step(f, state)
-        if not np.all(np.isfinite(state.x)):
-            raise NonFiniteIterateError(method, k + 1)
-        record(k + 1, state)
+    for k in range(K + 1):
+        if k:
+            x, y, v, carry = step(s, f.mu, x, y, v, g, carry)
+            value, g = f.value_and_grad(y if at_y else x)
+            if not np.all(np.isfinite(x)):
+                raise NonFiniteIterateError(method, k)
+        xs[k] = x
+        ys[k] = y
+        vs[k] = v
+        f_gap[k] = value - f.min_value if have_min else np.nan
+        grad_sq[k] = g @ g
 
     return Trajectory(
         method_id=method,

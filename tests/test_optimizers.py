@@ -3,22 +3,25 @@ import warnings
 import numpy as np
 import pytest
 
-from accelcert import (OptimizerState, bound_curve, default_heavy_ball_beta,
-                       gc_modified_step, gc_phase_step, gd_step,
-                       heavy_ball_step, initial_state, iv_phase_step,
-                       make_quadratic, make_reg_logistic, nag_classic_step,
-                       nag_modified_step, resolve_minimizer, run)
-from accelcert.optimizers import NonFiniteIterateError, step_guaranteed
+from accelcert import (bound_curve, default_heavy_ball_beta, make_quadratic,
+                       make_reg_logistic, resolve_minimizer, run)
+from accelcert.optimizers import STEPS, NonFiniteIterateError, step_guaranteed
 
 
-def state_1d(x, y=None, v=0.0, s=1.0):
-    """A state for ``quad_1`` (f = x^2 / 2): it carries f(x) = x^2 / 2 and
-    grad f(x) = x, at every reference point these tests step from (gd and
+def step_1d(method, x, y=None, v=0.0, s=1.0, carry=None):
+    """One kernel step on ``quad_1`` (f = x^2 / 2, mu = 1), given
+    grad f(x) = x: every reference point these tests step from is x (gd and
     heavy-ball read x; the momentum steps read y, which is x there)."""
     x = np.array([float(x)])
     y = x.copy() if y is None else np.array([float(y)])
-    return OptimizerState(x=x, y=y, v=np.array([float(v)]), s=s,
-                          grad=x.copy(), value=0.5 * float(x @ x))
+    return STEPS[method](s, 1.0, x, y, np.array([float(v)]), x.copy(), carry)
+
+
+def step_at(f, method, x, s, carry=None):
+    """One kernel step on ``f`` from x = y = ``x`` at rest, with the
+    gradient at ``x``."""
+    x = np.asarray(x, dtype=float)
+    return STEPS[method](s, f.mu, x, x.copy(), np.zeros(f.dim), f.grad(x), carry)
 
 
 @pytest.fixture(scope="module")
@@ -32,62 +35,56 @@ def quad_ill():
 
 
 class TestGdStep:
-    def test_one_step_exact(self, quad_1):
-        nxt = gd_step(quad_1, state_1d(1.0, s=1.0))
-        assert nxt.x == pytest.approx([0.0])
+    def test_one_step_exact(self):
+        x1, *_ = step_1d("gd", 1.0, s=1.0)
+        assert x1 == pytest.approx([0.0])
 
-    def test_contraction_factor(self, quad_1):
-        nxt = gd_step(quad_1, state_1d(1.0, s=0.5))
-        assert nxt.x == pytest.approx([0.5])
+    def test_contraction_factor(self):
+        x1, *_ = step_1d("gd", 1.0, s=0.5)
+        assert x1 == pytest.approx([0.5])
 
     def test_coordinatewise(self, quad_ill):
-        st = OptimizerState(x=np.array([1.0, 1.0]), y=np.array([1.0, 1.0]),
-                            v=np.zeros(2), s=0.01,
-                            grad=quad_ill.grad(np.array([1.0, 1.0])),
-                            value=quad_ill.value(np.array([1.0, 1.0])))
-        nxt = gd_step(quad_ill, st)
-        np.testing.assert_allclose(nxt.x, [0.99, 0.0])
+        x1, *_ = step_at(quad_ill, "gd", [1.0, 1.0], 0.01)
+        np.testing.assert_allclose(x1, [0.99, 0.0])
 
-    def test_y_and_v_copied_through(self, quad_1):
-        st = state_1d(1.0, y=0.3, v=0.7)
-        nxt = gd_step(quad_1, st)
-        assert nxt.y == pytest.approx([0.3])
-        assert nxt.v == pytest.approx([0.7])
+    def test_y_and_v_copied_through(self):
+        _, y1, v1, _ = step_1d("gd", 1.0, y=0.3, v=0.7)
+        assert y1 == pytest.approx([0.3])
+        assert v1 == pytest.approx([0.7])
 
 
 class TestHeavyBallStep:
     def test_beta_zero_is_gd(self, quad_ill):
         # mu s = 1 makes beta = ((1 - 1) / (1 + 1))^2 exactly 0
         assert default_heavy_ball_beta(quad_ill.mu, 1.0) == 0.0
-        st = OptimizerState(x=np.array([1.0, -2.0]), y=np.array([1.0, -2.0]),
-                            v=np.array([0.4, 0.1]), s=1.0,
-                            grad=quad_ill.grad(np.array([1.0, -2.0])),
-                            value=quad_ill.value(np.array([1.0, -2.0])))
-        np.testing.assert_array_equal(heavy_ball_step(quad_ill, st).x,
-                                      gd_step(quad_ill, st).x)
+        x = np.array([1.0, -2.0])
+        args = (1.0, quad_ill.mu, x, x.copy(), np.array([0.4, 0.1]),
+                quad_ill.grad(x), None)
+        np.testing.assert_array_equal(STEPS["heavy-ball"](*args)[0],
+                                      STEPS["gd"](*args)[0])
 
-    def test_substitution(self, quad_1):
+    def test_substitution(self):
         # mu s = 1/4: beta = ((1 - 1/2) / (1 + 1/2))^2 = 1/9
         assert default_heavy_ball_beta(1.0, 0.25) == pytest.approx(1 / 9)
-        nxt = heavy_ball_step(quad_1, state_1d(1.0, v=0.3, s=0.25))
-        assert nxt.x == pytest.approx([0.75 + 0.3 / 9])
+        x1, *_ = step_1d("heavy-ball", 1.0, v=0.3, s=0.25)
+        assert x1 == pytest.approx([0.75 + 0.3 / 9])
 
-    def test_pure_momentum(self, quad_1):
-        nxt = heavy_ball_step(quad_1, state_1d(0.0, v=1.0, s=0.25))
-        assert nxt.x == pytest.approx([1 / 9])
-        assert nxt.v == pytest.approx([1 / 9])  # new displacement
+    def test_pure_momentum(self):
+        x1, _, v1, _ = step_1d("heavy-ball", 0.0, v=1.0, s=0.25)
+        assert x1 == pytest.approx([1 / 9])
+        assert v1 == pytest.approx([1 / 9])  # new displacement
 
 
 class TestNagClassicStep:
-    def test_momentum_vanishes_at_mus_one(self, quad_1):
-        nxt = nag_classic_step(quad_1, state_1d(1.0, s=1.0))
-        assert nxt.x == pytest.approx([0.0])
-        assert nxt.y == pytest.approx([0.0])
+    def test_momentum_vanishes_at_mus_one(self):
+        x1, y1, _, _ = step_1d("nag-classic", 1.0, s=1.0)
+        assert x1 == pytest.approx([0.0])
+        assert y1 == pytest.approx([0.0])
 
-    def test_substitution(self, quad_1):
-        nxt = nag_classic_step(quad_1, state_1d(1.0, s=0.25))
-        assert nxt.x == pytest.approx([0.75])
-        assert nxt.y == pytest.approx([2.0 / 3.0])  # 0.75 - 0.25/3
+    def test_substitution(self):
+        x1, y1, _, _ = step_1d("nag-classic", 1.0, s=0.25)
+        assert x1 == pytest.approx([0.75])
+        assert y1 == pytest.approx([2.0 / 3.0])  # 0.75 - 0.25/3
 
     def test_beats_gd_on_ill_conditioned(self, quad_ill):
         x0 = np.array([1.0, 1.0])
@@ -97,59 +94,53 @@ class TestNagClassicStep:
 
 
 class TestNagModifiedStep:
-    def test_substitution_s1(self, quad_1):
-        nxt = nag_modified_step(quad_1, state_1d(1.0, s=1.0))
-        assert nxt.x == pytest.approx([0.0])
-        assert nxt.y == pytest.approx([-1.0 / 3.0])
+    def test_substitution_s1(self):
+        x1, y1, _, _ = step_1d("nag-modified", 1.0, s=1.0)
+        assert x1 == pytest.approx([0.0])
+        assert y1 == pytest.approx([-1.0 / 3.0])
 
-    def test_substitution_s025(self, quad_1):
-        nxt = nag_modified_step(quad_1, state_1d(1.0, s=0.25))
-        assert nxt.x == pytest.approx([0.75])
-        assert nxt.y == pytest.approx([0.625])
+    def test_substitution_s025(self):
+        x1, y1, _, _ = step_1d("nag-modified", 1.0, s=0.25)
+        assert x1 == pytest.approx([0.75])
+        assert y1 == pytest.approx([0.625])
 
     def test_stationary_fixed_point(self, quad_ill):
-        st = OptimizerState(x=np.zeros(2), y=np.zeros(2), v=np.zeros(2),
-                            s=0.01, grad=np.zeros(2), value=0.0)
-        nxt = nag_modified_step(quad_ill, st)
-        np.testing.assert_array_equal(nxt.x, np.zeros(2))
-        np.testing.assert_array_equal(nxt.y, np.zeros(2))
+        x1, y1, _, _ = step_at(quad_ill, "nag-modified", np.zeros(2), 0.01)
+        np.testing.assert_array_equal(x1, np.zeros(2))
+        np.testing.assert_array_equal(y1, np.zeros(2))
 
 
 class TestGcSteps:
-    def test_single_sequence_substitution(self, quad_1):
-        st = OptimizerState(x=np.array([1.0]), y=np.array([1.0]),
-                            v=np.zeros(1), s=1.0, grad=np.array([1.0]),
-                            value=0.5, grad_prev=np.array([1.0]), y_prev=np.array([1.0]))
-        nxt = gc_modified_step(quad_1, st)  # quad_1 has mu = 1
-        assert nxt.y == pytest.approx([2.0 / 3.0])
-        assert nxt.grad_prev == pytest.approx([1.0])  # grad f(y_k), carried
+    def test_single_sequence_substitution(self):
+        # quad_1 has mu = 1; the carry is (y_{k-1}, grad f(y_{k-1}))
+        _, y1, _, carry = step_1d("gc-modified", 1.0, s=1.0,
+                                  carry=(np.array([1.0]), np.array([1.0])))
+        assert y1 == pytest.approx([2.0 / 3.0])
+        # y_k and grad f(y_k), carried into the next step
+        assert carry[0] == pytest.approx([1.0])
+        assert carry[1] == pytest.approx([1.0])
 
-    def test_single_sequence_stationary(self, quad_1):
-        st = OptimizerState(x=np.zeros(1), y=np.zeros(1), v=np.zeros(1),
-                            s=0.5, grad=np.zeros(1), value=0.0,
-                            grad_prev=np.zeros(1),
-                            y_prev=np.zeros(1))
-        nxt = gc_modified_step(quad_1, st)
-        assert nxt.y == pytest.approx([0.0])
+    def test_single_sequence_stationary(self):
+        _, y1, _, _ = step_1d("gc-modified", 0.0, s=0.5,
+                              carry=(np.zeros(1), np.zeros(1)))
+        assert y1 == pytest.approx([0.0])
 
     def test_phase_initialization(self, quad_1):
-        # first step realizes v_0 = -sqrt(s) grad f(x_0) / (1 + 2 sqrt(mu s))
-        st = initial_state(quad_1, "gc-phase", np.array([1.0]), s=1.0)
-        nxt = gc_phase_step(quad_1, st)
-        assert nxt.v == pytest.approx([-1.0 / 3.0])
-        assert nxt.y == pytest.approx([2.0 / 3.0])
+        # first step realizes v_0 = -sqrt(s) grad f(x_0) / (1 + 2 sqrt(mu s)),
+        # from the carry run seeds: grad f(y_{-1}) = grad f(y_0)
+        _, y1, v1, carry = step_1d("gc-phase", 1.0, s=1.0, carry=np.array([1.0]))
+        assert v1 == pytest.approx([-1.0 / 3.0])
+        assert y1 == pytest.approx([2.0 / 3.0])
+        assert carry == pytest.approx([1.0])  # grad f(y_0)
+        traj = run(quad_1, "gc-phase", np.array([1.0]), 1.0, 1)
+        np.testing.assert_array_equal(traj.vs[1], v1)
+        np.testing.assert_array_equal(traj.ys[1], y1)
 
     def test_phase_fixed_point(self, quad_ill):
-        st = OptimizerState(x=np.zeros(2), y=np.zeros(2), v=np.zeros(2),
-                            s=0.01, grad=np.zeros(2), value=0.0,
-                            grad_prev=np.zeros(2))
-        nxt = gc_phase_step(quad_ill, st)
-        np.testing.assert_array_equal(nxt.y, np.zeros(2))
-        np.testing.assert_array_equal(nxt.v, np.zeros(2))
-
-    def test_phase_requires_gradient_cache(self, quad_1):
-        with pytest.raises(ValueError):
-            gc_phase_step(quad_1, state_1d(1.0))
+        _, y1, v1, _ = step_at(quad_ill, "gc-phase", np.zeros(2), 0.01,
+                               carry=np.zeros(2))
+        np.testing.assert_array_equal(y1, np.zeros(2))
+        np.testing.assert_array_equal(v1, np.zeros(2))
 
     def test_representations_agree_50_steps(self):
         f = make_quadratic([1, 4])
@@ -169,19 +160,27 @@ class TestGcSteps:
 
 class TestIvPhaseStep:
     def test_substitution(self, quad_1):
-        st = initial_state(quad_1, "iv-phase", np.array([1.0]), s=1.0)
-        nxt = iv_phase_step(quad_1, st)
-        assert nxt.v == pytest.approx([-1.0])
-        assert nxt.x == pytest.approx([0.0])
-        # successor y matches the two-sequence y_1
-        assert nxt.y == pytest.approx([-1.0 / 3.0])
+        x1, y1, v1, carry = step_1d("iv-phase", 1.0, s=1.0)
+        assert v1 == pytest.approx([-1.0])
+        assert x1 == pytest.approx([0.0])
+        # the new y matches the two-sequence y_1
+        assert y1 == pytest.approx([-1.0 / 3.0])
+        assert carry is None
+        traj = run(quad_1, "iv-phase", np.array([1.0]), 1.0, 1)
+        np.testing.assert_array_equal(traj.xs[1], x1)
+        np.testing.assert_array_equal(traj.ys[1], y1)
+
+    def test_prescribed_first_velocity(self):
+        # a carry replaces the recursion's velocity once, then is dropped
+        x1, _, v1, carry = step_1d("iv-phase", 1.0, s=1.0, carry=np.array([0.5]))
+        assert v1 == pytest.approx([0.5])
+        assert x1 == pytest.approx([1.5])
+        assert carry is None
 
     def test_fixed_point(self, quad_ill):
-        st = OptimizerState(x=np.zeros(2), y=np.zeros(2), v=np.zeros(2),
-                            s=0.01, grad=np.zeros(2), value=0.0)
-        nxt = iv_phase_step(quad_ill, st)
-        np.testing.assert_array_equal(nxt.x, np.zeros(2))
-        np.testing.assert_array_equal(nxt.v, np.zeros(2))
+        x1, _, v1, _ = step_at(quad_ill, "iv-phase", np.zeros(2), 0.01)
+        np.testing.assert_array_equal(x1, np.zeros(2))
+        np.testing.assert_array_equal(v1, np.zeros(2))
 
     def test_matches_two_sequence_500_steps(self, quad_ill):
         x0 = np.array([1.0, 1.0])
@@ -206,11 +205,16 @@ class TestRun:
         assert check_bound(traj, "rate-iv").passed
 
     def test_unknown_method_rejected(self, quad_1):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="unknown method 'bogus'"):
             run(quad_1, "bogus", np.array([1.0]), 0.5, 1)
 
+    def test_unknown_first_velocity_rejected(self, quad_1):
+        with pytest.raises(ValueError, match="unknown first_velocity 'nope'"):
+            run(quad_1, "iv-phase", np.array([1.0]), 0.5, 1,
+                first_velocity="nope")
+
     def test_dimension_mismatch_rejected(self, quad_ill):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"x0 has shape \(1,\)"):
             run(quad_ill, "gd", np.array([1.0]), 0.01, 1)
 
     def test_warns_above_one_over_L(self, quad_ill):
