@@ -134,6 +134,12 @@ def _cmd_ode(args) -> int:
         summary["bound_worst_margin"] = fmt(report.worst_margin)
         summary["worst_energy_ratio"] = fmt(report.details["worst_energy_ratio"])
         status = 0 if report.passed else 1
+        if report.details["bound_failures"] and report.first_failure == 0:
+            gap0 = float(solution.f_gap[0])
+            dist0 = f.mu * float(np.sum((x0 - f.minimizer) ** 2))
+            print(f"note: the start breaks f(x0) - f* <= mu ||x0 - x*||^2 "
+                  f"({fmt(gap0)} > {fmt(dist0)}), so the bound fails at "
+                  "t = 0; choose another --x0", file=sys.stderr)
     write_summary(summary, summary_path(csv_path))
     for key, value in summary.items():
         print(f"{key}: {value}")
@@ -176,7 +182,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except (FileNotFoundError, FileExistsError, NotADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -305,6 +305,37 @@ class TestCli:
         assert rc == 0
         assert (tmp_path / "sub" / "s.csv").exists()
 
+    @pytest.mark.parametrize("command", [
+        ["ode", "--s", "0.25", "--T", "1", "--h", "0.01", "--x0", "1,0.5"],
+        ["scan", "--mu", "1", "--spectrum", "1,3", "--s-grid", "0.3",
+         "--K", "50"],
+    ], ids=["ode", "scan"])
+    def test_output_path_through_a_file_exits_2(self, tmp_path, capsys,
+                                                command):
+        # an --output-path whose directory is an existing file is an
+        # output error (exit 2), not a certificate failure (exit 1)
+        (tmp_path / "file").write_text("")
+        rc = cli.main([*command, "--out", str(tmp_path),
+                       "--output-path", "file/o.csv"])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_ode_names_a_bad_start(self, tmp_path, capsys):
+        # from the default x0 = ones on [1, 4], f(x0) - f* = 2.5 exceeds
+        # mu ||x0 - x*||^2 = 2, so the envelope fails at t = 0
+        rc = cli.main(["ode", "--spectrum", "1,4", "--s", "0.25", "--T", "1",
+                       "--h", "0.01", "--out", str(tmp_path)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "start breaks f(x0) - f* <= mu ||x0 - x*||^2" in err
+        assert "(2.5 > 2.0)" in err
+
+    def test_ode_good_start_prints_no_note(self, tmp_path, capsys):
+        rc = cli.main(["ode", "--spectrum", "1,4", "--s", "0.25", "--T", "1",
+                       "--h", "0.01", "--x0", "1,0.5", "--out", str(tmp_path)])
+        assert rc == 0
+        assert capsys.readouterr().err == ""
+
     def test_usage_error_exits_2(self):
         with pytest.raises(SystemExit) as err:
             cli.main(["suite", "nonexistent"])
