@@ -5,10 +5,10 @@ figures), ``ode`` (integrate the high-resolution equation and certify the
 continuous bound), ``scan`` (step-size monotonicity scan).  Relative
 outputs land under $ACCELCERT_OUT (default: current directory), their
 directories created (:func:`~accelcert.harness.output_file`).  Exit
-codes: 0 pass, 1 certificate failure, 2 usage or config error.  A flag
-value that its argparse type accepts but the run cannot take is a config
-error naming the flag, checked with the config's field rules where the
-flag is a config field.
+codes: 0 pass, 1 certificate failure, 2 usage or config error or an
+output path that cannot be made.  A flag value that its argparse type
+accepts but the run cannot take is a config error naming the flag,
+checked with the config's field rules where the flag is a config field.
 """
 
 from __future__ import annotations

@@ -1,8 +1,8 @@
-"""Edge cases of the step-state contract: every theorem and every energy
-form holds at its default slack on one-dimensional, perfectly conditioned
-and extremely ill-conditioned quadratics, on the shortest runs and at the
-ends of the step window; s enters only through ``initial_state``; and the
-iv scheme's y_k is the shared probe point."""
+"""Edge cases of the step kernels and ``run``: every theorem and every
+energy form holds at its default slack on one-dimensional, perfectly
+conditioned and extremely ill-conditioned quadratics, on the shortest runs
+and at the ends of the step window; ``run`` checks s > 0 before any step;
+and the iv scheme's y_k is the shared probe point."""
 
 import numpy as np
 import pytest
