@@ -79,10 +79,6 @@ def default_heavy_ball_beta(mu: float, s: float) -> float:
     return ((1.0 - r) / (1.0 + r)) ** 2
 
 
-# Step kernels: (s, mu, x, y, v, g, carry) -> (x, y, v, carry), where g is
-# the gradient at the reference point and carry is what a method keeps from
-# the step before (None for most).  No kernel calls the oracle.
-
 def _gd(s, mu, x, y, v, g, carry):
     """Vanilla gradient descent x_{k+1} = x_k - s grad f(x_k); y and v are
     copied through unchanged."""
@@ -162,7 +158,8 @@ def _iv_phase(s, mu, x, y, v, g, carry):
     return x1, probe_point(x1, v1, s, mu), v1, None
 
 
-#: The step kernel of each method.
+#: The step kernel of each method, (s, mu, x, y, v, g, carry) ->
+#: (x, y, v, carry); see the module docstring.
 STEPS = {
     "gd": _gd,
     "heavy-ball": _heavy_ball,
