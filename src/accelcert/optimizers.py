@@ -1,6 +1,5 @@
 """Iteration schemes: plain and momentum gradient methods as step kernels
-on plain arrays, and the run driver that steps them and records
-diagnostics.
+on plain arrays, and ``run``, which steps them and records diagnostics.
 
 Two families of momentum scheme are implemented in two algebraically
 equivalent representations each, so that the rewritings can be checked
