@@ -14,8 +14,8 @@ from .objectives import (Objective, SpectrumSpec, certify_class,
 from .optimizers import (METHODS, NAG_FAMILY, Trajectory,
                          default_heavy_ball_beta, momentum_denominator,
                          probe_point, run)
-from .lyapunov import (certify_contraction, energies, initial_energy, lyap_gc,
-                       lyap_iv, lyap_ode, ode_energies)
+from .lyapunov import (certify_contraction, energies, initial_energy,
+                       ode_energies)
 from .hires_ode import (OdeSolution, OdeState, acceleration,
                         check_continuous_bound, integrate)
 from .analysis import (RootPair, ScanReport, bound_curve, characteristic_roots,
@@ -33,7 +33,7 @@ __all__ = [
     "sample_in_ball", "METHODS", "NAG_FAMILY", "Trajectory",
     "default_heavy_ball_beta", "momentum_denominator", "run",
     "certify_contraction", "energies", "initial_energy",
-    "lyap_gc", "lyap_iv", "lyap_ode", "ode_energies", "OdeSolution",
+    "ode_energies", "OdeSolution",
     "OdeState", "acceleration", "check_continuous_bound",
     "integrate", "probe_point",
     "RootPair", "ScanReport",

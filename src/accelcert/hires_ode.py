@@ -39,7 +39,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .objectives import Objective, Vector
-from .optimizers import momentum_denominator, probe_point
+from .optimizers import as_start, momentum_denominator, probe_point
 from .lyapunov import ode_energies
 from .report import CertReport, margin_report
 
@@ -126,10 +126,11 @@ def integrate(f: Objective, x0: Vector, s: float, T: float, h: float,
 
     The step ``h`` is required; resolving the sqrt(s)-scale correction
     term takes h well below sqrt(s).  T should be an integer multiple of
-    h; the step count is rounded to the nearest integer.  Deterministic
-    for fixed inputs.  The n RK4 steps make 4n gradient evaluations, and
-    recording the probe gap at the n+1 samples makes n+1 value
-    evaluations (none when the minimum is unknown).
+    h; the step count is rounded to the nearest integer.  ValueError
+    unless x0 has shape (f.dim,).  Deterministic for fixed inputs.  The n
+    RK4 steps make 4n gradient evaluations, and recording the probe gap
+    at the n+1 samples makes n+1 value evaluations (none when the minimum
+    is unknown).
     """
     xddot = acceleration(f, s, which)
     if not h > 0:
@@ -137,7 +138,7 @@ def integrate(f: Objective, x0: Vector, s: float, T: float, h: float,
     if T < 0:
         raise ValueError("horizon T must be nonnegative")
     mu = f.mu
-    X = np.asarray(x0, dtype=float).copy()
+    X = as_start(f, x0).copy()
     V = np.zeros_like(X)
     n = int(round(T / h)) if T > 0 else 0
     if n > 0 and abs(n * h - T) > 1e-9 * max(1.0, T):

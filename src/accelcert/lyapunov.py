@@ -1,10 +1,12 @@
 """Discrete and continuous Lyapunov energies and contraction certificates.
 
-Each energy E(k) is a plain float: the objective gap, plus a kinetic and
-a mixed term that are each a quarter of a squared norm (of the scaled
-velocity, and of a velocity/position combination), plus for the gc form
-a negative gradient-norm term.  Each formula's docstring spells out its
-terms.  The per-step contraction
+:func:`energies` and :func:`ode_energies` evaluate each energy as a
+formula on recorded columns, a block of rows at a time: the objective gap,
+plus a kinetic and a mixed term that are each a quarter of a squared norm,
+plus for the gc form a negative gradient-norm term.  The continuous energy
+along the high-resolution ODE is the iv energy read at the probe point
+X + sqrt(s) X' / c.  The energies read mu from the objective; a weaker one
+is ``replace(f, mu=...)``.  The per-step contraction
 
     E(k+1) - E(k) <= -rho * E(k+1),  i.e.  E(k+1) <= E(k) / (1 + rho)
 
@@ -13,9 +15,6 @@ corresponding scheme for step sizes 0 < s <= 1/L; :func:`certify_contraction`
 checks it as one margin scan (:func:`~accelcert.report.margin_report`).
 :func:`require_form` decides which methods a form applies to, for this
 module and for the config parser.
-The continuous energy along the high-resolution ODE is the iv energy read
-at the probe point X + sqrt(s) X' / c, so one formula serves both.  The
-energies read mu from the objective; a weaker one is ``replace(f, mu=...)``.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from typing import TYPE_CHECKING, Optional
 import numpy as np
 
 from .objectives import Objective, Vector, require_minimizer
-from .optimizers import Trajectory, momentum_denominator, probe_point, run
+from .optimizers import Trajectory, momentum_denominator, run
 from .report import CertReport, margin_report
 
 if TYPE_CHECKING:
@@ -53,77 +52,66 @@ def require_form(form: str, method: Optional[str] = None) -> tuple:
     return methods
 
 
-def _gc_energy(potential: float, g: Vector, y_next: Vector, v_k: Vector,
-               xstar: Vector, s: float, mu: float) -> float:
-    combo = v_k + 2.0 * math.sqrt(mu) * (y_next - xstar) + math.sqrt(s) * g
-    return (potential + 0.25 * float(v_k @ v_k) + 0.25 * float(combo @ combo)
-            - 0.5 * s * float(g @ g))
+#: Rows per block of the energy formulas: over a whole column, their (K, d)
+#: temporaries raise the peak memory of a long run at large d.
+_BLOCK_ROWS = 256
 
 
-def lyap_gc(f: Objective, y_k: Vector, y_next: Vector, v_k: Vector,
-            s: float) -> float:
-    """Energy of the gradient-correction scheme at iteration k.
-
-    E(k) = f(y_k) - f* + (1/4) ||v_k||^2
-           + (1/4) ||v_k + 2 sqrt(mu) (y_{k+1} - x*) + sqrt(s) grad f(y_k)||^2
-           - (s/2) ||grad f(y_k)||^2.
-
-    For 0 < s <= 1/L the last term is dominated and E(k) >= 0.
-    """
-    require_minimizer(f)
-    return _gc_energy(f.gap(y_k), f.grad(y_k), y_next, v_k, f.minimizer, s,
-                      f.mu)
+def _blocks(n: int):
+    """Slices of at most ``_BLOCK_ROWS`` rows that cover rows 0..n-1."""
+    for lo in range(0, n, _BLOCK_ROWS):
+        yield slice(lo, min(lo + _BLOCK_ROWS, n))
 
 
-def _iv_energy(potential: float, v_next: Vector, x_next: Vector,
-               xstar: Vector, s: float, mu: float) -> float:
+def _gc_energy(potential: np.ndarray, G: np.ndarray, Y_next: np.ndarray,
+               V: np.ndarray, xstar: Vector, s: float,
+               mu: float) -> np.ndarray:
+    combo = V + 2.0 * math.sqrt(mu) * (Y_next - xstar) + math.sqrt(s) * G
+    return (potential + 0.25 * np.vecdot(V, V) + 0.25 * np.vecdot(combo, combo)
+            - 0.5 * s * np.vecdot(G, G))
+
+
+def _iv_energy(potential: np.ndarray, V: np.ndarray, X: np.ndarray,
+               xstar: Vector, s: float, mu: float) -> np.ndarray:
     c = momentum_denominator(mu, s)
-    combo = v_next + 2.0 * math.sqrt(mu) * (x_next - xstar)
-    return (potential + 0.25 * float(v_next @ v_next) / (c * c)
-            + 0.25 * float(combo @ combo))
-
-
-def lyap_iv(f: Objective, y_k: Vector, v_next: Vector, x_next: Vector,
-            s: float) -> float:
-    """Energy of the implicit-velocity scheme at iteration k.
-
-    E(k) = f(y_k) - f* + (1/4) ||v_{k+1}||^2 / (1 + 2 sqrt(mu s))^2
-           + (1/4) ||v_{k+1} + 2 sqrt(mu) (x_{k+1} - x*)||^2.
-    """
-    require_minimizer(f)
-    return _iv_energy(f.gap(y_k), v_next, x_next, f.minimizer, s, f.mu)
-
-
-def lyap_ode(f: Objective, X: Vector, Xdot: Vector, s: float) -> float:
-    """Continuous energy along the implicit-velocity differential equation.
-
-    E(t) = f(X + sqrt(s) X' / c) - f* + (1/4) ||X'||^2 / c^2
-           + (1/4) ||X' + 2 sqrt(mu) (X - x*)||^2,  c = 1 + 2 sqrt(mu s),
-
-    which is :func:`lyap_iv` at (probe point, X', X).
-    """
-    return lyap_iv(f, probe_point(X, Xdot, s, f.mu), Xdot, X, s)
+    combo = V + 2.0 * math.sqrt(mu) * (X - xstar)
+    return (potential + 0.25 * np.vecdot(V, V) / (c * c)
+            + 0.25 * np.vecdot(combo, combo))
 
 
 def ode_energies(solution: OdeSolution) -> np.ndarray:
-    """E(t) of :func:`lyap_ode` at every sample of an integrated solution,
-    on the objective and at the s it was integrated with.
+    """Continuous energy E(t) at every sample of an integrated solution, on
+    the objective and at the s it was integrated with:
 
-    The potential is the solution's recorded ``f_gap`` column, so this
-    makes no oracle call.
+        E(t) = f(X + sqrt(s) X' / c) - f* + (1/4) ||X'||^2 / c^2
+               + (1/4) ||X' + 2 sqrt(mu) (X - x*)||^2,  c = 1 + 2 sqrt(mu s),
+
+    the iv energy of :func:`energies` at (probe point, X', X).  The
+    potential is the solution's recorded ``f_gap`` column, so this makes
+    no oracle call.
     """
     f, s = solution.objective, solution.s
     require_minimizer(f)
-    xstar, mu = f.minimizer, f.mu
-    return np.array([_iv_energy(gap, Xdot, X, xstar, s, mu)
-                     for X, Xdot, gap in zip(solution.X, solution.Xdot,
-                                             solution.f_gap.tolist())],
-                    dtype=float)
+    out = np.empty(len(solution))
+    for rows in _blocks(len(out)):
+        out[rows] = _iv_energy(solution.f_gap[rows], solution.Xdot[rows],
+                               solution.X[rows], f.minimizer, s, f.mu)
+    return out
 
 
 def energies(trajectory: Trajectory, form: str) -> np.ndarray:
     """E(k) for k = 0..K-1 along a trajectory (E(k) needs the state after
-    step k, so the last record has no energy).
+    step k, so the last record has no energy).  With g_k = grad f(y_k):
+
+    gc: E(k) = f(y_k) - f* + (1/4) ||v_k||^2
+               + (1/4) ||v_k + 2 sqrt(mu) (y_{k+1} - x*) + sqrt(s) g_k||^2
+               - (s/2) ||g_k||^2,
+
+    where v_k is the velocity recorded after step k (``vs[k + 1]``), and
+    for 0 < s <= 1/L the last term is dominated, so E(k) >= 0;
+
+    iv: E(k) = f(y_k) - f* + (1/4) ||v_{k+1}||^2 / (1 + 2 sqrt(mu s))^2
+               + (1/4) ||v_{k+1} + 2 sqrt(mu) (x_{k+1} - x*)||^2.
 
     The trajectory must be one that :func:`~accelcert.optimizers.run`
     produced: the potential f(y_k) - f* is read from its recorded ``f_gap``
@@ -133,18 +121,18 @@ def energies(trajectory: Trajectory, form: str) -> np.ndarray:
     require_form(form, trajectory.method_id)
     f = trajectory.objective
     require_minimizer(f)
-    s, mu = trajectory.s, f.mu
-    xstar = f.minimizer
-    gaps = trajectory.f_gap.tolist()
-    ys, vs, xs = trajectory.ys, trajectory.vs, trajectory.xs
-    K = trajectory.K
-    out = np.empty(K)
-    for k in range(K):
+    s, mu, xstar = trajectory.s, f.mu, f.minimizer
+    gaps, ys, vs, xs = (trajectory.f_gap, trajectory.ys, trajectory.vs,
+                        trajectory.xs)
+    out = np.empty(trajectory.K)
+    for rows in _blocks(len(out)):
+        nxt = slice(rows.start + 1, rows.stop + 1)
         if form == "gc":
-            out[k] = _gc_energy(gaps[k], f.grad(ys[k]), ys[k + 1], vs[k + 1],
-                                xstar, s, mu)
+            G = np.array([f.grad(y) for y in ys[rows]])
+            out[rows] = _gc_energy(gaps[rows], G, ys[nxt], vs[nxt], xstar, s,
+                                   mu)
         else:
-            out[k] = _iv_energy(gaps[k], vs[k + 1], xs[k + 1], xstar, s, mu)
+            out[rows] = _iv_energy(gaps[rows], vs[nxt], xs[nxt], xstar, s, mu)
     return out
 
 

@@ -58,8 +58,8 @@ class Objective:
             raise ValueError("dim must be a positive integer")
         if not self.mu > 0:
             raise ValueError("mu must be positive")
-        if self.lipschitz < self.mu:
-            raise ValueError("lipschitz must be at least mu")
+        if not self.mu <= self.lipschitz < np.inf:
+            raise ValueError("lipschitz must be at least mu and finite")
         if self.minimizer is not None:
             self.minimizer = np.asarray(self.minimizer, dtype=float)
             gnorm = float(np.linalg.norm(self.grad_fn(self.minimizer)))
@@ -111,8 +111,8 @@ class SpectrumSpec:
         lams = tuple(float(v) for v in eigenvalues)
         if len(lams) == 0:
             raise ValueError("spectrum must be nonempty")
-        if any(v <= 0 for v in lams):
-            raise ValueError("all eigenvalues must be positive")
+        if not all(0 < v < np.inf for v in lams):
+            raise ValueError("all eigenvalues must be positive and finite")
         object.__setattr__(self, "eigenvalues", tuple(sorted(lams)))
 
     @property

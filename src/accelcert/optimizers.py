@@ -67,6 +67,14 @@ def probe_point(X: Vector, Xdot: Vector, s: float, mu: float) -> Vector:
     return X + math.sqrt(s) * Xdot / momentum_denominator(mu, s)
 
 
+def as_start(f: Objective, x0: Vector) -> Vector:
+    """``x0`` as a float array; ValueError unless its shape is (f.dim,)."""
+    x0 = np.asarray(x0, dtype=float)
+    if x0.shape != (f.dim,):
+        raise ValueError(f"x0 has shape {x0.shape}, objective dimension is {f.dim}")
+    return x0
+
+
 def step_guaranteed(s: float, lipschitz: float) -> bool:
     """s <= 1/L, the step window of the guarantees, up to rounding of 1/L."""
     return s <= 1.0 / lipschitz * (1.0 + 1e-12)
@@ -264,9 +272,7 @@ def run(f: Objective, method: str, x0: Vector, s: float, K: int, *,
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
     if first_velocity not in FIRST_VELOCITY_CONVENTIONS:
         raise ValueError(f"unknown first_velocity {first_velocity!r}")
-    x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (f.dim,):
-        raise ValueError(f"x0 has shape {x0.shape}, objective dimension is {f.dim}")
+    x0 = as_start(f, x0)
     if not s > 0:
         raise ValueError("step size s must be positive")
 

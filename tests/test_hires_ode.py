@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from accelcert import (acceleration, check_continuous_bound, integrate,
-                       lyap_ode, make_quadratic, make_reg_logistic,
+                       make_quadratic, make_reg_logistic, ode_energies,
                        probe_point)
 from accelcert.hires_ode import NonFiniteSolutionError, OdeSolution, OdeState
 from accelcert.objectives import MinimizerUnknownError
@@ -111,6 +111,16 @@ class TestIntegrate:
         with pytest.raises(ValueError):
             integrate(quad_1, one(1), s=0.25, T=1.0, h=1e-2, which="exact")
 
+    @pytest.mark.parametrize("spectrum, x0", [([1.0], [1.0, 2.0]),
+                                              ([1.0, 4.0], [1.0])])
+    def test_rejects_start_of_wrong_shape(self, spectrum, x0):
+        # unchecked, a longer start broadcasts into a wider solution, and a
+        # shorter one fails inside numpy's matmul
+        f = make_quadratic(spectrum)
+        with pytest.raises(ValueError, match=rf"x0 has shape \({len(x0)},\), "
+                           rf"objective dimension is {len(spectrum)}"):
+            integrate(f, x0, 0.25, 1.0, 0.01)
+
     @pytest.mark.parametrize("s", [-1.0, float("nan")])
     def test_rejects_negative_s(self, quad_1, s):
         # s = 0 stays valid: it is the limit test_closed_form_limit checks
@@ -206,8 +216,7 @@ class TestContinuousBound:
         sol = integrate(quad_1, one(1), s=0.01, T=2.0, h=h)
         report = check_continuous_bound(sol, quad_1, s=0.01, mu=1.0)
         assert report.passed  # the stated rates hold...
-        e = np.array([lyap_ode(quad_1, st.X, st.Xdot, 0.01)
-                      for st in sol])
+        e = ode_energies(sol)
         inflated = math.exp(-math.sqrt(quad_1.mu) * h) + 1e-8
         ratios = e[1:] / e[:-1]
         assert np.max(ratios) > inflated  # ...but a 4x faster rate does not
@@ -216,7 +225,6 @@ class TestContinuousBound:
     def test_energy_ratio_within_certified_decay(self):
         f = make_quadratic([1, 4])
         sol = integrate(f, np.array([1.0, 0.5]), s=0.25, T=5.0, h=1e-3)
-        e = np.array([lyap_ode(f, st.X, st.Xdot, 0.25)
-                      for st in sol])
+        e = ode_energies(sol)
         limit = math.exp(-math.sqrt(f.mu) * 1e-3 / 4.0) + 1e-8
         assert np.max(e[1:] / e[:-1]) <= limit

@@ -4,10 +4,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from accelcert import (certify_contraction, energies, initial_energy, integrate,
-                       lyap_gc, lyap_iv, lyap_ode, make_quadratic,
-                       make_reg_logistic, ode_energies, resolve_minimizer, run)
-from accelcert.lyapunov import attach_energies
+from accelcert import (OdeSolution, Trajectory, certify_contraction, energies,
+                       initial_energy, integrate, make_quadratic,
+                       make_reg_logistic, ode_energies, probe_point,
+                       resolve_minimizer, run)
+from accelcert.lyapunov import _BLOCK_ROWS, attach_energies
 from accelcert.objectives import MinimizerUnknownError, Objective
 
 
@@ -15,20 +16,84 @@ def one(v):
     return np.array([float(v)])
 
 
+# The energies of the `energies` and `ode_energies` docstrings, one row at
+# a time, each squared norm a single dot product: the per-row reference
+# that the column formulas must match bit for bit.
+
+def gc_energy_row(gap, g, y_next, v, xstar, s, mu):
+    combo = v + 2.0 * math.sqrt(mu) * (y_next - xstar) + math.sqrt(s) * g
+    return (gap + 0.25 * float(v @ v) + 0.25 * float(combo @ combo)
+            - 0.5 * s * float(g @ g))
+
+
+def iv_energy_row(gap, v, x, xstar, s, mu):
+    c = 1.0 + 2.0 * math.sqrt(mu * s)
+    combo = v + 2.0 * math.sqrt(mu) * (x - xstar)
+    return (gap + 0.25 * float(v @ v) / (c * c)
+            + 0.25 * float(combo @ combo))
+
+
+def energies_per_row(traj, form):
+    f = traj.objective
+    gaps = traj.f_gap.tolist()
+    ys, vs, xs = traj.ys, traj.vs, traj.xs
+    if form == "gc":
+        rows = [gc_energy_row(gaps[k], f.grad(ys[k]), ys[k + 1], vs[k + 1],
+                              f.minimizer, traj.s, f.mu)
+                for k in range(traj.K)]
+    else:
+        rows = [iv_energy_row(gaps[k], vs[k + 1], xs[k + 1], f.minimizer,
+                              traj.s, f.mu) for k in range(traj.K)]
+    return np.array(rows, dtype=float)
+
+
+def ode_energies_per_row(sol):
+    f = sol.objective
+    return np.array([iv_energy_row(gap, Xdot, X, f.minimizer, sol.s, f.mu)
+                     for X, Xdot, gap in zip(sol.X, sol.Xdot,
+                                             sol.f_gap.tolist())],
+                    dtype=float)
+
+
+def hand_trajectory(f, method, s, ys, vs, xs, f_gap=None):
+    """A Trajectory from explicit rows; the gap column is f.gap(ys[k])
+    unless given."""
+    ys, vs, xs = (np.asarray(a, dtype=float) for a in (ys, vs, xs))
+    if f_gap is None:
+        f_gap = np.array([f.gap(y) for y in ys])
+    return Trajectory(method_id=method, s=s, xs=xs, ys=ys, vs=vs,
+                      f_gap=f_gap, grad_sq=np.full(len(ys), np.nan),
+                      objective=f)
+
+
+def hand_solution(f, s, X, Xdot):
+    """An OdeSolution from explicit samples, its gap taken at the probe
+    point."""
+    X, Xdot = np.asarray(X, dtype=float), np.asarray(Xdot, dtype=float)
+    f_gap = np.array([f.gap(probe_point(x, v, s, f.mu))
+                      for x, v in zip(X, Xdot)])
+    return OdeSolution(t=np.arange(len(X)) * 0.01, X=X, Xdot=Xdot,
+                       f_gap=f_gap, s=s, which="simplified", objective=f)
+
+
 @pytest.fixture(scope="module")
 def quad_1():
     return make_quadratic([1])
 
 
-class TestLyapGc:
+class TestGcEnergies:
     def test_zero_at_optimum(self, quad_1):
-        assert lyap_gc(quad_1, one(0), one(0), one(0), s=1.0) == 0.0
+        traj = hand_trajectory(quad_1, "gc-phase", 1.0, ys=[one(0), one(0)],
+                               vs=[one(0), one(0)], xs=[one(0), one(0)])
+        assert energies(traj, "gc").tolist() == [0.0]
 
     def test_substitution(self, quad_1):
         # gap 0.5, kinetic 0, mixed (0 + 2 + 1)^2 / 4, gradient term -0.5
-        e = lyap_gc(quad_1, one(1), one(1), one(0), s=1.0)
-        assert type(e) is float
-        assert e == pytest.approx(2.25)
+        traj = hand_trajectory(quad_1, "gc-phase", 1.0, ys=[one(1), one(1)],
+                               vs=[one(5), one(0)], xs=[one(7), one(7)])
+        e = energies(traj, "gc")
+        assert e.dtype == np.float64 and e.shape == (1,)
+        assert e[0] == pytest.approx(2.25)
 
     def test_contraction_along_trajectory(self):
         f = make_quadratic([1, 4])
@@ -45,15 +110,19 @@ class TestLyapGc:
         assert energies(traj, "gc").min() >= -1e-12
 
 
-class TestLyapIv:
+class TestIvEnergies:
     def test_zero_at_optimum(self, quad_1):
-        assert lyap_iv(quad_1, one(0), one(0), one(0), s=1.0) == 0.0
+        traj = hand_trajectory(quad_1, "iv-phase", 1.0, ys=[one(0), one(0)],
+                               vs=[one(0), one(0)], xs=[one(0), one(0)])
+        assert energies(traj, "iv").tolist() == [0.0]
 
     def test_substitution(self, quad_1):
         # gap 0.5, kinetic 0, mixed ||2||^2 / 4
-        e = lyap_iv(quad_1, one(1), one(0), one(1), s=1.0)
-        assert type(e) is float
-        assert e == pytest.approx(1.5)
+        traj = hand_trajectory(quad_1, "iv-phase", 1.0, ys=[one(1), one(3)],
+                               vs=[one(5), one(0)], xs=[one(7), one(1)])
+        e = energies(traj, "iv")
+        assert e.dtype == np.float64 and e.shape == (1,)
+        assert e[0] == pytest.approx(1.5)
 
     def test_contraction_along_trajectory(self):
         f = make_quadratic([1, 100])
@@ -71,42 +140,44 @@ class TestLyapIv:
             grad_fn=lambda z: base.grad_fn(z - shift),
             minimizer=shift, min_value=0.0, name="shifted-quad")
         rng = np.random.default_rng(3)
-        for _ in range(20):
-            y = rng.standard_normal(2)
-            v = rng.standard_normal(2)
-            x = rng.standard_normal(2)
-            e0 = lyap_iv(base, y, v, x, s=0.25)
-            e1 = lyap_iv(shifted, y + shift, v, x + shift, s=0.25)
-            assert e1 == pytest.approx(e0, rel=1e-12, abs=1e-12)
+        ys, vs, xs = (rng.standard_normal((21, 2)) for _ in range(3))
+        e0 = energies(hand_trajectory(base, "iv-phase", 0.25, ys, vs, xs),
+                      "iv")
+        e1 = energies(hand_trajectory(shifted, "iv-phase", 0.25, ys + shift,
+                                      vs, xs + shift), "iv")
+        assert len(e0) == 20
+        np.testing.assert_allclose(e1, e0, rtol=1e-12, atol=1e-12)
 
 
-class TestLyapOde:
+class TestOdeEnergies:
     def test_zero_at_equilibrium(self, quad_1):
-        assert lyap_ode(quad_1, one(0), one(0), s=1.0) == 0.0
+        sol = hand_solution(quad_1, 1.0, [one(0)], [one(0)])
+        assert ode_energies(sol).tolist() == [0.0]
 
     def test_substitution(self, quad_1):
-        e = lyap_ode(quad_1, one(1), one(0), s=1.0)
-        assert type(e) is float
-        assert e == pytest.approx(1.5)
+        # probe point 1: gap 0.5, kinetic 0, mixed ||2||^2 / 4
+        e = ode_energies(hand_solution(quad_1, 1.0, [one(1)], [one(0)]))
+        assert e.dtype == np.float64 and e.shape == (1,)
+        assert e[0] == pytest.approx(1.5)
 
     def test_nonincreasing_along_integration(self):
         f = make_quadratic([1, 4])
         sol = integrate(f, np.array([1.0, 0.5]), s=0.25, T=5.0, h=1e-3)
-        e = np.array([lyap_ode(f, st.X, st.Xdot, 0.25) for st in sol])
-        assert np.all(np.diff(e) <= 1e-8)
+        assert np.all(np.diff(ode_energies(sol)) <= 1e-8)
 
-
-class TestOdeEnergies:
     @pytest.mark.parametrize("make, s", [
         (lambda: make_quadratic([1, 4], rotation_seed=3), 0.25),
         (lambda: resolve_minimizer(make_reg_logistic(3, 50, 2, 0.1)), 1.0),
     ])
-    def test_matches_lyap_ode_per_sample(self, make, s):
-        # the recorded probe gap is the potential lyap_ode evaluates, so
-        # the column agrees bit for bit
+    def test_matches_per_sample_formula(self, make, s):
+        # the recorded probe gap is the potential the formula evaluates at
+        # each sample, so the column agrees bit for bit
         f = make()
         sol = integrate(f, np.array([1.0, -0.5]), s, T=0.5, h=1e-2)
-        want = [lyap_ode(f, st.X, st.Xdot, s) for st in sol]
+        c = 1.0 + 2.0 * math.sqrt(f.mu * s)
+        want = [iv_energy_row(f.gap(X + math.sqrt(s) * Xdot / c), Xdot, X,
+                              f.minimizer, s, f.mu)
+                for X, Xdot in zip(sol.X, sol.Xdot)]
         assert ode_energies(sol).tolist() == want
 
     def test_potential_is_the_recorded_gap(self):
@@ -122,11 +193,55 @@ class TestOdeEnergies:
             ode_energies(sol)
 
 
+B = _BLOCK_ROWS
+
+
+@pytest.fixture(scope="module", params=["quad-rot50", "logistic"])
+def block_objective(request):
+    if request.param == "quad-rot50":
+        return make_quadratic(np.linspace(1.0, 100.0, 50), rotation_seed=5)
+    return resolve_minimizer(make_reg_logistic(3, 50, 2, 0.1))
+
+
+class TestBlockBoundaries:
+    """The column formulas, evaluated a block of rows at a time, equal the
+    per-row loop bit for bit on either side of each block boundary."""
+
+    @pytest.mark.parametrize("K", [0, 1, B - 1, B, B + 1, 2 * B + 3])
+    @pytest.mark.parametrize("method, form", [("iv-phase", "iv"),
+                                              ("gc-phase", "gc")])
+    def test_energies(self, block_objective, method, form, K):
+        f = block_objective
+        x0 = np.linspace(-1.0, 1.0, f.dim)
+        traj = run(f, method, x0, 1.0 / f.lipschitz, K)
+        e = energies(traj, form)
+        assert e.shape == (K,)
+        assert e.tobytes() == energies_per_row(traj, form).tobytes()
+
+    def test_ode_energies(self, block_objective):
+        f = block_objective
+        x0 = np.linspace(-1.0, 1.0, f.dim)
+        h = 1e-2
+        full = integrate(f, x0, 1.0 / f.lipschitz, T=(2 * B + 2) * h, h=h)
+        for n in (0, 1, B - 1, B, B + 1, 2 * B + 3):
+            sol = replace(full, t=full.t[:n], X=full.X[:n],
+                          Xdot=full.Xdot[:n], f_gap=full.f_gap[:n])
+            e = ode_energies(sol)
+            assert e.shape == (n,)
+            assert e.tobytes() == ode_energies_per_row(sol).tobytes()
+
+
 class TestMinimizerRequired:
-    def test_unresolved_logistic_rejected(self):
+    @pytest.mark.parametrize("method, form", [("iv-phase", "iv"),
+                                              ("gc-phase", "gc")])
+    def test_unresolved_logistic_rejected(self, method, form):
+        # finite recorded gaps do not stand in for a known minimizer
         f = make_reg_logistic(3, 50, 2, 0.1)
+        zeros = np.zeros((2, 2))
+        traj = hand_trajectory(f, method, 1.0, zeros, zeros, zeros,
+                               f_gap=np.zeros(2))
         with pytest.raises(MinimizerUnknownError):
-            lyap_iv(f, np.zeros(2), np.zeros(2), np.zeros(2), s=1.0)
+            energies(traj, form)
 
     @pytest.mark.parametrize("method, form", [("iv-phase", "iv"),
                                               ("gc-phase", "gc")])

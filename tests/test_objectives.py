@@ -41,6 +41,13 @@ class TestSpectrumSpec:
         with pytest.raises(ValueError):
             SpectrumSpec([])
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_rejects_nonfinite(self, bad):
+        # a NaN compares false with 0, and an inf would make L = inf
+        with pytest.raises(ValueError,
+                           match="all eigenvalues must be positive and finite"):
+            make_quadratic([1.0, bad])
+
     def test_sorted_and_extremes(self):
         spec = SpectrumSpec([3.0, 0.5, 1.0])
         assert spec.eigenvalues == (0.5, 1.0, 3.0)
@@ -110,6 +117,12 @@ class TestRegLogistic:
             make_reg_logistic(1, 10, 2, reg=0.0)
         with pytest.raises(ValueError):
             make_reg_logistic(1, 0, 2, reg=1.0)
+
+    def test_rejects_nonfinite_feature(self):
+        features = np.ones((3, 2))
+        features[1, 0] = np.nan  # L = nan
+        with pytest.raises(ValueError, match="lipschitz must be at least mu"):
+            reg_logistic_from_data(features, np.array([1.0, -1.0, 1.0]), 0.1)
 
 
 class TestResolveMinimizer:
@@ -238,3 +251,10 @@ class TestObjectiveValidation:
             dataclasses.replace(make_quadratic([1, 4]), mu=-1.0)
         with pytest.raises(ValueError):
             dataclasses.replace(make_quadratic([1, 4]), mu=10.0)  # mu > L
+
+    @pytest.mark.parametrize("lipschitz", [float("nan"), float("inf")])
+    def test_lipschitz_must_be_finite(self, lipschitz):
+        # a bare lipschitz < mu test lets NaN through
+        with pytest.raises(ValueError,
+                           match="lipschitz must be at least mu and finite"):
+            dataclasses.replace(make_quadratic([1, 4]), lipschitz=lipschitz)
