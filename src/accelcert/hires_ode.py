@@ -11,11 +11,11 @@ with c = 1 + 2 sqrt(mu s) and s >= 0 (s = 0 is the low-resolution limit),
 both started from X(0) = x_0, X'(0) = 0, with the gradient taken at
 :func:`accelcert.optimizers.probe_point`.  The simplified equation is the
 original with the coefficients 1 + sqrt(mu s) on X'' and c on the gradient
-set to 1, so :func:`acceleration` serves both; the two agree to
-O(sqrt(s)).  The continuous convergence theorem is stated for the
-simplified equation; :func:`check_continuous_bound` verifies it
-with two margin scans (:func:`accelcert.report.margin_report`) over the
-samples.
+set to 1, so one formula serves both, in :func:`acceleration` and
+:func:`integrate` alike; the two agree to O(sqrt(s)).  The continuous
+convergence theorem is stated for the simplified equation;
+:func:`check_continuous_bound` verifies it with two margin scans
+(:func:`accelcert.report.margin_report`) over the samples.
 
 Integration is fixed-step classical Runge-Kutta 4 on the first-order
 system in plain (X, X') arrays: the dynamics are smooth and non-stiff for
@@ -24,10 +24,11 @@ for regression tests.
 
 :func:`integrate` returns an :class:`OdeSolution`, whose preallocated
 columns hold t, X, X' and the objective gap at the probe point, evaluated
-once per sample.  :func:`check_continuous_bound`, the continuous energy
-:func:`accelcert.lyapunov.ode_energies` and the ODE CSV writer read that
-recorded gap; they accept only the objective and (s, mu) the solution was
-integrated with.
+once per sample by the oracle call that also gives the next step's
+first-stage gradient.  :func:`check_continuous_bound`, the continuous
+energy :func:`accelcert.lyapunov.ode_energies` and the ODE CSV writer read
+that recorded gap; they accept only the objective and (s, mu) the solution
+was integrated with.
 """
 
 from __future__ import annotations
@@ -39,7 +40,8 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .objectives import Objective, Vector
-from .optimizers import as_start, momentum_denominator, probe_point
+from .optimizers import (_BLOCK_ROWS, as_start, first_nonfinite_row,
+                         momentum_denominator)
 from .lyapunov import ode_energies
 from .report import CertReport, margin_report
 
@@ -94,6 +96,35 @@ class NonFiniteSolutionError(RuntimeError):
 EQUATIONS = ("simplified", "original")
 
 
+def _flow(f: Objective, s: float, which: str):
+    """(probe, xddot): the probe point as a function of (X, X'), and X''
+    of the ``which`` equation (see :func:`acceleration`) as a function of
+    X' and the gradient at the probe point.  The simplified equation
+    leaves out its unit coefficients, which is exact.  The coefficients
+    are computed once."""
+    if which not in EQUATIONS:
+        raise ValueError(f"unknown equation {which!r}; expected one of {EQUATIONS}")
+    if not s >= 0:  # s = 0 is the low-resolution limit
+        raise ValueError(f"s must be nonnegative, not {s!r}")
+    mu = f.mu
+    root_s, c = math.sqrt(s), momentum_denominator(mu, s)
+    damping = -2.0 * math.sqrt(mu)
+
+    def probe(X: Vector, Xdot: Vector) -> Vector:
+        # probe_point's expression, in its order, with sqrt(s) and c hoisted
+        return X + root_s * Xdot / c
+
+    if which == "simplified":
+        def xddot(Xdot: Vector, g: Vector) -> Vector:
+            return damping * Xdot - g
+    else:
+        mass = 1.0 + math.sqrt(mu * s)
+
+        def xddot(Xdot: Vector, g: Vector) -> Vector:
+            return (damping * Xdot - c * g) / mass
+    return probe, xddot
+
+
 def acceleration(f: Objective, s: float,
                  which: str = "simplified") -> Callable[[Vector, Vector], Vector]:
     """X'' of the ``which`` equation on ``f`` (with mu = f.mu), as a
@@ -105,19 +136,11 @@ def acceleration(f: Objective, s: float,
     (1, 1) for the simplified one.  The coefficients are computed once;
     each call makes one gradient evaluation.
     """
-    if which not in EQUATIONS:
-        raise ValueError(f"unknown equation {which!r}; expected one of {EQUATIONS}")
-    if not s >= 0:  # s = 0 is the low-resolution limit
-        raise ValueError(f"s must be nonnegative, not {s!r}")
-    mu = f.mu
-    c = momentum_denominator(mu, s)
-    damping = -2.0 * math.sqrt(mu)
-    mass, gain = (1.0 + math.sqrt(mu * s), c) if which == "original" else (1.0, 1.0)
+    probe, xddot = _flow(f, s, which)
 
-    def xddot(X: Vector, Xdot: Vector) -> Vector:
-        g = f.grad(probe_point(X, Xdot, s, mu))
-        return (damping * Xdot - gain * g) / mass
-    return xddot
+    def acceleration_at(X: Vector, Xdot: Vector) -> Vector:
+        return xddot(Xdot, f.grad(probe(X, Xdot)))
+    return acceleration_at
 
 
 def integrate(f: Objective, x0: Vector, s: float, T: float, h: float,
@@ -127,17 +150,27 @@ def integrate(f: Objective, x0: Vector, s: float, T: float, h: float,
     The step ``h`` is required; resolving the sqrt(s)-scale correction
     term takes h well below sqrt(s).  T should be an integer multiple of
     h; the step count is rounded to the nearest integer.  ValueError
-    unless x0 has shape (f.dim,).  Deterministic for fixed inputs.  The n
-    RK4 steps make 4n gradient evaluations, and recording the probe gap
-    at the n+1 samples makes n+1 value evaluations (none when the minimum
-    is unknown).
+    unless x0 has shape (f.dim,).  Deterministic for fixed inputs.
+
+    Each sample's probe point is also where the next step takes its
+    first-stage gradient, so with a known minimum one fused
+    value-and-gradient evaluation there gives both the recorded probe gap
+    and that gradient: the n RK4 steps make 3n gradient evaluations and
+    n+1 fused ones (one per sample).  With the minimum unknown they make
+    4n gradient evaluations and no value evaluation.
+
+    A non-finite state raises :class:`NonFiniteSolutionError` with the
+    time of the first sample after t = 0 whose X or X' is non-finite.
+    The samples are checked once per block of 256 rows, not after every
+    step, so a diverging solution steps on to the end of the block
+    first: the oracle may see up to 255 more steps' points past the first
+    non-finite sample, and those steps may emit numpy RuntimeWarnings.
     """
-    xddot = acceleration(f, s, which)
+    probe, xddot = _flow(f, s, which)
     if not h > 0:
         raise ValueError("step size h must be positive")
     if T < 0:
         raise ValueError("horizon T must be nonnegative")
-    mu = f.mu
     X = as_start(f, x0).copy()
     V = np.zeros_like(X)
     n = int(round(T / h)) if T > 0 else 0
@@ -145,29 +178,40 @@ def integrate(f: Objective, x0: Vector, s: float, T: float, h: float,
         raise ValueError(f"T={T} is not an integer multiple of h={h}")
     Xs = np.empty((n + 1,) + X.shape)
     Vs = np.empty((n + 1,) + X.shape)
-    f_gap = np.empty(n + 1)
+    f_gap = np.empty(n + 1)  # raw values until the loop ends
     have_min = f.min_value is not None
-
-    def record(i: int, X: Vector, V: Vector):
-        Xs[i] = X
-        Vs[i] = V
-        f_gap[i] = f.gap(probe_point(X, V, s, mu)) if have_min else np.nan
+    grad, value_and_grad = f.grad, f.value_and_grad
 
     half, sixth = 0.5 * h, h / 6.0
-    record(0, X, V)
-    for i in range(n):
-        A1 = xddot(X, V)
-        V2 = V + half * A1
-        A2 = xddot(X + half * V, V2)
-        V3 = V + half * A2
-        A3 = xddot(X + half * V2, V3)
-        V4 = V + h * A3
-        A4 = xddot(X + h * V3, V4)
-        X = X + sixth * (V + 2.0 * V2 + 2.0 * V3 + V4)
-        V = V + sixth * (A1 + 2.0 * A2 + 2.0 * A3 + A4)
-        if not (np.isfinite(X).all() and np.isfinite(V).all()):
-            raise NonFiniteSolutionError((i + 1) * h)
-        record(i + 1, X, V)
+    Xs[0] = X
+    Vs[0] = V
+    # steps lo..hi-1 fill rows lo+1..hi
+    for lo in range(0, n, _BLOCK_ROWS):
+        hi = min(lo + _BLOCK_ROWS, n)
+        for i in range(lo, hi):
+            if have_min:
+                f_gap[i], g = value_and_grad(probe(X, V))
+            else:
+                g = grad(probe(X, V))
+            A1 = xddot(V, g)
+            V2 = V + half * A1
+            A2 = xddot(V2, grad(probe(X + half * V, V2)))
+            V3 = V + half * A2
+            A3 = xddot(V3, grad(probe(X + half * V2, V3)))
+            V4 = V + h * A3
+            A4 = xddot(V4, grad(probe(X + h * V3, V4)))
+            X = X + sixth * (V + 2.0 * V2 + 2.0 * V3 + V4)
+            V = V + sixth * (A1 + 2.0 * A2 + 2.0 * A3 + A4)
+            Xs[i + 1] = X
+            Vs[i + 1] = V
+        bad = first_nonfinite_row(Xs[lo + 1:hi + 1], Vs[lo + 1:hi + 1])
+        if bad is not None:
+            raise NonFiniteSolutionError((lo + 1 + bad) * h)
+    if have_min:
+        f_gap[n], _ = value_and_grad(probe(X, V))
+        f_gap -= f.min_value
+    else:
+        f_gap[:] = np.nan
     return OdeSolution(t=np.arange(n + 1) * h, X=Xs, Xdot=Vs, f_gap=f_gap,
                        s=s, which=which, objective=f)
 

@@ -200,12 +200,16 @@ def reg_logistic_from_data(features: np.ndarray, labels: np.ndarray,
     f(x) = mean_i log(1 + exp(-b_i <a_i, x>)) + (reg/2) ||x||^2.
     mu = reg; L = reg + sum_i ||a_i||^2 / (4 n), the standard curvature
     bound for the averaged logistic loss.  The fused oracle computes the
-    margins b_i <a_i, x> once for the value and the gradient.
+    margins b_i <a_i, x> once for the value and the gradient.  ValueError
+    unless every label b_i is -1 or +1: the curvature of the loss scales
+    with b_i^2, so L holds only for |b_i| = 1.
     """
     if not reg > 0:
         raise ValueError("reg must be positive")
     features = np.asarray(features, dtype=float)
     labels = np.asarray(labels, dtype=float)
+    if not np.all(np.abs(labels) == 1.0):
+        raise ValueError("labels must be -1 or +1")
     n_samples, dim = features.shape
     lipschitz = reg + float(np.sum(features * features)) / (4.0 * n_samples)
 

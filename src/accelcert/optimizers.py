@@ -179,6 +179,20 @@ STEPS = {
 
 METHODS = tuple(STEPS)
 
+#: Rows per finite check: ``run`` and ``hires_ode.integrate`` test the
+#: rows they recorded once per block instead of once per step, where the
+#: test would cost as much as a step at small d.
+_BLOCK_ROWS = 256
+
+
+def first_nonfinite_row(*blocks: np.ndarray) -> Optional[int]:
+    """Index of the first row that holds a non-finite entry in any of the
+    equally long 2-d ``blocks``, or None when every entry is finite."""
+    finite = np.isfinite(blocks[0]).all(axis=1)
+    for block in blocks[1:]:
+        finite &= np.isfinite(block).all(axis=1)
+    return None if finite.all() else int(finite.argmin())
+
 
 class NonFiniteIterateError(RuntimeError):
     """A run produced a non-finite iterate; ``k`` is the failing step."""
@@ -258,6 +272,13 @@ def run(f: Objective, method: str, x0: Vector, s: float, K: int, *,
     squared norm, and the next step descends along the gradient.  An
     objective without a fused oracle makes K+1 separate evaluations of
     each instead.
+
+    A non-finite iterate raises :class:`NonFiniteIterateError` naming the
+    first step k >= 1 whose x_k is non-finite (x_0 is not checked).  The
+    recorded rows are checked once per block of ``_BLOCK_ROWS`` (256)
+    rows, not after every step, so a diverging run steps on to the end
+    of the block first: the oracle may see up to 255 more points past the
+    first non-finite one, and those steps may emit numpy RuntimeWarnings.
     """
     if K < 0:
         raise ValueError("K must be nonnegative")
@@ -278,15 +299,16 @@ def run(f: Objective, method: str, x0: Vector, s: float, K: int, *,
 
     step = STEPS[method]
     at_y = method in NAG_FAMILY
+    mu = f.mu
+    value_and_grad = f.value_and_grad
     xs = np.empty((K + 1, f.dim))
     ys = np.empty((K + 1, f.dim))
     vs = np.empty((K + 1, f.dim))
-    f_gap = np.empty(K + 1)
+    f_gap = np.empty(K + 1)  # raw values until the loop ends
     grad_sq = np.empty(K + 1)
-    have_min = f.min_value is not None
 
     x, y, v = x0.copy(), x0.copy(), np.zeros(f.dim)
-    value, g = f.value_and_grad(x0)
+    f_gap[0], g = value_and_grad(x0)
     carry = None
     if method == "gc-phase":
         carry = g
@@ -295,19 +317,29 @@ def run(f: Objective, method: str, x0: Vector, s: float, K: int, *,
     elif method == "iv-phase" and first_velocity == "zero":
         carry = np.zeros(f.dim)
     elif method == "iv-phase" and first_velocity == "corollary":
-        carry = 2.0 * math.sqrt(f.mu * s) * g
+        carry = 2.0 * math.sqrt(mu * s) * g
+    xs[0] = x
+    ys[0] = y
+    vs[0] = v
+    grad_sq[0] = g @ g
 
-    for k in range(K + 1):
-        if k:
-            x, y, v, carry = step(s, f.mu, x, y, v, g, carry)
-            value, g = f.value_and_grad(y if at_y else x)
-            if not np.all(np.isfinite(x)):
-                raise NonFiniteIterateError(method, k)
-        xs[k] = x
-        ys[k] = y
-        vs[k] = v
-        f_gap[k] = value - f.min_value if have_min else np.nan
-        grad_sq[k] = g @ g
+    for lo in range(1, K + 1, _BLOCK_ROWS):
+        hi = min(lo + _BLOCK_ROWS, K + 1)
+        for k in range(lo, hi):
+            x, y, v, carry = step(s, mu, x, y, v, g, carry)
+            f_gap[k], g = value_and_grad(y if at_y else x)
+            xs[k] = x
+            ys[k] = y
+            vs[k] = v
+            grad_sq[k] = g @ g
+        bad = first_nonfinite_row(xs[lo:hi])
+        if bad is not None:
+            raise NonFiniteIterateError(method, lo + bad)
+
+    if f.min_value is None:
+        f_gap[:] = np.nan
+    else:
+        f_gap -= f.min_value
 
     return Trajectory(
         method_id=method,

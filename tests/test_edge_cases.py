@@ -2,7 +2,11 @@
 energy form holds at its default slack on one-dimensional, perfectly
 conditioned and extremely ill-conditioned quadratics, on the shortest runs
 and at the ends of the step window; ``run`` checks s > 0 before any step;
-and the iv scheme's y_k is the shared probe point."""
+the iv scheme's y_k is the shared probe point; and a non-finite iterate
+is reported at its own step wherever it falls in the blocks of rows that
+``run`` checks at once."""
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,7 +16,7 @@ from accelcert import (METHODS, certify_contraction, check_bound,
                        resolve_minimizer, run, sample_in_ball)
 from accelcert.analysis import THEOREM_METHODS
 from accelcert.lyapunov import FORM_METHODS
-from accelcert.optimizers import NonFiniteIterateError
+from accelcert.optimizers import _BLOCK_ROWS, NonFiniteIterateError
 
 #: id -> (spectrum, rotation seed or None, step size as a function of
 #: (mu, L), K)
@@ -88,3 +92,53 @@ def test_nonfinite_step_is_the_loop_index():
                                      "at step 103$") as err:
                 run(f, "gd", np.ones(2), 10.0, 2000)
     assert err.value.k == 103
+
+
+B = _BLOCK_ROWS
+
+
+def counted_doubling(j):
+    """(f, x0, calls): gd at s = 3 on f(x) = x^2 / 2 maps x to -2x, so from
+    x0 = 2^(1024 - j) the iterate first overflows at step j; ``calls``
+    counts f's fused oracle calls."""
+    f = make_quadratic([1.0])
+    calls = []
+
+    def value_and_grad_fn(x):
+        calls.append(x)
+        return f.value_and_grad_fn(x)
+    return (replace(f, value_and_grad_fn=value_and_grad_fn),
+            np.array([2.0 ** (1024 - j)]), calls)
+
+
+@pytest.mark.parametrize("j", [1, 2, B - 1, B, B + 1, 2 * B + 3])
+@pytest.mark.parametrize("extra", [0, 1, B])
+def test_nonfinite_step_at_block_boundaries(j, extra):
+    # K = j + extra; K = j ends the run inside a block, at the first
+    # non-finite row
+    f, x0, calls = counted_doubling(j)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.warns(UserWarning, match="exceeds 1/L"):
+            last = run(f, "gd", x0, 3.0, j - 1).xs[-1, 0]
+        assert abs(last) == 2.0 ** 1023
+        calls.clear()
+        with pytest.warns(UserWarning, match="exceeds 1/L"):
+            with pytest.raises(NonFiniteIterateError,
+                               match=f"at step {j}$") as err:
+                run(f, "gd", x0, 3.0, j + extra)
+    assert err.value.k == j
+    # records 0..j took j + 1 calls; the run stops at the end of j's block
+    assert j + 1 <= len(calls) <= j + B
+
+
+def test_nonfinite_start():
+    # x_0 is not checked, so K = 0 returns its one record; x_1 is the
+    # first checked row
+    f = make_quadratic([1.0, 4.0])
+    x0 = np.array([np.nan, 1.0])
+    with np.errstate(invalid="ignore"):
+        assert np.isnan(run(f, "nag-modified", x0, 0.25, 0).f_gap).all()
+        for K in (1, 2 * B):
+            with pytest.raises(NonFiniteIterateError) as err:
+                run(f, "nag-modified", x0, 0.25, K)
+            assert err.value.k == 1

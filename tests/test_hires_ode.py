@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from accelcert import (acceleration, check_continuous_bound, integrate,
                        probe_point)
 from accelcert.hires_ode import NonFiniteSolutionError, OdeSolution, OdeState
 from accelcert.objectives import MinimizerUnknownError
+from accelcert.optimizers import _BLOCK_ROWS as B
 
 # X(1) for X'' + 2 X' + X = 0 from X(0) = 1, X'(0) = 0: X(t) = (1 + t) e^{-t}
 DAMPED_X1 = 0.7357588823428847  # 2 * exp(-1)
@@ -15,6 +17,24 @@ DAMPED_X1 = 0.7357588823428847  # 2 * exp(-1)
 
 def one(v):
     return np.array([float(v)])
+
+
+def poisoned_at_step(j, stage, min_value):
+    """(f, calls): f(x) = x^2 / 2 whose gradient oracle returns inf at its
+    (4(j - 1) + stage)-th call, RK4 stage ``stage`` of step j, so that
+    sample j is the first non-finite one (at stage 4 only its X' is);
+    ``calls`` counts the gradient calls.  Without a fused oracle every
+    step makes four, with or without a known minimum."""
+    quad = make_quadratic([1.0])
+    calls = []
+
+    def grad_fn(x):
+        calls.append(x)
+        if len(calls) == 4 * (j - 1) + stage:
+            return np.full_like(x, np.inf)
+        return quad.grad_fn(x)
+    return replace(quad, grad_fn=grad_fn, value_and_grad_fn=None,
+                   minimizer=None, min_value=min_value), calls
 
 
 @pytest.fixture(scope="module")
@@ -132,6 +152,34 @@ class TestIntegrate:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NonFiniteSolutionError):
                 integrate(f, np.array([1.0, 1.0]), s=0.25, T=1000.0, h=10.0)
+
+    @pytest.mark.parametrize("j", [1, 2, B - 1, B, B + 1, 2 * B + 3])
+    @pytest.mark.parametrize("extra", [0, 1, B])
+    @pytest.mark.parametrize("stage, min_value", [(1, 0.0), (1, None),
+                                                  (4, 0.0)])
+    def test_nonfinite_time_at_block_boundaries(self, j, extra, stage,
+                                                min_value):
+        # n = j + extra steps; n = j ends inside a block, at the first
+        # non-finite sample
+        f, calls = poisoned_at_step(j, stage, min_value)
+        h = 0.5
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NonFiniteSolutionError) as err:
+                integrate(f, one(1), s=0.25, T=(j + extra) * h, h=h)
+        assert err.value.t == j * h
+        # steps 1..j made 4j calls; the solution stops at the end of j's
+        # block
+        assert 4 * j <= len(calls) <= 4 * (j + B - 1)
+
+    def test_nonfinite_start(self, quad_1):
+        # X(0) is not checked, so T = 0 returns its one sample; t = h is
+        # the first checked one
+        x0 = one(np.nan)
+        assert np.isnan(integrate(quad_1, x0, 0.25, 0.0, 0.5).X).all()
+        for steps in (1, 2 * B):
+            with pytest.raises(NonFiniteSolutionError) as err:
+                integrate(quad_1, x0, 0.25, steps * 0.5, 0.5)
+            assert err.value.t == 0.5
 
     def test_equilibrium_stability(self):
         f = make_quadratic([1, 4])

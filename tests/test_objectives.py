@@ -125,6 +125,15 @@ class TestRegLogistic:
             reg_logistic_from_data(features, np.array([1.0, -1.0, 1.0]), 0.1)
 
 
+    @pytest.mark.parametrize("bad", [3.0, 0.0, np.nan])
+    def test_rejects_label_outside_plus_minus_one(self, bad):
+        # L = reg + sum ||a_i||^2 / (4n) bounds the curvature only for
+        # |b_i| = 1: with every label 3, certify_class fails pairs
+        features = np.ones((3, 2))
+        with pytest.raises(ValueError, match=r"labels must be -1 or \+1"):
+            reg_logistic_from_data(features, np.array([1.0, bad, -1.0]), 0.1)
+
+
 class TestResolveMinimizer:
     def test_logistic_minimizer(self):
         f = resolve_minimizer(make_reg_logistic(3, 50, 2, 0.1))

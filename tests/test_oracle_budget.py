@@ -13,11 +13,12 @@ recorded, and a gap on a sequence the run did not record (x_k where
 y_k was recorded, and x_{k+1} in the gradient-step margins) takes one
 value per point.
 
-The same holds for the high-resolution ODE: ``integrate`` makes four
-gradients per RK4 step and records the probe gap with one value per
-sample; the continuous check (which reads f(x_0) as the gap at rest) and
-the ODE CSV read that column, and reject an objective or (s, mu) other
-than the solution's.
+The same holds for the high-resolution ODE: ``integrate`` takes one
+fused evaluation at each sample's probe point, which gives the recorded
+probe gap and the next RK4 step's first-stage gradient, and three more
+gradients per step; the continuous check (which reads f(x_0) as the gap
+at rest) and the ODE CSV read that column, and reject an objective or
+(s, mu) other than the solution's.
 """
 
 import json
@@ -184,11 +185,24 @@ def solve(f, s):
 
 
 def test_integrate_budget(counted):
+    # the fused call at each sample's probe point gives the recorded gap
+    # and the next step's first-stage gradient
     f = counted.f
     counted.reset()
     sol = solve(f, 1.0 / f.lipschitz)
     assert len(sol) == ODE_STEPS + 1
-    assert counted.calls == (4 * ODE_STEPS, ODE_STEPS + 1, 0)
+    assert counted.calls == (3 * ODE_STEPS, 0, ODE_STEPS + 1)
+
+
+@pytest.mark.parametrize("name", sorted(OBJECTIVES))
+def test_integrate_budget_without_minimum(name):
+    counted = Counted(replace(OBJECTIVES[name](), minimizer=None,
+                              min_value=None))
+    f = counted.f
+    counted.reset()
+    sol = solve(f, 1.0 / f.lipschitz)
+    assert np.isnan(sol.f_gap).all()
+    assert counted.calls == (4 * ODE_STEPS, 0, 0)
 
 
 def test_continuous_check_reads_recorded_gap(counted):
