@@ -29,8 +29,8 @@ from . import analysis, lyapunov
 from .hires_ode import OdeSolution, require_integrated_with
 from .objectives import (Objective, SpectrumSpec, make_quadratic,
                          make_reg_logistic, resolve_minimizer, sample_in_ball)
-from .optimizers import (METHODS, NonFiniteIterateError, Trajectory, run,
-                         step_guaranteed)
+from .optimizers import (METHODS, NonFiniteIterateError, Trajectory, _blocks,
+                         run, step_guaranteed)
 from .report import CertReport
 
 OUTPUT_ROOT_ENV = "ACCELCERT_OUT"
@@ -48,10 +48,6 @@ OBJECTIVE_IDS = tuple(OBJECTIVE_PARAMS)
 _S_SYMBOLS = {"1/L": lambda f: 1.0 / f.lipschitz,
               "1/(2L)": lambda f: 1.0 / (2.0 * f.lipschitz),
               "1/(4mu)": lambda f: 1.0 / (4.0 * f.mu)}
-
-#: Rows per block of :func:`write_csv`.
-_CSV_BLOCK_ROWS = 256
-
 
 class ConfigError(ValueError):
     """A config document failed validation; the message names the field."""
@@ -299,6 +295,15 @@ def summary_path(csv_path: Path) -> Path:
     return csv_path.with_suffix(".summary.txt")
 
 
+def _cells(col) -> list:
+    """:func:`fmt` of each value of a column, spelled out inline for a float
+    column, whose cells are almost all the cells of a table."""
+    values = np.asarray(col)
+    if values.dtype.kind == "f":
+        return ["" if v != v else repr(v) for v in values.tolist()]
+    return [fmt(v) for v in values.tolist()]
+
+
 def write_csv(columns: dict, path: Path):
     """Write ``columns`` (header -> equal-length column) as CSV: the header,
     then one row per index, every cell formatted by :func:`fmt`.  Rows are
@@ -307,10 +312,9 @@ def write_csv(columns: dict, path: Path):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(columns)
-        for start in range(0, n_rows, _CSV_BLOCK_ROWS):
-            block = [np.asarray(col[start:start + _CSV_BLOCK_ROWS]).tolist()
-                     for col in columns.values()]
-            writer.writerows(map(fmt, row) for row in zip(*block))
+        for rows in _blocks(n_rows):
+            writer.writerows(zip(*[_cells(col[rows])
+                                   for col in columns.values()]))
 
 
 def write_trajectory_csv(traj: Trajectory, path: Path):

@@ -40,7 +40,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .objectives import Objective, Vector
-from .optimizers import (_BLOCK_ROWS, as_start, first_nonfinite_row,
+from .optimizers import (_blocks, as_start, first_nonfinite_row,
                          momentum_denominator)
 from .lyapunov import ode_energies
 from .report import CertReport, margin_report
@@ -186,8 +186,8 @@ def integrate(f: Objective, x0: Vector, s: float, T: float, h: float,
     Xs[0] = X
     Vs[0] = V
     # steps lo..hi-1 fill rows lo+1..hi
-    for lo in range(0, n, _BLOCK_ROWS):
-        hi = min(lo + _BLOCK_ROWS, n)
+    for steps in _blocks(n):
+        lo, hi = steps.start, steps.stop
         for i in range(lo, hi):
             if have_min:
                 f_gap[i], g = value_and_grad(probe(X, V))

@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING, Optional
 import numpy as np
 
 from .objectives import Objective, Vector, require_minimizer
-from .optimizers import Trajectory, momentum_denominator, run
+from .optimizers import Trajectory, _blocks, momentum_denominator, run
 from .report import CertReport, margin_report
 
 if TYPE_CHECKING:
@@ -50,17 +50,6 @@ def require_form(form: str, method: Optional[str] = None) -> tuple:
         raise ValueError(f"form {form!r} applies to methods {methods}, "
                          f"not {method!r}")
     return methods
-
-
-#: Rows per block of the energy formulas: over a whole column, their (K, d)
-#: temporaries raise the peak memory of a long run at large d.
-_BLOCK_ROWS = 256
-
-
-def _blocks(n: int):
-    """Slices of at most ``_BLOCK_ROWS`` rows that cover rows 0..n-1."""
-    for lo in range(0, n, _BLOCK_ROWS):
-        yield slice(lo, min(lo + _BLOCK_ROWS, n))
 
 
 def _gc_energy(potential: np.ndarray, G: np.ndarray, Y_next: np.ndarray,
@@ -116,7 +105,10 @@ def energies(trajectory: Trajectory, form: str) -> np.ndarray:
     The trajectory must be one that :func:`~accelcert.optimizers.run`
     produced: the potential f(y_k) - f* is read from its recorded ``f_gap``
     column, which every method a form applies to records at y_k.  So the
-    iv form makes no oracle call, and the gc form one gradient per k.
+    iv form makes no oracle call.  The gc form takes g_k, which the run
+    does not record, from one row-batched oracle call
+    (:meth:`~accelcert.objectives.Objective.value_and_grad_rows`) per
+    block of 256 rows; it matches the per-row gradient up to rounding.
     """
     require_form(form, trajectory.method_id)
     f = trajectory.objective
@@ -128,7 +120,7 @@ def energies(trajectory: Trajectory, form: str) -> np.ndarray:
     for rows in _blocks(len(out)):
         nxt = slice(rows.start + 1, rows.stop + 1)
         if form == "gc":
-            G = np.array([f.grad(y) for y in ys[rows]])
+            _, G = f.value_and_grad_rows(ys[rows])
             out[rows] = _gc_energy(gaps[rows], G, ys[nxt], vs[nxt], xstar, s,
                                    mu)
         else:

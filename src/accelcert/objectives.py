@@ -38,8 +38,14 @@ class Objective:
     fused oracle that returns ``(value_fn(x), grad_fn(x))`` from shared
     work, and must match the two separate oracles bit for bit: a run
     records the values it returns, and certificates compare them with
-    values ``value_fn`` takes elsewhere.  ``hessian`` is populated for
-    quadratics and used by tests as an independent oracle.
+    values ``value_fn`` takes elsewhere.  ``value_and_grad_rows_fn``, when
+    given, is a row-batched oracle: for an (n, d) array it returns the
+    values (n,) and gradients (n, d) at its rows from one matrix product
+    (or elementwise work).  It matches the per-row oracles up to rounding,
+    not bit for bit, so only certificates use it, at points a run did not
+    record.
+    ``hessian`` is populated for quadratics and used by tests as an
+    independent oracle.
     """
 
     dim: int
@@ -52,6 +58,8 @@ class Objective:
     name: str = "custom"
     hessian: Optional[np.ndarray] = None
     value_and_grad_fn: Optional[Callable[[Vector], tuple[float, Vector]]] = None
+    value_and_grad_rows_fn: Optional[
+        Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]] = None
 
     def __post_init__(self):
         if self.dim < 1:
@@ -82,6 +90,19 @@ class Objective:
             return self.value(x), self.grad(x)
         value, grad = self.value_and_grad_fn(np.asarray(x, dtype=float))
         return float(value), np.asarray(grad, dtype=float)
+
+    def value_and_grad_rows(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Values (n,) and gradients (n, d) at the rows of an (n, d) array:
+        one call of the row-batched oracle, or one :meth:`value_and_grad`
+        call per row when the objective has none."""
+        X = np.asarray(X, dtype=float)
+        if self.value_and_grad_rows_fn is None:
+            values, grads = np.empty(len(X)), np.empty(X.shape)
+            for i, x in enumerate(X):
+                values[i], grads[i] = self.value_and_grad(x)
+            return values, grads
+        values, grads = self.value_and_grad_rows_fn(X)
+        return np.asarray(values, dtype=float), np.asarray(grads, dtype=float)
 
     def gap(self, x: Vector) -> float:
         """f(x) - f(x*); requires a known minimum value."""
@@ -152,7 +173,10 @@ def make_quadratic(spec: SpectrumSpec | Sequence[float],
 
     The gradient is ``A @ x``, elementwise ``lams * x`` for a diagonal A
     (the same bits in O(d)), and the value is ``0.5 * x @ grad``, so the
-    fused oracle takes both from one product with A.
+    fused oracle takes both from one product with A.  The row-batched
+    oracle takes the gradients at the rows of X as ``X @ A`` (A is exactly
+    symmetric), ``X * lams`` for a diagonal A, the same bits as the
+    per-row oracle there.
     """
     if not isinstance(spec, SpectrumSpec):
         spec = SpectrumSpec(spec)
@@ -163,6 +187,9 @@ def make_quadratic(spec: SpectrumSpec | Sequence[float],
 
         def grad_fn(x: Vector) -> Vector:
             return lams * x
+
+        def grad_rows(X: np.ndarray) -> np.ndarray:
+            return X * lams
     else:
         q = _orthogonal_matrix(spec.dim, rotation_seed)
         hessian = (q * lams) @ q.T  # q diag(lams) q^T, bit for bit
@@ -172,9 +199,16 @@ def make_quadratic(spec: SpectrumSpec | Sequence[float],
         def grad_fn(x: Vector) -> Vector:
             return hessian @ x
 
+        def grad_rows(X: np.ndarray) -> np.ndarray:
+            return X @ hessian
+
     def value_and_grad_fn(x: Vector) -> tuple[float, Vector]:
         g = grad_fn(x)
         return 0.5 * float(x @ g), g
+
+    def value_and_grad_rows_fn(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        G = grad_rows(X)
+        return 0.5 * np.vecdot(X, G), G
 
     def value_fn(x: Vector) -> float:
         return value_and_grad_fn(x)[0]
@@ -190,6 +224,7 @@ def make_quadratic(spec: SpectrumSpec | Sequence[float],
         name=name,
         hessian=hessian,
         value_and_grad_fn=value_and_grad_fn,
+        value_and_grad_rows_fn=value_and_grad_rows_fn,
     )
 
 
@@ -200,7 +235,9 @@ def reg_logistic_from_data(features: np.ndarray, labels: np.ndarray,
     f(x) = mean_i log(1 + exp(-b_i <a_i, x>)) + (reg/2) ||x||^2.
     mu = reg; L = reg + sum_i ||a_i||^2 / (4 n), the standard curvature
     bound for the averaged logistic loss.  The fused oracle computes the
-    margins b_i <a_i, x> once for the value and the gradient.  ValueError
+    margins b_i <a_i, x> once for the value and the gradient; the
+    row-batched oracle computes them for every row of X in one product
+    with the features.  ValueError
     unless every label b_i is -1 or +1: the curvature of the loss scales
     with b_i^2, so L holds only for |b_i| = 1.
     """
@@ -230,9 +267,17 @@ def reg_logistic_from_data(features: np.ndarray, labels: np.ndarray,
         margins = labels * (features @ x)
         return value_at(x, margins), grad_at(x, margins)
 
+    def value_and_grad_rows_fn(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        margins = (X @ features.T) * labels
+        values = (np.mean(np.logaddexp(0.0, -margins), axis=1)
+                  + 0.5 * reg * np.vecdot(X, X))
+        grads = -((expit(-margins) * labels) @ features) / n_samples + reg * X
+        return values, grads
+
     return Objective(dim=dim, mu=reg, lipschitz=lipschitz, value_fn=value_fn,
                      grad_fn=grad_fn, name=name,
-                     value_and_grad_fn=value_and_grad_fn)
+                     value_and_grad_fn=value_and_grad_fn,
+                     value_and_grad_rows_fn=value_and_grad_rows_fn)
 
 
 def make_reg_logistic(data_seed: int, n_samples: int, dim: int,

@@ -179,10 +179,19 @@ STEPS = {
 
 METHODS = tuple(STEPS)
 
-#: Rows per finite check: ``run`` and ``hires_ode.integrate`` test the
-#: rows they recorded once per block instead of once per step, where the
-#: test would cost as much as a step at small d.
+#: Rows per block.  ``run`` and ``hires_ode.integrate`` test the rows they
+#: recorded once per block instead of once per step, where the test would
+#: cost as much as a step at small d; the certificates evaluate their column
+#: formulas and row-batched oracle calls a block at a time, because over a
+#: whole column their (K, d) temporaries raise the peak memory of a long
+#: run at large d.
 _BLOCK_ROWS = 256
+
+
+def _blocks(stop: int, start: int = 0):
+    """Slices of at most ``_BLOCK_ROWS`` rows that cover rows start..stop-1."""
+    for lo in range(start, stop, _BLOCK_ROWS):
+        yield slice(lo, min(lo + _BLOCK_ROWS, stop))
 
 
 def first_nonfinite_row(*blocks: np.ndarray) -> Optional[int]:
@@ -323,18 +332,17 @@ def run(f: Objective, method: str, x0: Vector, s: float, K: int, *,
     vs[0] = v
     grad_sq[0] = g @ g
 
-    for lo in range(1, K + 1, _BLOCK_ROWS):
-        hi = min(lo + _BLOCK_ROWS, K + 1)
-        for k in range(lo, hi):
+    for rows in _blocks(K + 1, start=1):
+        for k in range(rows.start, rows.stop):
             x, y, v, carry = step(s, mu, x, y, v, g, carry)
             f_gap[k], g = value_and_grad(y if at_y else x)
             xs[k] = x
             ys[k] = y
             vs[k] = v
             grad_sq[k] = g @ g
-        bad = first_nonfinite_row(xs[lo:hi])
+        bad = first_nonfinite_row(xs[rows])
         if bad is not None:
-            raise NonFiniteIterateError(method, lo + bad)
+            raise NonFiniteIterateError(method, rows.start + bad)
 
     if f.min_value is None:
         f_gap[:] = np.nan

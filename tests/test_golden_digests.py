@@ -64,8 +64,8 @@ EXECUTE_CASES = {
          "method": "gc-phase", "s": "1/L", "K": 150, "seed": 6,
          "x0": {"random_ball": {"radius": 2.0}}, "lyapunov": "gc",
          "bound": "rate-gc"},
-        {".csv": "093db710c065d283deb13484a31b3aec042cbcdc7557f9129e9c0d54b3d4aa9f",
-         ".summary.txt": "46ea292ca0b98c831983cbabcc4d36b80339f0148343b6a834b7b02eac209c89",
+        {".csv": "97523b7219763bcfb523a67563abc323dc93308c5cd2b674e5135e8062546bad",
+         ".summary.txt": "6873a790a3b098e381307f947c3775f077d32a0861c6a3e15f87c8a6640bf586",
          ".config.json": "52a221c5986858cfb61dab9821515291849ea2093d68622f2fcdd68fbc07da5b"}),
     "logistic2-nag": (
         {"objective": "reg-logistic", "data_seed": 3, "n_samples": 50, "dim": 2,
@@ -195,9 +195,9 @@ def test_cli_scan_digests(tmp_path, name):
 #: change in the order of a dot product's terms moves the last bits.
 ENERGY_DIGESTS = {
     ("gc-phase", "gc"):
-        "3dada8c8322fe15f90e61797cf117bca5cd00a76457366e370665299d119b8d2",
+        "2e026edad4b5c8486a2a98c22086d678d742e0e2b5b3bc66b3d4d47b3b63c5cf",
     ("gc-modified", "gc"):
-        "2c02028690a701d343a916e5e4e15a65b0494fdae97b3314d6b9cebc0c3c537c",
+        "e9d8e730d773a75b642d84cfce1e6a51674dd4942bc280f9fe71c1d79da65442",
     ("iv-phase", "iv"):
         "02c552e616e04f922ef7269bf7f9b9b57bdadc01a2e61e2e55bc234c1c9f3776",
     ("nag-modified", "iv"):
@@ -282,25 +282,25 @@ MARGIN_DIGESTS = {
     ("quad-mild", "nag-modified"):
         "324eff81bfb0ab2b131c58bd45180a3d0045795e6c28de9c5cc318fe7ff15869",
     ("quad-rot", "gc-modified"):
-        "16ea4ff1092174e8887f246861293be9a0700516b81f74b3fb333a1e21983c97",
+        "af8a2d86d2249dfe173404eef5938289ef8ba0c8db9c54ea64d89773cf437b23",
     ("quad-rot", "gc-phase"):
-        "7c9c211d03bf7dfa49a34590ae1ee3f09d275dda04e9c2b18f29f7d3f6082b78",
+        "90d04d4f7a260c2f2df5aaf9c1f96ae55ec022dbe38542315bb11323f138c8a7",
     ("quad-rot", "iv-phase"):
-        "cbfab9f85ce5d6555130c70011ecac4a3660509db453581d067c0b3cada12348",
+        "37b3e27aebee66d4ab18860a0a8b9a040f406e9c04bc63b914d51745875d4c79",
     ("quad-rot", "nag-classic"):
-        "e01e99690af7f0f2e09e7b54e6892f64d90e25800d418d010dfd18046aa16b88",
+        "4b958e1f628d0a44cc1447a8da7a347bc6d404d0bb53eac346b7927f865434ed",
     ("quad-rot", "nag-modified"):
-        "a6d2bb4ee631a994af78e8098c4d14ae9485973c1377ae009b545601d67737df",
+        "adce7560721f9d112f86b56e42f42dde9e7196ce871962d7328db73f223cda71",
     ("reg-logistic", "gc-modified"):
-        "7d4add109146e9795a477462098453ecc622c6acc8a93e9a50c88ca16f76ea1e",
+        "aefb75e101e66b0efae4c28224b903377db8ad80e5561b9b8b9228f72ebe6fcb",
     ("reg-logistic", "gc-phase"):
-        "cb2ca2960e605f8c198b7096999288b0f19bd9e5f7d2dadc257c062edb845c14",
+        "b90433cd2f9fa2ecf99c806262f642a6be444d9a568f789ffb22a435c05ef978",
     ("reg-logistic", "iv-phase"):
         "f95ee9eb120ff26cc56d8503fd2db16999cc911e7ea1f0dc2d67f02115fae93a",
     ("reg-logistic", "nag-classic"):
-        "1aeca3b205ac594cc142703aa6ce3b8a4efee66997256fb4f2088d9195493135",
+        "7fdcb7b199d0200b5b58321fcbb26a1a3884432b4b278a83a50991cd97c422f5",
     ("reg-logistic", "nag-modified"):
-        "39bd356713c01f3298dc6cbb857a68525a80748e46ee9ff653a3ec0d72a6ea01",
+        "dc8489bd769345276932e07514422babc228881f50b82d6305b2be3f6d54af7d",
 }
 
 

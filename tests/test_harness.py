@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -371,3 +372,22 @@ class TestWriteCsv:
         path = tmp_path / "t.csv"
         write_csv({"a": [], "b": np.empty(0)}, path)
         assert path.read_text().splitlines() == ["a,b"]
+
+    def test_float_columns_match_fmt_bytes(self, tmp_path):
+        # float columns are formatted inline; the file has the bytes of
+        # formatting every cell with fmt, across several 256-row blocks
+        n = 600
+        rng = np.random.default_rng(0)
+        floats = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+        floats[::7] = np.nan
+        floats[1:4] = [np.inf, -np.inf, -0.0]
+        columns = {"k": range(n), "x": floats, "ok": floats > 0,
+                   "n": rng.integers(-5, 5, n), "list": floats[::-1].tolist()}
+        path = tmp_path / "t.csv"
+        write_csv(columns, path)
+        rows = [",".join(columns)] + [
+            ",".join(fmt(col[i]) for col in columns.values()) for i in range(n)]
+        want = "".join(row + "\r\n" for row in rows)
+        got = path.read_bytes()
+        assert hashlib.sha256(got).digest() == hashlib.sha256(
+            want.encode()).digest()

@@ -8,8 +8,9 @@ from accelcert import (OdeSolution, Trajectory, certify_contraction, energies,
                        initial_energy, integrate, make_quadratic,
                        make_reg_logistic, ode_energies, probe_point,
                        resolve_minimizer, run)
-from accelcert.lyapunov import _BLOCK_ROWS, attach_energies
+from accelcert.lyapunov import attach_energies
 from accelcert.objectives import MinimizerUnknownError, Objective
+from accelcert.optimizers import _BLOCK_ROWS, _blocks
 
 
 def one(v):
@@ -18,7 +19,9 @@ def one(v):
 
 # The energies of the `energies` and `ode_energies` docstrings, one row at
 # a time, each squared norm a single dot product: the per-row reference
-# that the column formulas must match bit for bit.
+# that the column formulas must match bit for bit.  The gc form's gradients
+# g_k come from the same row-batched oracle calls, one per block of rows,
+# that `energies` makes: they match the per-row oracle only up to rounding.
 
 def gc_energy_row(gap, g, y_next, v, xstar, s, mu):
     combo = v + 2.0 * math.sqrt(mu) * (y_next - xstar) + math.sqrt(s) * g
@@ -33,12 +36,18 @@ def iv_energy_row(gap, v, x, xstar, s, mu):
             + 0.25 * float(combo @ combo))
 
 
-def energies_per_row(traj, form):
+def energies_per_row(traj, form, grads=None):
+    """The per-row reference; the gc form takes g_k from ``grads`` when
+    given."""
     f = traj.objective
     gaps = traj.f_gap.tolist()
     ys, vs, xs = traj.ys, traj.vs, traj.xs
     if form == "gc":
-        rows = [gc_energy_row(gaps[k], f.grad(ys[k]), ys[k + 1], vs[k + 1],
+        if grads is None:
+            grads = np.empty((traj.K, f.dim))
+            for block in _blocks(traj.K):
+                grads[block] = f.value_and_grad_rows(ys[block])[1]
+        rows = [gc_energy_row(gaps[k], grads[k], ys[k + 1], vs[k + 1],
                               f.minimizer, traj.s, f.mu)
                 for k in range(traj.K)]
     else:
@@ -217,6 +226,23 @@ class TestBlockBoundaries:
         e = energies(traj, form)
         assert e.shape == (K,)
         assert e.tobytes() == energies_per_row(traj, form).tobytes()
+
+    @pytest.mark.parametrize("K", [0, 1, B, B + 1, 2 * B + 3])
+    @pytest.mark.parametrize("rows_oracle", [True, False])
+    def test_gc_energies_diagonal_or_per_row(self, rows_oracle, K):
+        # a diagonal quadratic's row-batched gradients, and the per-row
+        # fallback of an objective with no row-batched oracle, are the bits
+        # of the per-row gradient oracle
+        f = make_quadratic(np.linspace(1.0, 100.0, 50))
+        if not rows_oracle:
+            f = replace(make_quadratic(np.linspace(1.0, 100.0, 50),
+                                       rotation_seed=5),
+                        value_and_grad_rows_fn=None)
+        x0 = np.linspace(-1.0, 1.0, f.dim)
+        traj = run(f, "gc-phase", x0, 1.0 / f.lipschitz, K)
+        grads = [f.grad(y) for y in traj.ys[:K]]
+        assert (energies(traj, "gc").tobytes()
+                == energies_per_row(traj, "gc", grads).tobytes())
 
     def test_ode_energies(self, block_objective):
         f = block_objective

@@ -1,5 +1,5 @@
-"""Oracle budget: how many gradient and value evaluations a run and its
-certificates make.
+"""Oracle budget: how many gradient, value and row-batched evaluations a
+run and its certificates make.
 
 A recorded point needs one gradient (its squared norm is recorded, and
 the next step descends along it) and one value (its gap is recorded),
@@ -7,11 +7,13 @@ both at the same point, so ``run`` makes exactly K+1 fused
 value-and-gradient evaluations on an objective that has a fused oracle,
 and K+1 of each separate one otherwise.  Certificates read the recorded
 ``f_gap``, ``grad_sq`` and ``lyapunov`` columns instead of calling the
-oracles again; f(x_0) is ``f_gap[0]``.  Two evaluations remain: the
-``gc`` energy takes the gradient at y_k, because no gradient column is
-recorded, and a gap on a sequence the run did not record (x_k where
-y_k was recorded, and x_{k+1} in the gradient-step margins) takes one
-value per point.
+oracles again; f(x_0) is ``f_gap[0]``.  What the run did not record is
+taken from the row-batched oracle, one call per block of 256 rows and no
+per-row call: the gradients at y_k for the ``gc`` energy (K rows), and
+the gaps on a sequence the run did not record, x_k where y_k was
+recorded (K+1 rows) and x_{k+1} in the gradient-step margins (K rows).
+An objective without a row-batched oracle makes one fused call per row
+instead.
 
 The same holds for the high-resolution ODE: ``integrate`` takes one
 fused evaluation at each sample's probe point, which gives the recorded
@@ -22,6 +24,7 @@ at rest) and the ODE CSV read that column, and reject an objective or
 """
 
 import json
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -40,7 +43,8 @@ from accelcert.optimizers import FIRST_VELOCITY_CONVENTIONS
 
 class Counted:
     """An objective whose ``grad_fn`` / ``value_fn`` / ``value_and_grad_fn``
-    count their calls; ``calls`` is (gradients, values, fused pairs)."""
+    / ``value_and_grad_rows_fn`` count their calls; ``calls`` is
+    (gradients, values, fused pairs, row-batched calls, rows in them)."""
 
     def __init__(self, f):
         def grad_fn(x):
@@ -55,19 +59,34 @@ class Counted:
             self.fused += 1
             return f.value_and_grad_fn(x)
 
+        def value_and_grad_rows_fn(X):
+            self.rows_calls += 1
+            self.rows += len(X)
+            return f.value_and_grad_rows_fn(X)
+
         self.reset()
-        self.f = replace(f, grad_fn=grad_fn, value_fn=value_fn,
-                         value_and_grad_fn=(None if f.value_and_grad_fn is None
-                                            else value_and_grad_fn))
+        self.f = replace(
+            f, grad_fn=grad_fn, value_fn=value_fn,
+            value_and_grad_fn=(None if f.value_and_grad_fn is None
+                               else value_and_grad_fn),
+            value_and_grad_rows_fn=(None if f.value_and_grad_rows_fn is None
+                                    else value_and_grad_rows_fn))
 
     def reset(self):
         self.grads = 0
         self.values = 0
         self.fused = 0
+        self.rows_calls = 0
+        self.rows = 0
 
     @property
     def calls(self):
-        return self.grads, self.values, self.fused
+        return self.grads, self.values, self.fused, self.rows_calls, self.rows
+
+
+def blocks(n):
+    """Row-batched calls over n rows: one per block of 256."""
+    return math.ceil(n / 256)
 
 
 OBJECTIVES = {
@@ -95,7 +114,7 @@ def test_run_makes_one_gradient_and_one_value_per_record(counted, method,
     traj = run(f, method, start(f), 1.0 / f.lipschitz, K,
                first_velocity=first_velocity)
     assert len(traj) == K + 1
-    assert counted.calls == (0, 0, K + 1)
+    assert counted.calls == (0, 0, K + 1, 0, 0)
 
 
 @pytest.mark.parametrize("method", METHODS)
@@ -105,22 +124,28 @@ def test_run_without_fused_oracle_makes_separate_calls(method, K):
     f = counted.f
     counted.reset()
     traj = run(f, method, start(f), 1.0 / f.lipschitz, K)
-    assert counted.calls == (K + 1, K + 1, 0)
+    assert counted.calls == (K + 1, K + 1, 0, 0, 0)
     # the same record as with the fused oracle, bit for bit
     fused = run(OBJECTIVES["quad"](), method, start(f), 1.0 / f.lipschitz, K)
     np.testing.assert_array_equal(traj.f_gap, fused.f_gap)
     np.testing.assert_array_equal(traj.grad_sq, fused.grad_sq)
 
 
+def gc_certificates(K):
+    """The gc energy's gradients at y_k (K rows) and the rate-gc bound's
+    gaps at x_k (K+1 rows), each one row-batched call per block of 256."""
+    return 0, 0, 0, blocks(K) + blocks(K + 1), 2 * K + 1
+
+
 @pytest.mark.parametrize("method, form, theorem, extra", [
-    ("iv-phase", "iv", "rate-iv", lambda K: (0, 0, 0)),
-    ("nag-modified", "iv", "rate-iv", lambda K: (0, 0, 0)),
-    ("gc-phase", "gc", "rate-gc", lambda K: (K, K + 1, 0)),
-    ("gc-modified", "gc", "rate-gc", lambda K: (K, K + 1, 0)),
+    ("iv-phase", "iv", "rate-iv", lambda K: (0, 0, 0, 0, 0)),
+    ("nag-modified", "iv", "rate-iv", lambda K: (0, 0, 0, 0, 0)),
+    ("gc-phase", "gc", "rate-gc", gc_certificates),
+    ("gc-modified", "gc", "rate-gc", gc_certificates),
 ])
-def test_certificate_budget(counted, method, form, theorem, extra):
+@pytest.mark.parametrize("K", [25, 256])
+def test_certificate_budget(counted, method, form, theorem, extra, K):
     f = counted.f
-    K = 25
     traj = run(f, method, start(f), 1.0 / f.lipschitz, K)
     counted.reset()
     assert certify_contraction(traj, form).n_checked == K - 1
@@ -128,14 +153,33 @@ def test_certificate_budget(counted, method, form, theorem, extra):
     assert counted.calls == extra(K)
 
 
+@pytest.mark.parametrize("fused", [True, False])
+def test_certificate_budget_without_rows_oracle(fused):
+    # one per-row evaluation in place of each row of a row-batched call
+    f = OBJECTIVES["quad"]()
+    counted = Counted(replace(
+        f, value_and_grad_rows_fn=None,
+        value_and_grad_fn=f.value_and_grad_fn if fused else None))
+    g = counted.f
+    K = 300
+    traj = run(g, "gc-phase", start(g), 1.0 / g.lipschitz, K)
+    counted.reset()
+    certify_contraction(traj, "gc")
+    check_bound(traj, "rate-gc")
+    n = 2 * K + 1
+    assert counted.calls == ((0, 0, n, 0, 0) if fused else (n, n, 0, 0, 0))
+
+
 @pytest.mark.parametrize("method, form, theorem, extra", [
-    ("iv-phase", "iv", "rate-iv", lambda K: (0, 0, K + 1)),
-    ("gc-phase", "gc", "rate-gc", lambda K: (K, K + 1, K + 1)),
+    ("iv-phase", "iv", "rate-iv", lambda K: (0, 0, K + 1, 0, 0)),
+    ("gc-phase", "gc", "rate-gc",
+     lambda K: (0, 0, K + 1, blocks(K) + blocks(K + 1), 2 * K + 1)),
 ])
 def test_execute_budget(counted, monkeypatch, tmp_path, method, form, theorem,
                         extra):
-    # the run's fused evaluations, the gc energy's gradients at y_k and the
-    # rate-gc bound's values at x_k; nothing else
+    # the run's fused evaluations, and the row-batched calls for the gc
+    # energy's gradients at y_k and the rate-gc bound's gaps at x_k; nothing
+    # else
     f = counted.f
     K = 25
     monkeypatch.setattr(harness, "build_objective", lambda config: f)
@@ -147,6 +191,33 @@ def test_execute_budget(counted, monkeypatch, tmp_path, method, form, theorem,
     assert counted.calls == extra(K)
 
 
+def test_execute_rot1000_pass_budget(monkeypatch, tmp_path):
+    # the two configs of one execute-rot1000 benchmark pass, at d = 20 in
+    # place of 1000 (no count depends on d): 2 x 2001 fused calls in run, and
+    # 8 row-batched calls each for the gc energy (2000 rows) and the rate-gc
+    # bound (2001 rows); no per-row call outside run
+    build = harness.build_objective
+    counters = []
+
+    def counted_build(config):
+        counters.append(Counted(build(config)))
+        counters[-1].reset()
+        return counters[-1].f
+
+    monkeypatch.setattr(harness, "build_objective", counted_build)
+    for method, form, theorem in (("iv-phase", "iv", "rate-iv"),
+                                  ("gc-phase", "gc", "rate-gc")):
+        config = parse_config(json.dumps(
+            {"objective": "quad-rot",
+             "spectrum": np.logspace(0, 4, 20).tolist(), "rotation_seed": 1,
+             "method": method, "s": "1/L", "K": 2000, "seed": 2,
+             "x0": {"random_ball": {"radius": 2.0}}, "lyapunov": form,
+             "bound": theorem, "output_path": f"{method}.csv"}))
+        assert execute(config, out_root=tmp_path).ok
+    totals = tuple(map(sum, zip(*(c.calls for c in counters))))
+    assert totals == (0, 0, 4002, 16, 4001)
+
+
 @pytest.mark.parametrize("method, form", [("iv-phase", "iv"), ("gc-phase", "gc")])
 def test_contraction_reuses_attached_column(counted, method, form):
     f = counted.f
@@ -154,7 +225,7 @@ def test_contraction_reuses_attached_column(counted, method, form):
     attach_energies(traj, form)
     counted.reset()
     certify_contraction(traj, form)
-    assert counted.calls == (0, 0, 0)
+    assert counted.calls == (0, 0, 0, 0, 0)
 
 
 def test_gd_bound_reads_recorded_gaps(counted):
@@ -162,7 +233,7 @@ def test_gd_bound_reads_recorded_gaps(counted):
     traj = run(f, "gd", start(f), 1.0 / f.lipschitz, 25)
     counted.reset()
     check_bound(traj, "gd")
-    assert counted.calls == (0, 0, 0)
+    assert counted.calls == (0, 0, 0, 0, 0)
 
 
 @pytest.mark.parametrize("method", ["nag-modified", "nag-classic", "iv-phase",
@@ -174,7 +245,7 @@ def test_gradient_step_margins_budget(counted, method):
     traj = run(f, method, start(f), 1.0 / f.lipschitz, K)
     counted.reset()
     assert len(gradient_step_margins(traj)) == K
-    assert counted.calls == (0, K, 0)
+    assert counted.calls == (0, 0, 0, blocks(K), K)
 
 
 ODE_STEPS = 20
@@ -191,7 +262,7 @@ def test_integrate_budget(counted):
     counted.reset()
     sol = solve(f, 1.0 / f.lipschitz)
     assert len(sol) == ODE_STEPS + 1
-    assert counted.calls == (3 * ODE_STEPS, 0, ODE_STEPS + 1)
+    assert counted.calls == (3 * ODE_STEPS, 0, ODE_STEPS + 1, 0, 0)
 
 
 @pytest.mark.parametrize("name", sorted(OBJECTIVES))
@@ -202,7 +273,7 @@ def test_integrate_budget_without_minimum(name):
     counted.reset()
     sol = solve(f, 1.0 / f.lipschitz)
     assert np.isnan(sol.f_gap).all()
-    assert counted.calls == (4 * ODE_STEPS, 0, 0)
+    assert counted.calls == (4 * ODE_STEPS, 0, 0, 0, 0)
 
 
 def test_continuous_check_reads_recorded_gap(counted):
@@ -211,7 +282,7 @@ def test_continuous_check_reads_recorded_gap(counted):
     sol = solve(f, s)
     counted.reset()
     assert check_continuous_bound(sol, f, s, f.mu).n_checked == ODE_STEPS + 1
-    assert counted.calls == (0, 0, 0)
+    assert counted.calls == (0, 0, 0, 0, 0)
 
 
 def test_ode_csv_reads_recorded_gap(counted, tmp_path):
@@ -220,7 +291,7 @@ def test_ode_csv_reads_recorded_gap(counted, tmp_path):
     sol = solve(f, s)
     counted.reset()
     write_ode_csv(sol, f, s, f.mu, tmp_path / "ode.csv")
-    assert counted.calls == (0, 0, 0)
+    assert counted.calls == (0, 0, 0, 0, 0)
 
 
 @pytest.mark.parametrize("other", ["s", "mu", "objective"])
@@ -242,7 +313,7 @@ def test_mismatched_parameters_rejected(counted, other, tmp_path):
         check_continuous_bound(sol, g, s2, mu2)
     with pytest.raises(ValueError):
         write_ode_csv(sol, g, s2, mu2, tmp_path / "ode.csv")
-    assert counted.calls == (0, 0, 0)
+    assert counted.calls == (0, 0, 0, 0, 0)
     assert not (tmp_path / "ode.csv").exists()
 
 
@@ -250,7 +321,7 @@ def test_certify_class_budget(counted):
     # one fused evaluation at each end of a sampled pair
     counted.reset()
     assert certify_class(counted.f, 1000, sample_seed=0).passed
-    assert counted.calls == (0, 0, 2000)
+    assert counted.calls == (0, 0, 2000, 0, 0)
 
 
 def test_resolve_minimizer_budget():
@@ -274,4 +345,4 @@ def test_resolve_minimizer_budget():
     counted.reset()
     resolved = resolve_minimizer(f)
     np.testing.assert_array_equal(resolved.minimizer, x)
-    assert counted.calls == (n + 2, 1, n + 1)
+    assert counted.calls == (n + 2, 1, n + 1, 0, 0)
