@@ -283,8 +283,11 @@ def monotonicity_scan(mu: float, spectrum: SpectrumSpec | Sequence[float],
     point of the radius-2 ball drawn from ``x0_seed``) and applies
     strict-increase detection to the objective gap.  The report keeps
     per-eigenvalue root data, so alignment effects can be inspected per
-    component rather than assuming a universal equivalence.
+    component rather than assuming a universal equivalence.  An empty
+    ``s_grid`` raises ValueError, so no scan reports agreement vacuously.
     """
+    if len(s_grid) == 0:
+        raise ValueError("s_grid must hold at least one step size")
     if not isinstance(spectrum, SpectrumSpec):
         spectrum = SpectrumSpec(spectrum)
     if mu > spectrum.mu + 1e-12:

@@ -7,8 +7,9 @@ outputs land under $ACCELCERT_OUT (default: current directory), their
 directories created (:func:`~accelcert.harness.output_file`).  Exit
 codes: 0 pass, 1 certificate failure, 2 usage or config error or an
 output path that cannot be made.  A flag value that its argparse type
-accepts but the run cannot take is a config error naming the flag,
-checked with the config's field rules where the flag is a config field.
+accepts but the run cannot take is a config error naming the flag: each
+flag is checked by its rule in :func:`~accelcert.harness.checked_fields`,
+the table that checks the config fields.
 """
 
 from __future__ import annotations
@@ -90,32 +91,16 @@ def _flag(key: str) -> str:
     return "--" + key.replace("_", "-")
 
 
-def _positive(values) -> bool:
-    """Every value finite and positive."""
-    values = np.asarray(values, dtype=float)
-    return bool(np.all(np.isfinite(values) & (values > 0)))
-
-
-def _check_flags(*checks):
-    """Raise ConfigError naming the first flag that fails its check: values
-    argparse's types accept but the run cannot take are config errors."""
-    for key, what, ok in checks:
-        if not ok:
-            raise ConfigError(f"{_flag(key)}: must be {what}")
-
-
 def _x0_check(x0, dim: int):
-    return ("x0", f"{dim} finite numbers",
-            x0 is None or (len(x0) == dim and bool(np.all(np.isfinite(x0)))))
+    if x0 is not None and len(x0) != dim:
+        raise ConfigError(f"--x0: must have {dim} entries, one per dimension")
 
 
 def _cmd_ode(args) -> int:
     params = checked_fields(vars(args), OBJECTIVE_PARAMS[args.objective], _flag)
-    _check_flags(("s", "a positive number", _positive(args.s)),
-                 ("h", "a positive number", _positive(args.h)),
-                 ("T", "a nonnegative number", _positive(args.T) or args.T == 0))
+    checked_fields(vars(args), ("s", "h", "T", "x0"), _flag)
     f = objective_from_params(args.objective, params)
-    _check_flags(_x0_check(args.x0, f.dim))
+    _x0_check(args.x0, f.dim)
     x0 = np.ones(f.dim) if args.x0 is None else np.asarray(args.x0, float)
     csv_path = output_file(args.out, args.output_path)
     try:
@@ -147,10 +132,9 @@ def _cmd_ode(args) -> int:
 
 
 def _cmd_scan(args) -> int:
-    checked_fields(vars(args), ("spectrum", "K", "seed"), _flag)
-    _check_flags(("mu", "a positive number", _positive(args.mu)),
-                 ("s_grid", "positive numbers", _positive(args.s_grid)),
-                 _x0_check(args.x0, len(args.spectrum)))
+    checked_fields(vars(args), ("mu", "spectrum", "s_grid", "K", "x0", "seed"),
+                   _flag)
+    _x0_check(args.x0, len(args.spectrum))
     csv_path = output_file(args.out, args.output_path)
     try:
         report = analysis.monotonicity_scan(args.mu, args.spectrum,

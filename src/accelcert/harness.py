@@ -8,9 +8,9 @@ the resolved config for provenance.  Relative output paths resolve under
 the directory named by the ``ACCELCERT_OUT`` environment variable (default:
 current directory; see :func:`output_root`) with their directories
 created (:func:`output_file`), and a run's summary is :func:`summary_path`
-beside its CSV.  :func:`checked_fields` holds the
-rules for the objective parameters, ``K`` and ``seed``, which the CLI
-applies to its flags too.
+beside its CSV.  :func:`checked_fields` checks every config field and
+every CLI flag against its one rule in ``_FIELD_CHECKS``, and
+:func:`parse_config` rejects a key that is not a field of the run.
 """
 
 from __future__ import annotations
@@ -64,18 +64,51 @@ def _is_count(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool) and v >= 0
 
 
-#: What each checked config field must be: (test, description).
+def _is_ball(v) -> bool:
+    """``{"random_ball": {"radius": r}}`` with r >= 0 and no other key."""
+    return (isinstance(v, dict) and set(v) == {"random_ball"}
+            and isinstance(v["random_ball"], dict)
+            and set(v["random_ball"]) == {"radius"}
+            and _is_number(v["random_ball"]["radius"])
+            and v["random_ball"]["radius"] >= 0)
+
+
+def _is_positive(v) -> bool:
+    return _is_number(v) and v > 0
+
+
+_POSITIVE = (_is_positive, "a positive number")
+_POSITIVES = (lambda v: isinstance(v, list) and len(v) > 0
+              and all(_is_positive(x) for x in v),
+              "a nonempty array of positive numbers")
+_COUNT = (_is_count, "a nonnegative integer")
+_POSITIVE_COUNT = (lambda v: _is_count(v) and v > 0, "a positive integer")
+
+#: The rule for each config field and CLI flag: (test, description).  A
+#: field whose test accepts None is optional; a missing one reads as None.
 _FIELD_CHECKS = {
-    "spectrum": (lambda v: isinstance(v, list) and len(v) > 0
-                 and all(_is_number(x) and x > 0 for x in v),
-                 "a nonempty array of positive numbers"),
-    "rotation_seed": (_is_count, "a nonnegative integer"),
-    "data_seed": (_is_count, "a nonnegative integer"),
-    "n_samples": (lambda v: _is_count(v) and v > 0, "a positive integer"),
-    "dim": (lambda v: _is_count(v) and v > 0, "a positive integer"),
-    "reg": (lambda v: _is_number(v) and v > 0, "a positive number"),
-    "K": (_is_count, "a nonnegative integer"),
-    "seed": (_is_count, "a nonnegative integer"),
+    # a tuple compares an array or object value instead of hashing it
+    "objective": (lambda v: v in OBJECTIVE_IDS, f"one of {OBJECTIVE_IDS}"),
+    "method": (lambda v: v in METHODS, f"one of {METHODS}"),
+    "s": (lambda v: v in tuple(_S_SYMBOLS) or _is_positive(v),
+          f"a positive number or one of {tuple(_S_SYMBOLS)}"),
+    "spectrum": _POSITIVES,
+    "rotation_seed": _COUNT,
+    "data_seed": _COUNT,
+    "n_samples": _POSITIVE_COUNT,
+    "dim": _POSITIVE_COUNT,
+    "reg": _POSITIVE,
+    "K": _COUNT,
+    "seed": _COUNT,
+    "x0": (lambda v: v is None or _is_ball(v) or (
+        isinstance(v, list) and all(_is_number(x) for x in v)),
+           'an array of finite numbers or {"random_ball": {"radius": r}} '
+           'with r >= 0'),
+    "output_path": (lambda v: v is None or isinstance(v, str), "a string"),
+    "h": _POSITIVE,
+    "T": (lambda v: _is_number(v) and v >= 0, "a nonnegative number"),
+    "mu": _POSITIVE,
+    "s_grid": _POSITIVES,
 }
 
 
@@ -122,6 +155,11 @@ class ExperimentConfig:
         return doc
 
 
+#: The config keys of every objective; each also takes its OBJECTIVE_PARAMS.
+_CONFIG_KEYS = ("objective", "method", "s", "K", "seed", "x0", "lyapunov",
+                "bound", "output_path")
+
+
 def parse_config(text: str) -> ExperimentConfig:
     """Parse and validate a JSON config document.
 
@@ -130,9 +168,11 @@ def parse_config(text: str) -> ExperimentConfig:
     "1/L", "1/(2L)", "1/(4mu)"), ``K``, ``seed``.  Optional: ``x0``
     (explicit array, or {"random_ball": {"radius": r}} drawn from ``seed``;
     defaults to a radius-1 ball point), ``lyapunov`` ("gc"/"iv"),
-    ``bound`` (theorem id), ``output_path``.  Numbers must be finite, and
-    a boolean is not a number; a malformed field raises
-    :class:`ConfigError` naming it.
+    ``bound`` (theorem id), ``output_path``.  Each field is checked by its
+    rule in :func:`checked_fields`, and ``lyapunov`` and ``bound`` against
+    the method; any other key, a parameter of another objective included,
+    is unknown.  A malformed or unknown field raises :class:`ConfigError`
+    naming it.
     """
     try:
         doc = json.loads(text)
@@ -140,80 +180,40 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("config must be a JSON object")
-
-    def require(key):
-        if key not in doc:
-            raise ConfigError(f"missing required field: {key}")
-        return doc[key]
-
-    objective = require("objective")
-    if objective not in OBJECTIVE_IDS:
-        raise ConfigError(
-            f"objective: unknown id {objective!r}; expected one of {OBJECTIVE_IDS}")
+    objective = checked_fields(doc, ("objective",))["objective"]
+    for key in doc:
+        if key not in _CONFIG_KEYS + OBJECTIVE_PARAMS[objective]:
+            raise ConfigError(f"unknown field: {key}")
     params = checked_fields(doc, OBJECTIVE_PARAMS[objective])
-
-    method = require("method")
-    if method not in METHODS:
-        raise ConfigError(f"method: unknown id {method!r}; expected one of {METHODS}")
-
-    s = require("s")
-    if isinstance(s, str):
-        if s not in _S_SYMBOLS:
-            raise ConfigError(f"s: unknown symbolic value {s!r}; expected "
-                              f"a number or one of {tuple(_S_SYMBOLS)}")
-    elif _is_number(s):
-        if not s > 0:
-            raise ConfigError("s: must be positive")
-        s = float(s)
-    else:
-        raise ConfigError("s: must be a number or a symbolic string")
-
-    K, seed = checked_fields(doc, ("K", "seed")).values()
-
-    x0 = doc.get("x0")
-    if isinstance(x0, list):
-        if not all(_is_number(v) for v in x0):
-            raise ConfigError("x0: array entries must be numbers")
-    elif isinstance(x0, dict):
-        ball = x0.get("random_ball")
-        if not (set(x0) == {"random_ball"} and isinstance(ball, dict)
-                and "radius" in ball):
-            raise ConfigError('x0: object form must be {"random_ball": {"radius": r}}')
-        if not (_is_number(ball["radius"]) and ball["radius"] >= 0):
-            raise ConfigError("x0: radius must be a nonnegative number")
-    elif x0 is not None:
-        raise ConfigError("x0: must be an array or a random_ball object")
-
-    lyap_form, bound = doc.get("lyapunov"), doc.get("bound")
-    for key, value, check in (("lyapunov", lyap_form, lyapunov.require_form),
-                              ("bound", bound, analysis.require_theorem)):
-        if value is not None:
+    fields = checked_fields(doc, ("method", "s", "K", "seed", "x0",
+                                  "output_path"))
+    for key, check in (("lyapunov", lyapunov.require_form),
+                       ("bound", analysis.require_theorem)):
+        if doc.get(key) is not None:
             try:
-                check(value, method)
+                check(doc[key], fields["method"])
             except ValueError as exc:
                 raise ConfigError(f"{key}: {exc}") from exc
-
-    output_path = doc.get("output_path")
-    if output_path is not None and not isinstance(output_path, str):
-        raise ConfigError("output_path: must be a string")
-
+    if not isinstance(fields["s"], str):
+        fields["s"] = float(fields["s"])
     return ExperimentConfig(objective=objective, objective_params=params,
-                            method=method, s=s, K=K, seed=seed, x0=x0,
-                            lyapunov=lyap_form, bound=bound,
-                            output_path=output_path)
+                            lyapunov=doc.get("lyapunov"),
+                            bound=doc.get("bound"), **fields)
 
 
 def checked_fields(values: dict, keys, spell=str) -> dict:
-    """``{key: values[key]}`` for ``keys``, each checked by its rule in
-    ``_FIELD_CHECKS``; a missing or malformed one raises :class:`ConfigError`
-    naming it ``spell(key)``: the config key, or the CLI's flag for it."""
+    """``{key: values.get(key)}`` for ``keys``, each checked by its rule in
+    ``_FIELD_CHECKS``; a missing required or a malformed one raises
+    :class:`ConfigError` naming it ``spell(key)``: the config key, or the
+    CLI's flag for it."""
     for key in keys:
+        valid, what = _FIELD_CHECKS[key]
+        if valid(values.get(key)):
+            continue
         if key not in values:
             raise ConfigError(f"missing required field: {spell(key)}")
-        valid, what = _FIELD_CHECKS[key]
-        if not valid(values[key]):
-            raise ConfigError(f"{spell(key)}: must be {what}")
-    return {key: values[key] for key in keys}
+        raise ConfigError(f"{spell(key)}: must be {what}")
+    return {key: values.get(key) for key in keys}
 
 
 def load_config(path: str | Path) -> ExperimentConfig:

@@ -130,12 +130,11 @@ def energies(trajectory: Trajectory, form: str) -> np.ndarray:
 
 def attach_energies(trajectory: Trajectory, form: str) -> np.ndarray:
     """Fill the trajectory's ``lyapunov`` column (NaN at the final record)
-    and note its form in ``lyapunov_form``."""
+    with the energies of ``form``, the one form its method has."""
     vals = energies(trajectory, form)
     col = np.full(len(trajectory), np.nan)
     col[: len(vals)] = vals
     trajectory.lyapunov = col
-    trajectory.lyapunov_form = form
     return col
 
 
@@ -162,11 +161,12 @@ def certify_contraction(trajectory: Trajectory, form: str,
     ``rho`` defaults to sqrt(mu s) / 4.  The check carries absolute slack
     ``slack_scale * max(1, E(0))`` because the energy spans many orders of
     magnitude along a linearly converging run.  The report includes the
-    worst implied per-step contraction factor max_k E(k+1)/E(k).  A
-    ``lyapunov`` column that ``run`` attached in the same form is reused.
+    worst implied per-step contraction factor max_k E(k+1)/E(k).  An
+    attached ``lyapunov`` column is reused: a method has one form, so it
+    holds the energies of ``form``.
     """
     require_form(form, trajectory.method_id)
-    if trajectory.lyapunov_form == form:
+    if trajectory.lyapunov is not None:
         e = trajectory.lyapunov[: trajectory.K]
     else:
         e = energies(trajectory, form)

@@ -221,8 +221,7 @@ class Trajectory:
     state carries) at the method's natural reference point (y_k for the
     momentum family, x_k for gd and heavy-ball).  ``objective`` is the
     objective the run stepped on.  ``lyapunov`` and ``bound`` are optional
-    diagnostic columns (NaN where undefined); ``lyapunov_form`` names the
-    energy form the ``lyapunov`` column holds.
+    diagnostic columns (NaN where undefined).
     """
 
     method_id: str
@@ -234,7 +233,6 @@ class Trajectory:
     grad_sq: np.ndarray
     objective: Objective = field(repr=False)
     lyapunov: Optional[np.ndarray] = None
-    lyapunov_form: Optional[str] = None
     bound: Optional[np.ndarray] = None
 
     def __len__(self) -> int:

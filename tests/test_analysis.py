@@ -282,3 +282,8 @@ class TestMonotonicityScan:
     def test_mu_above_spectrum_rejected(self):
         with pytest.raises(ValueError):
             monotonicity_scan(2.0, [1.0, 3.0], [0.3], K=10)
+
+    def test_empty_grid_rejected(self):
+        # a scan of no run would report agreement vacuously
+        with pytest.raises(ValueError, match="at least one step size"):
+            monotonicity_scan(1.0, [1.0, 3.0], [], K=10)

@@ -80,6 +80,17 @@ class TestParseConfig:
             parse_config(json.dumps({**MINIMAL, **overrides}))
         assert str(err.value).startswith(f"{field}: {says}")
 
+    @pytest.mark.parametrize("key, overrides", [
+        ("lyapnov", {"lyapnov": "iv"}),  # a misspelled optional field
+        ("rotation_seed", {"rotation_seed": 3}),  # a quad-rot parameter
+        ("data_seed", {"objective": "quad-rot", "rotation_seed": 3,
+                       "data_seed": 3}),  # a reg-logistic parameter
+    ], ids=repr)
+    def test_unknown_field_named(self, key, overrides):
+        with pytest.raises(ConfigError) as err:
+            parse_config(json.dumps({**MINIMAL, **overrides}))
+        assert str(err.value) == f"unknown field: {key}"
+
     def test_lossless_round_trip(self):
         config = config_with(x0={"random_ball": {"radius": 2.0}},
                              lyapunov="iv", bound="rate-iv",
@@ -144,6 +155,45 @@ class TestExecute:
         assert isinstance(echoed.x0, list)  # seeded start made explicit
         replay = execute(echoed, out_root=tmp_path / "b")
         assert original.csv_path.read_bytes() == replay.csv_path.read_bytes()
+
+    @pytest.mark.filterwarnings("ignore:.*exceeds 1/L")
+    @pytest.mark.parametrize("doc", [
+        # the configs that tests/test_harness.py executes
+        MINIMAL,
+        {**MINIMAL, "x0": [1.0, 1.0], "bound": "rate-iv", "lyapunov": "iv"},
+        {**MINIMAL, "s": 0.02, "x0": [0.1, 0.1], "bound": "rate-iv", "K": 30},
+        {**MINIMAL, "x0": {"random_ball": {"radius": 2.0}}, "lyapunov": "iv"},
+        {"objective": "reg-logistic", "data_seed": 3, "n_samples": 50,
+         "dim": 2, "reg": 0.1, "method": "iv-phase", "s": "1/L", "K": 50,
+         "seed": 2, "bound": "rate-iv"},
+        # those of tests/test_golden_digests.py and tests/test_oracle_budget.py
+        {"objective": "quad", "spectrum": np.logspace(0, 2, 20).tolist(),
+         "method": "iv-phase", "s": "1/L", "K": 150, "seed": 5,
+         "x0": {"random_ball": {"radius": 2.0}}, "lyapunov": "iv",
+         "bound": "rate-iv"},
+        {"objective": "quad-rot", "spectrum": [0.5, 3.0], "rotation_seed": 11,
+         "method": "gc-phase", "s": "1/L", "K": 150, "seed": 6,
+         "x0": {"random_ball": {"radius": 2.0}}, "lyapunov": "gc",
+         "bound": "rate-gc"},
+        {"objective": "reg-logistic", "data_seed": 3, "n_samples": 50, "dim": 2,
+         "reg": 0.1, "method": "nag-modified", "s": "1/L", "K": 150, "seed": 7,
+         "x0": {"random_ball": {"radius": 2.0}}, "lyapunov": "iv",
+         "bound": "rate-iv"},
+        {"objective": "quad", "spectrum": [1.0], "method": "gc-modified",
+         "s": "1/L", "K": 25, "seed": 2, "lyapunov": "gc", "bound": "rate-gc"},
+    ], ids=lambda doc: f"{doc['objective']}-{doc['method']}-K{doc['K']}")
+    def test_every_echo_replays_byte_for_byte(self, tmp_path, doc):
+        # the echo holds only known fields, so it parses, and it re-executes
+        # to the same CSV, summary and echo bytes
+        original = execute(parse_config(json.dumps(doc)),
+                           out_root=tmp_path / "a")
+        replay = execute(load_config(original.echo_path),
+                         out_root=tmp_path / "b")
+        for path in (original.csv_path, original.summary_path,
+                     original.echo_path):
+            assert path.read_bytes() == (
+                tmp_path / "b" / path.relative_to(tmp_path / "a")).read_bytes()
+        assert replay.ok == original.ok
 
     def test_logistic_run_resolves_minimizer(self, tmp_path):
         config = parse_config(json.dumps({
@@ -215,6 +265,8 @@ class TestCli:
         {"x0": ["a", "b"]}, {"x0": [1.0, True]},
         {"x0": {"random_ball": {"radius": "big"}}},
         {"x0": {"random_ball": "radius"}},
+        {"x0": {"random_ball": {"radius": 1, "seed": 4}}},
+        {"lyapnov": "iv"}, {"rotation_seed": 3},
         {"s": True}, {"K": True}, {"seed": True}, {"seed": -1},
         {"lyapunov": ["iv"]}, {"bound": {"rate-iv": 1}},
         {"objective": "reg-logistic", "data_seed": 3, "n_samples": 0,
@@ -292,6 +344,7 @@ class TestCli:
         (["--seed", "-1"], "--seed"),
         (["--mu", "2"], "--mu"),  # above the smallest eigenvalue, 1
         (["--s-grid", "5", "--K", "500"], "--s-grid"),  # diverges at step 453
+        (["--s-grid", ","], "--s-grid"),  # no step size
     ], ids=repr)
     def test_scan_bad_argument_exits_2(self, tmp_path, capsys, args, named):
         rc = cli.main(["scan", "--mu", "1", "--spectrum", "1,3",
@@ -300,6 +353,33 @@ class TestCli:
         assert rc == 2
         assert capsys.readouterr().err.startswith(f"config error: {named}:")
         assert not (tmp_path / "scan.csv").exists()
+
+    @pytest.mark.parametrize("key, value, command, flag_value", [
+        ("s", -1, "ode", "-1"),
+        ("spectrum", [1, -3], "scan", "1,-3"),
+        ("K", -1, "scan", "-1"),
+        ("seed", -1, "scan", "-1"),
+        ("x0", [float("inf"), 1.0], "scan", "inf,1"),
+    ], ids=repr)
+    def test_config_key_and_flag_share_a_rule(self, tmp_path, capsys, key,
+                                              value, command, flag_value):
+        # one rule checks the config field and the CLI flag, and each
+        # error names the key or the flag it came from
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({**MINIMAL, key: value}))
+        assert cli.main(["run", "--config", str(path),
+                         "--out", str(tmp_path)]) == 2
+        config_err = capsys.readouterr().err
+        assert config_err.startswith(f"config error: {key}: must be ")
+        base = {"ode": ["ode", "--s", "0.25", "--T", "1", "--h", "0.01"],
+                "scan": ["scan", "--mu", "1", "--spectrum", "1,3",
+                         "--s-grid", "0.26", "--K", "10"]}[command]
+        assert cli.main([*base, f"--{key}", flag_value,
+                         "--out", str(tmp_path)]) == 2
+        flag_err = capsys.readouterr().err
+        assert flag_err.startswith(f"config error: --{key}: must be ")
+        assert (config_err.split(": must be ")[1]
+                == flag_err.split(": must be ")[1])
 
     def test_scan_nested_output_path(self, tmp_path):
         rc = cli.main(["scan", "--mu", "1", "--spectrum", "1,3",

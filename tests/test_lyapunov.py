@@ -315,7 +315,7 @@ class TestCertifyContraction:
         plain = run(f, method, x0, 0.01, 200)
         attached = run(f, method, x0, 0.01, 200)
         attach_energies(attached, form)
-        assert plain.lyapunov_form is None and attached.lyapunov_form == form
+        assert plain.lyapunov is None and attached.lyapunov is not None
         for rho in (None, 0.3):
             assert (repr(certify_contraction(plain, form, rho=rho))
                     == repr(certify_contraction(attached, form, rho=rho)))
