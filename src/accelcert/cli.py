@@ -9,7 +9,8 @@ codes: 0 pass, 1 certificate failure, 2 usage or config error or an
 output path that cannot be made.  A flag value that its argparse type
 accepts but the run cannot take is a config error naming the flag: each
 flag is checked by its rule in :func:`~accelcert.harness.checked_fields`,
-the table that checks the config fields.
+the table that checks the config fields; the messages of ``--s`` and
+``--x0`` name only the forms those flags can take.
 """
 
 from __future__ import annotations
@@ -87,18 +88,15 @@ def _cmd_run(args) -> int:
     return 0 if result.ok else 1
 
 
-def _flag(key: str) -> str:
-    return "--" + key.replace("_", "-")
-
-
 def _x0_check(x0, dim: int):
     if x0 is not None and len(x0) != dim:
         raise ConfigError(f"--x0: must have {dim} entries, one per dimension")
 
 
 def _cmd_ode(args) -> int:
-    params = checked_fields(vars(args), OBJECTIVE_PARAMS[args.objective], _flag)
-    checked_fields(vars(args), ("s", "h", "T", "x0"), _flag)
+    params = checked_fields(vars(args), OBJECTIVE_PARAMS[args.objective],
+                            flags=True)
+    checked_fields(vars(args), ("s", "h", "T", "x0"), flags=True)
     f = objective_from_params(args.objective, params)
     _x0_check(args.x0, f.dim)
     x0 = np.ones(f.dim) if args.x0 is None else np.asarray(args.x0, float)
@@ -133,7 +131,7 @@ def _cmd_ode(args) -> int:
 
 def _cmd_scan(args) -> int:
     checked_fields(vars(args), ("mu", "spectrum", "s_grid", "K", "x0", "seed"),
-                   _flag)
+                   flags=True)
     _x0_check(args.x0, len(args.spectrum))
     csv_path = output_file(args.out, args.output_path)
     try:

@@ -111,6 +111,12 @@ _FIELD_CHECKS = {
     "s_grid": _POSITIVES,
 }
 
+#: What a CLI flag accepts, where its type narrows its field's rule: ``--s``
+#: takes no symbol and ``--x0`` no ``random_ball``, so their messages name
+#: only the forms the flag can take.
+_FLAG_FORMS = {"s": "a positive number",
+               "x0": "comma-separated finite numbers"}
+
 
 def fmt(x) -> str:
     """One CSV or summary cell: shortest round-trip decimal form of a float
@@ -201,18 +207,23 @@ def parse_config(text: str) -> ExperimentConfig:
                             bound=doc.get("bound"), **fields)
 
 
-def checked_fields(values: dict, keys, spell=str) -> dict:
+def checked_fields(values: dict, keys, flags: bool = False) -> dict:
     """``{key: values.get(key)}`` for ``keys``, each checked by its rule in
     ``_FIELD_CHECKS``; a missing required or a malformed one raises
-    :class:`ConfigError` naming it ``spell(key)``: the config key, or the
-    CLI's flag for it."""
+    :class:`ConfigError` naming it: the config key, or with ``flags`` the
+    CLI's flag for it (``--s-grid`` for ``s_grid``), described in the
+    flag's own terms where ``_FLAG_FORMS`` has them."""
     for key in keys:
         valid, what = _FIELD_CHECKS[key]
         if valid(values.get(key)):
             continue
+        name = key
+        if flags:
+            name = "--" + key.replace("_", "-")
+            what = _FLAG_FORMS.get(key, what)
         if key not in values:
-            raise ConfigError(f"missing required field: {spell(key)}")
-        raise ConfigError(f"{spell(key)}: must be {what}")
+            raise ConfigError(f"missing required field: {name}")
+        raise ConfigError(f"{name}: must be {what}")
     return {key: values.get(key) for key in keys}
 
 
@@ -370,13 +381,15 @@ def execute(config: ExperimentConfig,
     echo of the fully resolved config (symbolic step size and seeded x0
     made explicit) whose execution reproduces the run byte for byte.
     A non-finite iterate aborts the run; the summary then records the
-    failing iteration and the result is marked failed.
+    failing iteration and the result is marked failed.  The output
+    directories are made only once the objective, s and x0 are resolved,
+    so a config error leaves none behind.
     """
-    stem = config.output_path or f"{config.objective}_{config.method}_K{config.K}.csv"
-    csv_path = output_file(out_root, stem)
     f = build_objective(config)
     s = resolve_s(config.s, f)
     x0 = resolve_x0(config, f)
+    stem = config.output_path or f"{config.objective}_{config.method}_K{config.K}.csv"
+    csv_path = output_file(out_root, stem)
 
     summary_file = summary_path(csv_path)
     echo_path = csv_path.with_suffix(".config.json")

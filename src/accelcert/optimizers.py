@@ -181,7 +181,8 @@ METHODS = tuple(STEPS)
 
 #: Rows per block.  ``run`` and ``hires_ode.integrate`` test the rows they
 #: recorded once per block instead of once per step, where the test would
-#: cost as much as a step at small d; the certificates evaluate their column
+#: cost as much as a step at small d, and ``run`` takes the squared norms of
+#: a block's gradients in one call; the certificates evaluate their column
 #: formulas and row-batched oracle calls a block at a time, because over a
 #: whole column their (K, d) temporaries raise the peak memory of a long
 #: run at large d.
@@ -278,7 +279,11 @@ def run(f: Objective, method: str, x0: Vector, s: float, K: int, *,
     per recorded point: the record reads the value and the gradient's
     squared norm, and the next step descends along the gradient.  An
     objective without a fused oracle makes K+1 separate evaluations of
-    each instead.
+    each instead.  The squared norms are filled a block of ``_BLOCK_ROWS``
+    rows at a time: each step copies its gradient into a buffer of one
+    block's rows, and one ``np.vecdot`` per block takes the squared norm
+    of every row, the same BLAS dot product, bit for bit, as ``g @ g`` at
+    each step.
 
     A non-finite iterate raises :class:`NonFiniteIterateError` naming the
     first step k >= 1 whose x_k is non-finite (x_0 is not checked).  The
@@ -329,18 +334,22 @@ def run(f: Objective, method: str, x0: Vector, s: float, K: int, *,
     ys[0] = y
     vs[0] = v
     grad_sq[0] = g @ g
+    grads = np.empty((min(K, _BLOCK_ROWS), f.dim))  # the block's gradients
 
     for rows in _blocks(K + 1, start=1):
-        for k in range(rows.start, rows.stop):
+        lo = rows.start
+        for k in range(lo, rows.stop):
             x, y, v, carry = step(s, mu, x, y, v, g, carry)
             f_gap[k], g = value_and_grad(y if at_y else x)
             xs[k] = x
             ys[k] = y
             vs[k] = v
-            grad_sq[k] = g @ g
+            grads[k - lo] = g
         bad = first_nonfinite_row(xs[rows])
         if bad is not None:
-            raise NonFiniteIterateError(method, rows.start + bad)
+            raise NonFiniteIterateError(method, lo + bad)
+        block = grads[:rows.stop - lo]
+        grad_sq[rows] = np.vecdot(block, block)
 
     if f.min_value is None:
         f_gap[:] = np.nan

@@ -355,11 +355,9 @@ class TestCli:
         assert not (tmp_path / "scan.csv").exists()
 
     @pytest.mark.parametrize("key, value, command, flag_value", [
-        ("s", -1, "ode", "-1"),
         ("spectrum", [1, -3], "scan", "1,-3"),
         ("K", -1, "scan", "-1"),
         ("seed", -1, "scan", "-1"),
-        ("x0", [float("inf"), 1.0], "scan", "inf,1"),
     ], ids=repr)
     def test_config_key_and_flag_share_a_rule(self, tmp_path, capsys, key,
                                               value, command, flag_value):
@@ -380,6 +378,44 @@ class TestCli:
         assert flag_err.startswith(f"config error: --{key}: must be ")
         assert (config_err.split(": must be ")[1]
                 == flag_err.split(": must be ")[1])
+
+    @pytest.mark.parametrize("key, value, config_form, base, flag_form", [
+        ("s", -1, "a positive number or one of ('1/L', '1/(2L)', '1/(4mu)')",
+         ["ode", "--T", "1", "--h", "0.01"], "a positive number"),
+        ("x0", [float("inf"), 1.0],
+         'an array of finite numbers or {"random_ball": {"radius": r}} '
+         "with r >= 0",
+         ["scan", "--mu", "1", "--spectrum", "1,3", "--s-grid", "0.26"],
+         "comma-separated finite numbers"),
+    ], ids=["s", "x0"])
+    def test_flag_message_names_what_the_flag_takes(
+            self, tmp_path, capsys, key, value, config_form, base, flag_form):
+        # --s takes no symbol and --x0 no random_ball, so their messages
+        # name only the forms the flag accepts; the config field's message
+        # still names every form the field accepts
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({**MINIMAL, key: value}))
+        assert cli.main(["run", "--config", str(path),
+                         "--out", str(tmp_path)]) == 2
+        assert (capsys.readouterr().err
+                == f"config error: {key}: must be {config_form}\n")
+        flag_value = ",".join(map(str, value)) if key == "x0" else str(value)
+        assert cli.main([*base, f"--{key}", flag_value,
+                         "--out", str(tmp_path)]) == 2
+        assert (capsys.readouterr().err
+                == f"config error: --{key}: must be {flag_form}\n")
+
+    def test_bad_x0_length_makes_no_output_directory(self, tmp_path, capsys):
+        # the objective, s and x0 are resolved before the output
+        # directories are made, so a config error leaves none behind
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({**MINIMAL, "x0": [1, 2, 3],
+                                    "output_path": "deep/dir/r.csv"}))
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", str(path),
+                         "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("config error: x0: length")
+        assert not (out / "deep").exists()
 
     def test_scan_nested_output_path(self, tmp_path):
         rc = cli.main(["scan", "--mu", "1", "--spectrum", "1,3",
