@@ -12,12 +12,12 @@ from .objectives import (Objective, SpectrumSpec, certify_class,
                          reg_logistic_from_data, resolve_minimizer,
                          sample_in_ball)
 from .optimizers import (METHODS, NAG_FAMILY, Trajectory,
-                         default_heavy_ball_beta, momentum_denominator,
-                         probe_point, run)
+                         default_heavy_ball_beta, probe_point, run,
+                         step_coefficients)
 from .lyapunov import (certify_contraction, energies, initial_energy,
                        ode_energies)
-from .hires_ode import (OdeSolution, OdeState, acceleration,
-                        check_continuous_bound, integrate)
+from .hires_ode import (OdeSolution, OdeState, check_continuous_bound,
+                        integrate)
 from .analysis import (RootPair, ScanReport, bound_curve, characteristic_roots,
                        check_bound, empirical_rate, max_reality_threshold,
                        monotonic_window, monotonicity_scan, reality_threshold)
@@ -31,10 +31,10 @@ __all__ = [
     "make_quadratic", "make_reg_logistic", "reg_logistic_from_data",
     "resolve_minimizer",
     "sample_in_ball", "METHODS", "NAG_FAMILY", "Trajectory",
-    "default_heavy_ball_beta", "momentum_denominator", "run",
+    "default_heavy_ball_beta", "step_coefficients", "run",
     "certify_contraction", "energies", "initial_energy",
     "ode_energies", "OdeSolution",
-    "OdeState", "acceleration", "check_continuous_bound",
+    "OdeState", "check_continuous_bound",
     "integrate", "probe_point",
     "RootPair", "ScanReport",
     "bound_curve", "characteristic_roots", "check_bound", "empirical_rate",

@@ -32,7 +32,8 @@ import numpy as np
 
 from .objectives import (Objective, SpectrumSpec, make_quadratic,
                          require_minimizer, sample_in_ball)
-from .optimizers import Trajectory, _blocks, run, step_guaranteed
+from .optimizers import (Trajectory, _blocks, run, step_coefficients,
+                         step_guaranteed)
 from .report import CertReport, margin_report
 
 #: Trajectory methods each bound theorem applies to, and the sequence
@@ -80,9 +81,8 @@ def characteristic_roots(lam: float, mu: float, s: float) -> RootPair:
     """
     if not (lam > 0 and mu > 0 and s > 0):
         raise ValueError("lam, mu and s must all be positive")
-    a = 1.0 + 2.0 * math.sqrt(mu * s)
-    b = 2.0 * (1.0 - lam * s + math.sqrt(mu * s))
-    c = 1.0 - lam * s
+    k = step_coefficients(mu, s)
+    a, b, c = k.c, 2.0 * (1.0 - lam * s + k.r), 1.0 - lam * s
     disc = b * b - 4.0 * a * c
     if disc >= 0.0:
         sq = math.sqrt(disc)
@@ -157,15 +157,16 @@ def bound_curve(theorem: str, f_x0_gap: float, dist0_sq: float, mu: float,
         warnings.warn(f"s={s:.6g} exceeds 1/L={1.0 / L:.6g}; the bound is "
                       "not guaranteed", stacklevel=2)
     k = np.arange(K + 1)
-    if theorem == "rate-iv":
-        return 4.0 * L * dist0_sq / (1.0 + math.sqrt(mu * s) / 4.0) ** k
-    if theorem == "rate-gc":
-        return 2.0 * (f_x0_gap + mu * dist0_sq) / (1.0 + math.sqrt(mu * s) / 4.0) ** k
     if theorem == "rate-iv-x":
         return (2.0 * f_x0_gap + mu * dist0_sq) / (1.0 + 0.25 * math.sqrt(mu / L)) ** k
     if theorem == "gd":
         return f_x0_gap * (1.0 - mu * s) ** k
-    return (f_x0_gap + 0.5 * mu * dist0_sq) * (1.0 - math.sqrt(mu * s)) ** k
+    r = step_coefficients(mu, s).r
+    if theorem == "rate-iv":
+        return 4.0 * L * dist0_sq / (1.0 + r / 4.0) ** k
+    if theorem == "rate-gc":
+        return 2.0 * (f_x0_gap + mu * dist0_sq) / (1.0 + r / 4.0) ** k
+    return (f_x0_gap + 0.5 * mu * dist0_sq) * (1.0 - r) ** k
 
 
 def _curve_for(trajectory: Trajectory, theorem: str) -> np.ndarray:

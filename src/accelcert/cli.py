@@ -22,10 +22,10 @@ import numpy as np
 
 from . import analysis
 from .harness import (ConfigError, OBJECTIVE_IDS, OBJECTIVE_PARAMS,
-                      OUTPUT_ROOT_ENV, checked_fields, execute, fmt,
-                      load_config, objective_from_params, output_file, suite,
-                      summary_path, write_ode_csv, write_scan_csv,
-                      write_summary)
+                      OUTPUT_ROOT_ENV, check_x0_length, checked_fields,
+                      execute, fmt, load_config, objective_from_params,
+                      output_file, suite, summary_path, write_ode_csv,
+                      write_scan_csv, write_summary)
 from .hires_ode import EQUATIONS, check_continuous_bound, integrate
 from .optimizers import NonFiniteIterateError
 
@@ -88,17 +88,12 @@ def _cmd_run(args) -> int:
     return 0 if result.ok else 1
 
 
-def _x0_check(x0, dim: int):
-    if x0 is not None and len(x0) != dim:
-        raise ConfigError(f"--x0: must have {dim} entries, one per dimension")
-
-
 def _cmd_ode(args) -> int:
     params = checked_fields(vars(args), OBJECTIVE_PARAMS[args.objective],
                             flags=True)
     checked_fields(vars(args), ("s", "h", "T", "x0"), flags=True)
+    check_x0_length(args.x0, params, flags=True)
     f = objective_from_params(args.objective, params)
-    _x0_check(args.x0, f.dim)
     x0 = np.ones(f.dim) if args.x0 is None else np.asarray(args.x0, float)
     csv_path = output_file(args.out, args.output_path)
     try:
@@ -132,7 +127,7 @@ def _cmd_ode(args) -> int:
 def _cmd_scan(args) -> int:
     checked_fields(vars(args), ("mu", "spectrum", "s_grid", "K", "x0", "seed"),
                    flags=True)
-    _x0_check(args.x0, len(args.spectrum))
+    check_x0_length(args.x0, vars(args), flags=True)
     csv_path = output_file(args.out, args.output_path)
     try:
         report = analysis.monotonicity_scan(args.mu, args.spectrum,

@@ -251,25 +251,32 @@ def build_objective(config: ExperimentConfig) -> Objective:
 
 
 def resolve_s(spec: float | str, f: Objective) -> float:
-    if not isinstance(spec, str):
-        return float(spec)
-    if spec not in _S_SYMBOLS:
-        raise ConfigError(f"s: unknown symbolic value {spec!r}")
-    return _S_SYMBOLS[spec](f)
+    """The step size ``spec`` on ``f``: a number, or a symbol of
+    ``_S_SYMBOLS``; anything else fails the ``s`` rule."""
+    checked_fields({"s": spec}, ("s",))
+    return _S_SYMBOLS[spec](f) if isinstance(spec, str) else float(spec)
+
+
+def check_x0_length(x0, params: dict, flags: bool = False):
+    """ConfigError unless an explicit ``x0`` has one entry per dimension
+    that the objective ``params`` give (``len(spectrum)`` or ``dim``), a
+    check that builds no objective; with ``flags`` it names ``--x0``."""
+    dim = len(params["spectrum"]) if "spectrum" in params else params["dim"]
+    if x0 is not None and not isinstance(x0, dict) and len(x0) != dim:
+        raise ConfigError(f"{'--x0' if flags else 'x0'}: length {len(x0)} "
+                          f"does not match dimension {dim}")
 
 
 def resolve_x0(config: ExperimentConfig, f: Objective) -> np.ndarray:
-    if config.x0 is None:
+    """The explicit x0, or a ``random_ball`` point drawn from the seed
+    (radius 1 when x0 is unset); :func:`check_x0_length` checks a list."""
+    spec = config.x0
+    if spec is None:
         spec = {"random_ball": {"radius": 1.0}}
-    else:
-        spec = config.x0
     if isinstance(spec, dict):
         rng = np.random.default_rng(config.seed)
         return sample_in_ball(rng, f.dim, float(spec["random_ball"]["radius"]))
-    x0 = np.asarray(spec, dtype=float)
-    if x0.shape != (f.dim,):
-        raise ConfigError(f"x0: length {x0.shape} does not match dimension {f.dim}")
-    return x0
+    return np.asarray(spec, dtype=float)
 
 
 @dataclass
@@ -383,8 +390,10 @@ def execute(config: ExperimentConfig,
     A non-finite iterate aborts the run; the summary then records the
     failing iteration and the result is marked failed.  The output
     directories are made only once the objective, s and x0 are resolved,
-    so a config error leaves none behind.
+    so a config error leaves none behind; an explicit x0 of the wrong
+    length is rejected before the objective is built.
     """
+    check_x0_length(config.x0, config.objective_params)
     f = build_objective(config)
     s = resolve_s(config.s, f)
     x0 = resolve_x0(config, f)

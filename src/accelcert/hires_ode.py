@@ -11,11 +11,10 @@ with c = 1 + 2 sqrt(mu s) and s >= 0 (s = 0 is the low-resolution limit),
 both started from X(0) = x_0, X'(0) = 0, with the gradient taken at
 :func:`accelcert.optimizers.probe_point`.  The simplified equation is the
 original with the coefficients 1 + sqrt(mu s) on X'' and c on the gradient
-set to 1, so one formula serves both, in :func:`acceleration` and
-:func:`integrate` alike; the two agree to O(sqrt(s)).  The continuous
-convergence theorem is stated for the simplified equation;
-:func:`check_continuous_bound` verifies it with two margin scans
-(:func:`accelcert.report.margin_report`) over the samples.
+set to 1, so one formula serves both in :func:`integrate`; the two agree
+to O(sqrt(s)).  The continuous convergence theorem is stated for the
+simplified equation; :func:`check_continuous_bound` verifies it with two
+margin scans (:func:`accelcert.report.margin_report`) over the samples.
 
 Integration is fixed-step classical Runge-Kutta 4 on the first-order
 system in plain (X, X') arrays: the dynamics are smooth and non-stiff for
@@ -35,13 +34,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from typing import Iterator
 
 import numpy as np
 
 from .objectives import Objective, Vector
-from .optimizers import (_blocks, as_start, first_nonfinite_row,
-                         momentum_denominator)
+from .optimizers import (_blocks, as_start, first_nonfinite_row, probe_point,
+                         step_coefficients)
 from .lyapunov import ode_energies
 from .report import CertReport, margin_report
 
@@ -97,50 +96,30 @@ EQUATIONS = ("simplified", "original")
 
 
 def _flow(f: Objective, s: float, which: str):
-    """(probe, xddot): the probe point as a function of (X, X'), and X''
-    of the ``which`` equation (see :func:`acceleration`) as a function of
-    X' and the gradient at the probe point.  The simplified equation
-    leaves out its unit coefficients, which is exact.  The coefficients
-    are computed once."""
-    if which not in EQUATIONS:
-        raise ValueError(f"unknown equation {which!r}; expected one of {EQUATIONS}")
-    if not s >= 0:  # s = 0 is the low-resolution limit
-        raise ValueError(f"s must be nonnegative, not {s!r}")
-    mu = f.mu
-    root_s, c = math.sqrt(s), momentum_denominator(mu, s)
-    damping = -2.0 * math.sqrt(mu)
-
-    def probe(X: Vector, Xdot: Vector) -> Vector:
-        # probe_point's expression, in its order, with sqrt(s) and c hoisted
-        return X + root_s * Xdot / c
-
-    if which == "simplified":
-        def xddot(Xdot: Vector, g: Vector) -> Vector:
-            return damping * Xdot - g
-    else:
-        mass = 1.0 + math.sqrt(mu * s)
-
-        def xddot(Xdot: Vector, g: Vector) -> Vector:
-            return (damping * Xdot - c * g) / mass
-    return probe, xddot
-
-
-def acceleration(f: Objective, s: float,
-                 which: str = "simplified") -> Callable[[Vector, Vector], Vector]:
-    """X'' of the ``which`` equation on ``f`` (with mu = f.mu), as a
-    function of (X, X'):
+    """(k, xddot): the :func:`~accelcert.optimizers.step_coefficients` of
+    (f.mu, s), which :func:`~accelcert.optimizers.probe_point` takes, and
+    X'' of the ``which`` equation as a function of X' and the gradient at
+    the probe point:
 
         X'' = (-2 sqrt(mu) X' - gain * grad f(probe)) / mass,
 
     with (mass, gain) = (1 + sqrt(mu s), c) for the original equation and
-    (1, 1) for the simplified one.  The coefficients are computed once;
-    each call makes one gradient evaluation.
-    """
-    probe, xddot = _flow(f, s, which)
+    (1, 1), left out, for the simplified one."""
+    if which not in EQUATIONS:
+        raise ValueError(f"unknown equation {which!r}; expected one of {EQUATIONS}")
+    if not s >= 0:  # s = 0 is the low-resolution limit
+        raise ValueError(f"s must be nonnegative, not {s!r}")
+    k = step_coefficients(f.mu, s)
+    damping = -2.0 * math.sqrt(f.mu)
+    if which == "simplified":
+        def xddot(Xdot: Vector, g: Vector) -> Vector:
+            return damping * Xdot - g
+    else:
+        c, mass = k.c, 1.0 + k.r
 
-    def acceleration_at(X: Vector, Xdot: Vector) -> Vector:
-        return xddot(Xdot, f.grad(probe(X, Xdot)))
-    return acceleration_at
+        def xddot(Xdot: Vector, g: Vector) -> Vector:
+            return (damping * Xdot - c * g) / mass
+    return k, xddot
 
 
 def integrate(f: Objective, x0: Vector, s: float, T: float, h: float,
@@ -166,7 +145,7 @@ def integrate(f: Objective, x0: Vector, s: float, T: float, h: float,
     first: the oracle may see up to 255 more steps' points past the first
     non-finite sample, and those steps may emit numpy RuntimeWarnings.
     """
-    probe, xddot = _flow(f, s, which)
+    k, xddot = _flow(f, s, which)
     if not h > 0:
         raise ValueError("step size h must be positive")
     if T < 0:
@@ -190,16 +169,16 @@ def integrate(f: Objective, x0: Vector, s: float, T: float, h: float,
         lo, hi = steps.start, steps.stop
         for i in range(lo, hi):
             if have_min:
-                f_gap[i], g = value_and_grad(probe(X, V))
+                f_gap[i], g = value_and_grad(probe_point(X, V, k))
             else:
-                g = grad(probe(X, V))
+                g = grad(probe_point(X, V, k))
             A1 = xddot(V, g)
             V2 = V + half * A1
-            A2 = xddot(V2, grad(probe(X + half * V, V2)))
+            A2 = xddot(V2, grad(probe_point(X + half * V, V2, k)))
             V3 = V + half * A2
-            A3 = xddot(V3, grad(probe(X + half * V2, V3)))
+            A3 = xddot(V3, grad(probe_point(X + half * V2, V3, k)))
             V4 = V + h * A3
-            A4 = xddot(V4, grad(probe(X + h * V3, V4)))
+            A4 = xddot(V4, grad(probe_point(X + h * V3, V4, k)))
             X = X + sixth * (V + 2.0 * V2 + 2.0 * V3 + V4)
             V = V + sixth * (A1 + 2.0 * A2 + 2.0 * A3 + A4)
             Xs[i + 1] = X
@@ -208,7 +187,7 @@ def integrate(f: Objective, x0: Vector, s: float, T: float, h: float,
         if bad is not None:
             raise NonFiniteSolutionError((lo + 1 + bad) * h)
     if have_min:
-        f_gap[n], _ = value_and_grad(probe(X, V))
+        f_gap[n], _ = value_and_grad(probe_point(X, V, k))
         f_gap -= f.min_value
     else:
         f_gap[:] = np.nan

@@ -25,7 +25,8 @@ from typing import TYPE_CHECKING, Optional
 import numpy as np
 
 from .objectives import Objective, Vector, require_minimizer
-from .optimizers import Trajectory, _blocks, momentum_denominator, run
+from .optimizers import (StepCoefficients, Trajectory, _blocks, run,
+                         step_coefficients)
 from .report import CertReport, margin_report
 
 if TYPE_CHECKING:
@@ -53,18 +54,17 @@ def require_form(form: str, method: Optional[str] = None) -> tuple:
 
 
 def _gc_energy(potential: np.ndarray, G: np.ndarray, Y_next: np.ndarray,
-               V: np.ndarray, xstar: Vector, s: float,
+               V: np.ndarray, xstar: Vector, k: StepCoefficients,
                mu: float) -> np.ndarray:
-    combo = V + 2.0 * math.sqrt(mu) * (Y_next - xstar) + math.sqrt(s) * G
+    combo = V + 2.0 * math.sqrt(mu) * (Y_next - xstar) + k.root_s * G
     return (potential + 0.25 * np.vecdot(V, V) + 0.25 * np.vecdot(combo, combo)
-            - 0.5 * s * np.vecdot(G, G))
+            - 0.5 * k.s * np.vecdot(G, G))
 
 
 def _iv_energy(potential: np.ndarray, V: np.ndarray, X: np.ndarray,
-               xstar: Vector, s: float, mu: float) -> np.ndarray:
-    c = momentum_denominator(mu, s)
+               xstar: Vector, k: StepCoefficients, mu: float) -> np.ndarray:
     combo = V + 2.0 * math.sqrt(mu) * (X - xstar)
-    return (potential + 0.25 * np.vecdot(V, V) / (c * c)
+    return (potential + 0.25 * np.vecdot(V, V) / (k.c * k.c)
             + 0.25 * np.vecdot(combo, combo))
 
 
@@ -79,12 +79,13 @@ def ode_energies(solution: OdeSolution) -> np.ndarray:
     potential is the solution's recorded ``f_gap`` column, so this makes
     no oracle call.
     """
-    f, s = solution.objective, solution.s
+    f = solution.objective
     require_minimizer(f)
+    k = step_coefficients(f.mu, solution.s)
     out = np.empty(len(solution))
     for rows in _blocks(len(out)):
         out[rows] = _iv_energy(solution.f_gap[rows], solution.Xdot[rows],
-                               solution.X[rows], f.minimizer, s, f.mu)
+                               solution.X[rows], f.minimizer, k, f.mu)
     return out
 
 
@@ -113,7 +114,7 @@ def energies(trajectory: Trajectory, form: str) -> np.ndarray:
     require_form(form, trajectory.method_id)
     f = trajectory.objective
     require_minimizer(f)
-    s, mu, xstar = trajectory.s, f.mu, f.minimizer
+    k, mu, xstar = step_coefficients(f.mu, trajectory.s), f.mu, f.minimizer
     gaps, ys, vs, xs = (trajectory.f_gap, trajectory.ys, trajectory.vs,
                         trajectory.xs)
     out = np.empty(trajectory.K)
@@ -121,10 +122,10 @@ def energies(trajectory: Trajectory, form: str) -> np.ndarray:
         nxt = slice(rows.start + 1, rows.stop + 1)
         if form == "gc":
             _, G = f.value_and_grad_rows(ys[rows])
-            out[rows] = _gc_energy(gaps[rows], G, ys[nxt], vs[nxt], xstar, s,
+            out[rows] = _gc_energy(gaps[rows], G, ys[nxt], vs[nxt], xstar, k,
                                    mu)
         else:
-            out[rows] = _iv_energy(gaps[rows], vs[nxt], xs[nxt], xstar, s, mu)
+            out[rows] = _iv_energy(gaps[rows], vs[nxt], xs[nxt], xstar, k, mu)
     return out
 
 
@@ -171,7 +172,7 @@ def certify_contraction(trajectory: Trajectory, form: str,
     else:
         e = energies(trajectory, form)
     if rho is None:
-        rho = math.sqrt(trajectory.objective.mu * trajectory.s) / 4.0
+        rho = step_coefficients(trajectory.objective.mu, trajectory.s).r / 4.0
     slack = float(slack_scale * max(1.0, e[0] if len(e) else 1.0))
     # factors are only meaningful while the energy resolves above rounding
     # of its largest finite value (a diverging run's energies overflow)

@@ -320,15 +320,15 @@ def resolve_minimizer(f: Objective) -> Objective:
     """
     if f.minimizer is not None and f.min_value is not None:
         return f
-    from .optimizers import STEPS
+    from .optimizers import STEPS, step_coefficients
 
-    step, s = STEPS["nag-modified"], 1.0 / f.lipschitz
+    step, k = STEPS["nag-modified"], step_coefficients(f.mu, 1.0 / f.lipschitz)
     x, y, v = np.zeros(f.dim), np.zeros(f.dim), np.zeros(f.dim)
     _, g = f.value_and_grad(y)
     for _ in range(500_000):
         if np.linalg.norm(f.grad(x)) <= 1e-12:
             break
-        x, y, v, _ = step(s, f.mu, x, y, v, g, None)
+        x, y, v, _ = step(k, x, y, v, g, None)
         _, g = f.value_and_grad(y)
     else:
         raise RuntimeError(

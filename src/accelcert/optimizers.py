@@ -19,10 +19,12 @@ against one another:
   ``gc-phase`` with velocity v_k = (y_{k+1} - y_k) / sqrt(s).
 
 Each method is one kernel in :data:`STEPS` that maps
-(s, mu, x, y, v, g, carry) to the next (x, y, v, carry) and calls no
-oracle; g is the gradient at the method's reference point (y_k for the
-momentum family, x_k for gd and heavy-ball), and ``carry`` holds what
-the gc family and a prescribed first velocity keep from the step before.
+(k, x, y, v, g, carry) to the next (x, y, v, carry) and calls no oracle;
+k is the record of :func:`step_coefficients`, so a kernel does only
+arithmetic, on floats or on sympy scalars alike; g is the gradient at
+the method's reference point (y_k for the momentum family, x_k for gd
+and heavy-ball), and ``carry`` holds what the gc family and a prescribed
+first velocity keep from the step before.
 ``run`` owns the only loop: it makes exactly one fused value-and-gradient
 evaluation (:meth:`~accelcert.objectives.Objective.value_and_grad`) per
 recorded point, at the reference point, and carries the gradient into
@@ -41,7 +43,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -56,15 +58,29 @@ NAG_FAMILY = ("nag-classic", "nag-modified", "gc-modified", "gc-phase", "iv-phas
 FIRST_VELOCITY_CONVENTIONS = ("scheme", "zero", "corollary")
 
 
-def momentum_denominator(mu: float, s: float) -> float:
-    """The coefficient 1 + 2 sqrt(mu s) shared by all modified schemes."""
-    return 1.0 + 2.0 * math.sqrt(mu * s)
+class StepCoefficients(NamedTuple):
+    """The step size s, root_s = sqrt(s), r = sqrt(mu s), the momentum
+    denominator c = 1 + 2 sqrt(mu s) of the modified schemes and the
+    classic momentum m = (1 - sqrt(mu s)) / (1 + sqrt(mu s))."""
+
+    s: float
+    root_s: float
+    r: float
+    c: float
+    m: float
 
 
-def probe_point(X: Vector, Xdot: Vector, s: float, mu: float) -> Vector:
-    """X + sqrt(s) X' / (1 + 2 sqrt(mu s)), where the iv scheme (as y_k), its
-    high-resolution flow and the continuous energy take the gradient."""
-    return X + math.sqrt(s) * Xdot / momentum_denominator(mu, s)
+def step_coefficients(mu: float, s: float) -> StepCoefficients:
+    """The coefficients every scheme is written in, at (mu, s)."""
+    r = math.sqrt(mu * s)
+    return StepCoefficients(s, math.sqrt(s), r, 1.0 + 2.0 * r,
+                            (1.0 - r) / (1.0 + r))
+
+
+def probe_point(X: Vector, Xdot: Vector, k: StepCoefficients) -> Vector:
+    """X + sqrt(s) X' / c, where the iv scheme (as y_k), its high-resolution
+    flow and the continuous energy take the gradient."""
+    return X + k.root_s * Xdot / k.c
 
 
 def as_start(f: Objective, x0: Vector) -> Vector:
@@ -82,52 +98,50 @@ def step_guaranteed(s: float, lipschitz: float) -> bool:
 
 def default_heavy_ball_beta(mu: float, s: float) -> float:
     """Locally optimal quadratic tuning ((1 - sqrt(mu s)) / (1 + sqrt(mu s)))^2."""
-    r = math.sqrt(mu * s)
-    return ((1.0 - r) / (1.0 + r)) ** 2
+    return step_coefficients(mu, s).m ** 2
 
 
-def _gd(s, mu, x, y, v, g, carry):
+def _gd(k, x, y, v, g, carry):
     """Vanilla gradient descent x_{k+1} = x_k - s grad f(x_k); y and v are
     copied through unchanged."""
-    return x - s * g, y, v, carry
+    return x - k.s * g, y, v, carry
 
 
-def _heavy_ball(s, mu, x, y, v, g, carry):
+def _heavy_ball(k, x, y, v, g, carry):
     """Momentum baseline x_{k+1} = x_k - s grad f(x_k) + beta (x_k - x_{k-1})
     with beta = :func:`default_heavy_ball_beta`; v is the previous
     displacement x_k - x_{k-1}."""
-    x1 = x - s * g + default_heavy_ball_beta(mu, s) * v
+    x1 = x - k.s * g + k.m ** 2 * v
     return x1, y, x1 - x, carry
 
 
-def _nag_classic(s, mu, x, y, v, g, carry):
+def _nag_classic(k, x, y, v, g, carry):
     """Accelerated scheme with momentum (1 - sqrt(mu s)) / (1 + sqrt(mu s))."""
-    r = math.sqrt(mu * s)
-    x1 = y - s * g
-    y1 = x1 + ((1.0 - r) / (1.0 + r)) * (x1 - x)
-    return x1, y1, (x1 - x) / math.sqrt(s), carry
+    x1 = y - k.s * g
+    y1 = x1 + k.m * (x1 - x)
+    return x1, y1, (x1 - x) / k.root_s, carry
 
 
-def _nag_modified(s, mu, x, y, v, g, carry):
+def _nag_modified(k, x, y, v, g, carry):
     """Accelerated scheme with momentum 1 / (1 + 2 sqrt(mu s)); v is
     (x_{k+1} - x_k) / sqrt(s), for diagnostics."""
-    x1 = y - s * g
-    y1 = x1 + (x1 - x) / momentum_denominator(mu, s)
-    return x1, y1, (x1 - x) / math.sqrt(s), carry
+    x1 = y - k.s * g
+    y1 = x1 + (x1 - x) / k.c
+    return x1, y1, (x1 - x) / k.root_s, carry
 
 
-def _gc_modified(s, mu, x, y, v, g, carry):
+def _gc_modified(k, x, y, v, g, carry):
     """Single-sequence gradient-correction scheme; carry is
     (y_{k-1}, grad f(y_{k-1})).  The new x is the gradient-step image
     x_{k+1} = y_k - s grad f(y_k) and the new v is (y_{k+1} - y_k) / sqrt(s).
     """
     y_prev, g_prev = carry
-    c = momentum_denominator(mu, s)
+    s, c = k.s, k.c
     y1 = y + (y - y_prev) / c - (s / c) * g - (s / c) * (g - g_prev)
-    return y - s * g, y1, (y1 - y) / math.sqrt(s), (y, g)
+    return y - s * g, y1, (y1 - y) / k.root_s, (y, g)
 
 
-def _gc_phase(s, mu, x, y, v, g, carry):
+def _gc_phase(k, x, y, v, g, carry):
     """Phase-space form of the gradient-correction scheme; v is v_{k-1} and
     carry is grad f(y_{k-1}).  The velocity relation
         v_k - v_{k-1} = -2 sqrt(mu s) v_k
@@ -139,12 +153,11 @@ def _gc_phase(s, mu, x, y, v, g, carry):
     y_k - s grad f(y_k) is the gradient-step image, the sequence whose
     objective gap the convergence theorem for this scheme bounds.
     """
-    c = momentum_denominator(mu, s)
-    v1 = (v - math.sqrt(s) * (2.0 * g - carry)) / c
-    return y - s * g, y + math.sqrt(s) * v1, v1, g
+    v1 = (v - k.root_s * (2.0 * g - carry)) / k.c
+    return y - k.s * g, y + k.root_s * v1, v1, g
 
 
-def _iv_phase(s, mu, x, y, v, g, carry):
+def _iv_phase(k, x, y, v, g, carry):
     """Phase-space form of the implicit-velocity scheme.
 
     Computes v_{k+1} first (the update is explicit),
@@ -157,15 +170,14 @@ def _iv_phase(s, mu, x, y, v, g, carry):
     prescribed first velocity, taken as v_{k+1} instead of the recursion's.
     """
     if carry is None:
-        c = momentum_denominator(mu, s)
-        v1 = v - 2.0 * math.sqrt(mu * s) * v / c - math.sqrt(s) * g
+        v1 = v - 2.0 * k.r * v / k.c - k.root_s * g
     else:
         v1 = carry
-    x1 = x + math.sqrt(s) * v1
-    return x1, probe_point(x1, v1, s, mu), v1, None
+    x1 = x + k.root_s * v1
+    return x1, probe_point(x1, v1, k), v1, None
 
 
-#: The step kernel of each method, (s, mu, x, y, v, g, carry) ->
+#: The step kernel of each method, (k, x, y, v, g, carry) ->
 #: (x, y, v, carry); see the module docstring.
 STEPS = {
     "gd": _gd,
@@ -311,7 +323,7 @@ def run(f: Objective, method: str, x0: Vector, s: float, K: int, *,
 
     step = STEPS[method]
     at_y = method in NAG_FAMILY
-    mu = f.mu
+    k = step_coefficients(f.mu, s)
     value_and_grad = f.value_and_grad
     xs = np.empty((K + 1, f.dim))
     ys = np.empty((K + 1, f.dim))
@@ -329,7 +341,7 @@ def run(f: Objective, method: str, x0: Vector, s: float, K: int, *,
     elif method == "iv-phase" and first_velocity == "zero":
         carry = np.zeros(f.dim)
     elif method == "iv-phase" and first_velocity == "corollary":
-        carry = 2.0 * math.sqrt(mu * s) * g
+        carry = 2.0 * k.r * g
     xs[0] = x
     ys[0] = y
     vs[0] = v
@@ -338,13 +350,13 @@ def run(f: Objective, method: str, x0: Vector, s: float, K: int, *,
 
     for rows in _blocks(K + 1, start=1):
         lo = rows.start
-        for k in range(lo, rows.stop):
-            x, y, v, carry = step(s, mu, x, y, v, g, carry)
-            f_gap[k], g = value_and_grad(y if at_y else x)
-            xs[k] = x
-            ys[k] = y
-            vs[k] = v
-            grads[k - lo] = g
+        for i in range(lo, rows.stop):
+            x, y, v, carry = step(k, x, y, v, g, carry)
+            f_gap[i], g = value_and_grad(y if at_y else x)
+            xs[i] = x
+            ys[i] = y
+            vs[i] = v
+            grads[i - lo] = g
         bad = first_nonfinite_row(xs[rows])
         if bad is not None:
             raise NonFiniteIterateError(method, lo + bad)

@@ -13,7 +13,8 @@ import pytest
 
 from accelcert import (METHODS, certify_contraction, check_bound,
                        make_quadratic, make_reg_logistic, probe_point,
-                       resolve_minimizer, run, sample_in_ball)
+                       resolve_minimizer, run, sample_in_ball,
+                       step_coefficients)
 from accelcert.analysis import THEOREM_METHODS
 from accelcert.lyapunov import FORM_METHODS
 from accelcert.optimizers import _BLOCK_ROWS, NonFiniteIterateError
@@ -78,7 +79,8 @@ def test_iv_reference_is_the_probe_point(f, s, convention):
     x0 = sample_in_ball(np.random.default_rng(3), f.dim, 2.0)
     traj = run(f, "iv-phase", x0, s, 200, first_velocity=convention)
     np.testing.assert_array_equal(traj.ys,
-                                  probe_point(traj.xs, traj.vs, s, f.mu))
+                                  probe_point(traj.xs, traj.vs,
+                                              step_coefficients(f.mu, s)))
 
 
 def test_nonfinite_step_is_the_loop_index():

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from accelcert import ConfigError, execute, parse_config
-from accelcert.harness import (build_objective, fmt, load_config, output_file,
+from accelcert import harness
+from accelcert.harness import (ExperimentConfig, build_objective,
+                               check_x0_length, fmt, load_config, output_file,
                                resolve_s, resolve_x0, suite, write_csv,
                                write_ode_csv)
 from accelcert.hires_ode import integrate
@@ -108,7 +110,7 @@ class TestParseConfig:
         np.testing.assert_array_equal(a, b)
         assert np.linalg.norm(a) <= 2.0
         with pytest.raises(ConfigError):
-            resolve_x0(config_with(x0=[1.0, 2.0, 3.0]), f)
+            check_x0_length([1.0, 2.0, 3.0], config_with().objective_params)
 
 
 class TestExecute:
@@ -235,10 +237,13 @@ class TestSuites:
         # coefficient, so corrupting it must break the equivalence criterion
         from accelcert import acceptance, optimizers
 
-        def corrupted(mu, s):
-            return 1.0 + 2.05 * (mu * s) ** 0.5
+        true_coefficients = optimizers.step_coefficients
 
-        monkeypatch.setattr(optimizers, "momentum_denominator", corrupted)
+        def corrupted(mu, s):
+            return true_coefficients(mu, s)._replace(
+                c=1.0 + 2.05 * (mu * s) ** 0.5)
+
+        monkeypatch.setattr(optimizers, "step_coefficients", corrupted)
         result = acceptance.criterion_1()
         assert not result.passed
 
@@ -416,6 +421,45 @@ class TestCli:
                          "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("config error: x0: length")
         assert not (out / "deep").exists()
+
+    def test_bad_x0_length_is_caught_before_the_objective(
+            self, tmp_path, capsys, monkeypatch):
+        # the parameters give the dimension, so a wrong-length x0 costs no
+        # objective build (nor its minimizer search), in run and in ode
+        def no_build(*args):
+            raise AssertionError("the objective was built")
+
+        monkeypatch.setattr(harness, "build_objective", no_build)
+        monkeypatch.setattr(cli, "objective_from_params", no_build)
+        params = {"objective": "reg-logistic", "data_seed": 3,
+                  "n_samples": 2000, "dim": 20, "reg": 0.01}
+        doc = {key: value for key, value in MINIMAL.items()
+               if key != "spectrum"}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({**doc, **params, "x0": [1, 2, 3]}))
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", str(path),
+                         "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "config error: x0: length 3 does not match dimension 20\n")
+        assert cli.main(["ode", "--objective", "reg-logistic",
+                         "--n-samples", "2000", "--dim", "20", "--s", "0.25",
+                         "--T", "1", "--h", "0.01", "--x0", "1,2,3",
+                         "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "config error: --x0: length 3 does not match dimension 20\n")
+        assert not out.exists()
+
+    def test_unknown_symbolic_s_is_the_s_rule(self, tmp_path):
+        # a config built in code skips parse_config; resolve_s checks it
+        # with the same rule and message
+        config = ExperimentConfig(
+            objective="quad", objective_params={"spectrum": [1, 100]},
+            method="iv-phase", s="1/M", K=10, seed=1, output_path="d/r.csv")
+        with pytest.raises(ConfigError, match=r"^s: must be a positive "
+                           r"number or one of \('1/L'"):
+            execute(config, out_root=tmp_path / "out")
+        assert not (tmp_path / "out").exists()
 
     def test_scan_nested_output_path(self, tmp_path):
         rc = cli.main(["scan", "--mu", "1", "--spectrum", "1,3",

@@ -4,10 +4,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from accelcert import (acceleration, check_continuous_bound, integrate,
-                       make_quadratic, make_reg_logistic, ode_energies,
-                       probe_point)
-from accelcert.hires_ode import NonFiniteSolutionError, OdeSolution, OdeState
+from accelcert import (check_continuous_bound, integrate, make_quadratic,
+                       make_reg_logistic, ode_energies, probe_point,
+                       step_coefficients)
+from accelcert.hires_ode import (NonFiniteSolutionError, OdeSolution, OdeState,
+                                 _flow)
 from accelcert.objectives import MinimizerUnknownError
 from accelcert.optimizers import _BLOCK_ROWS as B
 
@@ -17,6 +18,13 @@ DAMPED_X1 = 0.7357588823428847  # 2 * exp(-1)
 
 def one(v):
     return np.array([float(v)])
+
+
+def xddot_of(f, s, which):
+    """X'' of the ``which`` equation on ``f`` as a function of (X, X'),
+    from :func:`_flow`: X' and the gradient at the probe point."""
+    k, xddot = _flow(f, s, which)
+    return lambda X, Xdot: xddot(Xdot, f.grad(probe_point(X, Xdot, k)))
 
 
 def poisoned_at_step(j, stage, min_value):
@@ -43,35 +51,35 @@ def quad_1():
 
 
 class TestRightHandSides:
-    # acceleration(f, s, which) is X'' as a function of (X, X'); dX = X'
+    # xddot_of(f, s, which) is X'' as a function of (X, X'); dX = X'
     def test_simplified_equilibrium(self, quad_1):
-        dv = acceleration(quad_1, 1.0, "simplified")(one(0), one(0))
+        dv = xddot_of(quad_1, 1.0, "simplified")(one(0), one(0))
         assert dv == pytest.approx([0.0])
 
     def test_simplified_at_rest(self, quad_1):
-        dv = acceleration(quad_1, 1.0, "simplified")(one(1), one(0))
+        dv = xddot_of(quad_1, 1.0, "simplified")(one(1), one(0))
         assert dv == pytest.approx([-1.0])
 
     def test_simplified_moving(self, quad_1):
         # probe = 0 + 1/3; dv = -2 - 1/3
-        dv = acceleration(quad_1, 1.0, "simplified")(one(0), one(1))
+        dv = xddot_of(quad_1, 1.0, "simplified")(one(0), one(1))
         assert dv == pytest.approx([-7.0 / 3.0])
 
     def test_original_equilibrium(self, quad_1):
-        dv = acceleration(quad_1, 1.0, "original")(one(0), one(0))
+        dv = xddot_of(quad_1, 1.0, "original")(one(0), one(0))
         assert dv == pytest.approx([0.0])
 
     def test_original_at_rest(self, quad_1):
         # (1 + 2 sqrt(mu s)) / (1 + sqrt(mu s)) * grad = 3/2
-        dv = acceleration(quad_1, 1.0, "original")(one(1), one(0))
+        dv = xddot_of(quad_1, 1.0, "original")(one(1), one(0))
         assert dv == pytest.approx([-1.5])
 
     def test_forms_agree_in_small_s_limit(self):
         f = make_quadratic([0.5, 3])
         rng = np.random.default_rng(4)
         s = 1e-8
-        simplified = acceleration(f, s, "simplified")
-        original = acceleration(f, s, "original")
+        simplified = xddot_of(f, s, "simplified")
+        original = xddot_of(f, s, "original")
         for _ in range(20):
             st = OdeState(0.0, rng.standard_normal(2), rng.standard_normal(2))
             dv_a = simplified(st.X, st.Xdot)
@@ -89,12 +97,12 @@ class TestRightHandSides:
         rng = np.random.default_rng(5)
         for _ in range(5):
             X, Xdot = rng.standard_normal(2), rng.standard_normal(2)
-            g = f.grad(probe_point(X, Xdot, s, f.mu))
+            g = f.grad(probe_point(X, Xdot, step_coefficients(f.mu, s)))
             damped = -2.0 * math.sqrt(f.mu) * Xdot
             np.testing.assert_array_equal(
-                acceleration(f, s, "simplified")(X, Xdot), damped - g)
+                xddot_of(f, s, "simplified")(X, Xdot), damped - g)
             np.testing.assert_array_equal(
-                acceleration(f, s, "original")(X, Xdot),
+                xddot_of(f, s, "original")(X, Xdot),
                 (damped - c * g) / (1.0 + math.sqrt(f.mu * s)))
 
 
@@ -215,7 +223,8 @@ class TestOdeSolution:
     def test_records_probe_gap(self):
         f = make_quadratic([1, 4], rotation_seed=1)
         sol = integrate(f, np.array([1.0, 0.5]), s=0.25, T=0.5, h=0.1)
-        want = [f.gap(probe_point(st.X, st.Xdot, 0.25, f.mu)) for st in sol]
+        k = step_coefficients(f.mu, 0.25)
+        want = [f.gap(probe_point(st.X, st.Xdot, k)) for st in sol]
         assert sol.f_gap.tolist() == want
 
     def test_unknown_minimum_records_nan(self):

@@ -7,7 +7,7 @@ import pytest
 from accelcert import (OdeSolution, Trajectory, certify_contraction, energies,
                        initial_energy, integrate, make_quadratic,
                        make_reg_logistic, ode_energies, probe_point,
-                       resolve_minimizer, run)
+                       resolve_minimizer, run, step_coefficients)
 from accelcert.lyapunov import attach_energies
 from accelcert.objectives import MinimizerUnknownError, Objective
 from accelcert.optimizers import _BLOCK_ROWS, _blocks
@@ -79,7 +79,8 @@ def hand_solution(f, s, X, Xdot):
     """An OdeSolution from explicit samples, its gap taken at the probe
     point."""
     X, Xdot = np.asarray(X, dtype=float), np.asarray(Xdot, dtype=float)
-    f_gap = np.array([f.gap(probe_point(x, v, s, f.mu))
+    k = step_coefficients(f.mu, s)
+    f_gap = np.array([f.gap(probe_point(x, v, k))
                       for x, v in zip(X, Xdot)])
     return OdeSolution(t=np.arange(len(X)) * 0.01, X=X, Xdot=Xdot,
                        f_gap=f_gap, s=s, which="simplified", objective=f)

@@ -5,7 +5,8 @@ import pytest
 
 from accelcert import (bound_curve, default_heavy_ball_beta, make_quadratic,
                        make_reg_logistic, resolve_minimizer, run)
-from accelcert.optimizers import STEPS, NonFiniteIterateError, step_guaranteed
+from accelcert.optimizers import (STEPS, NonFiniteIterateError,
+                                  step_coefficients, step_guaranteed)
 
 
 def step_1d(method, x, y=None, v=0.0, s=1.0, carry=None):
@@ -14,14 +15,16 @@ def step_1d(method, x, y=None, v=0.0, s=1.0, carry=None):
     heavy-ball read x; the momentum steps read y, which is x there)."""
     x = np.array([float(x)])
     y = x.copy() if y is None else np.array([float(y)])
-    return STEPS[method](s, 1.0, x, y, np.array([float(v)]), x.copy(), carry)
+    return STEPS[method](step_coefficients(1.0, s), x, y, np.array([float(v)]),
+                         x.copy(), carry)
 
 
 def step_at(f, method, x, s, carry=None):
     """One kernel step on ``f`` from x = y = ``x`` at rest, with the
     gradient at ``x``."""
     x = np.asarray(x, dtype=float)
-    return STEPS[method](s, f.mu, x, x.copy(), np.zeros(f.dim), f.grad(x), carry)
+    return STEPS[method](step_coefficients(f.mu, s), x, x.copy(),
+                         np.zeros(f.dim), f.grad(x), carry)
 
 
 @pytest.fixture(scope="module")
@@ -58,8 +61,8 @@ class TestHeavyBallStep:
         # mu s = 1 makes beta = ((1 - 1) / (1 + 1))^2 exactly 0
         assert default_heavy_ball_beta(quad_ill.mu, 1.0) == 0.0
         x = np.array([1.0, -2.0])
-        args = (1.0, quad_ill.mu, x, x.copy(), np.array([0.4, 0.1]),
-                quad_ill.grad(x), None)
+        args = (step_coefficients(quad_ill.mu, 1.0), x, x.copy(),
+                np.array([0.4, 0.1]), quad_ill.grad(x), None)
         np.testing.assert_array_equal(STEPS["heavy-ball"](*args)[0],
                                       STEPS["gd"](*args)[0])
 

@@ -16,7 +16,7 @@ from scipy.special import expit
 from accelcert import (make_quadratic, make_reg_logistic,
                        reg_logistic_from_data, run)
 from accelcert.optimizers import (METHODS, NAG_FAMILY, STEPS,
-                                  NonFiniteIterateError)
+                                  NonFiniteIterateError, step_coefficients)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 20])
@@ -97,7 +97,7 @@ def _first_nonfinite_step(f, method, x0, s, K):
     x, y, v = x0.copy(), x0.copy(), np.zeros(f.dim)
     g = f.grad(x0)
     for k in range(1, K + 1):
-        x, y, v, _ = step(s, f.mu, x, y, v, g, None)
+        x, y, v, _ = step(step_coefficients(f.mu, s), x, y, v, g, None)
         if not np.isfinite(x).all():
             return k
         g = f.grad(y if at_y else x)
