@@ -10,7 +10,11 @@ output path that cannot be made.  A flag value that its argparse type
 accepts but the run cannot take is a config error naming the flag: each
 flag is checked by its rule in :func:`~accelcert.harness.checked_fields`,
 the table that checks the config fields; the messages of ``--s`` and
-``--x0`` name only the forms those flags can take.
+``--x0`` name only the forms those flags can take.  A step the run
+diverges at is a config error too: ``--h`` for an ``ode`` solution that
+turns non-finite, ``--s-grid`` for a ``scan`` run.  ``ode`` and ``scan``
+make their output directories only once the run has succeeded, so a
+config error leaves none behind.
 """
 
 from __future__ import annotations
@@ -26,7 +30,8 @@ from .harness import (ConfigError, OBJECTIVE_IDS, OBJECTIVE_PARAMS,
                       execute, fmt, load_config, objective_from_params,
                       output_file, suite, summary_path, write_ode_csv,
                       write_scan_csv, write_summary)
-from .hires_ode import EQUATIONS, check_continuous_bound, integrate
+from .hires_ode import (EQUATIONS, NonFiniteSolutionError,
+                        check_continuous_bound, integrate)
 from .optimizers import NonFiniteIterateError
 
 
@@ -95,11 +100,13 @@ def _cmd_ode(args) -> int:
     check_x0_length(args.x0, params, flags=True)
     f = objective_from_params(args.objective, params)
     x0 = np.ones(f.dim) if args.x0 is None else np.asarray(args.x0, float)
-    csv_path = output_file(args.out, args.output_path)
     try:
         solution = integrate(f, x0, args.s, args.T, args.h, which=args.which)
     except ValueError as exc:  # the arguments checked, T is not n * h
         raise ConfigError(f"--T: {exc}") from exc
+    except NonFiniteSolutionError as exc:  # a step h that RK4 diverges at
+        raise ConfigError(f"--h: {exc}") from exc
+    csv_path = output_file(args.out, args.output_path)
     write_ode_csv(solution, f, args.s, f.mu, csv_path)
     summary = {
         "objective": f.name, "equation": args.which, "s": fmt(args.s),
@@ -128,7 +135,6 @@ def _cmd_scan(args) -> int:
     checked_fields(vars(args), ("mu", "spectrum", "s_grid", "K", "x0", "seed"),
                    flags=True)
     check_x0_length(args.x0, vars(args), flags=True)
-    csv_path = output_file(args.out, args.output_path)
     try:
         report = analysis.monotonicity_scan(args.mu, args.spectrum,
                                             args.s_grid, K=args.K, x0=args.x0,
@@ -137,6 +143,7 @@ def _cmd_scan(args) -> int:
         raise ConfigError(f"--mu: {exc}") from exc
     except NonFiniteIterateError as exc:  # a step size the scheme diverges at
         raise ConfigError(f"--s-grid: {exc}") from exc
+    csv_path = output_file(args.out, args.output_path)
     write_scan_csv(report, csv_path)
     for s, (pred, obs) in report.per_s.items():
         print(f"s={s:g}: predicted_monotone={fmt(pred)} "

@@ -14,7 +14,6 @@ from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.special import expit
 
 from .report import CertReport
 
@@ -44,6 +43,13 @@ class Objective:
     (or elementwise work).  It matches the per-row oracles up to rounding,
     not bit for bit, so only certificates use it, at points a run did not
     record.
+    For a float64 array x of shape (dim,), the oracle functions return a
+    float (``value_fn``) and a float64 array of shape (dim,) (``grad_fn``),
+    and ``value_and_grad_fn`` the pair of them: the hot loops of
+    :func:`~accelcert.optimizers.run` and
+    :func:`~accelcert.hires_ode.integrate` call the fused oracle directly,
+    without the conversions of :meth:`value_and_grad`, and record the
+    same bits as through it only under this contract.
     ``hessian`` is populated for quadratics and used by tests as an
     independent oracle.
     """
@@ -230,6 +236,19 @@ def make_quadratic(spec: SpectrumSpec | Sequence[float],
     )
 
 
+def _softplus(m: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """log(1 + exp(m)) elementwise, given ``e = np.exp(-np.abs(m))``:
+    ``max(m, 0) + log1p(e)``, which never overflows."""
+    return np.maximum(m, 0.0) + np.log1p(e)
+
+
+def _sigmoid(m: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-m)) elementwise, given ``e = np.exp(-np.abs(m))``:
+    1 / (1 + e) where m >= 0 and e / (1 + e) elsewhere, which never
+    overflows and keeps its relative accuracy in both tails."""
+    return np.where(m >= 0.0, 1.0, e) / (1.0 + e)
+
+
 def reg_logistic_from_data(features: np.ndarray, labels: np.ndarray,
                            reg: float, name: str = "reg-logistic") -> Objective:
     """L2-regularized logistic loss on explicit data.
@@ -241,14 +260,17 @@ def reg_logistic_from_data(features: np.ndarray, labels: np.ndarray,
     holds only for |b_i| = 1.
 
     The oracles work on the signed rows -b_i a_i, built once, so that one
-    product with them gives the negated margins -b_i <a_i, x>: a label of
-    +-1 only flips signs, which is exact, so every value and gradient has
-    the bits of the formulas written with the margins, with no pass over
-    the n samples to apply the labels.  The fused oracle computes the
-    negated margins once for the value and the gradient; the row-batched
-    oracle computes them for every row of X in one product with the signed
-    rows.  The mean over the samples is ``np.add.reduce(...) / n``, which
-    is what ``np.mean`` computes.
+    product with them gives the negated margins m_i = -b_i <a_i, x>: a
+    label of +-1 only flips signs, which is exact, so no pass over the n
+    samples applies the labels.  From the margins, one ``e = exp(-|m|)``
+    feeds both :func:`_softplus`, the loss terms log(1 + exp(m)), and
+    :func:`_sigmoid`, the gradient weights: numpy alone, with no overflow
+    at any margin.  The last bits follow numpy's ``exp`` and ``log1p``,
+    which may take the CPU's SIMD paths.  The fused oracle computes m and
+    e once for the value and the gradient; the row-batched oracle computes
+    them for every row of X from one product with the signed rows.  The
+    mean over the samples is ``np.add.reduce(...) / n``, which is what
+    ``np.mean`` computes.
     """
     if not reg > 0:
         raise ValueError("reg must be positive")
@@ -261,29 +283,32 @@ def reg_logistic_from_data(features: np.ndarray, labels: np.ndarray,
 
     signed = -labels[:, None] * features  # rows -b_i a_i
 
-    def value_at(x: Vector, neg: Vector) -> float:
-        loss = np.add.reduce(np.logaddexp(0.0, neg)) / n_samples
+    def value_at(x: Vector, m: Vector, e: Vector) -> float:
+        loss = np.add.reduce(_softplus(m, e)) / n_samples
         return float(loss + 0.5 * reg * x.dot(x))
 
-    def grad_at(x: Vector, neg: Vector) -> Vector:
-        weights = expit(neg)  # sigma(-b_i <a_i, x>)
-        return signed.T.dot(weights) / n_samples + reg * x
+    def grad_at(x: Vector, m: Vector, e: Vector) -> Vector:
+        return signed.T.dot(_sigmoid(m, e)) / n_samples + reg * x
 
     def value_fn(x: Vector) -> float:
-        return value_at(x, signed.dot(x))
+        m = signed.dot(x)
+        return value_at(x, m, np.exp(-np.abs(m)))
 
     def grad_fn(x: Vector) -> Vector:
-        return grad_at(x, signed.dot(x))
+        m = signed.dot(x)
+        return grad_at(x, m, np.exp(-np.abs(m)))
 
     def value_and_grad_fn(x: Vector) -> tuple[float, Vector]:
-        neg = signed.dot(x)
-        return value_at(x, neg), grad_at(x, neg)
+        m = signed.dot(x)
+        e = np.exp(-np.abs(m))
+        return value_at(x, m, e), grad_at(x, m, e)
 
     def value_and_grad_rows_fn(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        neg = X @ signed.T
-        values = (np.add.reduce(np.logaddexp(0.0, neg), axis=1) / n_samples
+        m = X @ signed.T
+        e = np.exp(-np.abs(m))
+        values = (np.add.reduce(_softplus(m, e), axis=1) / n_samples
                   + 0.5 * reg * np.vecdot(X, X))
-        grads = (expit(neg) @ signed) / n_samples + reg * X
+        grads = (_sigmoid(m, e) @ signed) / n_samples + reg * X
         return values, grads
 
     return Objective(dim=dim, mu=reg, lipschitz=lipschitz, value_fn=value_fn,

@@ -26,7 +26,8 @@ the method's reference point (y_k for the momentum family, x_k for gd
 and heavy-ball), and ``carry`` holds what the gc family and a prescribed
 first velocity keep from the step before.
 ``run`` owns the only loop: it makes exactly one fused value-and-gradient
-evaluation (:meth:`~accelcert.objectives.Objective.value_and_grad`) per
+evaluation (``value_and_grad_fn``, or
+:meth:`~accelcert.objectives.Objective.value_and_grad` without one) per
 recorded point, at the reference point, and carries the gradient into
 the next step.  It records the objective gap and the squared norm of
 that gradient, so K steps cost exactly K+1 fused evaluations, and
@@ -324,7 +325,9 @@ def run(f: Objective, method: str, x0: Vector, s: float, K: int, *,
     step = STEPS[method]
     at_y = method in NAG_FAMILY
     k = step_coefficients(f.mu, s)
-    value_and_grad = f.value_and_grad
+    # the fused oracle itself, without the method's conversions: it
+    # returns a float and a float64 array (see Objective)
+    value_and_grad = f.value_and_grad_fn or f.value_and_grad
     xs = np.empty((K + 1, f.dim))
     ys = np.empty((K + 1, f.dim))
     vs = np.empty((K + 1, f.dim))

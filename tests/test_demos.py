@@ -20,7 +20,7 @@ DEMO_DIGESTS = {
     "01_acceleration_on_quadratics.py":
         "33d65ff02ffa7cfc5341ba3d6c508690be4d55989d64bfa9ba9a53399a329c07",
     "02_lyapunov_certificates.py":
-        "ad967bf73e36bb3a07f7e87b85c30c011284da5201b46a93fa180d9a0a006243",
+        "b37e031f70aeacacb2b25cea168ac28637ef3de222fcbead210fff07e3f83235",
     "03_high_resolution_ode.py":
         "17d46d7d0ef10dc90e90fa3189c85b1dc62ce368b621d47328714af75b8725ac",
     "04_monotonicity_window.py":

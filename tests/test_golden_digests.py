@@ -72,8 +72,8 @@ EXECUTE_CASES = {
          "reg": 0.1, "method": "nag-modified", "s": "1/L", "K": 150, "seed": 7,
          "x0": {"random_ball": {"radius": 2.0}}, "lyapunov": "iv",
          "bound": "rate-iv"},
-        {".csv": "1e52cbe09c65fd69a244a9603ba19ea5c1d327de1cdcde3db899b8617d53cabf",
-         ".summary.txt": "7a0d8f2854f9b33b2d0c2417ab11ae4d882c2ce0b800197659338ba64b2f6deb",
+        {".csv": "2f71a67ec298ad72e0c711792cd87f3d89198bb00283c40d89cd1b59abee2998",
+         ".summary.txt": "eb783d3cc19b9a0f99b2635b8f74e0fc5a9c9b2d2ac447bf21269704250d5c25",
          ".config.json": "222ac7b94dd78a1867be94742bd0c67b0caf093bd0bf849d973d424123974398"}),
 }
 
@@ -111,7 +111,7 @@ ODE_CASES = {
     "logistic": (
         lambda: resolve_minimizer(make_reg_logistic(3, 50, 2, 0.1)), [1.0, 1.0],
         lambda f: 1.0 / f.lipschitz,
-        "9f8af7ff517a804a74a439d6e28c1f02ad7ae22d5bd0c5bde75e52b22da90002",
+        "44e09ad385fb523d5cd6c1c8b28c57e29533ad157ec5980f000a9155bf3fd4c8",
         dict(n_checked=101, n_failed=55, worst_margin=-0.04866233016784749,
              first_failure=0,
              details={"bound_failures": 55, "decay_failures": 0,
@@ -132,7 +132,7 @@ CLI_ODE_CASES = {
         "0986b379854bc57f51a21e0e6018908319781f48e6c5136248f44db46465b7f7"),
     "reg-logistic": (
         ["--objective", "reg-logistic"],
-        "6fe77517a4c8110b6c3b71b796031346be9068e3793cf7bfd05d8aab8f9e8b30",
+        "10e12504bda17f4fbf845a1b48a613f478cc046d9effb5c8da1c44929b97628f",
         "7f171a6ea0e773937a02ffcd190bafd5e58d73998b1d4322f460195fed0b9e7c"),
     "quad-original": (
         ["--objective", "quad", "--which", "original"],
@@ -140,7 +140,7 @@ CLI_ODE_CASES = {
         "06321b28bb6c3d7c19ff9afd829c371501a4bbc5085341615cea555b2478b20d"),
     "reg-logistic-original": (
         ["--objective", "reg-logistic", "--which", "original"],
-        "d593e79a525a1df26f8b5f1d399752418a0d6f741d7942590f4906a3c3d2635e",
+        "49af6beb414f646958eab921532c1de4d341ecc3326baf7577239b8b58e5fb50",
         "9a5d6ac6088dec14bfbc37fed7b15ca53f4fd688d8aa099ab1d8a56ede59909b"),
 }
 
@@ -292,15 +292,15 @@ MARGIN_DIGESTS = {
     ("quad-rot", "nag-modified"):
         "adce7560721f9d112f86b56e42f42dde9e7196ce871962d7328db73f223cda71",
     ("reg-logistic", "gc-modified"):
-        "aefb75e101e66b0efae4c28224b903377db8ad80e5561b9b8b9228f72ebe6fcb",
+        "7f4028a03b6fe958e0b3b6dabe3a5179d227d5abb8ea6688f34d1672105ccc6e",
     ("reg-logistic", "gc-phase"):
-        "b90433cd2f9fa2ecf99c806262f642a6be444d9a568f789ffb22a435c05ef978",
+        "abb898a68442a36ec57377aa8d1387b5f3bbaae4c9d7d0432093b484c3095be5",
     ("reg-logistic", "iv-phase"):
-        "f95ee9eb120ff26cc56d8503fd2db16999cc911e7ea1f0dc2d67f02115fae93a",
+        "74a03be243c0d47fe0d0ebfbdf24d60c457d3851f56a6ec7ef37917dc9ffb11b",
     ("reg-logistic", "nag-classic"):
-        "7fdcb7b199d0200b5b58321fcbb26a1a3884432b4b278a83a50991cd97c422f5",
+        "f424ed27b299b86fda1539664a4313772d28d5d6f6cec8d42ca97745e8c260f3",
     ("reg-logistic", "nag-modified"):
-        "dc8489bd769345276932e07514422babc228881f50b82d6305b2be3f6d54af7d",
+        "1f1548f3c28ba349af4f04672f62deea75de2eb584320a496ef2a6084e9dc844",
 }
 
 

@@ -319,6 +319,24 @@ class TestCli:
         assert capsys.readouterr().err.startswith(f"config error: {named}:")
         assert not (tmp_path / "ode.csv").exists()
 
+    @pytest.mark.parametrize("command, named", [
+        (["ode", "--s", "0.25", "--T", "1000", "--h", "2", "--x0", "1,0.5"],
+         "--h"),  # RK4 at h = 2 diverges; non-finite at t = 840
+        (["scan", "--mu", "1", "--spectrum", "1,3", "--s-grid", "5",
+          "--K", "500"], "--s-grid"),  # diverges at step 453
+    ], ids=["ode", "scan"])
+    def test_diverging_run_exits_2_and_writes_nothing(self, tmp_path, capsys,
+                                                      command, named):
+        # a step the run diverges at is a config error naming its flag, and
+        # the output directories are made only after the run succeeds
+        out = tmp_path / "out"
+        with np.errstate(over="ignore", invalid="ignore"):
+            rc = cli.main([*command, "--out", str(out),
+                           "--output-path", "sub/o.csv"])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"config error: {named}:")
+        assert not out.exists()
+
     def test_ode_nested_output_path(self, tmp_path, capsys):
         # the directories of --output-path are created, as execute does
         rc = cli.main(["ode", "--spectrum", "1,4", "--s", "0.25", "--T", "1",

@@ -4,17 +4,19 @@
 ``np.vecdot``, which must give the bits of ``g @ g`` at each step.  The
 quadratic oracles call ``.dot``, which must give the bits of ``A @ x`` and
 ``0.5 * x @ (A @ x)``.  The logistic oracles work on the signed rows
--b_i a_i, which must give the bits of the formulas written with the margins
-b_i <a_i, x>.  These tests check each against the plain formula directly,
-so they do not rest on the golden digests.
+-b_i a_i, which must give the bits of the numpy formulas written with the
+margins b_i <a_i, x>; the softplus and sigmoid those formulas use are
+checked against an mpmath reference.  These tests check each against the
+plain formula directly, so they do not rest on the golden digests.
 """
 
+import mpmath
 import numpy as np
 import pytest
-from scipy.special import expit
 
 from accelcert import (make_quadratic, make_reg_logistic,
                        reg_logistic_from_data, run)
+from accelcert.objectives import _sigmoid, _softplus
 from accelcert.optimizers import (METHODS, NAG_FAMILY, STEPS,
                                   NonFiniteIterateError, step_coefficients)
 
@@ -50,22 +52,30 @@ def test_quadratic_oracles_are_matmul(dim, rotation_seed):
 
 
 def _margin_oracles(features, labels, reg):
-    """The logistic oracles written with the margins b_i <a_i, x>."""
+    """The logistic oracles written with the margins b_i <a_i, x>: with
+    e = exp(-|margin|), the loss log(1 + exp(-margin)) is
+    max(-margin, 0) + log1p(e) and its weight sigma(-margin) is
+    1 / (1 + e) where margin <= 0 and e / (1 + e) elsewhere."""
     n = len(labels)
 
+    def terms(margins):
+        e = np.exp(-np.abs(margins))
+        loss = np.maximum(-margins, 0.0) + np.log1p(e)
+        weight = np.where(margins <= 0.0, 1.0, e) / (1.0 + e)
+        return loss, weight
+
     def value(x):
-        margins = labels * (features @ x)
-        return float(np.mean(np.logaddexp(0.0, -margins)) + 0.5 * reg * (x @ x))
+        loss, _ = terms(labels * (features @ x))
+        return float(np.mean(loss) + 0.5 * reg * (x @ x))
 
     def grad(x):
-        margins = labels * (features @ x)
-        return -(features.T @ (labels * expit(-margins))) / n + reg * x
+        _, weight = terms(labels * (features @ x))
+        return -(features.T @ (labels * weight)) / n + reg * x
 
     def rows(X):
-        margins = (X @ features.T) * labels
-        values = (np.mean(np.logaddexp(0.0, -margins), axis=1)
-                  + 0.5 * reg * np.vecdot(X, X))
-        grads = -((expit(-margins) * labels) @ features) / n + reg * X
+        loss, weight = terms((X @ features.T) * labels)
+        values = np.mean(loss, axis=1) + 0.5 * reg * np.vecdot(X, X)
+        grads = -((weight * labels) @ features) / n + reg * X
         return values, grads
 
     return value, grad, rows
@@ -78,7 +88,8 @@ def test_logistic_oracles_match_margin_formulas(n, dim):
     labels = rng.choice(np.array([-1.0, 1.0]), size=n)
     f = reg_logistic_from_data(features, labels, 0.1)
     value, grad, rows = _margin_oracles(features, labels, 0.1)
-    for scale in (0.1, 1.0, 30.0):  # far out, the margins saturate
+    # far out the margins saturate, and at 1000 exp(-|margin|) underflows
+    for scale in (0.1, 1.0, 30.0, 1000.0):
         x = scale * rng.standard_normal(dim)
         assert f.value(x) == value(x)
         np.testing.assert_array_equal(f.grad(x), grad(x))
@@ -88,6 +99,33 @@ def test_logistic_oracles_match_margin_formulas(n, dim):
     X = rng.standard_normal((37, dim))
     for got, want in zip(f.value_and_grad_rows(X), rows(X)):
         np.testing.assert_array_equal(got, want)
+
+
+#: Margins from 0 through both tails: +-1e-300 round 1 + exp(-|m|) to 2,
+#: at +-40 1 + e rounds to 1, past -745 exp(m) is below the smallest
+#: subnormal, and 1e4 is far beyond where exp(1e4) would overflow.
+MARGINS = [0.0, 1e-300, -1e-300, 1.0, -1.0, 40.0, -40.0, 745.0, -745.0,
+           1e4, -1e4]
+
+
+def _ulps(got: float, want: mpmath.mpf) -> float:
+    """|got - want| in units of the spacing of doubles at ``want``."""
+    return float(abs(mpmath.mpf(got) - want)
+                 / mpmath.mpf(float(np.spacing(abs(float(want))))))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_sigmoid_and_softplus_match_mpmath():
+    # the shared exp(-|m|) never overflows, so no margin warns, and both
+    # functions stay within a few ULP of the exact values in either tail
+    m = np.array(MARGINS)
+    e = np.exp(-np.abs(m))
+    sigmoid, softplus = _sigmoid(m, e), _softplus(m, e)
+    with mpmath.workprec(200):
+        for i, margin in enumerate(MARGINS):
+            x = mpmath.mpf(margin)
+            assert _ulps(sigmoid[i], 1 / (1 + mpmath.exp(-x))) <= 2, margin
+            assert _ulps(softplus[i], mpmath.log1p(mpmath.exp(x))) <= 2, margin
 
 
 def _first_nonfinite_step(f, method, x0, s, K):
