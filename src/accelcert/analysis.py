@@ -241,7 +241,11 @@ def empirical_rate(trajectory: Trajectory) -> Optional[float]:
     tail = usable[len(usable) - n_tail:]
     if len(tail) < 10:
         return None
-    slope = np.polyfit(tail.astype(float), np.log(gaps[tail]), 1)[0]
+    # the least-squares slope in closed form, on centered k: it builds
+    # no Vandermonde matrix and no lstsq workspace
+    k = tail - tail.mean()
+    y = np.log(gaps[tail])
+    slope = k.dot(y - y.mean()) / k.dot(k)
     return float(np.exp(slope))
 
 

@@ -101,7 +101,11 @@ def _cmd_ode(args) -> int:
     f = objective_from_params(args.objective, params)
     x0 = np.ones(f.dim) if args.x0 is None else np.asarray(args.x0, float)
     try:
-        solution = integrate(f, x0, args.s, args.T, args.h, which=args.which)
+        # a diverging run is reported below as a config error, so the
+        # overflow on its way there is not warned about as well
+        with np.errstate(over="ignore", invalid="ignore"):
+            solution = integrate(f, x0, args.s, args.T, args.h,
+                                 which=args.which)
     except ValueError as exc:  # the arguments checked, T is not n * h
         raise ConfigError(f"--T: {exc}") from exc
     except NonFiniteSolutionError as exc:  # a step h that RK4 diverges at
@@ -136,9 +140,10 @@ def _cmd_scan(args) -> int:
                    flags=True)
     check_x0_length(args.x0, vars(args), flags=True)
     try:
-        report = analysis.monotonicity_scan(args.mu, args.spectrum,
-                                            args.s_grid, K=args.K, x0=args.x0,
-                                            x0_seed=args.seed)
+        with np.errstate(over="ignore", invalid="ignore"):  # as in _cmd_ode
+            report = analysis.monotonicity_scan(args.mu, args.spectrum,
+                                                args.s_grid, K=args.K,
+                                                x0=args.x0, x0_seed=args.seed)
     except ValueError as exc:  # flags checked: mu above the smallest eigenvalue
         raise ConfigError(f"--mu: {exc}") from exc
     except NonFiniteIterateError as exc:  # a step size the scheme diverges at

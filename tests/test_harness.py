@@ -1,5 +1,6 @@
 import hashlib
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -327,10 +328,12 @@ class TestCli:
     ], ids=["ode", "scan"])
     def test_diverging_run_exits_2_and_writes_nothing(self, tmp_path, capsys,
                                                       command, named):
-        # a step the run diverges at is a config error naming its flag, and
-        # the output directories are made only after the run succeeds
+        # a step the run diverges at is a config error naming its flag, with
+        # no RuntimeWarning for the overflow on the way, and the output
+        # directories are made only after the run succeeds
         out = tmp_path / "out"
-        with np.errstate(over="ignore", invalid="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
             rc = cli.main([*command, "--out", str(out),
                            "--output-path", "sub/o.csv"])
         assert rc == 2
