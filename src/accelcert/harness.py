@@ -15,7 +15,6 @@ every CLI flag against its one rule in ``_FIELD_CHECKS``, and
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import os
@@ -315,11 +314,24 @@ def summary_path(csv_path: Path) -> Path:
 
 def _cells(col) -> list:
     """:func:`fmt` of each value of a column, spelled out inline for a float
-    column, whose cells are almost all the cells of a table."""
+    column, whose cells are almost all the cells of a table.  Any other
+    cell that holds a comma, a double quote, CR or LF is quoted as RFC 4180
+    asks (and as :mod:`csv` quotes it): in double quotes, its own double
+    quotes doubled.  A float cell never holds one."""
     values = np.asarray(col)
     if values.dtype.kind == "f":
         return ["" if v != v else repr(v) for v in values.tolist()]
-    return [fmt(v) for v in values.tolist()]
+    cells = [fmt(v) for v in values.tolist()]
+    return ['"' + cell.replace('"', '""') + '"'
+            if any(ch in cell for ch in ',"\r\n') else cell for cell in cells]
+
+
+def _record(cells) -> str:
+    """One CSV line: the cells joined by commas and ended by CRLF.  A line
+    whose one cell is empty is written ``""``, so that it does not read as
+    a blank line; the bytes are those of :func:`csv.writer`."""
+    line = ",".join(cells)
+    return (line if line or len(cells) != 1 else '""') + "\r\n"
 
 
 def write_csv(columns: dict, path: Path):
@@ -328,11 +340,10 @@ def write_csv(columns: dict, path: Path):
     converted a block at a time, never the whole table at once."""
     n_rows = len(next(iter(columns.values()), ()))
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(columns)
+        fh.write(_record(_cells(list(columns))))
         for rows in _blocks(n_rows):
-            writer.writerows(zip(*[_cells(col[rows])
-                                   for col in columns.values()]))
+            fh.writelines(map(_record, zip(*[_cells(col[rows])
+                                             for col in columns.values()])))
 
 
 def write_trajectory_csv(traj: Trajectory, path: Path):

@@ -17,9 +17,12 @@ simplified equation; :func:`check_continuous_bound` verifies it with two
 margin scans (:func:`accelcert.report.margin_report`) over the samples.
 
 Integration is fixed-step classical Runge-Kutta 4 on the first-order
-system in plain (X, X') arrays: the dynamics are smooth and non-stiff for
-the problems treated here, and a fixed step keeps runs bit-deterministic
-for regression tests.
+system in (X, X'): the dynamics are smooth and non-stiff for the problems
+treated here, and a fixed step keeps runs bit-deterministic for regression
+tests.  The four stages live in one preallocated stage buffer, each stage's
+(X, X', X'') one row of it, and are updated in place; each floating-point
+operation and its order is that of the stage formulas written out with a
+new array per term, so the results are those bits.
 
 :func:`integrate` returns an :class:`OdeSolution`, whose preallocated
 columns hold t, X, X' and the objective gap at the probe point, evaluated
@@ -104,7 +107,9 @@ def _flow(f: Objective, s: float, which: str):
         X'' = (-2 sqrt(mu) X' - gain * grad f(probe)) / mass,
 
     with (mass, gain) = (1 + sqrt(mu s), c) for the original equation and
-    (1, 1), left out, for the simplified one."""
+    (1, 1), left out, for the simplified one.  ``xddot(Xdot, g, out)``
+    writes X'' into ``out`` and returns it; with ``out`` None it returns a
+    new array."""
     if which not in EQUATIONS:
         raise ValueError(f"unknown equation {which!r}; expected one of {EQUATIONS}")
     if not s >= 0:  # s = 0 is the low-resolution limit
@@ -112,13 +117,18 @@ def _flow(f: Objective, s: float, which: str):
     k = step_coefficients(f.mu, s)
     damping = -2.0 * math.sqrt(f.mu)
     if which == "simplified":
-        def xddot(Xdot: Vector, g: Vector) -> Vector:
-            return damping * Xdot - g
+        def xddot(Xdot: Vector, g: Vector, out=None) -> Vector:
+            out = np.multiply(damping, Xdot, out=out)
+            out -= g
+            return out
     else:
         c, mass = k.c, 1.0 + k.r
 
-        def xddot(Xdot: Vector, g: Vector) -> Vector:
-            return (damping * Xdot - c * g) / mass
+        def xddot(Xdot: Vector, g: Vector, out=None) -> Vector:
+            out = np.multiply(damping, Xdot, out=out)
+            out -= c * g
+            out /= mass
+            return out
     return k, xddot
 
 
@@ -138,6 +148,16 @@ def integrate(f: Objective, x0: Vector, s: float, T: float, h: float,
     n+1 fused ones (one per sample).  With the minimum unknown they make
     4n gradient evaluations and no value evaluation.
 
+    The stages are written in place into one (4, 3, d) stage buffer
+    ``W``, with ``W[j] = (X_j, V_j, A_j)`` for stage j + 1: its state
+    ``W[j, :2]`` is ``Z + a * W[j - 1, 1:]`` (a = h/2, h/2, h), where
+    ``Z = W[0, :2]`` is the current (X, X'), and the step is
+    ``Z += h/6 * (K1 + 2 K2 + 2 K3 + K4)`` over the slopes
+    ``K_j = W[j - 1, 1:]``.  Each operation, and the order of each sum up
+    to commuting its two terms, is that of the textbook stage formulas, so
+    the samples are bit-identical to them, at about 35 numpy calls a step
+    where those make 48.
+
     A non-finite state raises :class:`NonFiniteSolutionError` with the
     time of the first sample after t = 0 whose X or X' is non-finite.
     The samples are checked once per block of 256 rows, not after every
@@ -150,13 +170,12 @@ def integrate(f: Objective, x0: Vector, s: float, T: float, h: float,
         raise ValueError("step size h must be positive")
     if T < 0:
         raise ValueError("horizon T must be nonnegative")
-    X = as_start(f, x0).copy()
-    V = np.zeros_like(X)
+    x0 = as_start(f, x0)
     n = int(round(T / h)) if T > 0 else 0
     if n > 0 and abs(n * h - T) > 1e-9 * max(1.0, T):
         raise ValueError(f"T={T} is not an integer multiple of h={h}")
-    Xs = np.empty((n + 1,) + X.shape)
-    Vs = np.empty((n + 1,) + X.shape)
+    Xs = np.empty((n + 1,) + x0.shape)
+    Vs = np.empty((n + 1,) + x0.shape)
     f_gap = np.empty(n + 1)  # raw values until the loop ends
     have_min = f.min_value is not None
     # the fused oracle itself, without the method's conversions: it
@@ -168,6 +187,15 @@ def integrate(f: Objective, x0: Vector, s: float, T: float, h: float,
     root_s, c = k.root_s, k.c  # probe_point, X + root_s * V / c, inlined
 
     half, sixth = 0.5 * h, h / 6.0
+    # the stage buffer (see above); its views are made once, because
+    # slicing W in the loop costs as much as the calls it saves
+    W = np.empty((4, 3) + x0.shape)
+    Z, (X, V, A1) = W[0, :2], W[0]
+    X[...], V[...] = x0, 0.0
+    # (a, stage j's slope, then stage j + 1's state and its X, V and A)
+    stages = [(a, W[j - 1, 1:], W[j, :2], *W[j])
+              for j, a in ((1, half), (2, half), (3, h))]
+    K1, K2, K3, K4 = (W[j, 1:] for j in range(4))
     Xs[0] = X
     Vs[0] = V
     # steps lo..hi-1 fill rows lo+1..hi
@@ -178,15 +206,12 @@ def integrate(f: Objective, x0: Vector, s: float, T: float, h: float,
                 f_gap[i], g = value_and_grad(X + root_s * V / c)
             else:
                 g = grad(X + root_s * V / c)
-            A1 = xddot(V, g)
-            V2 = V + half * A1
-            A2 = xddot(V2, grad(X + half * V + root_s * V2 / c))
-            V3 = V + half * A2
-            A3 = xddot(V3, grad(X + half * V2 + root_s * V3 / c))
-            V4 = V + h * A3
-            A4 = xddot(V4, grad(X + h * V3 + root_s * V4 / c))
-            X = X + sixth * (V + 2.0 * V2 + 2.0 * V3 + V4)
-            V = V + sixth * (A1 + 2.0 * A2 + 2.0 * A3 + A4)
+            xddot(V, g, A1)
+            for a, slope, state, Xj, Vj, Aj in stages:
+                np.multiply(a, slope, out=state)
+                state += Z
+                xddot(Vj, grad(Xj + root_s * Vj / c), Aj)
+            Z += sixth * (K1 + 2.0 * K2 + 2.0 * K3 + K4)
             Xs[i + 1] = X
             Vs[i + 1] = V
         bad = first_nonfinite_row(Xs[lo + 1:hi + 1], Vs[lo + 1:hi + 1])

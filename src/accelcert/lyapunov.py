@@ -162,9 +162,11 @@ def certify_contraction(trajectory: Trajectory, form: str,
     ``rho`` defaults to sqrt(mu s) / 4.  The check carries absolute slack
     ``slack_scale * max(1, E(0))`` because the energy spans many orders of
     magnitude along a linearly converging run.  The report includes the
-    worst implied per-step contraction factor max_k E(k+1)/E(k).  An
-    attached ``lyapunov`` column is reused: a method has one form, so it
-    holds the energies of ``form``.
+    worst implied per-step contraction factor max_k E(k+1)/E(k) over the
+    pairs whose E(k) resolves above rounding: above 1e-13 times the largest
+    finite energy and above 4 ulp of max(1, |f*|).  An attached
+    ``lyapunov`` column is reused: a method has one form, so it holds the
+    energies of ``form``.
     """
     require_form(form, trajectory.method_id)
     if trajectory.lyapunov is not None:
@@ -175,8 +177,12 @@ def certify_contraction(trajectory: Trajectory, form: str,
         rho = step_coefficients(trajectory.objective.mu, trajectory.s).r / 4.0
     slack = float(slack_scale * max(1.0, e[0] if len(e) else 1.0))
     # factors are only meaningful while the energy resolves above rounding
-    # of its largest finite value (a diverging run's energies overflow)
-    floor = 1e-13 * float(np.max(e[np.isfinite(e)], initial=0.0))
+    # of its largest finite value (a diverging run's energies overflow) and
+    # above rounding of f*, which each energy's gap term subtracts: pairs
+    # a few ulp of f* apart give factors of order 1 that say nothing
+    f_star = abs(trajectory.objective.min_value)
+    floor = max(1e-13 * float(np.max(e[np.isfinite(e)], initial=0.0)),
+                4.0 * float(np.spacing(max(1.0, f_star))))
     resolved = e[:-1] > floor
     factors = e[1:][resolved] / e[:-1][resolved]
     details = {

@@ -245,8 +245,14 @@ def _softplus(m: np.ndarray, e: np.ndarray) -> np.ndarray:
 def _sigmoid(m: np.ndarray, e: np.ndarray) -> np.ndarray:
     """1 / (1 + exp(-m)) elementwise, given ``e = np.exp(-np.abs(m))``:
     1 / (1 + e) where m >= 0 and e / (1 + e) elsewhere, which never
-    overflows and keeps its relative accuracy in both tails."""
-    return np.where(m >= 0.0, 1.0, e) / (1.0 + e)
+    overflows and keeps its relative accuracy in both tails.
+
+    The numerator is ``max(e, m >= 0)``, with the mask read as 1.0 or 0.0.
+    It is exact: 0 <= e <= 1, so the maximum is 1.0 where m >= 0 and e
+    elsewhere, bit for bit, as ``np.where(m >= 0, 1.0, e)`` gives, also
+    at m = -0.0 (where m >= 0 holds), at m = -inf (e = +0.0) and at NaN
+    (e is NaN, which the maximum propagates)."""
+    return np.maximum(e, m >= 0.0) / (1.0 + e)
 
 
 def reg_logistic_from_data(features: np.ndarray, labels: np.ndarray,

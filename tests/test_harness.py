@@ -1,4 +1,6 @@
+import csv
 import hashlib
+import io
 import json
 import warnings
 
@@ -535,6 +537,17 @@ class TestCli:
         assert output_file(tmp_path, tmp_path / "c.csv") == tmp_path / "c.csv"
 
 
+def mixed_table(n=600):
+    """Columns of every kind the writer meets, over several 256-row blocks:
+    floats with NaN, +-inf and -0.0, bools, ints, range and a list."""
+    rng = np.random.default_rng(0)
+    floats = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+    floats[::7] = np.nan
+    floats[1:4] = [np.inf, -np.inf, -0.0]
+    return {"k": range(n), "x": floats, "ok": floats > 0,
+            "n": rng.integers(-5, 5, n), "list": floats[::-1].tolist()}
+
+
 class TestWriteCsv:
     def test_fmt_cells(self):
         assert fmt(0.1) == "0.1" and fmt(np.float64(1e-300)) == "1e-300"
@@ -557,13 +570,8 @@ class TestWriteCsv:
     def test_float_columns_match_fmt_bytes(self, tmp_path):
         # float columns are formatted inline; the file has the bytes of
         # formatting every cell with fmt, across several 256-row blocks
-        n = 600
-        rng = np.random.default_rng(0)
-        floats = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
-        floats[::7] = np.nan
-        floats[1:4] = [np.inf, -np.inf, -0.0]
-        columns = {"k": range(n), "x": floats, "ok": floats > 0,
-                   "n": rng.integers(-5, 5, n), "list": floats[::-1].tolist()}
+        columns = mixed_table()
+        n = len(columns["k"])
         path = tmp_path / "t.csv"
         write_csv(columns, path)
         rows = [",".join(columns)] + [
@@ -572,3 +580,27 @@ class TestWriteCsv:
         got = path.read_bytes()
         assert hashlib.sha256(got).digest() == hashlib.sha256(
             want.encode()).digest()
+
+    @pytest.mark.parametrize("columns", [
+        mixed_table(),
+        # a row whose one cell is empty is written "", not as a blank line
+        {"a": np.array([np.nan, 1.0])},
+        {"a": [], "b": np.empty(0)},
+        # non-float cells with a delimiter, quote, CR or LF are quoted
+        {"s": ["a,b", 'say "x"', "cr\rlf\n", "", "plain"],
+         "x": [1.0, np.nan, 2.5, np.nan, -0.0]},
+        {'h,"1"': ["", "v"]},
+    ], ids=["mixed", "one-column-nan", "no-rows", "strings", "quoted-header"])
+    def test_bytes_match_csv_writer(self, tmp_path, columns):
+        # the writer joins rows itself; its bytes are those of csv.writer
+        # over the fmt cells, quoting and the lone empty cell included
+        out = io.StringIO(newline="")
+        writer = csv.writer(out)
+        writer.writerow(columns)
+        writer.writerows(zip(*[[fmt(v) for v in col]
+                               for col in columns.values()]))
+        path = tmp_path / "t.csv"
+        write_csv(columns, path)
+        assert path.read_bytes() == out.getvalue().encode()
+        if list(columns) == ["a"]:
+            assert path.read_bytes() == b'a\r\n""\r\n1.0\r\n'

@@ -9,7 +9,7 @@ from accelcert import (check_continuous_bound, integrate, make_quadratic,
                        step_coefficients)
 from accelcert.hires_ode import (NonFiniteSolutionError, OdeSolution, OdeState,
                                  _flow)
-from accelcert.objectives import MinimizerUnknownError
+from accelcert.objectives import MinimizerUnknownError, resolve_minimizer
 from accelcert.optimizers import _BLOCK_ROWS as B
 
 # X(1) for X'' + 2 X' + X = 0 from X(0) = 1, X'(0) = 0: X(t) = (1 + t) e^{-t}
@@ -22,9 +22,58 @@ def one(v):
 
 def xddot_of(f, s, which):
     """X'' of the ``which`` equation on ``f`` as a function of (X, X'),
-    from :func:`_flow`: X' and the gradient at the probe point."""
+    from :func:`_flow`: X' and the gradient at the probe point.  Written
+    into a given array, as :func:`integrate` calls it, it has the bits of
+    the new array it returns without one."""
     k, xddot = _flow(f, s, which)
-    return lambda X, Xdot: xddot(Xdot, f.grad(probe_point(X, Xdot, k)))
+
+    def rhs(X, Xdot):
+        g = f.grad(probe_point(X, Xdot, k))
+        out = np.empty_like(Xdot)
+        assert xddot(Xdot, g, out) is out
+        np.testing.assert_array_equal(out, xddot(Xdot, g))
+        return out
+    return rhs
+
+
+def rk4_reference(f, x0, s, T, h, which):
+    """(X, X', f_gap) sampled as :func:`integrate` samples them, from the
+    RK4 step written stage by stage with a new array for every term: the
+    plain loop that integrate's stage buffer must match bit for bit."""
+    k = step_coefficients(f.mu, s)
+    root_s, c = k.root_s, k.c
+    damping = -2.0 * math.sqrt(f.mu)
+
+    def xddot(V, g):
+        if which == "simplified":
+            return damping * V - g
+        return (damping * V - c * g) / (1.0 + k.r)
+
+    def gap_and_grad(p):
+        if f.min_value is None:
+            return np.nan, f.grad(p)
+        value, g = f.value_and_grad(p)
+        return value - f.min_value, g
+
+    half, sixth = 0.5 * h, h / 6.0
+    X, V = np.array(x0, dtype=float), np.zeros(len(x0))
+    Xs, Vs, gaps = [X], [V], []
+    for _ in range(round(T / h)):
+        gap, g = gap_and_grad(X + root_s * V / c)
+        gaps.append(gap)
+        A1 = xddot(V, g)
+        V2 = V + half * A1
+        A2 = xddot(V2, f.grad(X + half * V + root_s * V2 / c))
+        V3 = V + half * A2
+        A3 = xddot(V3, f.grad(X + half * V2 + root_s * V3 / c))
+        V4 = V + h * A3
+        A4 = xddot(V4, f.grad(X + h * V3 + root_s * V4 / c))
+        X = X + sixth * (V + 2.0 * V2 + 2.0 * V3 + V4)
+        V = V + sixth * (A1 + 2.0 * A2 + 2.0 * A3 + A4)
+        Xs.append(X)
+        Vs.append(V)
+    gaps.append(gap_and_grad(X + root_s * V / c)[0])
+    return np.array(Xs), np.array(Vs), np.array(gaps)
 
 
 def poisoned_at_step(j, stage, min_value):
@@ -194,6 +243,30 @@ class TestIntegrate:
         sol = integrate(f, np.zeros(2), s=0.25, T=2.0, h=1e-3)
         drift = max(float(np.max(np.abs(st.X))) for st in sol)
         assert drift <= 1e-12
+
+    @pytest.mark.parametrize("which", ["simplified", "original"])
+    @pytest.mark.parametrize("dim", [1, 2, 20])
+    @pytest.mark.parametrize("objective", ["quad", "logistic"])
+    @pytest.mark.parametrize("known_min", [True, False])
+    def test_matches_plain_rk4_loop(self, which, dim, objective, known_min):
+        # 600 steps span several 256-row blocks
+        if objective == "quad":
+            f = make_quadratic(np.logspace(0, 1, dim), rotation_seed=dim)
+            if not known_min:
+                f = replace(f, minimizer=None, min_value=None)
+        else:
+            f = make_reg_logistic(dim, 60, dim, 0.1)
+            if known_min:
+                f = resolve_minimizer(f)
+        assert (f.min_value is not None) == known_min
+        x0 = np.random.default_rng(dim).uniform(-2.0, 2.0, dim)
+        s, T, h = 0.3 / f.lipschitz, 6.0, 0.01
+        sol = integrate(f, x0, s, T, h, which)
+        X, Xdot, f_gap = rk4_reference(f, x0, s, T, h, which)
+        assert len(sol) == 601
+        np.testing.assert_array_equal(sol.X, X)
+        np.testing.assert_array_equal(sol.Xdot, Xdot)
+        np.testing.assert_array_equal(sol.f_gap, f_gap)
 
     def test_deterministic(self, quad_1):
         a = integrate(quad_1, one(1), s=0.25, T=1.0, h=1e-3)

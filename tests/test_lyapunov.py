@@ -8,6 +8,7 @@ from accelcert import (OdeSolution, Trajectory, certify_contraction, energies,
                        initial_energy, integrate, make_quadratic,
                        make_reg_logistic, ode_energies, probe_point,
                        resolve_minimizer, run, step_coefficients)
+from accelcert import acceptance
 from accelcert.lyapunov import attach_energies
 from accelcert.objectives import MinimizerUnknownError, Objective
 from accelcert.optimizers import _BLOCK_ROWS, _blocks
@@ -320,6 +321,19 @@ class TestCertifyContraction:
         for rho in (None, 0.3):
             assert (repr(certify_contraction(plain, form, rho=rho))
                     == repr(certify_contraction(attached, form, rho=rho)))
+
+    @pytest.mark.parametrize("frac", [1.0, 0.5])
+    @pytest.mark.parametrize("method, form", [("iv-phase", "iv"),
+                                              ("gc-phase", "gc")])
+    def test_resolved_factors_within_guarantee_on_logistic(self, method,
+                                                            form, frac):
+        # the logistic's energies fall to within an ulp of f* ~ 0.68; pairs
+        # at that level are not resolved, so the worst factor is a real one
+        traj = acceptance._suite_run("reg-logistic", method, frac)
+        report = certify_contraction(
+            traj, form, slack_scale=acceptance.CONTRACTION_SLACK)
+        assert report.details["worst_step_factor"] <= report.details[
+            "guaranteed_factor"]
 
     def test_incompatible_method_rejected(self):
         f = make_quadratic([1, 100])

@@ -128,6 +128,21 @@ def test_sigmoid_and_softplus_match_mpmath():
             assert _ulps(softplus[i], mpmath.log1p(mpmath.exp(x))) <= 2, margin
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("shape", [(-1,), (4, -1)])
+def test_sigmoid_numerator_is_the_where_formula(shape):
+    # the numerator max(e, m >= 0) is np.where(m >= 0, 1, e) bit for bit,
+    # NaN, +-inf and -0.0 included, on vectors and on the row-batched
+    # oracle's 2-D margins
+    m = np.array(MARGINS + [np.nan, np.inf, -np.inf, -0.0, 0.0]).reshape(shape)
+    e = np.exp(-np.abs(m))
+    want = np.where(m >= 0.0, 1.0, e) / (1.0 + e)
+    got = _sigmoid(m, e)
+    assert got.shape == m.shape
+    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+
+
 def _first_nonfinite_step(f, method, x0, s, K):
     """The first step k whose x_k is non-finite, stepping the kernel alone
     (for methods that start with no carry)."""
