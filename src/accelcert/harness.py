@@ -230,9 +230,31 @@ def load_config(path: str | Path) -> ExperimentConfig:
     return parse_config(Path(path).read_text())
 
 
+#: The last objective :func:`objective_from_params` built, under its key
+#: (objective id, canonical params JSON): one entry at most.
+_last_objective: dict = {}
+
+
 def objective_from_params(objective: str, params: dict) -> Objective:
     """Instantiate an objective id from its flat parameters (see
-    ``OBJECTIVE_PARAMS``) with its minimizer resolved."""
+    ``OBJECTIVE_PARAMS``) with its minimizer resolved.
+
+    The last objective built is kept, keyed by the id and the canonical
+    JSON text of ``params`` (``json.dumps(params, sort_keys=True)``, as the
+    echo config writes them), and a repeat call returns that same
+    instance: two configs on one rotated d = 1000 quadratic make one QR
+    and one dense Hessian.  Other params drop the kept objective before
+    building theirs, so a sweep never holds two at once.  The kept
+    objective is shared, so its ``hessian`` and ``minimizer`` arrays are
+    read-only."""
+    # numpy params (an eigenvalue array, a seed drawn as np.int64) take
+    # the text of the equal plain values
+    key = (objective, json.dumps(params, sort_keys=True,
+                                 default=lambda v: np.asarray(v).tolist()))
+    f = _last_objective.get(key)
+    if f is not None:
+        return f
+    _last_objective.clear()
     if objective == "quad":
         f = make_quadratic(SpectrumSpec(params["spectrum"]))
     elif objective == "quad-rot":
@@ -241,11 +263,18 @@ def objective_from_params(objective: str, params: dict) -> Objective:
     else:
         f = make_reg_logistic(params["data_seed"], params["n_samples"],
                               params["dim"], params["reg"])
-    return resolve_minimizer(f)
+    f = resolve_minimizer(f)
+    for array in (f.hessian, f.minimizer):
+        if array is not None:
+            array.flags.writeable = False
+    _last_objective[key] = f
+    return f
 
 
 def build_objective(config: ExperimentConfig) -> Objective:
-    """Instantiate the configured objective with its minimizer resolved."""
+    """Instantiate the configured objective with its minimizer resolved
+    (the kept one of :func:`objective_from_params` when its id and params
+    repeat)."""
     return objective_from_params(config.objective, config.objective_params)
 
 
@@ -402,7 +431,10 @@ def execute(config: ExperimentConfig,
     failing iteration and the result is marked failed.  The output
     directories are made only once the objective, s and x0 are resolved,
     so a config error leaves none behind; an explicit x0 of the wrong
-    length is rejected before the objective is built.
+    length is rejected before the objective is built.  The objective comes
+    from :func:`objective_from_params`, which keeps the last one it built
+    (with read-only ``hessian`` and ``minimizer`` arrays), so configs that
+    repeat the objective id and params build it once.
     """
     check_x0_length(config.x0, config.objective_params)
     f = build_objective(config)
@@ -480,15 +512,17 @@ def execute(config: ExperimentConfig,
 
 
 def figures_suite(out_root: Optional[str | Path] = None) -> int:
-    """Gap-vs-iteration CSVs for each method on the condition-100 quadratic."""
+    """Gap-vs-iteration CSVs for each method on the condition-100 quadratic;
+    1 when any run is not ok (a non-finite iterate), else 0."""
     root = output_root(out_root)
+    ok = True
     for method in ("gd", "heavy-ball", "nag-classic", "nag-modified", "iv-phase"):
         config = ExperimentConfig(
             objective="quad", objective_params={"spectrum": [1, 100]},
             method=method, s="1/L", K=400, seed=1, x0=[1.0, 1.0],
             output_path=f"fig_gap_{method}.csv")
-        execute(config, out_root=root)
-    return 0
+        ok &= execute(config, out_root=root).ok
+    return 0 if ok else 1
 
 
 def suite(name: str, out_root: Optional[str | Path] = None) -> int:

@@ -21,7 +21,8 @@ against one another:
 Each method is one kernel in :data:`STEPS` that maps
 (k, x, y, v, g, carry) to the next (x, y, v, carry) and calls no oracle;
 k is the record of :func:`step_coefficients`, so a kernel does only
-arithmetic, on floats or on sympy scalars alike; g is the gradient at
+arithmetic, on floats, on ``Fraction`` scalars or on sympy scalars alike
+(it holds no float literal); g is the gradient at
 the method's reference point (y_k for the momentum family, x_k for gd
 and heavy-ball), and ``carry`` holds what the gc family and a prescribed
 first velocity keep from the step before.
@@ -154,7 +155,7 @@ def _gc_phase(k, x, y, v, g, carry):
     y_k - s grad f(y_k) is the gradient-step image, the sequence whose
     objective gap the convergence theorem for this scheme bounds.
     """
-    v1 = (v - k.root_s * (2.0 * g - carry)) / k.c
+    v1 = (v - k.root_s * (g + g - carry)) / k.c
     return y - k.s * g, y + k.root_s * v1, v1, g
 
 
@@ -171,7 +172,7 @@ def _iv_phase(k, x, y, v, g, carry):
     prescribed first velocity, taken as v_{k+1} instead of the recursion's.
     """
     if carry is None:
-        v1 = v - 2.0 * k.r * v / k.c - k.root_s * g
+        v1 = v - 2 * k.r * v / k.c - k.root_s * g
     else:
         v1 = carry
     x1 = x + k.root_s * v1
@@ -344,7 +345,7 @@ def run(f: Objective, method: str, x0: Vector, s: float, K: int, *,
     elif method == "iv-phase" and first_velocity == "zero":
         carry = np.zeros(f.dim)
     elif method == "iv-phase" and first_velocity == "corollary":
-        carry = 2.0 * k.r * g
+        carry = 2 * k.r * g
     xs[0] = x
     ys[0] = y
     vs[0] = v

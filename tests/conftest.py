@@ -2,16 +2,21 @@
 
 import pytest
 
-from accelcert import acceptance
+from accelcert import acceptance, harness
+
+
+def _clear_caches():
+    for cached in (acceptance._suite_run, acceptance._suite):
+        cached.cache_clear()
+    harness._last_objective.clear()
 
 
 @pytest.fixture(autouse=True)
-def cold_acceptance_cache():
-    """Each test starts and ends with the acceptance suite's run cache
-    empty, so a run made under one test's monkeypatch (a corrupted
-    coefficient, say) is never read by another."""
-    for cached in (acceptance._suite_run, acceptance._suite):
-        cached.cache_clear()
+def cold_caches():
+    """Each test starts and ends with the acceptance suite's run cache and
+    the harness's kept objective empty, so a run or an objective made under
+    one test's monkeypatch (a corrupted coefficient, say) is never read by
+    another."""
+    _clear_caches()
     yield
-    for cached in (acceptance._suite_run, acceptance._suite):
-        cached.cache_clear()
+    _clear_caches()

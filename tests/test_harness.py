@@ -15,6 +15,7 @@ from accelcert.harness import (ExperimentConfig, build_objective,
                                write_ode_csv)
 from accelcert.hires_ode import integrate
 from accelcert.objectives import make_quadratic
+from accelcert.optimizers import NonFiniteIterateError
 from accelcert import cli
 
 MINIMAL = {
@@ -211,6 +212,96 @@ class TestExecute:
         assert "bound_violations: 0" in result.summary_path.read_text()
 
 
+#: The two configs of one ``execute-rot1000`` benchmark pass, at d = 20.
+ROT_DOCS = [{"objective": "quad-rot", "spectrum": np.logspace(0, 4, 20).tolist(),
+             "rotation_seed": 1, "method": method, "s": "1/L", "K": 300,
+             "seed": 2, "x0": {"random_ball": {"radius": 2.0}},
+             "lyapunov": form, "bound": theorem, "output_path": f"{method}.csv"}
+            for method, form, theorem in (("iv-phase", "iv", "rate-iv"),
+                                          ("gc-phase", "gc", "rate-gc"))]
+
+
+@pytest.fixture
+def quadratic_builds(monkeypatch):
+    """For each ``make_quadratic`` call the harness makes, whether an
+    objective was still kept when it was made."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(bool(harness._last_objective))
+        return make_quadratic(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "make_quadratic", counted)
+    return calls
+
+
+class TestObjectiveMemo:
+    def test_equal_params_build_once(self, quadratic_builds, tmp_path):
+        configs = [parse_config(json.dumps(doc)) for doc in ROT_DOCS]
+        results = [execute(config, out_root=tmp_path) for config in configs]
+        assert all(result.ok for result in results)
+        assert len(quadratic_builds) == 1
+        assert build_objective(configs[0]) is build_objective(configs[1])
+        assert len(quadratic_builds) == 1
+
+    @pytest.mark.parametrize("change", [
+        {"rotation_seed": 2},
+        {"spectrum": np.logspace(0, 3, 20).tolist()},
+        {"objective": "quad", "rotation_seed": None},
+    ], ids=("rotation_seed", "spectrum", "objective"))
+    def test_other_params_build_again(self, quadratic_builds, change):
+        base = ROT_DOCS[0]
+        other = {key: value for key, value in {**base, **change}.items()
+                 if value is not None}
+        first = build_objective(parse_config(json.dumps(base)))
+        second = build_objective(parse_config(json.dumps(other)))
+        assert second is not first
+        # one slot: the first objective was dropped, before the build
+        assert build_objective(parse_config(json.dumps(base))) is not first
+        assert len(quadratic_builds) == 3
+        assert not any(quadratic_builds)
+
+    def test_numpy_params_key_as_plain_values(self, quadratic_builds):
+        f = harness.objective_from_params(
+            "quad-rot", {"spectrum": np.array([1.0, 4.0]),
+                         "rotation_seed": np.int64(3)})
+        assert harness.objective_from_params(
+            "quad-rot", {"spectrum": [1.0, 4.0], "rotation_seed": 3}) is f
+        assert len(quadratic_builds) == 1
+
+    def test_bytes_equal_warm_and_cold(self, tmp_path):
+        def artifacts(result):
+            return [path.read_bytes() for path in (
+                result.csv_path, result.summary_path, result.echo_path)]
+
+        configs = [parse_config(json.dumps(doc)) for doc in ROT_DOCS]
+        warm = [artifacts(execute(config, out_root=tmp_path / "warm"))
+                for config in configs]
+        cold = []
+        for config in configs:
+            harness._last_objective.clear()
+            cold.append(artifacts(execute(config, out_root=tmp_path / "cold")))
+        assert warm == cold
+
+    @pytest.mark.parametrize("doc", [
+        ROT_DOCS[0],
+        {"objective": "reg-logistic", "data_seed": 3, "n_samples": 50,
+         "dim": 2, "reg": 0.1, "method": "iv-phase", "s": "1/L", "K": 5,
+         "seed": 2},
+    ], ids=("quad-rot", "reg-logistic"))
+    def test_kept_arrays_are_read_only(self, doc):
+        f = build_objective(parse_config(json.dumps(doc)))
+        with pytest.raises(ValueError):
+            f.minimizer[0] = 1.0
+        if f.hessian is not None:
+            with pytest.raises(ValueError):
+                f.hessian[0, 0] = 1.0
+
+    def test_figures_suite_builds_once(self, quadratic_builds, tmp_path):
+        assert suite("figures", out_root=tmp_path) == 0
+        assert len(quadratic_builds) == 1
+
+
 class TestOdeCsv:
     def test_schema_and_units(self, tmp_path):
         f = make_quadratic([1, 4])
@@ -230,6 +321,21 @@ class TestSuites:
             path = tmp_path / f"fig_gap_{method}.csv"
             assert path.exists()
             assert path.read_text().splitlines()[0] == "k,f_gap,grad_norm"
+
+    def test_figures_suite_fails_on_a_nonfinite_run(self, tmp_path,
+                                                    monkeypatch):
+        true_run = harness.run
+
+        def diverging(f, method, *args, **kwargs):
+            if method == "heavy-ball":
+                raise NonFiniteIterateError(method, 7)
+            return true_run(f, method, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "run", diverging)
+        assert suite("figures", out_root=tmp_path) == 1
+        summary = (tmp_path / "fig_gap_heavy-ball.summary.txt").read_text()
+        assert summary.endswith("status: nonfinite\nfailed_at_k: 7\n")
+        assert (tmp_path / "fig_gap_iv-phase.csv").exists()
 
     def test_unknown_suite_rejected(self):
         with pytest.raises(ConfigError):

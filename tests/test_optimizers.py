@@ -1,11 +1,14 @@
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from accelcert import (bound_curve, default_heavy_ball_beta, make_quadratic,
-                       make_reg_logistic, resolve_minimizer, run)
-from accelcert.optimizers import (STEPS, NonFiniteIterateError,
+from accelcert import (Objective, bound_curve, default_heavy_ball_beta,
+                       make_quadratic, make_reg_logistic, resolve_minimizer,
+                       run)
+from accelcert.optimizers import (METHODS, NAG_FAMILY, STEPS,
+                                  NonFiniteIterateError, StepCoefficients,
                                   step_coefficients, step_guaranteed)
 
 
@@ -258,6 +261,60 @@ class TestRun:
                 with pytest.raises(NonFiniteIterateError) as err:
                     run(quad_ill, "gd", np.array([1.0, 1.0]), 10.0, 2000)
         assert err.value.k > 0
+
+
+#: The coefficients at mu = 1, s = 1/100 (L = 100), exactly:
+#: sqrt(s) = sqrt(mu s) = 1/10, c = 6/5 and m = 9/11.
+EXACT = StepCoefficients(s=Fraction(1, 100), root_s=Fraction(1, 10),
+                         r=Fraction(1, 10), c=Fraction(6, 5), m=Fraction(9, 11))
+
+
+def exact_run(method, lam, K, first_velocity="scheme"):
+    """The states (x_k, y_k, v_k), k = 0..K, of ``run`` from x_0 = 1 on
+    f(x) = lam x^2 / 2 (d = 1) at the ``EXACT`` coefficients, stepped on
+    Fractions; every output of every step is checked to be a Fraction."""
+    x = y = Fraction(1)
+    v = Fraction(0)
+    g = lam * x
+    carry = {"gc-phase": g, "gc-modified": (y, g)}.get(method)
+    if method == "iv-phase" and first_velocity != "scheme":
+        carry = 2 * EXACT.r * g if first_velocity == "corollary" else v
+    states = [(x, y, v)]
+    for _ in range(K):
+        x, y, v, carry = STEPS[method](EXACT, x, y, v, g, carry)
+        leaves = [x, y, v, *(carry if isinstance(carry, tuple) else [carry])]
+        assert all(isinstance(leaf, Fraction)
+                   for leaf in leaves if leaf is not None), method
+        g = lam * (y if method in NAG_FAMILY else x)
+        states.append((x, y, v))
+    return states
+
+
+class TestExactArithmetic:
+    """No kernel holds a float literal, so the kernels step Fractions
+    exactly, and the float run follows the exact one to rounding."""
+
+    def test_coefficients_are_the_float_ones(self):
+        floats = step_coefficients(1.0, 0.01)
+        for exact, rounded in zip(EXACT, floats):
+            assert float(exact) == pytest.approx(rounded, rel=1e-15, abs=0)
+
+    @pytest.mark.parametrize("lam", [1, 100])
+    @pytest.mark.parametrize("method, first_velocity", [
+        *((method, "scheme") for method in METHODS),
+        ("iv-phase", "zero"), ("iv-phase", "corollary")])
+    def test_float_run_follows_the_exact_run(self, method, first_velocity,
+                                             lam):
+        f = Objective(dim=1, mu=1.0, lipschitz=100.0,
+                      value_fn=lambda x: 0.5 * lam * float(x @ x),
+                      grad_fn=lambda x: lam * x, minimizer=[0.0],
+                      min_value=0.0)
+        traj = run(f, method, np.array([1.0]), 0.01, 200,
+                   first_velocity=first_velocity)
+        exact = np.array(exact_run(method, lam, 200, first_velocity),
+                         dtype=float)
+        got = np.stack([traj.xs[:, 0], traj.ys[:, 0], traj.vs[:, 0]], axis=1)
+        assert np.max(np.abs(got - exact)) <= 1e-14
 
 
 class TestRewritingEquivalences:
