@@ -3,7 +3,8 @@
 Each criterion is a check over the fixed suite objectives (three
 quadratic spectra, a rotated quadratic, and the regularized logistic),
 with tolerances pinned here.  Criteria 1-5 check the same 1000-step
-iv-phase and gc-phase runs at s = 1/L and 0.5/L, so the suite is built
+iv-phase and gc-phase runs at s = 1/L and 0.5/L, and criterion 6 the
+first 500 steps of those at s = 1/L, so the suite is built
 once and each of those runs is made once per process (``_suite_run``,
 its columns read-only so no criterion can change what another reads);
 every criterion stays callable on its own, and its lines do not depend
@@ -13,6 +14,7 @@ criterion and returns a process exit status (0 pass, 1 fail).
 
 from __future__ import annotations
 
+import copy
 import functools
 import math
 from dataclasses import dataclass
@@ -67,13 +69,27 @@ def _suite_run(label: str, method: str, frac: float) -> Trajectory:
     """The 1000-step run of ``method`` on suite objective ``label`` at
     s = frac / L with the scheme's first velocity, made once per process;
     its columns are read-only, since every caller gets the same arrays.
-    Criteria 1-5 read it for iv-phase and gc-phase at frac 1 and 0.5; the
-    other suite runs are each read once and are not cached."""
+    Criteria 1-5 read it for iv-phase and gc-phase at frac 1 and 0.5, and
+    criterion 6 reads the frac 1 runs' first 500 steps (:func:`_steps`);
+    the other suite runs are each read once and are not cached."""
     f, x0 = _suite()[label]
     traj = run(f, method, x0, frac / f.lipschitz, 1000)
     for col in (traj.xs, traj.ys, traj.vs, traj.f_gap, traj.grad_sq):
         col.flags.writeable = False
     return traj
+
+
+def _steps(traj: Trajectory, K: int) -> Trajectory:
+    """The first K steps of ``traj``: views of its first K + 1 rows, the
+    rows a K-step run from the same start records, bit for bit (``run``
+    steps row by row and takes each row's squared gradient norm alone).
+    The record is a shallow copy, not a new ``Trajectory(...)``: the
+    counting pass of ``benchmarks/tracer.py`` books every constructed
+    trajectory as a run of K steps, and a prefix steps nothing."""
+    prefix = copy.copy(traj)
+    for col in ("xs", "ys", "vs", "f_gap", "grad_sq"):
+        setattr(prefix, col, getattr(traj, col)[:K + 1])
+    return prefix
 
 
 @dataclass
@@ -204,14 +220,19 @@ def gradient_step_margins(traj: Trajectory) -> np.ndarray:
 
 
 def criterion_6() -> CriterionResult:
-    """First-gradient-step inequality at every momentum-family iteration."""
+    """First-gradient-step inequality at every momentum-family iteration,
+    over 500 steps at s = 1/L; the iv-phase and gc-phase runs are the
+    first 500 steps of the cached suite runs."""
     lines = []
     ok = True
     for label, (f, x0) in _suite().items():
         s = 1.0 / f.lipschitz
         for method in ("nag-modified", "nag-classic", "iv-phase", "gc-phase",
                        "gc-modified"):
-            traj = run(f, method, x0, s, 500)
+            if method in ("iv-phase", "gc-phase"):
+                traj = _steps(_suite_run(label, method, 1.0), 500)
+            else:
+                traj = run(f, method, x0, s, 500)
             slack = GRADIENT_STEP_SLACK * np.maximum(1.0, traj.f_gap[:traj.K])
             report = margin_report("gradient_step", gradient_step_margins(traj),
                                    slack)

@@ -22,7 +22,12 @@ treated here, and a fixed step keeps runs bit-deterministic for regression
 tests.  The four stages live in one preallocated stage buffer, each stage's
 (X, X', X'') one row of it, and are updated in place; each floating-point
 operation and its order is that of the stage formulas written out with a
-new array per term, so the results are those bits.
+new array per term, so the results are those bits.  Every constant a step
+multiplies or divides by (sqrt(s), c, the damping, the mass, h/2, h, h/6
+and the 2 of the RK4 sum) is a 0-d float64 array made once per call: under
+numpy >= 2 an array times a Python float takes the weak-scalar promotion
+path, about twice the dispatch of the same float64 loop with a 0-d operand
+at small d, for the same bits.
 
 :func:`integrate` returns an :class:`OdeSolution`, whose preallocated
 columns hold t, X, X' and the objective gap at the probe point, evaluated
@@ -41,9 +46,9 @@ from typing import Iterator
 
 import numpy as np
 
-from .objectives import Objective, Vector
-from .optimizers import (_blocks, as_start, first_nonfinite_row,
-                         step_coefficients)
+from .objectives import Objective, Vector, _operands
+from .optimizers import (_blocks, _step_operands, as_start,
+                         first_nonfinite_row)
 from .lyapunov import ode_energies
 from .report import CertReport, margin_report
 
@@ -100,7 +105,8 @@ EQUATIONS = ("simplified", "original")
 
 def _flow(f: Objective, s: float, which: str):
     """(k, xddot): the :func:`~accelcert.optimizers.step_coefficients` of
-    (f.mu, s), which :func:`~accelcert.optimizers.probe_point` takes, and
+    (f.mu, s) as 0-d operands, which
+    :func:`~accelcert.optimizers.probe_point` takes, and
     X'' of the ``which`` equation as a function of X' and the gradient at
     the probe point:
 
@@ -114,15 +120,15 @@ def _flow(f: Objective, s: float, which: str):
         raise ValueError(f"unknown equation {which!r}; expected one of {EQUATIONS}")
     if not s >= 0:  # s = 0 is the low-resolution limit
         raise ValueError(f"s must be nonnegative, not {s!r}")
-    k = step_coefficients(f.mu, s)
-    damping = -2.0 * math.sqrt(f.mu)
+    k = _step_operands(f.mu, s)
+    damping, = _operands(-2.0 * math.sqrt(f.mu))
     if which == "simplified":
         def xddot(Xdot: Vector, g: Vector, out=None) -> Vector:
             out = np.multiply(damping, Xdot, out=out)
             out -= g
             return out
     else:
-        c, mass = k.c, 1.0 + k.r
+        c, (mass,) = k.c, _operands(1.0 + k.r)
 
         def xddot(Xdot: Vector, g: Vector, out=None) -> Vector:
             out = np.multiply(damping, Xdot, out=out)
@@ -153,10 +159,11 @@ def integrate(f: Objective, x0: Vector, s: float, T: float, h: float,
     ``W[j, :2]`` is ``Z + a * W[j - 1, 1:]`` (a = h/2, h/2, h), where
     ``Z = W[0, :2]`` is the current (X, X'), and the step is
     ``Z += h/6 * (K1 + 2 K2 + 2 K3 + K4)`` over the slopes
-    ``K_j = W[j - 1, 1:]``.  Each operation, and the order of each sum up
-    to commuting its two terms, is that of the textbook stage formulas, so
-    the samples are bit-identical to them, at about 35 numpy calls a step
-    where those make 48.
+    ``K_j = W[j - 1, 1:]``, where h/6 and the 2, like every constant of
+    the step, are 0-d operands (see the module docstring).  Each
+    operation, and the order of each sum up to commuting its two terms, is
+    that of the textbook stage formulas, so the samples are bit-identical
+    to them, at about 35 numpy calls a step where those make 48.
 
     A non-finite state raises :class:`NonFiniteSolutionError` with the
     time of the first sample after t = 0 whose X or X' is non-finite.
@@ -186,7 +193,7 @@ def integrate(f: Objective, x0: Vector, s: float, T: float, h: float,
     value_and_grad = f.value_and_grad_fn or f.value_and_grad
     root_s, c = k.root_s, k.c  # probe_point, X + root_s * V / c, inlined
 
-    half, sixth = 0.5 * h, h / 6.0
+    half, step, sixth, two = _operands(0.5 * h, h, h / 6.0, 2.0)
     # the stage buffer (see above); its views are made once, because
     # slicing W in the loop costs as much as the calls it saves
     W = np.empty((4, 3) + x0.shape)
@@ -194,7 +201,7 @@ def integrate(f: Objective, x0: Vector, s: float, T: float, h: float,
     X[...], V[...] = x0, 0.0
     # (a, stage j's slope, then stage j + 1's state and its X, V and A)
     stages = [(a, W[j - 1, 1:], W[j, :2], *W[j])
-              for j, a in ((1, half), (2, half), (3, h))]
+              for j, a in ((1, half), (2, half), (3, step))]
     K1, K2, K3, K4 = (W[j, 1:] for j in range(4))
     Xs[0] = X
     Vs[0] = V
@@ -211,7 +218,7 @@ def integrate(f: Objective, x0: Vector, s: float, T: float, h: float,
                 np.multiply(a, slope, out=state)
                 state += Z
                 xddot(Vj, grad(Xj + root_s * Vj / c), Aj)
-            Z += sixth * (K1 + 2.0 * K2 + 2.0 * K3 + K4)
+            Z += sixth * (K1 + two * K2 + two * K3 + K4)
             Xs[i + 1] = X
             Vs[i + 1] = V
         bad = first_nonfinite_row(Xs[lo + 1:hi + 1], Vs[lo + 1:hi + 1])

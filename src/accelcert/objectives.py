@@ -23,6 +23,18 @@ Vector = np.ndarray
 MINIMIZER_GRAD_TOL = 1e-10
 
 
+def _operands(*values) -> tuple[np.ndarray, ...]:
+    """Each value as a read-only 0-d float64 array, for the constants of a
+    hot loop: under numpy >= 2, ``array * 0.5`` takes the weak-scalar
+    promotion path for the Python float, which at small sizes costs about
+    twice the dispatch of ``array * np.array(0.5)``, and both run the same
+    float64 loop, so they give the same bits."""
+    out = tuple(np.array(v, dtype=float) for v in values)
+    for a in out:
+        a.flags.writeable = False
+    return out
+
+
 class MinimizerUnknownError(ValueError):
     """Raised when an operation needs ``minimizer``/``min_value`` but the
     objective does not carry them."""
@@ -236,10 +248,14 @@ def make_quadratic(spec: SpectrumSpec | Sequence[float],
     )
 
 
+#: 0.0 and 1.0 as 0-d operands (see :func:`_operands`).
+_ZERO, _ONE = _operands(0.0, 1.0)
+
+
 def _softplus(m: np.ndarray, e: np.ndarray) -> np.ndarray:
     """log(1 + exp(m)) elementwise, given ``e = np.exp(-np.abs(m))``:
     ``max(m, 0) + log1p(e)``, which never overflows."""
-    return np.maximum(m, 0.0) + np.log1p(e)
+    return np.maximum(m, _ZERO) + np.log1p(e)
 
 
 def _sigmoid(m: np.ndarray, e: np.ndarray) -> np.ndarray:
@@ -252,7 +268,7 @@ def _sigmoid(m: np.ndarray, e: np.ndarray) -> np.ndarray:
     elsewhere, bit for bit, as ``np.where(m >= 0, 1.0, e)`` gives, also
     at m = -0.0 (where m >= 0 holds), at m = -inf (e = +0.0) and at NaN
     (e is NaN, which the maximum propagates)."""
-    return np.maximum(e, m >= 0.0) / (1.0 + e)
+    return np.maximum(e, m >= _ZERO) / (_ONE + e)
 
 
 def reg_logistic_from_data(features: np.ndarray, labels: np.ndarray,
@@ -276,7 +292,9 @@ def reg_logistic_from_data(features: np.ndarray, labels: np.ndarray,
     e once for the value and the gradient; the row-batched oracle computes
     them for every row of X from one product with the signed rows.  The
     mean over the samples is ``np.add.reduce(...) / n``, which is what
-    ``np.mean`` computes.
+    ``np.mean`` computes.  The gradient takes n and reg as 0-d operands
+    (:func:`_operands`), the value, whose arithmetic is on scalars, as
+    Python numbers.
     """
     if not reg > 0:
         raise ValueError("reg must be positive")
@@ -288,13 +306,14 @@ def reg_logistic_from_data(features: np.ndarray, labels: np.ndarray,
     lipschitz = reg + float(np.sum(features * features)) / (4.0 * n_samples)
 
     signed = -labels[:, None] * features  # rows -b_i a_i
+    n_op, reg_op = _operands(n_samples, reg)
 
     def value_at(x: Vector, m: Vector, e: Vector) -> float:
         loss = np.add.reduce(_softplus(m, e)) / n_samples
         return float(loss + 0.5 * reg * x.dot(x))
 
     def grad_at(x: Vector, m: Vector, e: Vector) -> Vector:
-        return signed.T.dot(_sigmoid(m, e)) / n_samples + reg * x
+        return signed.T.dot(_sigmoid(m, e)) / n_op + reg_op * x
 
     def value_fn(x: Vector) -> float:
         m = signed.dot(x)
@@ -351,9 +370,9 @@ def resolve_minimizer(f: Objective) -> Objective:
     """
     if f.minimizer is not None and f.min_value is not None:
         return f
-    from .optimizers import STEPS, step_coefficients
+    from .optimizers import STEPS, _step_operands
 
-    step, k = STEPS["nag-modified"], step_coefficients(f.mu, 1.0 / f.lipschitz)
+    step, k = STEPS["nag-modified"], _step_operands(f.mu, 1.0 / f.lipschitz)
     x, y, v = np.zeros(f.dim), np.zeros(f.dim), np.zeros(f.dim)
     _, g = f.value_and_grad(y)
     for _ in range(500_000):

@@ -24,8 +24,17 @@ k is the record of :func:`step_coefficients`, so a kernel does only
 arithmetic, on floats, on ``Fraction`` scalars or on sympy scalars alike
 (it holds no float literal); g is the gradient at
 the method's reference point (y_k for the momentum family, x_k for gd
-and heavy-ball), and ``carry`` holds what the gc family and a prescribed
-first velocity keep from the step before.
+and heavy-ball), and ``carry`` holds what the gc family, heavy-ball's
+momentum and a prescribed first velocity keep from the step before.
+``run`` hands the kernels that record with each field a 0-d float64
+array, made once per run (``_step_operands``): under numpy >= 2 an array
+times a Python float goes through weak-scalar promotion, which at small d
+costs about twice the dispatch of the same float64 loop with a 0-d array
+operand, and the two give the same bits.  A product of two coefficients
+costs more on 0-d arrays than on floats, so the kernels keep such products
+out of the step: heavy-ball squares m once per run, iv-phase doubles the
+velocity rather than the coefficient, and gc-modified takes s / c once a
+step.
 ``run`` owns the only loop: it makes exactly one fused value-and-gradient
 evaluation (``value_and_grad_fn``, or
 :meth:`~accelcert.objectives.Objective.value_and_grad` without one) per
@@ -49,7 +58,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .objectives import Objective, Vector
+from .objectives import Objective, Vector, _operands
 
 #: Methods whose natural reference point for the objective gap is y_k.
 NAG_FAMILY = ("nag-classic", "nag-modified", "gc-modified", "gc-phase", "iv-phase")
@@ -77,6 +86,12 @@ def step_coefficients(mu: float, s: float) -> StepCoefficients:
     r = math.sqrt(mu * s)
     return StepCoefficients(s, math.sqrt(s), r, 1.0 + 2.0 * r,
                             (1.0 - r) / (1.0 + r))
+
+
+def _step_operands(mu: float, s: float) -> StepCoefficients:
+    """:func:`step_coefficients` with each field a read-only 0-d float64
+    array, the record the hot loops step with (see the module docstring)."""
+    return StepCoefficients(*_operands(*step_coefficients(mu, s)))
 
 
 def probe_point(X: Vector, Xdot: Vector, k: StepCoefficients) -> Vector:
@@ -112,24 +127,26 @@ def _gd(k, x, y, v, g, carry):
 def _heavy_ball(k, x, y, v, g, carry):
     """Momentum baseline x_{k+1} = x_k - s grad f(x_k) + beta (x_k - x_{k-1})
     with beta = :func:`default_heavy_ball_beta`; v is the previous
-    displacement x_k - x_{k-1}."""
-    x1 = x - k.s * g + k.m ** 2 * v
-    return x1, y, x1 - x, carry
+    displacement x_k - x_{k-1}.  carry is beta: the first step (carry
+    None) takes it and each step passes it on, so a run squares m once."""
+    beta = k.m ** 2 if carry is None else carry
+    x1 = x - k.s * g + beta * v
+    return x1, y, x1 - x, beta
 
 
 def _nag_classic(k, x, y, v, g, carry):
     """Accelerated scheme with momentum (1 - sqrt(mu s)) / (1 + sqrt(mu s))."""
     x1 = y - k.s * g
-    y1 = x1 + k.m * (x1 - x)
-    return x1, y1, (x1 - x) / k.root_s, carry
+    dx = x1 - x
+    return x1, x1 + k.m * dx, dx / k.root_s, carry
 
 
 def _nag_modified(k, x, y, v, g, carry):
     """Accelerated scheme with momentum 1 / (1 + 2 sqrt(mu s)); v is
     (x_{k+1} - x_k) / sqrt(s), for diagnostics."""
     x1 = y - k.s * g
-    y1 = x1 + (x1 - x) / k.c
-    return x1, y1, (x1 - x) / k.root_s, carry
+    dx = x1 - x
+    return x1, x1 + dx / k.c, dx / k.root_s, carry
 
 
 def _gc_modified(k, x, y, v, g, carry):
@@ -139,7 +156,8 @@ def _gc_modified(k, x, y, v, g, carry):
     """
     y_prev, g_prev = carry
     s, c = k.s, k.c
-    y1 = y + (y - y_prev) / c - (s / c) * g - (s / c) * (g - g_prev)
+    s_c = s / c
+    y1 = y + (y - y_prev) / c - s_c * g - s_c * (g - g_prev)
     return y - s * g, y1, (y1 - y) / k.root_s, (y, g)
 
 
@@ -163,16 +181,19 @@ def _iv_phase(k, x, y, v, g, carry):
     """Phase-space form of the implicit-velocity scheme.
 
     Computes v_{k+1} first (the update is explicit),
-        v_{k+1} = v_k - 2 sqrt(mu s) v_k / c - sqrt(s) grad f(probe),
+        v_{k+1} = v_k - sqrt(mu s) (2 v_k) / c - sqrt(s) grad f(probe),
     then x_{k+1} = x_k + sqrt(s) v_{k+1}.  The probe point
     x_k + sqrt(s) v_k / c is exactly the y_k of the two-sequence scheme,
     and y_{k+1} is kept consistent with that identity:
     y_{k+1} = :func:`probe_point` of (x_{k+1}, v_{k+1}), so the next
     gradient is the next probe gradient.  A carry, when set, is the
     prescribed first velocity, taken as v_{k+1} instead of the recursion's.
+    sqrt(mu s) (2 v_k) is the one rounding of the real product that
+    (2 sqrt(mu s)) v_k also rounds once, so the two agree bit for bit
+    unless 2 v_k overflows; the step takes no coefficient product.
     """
     if carry is None:
-        v1 = v - 2 * k.r * v / k.c - k.root_s * g
+        v1 = v - k.r * (v + v) / k.c - k.root_s * g
     else:
         v1 = carry
     x1 = x + k.root_s * v1
@@ -325,7 +346,7 @@ def run(f: Objective, method: str, x0: Vector, s: float, K: int, *,
 
     step = STEPS[method]
     at_y = method in NAG_FAMILY
-    k = step_coefficients(f.mu, s)
+    k = _step_operands(f.mu, s)
     # the fused oracle itself, without the method's conversions: it
     # returns a float and a float64 array (see Objective)
     value_and_grad = f.value_and_grad_fn or f.value_and_grad

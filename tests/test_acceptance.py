@@ -41,3 +41,29 @@ def test_cached_suite_run_is_read_only():
     for col in (traj.xs, traj.ys, traj.vs, traj.f_gap, traj.grad_sq):
         with pytest.raises(ValueError, match="read-only"):
             col[0] = 0.0
+
+
+def test_criterion_6_reads_suite_run_prefixes_bit_for_bit(monkeypatch):
+    # criterion 6 takes its iv-phase and gc-phase runs as the first 500
+    # steps of the cached 1000-step suite runs: from a cold cache its lines
+    # are those of fresh 500-step runs, and every column and margin of a
+    # prefix is the fresh run's, bit for bit
+    cold = acceptance.criterion_6()
+    for label, (f, x0) in acceptance._suite().items():
+        for method in ("iv-phase", "gc-phase"):
+            prefix = acceptance._steps(
+                acceptance._suite_run(label, method, 1.0), 500)
+            fresh = acceptance.run(f, method, x0, 1.0 / f.lipschitz, 500)
+            for col in ("xs", "ys", "vs", "f_gap", "grad_sq"):
+                assert (getattr(prefix, col).tobytes()
+                        == getattr(fresh, col).tobytes()), (label, method, col)
+            assert (acceptance.gradient_step_margins(prefix).tobytes()
+                    == acceptance.gradient_step_margins(fresh).tobytes())
+
+    def fresh_run(label, method, frac):
+        f, x0 = acceptance._suite()[label]
+        return acceptance.run(f, method, x0, frac / f.lipschitz, 500)
+
+    monkeypatch.setattr(acceptance, "_suite_run", fresh_run)
+    fresh = acceptance.criterion_6()
+    assert (fresh.passed, fresh.lines) == (cold.passed, cold.lines)

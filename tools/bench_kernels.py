@@ -1,0 +1,162 @@
+"""Per-step cost of each step kernel inside ``run`` and of one RK4 step of
+``integrate``, before and after a change, measured in one process.
+
+    python tools/bench_kernels.py --before <git rev> [--out BENCH_kernels.json]
+
+The library at ``--before`` (extracted with ``git archive``) and the one in
+``src/`` are imported side by side as two packages, and every case is timed
+on both in alternation, the order flipping each round, so that drift in
+machine speed hits both alike.  A case is one call, timed with
+``perf_counter`` and divided by its step count:
+
+* ``run`` of each method in ``STEPS`` for K steps at s = 1/L on the diagonal
+  quadratic with spectrum ``logspace(0, 2, d)``, d = 2, 20 and 1000, from a
+  seeded start (the fused oracle is one elementwise product);
+* ``integrate`` of the simplified equation for n steps: on quad [1, 4] at
+  s = 0.25, h = 1e-3 from (1, 0.5), acceptance criterion 7's problem, and
+  on the ode-logistic workload's objective, ``make_reg_logistic(seed, 2000,
+  20, 0.1)`` after ``resolve_minimizer``, at s = 1/L, h = 1e-3.
+
+Each version builds its own objectives, so its oracles are timed too.  The
+report gives, per case and version, the min and the median in microseconds
+per step, and the median over the rounds of the after/before ratio of the
+round's pair.  BLAS runs on one thread.
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib.util
+import io
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+from time import perf_counter
+
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+os.environ.setdefault("OMP_NUM_THREADS", "1")
+
+import numpy as np  # noqa: E402
+
+ROOT = Path(__file__).resolve().parent.parent
+DIMS = (2, 20, 1000)
+#: Steps per timed ``run`` call, by dimension.
+RUN_STEPS = {2: 2000, 20: 2000, 1000: 500}
+ODE_STEPS = {"quad[1,4]": 2000, "ode-logistic": 300}
+#: Timed rounds per case and version.
+ALTERNATIONS = 100
+
+
+def load(src: Path, name: str):
+    """The package under ``src/accelcert`` imported as ``name``."""
+    init = src / "accelcert" / "__init__.py"
+    spec = importlib.util.spec_from_file_location(
+        name, init, submodule_search_locations=[str(init.parent)])
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def cases(ac) -> dict:
+    """{case: (call, steps)} on the package ``ac``."""
+    out = {}
+    for d in DIMS:
+        f = ac.make_quadratic(np.logspace(0, 2, d))
+        x0 = ac.sample_in_ball(np.random.default_rng(d), d, 2.0)
+        K = RUN_STEPS[d]
+        for method in ac.optimizers.METHODS:
+            out[f"run {method} d={d}"] = (
+                lambda f=f, x0=x0, K=K, method=method:
+                ac.run(f, method, x0, 1.0 / f.lipschitz, K), K)
+    quad = ac.make_quadratic([1.0, 4.0])
+    n = ODE_STEPS["quad[1,4]"]
+    out["integrate quad[1,4]"] = (
+        lambda: ac.integrate(quad, np.array([1.0, 0.5]), 0.25, n * 1e-3, 1e-3),
+        n)
+    logistic = ac.resolve_minimizer(ac.make_reg_logistic(7, 2000, 20, 0.1))
+    x0 = ac.sample_in_ball(np.random.default_rng(8), 20, 2.0)
+    n = ODE_STEPS["ode-logistic"]
+    out["integrate ode-logistic"] = (
+        lambda: ac.integrate(logistic, x0, 1.0 / logistic.lipschitz,
+                             n * 1e-3, 1e-3), n)
+    return out
+
+
+def timed(call, steps: int) -> float:
+    t0 = perf_counter()
+    call()
+    return (perf_counter() - t0) / steps * 1e6
+
+
+def extract(rev: str, into: Path) -> Path:
+    """``src/`` of git revision ``rev``, extracted under ``into``."""
+    tar = subprocess.run(["git", "-C", str(ROOT), "archive", rev, "src"],
+                         check=True, capture_output=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(tar)) as archive:
+        archive.extractall(into, filter="data")
+    return into / "src"
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("--before", required=True, help="git revision to compare")
+    p.add_argument("--out", default=str(ROOT / "BENCH_kernels.json"))
+    args = p.parse_args(argv)
+
+    with tempfile.TemporaryDirectory() as tmp:
+        versions = {"before": load(extract(args.before, Path(tmp)),
+                                   "accelcert_before"),
+                    "after": load(ROOT / "src", "accelcert_after")}
+        built = {name: cases(ac) for name, ac in versions.items()}
+        names = list(built["after"])
+        samples = {name: {v: [] for v in versions} for name in names}
+        with np.errstate(all="ignore"):
+            for name in names:  # one untimed warm-up call each
+                for v in versions:
+                    built[v][name][0]()
+            for i in range(ALTERNATIONS):
+                order = list(versions) if i % 2 == 0 else list(versions)[::-1]
+                for name in names:
+                    for v in order:
+                        samples[name][v].append(timed(*built[v][name]))
+
+    report = {}
+    for name in names:
+        before, after = samples[name]["before"], samples[name]["after"]
+        report[name] = {
+            **{v: {"min_us": round(min(s), 3),
+                   "median_us": round(statistics.median(s), 3)}
+               for v, s in (("before", before), ("after", after))},
+            "median_ratio": round(statistics.median(
+                a / b for a, b in zip(after, before)), 4)}
+    out = {
+        "about": __doc__.split("\n\n")[0].replace("\n", " "),
+        "unit": "us/step",
+        "before": args.before,
+        "after": "src/ of the working tree",
+        "alternations": ALTERNATIONS,
+        "run_steps": RUN_STEPS,
+        "integrate_steps": ODE_STEPS,
+        "machine": {"python": platform.python_version(),
+                    "numpy": np.__version__, "cpus": os.cpu_count(),
+                    "processor": platform.machine(),
+                    "blas_threads": os.environ["OPENBLAS_NUM_THREADS"]},
+        "cases": report,
+    }
+    Path(args.out).write_text(json.dumps(out, indent=1) + "\n")
+    for name, r in report.items():
+        print(f"{name:32s} {r['before']['median_us']:9.3f} -> "
+              f"{r['after']['median_us']:9.3f} us/step  "
+              f"(ratio {r['median_ratio']:.3f})")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
