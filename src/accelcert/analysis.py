@@ -200,11 +200,14 @@ def gaps_at(f: Objective, points: np.ndarray) -> np.ndarray:
     return out
 
 
-def check_bound(trajectory: Trajectory, theorem: str,
-                slack_scale: float = 1e-10) -> CertReport:
+#: Relative slack of :func:`check_bound`, times max(1, bound(0)).
+BOUND_SLACK = 1e-10
+
+
+def check_bound(trajectory: Trajectory, theorem: str) -> CertReport:
     """Check the theorem's gap bound at every recorded iteration.
 
-    Pass/fail per k with absolute slack ``slack_scale * max(1, bound(0))``.
+    Pass/fail per k with absolute slack ``BOUND_SLACK * max(1, bound(0))``.
     Incompatible trajectory/theorem pairings are rejected with ValueError.
 
     The trajectory must be one that :func:`~accelcert.optimizers.run`
@@ -222,7 +225,7 @@ def check_bound(trajectory: Trajectory, theorem: str,
     else:
         points = trajectory.xs if ref == "x" else trajectory.ys
         gaps = gaps_at(trajectory.objective, points)
-    slack = float(slack_scale * max(1.0, curve[0]))
+    slack = float(BOUND_SLACK * max(1.0, curve[0]))
     return margin_report(f"bound_{theorem}", curve - gaps, slack,
                          {"slack": slack, "bound_at_0": float(curve[0])})
 
@@ -310,7 +313,10 @@ def monotonicity_scan(mu: float, spectrum: SpectrumSpec | Sequence[float],
     for s in s_grid:
         pairs = [characteristic_roots(lam, mu, s) for lam in spectrum.eigenvalues]
         predicted = all(p.real for p in pairs)
-        traj = run(f, "gc-phase", x0, s, K)
+        with warnings.catch_warnings():
+            # a scan checks no bound, so run's step-window warning is noise
+            warnings.simplefilter("ignore", UserWarning)
+            traj = run(f, "gc-phase", x0, s, K)
         observed = observed_monotone(traj.f_gap)
         per_s[float(s)] = (predicted, observed)
         for lam, pair in zip(spectrum.eigenvalues, pairs):

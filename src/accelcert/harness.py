@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Optional
 
@@ -146,23 +146,17 @@ class ExperimentConfig:
     output_path: Optional[str] = None
 
     def to_dict(self) -> dict:
-        doc = {"objective": self.objective, **self.objective_params,
-               "method": self.method, "s": self.s, "K": self.K,
-               "seed": self.seed}
-        if self.x0 is not None:
-            doc["x0"] = self.x0
-        if self.lyapunov is not None:
-            doc["lyapunov"] = self.lyapunov
-        if self.bound is not None:
-            doc["bound"] = self.bound
-        if self.output_path is not None:
-            doc["output_path"] = self.output_path
-        return doc
+        """The config document: the fields that are not None, with
+        ``objective_params`` as flat keys."""
+        doc = {f.name: getattr(self, f.name) for f in fields(self)
+               if getattr(self, f.name) is not None}
+        return {**doc.pop("objective_params"), **doc}
 
 
-#: The config keys of every objective; each also takes its OBJECTIVE_PARAMS.
-_CONFIG_KEYS = ("objective", "method", "s", "K", "seed", "x0", "lyapunov",
-                "bound", "output_path")
+#: The config keys of every objective, the fields of ExperimentConfig; each
+#: objective also takes its OBJECTIVE_PARAMS.
+_CONFIG_KEYS = tuple(f.name for f in fields(ExperimentConfig)
+                     if f.name != "objective_params")
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -190,20 +184,18 @@ def parse_config(text: str) -> ExperimentConfig:
         if key not in _CONFIG_KEYS + OBJECTIVE_PARAMS[objective]:
             raise ConfigError(f"unknown field: {key}")
     params = checked_fields(doc, OBJECTIVE_PARAMS[objective])
-    fields = checked_fields(doc, ("method", "s", "K", "seed", "x0",
-                                  "output_path"))
+    checked_fields(doc, [key for key in _CONFIG_KEYS if key in _FIELD_CHECKS])
+    values = {key: doc.get(key) for key in _CONFIG_KEYS}
     for key, check in (("lyapunov", lyapunov.require_form),
                        ("bound", analysis.require_theorem)):
-        if doc.get(key) is not None:
+        if values[key] is not None:
             try:
-                check(doc[key], fields["method"])
+                check(values[key], values["method"])
             except ValueError as exc:
                 raise ConfigError(f"{key}: {exc}") from exc
-    if not isinstance(fields["s"], str):
-        fields["s"] = float(fields["s"])
-    return ExperimentConfig(objective=objective, objective_params=params,
-                            lyapunov=doc.get("lyapunov"),
-                            bound=doc.get("bound"), **fields)
+    if not isinstance(values["s"], str):
+        values["s"] = float(values["s"])
+    return ExperimentConfig(objective_params=params, **values)
 
 
 def checked_fields(values: dict, keys, flags: bool = False) -> dict:
@@ -446,12 +438,8 @@ def execute(config: ExperimentConfig,
     summary_file = summary_path(csv_path)
     echo_path = csv_path.with_suffix(".config.json")
 
-    resolved = ExperimentConfig(
-        objective=config.objective,
-        objective_params=dict(config.objective_params),
-        method=config.method, s=s, K=config.K, seed=config.seed,
-        x0=[float(v) for v in x0], lyapunov=config.lyapunov,
-        bound=config.bound, output_path=stem)
+    resolved = replace(config, objective_params=dict(config.objective_params),
+                       s=s, x0=[float(v) for v in x0], output_path=stem)
     echo_path.write_text(json.dumps(resolved.to_dict(), sort_keys=True, indent=2) + "\n")
 
     guaranteed = step_guaranteed(s, f.lipschitz)

@@ -148,11 +148,11 @@ def integrate(f: Objective, x0: Vector, s: float, T: float, h: float,
     unless x0 has shape (f.dim,).  Deterministic for fixed inputs.
 
     Each sample's probe point is also where the next step takes its
-    first-stage gradient, so with a known minimum one fused
-    value-and-gradient evaluation there gives both the recorded probe gap
-    and that gradient: the n RK4 steps make 3n gradient evaluations and
-    n+1 fused ones (one per sample).  With the minimum unknown they make
-    4n gradient evaluations and no value evaluation.
+    first-stage gradient, so one fused value-and-gradient evaluation there
+    gives both the recorded probe gap and that gradient: the n RK4 steps
+    make 3n gradient evaluations and n+1 fused ones (one per sample).
+    With the minimum unknown the gaps are NaN, as in
+    :func:`~accelcert.optimizers.run`.
 
     The stages are written in place into one (4, 3, d) stage buffer
     ``W``, with ``W[j] = (X_j, V_j, A_j)`` for stage j + 1: its state
@@ -184,7 +184,6 @@ def integrate(f: Objective, x0: Vector, s: float, T: float, h: float,
     Xs = np.empty((n + 1,) + x0.shape)
     Vs = np.empty((n + 1,) + x0.shape)
     f_gap = np.empty(n + 1)  # raw values until the loop ends
-    have_min = f.min_value is not None
     # the fused oracle itself, without the method's conversions: it
     # returns a float and a float64 array (see Objective).  The stage
     # gradients stay on Objective.grad, which benchmarks/tracer.py times
@@ -209,10 +208,7 @@ def integrate(f: Objective, x0: Vector, s: float, T: float, h: float,
     for steps in _blocks(n):
         lo, hi = steps.start, steps.stop
         for i in range(lo, hi):
-            if have_min:
-                f_gap[i], g = value_and_grad(X + root_s * V / c)
-            else:
-                g = grad(X + root_s * V / c)
+            f_gap[i], g = value_and_grad(X + root_s * V / c)
             xddot(V, g, A1)
             for a, slope, state, Xj, Vj, Aj in stages:
                 np.multiply(a, slope, out=state)
@@ -224,11 +220,11 @@ def integrate(f: Objective, x0: Vector, s: float, T: float, h: float,
         bad = first_nonfinite_row(Xs[lo + 1:hi + 1], Vs[lo + 1:hi + 1])
         if bad is not None:
             raise NonFiniteSolutionError((lo + 1 + bad) * h)
-    if have_min:
-        f_gap[n], _ = value_and_grad(X + root_s * V / c)
-        f_gap -= f.min_value
-    else:
+    f_gap[n], _ = value_and_grad(X + root_s * V / c)
+    if f.min_value is None:
         f_gap[:] = np.nan
+    else:
+        f_gap -= f.min_value
     return OdeSolution(t=np.arange(n + 1) * h, X=Xs, Xdot=Vs, f_gap=f_gap,
                        s=s, which=which, objective=f)
 
@@ -248,9 +244,14 @@ def _exp(x: np.ndarray) -> np.ndarray:
     return np.fromiter(map(math.exp, x.tolist()), dtype=float, count=len(x))
 
 
+#: Relative slack of the envelope, times max(1, RHS(0)), and the absolute
+#: slack on each energy ratio, of :func:`check_continuous_bound`.
+BOUND_TOL = 1e-6
+DECAY_TOL = 1e-8
+
+
 def check_continuous_bound(solution: OdeSolution, f: Objective, s: float,
-                           mu: float, bound_tol: float = 1e-6,
-                           decay_tol: float = 1e-8) -> CertReport:
+                           mu: float) -> CertReport:
     """Verify the continuous convergence theorem along a solution.
 
     Checks, at every sample of a ``simplified``-equation solution started
@@ -260,10 +261,10 @@ def check_continuous_bound(solution: OdeSolution, f: Objective, s: float,
     * the objective-gap bound
       ``f(probe(t)) - f* <= (f(x_0) - f* + mu ||x_0 - x*||^2) / 2
                             * exp(-sqrt(mu) t / 4)``
-      with absolute slack ``bound_tol * max(1, RHS(0))``.  At t = 0 it
+      with absolute slack ``BOUND_TOL * max(1, RHS(0))``.  At t = 0 it
       reads f(x_0) - f* <= mu ||x_0 - x*||^2 (up to the slack), so from a
       start that breaks this the first sample fails;
-    * the energy decay ``E(t+h) / E(t) <= exp(-sqrt(mu) h / 4) + decay_tol``
+    * the energy decay ``E(t+h) / E(t) <= exp(-sqrt(mu) h / 4) + DECAY_TOL``
       for consecutive samples, via :func:`accelcert.lyapunov.ode_energies`;
       pairs whose E(t) is at rounding level are not checked.
 
@@ -287,9 +288,9 @@ def check_continuous_bound(solution: OdeSolution, f: Objective, s: float,
     numerator = 0.5 * (float(solution.f_gap[0]) + mu * dist0_sq)
     envelope = numerator * _exp(-math.sqrt(mu) * solution.t / 4.0)
     bound = margin_report("bound", envelope - solution.f_gap,
-                          bound_tol * max(1.0, numerator))
+                          BOUND_TOL * max(1.0, numerator))
 
-    limit = _exp(-math.sqrt(mu) * np.diff(solution.t) / 4.0) + decay_tol
+    limit = _exp(-math.sqrt(mu) * np.diff(solution.t) / 4.0) + DECAY_TOL
     # pairs whose first energy is at rounding level are not checked
     resolved = energies[:-1] > 1e-14 * max(1.0, energies[0])
     ratios = energies[1:][resolved] / energies[:-1][resolved]

@@ -154,14 +154,17 @@ def initial_energy(f: Objective, x0: Vector, s: float, form: str,
     return float(energies(traj, form)[0])
 
 
+#: Relative slack of :func:`certify_contraction`, times max(1, E(0)).
+CONTRACTION_SLACK = 1e-10
+
+
 def certify_contraction(trajectory: Trajectory, form: str,
-                        rho: Optional[float] = None,
-                        slack_scale: float = 1e-10) -> CertReport:
+                        rho: Optional[float] = None) -> CertReport:
     """Certify E(k+1) <= E(k) / (1 + rho) along a trajectory.
 
     ``rho`` defaults to sqrt(mu s) / 4.  The check carries absolute slack
-    ``slack_scale * max(1, E(0))`` because the energy spans many orders of
-    magnitude along a linearly converging run.  The report includes the
+    ``CONTRACTION_SLACK * max(1, E(0))`` because the energy spans many
+    orders of magnitude along a linearly converging run.  The report includes the
     worst implied per-step contraction factor max_k E(k+1)/E(k) over the
     pairs whose E(k) resolves above rounding: above 1e-13 times the largest
     finite energy and above 4 ulp of max(1, |f*|).  An attached
@@ -175,7 +178,7 @@ def certify_contraction(trajectory: Trajectory, form: str,
         e = energies(trajectory, form)
     if rho is None:
         rho = step_coefficients(trajectory.objective.mu, trajectory.s).r / 4.0
-    slack = float(slack_scale * max(1.0, e[0] if len(e) else 1.0))
+    slack = float(CONTRACTION_SLACK * max(1.0, e[0] if len(e) else 1.0))
     # factors are only meaningful while the energy resolves above rounding
     # of its largest finite value (a diverging run's energies overflow) and
     # above rounding of f*, which each energy's gap term subtracts: pairs

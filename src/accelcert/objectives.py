@@ -374,12 +374,12 @@ def resolve_minimizer(f: Objective) -> Objective:
 
     step, k = STEPS["nag-modified"], _step_operands(f.mu, 1.0 / f.lipschitz)
     x, y, v = np.zeros(f.dim), np.zeros(f.dim), np.zeros(f.dim)
-    _, g = f.value_and_grad(y)
+    g = f.grad(y)
     for _ in range(500_000):
         if np.linalg.norm(f.grad(x)) <= 1e-12:
             break
         x, y, v, _ = step(k, x, y, v, g, None)
-        _, g = f.value_and_grad(y)
+        g = f.grad(y)
     else:
         raise RuntimeError(
             "minimizer search did not reach gradient norm 1e-12 "

@@ -6,8 +6,17 @@ suite acceptance`` (exit 0 only when all pass).
 
 import pytest
 
-from accelcert import acceptance
+from accelcert import acceptance, analysis, hires_ode, lyapunov
 from accelcert.acceptance import CRITERIA
+
+
+def test_certificate_tolerances_pinned():
+    # the gate's verdicts rest on these; each is the one constant its
+    # certificate reads, so a change here is a change of every verdict
+    assert analysis.BOUND_SLACK == 1e-10
+    assert lyapunov.CONTRACTION_SLACK == 1e-10
+    assert hires_ode.BOUND_TOL == 1e-6
+    assert hires_ode.DECAY_TOL == 1e-8
 
 
 @pytest.mark.parametrize("criterion", CRITERIA,

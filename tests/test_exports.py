@@ -40,7 +40,7 @@ def test_api_surface_pinned():
     fns = list(public_callables())
     params = [p for fn in fns for p in inspect.signature(fn).parameters.values()]
     defaults = sum(p.default is not p.empty for p in params)
-    assert (len(fns), len(params), defaults) == (34, 96, 14)
+    assert (len(fns), len(params), defaults) == (34, 92, 10)
 
 
 def test_import_loads_no_scipy():

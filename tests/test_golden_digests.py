@@ -27,7 +27,7 @@ import numpy as np
 import pytest
 
 from accelcert import (certify_contraction, check_bound,
-                       check_continuous_bound, energies, integrate,
+                       check_continuous_bound, energies, hires_ode, integrate,
                        make_quadratic, make_reg_logistic, resolve_minimizer,
                        run, sample_in_ball)
 from accelcert.acceptance import gradient_step_margins, suite_objectives
@@ -471,12 +471,13 @@ def test_contraction_short_runs(form, K):
     assert same_fields(report_fields(report), SHORT_CONTRACTION_CASES[form, K])
 
 
-def test_continuous_decay_failures():
-    # a negative decay_tol demands more decay than the dynamics give, so
+def test_continuous_decay_failures(monkeypatch):
+    # a negative DECAY_TOL demands more decay than the dynamics give, so
     # the decay scan fails late in the run while the envelope holds
     f = make_quadratic([1, 4])
     sol = integrate(f, np.array([1.0, 0.5]), 0.25, T=1.0, h=1e-2)
-    report = check_continuous_bound(sol, f, 0.25, f.mu, decay_tol=-0.01)
+    monkeypatch.setattr(hires_ode, "DECAY_TOL", -0.01)
+    report = check_continuous_bound(sol, f, 0.25, f.mu)
     assert same_fields(report_fields(report), dict(
         n_checked=101, n_failed=25, worst_margin=0.125, first_failure=75,
         details={"bound_failures": 0, "decay_failures": 25,

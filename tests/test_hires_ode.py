@@ -317,7 +317,7 @@ class TestContinuousBound:
     def test_quadratic_horizon(self):
         f = make_quadratic([1, 4])
         sol = integrate(f, np.array([1.0, 0.5]), s=0.25, T=5.0, h=1e-3)
-        report = check_continuous_bound(sol, f, s=0.25, mu=1.0, bound_tol=1e-6)
+        report = check_continuous_bound(sol, f, s=0.25, mu=1.0)
         assert report.passed
         assert report.details["bound_failures"] == 0
         assert report.details["decay_failures"] == 0

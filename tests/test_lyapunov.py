@@ -330,8 +330,7 @@ class TestCertifyContraction:
         # the logistic's energies fall to within an ulp of f* ~ 0.68; pairs
         # at that level are not resolved, so the worst factor is a real one
         traj = acceptance._suite_run("reg-logistic", method, frac)
-        report = certify_contraction(
-            traj, form, slack_scale=acceptance.CONTRACTION_SLACK)
+        report = certify_contraction(traj, form)
         assert report.details["worst_step_factor"] <= report.details[
             "guaranteed_factor"]
 

@@ -273,7 +273,7 @@ def test_integrate_budget_without_minimum(name):
     counted.reset()
     sol = solve(f, 1.0 / f.lipschitz)
     assert np.isnan(sol.f_gap).all()
-    assert counted.calls == (4 * ODE_STEPS, 0, 0, 0, 0)
+    assert counted.calls == (3 * ODE_STEPS, 0, ODE_STEPS + 1, 0, 0)
 
 
 def test_continuous_check_reads_recorded_gap(counted):
@@ -326,10 +326,10 @@ def test_certify_class_budget(counted):
 
 def test_resolve_minimizer_budget():
     # the search steps nag-modified from 0 at s = 1/L until the gradient at
-    # x_k is small: n steps cost n + 1 fused evaluations at y_k (the state
-    # carries them) and n + 1 gradients at x_k for the stopping test, plus
-    # one gradient in the returned objective's minimizer check and one
-    # value for its minimum.  Reference: the two-sequence recursion, bit
+    # x_k is small: n steps cost n + 1 gradients at y_k (the state carries
+    # them) and n + 1 gradients at x_k for the stopping test, plus one
+    # gradient in the returned objective's minimizer check and one value
+    # for its minimum.  Reference: the two-sequence recursion, bit
     # for bit.
     counted = Counted(make_reg_logistic(3, 50, 2, 0.1))
     f = counted.f
@@ -345,4 +345,4 @@ def test_resolve_minimizer_budget():
     counted.reset()
     resolved = resolve_minimizer(f)
     np.testing.assert_array_equal(resolved.minimizer, x)
-    assert counted.calls == (n + 2, 1, n + 1, 0, 0)
+    assert counted.calls == (2 * n + 3, 1, 0, 0, 0)
