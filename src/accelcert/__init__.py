@@ -11,8 +11,7 @@ from .objectives import (Objective, SpectrumSpec, certify_class,
                          make_quadratic, make_reg_logistic,
                          reg_logistic_from_data, resolve_minimizer,
                          sample_in_ball)
-from .optimizers import (METHODS, NAG_FAMILY, Trajectory,
-                         default_heavy_ball_beta, probe_point, run,
+from .optimizers import (METHODS, Trajectory, probe_point, run,
                          step_coefficients)
 from .lyapunov import (certify_contraction, energies, initial_energy,
                        ode_energies)
@@ -30,8 +29,7 @@ __all__ = [
     "CertReport", "Objective", "SpectrumSpec", "certify_class",
     "make_quadratic", "make_reg_logistic", "reg_logistic_from_data",
     "resolve_minimizer",
-    "sample_in_ball", "METHODS", "NAG_FAMILY", "Trajectory",
-    "default_heavy_ball_beta", "step_coefficients", "run",
+    "sample_in_ball", "METHODS", "Trajectory", "step_coefficients", "run",
     "certify_contraction", "energies", "initial_energy",
     "ode_energies", "OdeSolution",
     "OdeState", "check_continuous_bound",

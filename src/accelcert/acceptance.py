@@ -203,7 +203,8 @@ def criterion_5() -> CriterionResult:
 
 def gradient_step_margins(traj: Trajectory) -> np.ndarray:
     """Margins of f(x_{k+1}) - f* <= f(y_k) - f* - (s/2)||grad f(y_k)||^2
-    along a momentum-family trajectory (positive = satisfied).
+    along a trajectory whose x_{k+1} is y_k - s grad f(y_k): every method
+    but heavy-ball, which ValueError rejects (positive = satisfied).
 
     f(y_k) - f* and ||grad f(y_k)||^2 are read from the recorded ``f_gap``
     and ``grad_sq`` columns, so the only oracle calls are for the K values
@@ -211,9 +212,9 @@ def gradient_step_margins(traj: Trajectory) -> np.ndarray:
     :func:`~accelcert.analysis.gaps_at`, one row-batched call per block of
     256 rows, which matches the per-row value up to rounding.
     """
-    if traj.reference != "y":
-        raise ValueError(f"{traj.method_id!r} records f_gap at x_k, not y_k; "
-                         "the margins need a momentum-family trajectory")
+    if traj.method_id == "heavy-ball":
+        raise ValueError("heavy-ball's x_{k+1} is not y_k - s grad f(y_k); "
+                         "the margins need a gradient-step trajectory")
     rhs = traj.f_gap[:-1] - 0.5 * traj.s * traj.grad_sq[:-1]
     return rhs - analysis.gaps_at(traj.objective, traj.xs[1:])
 

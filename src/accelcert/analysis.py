@@ -37,12 +37,13 @@ from .optimizers import (Trajectory, _blocks, run, step_coefficients,
 from .report import CertReport, margin_report
 
 #: Trajectory methods each bound theorem applies to, and the sequence
-#: (x_k or y_k) whose objective gap the theorem bounds.
+#: (x_k or y_k) whose objective gap the theorem bounds; a run records its
+#: gaps at y_k, so a "y" bound reads them and an "x" bound evaluates them.
 THEOREM_METHODS = {
     "rate-iv": (("iv-phase", "nag-modified"), "y"),
     "rate-iv-x": (("iv-phase", "nag-modified"), "x"),
     "rate-gc": (("gc-phase", "gc-modified"), "x"),
-    "gd": (("gd",), "x"),
+    "gd": (("gd",), "y"),  # gd's y_k is x_k, whose gap the theorem bounds
     "classic": (("nag-classic",), "x"),
 }
 
@@ -211,20 +212,16 @@ def check_bound(trajectory: Trajectory, theorem: str) -> CertReport:
     Incompatible trajectory/theorem pairings are rejected with ValueError.
 
     The trajectory must be one that :func:`~accelcert.optimizers.run`
-    produced: f(x_0) - f* for bound(0) is the recorded ``f_gap[0]``, and
-    where the theorem bounds the sequence the run recorded its gaps at,
-    the whole ``f_gap`` column is read.  Only a bound on the other
-    sequence calls an oracle: :func:`gaps_at`, one row-batched call per
-    block of 256 records, whose gaps match the per-row ``f.gap`` up to
-    rounding.
+    produced: f(x_0) - f* for bound(0) is the recorded ``f_gap[0]``, and a
+    bound on y_k reads the whole ``f_gap`` column, which the run recorded
+    at y_k.  Only a bound on x_k calls an oracle: :func:`gaps_at`, one
+    row-batched call per block of 256 records, whose gaps match the
+    per-row ``f.gap`` up to rounding.
     """
     ref = require_theorem(theorem, trajectory.method_id)
     curve = _curve_for(trajectory, theorem)
-    if ref == trajectory.reference:
-        gaps = trajectory.f_gap
-    else:
-        points = trajectory.xs if ref == "x" else trajectory.ys
-        gaps = gaps_at(trajectory.objective, points)
+    gaps = (trajectory.f_gap if ref == "y"
+            else gaps_at(trajectory.objective, trajectory.xs))
     slack = float(BOUND_SLACK * max(1.0, curve[0]))
     return margin_report(f"bound_{theorem}", curve - gaps, slack,
                          {"slack": slack, "bound_at_0": float(curve[0])})

@@ -105,7 +105,7 @@ def energies(trajectory: Trajectory, form: str) -> np.ndarray:
 
     The trajectory must be one that :func:`~accelcert.optimizers.run`
     produced: the potential f(y_k) - f* is read from its recorded ``f_gap``
-    column, which every method a form applies to records at y_k.  So the
+    column, which every run records at y_k.  So the
     iv form makes no oracle call.  The gc form takes g_k, which the run
     does not record, from one row-batched oracle call
     (:meth:`~accelcert.objectives.Objective.value_and_grad_rows`) per
@@ -146,7 +146,7 @@ def initial_energy(f: Objective, x0: Vector, s: float, form: str,
 
     For the iv form, ``convention`` picks the first velocity v_1 entering
     E(0), as in :func:`~accelcert.optimizers.run`: "scheme"
-    (-sqrt(s) grad f(x_0)), "zero" or "corollary" (2 sqrt(mu s) grad f(y_0)).
+    (-sqrt(s) grad f(x_0)) or "corollary" (2 sqrt(mu s) grad f(y_0)).
     The contraction certificate only inspects consecutive pairs and does
     not depend on the convention.
     """

@@ -22,10 +22,12 @@ Each method is one kernel in :data:`STEPS` that maps
 (k, x, y, v, g, carry) to the next (x, y, v, carry) and calls no oracle;
 k is the record of :func:`step_coefficients`, so a kernel does only
 arithmetic, on floats, on ``Fraction`` scalars or on sympy scalars alike
-(it holds no float literal); g is the gradient at
-the method's reference point (y_k for the momentum family, x_k for gd
-and heavy-ball), and ``carry`` holds what the gc family, heavy-ball's
+(it holds no float literal); g is the gradient at y_k, the point every
+method takes its next gradient at (gd and heavy-ball return
+y_{k+1} = x_{k+1}), and ``carry`` holds what the gc family, heavy-ball's
 momentum and a prescribed first velocity keep from the step before.
+The first step gets carry None, and each kernel seeds its own carry from
+it, so ``run`` steps every method the same way.
 ``run`` hands the kernels that record with each field a 0-d float64
 array, made once per run (``_step_operands``): under numpy >= 2 an array
 times a Python float goes through weak-scalar promotion, which at small d
@@ -38,11 +40,10 @@ step.
 ``run`` owns the only loop: it makes exactly one fused value-and-gradient
 evaluation (``value_and_grad_fn``, or
 :meth:`~accelcert.objectives.Objective.value_and_grad` without one) per
-recorded point, at the reference point, and carries the gradient into
-the next step.  It records the objective gap and the squared norm of
-that gradient, so K steps cost exactly K+1 fused evaluations, and
-certificates that need either read the record instead of calling the
-oracles again.
+recorded point, at y_k, and carries the gradient into the next step.
+It records the objective gap and the squared norm of that gradient, so
+K steps cost exactly K+1 fused evaluations, and certificates that need
+either read the record instead of calling the oracles again.
 
 The guarantees hold for step sizes in the window s <= 1/L, which
 :func:`step_guaranteed` decides for ``run``, the bound curves and the
@@ -60,13 +61,10 @@ import numpy as np
 
 from .objectives import Objective, Vector, _operands
 
-#: Methods whose natural reference point for the objective gap is y_k.
-NAG_FAMILY = ("nag-classic", "nag-modified", "gc-modified", "gc-phase", "iv-phase")
-
 #: Supported conventions for the first velocity iterate of ``iv-phase``
-#: (``scheme`` follows v_0 = 0 through the recursion; the others override
-#: v_1 and exist only to probe the bound conventions empirically).
-FIRST_VELOCITY_CONVENTIONS = ("scheme", "zero", "corollary")
+#: (``scheme`` follows v_0 = 0 through the recursion; ``corollary``
+#: overrides v_1 to probe the bound conventions empirically).
+FIRST_VELOCITY_CONVENTIONS = ("scheme", "corollary")
 
 
 class StepCoefficients(NamedTuple):
@@ -113,25 +111,22 @@ def step_guaranteed(s: float, lipschitz: float) -> bool:
     return s <= 1.0 / lipschitz * (1.0 + 1e-12)
 
 
-def default_heavy_ball_beta(mu: float, s: float) -> float:
-    """Locally optimal quadratic tuning ((1 - sqrt(mu s)) / (1 + sqrt(mu s)))^2."""
-    return step_coefficients(mu, s).m ** 2
-
-
 def _gd(k, x, y, v, g, carry):
-    """Vanilla gradient descent x_{k+1} = x_k - s grad f(x_k); y and v are
-    copied through unchanged."""
-    return x - k.s * g, y, v, carry
+    """Vanilla gradient descent x_{k+1} = x_k - s grad f(x_k), with
+    y_{k+1} = x_{k+1}; v is copied through unchanged."""
+    x1 = x - k.s * g
+    return x1, x1, v, carry
 
 
 def _heavy_ball(k, x, y, v, g, carry):
     """Momentum baseline x_{k+1} = x_k - s grad f(x_k) + beta (x_k - x_{k-1})
-    with beta = :func:`default_heavy_ball_beta`; v is the previous
-    displacement x_k - x_{k-1}.  carry is beta: the first step (carry
-    None) takes it and each step passes it on, so a run squares m once."""
+    with the locally optimal quadratic tuning beta = m^2, with
+    y_{k+1} = x_{k+1}; v is the previous displacement x_k - x_{k-1}.
+    carry is beta: the first step (carry None) takes it and each step
+    passes it on, so a run squares m once."""
     beta = k.m ** 2 if carry is None else carry
     x1 = x - k.s * g + beta * v
-    return x1, y, x1 - x, beta
+    return x1, x1, x1 - x, beta
 
 
 def _nag_classic(k, x, y, v, g, carry):
@@ -151,10 +146,12 @@ def _nag_modified(k, x, y, v, g, carry):
 
 def _gc_modified(k, x, y, v, g, carry):
     """Single-sequence gradient-correction scheme; carry is
-    (y_{k-1}, grad f(y_{k-1})).  The new x is the gradient-step image
-    x_{k+1} = y_k - s grad f(y_k) and the new v is (y_{k+1} - y_k) / sqrt(s).
+    (y_{k-1}, grad f(y_{k-1})), and the first step (carry None) starts
+    from the virtual y_{-1} = y_0 with grad f(y_{-1}) = grad f(y_0).  The
+    new x is the gradient-step image x_{k+1} = y_k - s grad f(y_k) and the
+    new v is (y_{k+1} - y_k) / sqrt(s).
     """
-    y_prev, g_prev = carry
+    y_prev, g_prev = (y, g) if carry is None else carry
     s, c = k.s, k.c
     s_c = s / c
     y1 = y + (y - y_prev) / c - s_c * g - s_c * (g - g_prev)
@@ -163,7 +160,9 @@ def _gc_modified(k, x, y, v, g, carry):
 
 def _gc_phase(k, x, y, v, g, carry):
     """Phase-space form of the gradient-correction scheme; v is v_{k-1} and
-    carry is grad f(y_{k-1}).  The velocity relation
+    carry is grad f(y_{k-1}), and the first step (carry None) starts from
+    the virtual v_{-1} = 0 with grad f(y_{-1}) = grad f(y_0).  The
+    velocity relation
         v_k - v_{k-1} = -2 sqrt(mu s) v_k
                         - sqrt(s) (grad f(y_k) - grad f(y_{k-1}))
                         - sqrt(s) grad f(y_k)
@@ -173,7 +172,8 @@ def _gc_phase(k, x, y, v, g, carry):
     y_k - s grad f(y_k) is the gradient-step image, the sequence whose
     objective gap the convergence theorem for this scheme bounds.
     """
-    v1 = (v - k.root_s * (g + g - carry)) / k.c
+    g_prev = g if carry is None else carry
+    v1 = (v - k.root_s * (g + g - g_prev)) / k.c
     return y - k.s * g, y + k.root_s * v1, v1, g
 
 
@@ -251,13 +251,13 @@ class NonFiniteIterateError(RuntimeError):
 class Trajectory:
     """Ordered per-iteration records of one run, stored column-wise.
 
-    Row k holds the state after k steps: iterate ``xs[k]``, reference point
-    ``ys[k]``, velocity ``vs[k]``, and the objective gap ``f_gap[k]`` and
-    squared gradient norm ``grad_sq[k]`` (``g @ g`` of the gradient g the
-    state carries) at the method's natural reference point (y_k for the
-    momentum family, x_k for gd and heavy-ball).  ``objective`` is the
-    objective the run stepped on.  ``lyapunov`` and ``bound`` are optional
-    diagnostic columns (NaN where undefined).
+    Row k holds the state after k steps: iterate ``xs[k]``, gradient point
+    ``ys[k]`` (y_k, which is x_k for gd and heavy-ball), velocity
+    ``vs[k]``, and the objective gap ``f_gap[k]`` and squared gradient norm
+    ``grad_sq[k]`` (``g @ g`` of the gradient g the state carries) at
+    ``ys[k]``.  ``objective`` is the objective the run stepped on.
+    ``lyapunov`` and ``bound`` are optional diagnostic columns (NaN where
+    undefined).
     """
 
     method_id: str
@@ -286,26 +286,21 @@ class Trajectory:
         the same dot product."""
         return np.sqrt(self.grad_sq)
 
-    @property
-    def reference(self) -> str:
-        """The sequence, "y" or "x", that ``f_gap`` and ``grad_sq`` are
-        recorded at."""
-        return "y" if self.method_id in NAG_FAMILY else "x"
-
 
 def run(f: Objective, method: str, x0: Vector, s: float, K: int, *,
         first_velocity: str = "scheme") -> Trajectory:
     """Execute K steps of ``method`` on ``f`` and record diagnostics.
 
     ``first_velocity`` selects the convention for the first velocity
-    iterate of iv-phase; anything but "scheme" prescribes v_1 instead of
-    following the recursion from v_0 = 0 ("zero" takes v_1 = 0 and
-    "corollary" v_1 = 2 sqrt(mu s) grad f(y_0)) and exists to probe the
-    initial-energy conventions; other methods ignore it.  The gc family
-    starts from a virtual v_{-1} = 0, y_{-1} = y_0 and grad f(y_{-1}) =
-    grad f(y_0), which reproduces the scheme's initial velocity
-    v_0 = -sqrt(s) grad f(x_0) / c after the first step (and hence
-    y_1 = x_0 - s grad f(x_0) / c).  ValueError unless s > 0.
+    iterate of iv-phase; "corollary" prescribes v_1 = 2 sqrt(mu s)
+    grad f(y_0) instead of following the recursion from v_0 = 0 and exists
+    to probe the initial-energy conventions; other methods ignore it.
+    Every method starts from x_0 = y_0 and v_0 = 0, and its kernel seeds
+    its own carry at the first step (the gc family's virtual start, which
+    reproduces the scheme's initial velocity v_0 = -sqrt(s) grad f(x_0) / c
+    after the first step, is in :func:`_gc_phase` and
+    :func:`_gc_modified`).  K, the method, ``first_velocity``, x0 and s
+    are checked before any warning: ValueError unless s > 0.
     The ``lyapunov`` and ``bound`` columns are filled afterwards by
     :func:`accelcert.lyapunov.attach_energies` and
     :func:`accelcert.analysis.attach_bound`.
@@ -329,13 +324,6 @@ def run(f: Objective, method: str, x0: Vector, s: float, K: int, *,
     """
     if K < 0:
         raise ValueError("K must be nonnegative")
-    if not step_guaranteed(s, f.lipschitz):
-        warnings.warn(
-            f"step size s={s:.6g} exceeds 1/L={1.0 / f.lipschitz:.6g}; "
-            "convergence bounds are not guaranteed", stacklevel=2)
-    if method == "nag-classic" and f.mu * s > 1.0 + 1e-12:
-        warnings.warn("nag-classic run with mu*s > 1; momentum coefficient "
-                      "is negative", stacklevel=2)
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
     if first_velocity not in FIRST_VELOCITY_CONVENTIONS:
@@ -343,9 +331,15 @@ def run(f: Objective, method: str, x0: Vector, s: float, K: int, *,
     x0 = as_start(f, x0)
     if not s > 0:
         raise ValueError("step size s must be positive")
+    if not step_guaranteed(s, f.lipschitz):
+        warnings.warn(
+            f"step size s={s:.6g} exceeds 1/L={1.0 / f.lipschitz:.6g}; "
+            "convergence bounds are not guaranteed", stacklevel=2)
+    if method == "nag-classic" and f.mu * s > 1.0 + 1e-12:
+        warnings.warn("nag-classic run with mu*s > 1; momentum coefficient "
+                      "is negative", stacklevel=2)
 
     step = STEPS[method]
-    at_y = method in NAG_FAMILY
     k = _step_operands(f.mu, s)
     # the fused oracle itself, without the method's conversions: it
     # returns a float and a float64 array (see Objective)
@@ -358,15 +352,8 @@ def run(f: Objective, method: str, x0: Vector, s: float, K: int, *,
 
     x, y, v = x0.copy(), x0.copy(), np.zeros(f.dim)
     f_gap[0], g = value_and_grad(x0)
-    carry = None
-    if method == "gc-phase":
-        carry = g
-    elif method == "gc-modified":
-        carry = (y, g)
-    elif method == "iv-phase" and first_velocity == "zero":
-        carry = np.zeros(f.dim)
-    elif method == "iv-phase" and first_velocity == "corollary":
-        carry = 2 * k.r * g
+    carry = (2 * k.r * g if method == "iv-phase" and first_velocity == "corollary"
+             else None)
     xs[0] = x
     ys[0] = y
     vs[0] = v
@@ -377,7 +364,7 @@ def run(f: Objective, method: str, x0: Vector, s: float, K: int, *,
         lo = rows.start
         for i in range(lo, rows.stop):
             x, y, v, carry = step(k, x, y, v, g, carry)
-            f_gap[i], g = value_and_grad(y if at_y else x)
+            f_gap[i], g = value_and_grad(y)
             xs[i] = x
             ys[i] = y
             vs[i] = v

@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from accelcert import (bound_curve, characteristic_roots, check_bound,
-                       empirical_rate, make_quadratic, max_reality_threshold,
-                       make_reg_logistic, monotonic_window, monotonicity_scan,
-                       reality_threshold, resolve_minimizer, run)
+from accelcert import (METHODS, bound_curve, characteristic_roots,
+                       check_bound, empirical_rate, make_quadratic,
+                       max_reality_threshold, make_reg_logistic,
+                       monotonic_window, monotonicity_scan, reality_threshold,
+                       resolve_minimizer, run)
 from accelcert.analysis import attach_bound
 from accelcert.objectives import MinimizerUnknownError
 from accelcert.report import margin_report
@@ -176,18 +177,17 @@ class TestCheckBound:
         assert not report.passed
         assert 0 < report.first_failure < 8000
 
-    @pytest.mark.parametrize("method", ["gd", "heavy-ball", "nag-classic",
-                                        "iv-phase", "gc-modified"])
+    @pytest.mark.parametrize("method", METHODS)
     def test_recorded_gaps_are_the_oracle_gaps(self, method):
         # the premise of reading f_gap and grad_sq instead of calling the
-        # oracles again; grad_norm is bit-equal to np.linalg.norm
+        # oracles again: every method records them at ys; grad_norm is
+        # bit-equal to np.linalg.norm
         for f in (make_quadratic([1, 4, 25], rotation_seed=3),
                   resolve_minimizer(make_reg_logistic(3, 50, 2, 0.1))):
             traj = run(f, method, np.full(f.dim, 0.7), 1.0 / f.lipschitz, 60)
-            points = traj.ys if traj.reference == "y" else traj.xs
-            grads = [f.grad(p) for p in points]
+            grads = [f.grad(p) for p in traj.ys]
             np.testing.assert_array_equal(traj.f_gap,
-                                          [f.gap(p) for p in points])
+                                          [f.gap(p) for p in traj.ys])
             np.testing.assert_array_equal(traj.grad_sq,
                                           [g @ g for g in grads])
             np.testing.assert_array_equal(traj.grad_norm,

@@ -350,10 +350,8 @@ class TestInitialEnergy:
         x0 = np.array([1.0, 1.0])
         s = 0.01
         e_scheme = initial_energy(f, x0, s, "iv", convention="scheme")
-        e_zero = initial_energy(f, x0, s, "iv", convention="zero")
         e_cor = initial_energy(f, x0, s, "iv", convention="corollary")
-        assert e_zero == pytest.approx(f.gap(x0) + f.mu * float(x0 @ x0))
-        assert e_scheme != e_zero and e_cor != e_zero
+        assert e_scheme != e_cor
 
     def test_gc_initial_energy_bound(self):
         # E(0) <= f(x0) - f* + mu ||x0 - x*||^2 for the gc form

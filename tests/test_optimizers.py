@@ -4,18 +4,17 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from accelcert import (Objective, bound_curve, default_heavy_ball_beta,
-                       make_quadratic, make_reg_logistic, resolve_minimizer,
-                       run)
-from accelcert.optimizers import (METHODS, NAG_FAMILY, STEPS,
-                                  NonFiniteIterateError, StepCoefficients,
+from accelcert import (Objective, bound_curve, make_quadratic,
+                       make_reg_logistic, resolve_minimizer, run)
+from accelcert.optimizers import (METHODS, STEPS, NonFiniteIterateError,
+                                  StepCoefficients, _step_operands,
                                   step_coefficients, step_guaranteed)
 
 
 def step_1d(method, x, y=None, v=0.0, s=1.0, carry=None):
     """One kernel step on ``quad_1`` (f = x^2 / 2, mu = 1), given
-    grad f(x) = x: every reference point these tests step from is x (gd and
-    heavy-ball read x; the momentum steps read y, which is x there)."""
+    grad f(x) = x: every kernel takes its gradient at y, and these tests
+    step from y = x unless they pass another y."""
     x = np.array([float(x)])
     y = x.copy() if y is None else np.array([float(y)])
     return STEPS[method](step_coefficients(1.0, s), x, y, np.array([float(v)]),
@@ -54,15 +53,16 @@ class TestGdStep:
         np.testing.assert_allclose(x1, [0.99, 0.0])
 
     def test_y_and_v_copied_through(self):
-        _, y1, v1, _ = step_1d("gd", 1.0, y=0.3, v=0.7)
-        assert y1 == pytest.approx([0.3])
+        # y_{k+1} is x_{k+1}, where the next gradient is taken
+        x1, y1, v1, _ = step_1d("gd", 1.0, y=0.3, v=0.7)
+        np.testing.assert_array_equal(y1, x1)
         assert v1 == pytest.approx([0.7])
 
 
 class TestHeavyBallStep:
     def test_beta_zero_is_gd(self, quad_ill):
         # mu s = 1 makes beta = ((1 - 1) / (1 + 1))^2 exactly 0
-        assert default_heavy_ball_beta(quad_ill.mu, 1.0) == 0.0
+        assert step_coefficients(quad_ill.mu, 1.0).m ** 2 == 0.0
         x = np.array([1.0, -2.0])
         args = (step_coefficients(quad_ill.mu, 1.0), x, x.copy(),
                 np.array([0.4, 0.1]), quad_ill.grad(x), None)
@@ -71,7 +71,7 @@ class TestHeavyBallStep:
 
     def test_substitution(self):
         # mu s = 1/4: beta = ((1 - 1/2) / (1 + 1/2))^2 = 1/9
-        assert default_heavy_ball_beta(1.0, 0.25) == pytest.approx(1 / 9)
+        assert step_coefficients(1.0, 0.25).m ** 2 == pytest.approx(1 / 9)
         x1, *_ = step_1d("heavy-ball", 1.0, v=0.3, s=0.25)
         assert x1 == pytest.approx([0.75 + 0.3 / 9])
 
@@ -133,7 +133,7 @@ class TestGcSteps:
 
     def test_phase_initialization(self, quad_1):
         # first step realizes v_0 = -sqrt(s) grad f(x_0) / (1 + 2 sqrt(mu s)),
-        # from the carry run seeds: grad f(y_{-1}) = grad f(y_0)
+        # from the virtual start grad f(y_{-1}) = grad f(y_0)
         _, y1, v1, carry = step_1d("gc-phase", 1.0, s=1.0, carry=np.array([1.0]))
         assert v1 == pytest.approx([-1.0 / 3.0])
         assert y1 == pytest.approx([2.0 / 3.0])
@@ -141,6 +141,25 @@ class TestGcSteps:
         traj = run(quad_1, "gc-phase", np.array([1.0]), 1.0, 1)
         np.testing.assert_array_equal(traj.vs[1], v1)
         np.testing.assert_array_equal(traj.ys[1], y1)
+
+    @pytest.mark.parametrize("method", ["gc-phase", "gc-modified"])
+    @pytest.mark.parametrize("operands", [step_coefficients, _step_operands])
+    def test_none_carry_is_the_virtual_start(self, method, operands):
+        # a first step from carry None is bit-equal to the explicit seeding
+        # grad f(y_{-1}) = grad f(y_0) (and y_{-1} = y_0 for gc-modified)
+        f = make_quadratic([0.5, 3, 40], rotation_seed=5)
+        k = operands(f.mu, 0.02)
+        rng = np.random.default_rng(8)
+        for _ in range(5):
+            x, y, v = (rng.standard_normal(3) for _ in range(3))
+            g = f.grad(y)
+            seed = g if method == "gc-phase" else (y, g)
+            got = STEPS[method](k, x, y, v, g, None)
+            want = STEPS[method](k, x, y, v, g, seed)
+            for a, b in zip(got[:3], want[:3]):
+                np.testing.assert_array_equal(a, b)
+            np.testing.assert_array_equal(np.hstack(got[3]),
+                                          np.hstack(want[3]))
 
     def test_phase_fixed_point(self, quad_ill):
         _, y1, v1, _ = step_at(quad_ill, "gc-phase", np.zeros(2), 0.01,
@@ -223,6 +242,20 @@ class TestRun:
         with pytest.raises(ValueError, match=r"x0 has shape \(1,\)"):
             run(quad_ill, "gd", np.array([1.0]), 0.01, 1)
 
+    @pytest.mark.parametrize("method, x0, s, first_velocity", [
+        ("bogus", np.ones(2), 1.0, "scheme"),
+        ("gd", np.ones(3), 1.0, "scheme"),
+        ("gd", np.ones(2), float("nan"), "scheme"),
+        ("iv-phase", np.ones(2), 1.0, "nope"),
+        ("nag-classic", np.ones(3), 2.0, "scheme")],
+        ids=["method", "x0-shape", "s-nan", "first-velocity", "classic-x0"])
+    def test_bad_input_rejected_before_any_warning(self, quad_ill, method, x0,
+                                                   s, first_velocity):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError):
+                run(quad_ill, method, x0, s, 10, first_velocity=first_velocity)
+
     def test_warns_above_one_over_L(self, quad_ill):
         with pytest.warns(UserWarning, match="exceeds 1/L"):
             run(quad_ill, "gd", np.array([0.1, 0.1]), 0.02, 1)
@@ -277,15 +310,15 @@ def exact_run(method, lam, K, first_velocity="scheme"):
     v = Fraction(0)
     g = lam * x
     carry = {"gc-phase": g, "gc-modified": (y, g)}.get(method)
-    if method == "iv-phase" and first_velocity != "scheme":
-        carry = 2 * EXACT.r * g if first_velocity == "corollary" else v
+    if method == "iv-phase" and first_velocity == "corollary":
+        carry = 2 * EXACT.r * g
     states = [(x, y, v)]
     for _ in range(K):
         x, y, v, carry = STEPS[method](EXACT, x, y, v, g, carry)
         leaves = [x, y, v, *(carry if isinstance(carry, tuple) else [carry])]
         assert all(isinstance(leaf, Fraction)
                    for leaf in leaves if leaf is not None), method
-        g = lam * (y if method in NAG_FAMILY else x)
+        g = lam * y
         states.append((x, y, v))
     return states
 
@@ -302,7 +335,7 @@ class TestExactArithmetic:
     @pytest.mark.parametrize("lam", [1, 100])
     @pytest.mark.parametrize("method, first_velocity", [
         *((method, "scheme") for method in METHODS),
-        ("iv-phase", "zero"), ("iv-phase", "corollary")])
+        ("iv-phase", "corollary")])
     def test_float_run_follows_the_exact_run(self, method, first_velocity,
                                              lam):
         f = Objective(dim=1, mu=1.0, lipschitz=100.0,
@@ -353,16 +386,18 @@ class TestSchemeInequalities:
     def test_gradient_step_inequality(self):
         from accelcert.acceptance import gradient_step_margins
         f = make_quadratic([1, 100])
-        for method in ("nag-modified", "nag-classic", "iv-phase", "gc-phase"):
+        for method in ("gd", "nag-modified", "nag-classic", "iv-phase",
+                       "gc-phase"):
             traj = run(f, method, np.array([1.0, 1.0]), 0.01, 300)
             margins = gradient_step_margins(traj)
             gaps = np.array([f.gap(traj.ys[k]) for k in range(traj.K)])
             assert np.all(margins >= -1e-12 * np.maximum(1.0, gaps)), method
 
-    def test_gradient_step_margins_need_gap_at_y(self):
-        # gd records f_gap at x_k, so the margins cannot read it as f(y_k)
+    def test_gradient_step_margins_reject_heavy_ball(self):
+        # heavy-ball's x_{k+1} is not y_k - s grad f(y_k): its momentum term
+        # leaves the margins without the descent lemma behind them
         from accelcert.acceptance import gradient_step_margins
         f = make_quadratic([1, 100])
-        traj = run(f, "gd", np.array([1.0, 1.0]), 0.01, 10)
-        with pytest.raises(ValueError):
+        traj = run(f, "heavy-ball", np.array([1.0, 1.0]), 0.01, 10)
+        with pytest.raises(ValueError, match="heavy-ball"):
             gradient_step_margins(traj)

@@ -17,8 +17,8 @@ import pytest
 from accelcert import (make_quadratic, make_reg_logistic,
                        reg_logistic_from_data, run)
 from accelcert.objectives import _sigmoid, _softplus
-from accelcert.optimizers import (METHODS, NAG_FAMILY, STEPS,
-                                  NonFiniteIterateError, step_coefficients)
+from accelcert.optimizers import (METHODS, STEPS, NonFiniteIterateError,
+                                  step_coefficients)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 20])
@@ -26,13 +26,23 @@ from accelcert.optimizers import (METHODS, NAG_FAMILY, STEPS,
 @pytest.mark.parametrize("method", METHODS)
 def test_grad_sq_is_g_dot_g(method, K, dim):
     # on either side of the 256-row blocks, every recorded squared norm is
-    # g @ g of the gradient at that row's reference point
+    # g @ g of the gradient at that row's y_k
     f = make_reg_logistic(2, 40, dim, 0.1)
     x0 = np.random.default_rng(dim).uniform(-2.0, 2.0, dim)
     traj = run(f, method, x0, 1.0 / f.lipschitz, K)
-    points = traj.ys if traj.reference == "y" else traj.xs
-    expected = np.array([g @ g for g in map(f.grad, points)])
+    expected = np.array([g @ g for g in map(f.grad, traj.ys)])
     np.testing.assert_array_equal(traj.grad_sq, expected)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 20])
+@pytest.mark.parametrize("K", [0, 1, 255, 256, 257, 600])
+@pytest.mark.parametrize("method", ["gd", "heavy-ball"])
+def test_gd_and_heavy_ball_record_ys_at_xs(method, K, dim):
+    # their y_k is x_k, so the gaps and norms read at ys are those of x_k
+    f = make_reg_logistic(2, 40, dim, 0.1)
+    x0 = np.random.default_rng(dim).uniform(-2.0, 2.0, dim)
+    traj = run(f, method, x0, 1.0 / f.lipschitz, K)
+    np.testing.assert_array_equal(traj.ys, traj.xs)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 50, 300])
@@ -145,15 +155,15 @@ def test_sigmoid_numerator_is_the_where_formula(shape):
 
 def _first_nonfinite_step(f, method, x0, s, K):
     """The first step k whose x_k is non-finite, stepping the kernel alone
-    (for methods that start with no carry)."""
-    step, at_y = STEPS[method], method in NAG_FAMILY
+    from carry None, as ``run`` does without a prescribed first velocity."""
+    step, carry = STEPS[method], None
     x, y, v = x0.copy(), x0.copy(), np.zeros(f.dim)
     g = f.grad(x0)
     for k in range(1, K + 1):
-        x, y, v, _ = step(step_coefficients(f.mu, s), x, y, v, g, None)
+        x, y, v, carry = step(step_coefficients(f.mu, s), x, y, v, g, carry)
         if not np.isfinite(x).all():
             return k
-        g = f.grad(y if at_y else x)
+        g = f.grad(y)
     return None
 
 

@@ -236,8 +236,8 @@ def test_gd_bound_reads_recorded_gaps(counted):
     assert counted.calls == (0, 0, 0, 0, 0)
 
 
-@pytest.mark.parametrize("method", ["nag-modified", "nag-classic", "iv-phase",
-                                    "gc-phase", "gc-modified"])
+@pytest.mark.parametrize("method", ["gd", "nag-modified", "nag-classic",
+                                    "iv-phase", "gc-phase", "gc-modified"])
 def test_gradient_step_margins_budget(counted, method):
     # f(y_k) and ||grad f(y_k)||^2 are recorded; f(x_{k+1}) is not
     f = counted.f
