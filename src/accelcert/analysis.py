@@ -1,7 +1,14 @@
-"""Quantitative analysis: convergence-bound curves and checkers, empirical
-rate estimation, and the step-size monotonicity analysis for quadratics.
-:func:`require_theorem` decides which methods a bound theorem applies to,
-for the checkers and for the config parser.
+"""Quantitative analysis: the claims table, convergence-bound curves and
+checkers, empirical rate estimation, and the step-size monotonicity
+analysis for quadratics.
+
+Every claim the certificates check is one :class:`Claim` row:
+:data:`THEOREMS` holds the gap bounds, :data:`ENERGIES` the per-step
+Lyapunov contractions (read by :mod:`accelcert.lyapunov`) and
+:data:`CONTINUOUS` the envelope of the high-resolution flow (read by
+:mod:`accelcert.hires_ode`); the constants live in the rows and nowhere
+else.  :func:`require_claim` decides which methods a row applies to, for
+the checkers and for the config parser.
 
 On a quadratic with Hessian eigenvalues lambda_i, the gradient-correction
 scheme decouples per eigencoordinate into the linear three-term recursion
@@ -26,7 +33,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -36,30 +43,81 @@ from .optimizers import (Trajectory, _blocks, run, step_coefficients,
                          step_guaranteed)
 from .report import CertReport, margin_report
 
-#: Trajectory methods each bound theorem applies to, and the sequence
-#: (x_k or y_k) whose objective gap the theorem bounds; a run records its
-#: gaps at y_k, so a "y" bound reads them and an "x" bound evaluates them.
-THEOREM_METHODS = {
-    "rate-iv": (("iv-phase", "nag-modified"), "y"),
-    "rate-iv-x": (("iv-phase", "nag-modified"), "x"),
-    "rate-gc": (("gc-phase", "gc-modified"), "x"),
-    "gd": (("gd",), "y"),  # gd's y_k is x_k, whose gap the theorem bounds
-    "classic": (("nag-classic",), "x"),
+
+class Claim(NamedTuple):
+    """One claim: the methods it applies to, the sequence ("x" or "y")
+    whose objective gap it bounds, ``rate(mu, L, s)``, the coefficients of
+    its value at k = 0 on (f(x0) - f*, mu ||x0 - x*||^2, L ||x0 - x*||^2),
+    and whether the factor at step k is (1 - rate)^k rather than
+    (1 + rate)^-k."""
+
+    methods: tuple
+    sequence: str
+    rate: Callable[[float, float, float], float]
+    coefficients: tuple = ()
+    decays: bool = False
+
+    def start(self, gap0: float, dist0_sq: float, mu: float, L: float) -> float:
+        """The value at k = 0 from gap0 = f(x0) - f* and dist0_sq.  A zero
+        coefficient is skipped, not multiplied, so an infinite gap0 that
+        the claim does not read stays out of it."""
+        terms = (gap0, mu * dist0_sq, L * dist0_sq)
+        return sum(c * v for c, v in zip(self.coefficients, terms) if c)
+
+
+def _rho(mu: float, L: float, s: float) -> float:
+    """sqrt(mu s) / 4, the rate of the accelerated bounds and energies."""
+    return math.sqrt(mu * s) / 4.0
+
+
+_IV, _GC = ("iv-phase", "nag-modified"), ("gc-phase", "gc-modified")
+
+#: The gap bounds, for 0 < s <= 1/L.  A run records its gaps at y_k, so a
+#: "y" bound reads them and an "x" bound evaluates them; gd's y_k is x_k.
+THEOREMS = {
+    # f(y_k) - f* <= 4 L ||x0 - x*||^2 / (1 + sqrt(mu s)/4)^k
+    "rate-iv": Claim(_IV, "y", _rho, (0.0, 0.0, 4.0)),
+    # f(x_k) - f* <= (2 (f(x0) - f*) + mu ||x0 - x*||^2)
+    #                / (1 + sqrt(mu/L)/4)^k, stated at s = 1/L
+    "rate-iv-x": Claim(_IV, "x", lambda mu, L, s: math.sqrt(mu / L) / 4.0,
+                       (2.0, 1.0, 0.0)),
+    # f(x_k) - f* <= 2 (f(x0) - f* + mu ||x0 - x*||^2) / (1 + sqrt(mu s)/4)^k
+    "rate-gc": Claim(_GC, "x", _rho, (2.0, 2.0, 0.0)),
+    # f(x_k) - f* <= (f(x0) - f*) (1 - mu s)^k
+    "gd": Claim(("gd",), "y", lambda mu, L, s: mu * s, (1.0, 0.0, 0.0), True),
+    # f(x_k) - f* <= (f(x0) - f* + (mu/2) ||x0 - x*||^2) (1 - sqrt(mu s))^k
+    "classic": Claim(("nag-classic",), "x", lambda mu, L, s: math.sqrt(mu * s),
+                     (1.0, 0.5, 0.0), True),
 }
 
+#: The per-step contractions E(k+1) <= E(k) / (1 + rho) of the energies
+#: of :func:`accelcert.lyapunov.energies`, whose potential is at y_k.
+ENERGIES = {"gc": Claim(_GC, "y", _rho), "iv": Claim(_IV, "y", _rho)}
 
-def require_theorem(theorem: str, method: Optional[str] = None) -> str:
-    """The sequence ("x" or "y") whose gap ``theorem`` bounds; ValueError for
-    an unknown theorem, or one that does not apply to ``method`` if given."""
+#: The envelope of the simplified high-resolution flow started from rest,
+#: f(probe(t)) - f* <= (f(x0) - f* + mu ||x0 - x*||^2) / 2 * exp(-rate t)
+#: with rate sqrt(mu)/4, which also bounds the continuous energy's decay
+#: E(t+h)/E(t) <= exp(-rate h); the probe point is the flow's y.  The
+#: constant is as coded: it has not been checked against the theorem's
+#: text, which is not in the repository.
+CONTINUOUS = Claim(("simplified",), "y", lambda mu, L, s: math.sqrt(mu) / 4.0,
+                   (0.5, 0.5, 0.0))
+
+
+def require_claim(kind: str, table: dict, name: str,
+                  method: Optional[str] = None) -> Claim:
+    """The row ``name`` of ``table``; ValueError for an unknown name, or one
+    that does not apply to ``method`` if given.  ``kind`` ("theorem" or
+    "form") names the table in the messages."""
     # a tuple compares a config's array or object value instead of hashing it
-    if theorem not in tuple(THEOREM_METHODS):
-        raise ValueError(f"unknown theorem {theorem!r}; expected one of "
-                         f"{tuple(THEOREM_METHODS)}")
-    methods, ref = THEOREM_METHODS[theorem]
-    if method is not None and method not in methods:
-        raise ValueError(f"theorem {theorem!r} applies to methods {methods}, "
-                         f"not {method!r}")
-    return ref
+    if name not in tuple(table):
+        raise ValueError(f"unknown {kind} {name!r}; expected one of "
+                         f"{tuple(table)}")
+    claim = table[name]
+    if method is not None and method not in claim.methods:
+        raise ValueError(f"{kind} {name!r} applies to methods "
+                         f"{claim.methods}, not {method!r}")
+    return claim
 
 
 @dataclass
@@ -139,52 +197,41 @@ def monotonic_window(mu: float, L: float) -> Optional[tuple[float, float]]:
 
 def bound_curve(theorem: str, f_x0_gap: float, dist0_sq: float, mu: float,
                 L: float, s: float, K: int) -> np.ndarray:
-    """Theoretical objective-gap bound evaluated at k = 0..K.
+    """Theoretical objective-gap bound evaluated at k = 0..K: the row
+    ``THEOREMS[theorem]``, its value at k = 0 times (1 + rate)^-k, or
+    (1 - rate)^k for a decaying row.
 
-    * ``rate-iv``:   4 L ||x0 - x*||^2 / (1 + sqrt(mu s)/4)^k
-    * ``rate-gc``:   2 (f(x0) - f* + mu ||x0 - x*||^2) / (1 + sqrt(mu s)/4)^k
-    * ``rate-iv-x``: (2 (f(x0) - f*) + mu ||x0 - x*||^2)
-                     / (1 + sqrt(mu/L)/4)^k   (stated at s = 1/L)
-    * ``gd``:        (f(x0) - f*) (1 - mu s)^k
-    * ``classic``:   (f(x0) - f* + (mu/2) ||x0 - x*||^2) (1 - sqrt(mu s))^k
-
-    The momentum bounds are guaranteed for 0 < s <= 1/L; larger steps get a
+    The bounds are guaranteed for 0 < s <= 1/L; larger steps get a
     warning and the curve is still evaluated.
     """
-    require_theorem(theorem)
+    claim = require_claim("theorem", THEOREMS, theorem)
     if f_x0_gap < 0 or dist0_sq < 0 or K < 0:
         raise ValueError("f_x0_gap, dist0_sq and K must be nonnegative")
     if not step_guaranteed(s, L):
         warnings.warn(f"s={s:.6g} exceeds 1/L={1.0 / L:.6g}; the bound is "
                       "not guaranteed", stacklevel=2)
     k = np.arange(K + 1)
-    if theorem == "rate-iv-x":
-        return (2.0 * f_x0_gap + mu * dist0_sq) / (1.0 + 0.25 * math.sqrt(mu / L)) ** k
-    if theorem == "gd":
-        return f_x0_gap * (1.0 - mu * s) ** k
-    r = step_coefficients(mu, s).r
-    if theorem == "rate-iv":
-        return 4.0 * L * dist0_sq / (1.0 + r / 4.0) ** k
-    if theorem == "rate-gc":
-        return 2.0 * (f_x0_gap + mu * dist0_sq) / (1.0 + r / 4.0) ** k
-    return (f_x0_gap + 0.5 * mu * dist0_sq) * (1.0 - r) ** k
+    start, rate = claim.start(f_x0_gap, dist0_sq, mu, L), claim.rate(mu, L, s)
+    if claim.decays:
+        return start * (1.0 - rate) ** k
+    return start / (1.0 + rate) ** k
 
 
 def _curve_for(trajectory: Trajectory, theorem: str) -> np.ndarray:
-    """The theorem's curve for the trajectory's start.  f(x_0) - f* is the
+    """The theorem's curve for the trajectory's start; ValueError unless the
+    theorem applies to the trajectory's method.  f(x_0) - f* is the
     recorded ``f_gap[0]``: record 0 sits at x_0 = y_0 for every method."""
+    require_claim("theorem", THEOREMS, theorem, trajectory.method_id)
     f = trajectory.objective
     require_minimizer(f)
-    x0 = trajectory.xs[0]
     return bound_curve(theorem, float(trajectory.f_gap[0]),
-                       float(np.sum((x0 - f.minimizer) ** 2)),
+                       float(np.sum((trajectory.xs[0] - f.minimizer) ** 2)),
                        f.mu, f.lipschitz, trajectory.s, trajectory.K)
 
 
 def attach_bound(trajectory: Trajectory, theorem: str) -> np.ndarray:
     """Fill the trajectory's ``bound`` column with the theorem curve;
     pairings are checked as in :func:`check_bound`."""
-    require_theorem(theorem, trajectory.method_id)
     trajectory.bound = _curve_for(trajectory, theorem)
     return trajectory.bound
 
@@ -218,9 +265,8 @@ def check_bound(trajectory: Trajectory, theorem: str) -> CertReport:
     row-batched call per block of 256 records, whose gaps match the
     per-row ``f.gap`` up to rounding.
     """
-    ref = require_theorem(theorem, trajectory.method_id)
     curve = _curve_for(trajectory, theorem)
-    gaps = (trajectory.f_gap if ref == "y"
+    gaps = (trajectory.f_gap if THEOREMS[theorem].sequence == "y"
             else gaps_at(trajectory.objective, trajectory.xs))
     slack = float(BOUND_SLACK * max(1.0, curve[0]))
     return margin_report(f"bound_{theorem}", curve - gaps, slack,

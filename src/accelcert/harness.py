@@ -186,11 +186,11 @@ def parse_config(text: str) -> ExperimentConfig:
     params = checked_fields(doc, OBJECTIVE_PARAMS[objective])
     checked_fields(doc, [key for key in _CONFIG_KEYS if key in _FIELD_CHECKS])
     values = {key: doc.get(key) for key in _CONFIG_KEYS}
-    for key, check in (("lyapunov", lyapunov.require_form),
-                       ("bound", analysis.require_theorem)):
+    for key, kind, table in (("lyapunov", "form", analysis.ENERGIES),
+                             ("bound", "theorem", analysis.THEOREMS)):
         if values[key] is not None:
             try:
-                check(values[key], values["method"])
+                analysis.require_claim(kind, table, values[key], values["method"])
             except ValueError as exc:
                 raise ConfigError(f"{key}: {exc}") from exc
     if not isinstance(values["s"], str):

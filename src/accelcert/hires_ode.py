@@ -12,9 +12,10 @@ both started from X(0) = x_0, X'(0) = 0, with the gradient taken at
 :func:`accelcert.optimizers.probe_point`.  The simplified equation is the
 original with the coefficients 1 + sqrt(mu s) on X'' and c on the gradient
 set to 1, so one formula serves both in :func:`integrate`; the two agree
-to O(sqrt(s)).  The continuous convergence theorem is stated for the
-simplified equation; :func:`check_continuous_bound` verifies it with two
-margin scans (:func:`accelcert.report.margin_report`) over the samples.
+to O(sqrt(s)).  The continuous convergence claim, the row
+:data:`accelcert.analysis.CONTINUOUS`, is stated for the simplified
+equation; :func:`check_continuous_bound` verifies it with two margin scans
+(:func:`accelcert.report.margin_report`) over the samples.
 
 Integration is fixed-step classical Runge-Kutta 4 on the first-order
 system in (X, X'): the dynamics are smooth and non-stiff for the problems
@@ -46,6 +47,7 @@ from typing import Iterator
 
 import numpy as np
 
+from .analysis import CONTINUOUS
 from .objectives import Objective, Vector, _operands
 from .optimizers import (_blocks, _step_operands, as_start,
                          first_nonfinite_row)
@@ -252,20 +254,20 @@ DECAY_TOL = 1e-8
 
 def check_continuous_bound(solution: OdeSolution, f: Objective, s: float,
                            mu: float) -> CertReport:
-    """Verify the continuous convergence theorem along a solution.
+    """Verify the continuous convergence claim, the row
+    :data:`accelcert.analysis.CONTINUOUS`, along a solution.
 
     Checks, at every sample of a ``simplified``-equation solution started
     from rest at x_0, which :func:`integrate` returned for ``f`` at (s, mu)
     (anything else raises ValueError):
 
-    * the objective-gap bound
-      ``f(probe(t)) - f* <= (f(x_0) - f* + mu ||x_0 - x*||^2) / 2
-                            * exp(-sqrt(mu) t / 4)``
-      with absolute slack ``BOUND_TOL * max(1, RHS(0))``.  At t = 0 it
-      reads f(x_0) - f* <= mu ||x_0 - x*||^2 (up to the slack), so from a
-      start that breaks this the first sample fails;
-    * the energy decay ``E(t+h) / E(t) <= exp(-sqrt(mu) h / 4) + DECAY_TOL``
-      for consecutive samples, via :func:`accelcert.lyapunov.ode_energies`;
+    * the objective-gap bound ``f(probe(t)) - f* <= RHS(0) exp(-rate t)``,
+      where RHS(0) is the row's value at 0, with absolute slack
+      ``BOUND_TOL * max(1, RHS(0))``.  At t = 0 it reads f(x_0) - f* <=
+      mu ||x_0 - x*||^2 (up to the slack), so from a start that breaks
+      this the first sample fails;
+    * the energy decay ``E(t+h) / E(t) <= exp(-rate h) + DECAY_TOL`` for
+      consecutive samples, via :func:`accelcert.lyapunov.ode_energies`;
       pairs whose E(t) is at rounding level are not checked.
 
     Each is a margin scan (:func:`~accelcert.report.margin_report`).
@@ -277,20 +279,21 @@ def check_continuous_bound(solution: OdeSolution, f: Objective, s: float,
     makes no oracle call.
     """
     require_integrated_with(solution, f, s, mu)
-    if solution.which != "simplified":
+    if solution.which not in CONTINUOUS.methods:
         raise ValueError("the continuous bound is stated for the simplified "
                          f"equation, not {solution.which!r}")
     if not solution:
         raise ValueError("empty solution")
     energies = ode_energies(solution)  # raises on an unresolved objective
-    x0 = solution.X[0]
-    dist0_sq = float(np.sum((x0 - f.minimizer) ** 2))
-    numerator = 0.5 * (float(solution.f_gap[0]) + mu * dist0_sq)
-    envelope = numerator * _exp(-math.sqrt(mu) * solution.t / 4.0)
+    dist0_sq = float(np.sum((solution.X[0] - f.minimizer) ** 2))
+    numerator = CONTINUOUS.start(float(solution.f_gap[0]), dist0_sq, mu,
+                                 f.lipschitz)
+    rate = CONTINUOUS.rate(mu, f.lipschitz, s)
+    envelope = numerator * _exp(-rate * solution.t)
     bound = margin_report("bound", envelope - solution.f_gap,
                           BOUND_TOL * max(1.0, numerator))
 
-    limit = _exp(-math.sqrt(mu) * np.diff(solution.t) / 4.0) + DECAY_TOL
+    limit = _exp(-rate * np.diff(solution.t)) + DECAY_TOL
     # pairs whose first energy is at rounding level are not checked
     resolved = energies[:-1] > 1e-14 * max(1.0, energies[0])
     ratios = energies[1:][resolved] / energies[:-1][resolved]

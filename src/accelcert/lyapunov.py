@@ -10,20 +10,21 @@ is ``replace(f, mu=...)``.  The per-step contraction
 
     E(k+1) - E(k) <= -rho * E(k+1),  i.e.  E(k+1) <= E(k) / (1 + rho)
 
-with rho = sqrt(mu s) / 4 certifies the geometric convergence rate of the
-corresponding scheme for step sizes 0 < s <= 1/L; :func:`certify_contraction`
-checks it as one margin scan (:func:`~accelcert.report.margin_report`).
-:func:`require_form` decides which methods a form applies to, for this
-module and for the config parser.
+certifies the geometric convergence rate of the corresponding scheme for
+step sizes 0 < s <= 1/L, with rho the rate of the form's row in
+:data:`accelcert.analysis.ENERGIES`, which also names the methods each
+form applies to; :func:`certify_contraction` checks it as one margin scan
+(:func:`~accelcert.report.margin_report`).
 """
 
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .analysis import ENERGIES, require_claim
 from .objectives import Objective, Vector, require_minimizer
 from .optimizers import (StepCoefficients, Trajectory, _blocks, run,
                          step_coefficients)
@@ -31,27 +32,6 @@ from .report import CertReport, margin_report
 
 if TYPE_CHECKING:
     from .hires_ode import OdeSolution
-
-#: Trajectory methods each energy form applies to.
-FORM_METHODS = {
-    "gc": ("gc-phase", "gc-modified"),
-    "iv": ("iv-phase", "nag-modified"),
-}
-
-
-def require_form(form: str, method: Optional[str] = None) -> tuple:
-    """The methods the energy ``form`` applies to; ValueError for an unknown
-    form, or one that does not apply to ``method`` if given."""
-    # a tuple compares a config's array or object value instead of hashing it
-    if form not in tuple(FORM_METHODS):
-        raise ValueError(f"unknown form {form!r}; expected one of "
-                         f"{tuple(FORM_METHODS)}")
-    methods = FORM_METHODS[form]
-    if method is not None and method not in methods:
-        raise ValueError(f"form {form!r} applies to methods {methods}, "
-                         f"not {method!r}")
-    return methods
-
 
 def _gc_energy(potential: np.ndarray, G: np.ndarray, Y_next: np.ndarray,
                V: np.ndarray, xstar: Vector, k: StepCoefficients,
@@ -111,7 +91,7 @@ def energies(trajectory: Trajectory, form: str) -> np.ndarray:
     (:meth:`~accelcert.objectives.Objective.value_and_grad_rows`) per
     block of 256 rows; it matches the per-row gradient up to rounding.
     """
-    require_form(form, trajectory.method_id)
+    require_claim("form", ENERGIES, form, trajectory.method_id)
     f = trajectory.objective
     require_minimizer(f)
     k, mu, xstar = step_coefficients(f.mu, trajectory.s), f.mu, f.minimizer
@@ -150,7 +130,8 @@ def initial_energy(f: Objective, x0: Vector, s: float, form: str,
     The contraction certificate only inspects consecutive pairs and does
     not depend on the convention.
     """
-    traj = run(f, require_form(form)[0], x0, s, 1, first_velocity=convention)
+    method = require_claim("form", ENERGIES, form).methods[0]
+    traj = run(f, method, x0, s, 1, first_velocity=convention)
     return float(energies(traj, form)[0])
 
 
@@ -158,32 +139,32 @@ def initial_energy(f: Objective, x0: Vector, s: float, form: str,
 CONTRACTION_SLACK = 1e-10
 
 
-def certify_contraction(trajectory: Trajectory, form: str,
-                        rho: Optional[float] = None) -> CertReport:
-    """Certify E(k+1) <= E(k) / (1 + rho) along a trajectory.
+def certify_contraction(trajectory: Trajectory, form: str) -> CertReport:
+    """Certify E(k+1) <= E(k) / (1 + rho) along a trajectory, with rho the
+    rate of ``ENERGIES[form]`` at the trajectory's (mu, L, s).
 
-    ``rho`` defaults to sqrt(mu s) / 4.  The check carries absolute slack
-    ``CONTRACTION_SLACK * max(1, E(0))`` because the energy spans many
-    orders of magnitude along a linearly converging run.  The report includes the
-    worst implied per-step contraction factor max_k E(k+1)/E(k) over the
-    pairs whose E(k) resolves above rounding: above 1e-13 times the largest
-    finite energy and above 4 ulp of max(1, |f*|).  An attached
+    The check carries absolute slack ``CONTRACTION_SLACK * max(1, E(0))``
+    because the energy spans many orders of magnitude along a linearly
+    converging run.  The report includes the worst implied per-step
+    contraction factor max_k E(k+1)/E(k) over the pairs whose E(k)
+    resolves above rounding: above 1e-13 times the largest finite energy
+    and above 4 ulp of max(1, |f*|).  An attached
     ``lyapunov`` column is reused: a method has one form, so it holds the
     energies of ``form``.
     """
-    require_form(form, trajectory.method_id)
+    claim = require_claim("form", ENERGIES, form, trajectory.method_id)
+    f = trajectory.objective
+    rho = claim.rate(f.mu, f.lipschitz, trajectory.s)
     if trajectory.lyapunov is not None:
         e = trajectory.lyapunov[: trajectory.K]
     else:
         e = energies(trajectory, form)
-    if rho is None:
-        rho = step_coefficients(trajectory.objective.mu, trajectory.s).r / 4.0
     slack = float(CONTRACTION_SLACK * max(1.0, e[0] if len(e) else 1.0))
     # factors are only meaningful while the energy resolves above rounding
     # of its largest finite value (a diverging run's energies overflow) and
     # above rounding of f*, which each energy's gap term subtracts: pairs
     # a few ulp of f* apart give factors of order 1 that say nothing
-    f_star = abs(trajectory.objective.min_value)
+    f_star = abs(f.min_value)
     floor = max(1e-13 * float(np.max(e[np.isfinite(e)], initial=0.0)),
                 4.0 * float(np.spacing(max(1.0, f_star))))
     resolved = e[:-1] > floor

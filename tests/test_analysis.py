@@ -11,7 +11,8 @@ from accelcert import (METHODS, bound_curve, characteristic_roots,
                        max_reality_threshold, make_reg_logistic,
                        monotonic_window, monotonicity_scan, reality_threshold,
                        resolve_minimizer, run)
-from accelcert.analysis import attach_bound
+from accelcert import acceptance
+from accelcert.analysis import THEOREMS, attach_bound
 from accelcert.objectives import MinimizerUnknownError
 from accelcert.report import margin_report
 
@@ -160,6 +161,17 @@ class TestCheckBound:
         # bound(0) > 1, where max(1, bound(0)) is an np.float64
         assert report.details["bound_at_0"] > 1.0
         assert [type(v) for v in report.details.values()] == [float, float]
+
+    def test_suite_run_fails_a_hundredth_of_rate_iv(self, monkeypatch):
+        # the checker has teeth on a gate run: on quad-ill's cached iv-phase
+        # run at s = 1/L, rate-iv with its L coefficient times 0.01 breaks
+        traj = acceptance._suite_run("quad-ill", "iv-phase", 1.0)
+        assert check_bound(traj, "rate-iv").passed
+        claim = THEOREMS["rate-iv"]
+        monkeypatch.setitem(THEOREMS, "rate-iv", claim._replace(
+            coefficients=(0.0, 0.0, 0.01 * claim.coefficients[2])))
+        report = check_bound(traj, "rate-iv")
+        assert (report.n_checked, report.n_failed) == (1001, 2)
 
     def test_gd_violates_accelerated_bound(self):
         # wide spectrum so the accelerated curve outpaces gd while the gap

@@ -15,8 +15,7 @@ from accelcert import (METHODS, certify_contraction, check_bound,
                        make_quadratic, make_reg_logistic, probe_point,
                        resolve_minimizer, run, sample_in_ball,
                        step_coefficients)
-from accelcert.analysis import THEOREM_METHODS
-from accelcert.lyapunov import FORM_METHODS
+from accelcert.analysis import ENERGIES, THEOREMS
 from accelcert.optimizers import _BLOCK_ROWS, NonFiniteIterateError
 
 #: id -> (spectrum, rotation seed or None, step size as a function of
@@ -33,10 +32,10 @@ CASES = {
     "s=1/(4mu)": ([1.0, 3.0], None, lambda mu, L: 1.0 / (4.0 * mu), 300),
 }
 
-THEOREM_PAIRS = [(m, t) for t, (methods, _) in THEOREM_METHODS.items()
-                 for m in methods]
-FORM_PAIRS = [(m, form) for form, methods in FORM_METHODS.items()
-              for m in methods]
+THEOREM_PAIRS = [(m, t) for t, claim in THEOREMS.items()
+                 for m in claim.methods]
+FORM_PAIRS = [(m, form) for form, claim in ENERGIES.items()
+              for m in claim.methods]
 
 
 def case_run(case: str, method: str):

@@ -31,7 +31,7 @@ from accelcert import (certify_contraction, check_bound,
                        make_quadratic, make_reg_logistic, resolve_minimizer,
                        run, sample_in_ball)
 from accelcert.acceptance import gradient_step_margins, suite_objectives
-from accelcert.analysis import attach_bound
+from accelcert.analysis import ENERGIES, attach_bound
 from accelcert.cli import main
 from accelcert.harness import (figures_suite, execute, parse_config,
                                write_ode_csv)
@@ -402,12 +402,14 @@ def same_fields(got: dict, want: dict) -> bool:
     return True
 
 
-def test_contraction_failing_rho():
+def test_contraction_failing_rho(monkeypatch):
     # rho = 10 sqrt(mu s) asks for far more contraction than iv-phase gives
     f = make_quadratic([1, 100])
     s = 0.01
     traj = run(f, "iv-phase", [1.0, 1.0], s, 500)
-    report = certify_contraction(traj, "iv", rho=10 * math.sqrt(f.mu * s))
+    monkeypatch.setitem(ENERGIES, "iv", ENERGIES["iv"]._replace(
+        rate=lambda mu, L, s: 10 * math.sqrt(mu * s)))
+    report = certify_contraction(traj, "iv")
     assert same_fields(report_fields(report), dict(
         n_checked=499, n_failed=96, worst_margin=-0.46135651764416763,
         first_failure=2,

@@ -9,6 +9,7 @@ from accelcert import (OdeSolution, Trajectory, certify_contraction, energies,
                        make_reg_logistic, ode_energies, probe_point,
                        resolve_minimizer, run, step_coefficients)
 from accelcert import acceptance
+from accelcert.analysis import ENERGIES
 from accelcert.lyapunov import attach_energies
 from accelcert.objectives import MinimizerUnknownError, Objective
 from accelcert.optimizers import _BLOCK_ROWS, _blocks
@@ -16,6 +17,13 @@ from accelcert.optimizers import _BLOCK_ROWS, _blocks
 
 def one(v):
     return np.array([float(v)])
+
+
+def overtight(monkeypatch, form, times):
+    """Claim ``times`` the rate of ``form``'s row for the rest of a test."""
+    claim = ENERGIES[form]
+    monkeypatch.setitem(ENERGIES, form, claim._replace(
+        rate=lambda mu, L, s: times * claim.rate(mu, L, s)))
 
 
 # The energies of the `energies` and `ode_energies` docstrings, one row at
@@ -300,27 +308,41 @@ class TestCertifyContraction:
         assert report.details["worst_step_factor"] <= report.details[
             "guaranteed_factor"] + 1e-10
 
-    def test_overtight_rate_fails_early(self):
+    def test_overtight_rate_fails_early(self, monkeypatch):
         f = make_quadratic([1, 100])
         s = 0.01
         traj = run(f, "iv-phase", np.array([1.0, 1.0]), s, 500)
-        report = certify_contraction(traj, "iv", rho=10.0 * math.sqrt(f.mu * s))
+        overtight(monkeypatch, "iv", 40.0)  # rho = 10 sqrt(mu s)
+        report = certify_contraction(traj, "iv")
         assert not report.passed
         assert report.first_failure is not None and report.first_failure < 50
+
+    def test_suite_run_fails_sixteen_times_the_claim(self, monkeypatch):
+        # the certificate has teeth on a gate run: on quad-ill's cached
+        # iv-phase run at s = 1/L, 16 rho is a claim the energies break
+        traj = acceptance._suite_run("quad-ill", "iv-phase", 1.0)
+        assert certify_contraction(traj, "iv").passed
+        overtight(monkeypatch, "iv", 16.0)
+        report = certify_contraction(traj, "iv")
+        assert (report.n_checked, report.n_failed,
+                report.first_failure) == (999, 80, 2)
 
     @pytest.mark.parametrize("method, form", [
         ("iv-phase", "iv"), ("nag-modified", "iv"),
         ("gc-phase", "gc"), ("gc-modified", "gc")])
-    def test_attached_column_gives_same_report(self, method, form):
+    def test_attached_column_gives_same_report(self, method, form,
+                                               monkeypatch):
         f = make_quadratic([1, 100])
         x0 = np.array([1.0, -0.5])
         plain = run(f, method, x0, 0.01, 200)
         attached = run(f, method, x0, 0.01, 200)
         attach_energies(attached, form)
         assert plain.lyapunov is None and attached.lyapunov is not None
-        for rho in (None, 0.3):
-            assert (repr(certify_contraction(plain, form, rho=rho))
-                    == repr(certify_contraction(attached, form, rho=rho)))
+        for rate in (ENERGIES[form].rate, lambda mu, L, s: 0.3):
+            monkeypatch.setitem(ENERGIES, form,
+                                ENERGIES[form]._replace(rate=rate))
+            assert (repr(certify_contraction(plain, form))
+                    == repr(certify_contraction(attached, form)))
 
     @pytest.mark.parametrize("frac", [1.0, 0.5])
     @pytest.mark.parametrize("method, form", [("iv-phase", "iv"),
