@@ -3,11 +3,8 @@
 Each criterion is a check over the fixed suite objectives (three
 quadratic spectra, a rotated quadratic, and the regularized logistic),
 with the tolerances that their certificates' modules pin (criteria 2-5,
-7) or that are pinned here.  Criteria 1-5 check the same 1000-step
-iv-phase and gc-phase runs at s = 1/L and 0.5/L, and criterion 6 the
-first 500 steps of those at s = 1/L, so the suite is built once and
-each of those runs is made once per process (``_suite_run``, its
-columns read-only so no criterion can change what another reads);
+7) or that are pinned here.  The suite is built once per process, and
+the runs that several criteria check are made once (:func:`_suite_run`);
 every criterion stays callable on its own, and its lines do not depend
 on which ran before it.  ``run_all`` prints one pass/fail line per
 criterion and returns a process exit status (0 pass, 1 fail).
@@ -29,7 +26,7 @@ from .hires_ode import check_continuous_bound, integrate
 from .objectives import (Objective, make_quadratic, make_reg_logistic,
                          resolve_minimizer, sample_in_ball)
 from .optimizers import Trajectory, run
-from .report import margin_report
+from .report import _slack, margin_report
 
 #: (label, objective factory, x0 seed); x0 is a radius-2 ball point.
 _SUITE_SPECS = (
@@ -112,23 +109,24 @@ def criterion_1() -> CriterionResult:
     for label, (f, x0) in _suite().items():
         if label in ("quad-rot", "reg-logistic"):
             continue  # the criterion names the three plain spectra
-        s = 1.0 / f.lipschitz
-        K = 1000
-        iv = _suite_run(label, "iv-phase", 1.0)
-        two_seq = run(f, "nag-modified", x0, s, K)
-        diff_a = float(np.max(np.abs(iv.xs - two_seq.xs)))
-        gc_phase = _suite_run(label, "gc-phase", 1.0)
-        gc_single = run(f, "gc-modified", x0, s, K)
-        diff_b = float(np.max(np.abs(gc_phase.ys - gc_single.ys)))
-        lines.append(f"{label}: iv-phase vs two-sequence {diff_a:.3e}, "
-                     f"gc-phase vs single-sequence {diff_b:.3e}")
-        ok = ok and diff_a <= tol and diff_b <= tol
+        diffs = []
+        # each family's phase-space form against its source recursion, on
+        # the sequence that recursion iterates
+        for form, col, name in (("iv", "xs", "two-sequence"),
+                                ("gc", "ys", "single-sequence")):
+            phase, recursion = analysis.ENERGIES[form].methods
+            a = getattr(_suite_run(label, phase, 1.0), col)
+            b = getattr(run(f, recursion, x0, 1.0 / f.lipschitz, 1000), col)
+            diff = float(np.max(np.abs(a - b)))
+            diffs.append(f"{phase} vs {name} {diff:.3e}")
+            ok = ok and diff <= tol
+        lines.append(f"{label}: " + ", ".join(diffs))
     return _result(1, "rewriting equivalence (max abs diff <= 1e-9, 1000 steps)",
                    ok, lines)
 
 
-def _bound_criterion(number: int, theorem: str,
-                     method: str) -> CriterionResult:
+def _bound_criterion(number: int, theorem: str) -> CriterionResult:
+    method = analysis.THEOREMS[theorem].methods[0]
     lines = []
     ok = True
     for label in _suite():
@@ -145,12 +143,12 @@ def _bound_criterion(number: int, theorem: str,
 
 def criterion_2() -> CriterionResult:
     """Objective-gap bound 4 L ||x0-x*||^2 / (1 + sqrt(mu s)/4)^k at y_k."""
-    return _bound_criterion(2, "rate-iv", "iv-phase")
+    return _bound_criterion(2, "rate-iv")
 
 
 def criterion_3() -> CriterionResult:
     """Gap bound 2 (f(x0)-f* + mu ||x0-x*||^2) / (1 + sqrt(mu s)/4)^k at x_k."""
-    return _bound_criterion(3, "rate-gc", "gc-phase")
+    return _bound_criterion(3, "rate-gc")
 
 
 def criterion_4() -> CriterionResult:
@@ -158,15 +156,15 @@ def criterion_4() -> CriterionResult:
     compared: the scheme-consistent v_1 is the primary check; if only the
     literal-corollary v_1 = 2 sqrt(mu s) grad f(y_0) passes, that is
     reported without failing."""
+    method = analysis.THEOREMS["rate-iv-x"].methods[0]
     lines = []
     ok = True
     for label, (f, x0) in _suite().items():
-        s = 1.0 / f.lipschitz
-        primary = analysis.check_bound(_suite_run(label, "iv-phase", 1.0),
+        primary = analysis.check_bound(_suite_run(label, method, 1.0),
                                        "rate-iv-x")
         alternate = analysis.check_bound(
-            run(f, "iv-phase", x0, s, 1000, first_velocity="corollary"),
-            "rate-iv-x")
+            run(f, method, x0, 1.0 / f.lipschitz, 1000,
+                first_velocity="corollary"), "rate-iv-x")
         alt = ("holds" if alternate.passed
                else f"violates (first k={alternate.first_failure})")
         if primary.passed:
@@ -188,8 +186,9 @@ def criterion_5() -> CriterionResult:
     ok = True
     for label in _suite():
         for frac in (1.0, 0.5):
-            for form, method in (("iv", "iv-phase"), ("gc", "gc-phase")):
-                traj = _suite_run(label, method, frac)
+            for form in ("iv", "gc"):
+                traj = _suite_run(label, analysis.ENERGIES[form].methods[0],
+                                  frac)
                 report = lyapunov.certify_contraction(traj, form)
                 lines.append(
                     f"{label} s={frac:g}/L {form}: violations {report.n_failed}, "
@@ -206,11 +205,9 @@ def gradient_step_margins(traj: Trajectory) -> np.ndarray:
     along a trajectory whose x_{k+1} is y_k - s grad f(y_k): every method
     but heavy-ball, which ValueError rejects (positive = satisfied).
 
-    f(y_k) - f* and ||grad f(y_k)||^2 are read from the recorded ``f_gap``
-    and ``grad_sq`` columns, so the only oracle calls are for the K values
-    f(x_{k+1}), a point the run does not record a gap at:
-    :func:`~accelcert.analysis.gaps_at`, one row-batched call per block of
-    256 rows, which matches the per-row value up to rounding.
+    f(y_k) - f* and ||grad f(y_k)||^2 are the recorded ``f_gap`` and
+    ``grad_sq``; only f(x_{k+1}) - f* calls an oracle
+    (:func:`~accelcert.analysis.gaps_at`).
     """
     if traj.method_id == "heavy-ball":
         raise ValueError("heavy-ball's x_{k+1} is not y_k - s grad f(y_k); "
@@ -233,7 +230,7 @@ def criterion_6() -> CriterionResult:
                 traj = _steps(_suite_run(label, method, 1.0), 500)
             else:
                 traj = run(f, method, x0, s, 500)
-            slack = GRADIENT_STEP_SLACK * np.maximum(1.0, traj.f_gap[:traj.K])
+            slack = _slack(GRADIENT_STEP_SLACK, traj.f_gap[:traj.K])
             report = margin_report("gradient_step", gradient_step_margins(traj),
                                    slack)
             lines.append(f"{label} {method}: worst margin "

@@ -41,7 +41,7 @@ from .objectives import (Objective, SpectrumSpec, make_quadratic,
                          require_minimizer, sample_in_ball)
 from .optimizers import (Trajectory, _blocks, run, step_coefficients,
                          step_guaranteed)
-from .report import CertReport, margin_report
+from .report import CertReport, _slack, margin_report
 
 
 class Claim(NamedTuple):
@@ -49,7 +49,9 @@ class Claim(NamedTuple):
     whose objective gap it bounds, ``rate(mu, L, s)``, the coefficients of
     its value at k = 0 on (f(x0) - f*, mu ||x0 - x*||^2, L ||x0 - x*||^2),
     and whether the factor at step k is (1 - rate)^k rather than
-    (1 + rate)^-k."""
+    (1 + rate)^-k.  A family's phase-space form comes first in
+    ``methods``: it is the run the acceptance criteria and
+    :func:`accelcert.lyapunov.initial_energy` check a claim on."""
 
     methods: tuple
     sequence: str
@@ -238,9 +240,8 @@ def attach_bound(trajectory: Trajectory, theorem: str) -> np.ndarray:
 
 def gaps_at(f: Objective, points: np.ndarray) -> np.ndarray:
     """f(p) - f* at each row p of ``points``, a point no run recorded a gap
-    at: one row-batched oracle call
-    (:meth:`~accelcert.objectives.Objective.value_and_grad_rows`) per block
-    of 256 rows, which matches ``f.gap`` per row up to rounding."""
+    at, from :meth:`~accelcert.objectives.Objective.value_and_grad_rows`,
+    a block of ``optimizers._BLOCK_ROWS`` rows at a time."""
     require_minimizer(f)
     out = np.empty(len(points))
     for rows in _blocks(len(out)):
@@ -253,22 +254,15 @@ BOUND_SLACK = 1e-10
 
 
 def check_bound(trajectory: Trajectory, theorem: str) -> CertReport:
-    """Check the theorem's gap bound at every recorded iteration.
-
-    Pass/fail per k with absolute slack ``BOUND_SLACK * max(1, bound(0))``.
-    Incompatible trajectory/theorem pairings are rejected with ValueError.
-
-    The trajectory must be one that :func:`~accelcert.optimizers.run`
-    produced: f(x_0) - f* for bound(0) is the recorded ``f_gap[0]``, and a
-    bound on y_k reads the whole ``f_gap`` column, which the run recorded
-    at y_k.  Only a bound on x_k calls an oracle: :func:`gaps_at`, one
-    row-batched call per block of 256 records, whose gaps match the
-    per-row ``f.gap`` up to rounding.
-    """
+    """Check the theorem's gap bound at every recorded iteration, with
+    slack ``BOUND_SLACK * max(1, bound(0))``; ValueError unless the
+    theorem applies to the trajectory's method.  A bound on y_k reads the
+    recorded ``f_gap``; only a bound on x_k calls an oracle
+    (:func:`gaps_at`)."""
     curve = _curve_for(trajectory, theorem)
     gaps = (trajectory.f_gap if THEOREMS[theorem].sequence == "y"
             else gaps_at(trajectory.objective, trajectory.xs))
-    slack = float(BOUND_SLACK * max(1.0, curve[0]))
+    slack = float(_slack(BOUND_SLACK, curve[0]))
     return margin_report(f"bound_{theorem}", curve - gaps, slack,
                          {"slack": slack, "bound_at_0": float(curve[0])})
 

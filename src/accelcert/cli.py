@@ -7,10 +7,8 @@ outputs land under $ACCELCERT_OUT (default: current directory), their
 directories created (:func:`~accelcert.harness.output_file`).  Exit
 codes: 0 pass, 1 certificate failure, 2 usage or config error or an
 output path that cannot be made.  A flag value that its argparse type
-accepts but the run cannot take is a config error naming the flag: each
-flag is checked by its rule in :func:`~accelcert.harness.checked_fields`,
-the table that checks the config fields; the messages of ``--s`` and
-``--x0`` name only the forms those flags can take.  A step the run
+accepts but the run cannot take is a config error naming the flag,
+checked by :func:`~accelcert.harness.checked_fields`.  A step the run
 diverges at is a config error too: ``--h`` for an ``ode`` solution that
 turns non-finite, ``--s-grid`` for a ``scan`` run.  ``ode`` and ``scan``
 make their output directories only once the run has succeeded, so a
@@ -117,7 +115,7 @@ def _cmd_ode(args) -> int:
         "T": fmt(args.T), "h": fmt(args.h), "samples": len(solution),
     }
     status = 0
-    if args.which == "simplified":
+    if args.which in analysis.CONTINUOUS.methods:
         report = check_continuous_bound(solution, f, args.s, f.mu)
         summary["bound_violations"] = report.n_failed
         summary["bound_worst_margin"] = fmt(report.worst_margin)

@@ -4,13 +4,7 @@ A run is described by a single JSON document (the only config format; the
 schema is documented in the README and in :func:`parse_config`).  Outputs
 are CSV files with full double precision via shortest round-trip
 formatting, plus a machine-parsable ``key: value`` summary and an echo of
-the resolved config for provenance.  Relative output paths resolve under
-the directory named by the ``ACCELCERT_OUT`` environment variable (default:
-current directory; see :func:`output_root`) with their directories
-created (:func:`output_file`), and a run's summary is :func:`summary_path`
-beside its CSV.  :func:`checked_fields` checks every config field and
-every CLI flag against its one rule in ``_FIELD_CHECKS``, and
-:func:`parse_config` rejects a key that is not a field of the run.
+the resolved config for provenance, all under :func:`output_root`.
 """
 
 from __future__ import annotations
@@ -264,9 +258,7 @@ def objective_from_params(objective: str, params: dict) -> Objective:
 
 
 def build_objective(config: ExperimentConfig) -> Objective:
-    """Instantiate the configured objective with its minimizer resolved
-    (the kept one of :func:`objective_from_params` when its id and params
-    repeat)."""
+    """The configured objective, from :func:`objective_from_params`."""
     return objective_from_params(config.objective, config.objective_params)
 
 
@@ -423,10 +415,8 @@ def execute(config: ExperimentConfig,
     failing iteration and the result is marked failed.  The output
     directories are made only once the objective, s and x0 are resolved,
     so a config error leaves none behind; an explicit x0 of the wrong
-    length is rejected before the objective is built.  The objective comes
-    from :func:`objective_from_params`, which keeps the last one it built
-    (with read-only ``hessian`` and ``minimizer`` arrays), so configs that
-    repeat the objective id and params build it once.
+    length is rejected before the objective is built
+    (:func:`build_objective`).
     """
     check_x0_length(config.x0, config.objective_params)
     f = build_objective(config)

@@ -20,23 +20,11 @@ equation; :func:`check_continuous_bound` verifies it with two margin scans
 Integration is fixed-step classical Runge-Kutta 4 on the first-order
 system in (X, X'): the dynamics are smooth and non-stiff for the problems
 treated here, and a fixed step keeps runs bit-deterministic for regression
-tests.  The four stages live in one preallocated stage buffer, each stage's
-(X, X', X'') one row of it, and are updated in place; each floating-point
-operation and its order is that of the stage formulas written out with a
-new array per term, so the results are those bits.  Every constant a step
-multiplies or divides by (sqrt(s), c, the damping, the mass, h/2, h, h/6
-and the 2 of the RK4 sum) is a 0-d float64 array made once per call: under
-numpy >= 2 an array times a Python float takes the weak-scalar promotion
-path, about twice the dispatch of the same float64 loop with a 0-d operand
-at small d, for the same bits.
-
-:func:`integrate` returns an :class:`OdeSolution`, whose preallocated
-columns hold t, X, X' and the objective gap at the probe point, evaluated
-once per sample by the oracle call that also gives the next step's
-first-stage gradient.  :func:`check_continuous_bound`, the continuous
-energy :func:`accelcert.lyapunov.ode_energies` and the ODE CSV writer read
-that recorded gap; they accept only the objective and (s, mu) the solution
-was integrated with.
+tests.  :func:`integrate` returns an :class:`OdeSolution`, whose columns
+hold t, X, X' and the objective gap at the probe point;
+:func:`check_continuous_bound`, the continuous energy
+:func:`accelcert.lyapunov.ode_energies` and the ODE CSV writer read that
+recorded gap and make no oracle call.
 """
 
 from __future__ import annotations
@@ -52,7 +40,7 @@ from .objectives import Objective, Vector, _operands
 from .optimizers import (_blocks, _step_operands, as_start,
                          first_nonfinite_row)
 from .lyapunov import ode_energies
-from .report import CertReport, margin_report
+from .report import CertReport, _slack, margin_report
 
 
 @dataclass
@@ -145,34 +133,28 @@ def integrate(f: Objective, x0: Vector, s: float, T: float, h: float,
     """RK4 solution sampled at t = 0, h, 2h, ..., T from (x0, 0).
 
     The step ``h`` is required; resolving the sqrt(s)-scale correction
-    term takes h well below sqrt(s).  T should be an integer multiple of
-    h; the step count is rounded to the nearest integer.  ValueError
-    unless x0 has shape (f.dim,).  Deterministic for fixed inputs.
+    term takes h well below sqrt(s).  T must be an integer multiple of h.
+    ValueError unless x0 has shape (f.dim,).
 
     Each sample's probe point is also where the next step takes its
     first-stage gradient, so one fused value-and-gradient evaluation there
-    gives both the recorded probe gap and that gradient: the n RK4 steps
-    make 3n gradient evaluations and n+1 fused ones (one per sample).
-    With the minimum unknown the gaps are NaN, as in
-    :func:`~accelcert.optimizers.run`.
+    gives both the recorded probe gap and that gradient: n steps make 3n
+    gradient evaluations and n+1 fused ones.  With the minimum unknown the
+    gaps are NaN, as in :func:`~accelcert.optimizers.run`.
 
     The stages are written in place into one (4, 3, d) stage buffer
     ``W``, with ``W[j] = (X_j, V_j, A_j)`` for stage j + 1: its state
     ``W[j, :2]`` is ``Z + a * W[j - 1, 1:]`` (a = h/2, h/2, h), where
     ``Z = W[0, :2]`` is the current (X, X'), and the step is
     ``Z += h/6 * (K1 + 2 K2 + 2 K3 + K4)`` over the slopes
-    ``K_j = W[j - 1, 1:]``, where h/6 and the 2, like every constant of
-    the step, are 0-d operands (see the module docstring).  Each
-    operation, and the order of each sum up to commuting its two terms, is
-    that of the textbook stage formulas, so the samples are bit-identical
-    to them, at about 35 numpy calls a step where those make 48.
+    ``K_j = W[j - 1, 1:]``.  Every constant of the step is a 0-d operand
+    (:func:`~accelcert.objectives._operands`).  Each operation, and the
+    order of each sum up to commuting its two terms, is that of the
+    textbook stage formulas, so the samples are bit-identical to them.
 
     A non-finite state raises :class:`NonFiniteSolutionError` with the
-    time of the first sample after t = 0 whose X or X' is non-finite.
-    The samples are checked once per block of 256 rows, not after every
-    step, so a diverging solution steps on to the end of the block
-    first: the oracle may see up to 255 more steps' points past the first
-    non-finite sample, and those steps may emit numpy RuntimeWarnings.
+    time of the first sample after t = 0 whose X or X' is non-finite,
+    checked once per block of ``optimizers._BLOCK_ROWS`` rows.
     """
     k, xddot = _flow(f, s, which)
     if not h > 0:
@@ -186,10 +168,8 @@ def integrate(f: Objective, x0: Vector, s: float, T: float, h: float,
     Xs = np.empty((n + 1,) + x0.shape)
     Vs = np.empty((n + 1,) + x0.shape)
     f_gap = np.empty(n + 1)  # raw values until the loop ends
-    # the fused oracle itself, without the method's conversions: it
-    # returns a float and a float64 array (see Objective).  The stage
-    # gradients stay on Objective.grad, which benchmarks/tracer.py times
-    # and checks against its count of grad_fn calls.
+    # the stage gradients stay on Objective.grad, which the benchmark's
+    # tracer times and checks against its count of grad_fn calls
     grad = f.grad
     value_and_grad = f.value_and_grad_fn or f.value_and_grad
     root_s, c = k.root_s, k.c  # probe_point, X + root_s * V / c, inlined
@@ -223,10 +203,7 @@ def integrate(f: Objective, x0: Vector, s: float, T: float, h: float,
         if bad is not None:
             raise NonFiniteSolutionError((lo + 1 + bad) * h)
     f_gap[n], _ = value_and_grad(X + root_s * V / c)
-    if f.min_value is None:
-        f_gap[:] = np.nan
-    else:
-        f_gap -= f.min_value
+    f_gap -= np.nan if f.min_value is None else f.min_value
     return OdeSolution(t=np.arange(n + 1) * h, X=Xs, Xdot=Vs, f_gap=f_gap,
                        s=s, which=which, objective=f)
 
@@ -262,7 +239,7 @@ def check_continuous_bound(solution: OdeSolution, f: Objective, s: float,
     (anything else raises ValueError):
 
     * the objective-gap bound ``f(probe(t)) - f* <= RHS(0) exp(-rate t)``,
-      where RHS(0) is the row's value at 0, with absolute slack
+      where RHS(0) is the row's value at 0, with slack
       ``BOUND_TOL * max(1, RHS(0))``.  At t = 0 it reads f(x_0) - f* <=
       mu ||x_0 - x*||^2 (up to the slack), so from a start that breaks
       this the first sample fails;
@@ -270,13 +247,9 @@ def check_continuous_bound(solution: OdeSolution, f: Objective, s: float,
       consecutive samples, via :func:`accelcert.lyapunov.ode_energies`;
       pairs whose E(t) is at rounding level are not checked.
 
-    Each is a margin scan (:func:`~accelcert.report.margin_report`).
     ``worst_margin`` is the envelope's, and ``first_failure`` the
-    envelope's first failure, else the decay's.
-
-    The probe gap is the solution's recorded ``f_gap``, and f(x_0) - f* is
-    its first entry, because the probe point at rest is x_0; so the check
-    makes no oracle call.
+    envelope's first failure, else the decay's.  f(x_0) - f* is the first
+    recorded gap, because the probe point at rest is x_0.
     """
     require_integrated_with(solution, f, s, mu)
     if solution.which not in CONTINUOUS.methods:
@@ -291,7 +264,7 @@ def check_continuous_bound(solution: OdeSolution, f: Objective, s: float,
     rate = CONTINUOUS.rate(mu, f.lipschitz, s)
     envelope = numerator * _exp(-rate * solution.t)
     bound = margin_report("bound", envelope - solution.f_gap,
-                          BOUND_TOL * max(1.0, numerator))
+                          _slack(BOUND_TOL, numerator))
 
     limit = _exp(-rate * np.diff(solution.t)) + DECAY_TOL
     # pairs whose first energy is at rounding level are not checked

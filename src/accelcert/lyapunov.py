@@ -28,7 +28,7 @@ from .analysis import ENERGIES, require_claim
 from .objectives import Objective, Vector, require_minimizer
 from .optimizers import (StepCoefficients, Trajectory, _blocks, run,
                          step_coefficients)
-from .report import CertReport, margin_report
+from .report import CertReport, _slack, margin_report
 
 if TYPE_CHECKING:
     from .hires_ode import OdeSolution
@@ -83,13 +83,11 @@ def energies(trajectory: Trajectory, form: str) -> np.ndarray:
     iv: E(k) = f(y_k) - f* + (1/4) ||v_{k+1}||^2 / (1 + 2 sqrt(mu s))^2
                + (1/4) ||v_{k+1} + 2 sqrt(mu) (x_{k+1} - x*)||^2.
 
-    The trajectory must be one that :func:`~accelcert.optimizers.run`
-    produced: the potential f(y_k) - f* is read from its recorded ``f_gap``
-    column, which every run records at y_k.  So the
-    iv form makes no oracle call.  The gc form takes g_k, which the run
-    does not record, from one row-batched oracle call
-    (:meth:`~accelcert.objectives.Objective.value_and_grad_rows`) per
-    block of 256 rows; it matches the per-row gradient up to rounding.
+    The potential f(y_k) - f* is the run's recorded ``f_gap``, so the iv
+    form makes no oracle call.  The gc form takes g_k, which the run does
+    not record, from
+    :meth:`~accelcert.objectives.Objective.value_and_grad_rows`, a block of
+    ``optimizers._BLOCK_ROWS`` rows at a time.
     """
     require_claim("form", ENERGIES, form, trajectory.method_id)
     f = trajectory.objective
@@ -119,20 +117,11 @@ def attach_energies(trajectory: Trajectory, form: str) -> np.ndarray:
     return col
 
 
-def initial_energy(f: Objective, x0: Vector, s: float, form: str,
-                   convention: str = "scheme") -> float:
+def initial_energy(f: Objective, x0: Vector, s: float, form: str) -> float:
     """E(0) from the scheme's initial conditions: the first energy of a
-    one-step run of the form's phase-space method.
-
-    For the iv form, ``convention`` picks the first velocity v_1 entering
-    E(0), as in :func:`~accelcert.optimizers.run`: "scheme"
-    (-sqrt(s) grad f(x_0)) or "corollary" (2 sqrt(mu s) grad f(y_0)).
-    The contraction certificate only inspects consecutive pairs and does
-    not depend on the convention.
-    """
+    one-step run of the form's phase-space method."""
     method = require_claim("form", ENERGIES, form).methods[0]
-    traj = run(f, method, x0, s, 1, first_velocity=convention)
-    return float(energies(traj, form)[0])
+    return float(energies(run(f, method, x0, s, 1), form)[0])
 
 
 #: Relative slack of :func:`certify_contraction`, times max(1, E(0)).
@@ -159,7 +148,7 @@ def certify_contraction(trajectory: Trajectory, form: str) -> CertReport:
         e = trajectory.lyapunov[: trajectory.K]
     else:
         e = energies(trajectory, form)
-    slack = float(CONTRACTION_SLACK * max(1.0, e[0] if len(e) else 1.0))
+    slack = float(_slack(CONTRACTION_SLACK, e[0] if len(e) else 1.0))
     # factors are only meaningful while the energy resolves above rounding
     # of its largest finite value (a diverging run's energies overflow) and
     # above rounding of f*, which each energy's gap term subtracts: pairs

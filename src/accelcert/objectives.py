@@ -24,11 +24,12 @@ MINIMIZER_GRAD_TOL = 1e-10
 
 
 def _operands(*values) -> tuple[np.ndarray, ...]:
-    """Each value as a read-only 0-d float64 array, for the constants of a
-    hot loop: under numpy >= 2, ``array * 0.5`` takes the weak-scalar
-    promotion path for the Python float, which at small sizes costs about
-    twice the dispatch of ``array * np.array(0.5)``, and both run the same
-    float64 loop, so they give the same bits."""
+    """Each value as a read-only 0-d float64 array, an operand for the
+    constants of a hot loop.  Under numpy >= 2, ``array * 0.5`` takes the
+    weak-scalar promotion path for the Python float, which at small sizes
+    costs more dispatch than ``array * np.array(0.5)``; both run the same
+    float64 loop, so they give the same bits.  The kernels, the RK4 stages
+    and the logistic gradient take their constants this way."""
     out = tuple(np.array(v, dtype=float) for v in values)
     for a in out:
         a.flags.writeable = False
@@ -45,23 +46,23 @@ class Objective:
     """A mu-strongly convex, L-smooth function with value/gradient oracles.
 
     ``value_fn`` and ``grad_fn`` must be deterministic: identical inputs
-    yield bit-identical outputs.  ``value_and_grad_fn``, when given, is a
-    fused oracle that returns ``(value_fn(x), grad_fn(x))`` from shared
-    work, and must match the two separate oracles bit for bit: a run
-    records the values it returns, and certificates compare them with
-    values ``value_fn`` takes elsewhere.  ``value_and_grad_rows_fn``, when
-    given, is a row-batched oracle: for an (n, d) array it returns the
-    values (n,) and gradients (n, d) at its rows from one matrix product
-    (or elementwise work).  It matches the per-row oracles up to rounding,
-    not bit for bit, so only certificates use it, at points a run did not
-    record.
-    For a float64 array x of shape (dim,), the oracle functions return a
-    float (``value_fn``) and a float64 array of shape (dim,) (``grad_fn``),
-    and ``value_and_grad_fn`` the pair of them: the hot loops of
+    yield bit-identical outputs.  For a float64 array x of shape (dim,)
+    they return a float and a float64 array of shape (dim,).
+
+    ``value_and_grad_fn``, when given, is a fused oracle that returns
+    ``(value_fn(x), grad_fn(x))`` from shared work: that float and that
+    array, bit for bit.  The hot loops of
     :func:`~accelcert.optimizers.run` and
-    :func:`~accelcert.hires_ode.integrate` call the fused oracle directly,
-    without the conversions of :meth:`value_and_grad`, and record the
-    same bits as through it only under this contract.
+    :func:`~accelcert.hires_ode.integrate` call it directly, without the
+    conversions of :meth:`value_and_grad`, and record what it returns,
+    which certificates compare with values ``value_fn`` takes elsewhere.
+
+    ``value_and_grad_rows_fn``, when given, is a row-batched oracle: for an
+    (n, d) array it returns the values (n,) and gradients (n, d) at its
+    rows from one matrix product (or elementwise work).  It matches the
+    per-row oracles up to rounding, not bit for bit, so only certificates
+    use it, at points a run did not record.
+
     ``hessian`` is populated for quadratics and used by tests as an
     independent oracle.
     """
@@ -193,8 +194,7 @@ def make_quadratic(spec: SpectrumSpec | Sequence[float],
     A (the same bits in O(d)), and the value is ``0.5 * x.dot(grad)``, so
     the fused oracle takes both from one product with A.  ``.dot`` makes
     the same BLAS dgemv and ddot calls as ``A @ x`` and ``x @ grad``, bit
-    for bit, without the matmul ufunc's dispatch (about 1 µs a call at
-    small d).  The row-batched oracle takes the gradients at the rows of X
+    for bit, without the matmul ufunc's dispatch.  The row-batched oracle takes the gradients at the rows of X
     as ``X @ A`` (A is exactly symmetric), ``X * lams`` for a diagonal A,
     the same bits as the per-row oracle there.
     """
@@ -289,12 +289,9 @@ def reg_logistic_from_data(features: np.ndarray, labels: np.ndarray,
     :func:`_sigmoid`, the gradient weights: numpy alone, with no overflow
     at any margin.  The last bits follow numpy's ``exp`` and ``log1p``,
     which may take the CPU's SIMD paths.  The fused oracle computes m and
-    e once for the value and the gradient; the row-batched oracle computes
-    them for every row of X from one product with the signed rows.  The
-    mean over the samples is ``np.add.reduce(...) / n``, which is what
-    ``np.mean`` computes.  The gradient takes n and reg as 0-d operands
-    (:func:`_operands`), the value, whose arithmetic is on scalars, as
-    Python numbers.
+    e once for the value and the gradient, and the row-batched oracle for
+    every row of X from one product with the signed rows.  The mean over
+    the samples is ``np.add.reduce(...) / n``, what ``np.mean`` computes.
     """
     if not reg > 0:
         raise ValueError("reg must be positive")

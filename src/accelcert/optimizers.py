@@ -19,31 +19,19 @@ against one another:
   ``gc-phase`` with velocity v_k = (y_{k+1} - y_k) / sqrt(s).
 
 Each method is one kernel in :data:`STEPS` that maps
-(k, x, y, v, g, carry) to the next (x, y, v, carry) and calls no oracle;
+(k, x, y, v, g, carry) to the next (x, y, v, carry) and calls no oracle:
 k is the record of :func:`step_coefficients`, so a kernel does only
-arithmetic, on floats, on ``Fraction`` scalars or on sympy scalars alike
-(it holds no float literal); g is the gradient at y_k, the point every
-method takes its next gradient at (gd and heavy-ball return
-y_{k+1} = x_{k+1}), and ``carry`` holds what the gc family, heavy-ball's
-momentum and a prescribed first velocity keep from the step before.
-The first step gets carry None, and each kernel seeds its own carry from
-it, so ``run`` steps every method the same way.
-``run`` hands the kernels that record with each field a 0-d float64
-array, made once per run (``_step_operands``): under numpy >= 2 an array
-times a Python float goes through weak-scalar promotion, which at small d
-costs about twice the dispatch of the same float64 loop with a 0-d array
-operand, and the two give the same bits.  A product of two coefficients
-costs more on 0-d arrays than on floats, so the kernels keep such products
-out of the step: heavy-ball squares m once per run, iv-phase doubles the
-velocity rather than the coefficient, and gc-modified takes s / c once a
-step.
-``run`` owns the only loop: it makes exactly one fused value-and-gradient
-evaluation (``value_and_grad_fn``, or
-:meth:`~accelcert.objectives.Objective.value_and_grad` without one) per
-recorded point, at y_k, and carries the gradient into the next step.
-It records the objective gap and the squared norm of that gradient, so
-K steps cost exactly K+1 fused evaluations, and certificates that need
-either read the record instead of calling the oracles again.
+arithmetic, on floats, ``Fraction`` or sympy scalars alike (it holds no
+float literal); g is the gradient at y_k, the point every method takes its
+next gradient at (gd and heavy-ball return y_{k+1} = x_{k+1}); and
+``carry`` is what a method keeps from the step before.  The first step
+gets carry None, and each kernel seeds its own carry from it, so
+:func:`run` steps every method the same way.  ``run`` passes k as 0-d
+operands (:func:`~accelcert.objectives._operands`), on which a product of
+two coefficients costs more than on floats, so the kernels keep such
+products out of the step: heavy-ball squares m once per run, iv-phase
+doubles the velocity rather than the coefficient, and gc-modified takes
+s / c once a step.
 
 The guarantees hold for step sizes in the window s <= 1/L, which
 :func:`step_guaranteed` decides for ``run``, the bound curves and the
@@ -61,9 +49,7 @@ import numpy as np
 
 from .objectives import Objective, Vector, _operands
 
-#: Supported conventions for the first velocity iterate of ``iv-phase``
-#: (``scheme`` follows v_0 = 0 through the recursion; ``corollary``
-#: overrides v_1 to probe the bound conventions empirically).
+#: The first velocities of ``iv-phase`` that :func:`run` takes.
 FIRST_VELOCITY_CONVENTIONS = ("scheme", "corollary")
 
 
@@ -87,8 +73,9 @@ def step_coefficients(mu: float, s: float) -> StepCoefficients:
 
 
 def _step_operands(mu: float, s: float) -> StepCoefficients:
-    """:func:`step_coefficients` with each field a read-only 0-d float64
-    array, the record the hot loops step with (see the module docstring)."""
+    """:func:`step_coefficients` as 0-d operands
+    (:func:`~accelcert.objectives._operands`), the record the hot loops
+    step with."""
     return StepCoefficients(*_operands(*step_coefficients(mu, s)))
 
 
@@ -215,12 +202,16 @@ STEPS = {
 METHODS = tuple(STEPS)
 
 #: Rows per block.  ``run`` and ``hires_ode.integrate`` test the rows they
-#: recorded once per block instead of once per step, where the test would
-#: cost as much as a step at small d, and ``run`` takes the squared norms of
-#: a block's gradients in one call; the certificates evaluate their column
-#: formulas and row-batched oracle calls a block at a time, because over a
-#: whole column their (K, d) temporaries raise the peak memory of a long
-#: run at large d.
+#: recorded for non-finite entries once per block instead of once per step,
+#: where the test would cost as much as a step at small d, so a diverging
+#: run steps on to the end of its block before it raises: the oracle may
+#: see up to 255 more points past the first non-finite one, and those steps
+#: may emit numpy RuntimeWarnings.  ``run`` takes the squared norms of a
+#: block's gradients in one ``np.vecdot``, the BLAS dot product of
+#: ``g @ g`` at each step, bit for bit.  The certificates evaluate their
+#: column formulas and row-batched oracle calls a block at a time, because
+#: over a whole column their (K, d) temporaries raise the peak memory of a
+#: long run at large d.
 _BLOCK_ROWS = 256
 
 
@@ -257,7 +248,8 @@ class Trajectory:
     ``grad_sq[k]`` (``g @ g`` of the gradient g the state carries) at
     ``ys[k]``.  ``objective`` is the objective the run stepped on.
     ``lyapunov`` and ``bound`` are optional diagnostic columns (NaN where
-    undefined).
+    undefined) that :func:`accelcert.lyapunov.attach_energies` and
+    :func:`accelcert.analysis.attach_bound` fill.
     """
 
     method_id: str
@@ -289,38 +281,21 @@ class Trajectory:
 
 def run(f: Objective, method: str, x0: Vector, s: float, K: int, *,
         first_velocity: str = "scheme") -> Trajectory:
-    """Execute K steps of ``method`` on ``f`` and record diagnostics.
+    """Execute K steps of ``method`` on ``f`` from x_0 = y_0, v_0 = 0 and
+    record diagnostics.
 
-    ``first_velocity`` selects the convention for the first velocity
-    iterate of iv-phase; "corollary" prescribes v_1 = 2 sqrt(mu s)
-    grad f(y_0) instead of following the recursion from v_0 = 0 and exists
-    to probe the initial-energy conventions; other methods ignore it.
-    Every method starts from x_0 = y_0 and v_0 = 0, and its kernel seeds
-    its own carry at the first step (the gc family's virtual start, which
-    reproduces the scheme's initial velocity v_0 = -sqrt(s) grad f(x_0) / c
-    after the first step, is in :func:`_gc_phase` and
-    :func:`_gc_modified`).  K, the method, ``first_velocity``, x0 and s
-    are checked before any warning: ValueError unless s > 0.
-    The ``lyapunov`` and ``bound`` columns are filled afterwards by
-    :func:`accelcert.lyapunov.attach_energies` and
-    :func:`accelcert.analysis.attach_bound`.
+    ``first_velocity`` selects the first velocity of iv-phase: "scheme"
+    follows the recursion, "corollary" prescribes v_1 = 2 sqrt(mu s)
+    grad f(y_0); other methods ignore it.  K, the method,
+    ``first_velocity``, x0 and s > 0 are checked, with ValueError, before
+    any warning.
 
-    The run itself makes K+1 fused value-and-gradient evaluations, one
-    per recorded point: the record reads the value and the gradient's
-    squared norm, and the next step descends along the gradient.  An
-    objective without a fused oracle makes K+1 separate evaluations of
-    each instead.  The squared norms are filled a block of ``_BLOCK_ROWS``
-    rows at a time: each step copies its gradient into a buffer of one
-    block's rows, and one ``np.vecdot`` per block takes the squared norm
-    of every row, the same BLAS dot product, bit for bit, as ``g @ g`` at
-    each step.
-
-    A non-finite iterate raises :class:`NonFiniteIterateError` naming the
-    first step k >= 1 whose x_k is non-finite (x_0 is not checked).  The
-    recorded rows are checked once per block of ``_BLOCK_ROWS`` (256)
-    rows, not after every step, so a diverging run steps on to the end
-    of the block first: the oracle may see up to 255 more points past the
-    first non-finite one, and those steps may emit numpy RuntimeWarnings.
+    The run makes one fused value-and-gradient evaluation per recorded
+    point, at y_k (K+1 in all; separate evaluations of each without a
+    fused oracle), records the gap and the gradient's squared norm, and
+    passes the gradient to the next step.  A non-finite iterate raises
+    :class:`NonFiniteIterateError` naming the first step k >= 1 whose x_k
+    is non-finite, checked once per block of ``_BLOCK_ROWS`` rows.
     """
     if K < 0:
         raise ValueError("K must be nonnegative")
@@ -341,8 +316,6 @@ def run(f: Objective, method: str, x0: Vector, s: float, K: int, *,
 
     step = STEPS[method]
     k = _step_operands(f.mu, s)
-    # the fused oracle itself, without the method's conversions: it
-    # returns a float and a float64 array (see Objective)
     value_and_grad = f.value_and_grad_fn or f.value_and_grad
     xs = np.empty((K + 1, f.dim))
     ys = np.empty((K + 1, f.dim))
@@ -375,10 +348,7 @@ def run(f: Objective, method: str, x0: Vector, s: float, K: int, *,
         block = grads[:rows.stop - lo]
         grad_sq[rows] = np.vecdot(block, block)
 
-    if f.min_value is None:
-        f_gap[:] = np.nan
-    else:
-        f_gap -= f.min_value
+    f_gap -= np.nan if f.min_value is None else f.min_value
 
     return Trajectory(
         method_id=method,

@@ -31,6 +31,14 @@ class CertReport:
         return self.n_failed == 0
 
 
+def _slack(tol: float, scale):
+    """The slack of a margin scan, ``tol * max(1, scale)``, elementwise for
+    an array ``scale``: every scan's tolerance is relative to its claim's
+    own scale but never below ``tol`` itself.  A NaN scale reads as 1, as
+    in Python's ``max(1.0, nan)``."""
+    return tol * np.fmax(1.0, scale)
+
+
 def margin_report(name: str, margins: np.ndarray, slack: float | np.ndarray,
                   details: dict | None = None) -> CertReport:
     """The report of a margin scan: every certificate checks a margin per

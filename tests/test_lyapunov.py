@@ -368,12 +368,18 @@ class TestCertifyContraction:
 
 class TestInitialEnergy:
     def test_conventions_differ_only_in_velocity(self):
+        # the first velocity enters E(0); the potential f(y_0) - f* does not
+        # depend on it, and "scheme" is the E(0) initial_energy gives
         f = make_quadratic([1, 100])
         x0 = np.array([1.0, 1.0])
         s = 0.01
-        e_scheme = initial_energy(f, x0, s, "iv", convention="scheme")
-        e_cor = initial_energy(f, x0, s, "iv", convention="corollary")
-        assert e_scheme != e_cor
+        scheme, corollary = (run(f, "iv-phase", x0, s, 1, first_velocity=v)
+                             for v in ("scheme", "corollary"))
+        assert scheme.f_gap[0] == corollary.f_gap[0]
+        assert not np.array_equal(scheme.vs[1], corollary.vs[1])
+        e_scheme = energies(scheme, "iv")[0]
+        assert e_scheme != energies(corollary, "iv")[0]
+        assert e_scheme == initial_energy(f, x0, s, "iv")
 
     def test_gc_initial_energy_bound(self):
         # E(0) <= f(x0) - f* + mu ||x0 - x*||^2 for the gc form

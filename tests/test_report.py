@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 
-from accelcert.report import margin_report
+from accelcert.report import _slack, margin_report
 
 
 class TestMarginReport:
@@ -49,3 +49,18 @@ class TestMarginReport:
         assert type(report.n_failed) is int
         assert type(report.first_failure) is int
         assert type(report.worst_margin) is float
+
+
+class TestSlack:
+    def test_relative_to_the_scale_but_never_below_tol(self):
+        slack = _slack(1e-10, np.array([0.5, 2.0, 1e6]))
+        assert slack.tolist() == [1e-10, 2e-10, 1e-10 * 1e6]
+
+    def test_scalar_has_the_bits_of_python_max(self):
+        for scale in (0.0, 0.3, 1.0, 93.74644722222223, 1e300, np.inf):
+            assert _slack(1e-10, scale) == 1e-10 * max(1.0, scale)
+
+    def test_nan_scale_reads_as_one(self):
+        # as Python's max(1.0, nan), which np.maximum would not give
+        assert _slack(1e-12, np.nan) == 1e-12
+        assert _slack(1e-12, np.array([np.nan, 3.0])).tolist() == [1e-12, 3e-12]
