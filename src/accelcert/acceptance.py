@@ -81,10 +81,12 @@ def _steps(traj: Trajectory, K: int) -> Trajectory:
     steps row by row and takes each row's squared gradient norm alone).
     The record is a shallow copy, not a new ``Trajectory(...)``: the
     counting pass of ``benchmarks/tracer.py`` books every constructed
-    trajectory as a run of K steps, and a prefix steps nothing."""
+    trajectory as a run of K steps, and a prefix steps nothing.  Where
+    ``ys`` is the ``xs`` array, the prefix's are one view too."""
     prefix = copy.copy(traj)
-    for col in ("xs", "ys", "vs", "f_gap", "grad_sq"):
+    for col in ("xs", "vs", "f_gap", "grad_sq"):
         setattr(prefix, col, getattr(traj, col)[:K + 1])
+    prefix.ys = prefix.xs if traj.ys is traj.xs else traj.ys[:K + 1]
     return prefix
 
 

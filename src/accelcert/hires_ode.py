@@ -58,7 +58,9 @@ class OdeSolution:
 
     Row i holds the state at time ``t[i]``: position ``X[i]``, velocity
     ``Xdot[i]`` and ``f_gap[i]``, the objective gap at the probe point
-    (NaN when the objective's minimum is unknown).  ``s``, ``which`` and
+    (NaN when the objective's minimum is unknown).  ``X`` and ``Xdot`` are
+    the two views of one (n+1, 2, d) record, into which :func:`integrate`
+    writes each sample's (X, X') at once.  ``s``, ``which`` and
     ``objective`` (with its ``mu``) record how the solution was integrated.
     ``len``, indexing and iteration give :class:`OdeState` rows whose
     arrays are views into the columns.
@@ -165,8 +167,7 @@ def integrate(f: Objective, x0: Vector, s: float, T: float, h: float,
     n = int(round(T / h)) if T > 0 else 0
     if n > 0 and abs(n * h - T) > 1e-9 * max(1.0, T):
         raise ValueError(f"T={T} is not an integer multiple of h={h}")
-    Xs = np.empty((n + 1,) + x0.shape)
-    Vs = np.empty((n + 1,) + x0.shape)
+    rec = np.empty((n + 1, 2) + x0.shape)  # row i is (X, X') at sample i
     f_gap = np.empty(n + 1)  # raw values until the loop ends
     # the stage gradients stay on Objective.grad, which the benchmark's
     # tracer times and checks against its count of grad_fn calls
@@ -184,8 +185,7 @@ def integrate(f: Objective, x0: Vector, s: float, T: float, h: float,
     stages = [(a, W[j - 1, 1:], W[j, :2], *W[j])
               for j, a in ((1, half), (2, half), (3, step))]
     K1, K2, K3, K4 = (W[j, 1:] for j in range(4))
-    Xs[0] = X
-    Vs[0] = V
+    rec[0] = Z
     # steps lo..hi-1 fill rows lo+1..hi
     for steps in _blocks(n):
         lo, hi = steps.start, steps.stop
@@ -197,15 +197,14 @@ def integrate(f: Objective, x0: Vector, s: float, T: float, h: float,
                 state += Z
                 xddot(Vj, grad(Xj + root_s * Vj / c), Aj)
             Z += sixth * (K1 + two * K2 + two * K3 + K4)
-            Xs[i + 1] = X
-            Vs[i + 1] = V
-        bad = first_nonfinite_row(Xs[lo + 1:hi + 1], Vs[lo + 1:hi + 1])
+            rec[i + 1] = Z
+        bad = first_nonfinite_row(rec[lo + 1:hi + 1])
         if bad is not None:
             raise NonFiniteSolutionError((lo + 1 + bad) * h)
     f_gap[n], _ = value_and_grad(X + root_s * V / c)
     f_gap -= np.nan if f.min_value is None else f.min_value
-    return OdeSolution(t=np.arange(n + 1) * h, X=Xs, Xdot=Vs, f_gap=f_gap,
-                       s=s, which=which, objective=f)
+    return OdeSolution(t=np.arange(n + 1) * h, X=rec[:, 0], Xdot=rec[:, 1],
+                       f_gap=f_gap, s=s, which=which, objective=f)
 
 
 def require_integrated_with(solution: OdeSolution, f: Objective, s: float,

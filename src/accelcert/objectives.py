@@ -15,7 +15,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .report import CertReport
+from .report import CertReport, _slack
 
 Vector = np.ndarray
 
@@ -401,8 +401,10 @@ def certify_class(f: Objective, n_pairs: int, sample_seed: int) -> CertReport:
     ``f(y) >= f(x) + <grad f(x), y - x> + (mu/2) ||y - x||^2``
     and gradient Lipschitz continuity
     ``||grad f(y) - grad f(x)|| <= L ||y - x||``,
-    each with relative slack 1e-9.  Failures are counted, never
-    raised; the report carries the worst margins of both inequalities.
+    each with the margin scans' slack :func:`~accelcert.report._slack` at
+    tolerance 1e-9, on the scales max(|f(x)|, |f(y)|) and L ||y - x||.
+    Failures are counted, never raised; the report carries the worst
+    margins of both inequalities.
     """
     if n_pairs < 1:
         raise ValueError("n_pairs must be at least 1")
@@ -419,14 +421,12 @@ def certify_class(f: Objective, n_pairs: int, sample_seed: int) -> CertReport:
         fy, gy = f.value_and_grad(y)
         diff = y - x
         sc_margin = fy - fx - float(gx @ diff) - 0.5 * f.mu * float(diff @ diff)
-        sc_scale = max(1.0, abs(fx), abs(fy))
         dist = float(np.linalg.norm(diff))
         smooth_margin = f.lipschitz * dist - float(np.linalg.norm(gy - gx))
-        smooth_scale = max(1.0, f.lipschitz * dist)
         worst_sc = min(worst_sc, sc_margin)
         worst_smooth = min(worst_smooth, smooth_margin)
-        ok = (sc_margin >= -1e-9 * sc_scale
-              and smooth_margin >= -1e-9 * smooth_scale)
+        ok = (sc_margin >= -_slack(1e-9, max(abs(fx), abs(fy)))
+              and smooth_margin >= -_slack(1e-9, f.lipschitz * dist))
         if not ok:
             n_failed += 1
             if first_failure is None:

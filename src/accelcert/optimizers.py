@@ -100,7 +100,7 @@ def step_guaranteed(s: float, lipschitz: float) -> bool:
 
 def _gd(k, x, y, v, g, carry):
     """Vanilla gradient descent x_{k+1} = x_k - s grad f(x_k), with
-    y_{k+1} = x_{k+1}; v is copied through unchanged."""
+    y_{k+1} = x_{k+1}; v is passed through unchanged."""
     x1 = x - k.s * g
     return x1, x1, v, carry
 
@@ -221,12 +221,10 @@ def _blocks(stop: int, start: int = 0):
         yield slice(lo, min(lo + _BLOCK_ROWS, stop))
 
 
-def first_nonfinite_row(*blocks: np.ndarray) -> Optional[int]:
-    """Index of the first row that holds a non-finite entry in any of the
-    equally long 2-d ``blocks``, or None when every entry is finite."""
-    finite = np.isfinite(blocks[0]).all(axis=1)
-    for block in blocks[1:]:
-        finite &= np.isfinite(block).all(axis=1)
+def first_nonfinite_row(block: np.ndarray) -> Optional[int]:
+    """Index of the first row (along the first axis) of ``block`` that holds
+    a non-finite entry, or None when every entry is finite."""
+    finite = np.isfinite(block).reshape(len(block), -1).all(axis=1)
     return None if finite.all() else int(finite.argmin())
 
 
@@ -246,7 +244,9 @@ class Trajectory:
     ``ys[k]`` (y_k, which is x_k for gd and heavy-ball), velocity
     ``vs[k]``, and the objective gap ``f_gap[k]`` and squared gradient norm
     ``grad_sq[k]`` (``g @ g`` of the gradient g the state carries) at
-    ``ys[k]``.  ``objective`` is the objective the run stepped on.
+    ``ys[k]``.  :func:`run` keeps only the columns that differ: for gd and
+    heavy-ball ``ys`` is the ``xs`` array, and gd's ``vs`` is a read-only
+    view of one zero row.  ``objective`` is the objective the run stepped on.
     ``lyapunov`` and ``bound`` are optional diagnostic columns (NaN where
     undefined) that :func:`accelcert.lyapunov.attach_energies` and
     :func:`accelcert.analysis.attach_bound` fill.
@@ -277,6 +277,15 @@ class Trajectory:
         ``np.linalg.norm`` of the carried gradient, which takes the root of
         the same dot product."""
         return np.sqrt(self.grad_sq)
+
+
+def _records(step, k, x, y, v, g, carry) -> tuple[bool, bool]:
+    """Whether ``run`` records y and v apart from x, decided by one
+    discarded call of the kernel ``step``: a kernel that returns y as its
+    x, or passes v through unchanged, does so at every step.  Then ``ys``
+    is the ``xs`` array, and ``vs`` a read-only view of the zero v_0."""
+    x1, y1, v1, _ = step(k, x, y, v, g, carry)
+    return y1 is not x1, v1 is not v
 
 
 def run(f: Objective, method: str, x0: Vector, s: float, K: int, *,
@@ -317,9 +326,6 @@ def run(f: Objective, method: str, x0: Vector, s: float, K: int, *,
     step = STEPS[method]
     k = _step_operands(f.mu, s)
     value_and_grad = f.value_and_grad_fn or f.value_and_grad
-    xs = np.empty((K + 1, f.dim))
-    ys = np.empty((K + 1, f.dim))
-    vs = np.empty((K + 1, f.dim))
     f_gap = np.empty(K + 1)  # raw values until the loop ends
     grad_sq = np.empty(K + 1)
 
@@ -327,9 +333,15 @@ def run(f: Objective, method: str, x0: Vector, s: float, K: int, *,
     f_gap[0], g = value_and_grad(x0)
     carry = (2 * k.r * g if method == "iv-phase" and first_velocity == "corollary"
              else None)
+    record_y, record_v = _records(step, k, x, y, v, g, carry)
+    xs = np.empty((K + 1, f.dim))
+    ys = np.empty((K + 1, f.dim)) if record_y else xs
+    vs = (np.empty((K + 1, f.dim)) if record_v
+          else np.broadcast_to(np.zeros(f.dim), (K + 1, f.dim)))
     xs[0] = x
     ys[0] = y
-    vs[0] = v
+    if record_v:
+        vs[0] = v
     grad_sq[0] = g @ g
     grads = np.empty((min(K, _BLOCK_ROWS), f.dim))  # the block's gradients
 
@@ -339,8 +351,10 @@ def run(f: Objective, method: str, x0: Vector, s: float, K: int, *,
             x, y, v, carry = step(k, x, y, v, g, carry)
             f_gap[i], g = value_and_grad(y)
             xs[i] = x
-            ys[i] = y
-            vs[i] = v
+            if record_y:
+                ys[i] = y
+            if record_v:
+                vs[i] = v
             grads[i - lo] = g
         bad = first_nonfinite_row(xs[rows])
         if bad is not None:

@@ -1,0 +1,84 @@
+"""Memory budget: which columns a run allocates, and its peak memory.
+
+``run`` keeps only the columns that differ.  A kernel that returns its new
+y as the same array as its new x (gd, heavy-ball) gets ``ys`` as the
+``xs`` array, and one that passes its v through unchanged (gd) gets
+``vs`` as a read-only view of the zero start velocity, which holds no
+rows.  The runs the acceptance gate caches and slices keep that sharing,
+and the peak traced memory of a long run is the bytes of the columns it
+keeps, plus a block of gradients.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from accelcert import acceptance, make_quadratic, run
+from accelcert.optimizers import METHODS, STEPS, _step_operands
+
+
+@pytest.fixture(scope="module")
+def quad():
+    return make_quadratic([1.0, 4.0])
+
+
+def one_step(f, method, x0, s):
+    """(x1, y1, whether v1 is v) of one kernel call from x = y = x0 at
+    rest v, with the gradient and coefficients ``run`` starts from."""
+    x, v = np.asarray(x0, dtype=float), np.zeros(f.dim)
+    x1, y1, v1, _ = STEPS[method](_step_operands(f.mu, s), x, x.copy(), v,
+                                  f.grad(x), None)
+    return x1, y1, v1 is v
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_ys_is_xs_exactly_when_the_kernel_returns_y_as_x(quad, method):
+    x1, y1, passes_v = one_step(quad, method, [1.0, 0.5], 0.25)
+    traj = run(quad, method, [1.0, 0.5], 0.25, 300)
+    assert (traj.ys is traj.xs) == (y1 is x1)
+    assert traj.vs.flags.writeable == (not passes_v)
+    assert (traj.ys is traj.xs) == (method in ("gd", "heavy-ball"))
+    assert passes_v == (method == "gd")
+
+
+def test_gd_velocity_is_a_read_only_zero_view(quad):
+    traj = run(quad, "gd", [1.0, 0.5], 0.25, 300)
+    assert traj.vs.shape == (301, 2)
+    assert not traj.vs.flags.writeable
+    assert traj.vs.strides[0] == 0  # one row, no allocation per record
+    np.testing.assert_array_equal(traj.vs, 0.0)
+
+
+@pytest.mark.parametrize("method", ["gd", "heavy-ball", "iv-phase"])
+def test_suite_run_prefix_keeps_the_sharing(method):
+    # the cached run is 1000 steps and its 300-step prefix more than one
+    # 256-row block; both match a fresh run bit for bit
+    traj = acceptance._suite_run("quad-ill", method, 1.0)
+    prefix = acceptance._steps(traj, 300)
+    shared = method in ("gd", "heavy-ball")
+    for t in (traj, prefix):
+        assert (t.ys is t.xs) == shared
+        for col in (t.xs, t.ys, t.vs, t.f_gap, t.grad_sq):
+            assert not col.flags.writeable
+    f, x0 = acceptance._suite()["quad-ill"]
+    fresh = run(f, method, x0, 1.0 / f.lipschitz, 300)
+    for col in ("xs", "ys", "vs", "f_gap", "grad_sq"):
+        np.testing.assert_array_equal(getattr(prefix, col),
+                                      getattr(fresh, col))
+
+
+@pytest.mark.parametrize("method", ["gd", "heavy-ball"])
+def test_peak_memory_is_the_kept_columns(quad, method):
+    x0 = np.array([1.0, 0.5])
+    run(quad, method, x0, 0.25, 10)  # first-call allocations stay out
+    tracemalloc.start()
+    try:
+        traj = run(quad, method, x0, 0.25, 20_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    kept = traj.xs.nbytes + traj.f_gap.nbytes + traj.grad_sq.nbytes
+    if method == "heavy-ball":
+        kept += traj.vs.nbytes
+    assert peak <= 1.1 * kept

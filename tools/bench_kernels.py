@@ -19,8 +19,9 @@ machine speed hits both alike.  A case is one call, timed with
 
 Each version builds its own objectives, so its oracles are timed too.  The
 report gives, per case and version, the min and the median in microseconds
-per step, and the median over the rounds of the after/before ratio of the
-round's pair.  BLAS runs on one thread.
+per step, the median over the rounds of the after/before ratio of the
+round's pair, and the ``tracemalloc`` peak of one call in bytes, which
+unlike the times is the same on every run.  BLAS runs on one thread.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+import tracemalloc
 from pathlib import Path
 from time import perf_counter
 
@@ -95,6 +97,16 @@ def timed(call, steps: int) -> float:
     return (perf_counter() - t0) / steps * 1e6
 
 
+def peak_bytes(call) -> int:
+    """The peak memory ``tracemalloc`` traces during one ``call()``."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def extract(rev: str, into: Path) -> Path:
     """``src/`` of git revision ``rev``, extracted under ``into``."""
     tar = subprocess.run(["git", "-C", str(ROOT), "archive", rev, "src"],
@@ -121,6 +133,8 @@ def main(argv=None) -> int:
             for name in names:  # one untimed warm-up call each
                 for v in versions:
                     built[v][name][0]()
+            peaks = {name: {v: peak_bytes(built[v][name][0])
+                            for v in versions} for name in names}
             for i in range(ALTERNATIONS):
                 order = list(versions) if i % 2 == 0 else list(versions)[::-1]
                 for name in names:
@@ -135,10 +149,11 @@ def main(argv=None) -> int:
                    "median_us": round(statistics.median(s), 3)}
                for v, s in (("before", before), ("after", after))},
             "median_ratio": round(statistics.median(
-                a / b for a, b in zip(after, before)), 4)}
+                a / b for a, b in zip(after, before)), 4),
+            "peak_bytes": peaks[name]}
     out = {
         "about": __doc__.split("\n\n")[0].replace("\n", " "),
-        "unit": "us/step",
+        "unit": "us/step; peak_bytes in B per call",
         "before": args.before,
         "after": "src/ of the working tree",
         "alternations": ALTERNATIONS,
@@ -154,7 +169,9 @@ def main(argv=None) -> int:
     for name, r in report.items():
         print(f"{name:32s} {r['before']['median_us']:9.3f} -> "
               f"{r['after']['median_us']:9.3f} us/step  "
-              f"(ratio {r['median_ratio']:.3f})")
+              f"(ratio {r['median_ratio']:.3f})  "
+              f"{r['peak_bytes']['before']:>10,} -> "
+              f"{r['peak_bytes']['after']:>10,} B peak")
     return 0
 
 
