@@ -37,7 +37,7 @@ import numpy as np
 
 from .analysis import CONTINUOUS
 from .objectives import Objective, Vector, _operands
-from .optimizers import (_blocks, _step_operands, as_start,
+from .optimizers import (_blocks, _lane, _step_operands, as_start,
                          first_nonfinite_row)
 from .lyapunov import ode_energies
 from .report import CertReport, _slack, margin_report
@@ -96,9 +96,9 @@ EQUATIONS = ("simplified", "original")
 
 
 def _flow(f: Objective, s: float, which: str):
-    """(k, xddot): the :func:`~accelcert.optimizers.step_coefficients` of
-    (f.mu, s) as 0-d operands, which
-    :func:`~accelcert.optimizers.probe_point` takes, and
+    """(k, xddot, accel): the
+    :func:`~accelcert.optimizers.step_coefficients` of (f.mu, s) as 0-d
+    operands, which :func:`~accelcert.optimizers.probe_point` takes, and
     X'' of the ``which`` equation as a function of X' and the gradient at
     the probe point:
 
@@ -107,27 +107,61 @@ def _flow(f: Objective, s: float, which: str):
     with (mass, gain) = (1 + sqrt(mu s), c) for the original equation and
     (1, 1), left out, for the simplified one.  ``xddot(Xdot, g, out)``
     writes X'' into ``out`` and returns it; with ``out`` None it returns a
-    new array."""
+    new array.  ``accel(v, g)`` is the same formula on the floats of one
+    coordinate, for the per-coordinate lane
+    (:func:`~accelcert.optimizers._lane`); its gain and mass of 1.0 on the
+    simplified equation multiply and divide exactly, so it has xddot's
+    bits.  ValueError unless ``which`` is one of :data:`EQUATIONS` and s
+    is finite and >= 0."""
     if which not in EQUATIONS:
         raise ValueError(f"unknown equation {which!r}; expected one of {EQUATIONS}")
-    if not s >= 0:  # s = 0 is the low-resolution limit
-        raise ValueError(f"s must be nonnegative, not {s!r}")
+    if not 0 <= s < math.inf:  # s = 0 is the low-resolution limit
+        raise ValueError(f"s must be nonnegative and finite, not {s!r}")
     k = _step_operands(f.mu, s)
-    damping, = _operands(-2.0 * math.sqrt(f.mu))
+    damping = -2.0 * math.sqrt(f.mu)
+    gain, mass = ((1.0, 1.0) if which == "simplified"
+                  else (float(k.c), 1.0 + float(k.r)))
+
+    def accel(v: float, g: float) -> float:
+        return (damping * v - gain * g) / mass
+
+    damping_op, gain_op, mass_op = _operands(damping, gain, mass)
     if which == "simplified":
         def xddot(Xdot: Vector, g: Vector, out=None) -> Vector:
-            out = np.multiply(damping, Xdot, out=out)
+            out = np.multiply(damping_op, Xdot, out=out)
             out -= g
             return out
     else:
-        c, (mass,) = k.c, _operands(1.0 + k.r)
-
         def xddot(Xdot: Vector, g: Vector, out=None) -> Vector:
-            out = np.multiply(damping, Xdot, out=out)
-            out -= c * g
-            out /= mass
+            out = np.multiply(damping_op, Xdot, out=out)
+            out -= gain_op * g
+            out /= mass_op
             return out
-    return k, xddot
+    return k, xddot, accel
+
+
+def _rk4_lane(lam: float, x: float, v: float, n: int, k, accel,
+              h: float) -> tuple[list, list]:
+    """n RK4 steps of one coordinate of :func:`integrate`'s lane
+    (:func:`~accelcert.optimizers._lane`) from (x, v), on floats, with
+    :func:`_flow`'s k and accel: the textbook stages, whose stage state is
+    ``a * slope + (x, v)`` and whose probe is ``x + root_s * v / c``.
+    Returns the lists of the n new x and v."""
+    root_s, c, half, sixth = float(k.root_s), float(k.c), 0.5 * h, h / 6.0
+    xs, vs = [], []
+    for _ in range(n):
+        a1 = accel(v, lam * (x + root_s * v / c))
+        x2, v2 = half * v + x, half * a1 + v
+        a2 = accel(v2, lam * (x2 + root_s * v2 / c))
+        x3, v3 = half * v2 + x, half * a2 + v
+        a3 = accel(v3, lam * (x3 + root_s * v3 / c))
+        x4, v4 = h * v3 + x, h * a3 + v
+        a4 = accel(v4, lam * (x4 + root_s * v4 / c))
+        x = x + sixth * (v + 2.0 * v2 + 2.0 * v3 + v4)
+        v = v + sixth * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
+        xs.append(x)
+        vs.append(v)
+    return xs, vs
 
 
 def integrate(f: Objective, x0: Vector, s: float, T: float, h: float,
@@ -136,7 +170,8 @@ def integrate(f: Objective, x0: Vector, s: float, T: float, h: float,
 
     The step ``h`` is required; resolving the sqrt(s)-scale correction
     term takes h well below sqrt(s).  T must be an integer multiple of h.
-    ValueError unless x0 has shape (f.dim,).
+    ValueError, before any warning, unless s, T and h are finite, h > 0,
+    T >= 0 and x0 has shape (f.dim,).
 
     Each sample's probe point is also where the next step takes its
     first-stage gradient, so one fused value-and-gradient evaluation there
@@ -152,20 +187,24 @@ def integrate(f: Objective, x0: Vector, s: float, T: float, h: float,
     ``K_j = W[j - 1, 1:]``.  Every constant of the step is a 0-d operand
     (:func:`~accelcert.objectives._operands`).  Each operation, and the
     order of each sum up to commuting its two terms, is that of the
-    textbook stage formulas, so the samples are bit-identical to them.
+    textbook stage formulas, so the samples are bit-identical to them.  A
+    small diagonal quadratic takes the per-coordinate lane
+    (:func:`~accelcert.optimizers._lane`), which runs those formulas on
+    floats, records the same bits and evaluates the oracle only at the
+    last sample.
 
     A non-finite state raises :class:`NonFiniteSolutionError` with the
     time of the first sample after t = 0 whose X or X' is non-finite,
     checked once per block of ``optimizers._BLOCK_ROWS`` rows.
     """
-    k, xddot = _flow(f, s, which)
-    if not h > 0:
-        raise ValueError("step size h must be positive")
-    if T < 0:
-        raise ValueError("horizon T must be nonnegative")
+    k, xddot, accel = _flow(f, s, which)
+    if not 0 < h < math.inf:
+        raise ValueError(f"step size h must be positive and finite, not {h!r}")
+    if not 0 <= T < math.inf:
+        raise ValueError(f"horizon T must be nonnegative and finite, not {T!r}")
     x0 = as_start(f, x0)
-    n = int(round(T / h)) if T > 0 else 0
-    if n > 0 and abs(n * h - T) > 1e-9 * max(1.0, T):
+    n = round(T / h)
+    if abs(n * h - T) > 1e-9 * max(1.0, T):
         raise ValueError(f"T={T} is not an integer multiple of h={h}")
     rec = np.empty((n + 1, 2) + x0.shape)  # row i is (X, X') at sample i
     f_gap = np.empty(n + 1)  # raw values until the loop ends
@@ -186,22 +225,32 @@ def integrate(f: Objective, x0: Vector, s: float, T: float, h: float,
               for j, a in ((1, half), (2, half), (3, step))]
     K1, K2, K3, K4 = (W[j, 1:] for j in range(4))
     rec[0] = Z
+    lams = _lane(f)
     # steps lo..hi-1 fill rows lo+1..hi
     for steps in _blocks(n):
         lo, hi = steps.start, steps.stop
-        for i in range(lo, hi):
-            f_gap[i], g = value_and_grad(X + root_s * V / c)
-            xddot(V, g, A1)
-            for a, slope, state, Xj, Vj, Aj in stages:
-                np.multiply(a, slope, out=state)
-                state += Z
-                xddot(Vj, grad(Xj + root_s * Vj / c), Aj)
-            Z += sixth * (K1 + two * K2 + two * K3 + K4)
-            rec[i + 1] = Z
+        if lams is None:
+            for i in range(lo, hi):
+                f_gap[i], g = value_and_grad(X + root_s * V / c)
+                xddot(V, g, A1)
+                for a, slope, state, Xj, Vj, Aj in stages:
+                    np.multiply(a, slope, out=state)
+                    state += Z
+                    xddot(Vj, grad(Xj + root_s * Vj / c), Aj)
+                Z += sixth * (K1 + two * K2 + two * K3 + K4)
+                rec[i + 1] = Z
+        else:  # each coordinate starts from its last recorded sample
+            for j, lam in enumerate(lams):
+                rec[lo + 1:hi + 1, 0, j], rec[lo + 1:hi + 1, 1, j] = _rk4_lane(
+                    lam, *rec[lo, :, j].tolist(), hi - lo, k, accel, h)
         bad = first_nonfinite_row(rec[lo + 1:hi + 1])
         if bad is not None:
             raise NonFiniteSolutionError((lo + 1 + bad) * h)
-    f_gap[n], _ = value_and_grad(X + root_s * V / c)
+        if lams is not None:
+            probes = rec[lo:hi, 0] + root_s * rec[lo:hi, 1] / c
+            f_gap[steps] = 0.5 * np.vecdot(probes, probes * lams)
+    Xn, Vn = rec[n]
+    f_gap[n], _ = value_and_grad(Xn + root_s * Vn / c)
     f_gap -= np.nan if f.min_value is None else f.min_value
     return OdeSolution(t=np.arange(n + 1) * h, X=rec[:, 0], Xdot=rec[:, 1],
                        f_gap=f_gap, s=s, which=which, objective=f)

@@ -56,6 +56,14 @@ class Objective:
     :func:`~accelcert.hires_ode.integrate` call it directly, without the
     conversions of :meth:`value_and_grad`, and record what it returns,
     which certificates compare with values ``value_fn`` takes elsewhere.
+    :func:`make_quadratic`'s diagonal fused oracle carries its
+    eigenvalues, and on a small objective with that oracle those two loops
+    step each coordinate on Python floats instead of calling it at every
+    step (:func:`~accelcert.optimizers._lane`).  So an objective that
+    keeps that oracle keeps its contract: ``grad_fn`` is ``lams * x`` and
+    ``value_fn`` is ``0.5 * x.dot(lams * x)``, bit for bit.  Replacing
+    ``value_and_grad_fn``, to count or to alter its calls, sends the loops
+    back to calling it.
 
     ``value_and_grad_rows_fn``, when given, is a row-batched oracle: for an
     (n, d) array it returns the values (n,) and gradients (n, d) at its
@@ -226,6 +234,9 @@ def make_quadratic(spec: SpectrumSpec | Sequence[float],
         g = grad_fn(x)
         return 0.5 * float(x.dot(g)), g
 
+    if rotation_seed is None:  # the mark _diagonal_eigenvalues reads
+        value_and_grad_fn._diagonal = (value_and_grad_fn, spec.eigenvalues)
+
     def value_and_grad_rows_fn(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         G = grad_rows(X)
         return 0.5 * np.vecdot(X, G), G
@@ -246,6 +257,16 @@ def make_quadratic(spec: SpectrumSpec | Sequence[float],
         value_and_grad_fn=value_and_grad_fn,
         value_and_grad_rows_fn=value_and_grad_rows_fn,
     )
+
+
+def _diagonal_eigenvalues(f: Objective) -> Optional[tuple[float, ...]]:
+    """The eigenvalues of ``f`` when its fused oracle is
+    :func:`make_quadratic`'s own diagonal one, else None.  That oracle
+    carries them beside itself, so that a wrapper that copies its
+    attributes, as ``functools.wraps`` does, is not taken for it."""
+    oracle = f.value_and_grad_fn
+    own, lams = getattr(oracle, "_diagonal", (None, None))
+    return lams if own is oracle else None
 
 
 #: 0.0 and 1.0 as 0-d operands (see :func:`_operands`).

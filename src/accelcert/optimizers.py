@@ -27,7 +27,8 @@ next gradient at (gd and heavy-ball return y_{k+1} = x_{k+1}); and
 ``carry`` is what a method keeps from the step before.  The first step
 gets carry None, and each kernel seeds its own carry from it, so
 :func:`run` steps every method the same way.  ``run`` passes k as 0-d
-operands (:func:`~accelcert.objectives._operands`), on which a product of
+operands (:func:`~accelcert.objectives._operands`), or as floats on its
+per-coordinate lane (:func:`_lane`), and on 0-d operands a product of
 two coefficients costs more than on floats, so the kernels keep such
 products out of the step: heavy-ball squares m once per run, iv-phase
 doubles the velocity rather than the coefficient, and gc-modified takes
@@ -47,7 +48,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .objectives import Objective, Vector, _operands
+from .objectives import Objective, Vector, _diagonal_eigenvalues, _operands
 
 #: The first velocities of ``iv-phase`` that :func:`run` takes.
 FIRST_VELOCITY_CONVENTIONS = ("scheme", "corollary")
@@ -110,8 +111,10 @@ def _heavy_ball(k, x, y, v, g, carry):
     with the locally optimal quadratic tuning beta = m^2, with
     y_{k+1} = x_{k+1}; v is the previous displacement x_k - x_{k-1}.
     carry is beta: the first step (carry None) takes it and each step
-    passes it on, so a run squares m once."""
-    beta = k.m ** 2 if carry is None else carry
+    passes it on, so a run squares m once.  m * m is the correctly rounded
+    square on every operand; Python's float ``m ** 2`` calls libm's
+    ``pow``, which is not."""
+    beta = k.m * k.m if carry is None else carry
     x1 = x - k.s * g + beta * v
     return x1, x1, x1 - x, beta
 
@@ -221,6 +224,64 @@ def _blocks(stop: int, start: int = 0):
         yield slice(lo, min(lo + _BLOCK_ROWS, stop))
 
 
+#: The largest dimension that :func:`run` and ``hires_ode.integrate`` step
+#: in the per-coordinate lane (:func:`_lane`).  ``tools/bench_kernels.py``
+#: times both paths at d = 1, 2, 4, 8 and 12 (``BENCH_kernels.json``): at
+#: d = 8 the lane takes 0.49-0.74 of the array path's time per ``run`` step,
+#: by method, and 0.37 per RK4 step; at d = 12 gd's lane is the slower
+#: (1.06), so ``run``'s crossover lies between 8 and 12, and
+#: ``integrate``'s above 12.
+_LANE_MAX_DIM = 8
+
+
+def _lane(f: Objective) -> Optional[tuple[float, ...]]:
+    """The eigenvalues of ``f`` when :func:`run` and
+    ``hires_ode.integrate`` step it in the per-coordinate lane, else None.
+
+    The lane takes an objective of at most ``_LANE_MAX_DIM`` coordinates
+    whose fused oracle is :func:`~accelcert.objectives.make_quadratic`'s
+    own diagonal one, with eigenvalues lam_j
+    (:func:`~accelcert.objectives._diagonal_eigenvalues`).  On it every
+    scheme splits into one scalar recursion per coordinate, whose gradient
+    is lam_j y_j, so each coordinate is stepped on Python floats, a block
+    of ``_BLOCK_ROWS`` rows at a time, and the block's rows are written
+    into the records at once; numpy's dispatch, which dominates every
+    operation on arrays of so few entries, is paid once a block.
+
+    The lane records the same bits as the array path.  Python's float +,
+    -, * and / are the correctly rounded IEEE double operations that
+    numpy's float64 ufuncs apply elementwise, and each coordinate runs the
+    same operations in the same order: ``run`` calls the same kernel of
+    :data:`STEPS`, with the coefficients as floats, and ``integrate`` the
+    textbook RK4 stages its in-place buffer is bit-identical to.  The
+    gradient lam_j y_j is the oracle's ``lams * y`` entry.  A block's gaps
+    ``0.5 * np.vecdot(Y, G)`` and squared gradient norms
+    ``np.vecdot(G, G)`` take each row's dot product with the BLAS ddot
+    that the oracle's ``0.5 * float(y.dot(g))`` and ``g @ g`` call.  Only
+    side effects differ: a call that takes the lane evaluates the oracle
+    once, not once a step, and its Python floats raise no numpy
+    RuntimeWarning when a run overflows.
+    """
+    return _diagonal_eigenvalues(f) if f.dim <= _LANE_MAX_DIM else None
+
+
+def _lane_steps(step, k, lane: list, n: int) -> tuple[list, ...]:
+    """n steps of one coordinate of :func:`run`'s lane (:func:`_lane`).
+    ``lane`` is the coordinate's [lam, x, y, v, g, carry], on floats, and
+    is advanced in place; returns the lists of the n new x, y, v and g."""
+    lam, x, y, v, g, carry = lane
+    xs, ys, vs, gs = [], [], [], []
+    for _ in range(n):
+        x, y, v, carry = step(k, x, y, v, g, carry)
+        g = lam * y
+        xs.append(x)
+        ys.append(y)
+        vs.append(v)
+        gs.append(g)
+    lane[1:] = x, y, v, g, carry
+    return xs, ys, vs, gs
+
+
 def first_nonfinite_row(block: np.ndarray) -> Optional[int]:
     """Index of the first row (along the first axis) of ``block`` that holds
     a non-finite entry, or None when every entry is finite."""
@@ -296,13 +357,15 @@ def run(f: Objective, method: str, x0: Vector, s: float, K: int, *,
     ``first_velocity`` selects the first velocity of iv-phase: "scheme"
     follows the recursion, "corollary" prescribes v_1 = 2 sqrt(mu s)
     grad f(y_0); other methods ignore it.  K, the method,
-    ``first_velocity``, x0 and s > 0 are checked, with ValueError, before
-    any warning.
+    ``first_velocity``, x0 and a finite s > 0 are checked, with
+    ValueError, before any warning.
 
     The run makes one fused value-and-gradient evaluation per recorded
     point, at y_k (K+1 in all; separate evaluations of each without a
     fused oracle), records the gap and the gradient's squared norm, and
-    passes the gradient to the next step.  A non-finite iterate raises
+    passes the gradient to the next step.  A small diagonal quadratic
+    takes the per-coordinate lane (:func:`_lane`), which records the same
+    bits and evaluates the oracle at y_0 alone.  A non-finite iterate raises
     :class:`NonFiniteIterateError` naming the first step k >= 1 whose x_k
     is non-finite, checked once per block of ``_BLOCK_ROWS`` rows.
     """
@@ -313,8 +376,8 @@ def run(f: Objective, method: str, x0: Vector, s: float, K: int, *,
     if first_velocity not in FIRST_VELOCITY_CONVENTIONS:
         raise ValueError(f"unknown first_velocity {first_velocity!r}")
     x0 = as_start(f, x0)
-    if not s > 0:
-        raise ValueError("step size s must be positive")
+    if not 0 < s < math.inf:
+        raise ValueError(f"step size s must be positive and finite, not {s!r}")
     if not step_guaranteed(s, f.lipschitz):
         warnings.warn(
             f"step size s={s:.6g} exceeds 1/L={1.0 / f.lipschitz:.6g}; "
@@ -344,22 +407,39 @@ def run(f: Objective, method: str, x0: Vector, s: float, K: int, *,
         vs[0] = v
     grad_sq[0] = g @ g
     grads = np.empty((min(K, _BLOCK_ROWS), f.dim))  # the block's gradients
+    lams = _lane(f)
+    if lams is not None:
+        k = step_coefficients(f.mu, s)
+        carries = [None] * f.dim if carry is None else carry.tolist()
+        lanes = [list(state) for state in zip(
+            lams, x.tolist(), y.tolist(), v.tolist(), g.tolist(), carries)]
 
     for rows in _blocks(K + 1, start=1):
         lo = rows.start
-        for i in range(lo, rows.stop):
-            x, y, v, carry = step(k, x, y, v, g, carry)
-            f_gap[i], g = value_and_grad(y)
-            xs[i] = x
-            if record_y:
-                ys[i] = y
-            if record_v:
-                vs[i] = v
-            grads[i - lo] = g
+        block = grads[:rows.stop - lo]
+        if lams is None:
+            for i in range(lo, rows.stop):
+                x, y, v, carry = step(k, x, y, v, g, carry)
+                f_gap[i], g = value_and_grad(y)
+                xs[i] = x
+                if record_y:
+                    ys[i] = y
+                if record_v:
+                    vs[i] = v
+                block[i - lo] = g
+        else:
+            for j, lane in enumerate(lanes):
+                xj, yj, vj, block[:, j] = _lane_steps(step, k, lane, len(block))
+                xs[rows, j] = xj
+                if record_y:
+                    ys[rows, j] = yj
+                if record_v:
+                    vs[rows, j] = vj
         bad = first_nonfinite_row(xs[rows])
         if bad is not None:
             raise NonFiniteIterateError(method, lo + bad)
-        block = grads[:rows.stop - lo]
+        if lams is not None:
+            f_gap[rows] = 0.5 * np.vecdot(ys[rows], block)
         grad_sq[rows] = np.vecdot(block, block)
 
     f_gap -= np.nan if f.min_value is None else f.min_value

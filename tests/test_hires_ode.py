@@ -25,7 +25,7 @@ def xddot_of(f, s, which):
     from :func:`_flow`: X' and the gradient at the probe point.  Written
     into a given array, as :func:`integrate` calls it, it has the bits of
     the new array it returns without one."""
-    k, xddot = _flow(f, s, which)
+    k, xddot, _ = _flow(f, s, which)
 
     def rhs(X, Xdot):
         g = f.grad(probe_point(X, Xdot, k))

@@ -94,8 +94,9 @@ def test_iv_phase_velocity_is_the_doubled_coefficient_form(d, mu, s):
 @pytest.mark.parametrize("d", [1, 2, 20])
 @pytest.mark.parametrize("s", [0.0, 0.25, 1e-300])
 def test_flow_xddot_0d_operands_bit_for_bit(which, d, s):
+    # and accel, the per-coordinate lane's form on floats, entry by entry
     f = make_quadratic(np.linspace(0.5, 4.0, d))
-    k, xddot = _flow(f, s, which)
+    k, xddot, accel = _flow(f, s, which)
     floats = step_coefficients(f.mu, s)
     assert all(a.shape == () and a == v for a, v in zip(k, floats))
     damping = -2.0 * math.sqrt(f.mu)
@@ -108,7 +109,9 @@ def test_flow_xddot_0d_operands_bit_for_bit(which, d, s):
                 want = (damping * Xdot - floats.c * g) / (1.0 + floats.r)
             got, out = xddot(Xdot, g), np.empty(d)
             assert xddot(Xdot, g, out) is out
+        lane = np.array([accel(a, b) for a, b in zip(Xdot.tolist(), g.tolist())])
         assert same_bits(got, want) and same_bits(out, want), seed
+        assert same_bits(lane, want), seed
 
 
 def _float_oracles(features, labels, reg):

@@ -1,5 +1,6 @@
 """Per-step cost of each step kernel inside ``run`` and of one RK4 step of
-``integrate``, before and after a change, measured in one process.
+``integrate``, before and after a change, and on the per-coordinate lane
+against the array path, measured in one process.
 
     python tools/bench_kernels.py --before <git rev> [--out BENCH_kernels.json]
 
@@ -22,6 +23,16 @@ report gives, per case and version, the min and the median in microseconds
 per step, the median over the rounds of the after/before ratio of the
 round's pair, and the ``tracemalloc`` peak of one call in bytes, which
 unlike the times is the same on every run.  BLAS runs on one thread.
+
+The ``lane`` section times the library in ``src/`` alone, on the diagonal
+quadratic with spectrum ``logspace(0, 2, d)`` at d = 1, 2, 4, 8 and 12:
+``run`` of each method for K steps at s = 1/L and ``integrate`` of the
+simplified equation at s = 1/L, h = 1e-3, each once on the per-coordinate
+lane and once on the array path, in alternation.  The cutoff
+``optimizers._LANE_MAX_DIM`` is set above the largest d for the one and to
+0 for the other, so both time the same objective; the report gives each
+path's min and median and the median lane/array ratio, which places the
+cutoff.
 """
 
 from __future__ import annotations
@@ -53,6 +64,8 @@ RUN_STEPS = {2: 2000, 20: 2000, 1000: 500}
 ODE_STEPS = {"quad[1,4]": 2000, "ode-logistic": 300}
 #: Timed rounds per case and version.
 ALTERNATIONS = 100
+LANE_DIMS = (1, 2, 4, 8, 12)
+LANE_STEPS = {"run": 2000, "integrate": 1000}
 
 
 def load(src: Path, name: str):
@@ -91,10 +104,47 @@ def cases(ac) -> dict:
     return out
 
 
+def lane_cases(ac) -> dict:
+    """{case: (call, steps)} of the lane section on the package ``ac``."""
+    out = {}
+    for d in LANE_DIMS:
+        f = ac.make_quadratic(np.logspace(0, 2, d))
+        x0 = ac.sample_in_ball(np.random.default_rng(d), d, 2.0)
+        s, K, n = 1.0 / f.lipschitz, LANE_STEPS["run"], LANE_STEPS["integrate"]
+        for method in ac.optimizers.METHODS:
+            out[f"run {method} d={d}"] = (
+                lambda f=f, x0=x0, s=s, method=method:
+                ac.run(f, method, x0, s, K), K)
+        out[f"integrate d={d}"] = (
+            lambda f=f, x0=x0, s=s: ac.integrate(f, x0, s, n * 1e-3, 1e-3), n)
+    return out
+
+
+def on_path(ac, lane: bool, call, steps: int) -> float:
+    """``timed(call, steps)`` with the lane cutoff of ``ac`` set so that
+    every case takes the lane, or none does."""
+    cutoff = ac.optimizers._LANE_MAX_DIM
+    ac.optimizers._LANE_MAX_DIM = max(LANE_DIMS) if lane else 0
+    try:
+        return timed(call, steps)
+    finally:
+        ac.optimizers._LANE_MAX_DIM = cutoff
+
+
 def timed(call, steps: int) -> float:
     t0 = perf_counter()
     call()
     return (perf_counter() - t0) / steps * 1e6
+
+
+def summary(by_side: dict, num: str, den: str) -> dict:
+    """The min and median of each side's samples, and the median over the
+    rounds of the ``num``/``den`` ratio of the round's pair."""
+    return {**{side: {"min_us": round(min(t), 3),
+                      "median_us": round(statistics.median(t), 3)}
+               for side, t in by_side.items()},
+            "median_ratio": round(statistics.median(
+                a / b for a, b in zip(by_side[num], by_side[den])), 4)}
 
 
 def peak_bytes(call) -> int:
@@ -140,17 +190,24 @@ def main(argv=None) -> int:
                 for name in names:
                     for v in order:
                         samples[name][v].append(timed(*built[v][name]))
+            after = versions["after"]
+            lanes = lane_cases(after)
+            paths = {"lane": True, "array": False}
+            lane_samples = {name: {p: [] for p in paths} for name in lanes}
+            for name, case in lanes.items():  # one untimed warm-up call each
+                for lane in paths.values():
+                    on_path(after, lane, *case)
+            for i in range(ALTERNATIONS):
+                order = list(paths) if i % 2 == 0 else list(paths)[::-1]
+                for name, case in lanes.items():
+                    for p in order:
+                        lane_samples[name][p].append(
+                            on_path(after, paths[p], *case))
 
-    report = {}
-    for name in names:
-        before, after = samples[name]["before"], samples[name]["after"]
-        report[name] = {
-            **{v: {"min_us": round(min(s), 3),
-                   "median_us": round(statistics.median(s), 3)}
-               for v, s in (("before", before), ("after", after))},
-            "median_ratio": round(statistics.median(
-                a / b for a, b in zip(after, before)), 4),
-            "peak_bytes": peaks[name]}
+    report = {name: {**summary(samples[name], "after", "before"),
+                     "peak_bytes": peaks[name]} for name in names}
+    lane_report = {name: summary(by_path, "lane", "array")
+                   for name, by_path in lane_samples.items()}
     out = {
         "about": __doc__.split("\n\n")[0].replace("\n", " "),
         "unit": "us/step; peak_bytes in B per call",
@@ -164,6 +221,8 @@ def main(argv=None) -> int:
                     "processor": platform.machine(),
                     "blas_threads": os.environ["OPENBLAS_NUM_THREADS"]},
         "cases": report,
+        "lane_steps": LANE_STEPS,
+        "lane": lane_report,
     }
     Path(args.out).write_text(json.dumps(out, indent=1) + "\n")
     for name, r in report.items():
@@ -172,6 +231,10 @@ def main(argv=None) -> int:
               f"(ratio {r['median_ratio']:.3f})  "
               f"{r['peak_bytes']['before']:>10,} -> "
               f"{r['peak_bytes']['after']:>10,} B peak")
+    for name, r in lane_report.items():
+        print(f"{name:32s} {r['array']['median_us']:9.3f} array "
+              f"{r['lane']['median_us']:9.3f} lane us/step  "
+              f"(ratio {r['median_ratio']:.3f})")
     return 0
 
 

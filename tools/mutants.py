@@ -110,8 +110,8 @@ MUTANTS = [
      "e[1:] - e[:-1] / (1.0 + rho),",
      SIXTEEN_RHO),
     ("ode-damping-control", HIRES,
-     "damping, = _operands(-2.0 * math.sqrt(f.mu))",
-     "damping, = _operands(-1.0 * math.sqrt(f.mu))",
+     "    damping = -2.0 * math.sqrt(f.mu)",
+     "    damping = -1.0 * math.sqrt(f.mu)",
      None),
 ]
 
