@@ -63,7 +63,8 @@ class Objective:
     keeps that oracle keeps its contract: ``grad_fn`` is ``lams * x`` and
     ``value_fn`` is ``0.5 * x.dot(lams * x)``, bit for bit.  Replacing
     ``value_and_grad_fn``, to count or to alter its calls, sends the loops
-    back to calling it.
+    back to calling it at every step: on floats in ``run``'s coupled lane
+    for a small objective, on arrays otherwise.
 
     ``value_and_grad_rows_fn``, when given, is a row-batched oracle: for an
     (n, d) array it returns the values (n,) and gradients (n, d) at its

@@ -28,11 +28,10 @@ next gradient at (gd and heavy-ball return y_{k+1} = x_{k+1}); and
 gets carry None, and each kernel seeds its own carry from it, so
 :func:`run` steps every method the same way.  ``run`` passes k as 0-d
 operands (:func:`~accelcert.objectives._operands`), or as floats on its
-per-coordinate lane (:func:`_lane`), and on 0-d operands a product of
-two coefficients costs more than on floats, so the kernels keep such
-products out of the step: heavy-ball squares m once per run, iv-phase
-doubles the velocity rather than the coefficient, and gc-modified takes
-s / c once a step.
+lanes (:func:`_lane`), and on 0-d operands a product of two coefficients
+costs more than on floats, so the kernels keep such products out of the
+step: heavy-ball squares m once per run, iv-phase doubles the velocity
+rather than the coefficient, and gc-modified takes s / c once a step.
 
 The guarantees hold for step sizes in the window s <= 1/L, which
 :func:`step_guaranteed` decides for ``run``, the bound curves and the
@@ -42,8 +41,10 @@ harness alike.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -227,11 +228,23 @@ def _blocks(stop: int, start: int = 0):
 #: The largest dimension that :func:`run` and ``hires_ode.integrate`` step
 #: in the per-coordinate lane (:func:`_lane`).  ``tools/bench_kernels.py``
 #: times both paths at d = 1, 2, 4, 8 and 12 (``BENCH_kernels.json``): at
-#: d = 8 the lane takes 0.49-0.74 of the array path's time per ``run`` step,
-#: by method, and 0.37 per RK4 step; at d = 12 gd's lane is the slower
-#: (1.06), so ``run``'s crossover lies between 8 and 12, and
-#: ``integrate``'s above 12.
+#: d = 8 the lane takes 0.49-0.62 of the array path's time per ``run`` step,
+#: by method, and 0.42 per RK4 step, and at d = 12 still 0.71-0.91 and
+#: 0.61, so both crossovers lie above 12; no objective the acceptance gate
+#: runs has 8 < d <= 12.
 _LANE_MAX_DIM = 8
+
+#: The largest dimension, and the methods, at which :func:`run` steps any
+#: other objective on floats, in the coupled lane (:func:`_lane`).  On the
+#: rotated quadratic (``BENCH_kernels.json``) the lane takes 0.47-0.75 of
+#: the array path's time per step at d = 2, by method, 0.63-0.97 at d = 4
+#: and 0.92-1.36 at d = 8; on the logistic, whose oracle costs the same on
+#: both paths, 0.73-0.91 at d = 2 and 0.98-1.15 at d = 8.  gd is the
+#: exception: its array step, two ufunc calls, costs less than the lane's
+#: repacking at every d (1.02 at d = 1, 1.16 at d = 2 on the rotated
+#: quadratic, 1.05 on the logistic), so gd stays on the array path.
+_COUPLED_LANE_MAX_DIM = 4
+_COUPLED_LANE_METHODS = frozenset(METHODS) - {"gd"}
 
 
 def _lane(f: Objective) -> Optional[tuple[float, ...]]:
@@ -248,38 +261,55 @@ def _lane(f: Objective) -> Optional[tuple[float, ...]]:
     into the records at once; numpy's dispatch, which dominates every
     operation on arrays of so few entries, is paid once a block.
 
-    The lane records the same bits as the array path.  Python's float +,
+    ``run`` steps any other objective of at most ``_COUPLED_LANE_MAX_DIM``
+    coordinates on Python floats too, for the methods in
+    ``_COUPLED_LANE_METHODS``, in the coupled lane: each step runs the
+    kernel on every coordinate, calls the fused oracle on ``np.array(y)``
+    and passes its gradient on as floats, and a block's rows are written
+    into the records at once.  numpy's dispatch is paid once a step for
+    the oracle and once a block for the records.
+
+    Both lanes record the same bits as the array path.  Python's float +,
     -, * and / are the correctly rounded IEEE double operations that
     numpy's float64 ufuncs apply elementwise, and each coordinate runs the
     same operations in the same order: ``run`` calls the same kernel of
     :data:`STEPS`, with the coefficients as floats, and ``integrate`` the
     textbook RK4 stages its in-place buffer is bit-identical to.  The
-    gradient lam_j y_j is the oracle's ``lams * y`` entry.  A block's gaps
-    ``0.5 * np.vecdot(Y, G)`` and squared gradient norms
-    ``np.vecdot(G, G)`` take each row's dot product with the BLAS ddot
-    that the oracle's ``0.5 * float(y.dot(g))`` and ``g @ g`` call.  Only
-    side effects differ: a call that takes the lane evaluates the oracle
-    once, not once a step, and its Python floats raise no numpy
-    RuntimeWarning when a run overflows.
+    coupled lane's oracle sees the array path's y and returns its gap and
+    gradient.  The per-coordinate lane's gradient lam_j y_j is the
+    oracle's ``lams * y`` entry, and ``run`` records a block's gradients
+    as ``Y * lams``, the same products; its gaps ``0.5 * np.vecdot(Y, G)``
+    and squared gradient norms ``np.vecdot(G, G)`` take each row's dot
+    product with the BLAS ddot that the oracle's ``0.5 * float(y.dot(g))``
+    and ``g @ g`` call.  Only side effects differ: the per-coordinate lane
+    evaluates the oracle once, not once a step, and a run that overflows
+    warns only from the numpy operations the lanes take once a block, not
+    from their Python floats.
     """
     return _diagonal_eigenvalues(f) if f.dim <= _LANE_MAX_DIM else None
 
 
-def _lane_steps(step, k, lane: list, n: int) -> tuple[list, ...]:
-    """n steps of one coordinate of :func:`run`'s lane (:func:`_lane`).
-    ``lane`` is the coordinate's [lam, x, y, v, g, carry], on floats, and
-    is advanced in place; returns the lists of the n new x, y, v and g."""
+def _lane_steps(step, k, lane: list, n: int, record_y: bool,
+                record_v: bool) -> tuple[list, ...]:
+    """n steps of one coordinate of :func:`run`'s per-coordinate lane
+    (:func:`_lane`).  ``lane`` is the coordinate's [lam, x, y, v, g,
+    carry], on floats, and is advanced in place; returns the lists of the
+    n new x, and of the n new y and v where ``run`` records them (else
+    None)."""
     lam, x, y, v, g, carry = lane
-    xs, ys, vs, gs = [], [], [], []
+    xs = []
+    ys = [] if record_y else None
+    vs = [] if record_v else None
     for _ in range(n):
         x, y, v, carry = step(k, x, y, v, g, carry)
         g = lam * y
         xs.append(x)
-        ys.append(y)
-        vs.append(v)
-        gs.append(g)
+        if record_y:
+            ys.append(y)
+        if record_v:
+            vs.append(v)
     lane[1:] = x, y, v, g, carry
-    return xs, ys, vs, gs
+    return xs, ys, vs
 
 
 def first_nonfinite_row(block: np.ndarray) -> Optional[int]:
@@ -356,19 +386,24 @@ def run(f: Objective, method: str, x0: Vector, s: float, K: int, *,
 
     ``first_velocity`` selects the first velocity of iv-phase: "scheme"
     follows the recursion, "corollary" prescribes v_1 = 2 sqrt(mu s)
-    grad f(y_0); other methods ignore it.  K, the method,
-    ``first_velocity``, x0 and a finite s > 0 are checked, with
-    ValueError, before any warning.
+    grad f(y_0); other methods ignore it.  An integer K >= 0 (a bool is
+    not one), the method, ``first_velocity``, x0 and a finite s > 0 are
+    checked, with ValueError, before any warning.
 
     The run makes one fused value-and-gradient evaluation per recorded
     point, at y_k (K+1 in all; separate evaluations of each without a
     fused oracle), records the gap and the gradient's squared norm, and
-    passes the gradient to the next step.  A small diagonal quadratic
-    takes the per-coordinate lane (:func:`_lane`), which records the same
-    bits and evaluates the oracle at y_0 alone.  A non-finite iterate raises
-    :class:`NonFiniteIterateError` naming the first step k >= 1 whose x_k
-    is non-finite, checked once per block of ``_BLOCK_ROWS`` rows.
+    passes the gradient to the next step.  A small objective steps on
+    Python floats (:func:`_lane`), with the same bits: a diagonal
+    quadratic one coordinate at a time, evaluating the oracle at y_0
+    alone, and, but for gd, any other one every coordinate a step.  A
+    non-finite iterate raises :class:`NonFiniteIterateError` naming the
+    first step k >= 1 whose x_k is non-finite, checked once per block of
+    ``_BLOCK_ROWS`` rows.
     """
+    if isinstance(K, bool) or not isinstance(K, numbers.Integral):
+        raise ValueError(f"K must be an integer, not {K!r}")
+    K = int(K)  # a numpy integer would wrap at K + 1
     if K < 0:
         raise ValueError("K must be nonnegative")
     if method not in METHODS:
@@ -408,16 +443,21 @@ def run(f: Objective, method: str, x0: Vector, s: float, K: int, *,
     grad_sq[0] = g @ g
     grads = np.empty((min(K, _BLOCK_ROWS), f.dim))  # the block's gradients
     lams = _lane(f)
-    if lams is not None:
+    on_floats = lams is not None or (f.dim <= _COUPLED_LANE_MAX_DIM
+                                     and method in _COUPLED_LANE_METHODS)
+    if on_floats:  # the lane's state, a list of floats per coordinate
         k = step_coefficients(f.mu, s)
-        carries = [None] * f.dim if carry is None else carry.tolist()
-        lanes = [list(state) for state in zip(
-            lams, x.tolist(), y.tolist(), v.tolist(), g.tolist(), carries)]
+        x, y, v, g = x.tolist(), y.tolist(), v.tolist(), g.tolist()
+        carry = [None] * f.dim if carry is None else carry.tolist()
+        ks = repeat(k)
+    if lams is not None:
+        lanes = [list(state) for state in zip(lams, x, y, v, g, carry)]
+        lams = np.array(lams)
 
     for rows in _blocks(K + 1, start=1):
         lo = rows.start
         block = grads[:rows.stop - lo]
-        if lams is None:
+        if not on_floats:
             for i in range(lo, rows.stop):
                 x, y, v, carry = step(k, x, y, v, g, carry)
                 f_gap[i], g = value_and_grad(y)
@@ -427,14 +467,38 @@ def run(f: Objective, method: str, x0: Vector, s: float, K: int, *,
                 if record_v:
                     vs[i] = v
                 block[i - lo] = g
-        else:
+        elif lams is None:  # every coordinate a step, then the oracle
+            # the block's rows, flat: numpy takes a flat list of floats
+            # faster than a list of rows
+            xr, yr, vr, gr, values = [], [], [], [], []
+            for _ in range(len(block)):
+                x, y, v, carry = zip(*map(step, ks, x, y, v, g, carry))
+                value, g = value_and_grad(np.array(y))
+                g = g.tolist()
+                values.append(value)
+                gr.extend(g)
+                xr.extend(x)
+                if record_y:
+                    yr.extend(y)
+                if record_v:
+                    vr.extend(v)
+            f_gap[rows] = values
+            block[:] = np.reshape(gr, block.shape)
+            xs[rows] = np.reshape(xr, block.shape)
+            if record_y:
+                ys[rows] = np.reshape(yr, block.shape)
+            if record_v:
+                vs[rows] = np.reshape(vr, block.shape)
+        else:  # one coordinate at a time
             for j, lane in enumerate(lanes):
-                xj, yj, vj, block[:, j] = _lane_steps(step, k, lane, len(block))
+                xj, yj, vj = _lane_steps(step, k, lane, len(block),
+                                         record_y, record_v)
                 xs[rows, j] = xj
                 if record_y:
                     ys[rows, j] = yj
                 if record_v:
                     vs[rows, j] = vj
+            np.multiply(ys[rows], lams, out=block)  # the lane's lam_j y_j
         bad = first_nonfinite_row(xs[rows])
         if bad is not None:
             raise NonFiniteIterateError(method, lo + bad)

@@ -1,13 +1,15 @@
-"""The per-coordinate lane (:func:`accelcert.optimizers._lane`): ``run``
-and ``integrate`` step a diagonal quadratic of at most ``_LANE_MAX_DIM``
-coordinates one coordinate at a time on Python floats, and record the same
-bits as the array path, which the same objective takes once its fused
-oracle is wrapped.  Which path runs depends only on the objective: any
-other fused oracle, a wider diagonal quadratic, a rotated one and the
-logistic loss take the array path.  Both paths reject the same inputs,
-before any warning, and a diverging run raises at the same step on both.
+"""The lanes of :func:`accelcert.optimizers._lane`: ``run`` and
+``integrate`` step a small diagonal quadratic one coordinate at a time on
+Python floats, and ``run`` steps any other small objective on floats every
+coordinate a step, but for gd.  Every lane records the same bits as the
+array path, which the same run takes with the lanes' cutoffs set to 0;
+the coupled lane is checked with its cutoff raised to ``_LANE_MAX_DIM``
+for every method.  Which path runs depends only on the objective and the
+method.  Both paths reject the same inputs, before any warning, and a
+diverging run raises at the same step on both.
 """
 
+import contextlib
 import functools
 import math
 import warnings
@@ -16,6 +18,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import accelcert.optimizers as optimizers
 from accelcert import (METHODS, integrate, make_quadratic, make_reg_logistic,
                        resolve_minimizer, run, step_coefficients)
 from accelcert.hires_ode import EQUATIONS, NonFiniteSolutionError
@@ -27,11 +30,29 @@ RUN_COLUMNS = ("xs", "ys", "vs", "f_gap", "grad_sq")
 ODE_COLUMNS = ("t", "X", "Xdot", "f_gap")
 
 
-def on_array_path(f):
-    """``f`` with its fused oracle wrapped, so that ``run`` and
-    ``integrate`` call it, as arrays, at every step."""
-    oracle = f.value_and_grad_fn
-    return replace(f, value_and_grad_fn=lambda x: oracle(x))
+@contextlib.contextmanager
+def on_path(path):
+    """A context in which ``run`` and ``integrate`` take ``path``: "array"
+    with every lane's cutoff at 0, "coupled" where ``run`` takes the
+    coupled lane for every method up to ``_LANE_MAX_DIM`` coordinates, or
+    "selected", the path the objective and method select."""
+    with pytest.MonkeyPatch.context() as patch:
+        if path == "array":
+            patch.setattr(optimizers, "_LANE_MAX_DIM", 0)
+            patch.setattr(optimizers, "_COUPLED_LANE_MAX_DIM", 0)
+        elif path == "coupled":
+            patch.setattr(optimizers, "_COUPLED_LANE_MAX_DIM", _LANE_MAX_DIM)
+            patch.setattr(optimizers, "_COUPLED_LANE_METHODS", set(METHODS))
+        yield
+
+
+def on_both_paths(call, lane="selected"):
+    """``call()`` on the ``lane`` path, then on the array path."""
+    results = []
+    for path in (lane, "array"):
+        with on_path(path):
+            results.append(call())
+    return results
 
 
 def assert_same_bits(a, b, columns):
@@ -39,6 +60,14 @@ def assert_same_bits(a, b, columns):
         got, want = getattr(a, name), getattr(b, name)
         assert got.dtype == want.dtype and got.shape == want.shape, name
         assert got.tobytes() == want.tobytes(), name
+
+
+def assert_same_run(lane, array):
+    assert_same_bits(lane, array, RUN_COLUMNS)
+    assert (lane.ys is lane.xs) == (array.ys is array.xs)
+    assert lane.vs.flags.writeable == array.vs.flags.writeable
+    if lane.method_id == "gd":  # one read-only zero row
+        assert lane.vs.strides[0] == 0 and not lane.vs.flags.writeable
 
 
 def start(d, seed=0):
@@ -53,14 +82,59 @@ def test_run_lane_records_the_array_path_bits(method, first_velocity, K, d):
     f = make_quadratic(np.logspace(0, 3, d))
     assert _lane(f) == tuple(np.diag(f.hessian))
     x0 = start(d)
-    lane, array = (run(g, method, x0, 1.0 / f.lipschitz, K,
-                       first_velocity=first_velocity)
-                   for g in (f, on_array_path(f)))
-    assert_same_bits(lane, array, RUN_COLUMNS)
-    assert (lane.ys is lane.xs) == (array.ys is array.xs)
-    assert lane.vs.flags.writeable == array.vs.flags.writeable
-    if method == "gd":  # one read-only zero row
-        assert lane.vs.strides[0] == 0 and not lane.vs.flags.writeable
+    lane, array = on_both_paths(lambda: run(
+        f, method, x0, 1.0 / f.lipschitz, K, first_velocity=first_velocity))
+    assert_same_run(lane, array)
+
+
+class Counter:
+    """A wrapper of an oracle that counts its calls."""
+
+    def __init__(self, oracle):
+        self.calls = 0
+        self.oracle = oracle
+
+    def __call__(self, x):
+        self.calls += 1
+        return self.oracle(x)
+
+
+#: The coupled objectives ``run`` steps on floats every coordinate a step.
+COUPLED = {
+    "quad-rot": lambda d: make_quadratic(np.logspace(0, 2, d),
+                                         rotation_seed=5),
+    "logistic": lambda d: resolve_minimizer(make_reg_logistic(3, 20, d, 0.1)),
+}
+
+
+@functools.cache
+def coupled(name, d):
+    return COUPLED[name](d)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, _LANE_MAX_DIM])
+@pytest.mark.parametrize("objective", COUPLED)
+@pytest.mark.parametrize("K", [0, 1, B - 1, B, 600])
+@pytest.mark.parametrize("first_velocity", FIRST_VELOCITY_CONVENTIONS)
+@pytest.mark.parametrize("method", METHODS)
+def test_coupled_lane_records_the_array_path_bits(method, first_velocity, K,
+                                                  objective, d):
+    f = coupled(objective, d)
+    assert _lane(f) is None
+    counter = Counter(f.value_and_grad_fn)
+    counted = replace(f, value_and_grad_fn=counter)
+    x0 = start(d)
+    calls = []
+
+    def call():
+        counter.calls = 0
+        traj = run(counted, method, x0, 1.0 / f.lipschitz, K,
+                   first_velocity=first_velocity)
+        calls.append(counter.calls)
+        return traj
+    lane, array = on_both_paths(call, "coupled")
+    assert_same_run(lane, array)
+    assert calls == [K + 1, K + 1]
 
 
 def test_heavy_ball_lane_over_many_step_sizes():
@@ -75,8 +149,7 @@ def test_heavy_ball_lane_over_many_step_sizes():
         m = step_coefficients(mu, s).m
         pow_differs += m ** 2 != m * m
         x0 = np.array([1.0, -0.5])
-        lane, array = (run(g, "heavy-ball", x0, s, 3)
-                       for g in (f, on_array_path(f)))
+        lane, array = on_both_paths(lambda: run(f, "heavy-ball", x0, s, 3))
         assert_same_bits(lane, array, RUN_COLUMNS)
     assert pow_differs > 0  # the grid reaches such an m
 
@@ -89,8 +162,7 @@ def test_heavy_ball_lane_over_many_step_sizes():
                          ids=["n=0", "n=5", "n=B", "n=600"])
 def test_integrate_lane_records_the_array_path_bits(which, s, d, T, h):
     f = make_quadratic(np.linspace(1.0, 4.0, d))
-    lane, array = (integrate(g, start(d), s, T, h, which)
-                   for g in (f, on_array_path(f)))
+    lane, array = on_both_paths(lambda: integrate(f, start(d), s, T, h, which))
     assert_same_bits(lane, array, ODE_COLUMNS)
 
 
@@ -98,28 +170,43 @@ def test_unknown_minimum_gives_nan_gaps_on_both_paths():
     f = replace(make_quadratic([1.0, 4.0]), minimizer=None, min_value=None)
     assert _lane(f) is not None
     x0 = start(2)
-    for method in ("gd", "iv-phase"):
-        lane, array = (run(g, method, x0, 0.25, 300)
-                       for g in (f, on_array_path(f)))
-        assert np.isnan(lane.f_gap).all()
-        assert_same_bits(lane, array, RUN_COLUMNS)
-    lane, array = (integrate(g, x0, 0.25, 0.3, 1e-3)
-                   for g in (f, on_array_path(f)))
+    for g in (f, make_reg_logistic(3, 20, 2, 0.1)):  # and a coupled one
+        for method in ("gd", "iv-phase"):
+            lane, array = on_both_paths(lambda: run(
+                g, method, x0, 1.0 / g.lipschitz, 300))
+            assert np.isnan(lane.f_gap).all()
+            assert_same_bits(lane, array, RUN_COLUMNS)
+    lane, array = on_both_paths(lambda: integrate(f, x0, 0.25, 0.3, 1e-3))
     assert np.isnan(lane.f_gap).all()
     assert_same_bits(lane, array, ODE_COLUMNS)
+
+
+def steps_of_divergence(f, method, s, lane="selected"):
+    """The step ``run`` of K = 2000 from (1, -1) raises at on the ``lane``
+    path and on the array path."""
+    steps = []
+    for path in (lane, "array"):
+        with on_path(path), np.errstate(all="ignore"):
+            with pytest.warns(UserWarning):
+                with pytest.raises(NonFiniteIterateError) as err:
+                    run(f, method, np.array([1.0, -1.0]), s, 2000)
+        steps.append(err.value.k)
+    return steps
 
 
 @pytest.mark.parametrize("method", METHODS)
 def test_diverging_run_raises_at_the_same_step(method):
     # s = 1 is four times 1/L: every method leaves a non-finite iterate
     # at some step past the first block
-    f = make_quadratic([1.0, 4.0])
-    steps = []
-    for g in (f, on_array_path(f)):
-        with np.errstate(all="ignore"), pytest.warns(UserWarning):
-            with pytest.raises(NonFiniteIterateError) as err:
-                run(g, method, np.array([1.0, -1.0]), 1.0, 2000)
-        steps.append(err.value.k)
+    steps = steps_of_divergence(make_quadratic([1.0, 4.0]), method, 1.0)
+    assert steps[0] == steps[1] > B
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_diverging_coupled_run_raises_at_the_same_step(method):
+    f = make_quadratic([1.0, 4.0], rotation_seed=2)
+    assert _lane(f) is None
+    steps = steps_of_divergence(f, method, 1.0, "coupled")
     assert steps[0] == steps[1] > B
 
 
@@ -129,24 +216,12 @@ def test_diverging_solution_raises_at_the_same_time(s):
     # non-finite sample falls past the first block
     f = make_quadratic([100.0])
     times = []
-    for g in (f, on_array_path(f)):
-        with np.errstate(all="ignore"):
+    for path in ("selected", "array"):
+        with on_path(path), np.errstate(all="ignore"):
             with pytest.raises(NonFiniteSolutionError) as err:
-                integrate(g, np.array([1.0]), s, 2000 * 0.35, 0.35)
+                integrate(f, np.array([1.0]), s, 2000 * 0.35, 0.35)
         times.append(err.value.t)
     assert times[0] == times[1] > B * 0.35
-
-
-class Counter:
-    """A wrapper of an oracle that counts its calls."""
-
-    def __init__(self, oracle):
-        self.calls = 0
-        self.oracle = oracle
-
-    def __call__(self, x):
-        self.calls += 1
-        return self.oracle(x)
 
 
 @pytest.mark.parametrize("wrap", ["plain", "functools.wraps"])
@@ -185,7 +260,39 @@ def test_path_selection(build, lane):
     assert counter.calls == (0 if lane else 3 * n)
 
 
-@pytest.mark.parametrize("array", [False, True], ids=["lane", "array"])
+C = optimizers._COUPLED_LANE_MAX_DIM
+
+
+@pytest.mark.parametrize("f, method, on_floats", [
+    (make_quadratic(np.logspace(0, 1, _LANE_MAX_DIM)), "gd", True),
+    (make_quadratic(np.logspace(0, 1, _LANE_MAX_DIM + 1)), "gd", False),
+    (make_quadratic(np.logspace(0, 1, C), rotation_seed=2), "nag-modified",
+     True),
+    (make_reg_logistic(3, 20, C, 0.1), "iv-phase", True),
+    (make_quadratic(np.logspace(0, 1, C), rotation_seed=2), "gd", False),
+    (make_quadratic(np.logspace(0, 1, C + 1), rotation_seed=2),
+     "nag-modified", False),
+    (make_quadratic(np.logspace(0, 1, _LANE_MAX_DIM + 1), rotation_seed=2),
+     "iv-phase", False)],
+    ids=["diag-d=cutoff", "diag-d=cutoff+1", "rotated-d=coupled-cutoff",
+         "logistic-d=coupled-cutoff", "rotated-gd", "rotated-d=coupled-cutoff+1",
+         "rotated-d=cutoff+1"])
+def test_run_path_selection(monkeypatch, f, method, on_floats):
+    # run's discarded first kernel call (_records) takes arrays on every
+    # path; the steps take floats on a lane and arrays on the array path
+    kernel = optimizers.STEPS[method]
+    operands = set()
+
+    def spy(k, x, *rest):
+        operands.add(type(x))
+        return kernel(k, x, *rest)
+    monkeypatch.setitem(optimizers.STEPS, method, spy)
+    run(f, method, start(f.dim), 1.0 / f.lipschitz, 5)
+    assert operands == ({np.ndarray, float} if on_floats else {np.ndarray})
+
+
+@pytest.mark.parametrize("path", ["selected", "array"],
+                         ids=["lane", "array"])
 @pytest.mark.parametrize("call", [
     lambda f: run(f, "gd", np.ones(2), math.inf, 5),
     lambda f: run(f, "iv-phase", np.ones(2), math.nan, 5),
@@ -197,12 +304,12 @@ def test_path_selection(build, lane):
     lambda f: integrate(f, np.ones(2), 0.25, 0.04, 0.1)],
     ids=["run-s=inf", "run-s=nan", "T=nan", "T=inf", "s=inf", "h=inf",
          "h=nan", "T<h/2"])
-def test_nonfinite_inputs_rejected_before_any_warning(call, array):
+def test_nonfinite_inputs_rejected_before_any_warning(call, path):
     # T = nan used to return one sample, T = inf to raise OverflowError,
     # s = inf to warn and then fail on the first non-finite step, and a T
     # short of h / 2 to pass as a multiple of h
     f = make_quadratic([1.0, 4.0])
-    with warnings.catch_warnings():
+    with on_path(path), warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError):
-            call(on_array_path(f) if array else f)
+            call(f)

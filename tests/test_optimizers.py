@@ -256,6 +256,16 @@ class TestRun:
             with pytest.raises(ValueError):
                 run(quad_ill, method, x0, s, 10, first_velocity=first_velocity)
 
+    @pytest.mark.parametrize("K", [2.5, 3.0, True, np.True_, "3", None])
+    def test_non_integer_K_rejected(self, quad_ill, K):
+        # 2.5 and True used to reach numpy and raise its TypeError
+        with pytest.raises(ValueError, match="K must be an integer"):
+            run(quad_ill, "gd", np.ones(2), 0.01, K)
+
+    @pytest.mark.parametrize("K", [np.int64(3), np.uint8(255)])
+    def test_numpy_integer_K(self, quad_ill, K):
+        assert run(quad_ill, "gd", np.ones(2), 0.01, K).K == int(K)
+
     def test_warns_above_one_over_L(self, quad_ill):
         with pytest.warns(UserWarning, match="exceeds 1/L"):
             run(quad_ill, "gd", np.array([0.1, 0.1]), 0.02, 1)

@@ -24,15 +24,23 @@ per step, the median over the rounds of the after/before ratio of the
 round's pair, and the ``tracemalloc`` peak of one call in bytes, which
 unlike the times is the same on every run.  BLAS runs on one thread.
 
-The ``lane`` section times the library in ``src/`` alone, on the diagonal
-quadratic with spectrum ``logspace(0, 2, d)`` at d = 1, 2, 4, 8 and 12:
-``run`` of each method for K steps at s = 1/L and ``integrate`` of the
-simplified equation at s = 1/L, h = 1e-3, each once on the per-coordinate
-lane and once on the array path, in alternation.  The cutoff
-``optimizers._LANE_MAX_DIM`` is set above the largest d for the one and to
-0 for the other, so both time the same objective; the report gives each
-path's min and median and the median lane/array ratio, which places the
-cutoff.
+The ``lane`` section times the library in ``src/`` alone, each case once
+on the per-coordinate lane and once on the array path, in alternation:
+
+* on the diagonal quadratic with spectrum ``logspace(0, 2, d)`` at d = 1,
+  2, 4, 8 and 12, ``run`` of each method for K steps at s = 1/L and
+  ``integrate`` of the simplified equation at s = 1/L, h = 1e-3;
+* on the coupled objectives, which ``run`` steps on floats with one oracle
+  call a step, ``run`` of each method for K steps at s = 1/L: the
+  quadratic with that spectrum rotated by ``rotation_seed`` 11 at the same
+  d, and ``make_reg_logistic(3, 50, d, 0.1)`` after ``resolve_minimizer``
+  at d = 2 and 8.
+
+For the one the cutoffs ``optimizers._LANE_MAX_DIM`` and
+``_COUPLED_LANE_MAX_DIM`` are set to the largest d and every method takes
+the coupled lane, and for the other both cutoffs are set to 0, so both
+time the same objective; the report gives each path's min and median and
+the median lane/array ratio, which places the cutoffs.
 """
 
 from __future__ import annotations
@@ -51,6 +59,7 @@ import tempfile
 import tracemalloc
 from pathlib import Path
 from time import perf_counter
+from unittest import mock
 
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 os.environ.setdefault("OMP_NUM_THREADS", "1")
@@ -65,6 +74,7 @@ ODE_STEPS = {"quad[1,4]": 2000, "ode-logistic": 300}
 #: Timed rounds per case and version.
 ALTERNATIONS = 100
 LANE_DIMS = (1, 2, 4, 8, 12)
+LOGISTIC_LANE_DIMS = (2, 8)
 LANE_STEPS = {"run": 2000, "integrate": 1000}
 
 
@@ -117,18 +127,29 @@ def lane_cases(ac) -> dict:
                 ac.run(f, method, x0, s, K), K)
         out[f"integrate d={d}"] = (
             lambda f=f, x0=x0, s=s: ac.integrate(f, x0, s, n * 1e-3, 1e-3), n)
+    coupled = {f"quad-rot d={d}": ac.make_quadratic(np.logspace(0, 2, d),
+                                                   rotation_seed=11)
+               for d in LANE_DIMS}
+    coupled.update({f"logistic d={d}": ac.resolve_minimizer(
+        ac.make_reg_logistic(3, 50, d, 0.1)) for d in LOGISTIC_LANE_DIMS})
+    for label, f in coupled.items():
+        x0 = ac.sample_in_ball(np.random.default_rng(f.dim), f.dim, 2.0)
+        s, K = 1.0 / f.lipschitz, LANE_STEPS["run"]
+        for method in ac.optimizers.METHODS:
+            out[f"run {method} {label}"] = (
+                lambda f=f, x0=x0, s=s, method=method:
+                ac.run(f, method, x0, s, K), K)
     return out
 
 
 def on_path(ac, lane: bool, call, steps: int) -> float:
-    """``timed(call, steps)`` with the lane cutoff of ``ac`` set so that
-    every case takes the lane, or none does."""
-    cutoff = ac.optimizers._LANE_MAX_DIM
-    ac.optimizers._LANE_MAX_DIM = max(LANE_DIMS) if lane else 0
-    try:
+    """``timed(call, steps)`` with the lane cutoffs of ``ac`` set so that
+    every case takes a lane, or none does."""
+    cutoff = max(LANE_DIMS) if lane else 0
+    with mock.patch.multiple(ac.optimizers, _LANE_MAX_DIM=cutoff,
+                             _COUPLED_LANE_MAX_DIM=cutoff,
+                             _COUPLED_LANE_METHODS=set(ac.optimizers.METHODS)):
         return timed(call, steps)
-    finally:
-        ac.optimizers._LANE_MAX_DIM = cutoff
 
 
 def timed(call, steps: int) -> float:
