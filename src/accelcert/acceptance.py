@@ -64,14 +64,16 @@ def _suite() -> dict[str, tuple[Objective, np.ndarray]]:
 def _suite_run(label: str, method: str, frac: float) -> Trajectory:
     """The 1000-step run of ``method`` on suite objective ``label`` at
     s = frac / L with the scheme's first velocity, made once per process;
-    its columns are read-only, since every caller gets the same arrays.
+    its stored columns are read-only, since every caller gets the same
+    arrays (a y rebuilt on read is read-only too).
     Criteria 1-5 read it for iv-phase and gc-phase at frac 1 and 0.5, and
     criterion 6 reads the frac 1 runs' first 500 steps (:func:`_steps`);
     the other suite runs are each read once and are not cached."""
     f, x0 = _suite()[label]
     traj = run(f, method, x0, frac / f.lipschitz, 1000)
-    for col in (traj.xs, traj.ys, traj.vs, traj.f_gap, traj.grad_sq):
-        col.flags.writeable = False
+    for col in (traj.xs, traj._ys, traj.vs, traj.f_gap, traj.grad_sq):
+        if col is not None:
+            col.flags.writeable = False
     return traj
 
 
@@ -82,11 +84,14 @@ def _steps(traj: Trajectory, K: int) -> Trajectory:
     The record is a shallow copy, not a new ``Trajectory(...)``: the
     counting pass of ``benchmarks/tracer.py`` books every constructed
     trajectory as a run of K steps, and a prefix steps nothing.  Where
-    ``ys`` is the ``xs`` array, the prefix's are one view too."""
+    ``ys`` is the ``xs`` array, the prefix's are one view too; where it is
+    rebuilt from x and v (iv-phase, gc-phase), the prefix's is rebuilt
+    from the prefix's rows, and neither builds the column."""
     prefix = copy.copy(traj)
     for col in ("xs", "vs", "f_gap", "grad_sq"):
         setattr(prefix, col, getattr(traj, col)[:K + 1])
-    prefix.ys = prefix.xs if traj.ys is traj.xs else traj.ys[:K + 1]
+    if traj._ys is not None:
+        prefix.ys = prefix.xs if traj._ys is traj.xs else traj._ys[:K + 1]
     return prefix
 
 

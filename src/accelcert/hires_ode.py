@@ -36,7 +36,7 @@ from typing import Iterator
 import numpy as np
 
 from .analysis import CONTINUOUS
-from .objectives import Objective, Vector, _operands
+from .objectives import Objective, Vector, _checked_fused, _operands
 from .optimizers import (_blocks, _lane, _step_operands, as_start,
                          first_nonfinite_row)
 from .lyapunov import ode_energies
@@ -177,7 +177,9 @@ def integrate(f: Objective, x0: Vector, s: float, T: float, h: float,
     first-stage gradient, so one fused value-and-gradient evaluation there
     gives both the recorded probe gap and that gradient: n steps make 3n
     gradient evaluations and n+1 fused ones.  With the minimum unknown the
-    gaps are NaN, as in :func:`~accelcert.optimizers.run`.
+    gaps are NaN, as in :func:`~accelcert.optimizers.run`.  The first and
+    the last fused call are checked against the oracle contract, with
+    ValueError (:func:`~accelcert.objectives._checked_fused`).
 
     The stages are written in place into one (4, 3, d) stage buffer
     ``W``, with ``W[j] = (X_j, V_j, A_j)`` for stage j + 1: its state
@@ -231,7 +233,8 @@ def integrate(f: Objective, x0: Vector, s: float, T: float, h: float,
         lo, hi = steps.start, steps.stop
         if lams is None:
             for i in range(lo, hi):
-                f_gap[i], g = value_and_grad(X + root_s * V / c)
+                result = value_and_grad(X + root_s * V / c)
+                f_gap[i], g = result if i else _checked_fused(result, f)
                 xddot(V, g, A1)
                 for a, slope, state, Xj, Vj, Aj in stages:
                     np.multiply(a, slope, out=state)
@@ -250,7 +253,7 @@ def integrate(f: Objective, x0: Vector, s: float, T: float, h: float,
             probes = rec[lo:hi, 0] + root_s * rec[lo:hi, 1] / c
             f_gap[steps] = 0.5 * np.vecdot(probes, probes * lams)
     Xn, Vn = rec[n]
-    f_gap[n], _ = value_and_grad(Xn + root_s * Vn / c)
+    f_gap[n], _ = _checked_fused(value_and_grad(Xn + root_s * Vn / c), f)
     f_gap -= np.nan if f.min_value is None else f.min_value
     return OdeSolution(t=np.arange(n + 1) * h, X=rec[:, 0], Xdot=rec[:, 1],
                        f_gap=f_gap, s=s, which=which, objective=f)

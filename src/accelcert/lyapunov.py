@@ -26,7 +26,7 @@ import numpy as np
 
 from .analysis import ENERGIES, require_claim
 from .objectives import Objective, Vector, require_minimizer
-from .optimizers import (StepCoefficients, Trajectory, _blocks, run,
+from .optimizers import (StepCoefficients, Trajectory, _blocks, _y_rows, run,
                          step_coefficients)
 from .report import CertReport, _slack, margin_report
 
@@ -87,20 +87,23 @@ def energies(trajectory: Trajectory, form: str) -> np.ndarray:
     form makes no oracle call.  The gc form takes g_k, which the run does
     not record, from
     :meth:`~accelcert.objectives.Objective.value_and_grad_rows`, a block of
-    ``optimizers._BLOCK_ROWS`` rows at a time.
+    ``optimizers._BLOCK_ROWS`` rows at a time, and reads y a block at a
+    time too, since gc-phase's y is rebuilt from x and v.
     """
     require_claim("form", ENERGIES, form, trajectory.method_id)
     f = trajectory.objective
     require_minimizer(f)
     k, mu, xstar = step_coefficients(f.mu, trajectory.s), f.mu, f.minimizer
-    gaps, ys, vs, xs = (trajectory.f_gap, trajectory.ys, trajectory.vs,
-                        trajectory.xs)
+    gaps, vs, xs = trajectory.f_gap, trajectory.vs, trajectory.xs
     out = np.empty(trajectory.K)
+    y_prev = None  # the y row before the block
     for rows in _blocks(len(out)):
         nxt = slice(rows.start + 1, rows.stop + 1)
         if form == "gc":
-            _, G = f.value_and_grad_rows(ys[rows])
-            out[rows] = _gc_energy(gaps[rows], G, ys[nxt], vs[nxt], xstar, k,
+            Y = _y_rows(trajectory, slice(rows.start, nxt.stop), y_prev)
+            y_prev = Y[-2]
+            _, G = f.value_and_grad_rows(Y[:-1])
+            out[rows] = _gc_energy(gaps[rows], G, Y[1:], vs[nxt], xstar, k,
                                    mu)
         else:
             out[rows] = _iv_energy(gaps[rows], vs[nxt], xs[nxt], xstar, k, mu)

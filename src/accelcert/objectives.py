@@ -10,6 +10,7 @@ construction and sampling are reproducible bit for bit.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
@@ -34,6 +35,28 @@ def _operands(*values) -> tuple[np.ndarray, ...]:
     for a in out:
         a.flags.writeable = False
     return out
+
+
+def _checked_fused(result: tuple, f: Objective) -> tuple[float, Vector]:
+    """``result``, the (value, gradient) of ``f``'s fused oracle (or of
+    :meth:`Objective.value_and_grad` without one), once it is seen to keep
+    the contract of :class:`Objective`: a real scalar value and a float64
+    ndarray gradient of shape (f.dim,).  Else ValueError naming the
+    oracle: a gradient of shape (1,) would broadcast into every coordinate
+    of a run.  The hot loops check their first fused call, which the
+    others repeat."""
+    value, grad = result
+    oracle = "grad_fn" if f.value_and_grad_fn is None else "value_and_grad_fn"
+    if not isinstance(value, numbers.Real):
+        raise ValueError(f"{oracle} returned a value of type "
+                         f"{type(value).__name__}, not a real scalar")
+    if not (isinstance(grad, np.ndarray) and grad.dtype == np.float64
+            and grad.shape == (f.dim,)):
+        got = (f"a {grad.dtype} array of shape {grad.shape}"
+               if isinstance(grad, np.ndarray) else f"a {type(grad).__name__}")
+        raise ValueError(f"{oracle} returned {got} as its gradient, not a "
+                         f"float64 array of shape ({f.dim},)")
+    return result
 
 
 class MinimizerUnknownError(ValueError):

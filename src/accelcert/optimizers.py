@@ -49,7 +49,8 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .objectives import Objective, Vector, _diagonal_eigenvalues, _operands
+from .objectives import (Objective, Vector, _checked_fused,
+                         _diagonal_eigenvalues, _operands)
 
 #: The first velocities of ``iv-phase`` that :func:`run` takes.
 FIRST_VELOCITY_CONVENTIONS = ("scheme", "corollary")
@@ -294,8 +295,8 @@ def _lane_steps(step, k, lane: list, n: int, record_y: bool,
     """n steps of one coordinate of :func:`run`'s per-coordinate lane
     (:func:`_lane`).  ``lane`` is the coordinate's [lam, x, y, v, g,
     carry], on floats, and is advanced in place; returns the lists of the
-    n new x, and of the n new y and v where ``run`` records them (else
-    None)."""
+    n new x, and of the n new y and v where they differ from x and from
+    the v before (else None)."""
     lam, x, y, v, g, carry = lane
     xs = []
     ys = [] if record_y else None
@@ -336,8 +337,12 @@ class Trajectory:
     ``vs[k]``, and the objective gap ``f_gap[k]`` and squared gradient norm
     ``grad_sq[k]`` (``g @ g`` of the gradient g the state carries) at
     ``ys[k]``.  :func:`run` keeps only the columns that differ: for gd and
-    heavy-ball ``ys`` is the ``xs`` array, and gd's ``vs`` is a read-only
-    view of one zero row.  ``objective`` is the objective the run stepped on.
+    heavy-ball ``ys`` is the ``xs`` array, gd's ``vs`` is a read-only
+    view of one zero row, and iv-phase and gc-phase, whose y is fixed by
+    x and v, store no y at all.  Constructed with ``ys=None``, a
+    trajectory of one of those two methods rebuilds ``ys`` on each read as
+    a read-only column, bit for bit the y of the kernel (:func:`_y_rows`).
+    ``objective`` is the objective the run stepped on.
     ``lyapunov`` and ``bound`` are optional diagnostic columns (NaN where
     undefined) that :func:`accelcert.lyapunov.attach_energies` and
     :func:`accelcert.analysis.attach_bound` fill.
@@ -370,11 +375,59 @@ class Trajectory:
         return np.sqrt(self.grad_sq)
 
 
+def _get_ys(self) -> np.ndarray:
+    if self._ys is not None:
+        return self._ys
+    ys = _y_rows(self, slice(0, len(self)))
+    ys.flags.writeable = False
+    return ys
+
+
+def _set_ys(self, ys: Optional[np.ndarray]):
+    if ys is None and self.method_id not in _Y_REBUILT:
+        raise ValueError(f"{self.method_id} cannot rebuild its y column")
+    self._ys = ys
+
+
+# a property of the field ``ys``, set after the class is made: in the class
+# body it would be taken for the field's default
+Trajectory.ys = property(_get_ys, _set_ys)
+
+#: The methods whose y :func:`run` does not store, since x and v fix it.
+_Y_REBUILT = frozenset({"iv-phase", "gc-phase"})
+
+
+def _y_rows(traj: Trajectory, rows: slice,
+            prev: Optional[np.ndarray] = None) -> np.ndarray:
+    """Rows ``rows`` (a slice of step 1) of ``traj``'s y column: a view of
+    the stored column, or, where ``run`` stored none, the rows rebuilt
+    with the kernel's own operations, so bit for bit.  Row 0 is x_0 itself
+    (the probe of (x_0, 0) would turn a -0.0 into +0.0).  For iv-phase, row
+    k >= 1 is :func:`probe_point` of (x_k, v_k); for gc-phase, row k + 1 is
+    y_k + sqrt(s) v_{k+1}, a scan, which ``np.add.accumulate`` takes in
+    order, so a block that starts past row 0 takes ``prev``, the y row
+    before it."""
+    if traj._ys is not None:
+        return traj._ys[rows]
+    k = _step_operands(traj.objective.mu, traj.s)
+    xs, vs = traj.xs[rows], traj.vs[rows]
+    if traj.method_id == "iv-phase":
+        ys = probe_point(xs, vs, k)
+        if rows.start == 0:
+            ys[0] = xs[0]
+    else:
+        ys = k.root_s * vs
+        ys[0] = xs[0] if rows.start == 0 else prev + ys[0]
+        np.add.accumulate(ys, axis=0, out=ys)
+    return ys
+
+
 def _records(step, k, x, y, v, g, carry) -> tuple[bool, bool]:
-    """Whether ``run`` records y and v apart from x, decided by one
-    discarded call of the kernel ``step``: a kernel that returns y as its
-    x, or passes v through unchanged, does so at every step.  Then ``ys``
-    is the ``xs`` array, and ``vs`` a read-only view of the zero v_0."""
+    """Whether the kernel ``step`` makes a y apart from its x and a new v,
+    decided by one discarded call: a kernel that returns y as its x, or
+    passes v through unchanged, does so at every step.  Then ``run``'s
+    ``ys`` is the ``xs`` array, and ``vs`` a read-only view of the zero
+    v_0."""
     x1, y1, v1, _ = step(k, x, y, v, g, carry)
     return y1 is not x1, v1 is not v
 
@@ -393,7 +446,11 @@ def run(f: Objective, method: str, x0: Vector, s: float, K: int, *,
     The run makes one fused value-and-gradient evaluation per recorded
     point, at y_k (K+1 in all; separate evaluations of each without a
     fused oracle), records the gap and the gradient's squared norm, and
-    passes the gradient to the next step.  A small objective steps on
+    passes the gradient to the next step.  The first evaluation, at y_0,
+    is checked against the oracle contract: a real scalar value and a
+    float64 gradient of shape (f.dim,), else ValueError.  For iv-phase
+    and gc-phase the run stores no y: :attr:`Trajectory.ys` rebuilds it
+    from ``xs`` and ``vs``.  A small objective steps on
     Python floats (:func:`_lane`), with the same bits: a diagonal
     quadratic one coordinate at a time, evaluating the oracle at y_0
     alone, and, but for gd, any other one every coordinate a step.  A
@@ -428,21 +485,28 @@ def run(f: Objective, method: str, x0: Vector, s: float, K: int, *,
     grad_sq = np.empty(K + 1)
 
     x, y, v = x0.copy(), x0.copy(), np.zeros(f.dim)
-    f_gap[0], g = value_and_grad(x0)
+    f_gap[0], g = _checked_fused(value_and_grad(x0), f)
     carry = (2 * k.r * g if method == "iv-phase" and first_velocity == "corollary"
              else None)
     record_y, record_v = _records(step, k, x, y, v, g, carry)
     xs = np.empty((K + 1, f.dim))
-    ys = np.empty((K + 1, f.dim)) if record_y else xs
+    if method in _Y_REBUILT:
+        ys = None  # Trajectory.ys rebuilds it from xs and vs
+    else:
+        ys = np.empty((K + 1, f.dim)) if record_y else xs
+    store_y = record_y and ys is not None
     vs = (np.empty((K + 1, f.dim)) if record_v
           else np.broadcast_to(np.zeros(f.dim), (K + 1, f.dim)))
     xs[0] = x
-    ys[0] = y
+    if store_y:
+        ys[0] = y
     if record_v:
         vs[0] = v
     grad_sq[0] = g @ g
     grads = np.empty((min(K, _BLOCK_ROWS), f.dim))  # the block's gradients
     lams = _lane(f)
+    # the per-coordinate lane's y of a block, where run stores none
+    y_block = np.empty_like(grads) if lams is not None and ys is None else None
     on_floats = lams is not None or (f.dim <= _COUPLED_LANE_MAX_DIM
                                      and method in _COUPLED_LANE_METHODS)
     if on_floats:  # the lane's state, a list of floats per coordinate
@@ -462,7 +526,7 @@ def run(f: Objective, method: str, x0: Vector, s: float, K: int, *,
                 x, y, v, carry = step(k, x, y, v, g, carry)
                 f_gap[i], g = value_and_grad(y)
                 xs[i] = x
-                if record_y:
+                if store_y:
                     ys[i] = y
                 if record_v:
                     vs[i] = v
@@ -478,32 +542,33 @@ def run(f: Objective, method: str, x0: Vector, s: float, K: int, *,
                 values.append(value)
                 gr.extend(g)
                 xr.extend(x)
-                if record_y:
+                if store_y:
                     yr.extend(y)
                 if record_v:
                     vr.extend(v)
             f_gap[rows] = values
             block[:] = np.reshape(gr, block.shape)
             xs[rows] = np.reshape(xr, block.shape)
-            if record_y:
+            if store_y:
                 ys[rows] = np.reshape(yr, block.shape)
             if record_v:
                 vs[rows] = np.reshape(vr, block.shape)
         else:  # one coordinate at a time
+            Y = y_block[:len(block)] if ys is None else ys[rows]
             for j, lane in enumerate(lanes):
                 xj, yj, vj = _lane_steps(step, k, lane, len(block),
                                          record_y, record_v)
                 xs[rows, j] = xj
                 if record_y:
-                    ys[rows, j] = yj
+                    Y[:, j] = yj
                 if record_v:
                     vs[rows, j] = vj
-            np.multiply(ys[rows], lams, out=block)  # the lane's lam_j y_j
+            np.multiply(Y, lams, out=block)  # the lane's lam_j y_j
         bad = first_nonfinite_row(xs[rows])
         if bad is not None:
             raise NonFiniteIterateError(method, lo + bad)
         if lams is not None:
-            f_gap[rows] = 0.5 * np.vecdot(ys[rows], block)
+            f_gap[rows] = 0.5 * np.vecdot(Y, block)
         grad_sq[rows] = np.vecdot(block, block)
 
     f_gap -= np.nan if f.min_value is None else f.min_value

@@ -2,16 +2,17 @@
 energy form holds at its default slack on one-dimensional, perfectly
 conditioned and extremely ill-conditioned quadratics, on the shortest runs
 and at the ends of the step window; ``run`` checks s > 0 before any step;
-the iv scheme's y_k is the shared probe point; and a non-finite iterate
-is reported at its own step wherever it falls in the blocks of rows that
-``run`` checks at once."""
+the iv scheme's y_k is the shared probe point; a non-finite iterate is
+reported at its own step wherever it falls in the blocks of rows that
+``run`` checks at once; and ``run`` and ``integrate`` reject a fused
+oracle that breaks its contract at the first call."""
 
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from accelcert import (METHODS, certify_contraction, check_bound,
+from accelcert import (METHODS, certify_contraction, check_bound, integrate,
                        make_quadratic, make_reg_logistic, probe_point,
                        resolve_minimizer, run, sample_in_ball,
                        step_coefficients)
@@ -143,3 +144,50 @@ def test_nonfinite_start():
             with pytest.raises(NonFiniteIterateError) as err:
                 run(f, "nag-modified", x0, 0.25, K)
             assert err.value.k == 1
+
+
+#: id -> what a malformed fused oracle makes of a good one's (value, grad)
+MALFORMED = {
+    "grad (1,)": lambda value, grad: (value, grad[:1]),
+    "grad float32": lambda value, grad: (value, grad.astype(np.float32)),
+    "grad (d, 1)": lambda value, grad: (value, grad[:, None]),
+    "value (1,)": lambda value, grad: (np.array([value]), grad),
+    "grad list": lambda value, grad: (value, grad.tolist()),
+}
+
+
+def malformed(f, kind):
+    """``f`` with its fused oracle broken the way ``MALFORMED[kind]`` says."""
+    fused = f.value_and_grad_fn
+    return replace(f, value_and_grad_fn=lambda x: MALFORMED[kind](*fused(x)))
+
+
+@pytest.mark.parametrize("kind", MALFORMED)
+@pytest.mark.parametrize("dim, method", [
+    (9, "gd"), (9, "iv-phase"),  # the array path
+    (2, "iv-phase"), (2, "heavy-ball"),  # the coupled lane
+])
+def test_run_rejects_a_malformed_oracle(kind, dim, method):
+    # a (1,) gradient would broadcast into every coordinate and a float32
+    # one would pass unnoticed; each is caught at the first call, at y_0
+    f = malformed(make_quadratic(np.logspace(0, 1, dim), rotation_seed=1),
+                  kind)
+    with pytest.raises(ValueError, match="value_and_grad_fn returned"):
+        run(f, method, np.ones(dim), 1.0 / f.lipschitz, 10)
+
+
+@pytest.mark.parametrize("kind", MALFORMED)
+@pytest.mark.parametrize("T", [0.0, 0.05])
+def test_integrate_rejects_a_malformed_oracle(kind, T):
+    f = malformed(resolve_minimizer(make_reg_logistic(3, 50, 2, 0.1)), kind)
+    with pytest.raises(ValueError, match="value_and_grad_fn returned"):
+        integrate(f, np.ones(2), 1.0 / f.lipschitz, T, 0.01)
+
+
+def test_run_names_grad_fn_without_a_fused_oracle():
+    f = make_quadratic([1.0, 4.0])
+    f = replace(f, value_and_grad_fn=None,
+                grad_fn=lambda x, grad_fn=f.grad_fn: grad_fn(x)[:1])
+    with pytest.raises(ValueError, match="^grad_fn returned a float64 array "
+                                         r"of shape \(1,\)"):
+        run(f, "nag-modified", np.ones(2), 0.25, 10)

@@ -4,7 +4,8 @@
 
 Each mutant in ``MUTANTS`` is a one-line substitution (file, old, new) that
 weakens one claim of ``accelcert.analysis``'s tables, the way a
-certificate reads it, or the slack and margins every certificate scans.
+certificate reads it, the slack and margins every certificate scans, or
+the y column that ``Trajectory.ys`` rebuilds for iv-phase and gc-phase.
 Each names the tier-1 test that must kill it, one that checks a verdict
 rather than pins a value.  For each mutant, the tool copies the repository
 into a temporary directory, applies the substitution there (``old`` must
@@ -42,11 +43,14 @@ ANALYSIS = "src/accelcert/analysis.py"
 HIRES = "src/accelcert/hires_ode.py"
 LYAPUNOV = "src/accelcert/lyapunov.py"
 REPORT = "src/accelcert/report.py"
+OPTIMIZERS = "src/accelcert/optimizers.py"
 CLAIMS = "tests/test_claims.py"
 SIXTEEN_RHO = ("tests/test_lyapunov.py::TestCertifyContraction::"
                "test_suite_run_fails_sixteen_times_the_claim")
 HUNDREDTH = ("tests/test_analysis.py::TestCheckBound::"
              "test_suite_run_fails_a_hundredth_of_rate_iv")
+REBUILT_YS = ("tests/test_memory_budget.py::"
+              "test_rebuilt_ys_are_the_kernel_ys")
 
 #: (id, file, old, new, the test that must kill it; None for the control).
 #: A "/8" in an id is a rate of sqrt(mu s)/8 or sqrt(mu)/8 where the claim
@@ -109,6 +113,14 @@ MUTANTS = [
      "e[:-1] / (1.0 + rho) - e[1:],",
      "e[1:] - e[:-1] / (1.0 + rho),",
      SIXTEEN_RHO),
+    ("gc-ys-previous-v", OPTIMIZERS,
+     "        ys = k.root_s * vs\n",
+     "        ys = k.root_s * np.roll(vs, 1, axis=0)\n",
+     REBUILT_YS),
+    ("iv-ys-without-c", OPTIMIZERS,
+     "        ys = probe_point(xs, vs, k)\n",
+     "        ys = xs + k.root_s * vs\n",
+     REBUILT_YS),
     ("ode-damping-control", HIRES,
      "    damping = -2.0 * math.sqrt(f.mu)",
      "    damping = -1.0 * math.sqrt(f.mu)",
