@@ -12,7 +12,6 @@ criterion and returns a process exit status (0 pass, 1 fail).
 
 from __future__ import annotations
 
-import copy
 import functools
 import math
 from dataclasses import dataclass
@@ -67,32 +66,14 @@ def _suite_run(label: str, method: str, frac: float) -> Trajectory:
     its stored columns are read-only, since every caller gets the same
     arrays (a y rebuilt on read is read-only too).
     Criteria 1-5 read it for iv-phase and gc-phase at frac 1 and 0.5, and
-    criterion 6 reads the frac 1 runs' first 500 steps (:func:`_steps`);
-    the other suite runs are each read once and are not cached."""
+    criterion 6 the first 500 steps of the frac 1 runs; the other suite
+    runs are each read once and are not cached."""
     f, x0 = _suite()[label]
     traj = run(f, method, x0, frac / f.lipschitz, 1000)
     for col in (traj.xs, traj._ys, traj.vs, traj.f_gap, traj.grad_sq):
         if col is not None:
             col.flags.writeable = False
     return traj
-
-
-def _steps(traj: Trajectory, K: int) -> Trajectory:
-    """The first K steps of ``traj``: views of its first K + 1 rows, the
-    rows a K-step run from the same start records, bit for bit (``run``
-    steps row by row and takes each row's squared gradient norm alone).
-    The record is a shallow copy, not a new ``Trajectory(...)``: the
-    counting pass of ``benchmarks/tracer.py`` books every constructed
-    trajectory as a run of K steps, and a prefix steps nothing.  Where
-    ``ys`` is the ``xs`` array, the prefix's are one view too; where it is
-    rebuilt from x and v (iv-phase, gc-phase), the prefix's is rebuilt
-    from the prefix's rows, and neither builds the column."""
-    prefix = copy.copy(traj)
-    for col in ("xs", "vs", "f_gap", "grad_sq"):
-        setattr(prefix, col, getattr(traj, col)[:K + 1])
-    if traj._ys is not None:
-        prefix.ys = prefix.xs if traj._ys is traj.xs else traj._ys[:K + 1]
-    return prefix
 
 
 @dataclass
@@ -225,21 +206,22 @@ def gradient_step_margins(traj: Trajectory) -> np.ndarray:
 
 def criterion_6() -> CriterionResult:
     """First-gradient-step inequality at every momentum-family iteration,
-    over 500 steps at s = 1/L; the iv-phase and gc-phase runs are the
-    first 500 steps of the cached suite runs."""
+    over the first 500 steps at s = 1/L; the iv-phase and gc-phase runs
+    are the cached 1000-step suite runs, whose first 500 rows are those of
+    a 500-step run, bit for bit."""
+    K = 500
     lines = []
     ok = True
     for label, (f, x0) in _suite().items():
-        s = 1.0 / f.lipschitz
         for method in ("nag-modified", "nag-classic", "iv-phase", "gc-phase",
                        "gc-modified"):
             if method in ("iv-phase", "gc-phase"):
-                traj = _steps(_suite_run(label, method, 1.0), 500)
+                traj = _suite_run(label, method, 1.0)
             else:
-                traj = run(f, method, x0, s, 500)
-            slack = _slack(GRADIENT_STEP_SLACK, traj.f_gap[:traj.K])
-            report = margin_report("gradient_step", gradient_step_margins(traj),
-                                   slack)
+                traj = run(f, method, x0, 1.0 / f.lipschitz, K)
+            slack = _slack(GRADIENT_STEP_SLACK, traj.f_gap[:K])
+            report = margin_report("gradient_step",
+                                   gradient_step_margins(traj)[:K], slack)
             lines.append(f"{label} {method}: worst margin "
                          f"{report.worst_margin:.3e}, violations {report.n_failed}")
             ok = ok and report.passed

@@ -122,11 +122,10 @@ def _cmd_ode(args) -> int:
         summary["worst_energy_ratio"] = fmt(report.details["worst_energy_ratio"])
         status = 0 if report.passed else 1
         if report.details["bound_failures"] and report.first_failure == 0:
-            gap0 = float(solution.f_gap[0])
-            dist0 = f.mu * float(np.sum((x0 - f.minimizer) ** 2))
             print(f"note: the start breaks f(x0) - f* <= mu ||x0 - x*||^2 "
-                  f"({fmt(gap0)} > {fmt(dist0)}), so the bound fails at "
-                  "t = 0; choose another --x0", file=sys.stderr)
+                  f"({fmt(report.details['start_gap'])} > "
+                  f"{fmt(report.details['start_mu_dist_sq'])}), so the bound "
+                  "fails at t = 0; choose another --x0", file=sys.stderr)
     write_summary(summary, summary_path(csv_path))
     for key, value in summary.items():
         print(f"{key}: {value}")

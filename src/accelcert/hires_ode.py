@@ -38,7 +38,7 @@ import numpy as np
 from .analysis import CONTINUOUS
 from .objectives import Objective, Vector, _checked_fused, _operands
 from .optimizers import (_blocks, _lane, _step_operands, as_start,
-                         first_nonfinite_row)
+                         first_nonfinite_row, step_coefficients)
 from .lyapunov import ode_energies
 from .report import CertReport, _slack, margin_report
 
@@ -143,11 +143,15 @@ def _flow(f: Objective, s: float, which: str):
 def _rk4_lane(lam: float, x: float, v: float, n: int, k, accel,
               h: float) -> tuple[list, list]:
     """n RK4 steps of one coordinate of :func:`integrate`'s lane
-    (:func:`~accelcert.optimizers._lane`) from (x, v), on floats, with
-    :func:`_flow`'s k and accel: the textbook stages, whose stage state is
+    (:func:`~accelcert.optimizers._lane`) from (x, v), with the
+    :func:`~accelcert.optimizers.step_coefficients` record k and
+    :func:`_flow`'s accel: the textbook stages, whose stage state is
     ``a * slope + (x, v)`` and whose probe is ``x + root_s * v / c``.
-    Returns the lists of the n new x and v."""
-    root_s, c, half, sixth = float(k.root_s), float(k.c), 0.5 * h, h / 6.0
+    Returns the lists of the n new x and v.  It computes on the scalars it
+    is given, as the kernels do: on floats ``h / 2``, ``h / 6`` and the
+    integer 2 give the bits of 0.5 * h, h / 6.0 and 2.0, and on Fractions,
+    with an accel on Fractions, it is the exact RK4 map."""
+    root_s, c, half, sixth = k.root_s, k.c, h / 2, h / 6
     xs, vs = [], []
     for _ in range(n):
         a1 = accel(v, lam * (x + root_s * v / c))
@@ -157,8 +161,8 @@ def _rk4_lane(lam: float, x: float, v: float, n: int, k, accel,
         a3 = accel(v3, lam * (x3 + root_s * v3 / c))
         x4, v4 = h * v3 + x, h * a3 + v
         a4 = accel(v4, lam * (x4 + root_s * v4 / c))
-        x = x + sixth * (v + 2.0 * v2 + 2.0 * v3 + v4)
-        v = v + sixth * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
+        x = x + sixth * (v + 2 * v2 + 2 * v3 + v4)
+        v = v + sixth * (a1 + 2 * a2 + 2 * a3 + a4)
         xs.append(x)
         vs.append(v)
     return xs, vs
@@ -228,6 +232,7 @@ def integrate(f: Objective, x0: Vector, s: float, T: float, h: float,
     K1, K2, K3, K4 = (W[j, 1:] for j in range(4))
     rec[0] = Z
     lams = _lane(f)
+    lane_k = step_coefficients(f.mu, s)
     # steps lo..hi-1 fill rows lo+1..hi
     for steps in _blocks(n):
         lo, hi = steps.start, steps.stop
@@ -245,7 +250,7 @@ def integrate(f: Objective, x0: Vector, s: float, T: float, h: float,
         else:  # each coordinate starts from its last recorded sample
             for j, lam in enumerate(lams):
                 rec[lo + 1:hi + 1, 0, j], rec[lo + 1:hi + 1, 1, j] = _rk4_lane(
-                    lam, *rec[lo, :, j].tolist(), hi - lo, k, accel, h)
+                    lam, *rec[lo, :, j].tolist(), hi - lo, lane_k, accel, h)
         bad = first_nonfinite_row(rec[lo + 1:hi + 1])
         if bad is not None:
             raise NonFiniteSolutionError((lo + 1 + bad) * h)
@@ -300,7 +305,9 @@ def check_continuous_bound(solution: OdeSolution, f: Objective, s: float,
 
     ``worst_margin`` is the envelope's, and ``first_failure`` the
     envelope's first failure, else the decay's.  f(x_0) - f* is the first
-    recorded gap, because the probe point at rest is x_0.
+    recorded gap, because the probe point at rest is x_0; ``details``
+    gives it as ``start_gap`` and mu ||x_0 - x*||^2 as
+    ``start_mu_dist_sq``, the two sides of the start condition.
     """
     require_integrated_with(solution, f, s, mu)
     if solution.which not in CONTINUOUS.methods:
@@ -309,9 +316,9 @@ def check_continuous_bound(solution: OdeSolution, f: Objective, s: float,
     if not solution:
         raise ValueError("empty solution")
     energies = ode_energies(solution)  # raises on an unresolved objective
+    gap0 = float(solution.f_gap[0])
     dist0_sq = float(np.sum((solution.X[0] - f.minimizer) ** 2))
-    numerator = CONTINUOUS.start(float(solution.f_gap[0]), dist0_sq, mu,
-                                 f.lipschitz)
+    numerator = CONTINUOUS.start(gap0, dist0_sq, mu, f.lipschitz)
     rate = CONTINUOUS.rate(mu, f.lipschitz, s)
     envelope = numerator * _exp(-rate * solution.t)
     bound = margin_report("bound", envelope - solution.f_gap,
@@ -333,4 +340,5 @@ def check_continuous_bound(solution: OdeSolution, f: Objective, s: float,
         details={"bound_failures": bound.n_failed,
                  "decay_failures": decay.n_failed,
                  "worst_energy_ratio": float(np.fmax.reduce(ratios, initial=0.0)),
-                 "numerator": numerator})
+                 "numerator": numerator, "start_gap": gap0,
+                 "start_mu_dist_sq": mu * dist0_sq})

@@ -37,6 +37,17 @@ def _operands(*values) -> tuple[np.ndarray, ...]:
     return out
 
 
+def _check_array(oracle: str, name: str, got, shape: tuple):
+    """ValueError naming ``oracle`` unless ``got``, what it returned as its
+    ``name``, is a float64 ndarray of ``shape``."""
+    if not (isinstance(got, np.ndarray) and got.dtype == np.float64
+            and got.shape == shape):
+        kind = (f"a {got.dtype} array of shape {got.shape}"
+                if isinstance(got, np.ndarray) else f"a {type(got).__name__}")
+        raise ValueError(f"{oracle} returned {kind} as its {name}, not a "
+                         f"float64 array of shape {shape}")
+
+
 def _checked_fused(result: tuple, f: Objective) -> tuple[float, Vector]:
     """``result``, the (value, gradient) of ``f``'s fused oracle (or of
     :meth:`Objective.value_and_grad` without one), once it is seen to keep
@@ -50,12 +61,19 @@ def _checked_fused(result: tuple, f: Objective) -> tuple[float, Vector]:
     if not isinstance(value, numbers.Real):
         raise ValueError(f"{oracle} returned a value of type "
                          f"{type(value).__name__}, not a real scalar")
-    if not (isinstance(grad, np.ndarray) and grad.dtype == np.float64
-            and grad.shape == (f.dim,)):
-        got = (f"a {grad.dtype} array of shape {grad.shape}"
-               if isinstance(grad, np.ndarray) else f"a {type(grad).__name__}")
-        raise ValueError(f"{oracle} returned {got} as its gradient, not a "
-                         f"float64 array of shape ({f.dim},)")
+    _check_array(oracle, "gradient", grad, (f.dim,))
+    return result
+
+
+def _checked_rows(result: tuple, n: int, dim: int) -> tuple[Vector, Vector]:
+    """``result``, the (values, gradients) of a row-batched oracle at n
+    rows, once it is seen to keep the contract of :class:`Objective`:
+    float64 arrays of shape (n,) and (n, dim).  Else ValueError naming
+    ``value_and_grad_rows_fn``: values of shape (n, 1) would broadcast
+    into a column of gaps."""
+    values, grads = result
+    _check_array("value_and_grad_rows_fn", "values", values, (n,))
+    _check_array("value_and_grad_rows_fn", "gradients", grads, (n, dim))
     return result
 
 
@@ -91,9 +109,9 @@ class Objective:
 
     ``value_and_grad_rows_fn``, when given, is a row-batched oracle: for an
     (n, d) array it returns the values (n,) and gradients (n, d) at its
-    rows from one matrix product (or elementwise work).  It matches the
-    per-row oracles up to rounding, not bit for bit, so only certificates
-    use it, at points a run did not record.
+    rows, float64 arrays, from one matrix product (or elementwise work).
+    It matches the per-row oracles up to rounding, not bit for bit, so
+    only certificates use it, at points a run did not record.
 
     ``hessian`` is populated for quadratics and used by tests as an
     independent oracle.
@@ -144,7 +162,8 @@ class Objective:
 
     def value_and_grad_rows(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Values (n,) and gradients (n, d) at the rows of an (n, d) array:
-        one call of the row-batched oracle, or one :meth:`value_and_grad`
+        one call of the row-batched oracle, whose result is checked
+        against the contract (ValueError), or one :meth:`value_and_grad`
         call per row when the objective has none."""
         X = np.asarray(X, dtype=float)
         if self.value_and_grad_rows_fn is None:
@@ -152,8 +171,8 @@ class Objective:
             for i, x in enumerate(X):
                 values[i], grads[i] = self.value_and_grad(x)
             return values, grads
-        values, grads = self.value_and_grad_rows_fn(X)
-        return np.asarray(values, dtype=float), np.asarray(grads, dtype=float)
+        return _checked_rows(self.value_and_grad_rows_fn(X), len(X),
+                             self.dim)
 
     def gap(self, x: Vector) -> float:
         """f(x) - f(x*); requires a known minimum value."""

@@ -235,17 +235,14 @@ def _blocks(stop: int, start: int = 0):
 #: runs has 8 < d <= 12.
 _LANE_MAX_DIM = 8
 
-#: The largest dimension, and the methods, at which :func:`run` steps any
-#: other objective on floats, in the coupled lane (:func:`_lane`).  On the
-#: rotated quadratic (``BENCH_kernels.json``) the lane takes 0.47-0.75 of
-#: the array path's time per step at d = 2, by method, 0.63-0.97 at d = 4
-#: and 0.92-1.36 at d = 8; on the logistic, whose oracle costs the same on
-#: both paths, 0.73-0.91 at d = 2 and 0.98-1.15 at d = 8.  gd is the
-#: exception: its array step, two ufunc calls, costs less than the lane's
-#: repacking at every d (1.02 at d = 1, 1.16 at d = 2 on the rotated
-#: quadratic, 1.05 on the logistic), so gd stays on the array path.
+#: The largest dimension at which :func:`run` steps any other objective on
+#: floats, in the coupled lane (:func:`_lane`), whatever the method.  On the
+#: rotated quadratic (``BENCH_kernels.json``) the lane takes 0.48-1.17 of
+#: the array path's time per step at d = 2, by method, 0.64-1.45 at d = 4
+#: and 0.95-1.94 at d = 8; on the logistic, whose oracle costs the same on
+#: both paths, 0.74-1.06 at d = 2 and 0.98-1.25 at d = 8.  The top of each
+#: range is gd's, whose array step is two ufunc calls.
 _COUPLED_LANE_MAX_DIM = 4
-_COUPLED_LANE_METHODS = frozenset(METHODS) - {"gd"}
 
 
 def _lane(f: Objective) -> Optional[tuple[float, ...]]:
@@ -263,12 +260,12 @@ def _lane(f: Objective) -> Optional[tuple[float, ...]]:
     operation on arrays of so few entries, is paid once a block.
 
     ``run`` steps any other objective of at most ``_COUPLED_LANE_MAX_DIM``
-    coordinates on Python floats too, for the methods in
-    ``_COUPLED_LANE_METHODS``, in the coupled lane: each step runs the
-    kernel on every coordinate, calls the fused oracle on ``np.array(y)``
-    and passes its gradient on as floats, and a block's rows are written
-    into the records at once.  numpy's dispatch is paid once a step for
-    the oracle and once a block for the records.
+    coordinates on Python floats too, in the coupled lane: each step runs
+    the kernel on every coordinate, calls the fused oracle on
+    ``np.array(y)`` and passes its gradient on as floats, and a block's
+    rows are written into the records at once.  numpy's dispatch is paid
+    once a step for the oracle and once a block for the records.  Which
+    path a run takes depends on the objective alone, not on the method.
 
     Both lanes record the same bits as the array path.  Python's float +,
     -, * and / are the correctly rounded IEEE double operations that
@@ -453,7 +450,7 @@ def run(f: Objective, method: str, x0: Vector, s: float, K: int, *,
     from ``xs`` and ``vs``.  A small objective steps on
     Python floats (:func:`_lane`), with the same bits: a diagonal
     quadratic one coordinate at a time, evaluating the oracle at y_0
-    alone, and, but for gd, any other one every coordinate a step.  A
+    alone, and any other one every coordinate a step.  A
     non-finite iterate raises :class:`NonFiniteIterateError` naming the
     first step k >= 1 whose x_k is non-finite, checked once per block of
     ``_BLOCK_ROWS`` rows.
@@ -507,8 +504,7 @@ def run(f: Objective, method: str, x0: Vector, s: float, K: int, *,
     lams = _lane(f)
     # the per-coordinate lane's y of a block, where run stores none
     y_block = np.empty_like(grads) if lams is not None and ys is None else None
-    on_floats = lams is not None or (f.dim <= _COUPLED_LANE_MAX_DIM
-                                     and method in _COUPLED_LANE_METHODS)
+    on_floats = lams is not None or f.dim <= _COUPLED_LANE_MAX_DIM
     if on_floats:  # the lane's state, a list of floats per coordinate
         k = step_coefficients(f.mu, s)
         x, y, v, g = x.tolist(), y.tolist(), v.tolist(), g.tolist()

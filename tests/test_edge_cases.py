@@ -4,19 +4,21 @@ conditioned and extremely ill-conditioned quadratics, on the shortest runs
 and at the ends of the step window; ``run`` checks s > 0 before any step;
 the iv scheme's y_k is the shared probe point; a non-finite iterate is
 reported at its own step wherever it falls in the blocks of rows that
-``run`` checks at once; and ``run`` and ``integrate`` reject a fused
-oracle that breaks its contract at the first call."""
+``run`` checks at once; ``run`` and ``integrate`` reject a fused oracle
+that breaks its contract at the first call; and the certificates reject a
+row-batched oracle that breaks its contract."""
 
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from accelcert import (METHODS, certify_contraction, check_bound, integrate,
-                       make_quadratic, make_reg_logistic, probe_point,
-                       resolve_minimizer, run, sample_in_ball,
+from accelcert import (METHODS, certify_contraction, check_bound, energies,
+                       integrate, make_quadratic, make_reg_logistic,
+                       probe_point, resolve_minimizer, run, sample_in_ball,
                        step_coefficients)
-from accelcert.analysis import ENERGIES, THEOREMS
+from accelcert.acceptance import gradient_step_margins
+from accelcert.analysis import ENERGIES, THEOREMS, gaps_at
 from accelcert.optimizers import _BLOCK_ROWS, NonFiniteIterateError
 
 #: id -> (spectrum, rotation seed or None, step size as a function of
@@ -191,3 +193,35 @@ def test_run_names_grad_fn_without_a_fused_oracle():
     with pytest.raises(ValueError, match="^grad_fn returned a float64 array "
                                          r"of shape \(1,\)"):
         run(f, "nag-modified", np.ones(2), 0.25, 10)
+
+
+#: id -> what a malformed row-batched oracle makes of a good one's
+#: (values, gradients)
+MALFORMED_ROWS = {
+    "values (n, 1)": lambda values, grads: (values[:, None], grads),
+    "grads float32": lambda values, grads: (values, grads.astype(np.float32)),
+    "grads (n, 1)": lambda values, grads: (values, grads[:, :1]),
+    "grads list": lambda values, grads: (values, grads.tolist()),
+}
+
+#: id -> a certificate that calls the row-batched oracle on a gc-phase run
+ROW_CALLERS = {
+    "gaps_at": lambda traj: gaps_at(traj.objective, traj.xs),
+    "gc energies": lambda traj: energies(traj, "gc"),
+    "check_bound rate-gc": lambda traj: check_bound(traj, "rate-gc"),
+    "gradient_step_margins": gradient_step_margins,
+}
+
+
+@pytest.mark.parametrize("caller", ROW_CALLERS)
+@pytest.mark.parametrize("kind", MALFORMED_ROWS)
+def test_certificates_reject_a_malformed_rows_oracle(kind, caller):
+    # the run calls only the fused oracle; each certificate checks what
+    # the row-batched one returns before it reads it
+    f = make_quadratic([1.0, 4.0, 30.0], rotation_seed=1)
+    rows = f.value_and_grad_rows_fn
+    f = replace(f, value_and_grad_rows_fn=lambda X: MALFORMED_ROWS[kind](
+        *rows(X)))
+    traj = run(f, "gc-phase", np.ones(3), 1.0 / f.lipschitz, 300)
+    with pytest.raises(ValueError, match="^value_and_grad_rows_fn returned"):
+        ROW_CALLERS[caller](traj)

@@ -107,7 +107,8 @@ ODE_CASES = {
         dict(n_checked=101, n_failed=0, worst_margin=0.125, first_failure=None,
              details={"bound_failures": 0, "decay_failures": 0,
                       "worst_energy_ratio": 0.9882755905773176,
-                      "numerator": 1.125})),
+                      "numerator": 1.125, "start_gap": 1.0,
+                      "start_mu_dist_sq": 1.25})),
     "logistic": (
         lambda: resolve_minimizer(make_reg_logistic(3, 50, 2, 0.1)), [1.0, 1.0],
         lambda f: 1.0 / f.lipschitz,
@@ -116,7 +117,9 @@ ODE_CASES = {
              first_failure=0,
              details={"bound_failures": 55, "decay_failures": 0,
                       "worst_energy_ratio": 0.9940922717612773,
-                      "numerator": 0.2057798131516394})),
+                      "numerator": 0.2057798131516394,
+                      "start_gap": 0.2544421433194869,
+                      "start_mu_dist_sq": 0.1571174829837919})),
 }
 
 #: ``accelcert ode`` arguments -> (CSV digest, summary digest); every case
@@ -484,7 +487,8 @@ def test_continuous_decay_failures(monkeypatch):
         n_checked=101, n_failed=25, worst_margin=0.125, first_failure=75,
         details={"bound_failures": 0, "decay_failures": 25,
                  "worst_energy_ratio": 0.9882755905773176,
-                 "numerator": 1.125}))
+                 "numerator": 1.125, "start_gap": 1.0,
+                 "start_mu_dist_sq": 1.25}))
 
 
 def test_contraction_overflowing_energies():

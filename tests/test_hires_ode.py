@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,9 +9,9 @@ from accelcert import (check_continuous_bound, integrate, make_quadratic,
                        make_reg_logistic, ode_energies, probe_point,
                        step_coefficients)
 from accelcert.hires_ode import (NonFiniteSolutionError, OdeSolution, OdeState,
-                                 _flow)
+                                 _flow, _rk4_lane)
 from accelcert.objectives import MinimizerUnknownError, resolve_minimizer
-from accelcert.optimizers import _BLOCK_ROWS as B
+from accelcert.optimizers import _BLOCK_ROWS as B, StepCoefficients
 
 # X(1) for X'' + 2 X' + X = 0 from X(0) = 1, X'(0) = 0: X(t) = (1 + t) e^{-t}
 DAMPED_X1 = 0.7357588823428847  # 2 * exp(-1)
@@ -274,6 +275,31 @@ class TestIntegrate:
         np.testing.assert_array_equal(a[-1].X, b[-1].X)
         np.testing.assert_array_equal(a[-1].Xdot, b[-1].Xdot)
 
+    def test_lane_steps_exactly_on_fractions(self):
+        # mu = 1, s = 1/100: sqrt(s) = sqrt(mu s) = 1/10, so the record and
+        # the simplified equation's X'' = -2 X' - g are rational, and one
+        # step of the lane is the exact RK4 map of lambda = 4, h = 1/100
+        F = Fraction
+        k = StepCoefficients(s=F(1, 100), root_s=F(1, 10), r=F(1, 10),
+                             c=F(6, 5), m=F(9, 11))
+        lam, h, x0, v0 = F(4), F(1, 100), F(1), F(1, 2)
+
+        def accel(v, g):
+            return -2 * v - g
+
+        def slope(x, v):  # (X', X'') with the gradient at the probe
+            return v, accel(v, lam * (x + F(1, 10) * v / F(6, 5)))
+
+        k1 = slope(x0, v0)
+        k2 = slope(x0 + h / 2 * k1[0], v0 + h / 2 * k1[1])
+        k3 = slope(x0 + h / 2 * k2[0], v0 + h / 2 * k2[1])
+        k4 = slope(x0 + h * k3[0], v0 + h * k3[1])
+        want = [z + h / 6 * (a + 2 * b + 2 * c + d)
+                for z, a, b, c, d in zip((x0, v0), k1, k2, k3, k4)]
+        xs, vs = _rk4_lane(lam, x0, v0, 1, k, accel, h)
+        assert [xs, vs] == [[want[0]], [want[1]]]
+        assert all(type(z) is F for z in xs + vs)
+
 
 class TestOdeSolution:
     def test_columns_and_rows(self):
@@ -313,6 +339,16 @@ class TestContinuousBound:
         report = check_continuous_bound(sol, quad_1, s=1.0, mu=1.0)
         assert report.passed
         assert report.worst_margin == pytest.approx(0.25, abs=1e-6)
+
+    def test_report_gives_the_start_condition(self):
+        # f(x0) - f* = (1 + 4 * 2.25) / 2 = 5 > mu ||x0 - x*||^2 = 3.25, so
+        # the envelope fails at t = 0, and the report says by how much
+        f = make_quadratic([1, 4])
+        sol = integrate(f, np.array([1.0, 1.5]), s=0.25, T=0.1, h=1e-2)
+        report = check_continuous_bound(sol, f, s=0.25, mu=f.mu)
+        assert report.first_failure == 0
+        assert report.details["start_gap"] == 5.0
+        assert report.details["start_mu_dist_sq"] == 3.25
 
     def test_quadratic_horizon(self):
         f = make_quadratic([1, 4])

@@ -1,12 +1,12 @@
 """The lanes of :func:`accelcert.optimizers._lane`: ``run`` and
 ``integrate`` step a small diagonal quadratic one coordinate at a time on
 Python floats, and ``run`` steps any other small objective on floats every
-coordinate a step, but for gd.  Every lane records the same bits as the
-array path, which the same run takes with the lanes' cutoffs set to 0;
-the coupled lane is checked with its cutoff raised to ``_LANE_MAX_DIM``
-for every method.  Which path runs depends only on the objective and the
-method.  Both paths reject the same inputs, before any warning, and a
-diverging run raises at the same step on both.
+coordinate a step.  Every lane records the same bits as the array path,
+which the same run takes with the lanes' cutoffs set to 0; the coupled
+lane is checked with its cutoff raised to ``_LANE_MAX_DIM``.  Which path
+runs depends only on the objective, and every method takes it.  Both
+paths reject the same inputs, before any warning, and a diverging run
+raises at the same step on both.
 """
 
 import contextlib
@@ -34,15 +34,14 @@ ODE_COLUMNS = ("t", "X", "Xdot", "f_gap")
 def on_path(path):
     """A context in which ``run`` and ``integrate`` take ``path``: "array"
     with every lane's cutoff at 0, "coupled" where ``run`` takes the
-    coupled lane for every method up to ``_LANE_MAX_DIM`` coordinates, or
-    "selected", the path the objective and method select."""
+    coupled lane up to ``_LANE_MAX_DIM`` coordinates, or "selected", the
+    path the objective selects."""
     with pytest.MonkeyPatch.context() as patch:
         if path == "array":
             patch.setattr(optimizers, "_LANE_MAX_DIM", 0)
             patch.setattr(optimizers, "_COUPLED_LANE_MAX_DIM", 0)
         elif path == "coupled":
             patch.setattr(optimizers, "_COUPLED_LANE_MAX_DIM", _LANE_MAX_DIM)
-            patch.setattr(optimizers, "_COUPLED_LANE_METHODS", set(METHODS))
         yield
 
 
@@ -269,7 +268,7 @@ C = optimizers._COUPLED_LANE_MAX_DIM
     (make_quadratic(np.logspace(0, 1, C), rotation_seed=2), "nag-modified",
      True),
     (make_reg_logistic(3, 20, C, 0.1), "iv-phase", True),
-    (make_quadratic(np.logspace(0, 1, C), rotation_seed=2), "gd", False),
+    (make_quadratic(np.logspace(0, 1, C), rotation_seed=2), "gd", True),
     (make_quadratic(np.logspace(0, 1, C + 1), rotation_seed=2),
      "nag-modified", False),
     (make_quadratic(np.logspace(0, 1, _LANE_MAX_DIM + 1), rotation_seed=2),
@@ -289,6 +288,27 @@ def test_run_path_selection(monkeypatch, f, method, on_floats):
     monkeypatch.setitem(optimizers.STEPS, method, spy)
     run(f, method, start(f.dim), 1.0 / f.lipschitz, 5)
     assert operands == ({np.ndarray, float} if on_floats else {np.ndarray})
+
+
+@pytest.mark.parametrize("f", [
+    make_quadratic(np.logspace(0, 1, 2), rotation_seed=2),
+    make_reg_logistic(3, 20, 2, 0.1),
+    make_quadratic(np.logspace(0, 1, C + 1), rotation_seed=2)],
+    ids=["rotated-d=2", "logistic-d=2", "rotated-d=coupled-cutoff+1"])
+def test_every_method_takes_the_objectives_path(monkeypatch, f):
+    # the path is a property of the objective: each method's steps take
+    # the same operand types
+    seen = {}
+    for method in METHODS:
+        kernel = optimizers.STEPS[method]
+        seen[method] = operands = set()
+
+        def spy(k, x, *rest, kernel=kernel, operands=operands):
+            operands.add(type(x))
+            return kernel(k, x, *rest)
+        monkeypatch.setitem(optimizers.STEPS, method, spy)
+        run(f, method, start(f.dim), 1.0 / f.lipschitz, 5)
+    assert len({frozenset(ops) for ops in seen.values()}) == 1, seen
 
 
 @pytest.mark.parametrize("path", ["selected", "array"],

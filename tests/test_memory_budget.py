@@ -8,7 +8,7 @@ rows.  iv-phase and gc-phase store no y: x and v fix it, and ``ys`` is
 rebuilt on each read as a read-only column, bit for bit the y the kernel
 stepped with, from x_0 itself at row 0.  The gc energy reads that y a
 block at a time, so no certificate builds the column.  The runs the
-acceptance gate caches and slices keep that sharing, and the peak traced
+acceptance gate caches keep that sharing, and the peak traced
 memory of a long run is the bytes of the columns it keeps, plus a block
 of gradients.
 """
@@ -59,20 +59,12 @@ def test_gd_velocity_is_a_read_only_zero_view(quad):
 @pytest.mark.parametrize("method", ["gd", "heavy-ball", "iv-phase",
                                     "gc-phase"])
 def test_suite_run_prefix_keeps_the_sharing(method):
-    # the cached run is 1000 steps and its 300-step prefix more than one
-    # 256-row block; both match a fresh run bit for bit
+    # the cached run shares its columns as a fresh run does, and all of
+    # them are read-only
     traj = acceptance._suite_run("quad-ill", method, 1.0)
-    prefix = acceptance._steps(traj, 300)
-    shared = method in ("gd", "heavy-ball")
-    for t in (traj, prefix):
-        assert (t.ys is t.xs) == shared
-        for col in (t.xs, t.ys, t.vs, t.f_gap, t.grad_sq):
-            assert not col.flags.writeable
-    f, x0 = acceptance._suite()["quad-ill"]
-    fresh = run(f, method, x0, 1.0 / f.lipschitz, 300)
-    for col in ("xs", "ys", "vs", "f_gap", "grad_sq"):
-        np.testing.assert_array_equal(getattr(prefix, col),
-                                      getattr(fresh, col))
+    assert (traj.ys is traj.xs) == (method in ("gd", "heavy-ball"))
+    for col in (traj.xs, traj.ys, traj.vs, traj.f_gap, traj.grad_sq):
+        assert not col.flags.writeable
 
 
 @pytest.mark.parametrize("method", ["gd", "heavy-ball", "iv-phase",

@@ -147,8 +147,7 @@ def on_path(ac, lane: bool, call, steps: int) -> float:
     every case takes a lane, or none does."""
     cutoff = max(LANE_DIMS) if lane else 0
     with mock.patch.multiple(ac.optimizers, _LANE_MAX_DIM=cutoff,
-                             _COUPLED_LANE_MAX_DIM=cutoff,
-                             _COUPLED_LANE_METHODS=set(ac.optimizers.METHODS)):
+                             _COUPLED_LANE_MAX_DIM=cutoff):
         return timed(call, steps)
 
 
