@@ -98,20 +98,23 @@ class Objective:
     conversions of :meth:`value_and_grad`, and record what it returns,
     which certificates compare with values ``value_fn`` takes elsewhere.
     :func:`make_quadratic`'s diagonal fused oracle carries its
-    eigenvalues, and on a small objective with that oracle those two loops
-    step each coordinate on Python floats instead of calling it at every
-    step (:func:`~accelcert.optimizers._lane`).  So an objective that
-    keeps that oracle keeps its contract: ``grad_fn`` is ``lams * x`` and
-    ``value_fn`` is ``0.5 * x.dot(lams * x)``, bit for bit.  Replacing
-    ``value_and_grad_fn``, to count or to alter its calls, sends the loops
-    back to calling it at every step: on floats in ``run``'s coupled lane
-    for a small objective, on arrays otherwise.
+    eigenvalues and its row-batched oracle, and on a small objective with
+    both oracles those two loops step each coordinate on Python floats
+    instead of calling the fused one at every step, and take a block's
+    gaps from the row-batched one (:func:`~accelcert.optimizers._lane`).
+    So an objective that keeps both oracles keeps their contract:
+    ``grad_fn`` is ``lams * x``, ``value_fn`` is ``0.5 * x.dot(lams * x)``
+    and the row-batched one gives the same bits row by row.  Replacing
+    either oracle, to count or to alter its calls, sends the loops back to
+    calling the fused one at every step: on floats in ``run``'s coupled
+    lane for a small objective, on arrays otherwise.
 
     ``value_and_grad_rows_fn``, when given, is a row-batched oracle: for an
     (n, d) array it returns the values (n,) and gradients (n, d) at its
     rows, float64 arrays, from one matrix product (or elementwise work).
     It matches the per-row oracles up to rounding, not bit for bit, so
-    only certificates use it, at points a run did not record.
+    only certificates use it, at points a run did not record, except for
+    the diagonal quadratic's own, which the per-coordinate lane records.
 
     ``hessian`` is populated for quadratics and used by tests as an
     independent oracle.
@@ -247,7 +250,9 @@ def make_quadratic(spec: SpectrumSpec | Sequence[float],
     the same BLAS dgemv and ddot calls as ``A @ x`` and ``x @ grad``, bit
     for bit, without the matmul ufunc's dispatch.  The row-batched oracle takes the gradients at the rows of X
     as ``X @ A`` (A is exactly symmetric), ``X * lams`` for a diagonal A,
-    the same bits as the per-row oracle there.
+    and the values as ``0.5 * np.vecdot(X, G)``, which takes each row's
+    dot product with the same BLAS ddot: for a diagonal A the same bits
+    as the per-row oracle, which the per-coordinate lane relies on.
     """
     if not isinstance(spec, SpectrumSpec):
         spec = SpectrumSpec(spec)
@@ -277,12 +282,13 @@ def make_quadratic(spec: SpectrumSpec | Sequence[float],
         g = grad_fn(x)
         return 0.5 * float(x.dot(g)), g
 
-    if rotation_seed is None:  # the mark _diagonal_eigenvalues reads
-        value_and_grad_fn._diagonal = (value_and_grad_fn, spec.eigenvalues)
-
     def value_and_grad_rows_fn(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         G = grad_rows(X)
         return 0.5 * np.vecdot(X, G), G
+
+    if rotation_seed is None:  # the mark _diagonal_eigenvalues reads
+        value_and_grad_fn._diagonal = (
+            value_and_grad_fn, value_and_grad_rows_fn, spec.eigenvalues)
 
     def value_fn(x: Vector) -> float:
         return value_and_grad_fn(x)[0]
@@ -303,13 +309,15 @@ def make_quadratic(spec: SpectrumSpec | Sequence[float],
 
 
 def _diagonal_eigenvalues(f: Objective) -> Optional[tuple[float, ...]]:
-    """The eigenvalues of ``f`` when its fused oracle is
-    :func:`make_quadratic`'s own diagonal one, else None.  That oracle
-    carries them beside itself, so that a wrapper that copies its
-    attributes, as ``functools.wraps`` does, is not taken for it."""
+    """The eigenvalues of ``f`` when its fused and row-batched oracles are
+    both :func:`make_quadratic`'s own diagonal ones, else None.  The fused
+    oracle carries both oracles and the eigenvalues, so that a wrapper
+    that copies its attributes, as ``functools.wraps`` does, is not taken
+    for it, and replacing either oracle is seen."""
     oracle = f.value_and_grad_fn
-    own, lams = getattr(oracle, "_diagonal", (None, None))
-    return lams if own is oracle else None
+    own, own_rows, lams = getattr(oracle, "_diagonal", (None, None, None))
+    return (lams if own is oracle and own_rows is f.value_and_grad_rows_fn
+            else None)
 
 
 #: 0.0 and 1.0 as 0-d operands (see :func:`_operands`).

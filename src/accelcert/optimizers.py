@@ -89,10 +89,13 @@ def probe_point(X: Vector, Xdot: Vector, k: StepCoefficients) -> Vector:
 
 
 def as_start(f: Objective, x0: Vector) -> Vector:
-    """``x0`` as a float array; ValueError unless its shape is (f.dim,)."""
+    """``x0`` as a float array; ValueError unless its shape is (f.dim,) and
+    its entries are finite."""
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (f.dim,):
         raise ValueError(f"x0 has shape {x0.shape}, objective dimension is {f.dim}")
+    if not np.isfinite(x0).all():
+        raise ValueError("x0 must be finite")
     return x0
 
 
@@ -250,9 +253,10 @@ def _lane(f: Objective) -> Optional[tuple[float, ...]]:
     ``hires_ode.integrate`` step it in the per-coordinate lane, else None.
 
     The lane takes an objective of at most ``_LANE_MAX_DIM`` coordinates
-    whose fused oracle is :func:`~accelcert.objectives.make_quadratic`'s
-    own diagonal one, with eigenvalues lam_j
-    (:func:`~accelcert.objectives._diagonal_eigenvalues`).  On it every
+    whose fused and row-batched oracles are
+    :func:`~accelcert.objectives.make_quadratic`'s own diagonal ones, with
+    eigenvalues lam_j (:func:`~accelcert.objectives._diagonal_eigenvalues`);
+    replacing either sends a run off the lane.  On it every
     scheme splits into one scalar recursion per coordinate, whose gradient
     is lam_j y_j, so each coordinate is stepped on Python floats, a block
     of ``_BLOCK_ROWS`` rows at a time, and the block's rows are written
@@ -274,15 +278,18 @@ def _lane(f: Objective) -> Optional[tuple[float, ...]]:
     :data:`STEPS`, with the coefficients as floats, and ``integrate`` the
     textbook RK4 stages its in-place buffer is bit-identical to.  The
     coupled lane's oracle sees the array path's y and returns its gap and
-    gradient.  The per-coordinate lane's gradient lam_j y_j is the
-    oracle's ``lams * y`` entry, and ``run`` records a block's gradients
-    as ``Y * lams``, the same products; its gaps ``0.5 * np.vecdot(Y, G)``
-    and squared gradient norms ``np.vecdot(G, G)`` take each row's dot
-    product with the BLAS ddot that the oracle's ``0.5 * float(y.dot(g))``
-    and ``g @ g`` call.  Only side effects differ: the per-coordinate lane
-    evaluates the oracle once, not once a step, and a run that overflows
-    warns only from the numpy operations the lanes take once a block, not
-    from their Python floats.
+    gradient.  The per-coordinate lane's gradient lam_j y_j is the fused
+    oracle's ``lams * y`` entry.  A block's gaps come from the row-batched
+    oracle, at ``run``'s y rows (:func:`_y_rows`) and at ``integrate``'s
+    probes (:func:`probe_point`), and ``run`` records its gradients
+    ``X * lams``, the same products; the gaps ``0.5 * np.vecdot(X, G)``
+    and ``run``'s squared gradient norms ``np.vecdot(G, G)`` take each
+    row's dot product with the BLAS ddot that the fused oracle's
+    ``0.5 * float(y.dot(g))`` and ``g @ g`` call.  Only side effects
+    differ: the per-coordinate lane evaluates the fused oracle once, not
+    once a step, and the row-batched one once a block, and a run that
+    overflows warns only from the numpy operations the lanes take once a
+    block, not from their Python floats.
     """
     return _diagonal_eigenvalues(f) if f.dim <= _LANE_MAX_DIM else None
 
@@ -292,8 +299,8 @@ def _lane_steps(step, k, lane: list, n: int, record_y: bool,
     """n steps of one coordinate of :func:`run`'s per-coordinate lane
     (:func:`_lane`).  ``lane`` is the coordinate's [lam, x, y, v, g,
     carry], on floats, and is advanced in place; returns the lists of the
-    n new x, and of the n new y and v where they differ from x and from
-    the v before (else None)."""
+    n new x, and of the n new y and v where the trajectory stores them
+    (else None)."""
     lam, x, y, v, g, carry = lane
     xs = []
     ys = [] if record_y else None
@@ -403,7 +410,9 @@ def _y_rows(traj: Trajectory, rows: slice,
     k >= 1 is :func:`probe_point` of (x_k, v_k); for gc-phase, row k + 1 is
     y_k + sqrt(s) v_{k+1}, a scan, which ``np.add.accumulate`` takes in
     order, so a block that starts past row 0 takes ``prev``, the y row
-    before it."""
+    before it.  It is the one rebuild of a phase-space y: ``Trajectory.ys``
+    and the gc energy read it, and :func:`run`'s per-coordinate lane takes
+    a block's recorded gaps and gradients at its rows."""
     if traj._ys is not None:
         return traj._ys[rows]
     k = _step_operands(traj.objective.mu, traj.s)
@@ -437,8 +446,9 @@ def run(f: Objective, method: str, x0: Vector, s: float, K: int, *,
     ``first_velocity`` selects the first velocity of iv-phase: "scheme"
     follows the recursion, "corollary" prescribes v_1 = 2 sqrt(mu s)
     grad f(y_0); other methods ignore it.  An integer K >= 0 (a bool is
-    not one), the method, ``first_velocity``, x0 and a finite s > 0 are
-    checked, with ValueError, before any warning.
+    not one), the method, ``first_velocity``, a finite x0 of shape
+    (f.dim,) and a finite s > 0 are checked, with ValueError, before any
+    warning.
 
     The run makes one fused value-and-gradient evaluation per recorded
     point, at y_k (K+1 in all; separate evaluations of each without a
@@ -449,8 +459,9 @@ def run(f: Objective, method: str, x0: Vector, s: float, K: int, *,
     and gc-phase the run stores no y: :attr:`Trajectory.ys` rebuilds it
     from ``xs`` and ``vs``.  A small objective steps on
     Python floats (:func:`_lane`), with the same bits: a diagonal
-    quadratic one coordinate at a time, evaluating the oracle at y_0
-    alone, and any other one every coordinate a step.  A
+    quadratic one coordinate at a time, evaluating the fused oracle at y_0
+    alone and the row-batched one at a block's y rows, and any other one
+    every coordinate a step.  A
     non-finite iterate raises :class:`NonFiniteIterateError` naming the
     first step k >= 1 whose x_k is non-finite, checked once per block of
     ``_BLOCK_ROWS`` rows.
@@ -500,10 +511,18 @@ def run(f: Objective, method: str, x0: Vector, s: float, K: int, *,
     if record_v:
         vs[0] = v
     grad_sq[0] = g @ g
+    traj = Trajectory(
+        method_id=method,
+        s=s,
+        xs=xs,
+        ys=ys,
+        vs=vs,
+        f_gap=f_gap,
+        grad_sq=grad_sq,
+        objective=f,
+    )
     grads = np.empty((min(K, _BLOCK_ROWS), f.dim))  # the block's gradients
     lams = _lane(f)
-    # the per-coordinate lane's y of a block, where run stores none
-    y_block = np.empty_like(grads) if lams is not None and ys is None else None
     on_floats = lams is not None or f.dim <= _COUPLED_LANE_MAX_DIM
     if on_floats:  # the lane's state, a list of floats per coordinate
         k = step_coefficients(f.mu, s)
@@ -512,7 +531,7 @@ def run(f: Objective, method: str, x0: Vector, s: float, K: int, *,
         ks = repeat(k)
     if lams is not None:
         lanes = [list(state) for state in zip(lams, x, y, v, g, carry)]
-        lams = np.array(lams)
+        prev = x0  # the y row before the block, which _y_rows continues
 
     for rows in _blocks(K + 1, start=1):
         lo = rows.start
@@ -550,32 +569,21 @@ def run(f: Objective, method: str, x0: Vector, s: float, K: int, *,
             if record_v:
                 vs[rows] = np.reshape(vr, block.shape)
         else:  # one coordinate at a time
-            Y = y_block[:len(block)] if ys is None else ys[rows]
             for j, lane in enumerate(lanes):
                 xj, yj, vj = _lane_steps(step, k, lane, len(block),
-                                         record_y, record_v)
+                                         store_y, record_v)
                 xs[rows, j] = xj
-                if record_y:
-                    Y[:, j] = yj
+                if store_y:
+                    ys[rows, j] = yj
                 if record_v:
                     vs[rows, j] = vj
-            np.multiply(Y, lams, out=block)  # the lane's lam_j y_j
+            Y = _y_rows(traj, rows, prev)
+            f_gap[rows], block = f.value_and_grad_rows_fn(Y)
+            prev = Y[-1]
         bad = first_nonfinite_row(xs[rows])
         if bad is not None:
             raise NonFiniteIterateError(method, lo + bad)
-        if lams is not None:
-            f_gap[rows] = 0.5 * np.vecdot(Y, block)
         grad_sq[rows] = np.vecdot(block, block)
 
     f_gap -= np.nan if f.min_value is None else f.min_value
-
-    return Trajectory(
-        method_id=method,
-        s=s,
-        xs=xs,
-        ys=ys,
-        vs=vs,
-        f_gap=f_gap,
-        grad_sq=grad_sq,
-        objective=f,
-    )
+    return traj

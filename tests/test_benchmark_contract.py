@@ -1,20 +1,32 @@
-"""The benchmark tracer wraps library functions by name.
+"""What the benchmark expects of the library: the functions its tracer
+wraps, and the acceptance gate's lines.
 
 ``benchmarks/tracer.py`` lists, per ``accelcert`` module, the functions it
 wraps in spans (``SPANS``) and the spans whose results it post-processes
 (``POST``), and looks each one up with ``getattr``.  A renamed or deleted
-function would crash every traced pass, so this test checks that every
-listed name still resolves to a callable.  It only reads the tracer's
-source; it does not import the benchmark.
+function would crash every traced pass, so a test checks that every
+listed name still resolves to a callable.
+
+The ``acceptance`` workload compares each criterion's verdict and lines
+with ``benchmarks/reference.json``, within the printed precision of
+``benchmarks/check.py``'s ``mismatches``, so a test makes the same
+comparison: a reworded or changed gate line fails here, not only in the
+benchmark.  These tests read the tracer's source, the reference and
+``check.py``; they do not import the benchmark runner.
 """
 
 import ast
 import importlib
+import importlib.util
+import json
 from pathlib import Path
 
 import pytest
 
-TRACER = Path(__file__).resolve().parent.parent / "benchmarks" / "tracer.py"
+from accelcert.acceptance import CRITERIA
+
+BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
+TRACER = BENCHMARKS / "tracer.py"
 
 
 def _tracer_assignment(name: str) -> ast.expr:
@@ -45,3 +57,23 @@ def test_span_resolves(module, name):
 def test_post_hooks_are_spans():
     keys = [ast.literal_eval(key) for key in _tracer_assignment("POST").keys]
     assert keys and set(keys) <= set(_spans())
+
+
+def _load_check():
+    spec = importlib.util.spec_from_file_location(
+        "benchmark_check", BENCHMARKS / "check.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("number, criterion",
+                         list(enumerate(CRITERIA, start=1)),
+                         ids=[f"criterion_{i:02d}"
+                              for i in range(1, len(CRITERIA) + 1)])
+def test_gate_lines_match_the_benchmark_reference(number, criterion):
+    reference = json.loads((BENCHMARKS / "reference.json").read_text())
+    want = reference["acceptance"]["any"][f"criterion_{number:02d}"]
+    result = criterion()
+    got = {"passed": result.passed, "lines": list(result.lines)}
+    assert _load_check().mismatches(want, got) == [], (want, got)

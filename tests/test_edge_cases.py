@@ -136,16 +136,12 @@ def test_nonfinite_step_at_block_boundaries(j, extra):
 
 
 def test_nonfinite_start():
-    # x_0 is not checked, so K = 0 returns its one record; x_1 is the
-    # first checked row
+    # x_0 is checked before any step, so also a run of K = 0 rejects it
     f = make_quadratic([1.0, 4.0])
     x0 = np.array([np.nan, 1.0])
-    with np.errstate(invalid="ignore"):
-        assert np.isnan(run(f, "nag-modified", x0, 0.25, 0).f_gap).all()
-        for K in (1, 2 * B):
-            with pytest.raises(NonFiniteIterateError) as err:
-                run(f, "nag-modified", x0, 0.25, K)
-            assert err.value.k == 1
+    for K in (0, 1, 2 * B):
+        with pytest.raises(ValueError, match="x0 must be finite"):
+            run(f, "nag-modified", x0, 0.25, K)
 
 
 #: id -> what a malformed fused oracle makes of a good one's (value, grad)

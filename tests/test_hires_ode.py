@@ -230,14 +230,11 @@ class TestIntegrate:
         assert 4 * j <= len(calls) <= 4 * (j + B - 1)
 
     def test_nonfinite_start(self, quad_1):
-        # X(0) is not checked, so T = 0 returns its one sample; t = h is
-        # the first checked one
+        # X(0) is checked before any step, so also T = 0 rejects it
         x0 = one(np.nan)
-        assert np.isnan(integrate(quad_1, x0, 0.25, 0.0, 0.5).X).all()
-        for steps in (1, 2 * B):
-            with pytest.raises(NonFiniteSolutionError) as err:
+        for steps in (0, 1, 2 * B):
+            with pytest.raises(ValueError, match="x0 must be finite"):
                 integrate(quad_1, x0, 0.25, steps * 0.5, 0.5)
-            assert err.value.t == 0.5
 
     def test_equilibrium_stability(self):
         f = make_quadratic([1, 4])

@@ -4,9 +4,11 @@ Python floats, and ``run`` steps any other small objective on floats every
 coordinate a step.  Every lane records the same bits as the array path,
 which the same run takes with the lanes' cutoffs set to 0; the coupled
 lane is checked with its cutoff raised to ``_LANE_MAX_DIM``.  Which path
-runs depends only on the objective, and every method takes it.  Both
-paths reject the same inputs, before any warning, and a diverging run
-raises at the same step on both.
+runs depends only on the objective, and every method takes it: replacing
+either of the diagonal quadratic's oracles leaves the per-coordinate lane,
+which calls the row-batched one once a block.  Both paths reject the same
+inputs, before any warning, and a diverging run raises at the same step on
+both.
 """
 
 import contextlib
@@ -18,6 +20,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import accelcert.hires_ode as hires_ode
 import accelcert.optimizers as optimizers
 from accelcert import (METHODS, integrate, make_quadratic, make_reg_logistic,
                        resolve_minimizer, run, step_coefficients)
@@ -237,14 +240,47 @@ def test_a_wrapped_diagonal_oracle_is_called_at_every_record(wrap):
     assert counter.calls == 301
 
 
+def rows_counted(f):
+    """``f`` with its row-batched oracle replaced by a :class:`Counter` of
+    it, and the counter."""
+    counter = Counter(f.value_and_grad_rows_fn)
+    return replace(f, value_and_grad_rows_fn=counter), counter
+
+
+@pytest.mark.parametrize("n", [1, B - 1, B, B + 1, 600])
+def test_the_lane_calls_the_row_oracle_once_a_block(monkeypatch, n):
+    # a replaced row oracle sends run and integrate off the lane, where
+    # neither calls it; held on the lane, each calls it once a block of
+    # the n steps
+    f = make_quadratic([1.0, 4.0])
+    counted, counter = rows_counted(f)
+    assert _lane(counted) is None
+
+    def calls():
+        counts = []
+        for call in (lambda: run(counted, "gc-phase", start(2), 0.25, n),
+                     lambda: integrate(counted, start(2), 0.25, n * 1e-2,
+                                       1e-2)):
+            counter.calls = 0
+            call()
+            counts.append(counter.calls)
+        return counts
+    assert calls() == [0, 0]
+    lams = _lane(f)
+    monkeypatch.setattr(optimizers, "_lane", lambda g: lams)
+    monkeypatch.setattr(hires_ode, "_lane", lambda g: lams)
+    assert calls() == [math.ceil(n / B)] * 2
+
+
 @pytest.mark.parametrize("build, lane", [
     (lambda: make_quadratic(np.logspace(0, 1, _LANE_MAX_DIM)), True),
     (lambda: make_quadratic([1.0, 4.0]), True),
     (lambda: make_quadratic(np.logspace(0, 1, _LANE_MAX_DIM + 1)), False),
     (lambda: make_quadratic([1.0, 4.0], rotation_seed=2), False),
-    (lambda: resolve_minimizer(make_reg_logistic(3, 50, 2, 0.1)), False)],
+    (lambda: resolve_minimizer(make_reg_logistic(3, 50, 2, 0.1)), False),
+    (lambda: rows_counted(make_quadratic([1.0, 4.0]))[0], False)],
     ids=["diag-d=cutoff", "diag-d=2", "diag-d=cutoff+1", "rotated",
-         "logistic"])
+         "logistic", "diag-rows-replaced"])
 def test_path_selection(build, lane):
     # integrate takes its stage gradients from grad_fn on the array path
     # only; counting grad_fn leaves the fused oracle, and so the path, as
@@ -321,13 +357,17 @@ def test_every_method_takes_the_objectives_path(monkeypatch, f):
     lambda f: integrate(f, np.ones(2), math.inf, 1.0, 0.1),
     lambda f: integrate(f, np.ones(2), 0.25, 1.0, math.inf),
     lambda f: integrate(f, np.ones(2), 0.25, 1.0, math.nan),
-    lambda f: integrate(f, np.ones(2), 0.25, 0.04, 0.1)],
+    lambda f: integrate(f, np.ones(2), 0.25, 0.04, 0.1),
+    lambda f: run(f, "iv-phase", np.array([math.inf, 1.0]), 0.25, 5),
+    lambda f: run(f, "gd", np.array([1.0, math.nan]), 0.25, 5),
+    lambda f: integrate(f, np.array([math.inf, 1.0]), 0.25, 1.0, 0.1)],
     ids=["run-s=inf", "run-s=nan", "T=nan", "T=inf", "s=inf", "h=inf",
-         "h=nan", "T<h/2"])
+         "h=nan", "T<h/2", "run-x0=inf", "run-x0=nan", "x0=inf"])
 def test_nonfinite_inputs_rejected_before_any_warning(call, path):
     # T = nan used to return one sample, T = inf to raise OverflowError,
-    # s = inf to warn and then fail on the first non-finite step, and a T
-    # short of h / 2 to pass as a multiple of h
+    # s = inf to warn and then fail on the first non-finite step, a T
+    # short of h / 2 to pass as a multiple of h, and a non-finite x0 to
+    # warn and then fail on the first step
     f = make_quadratic([1.0, 4.0])
     with on_path(path), warnings.catch_warnings():
         warnings.simplefilter("error")

@@ -7,10 +7,11 @@ y as the same array as its new x (gd, heavy-ball) gets ``ys`` as the
 rows.  iv-phase and gc-phase store no y: x and v fix it, and ``ys`` is
 rebuilt on each read as a read-only column, bit for bit the y the kernel
 stepped with, from x_0 itself at row 0.  The gc energy reads that y a
-block at a time, so no certificate builds the column.  The runs the
-acceptance gate caches keep that sharing, and the peak traced
-memory of a long run is the bytes of the columns it keeps, plus a block
-of gradients.
+block at a time, so no certificate builds the column, and the
+per-coordinate lane takes its recorded gaps and gradients at those rebuilt
+rows a block at a time, so it holds no y column either.  The runs the
+acceptance gate caches keep that sharing, and the peak traced memory of a
+long run is the bytes of the columns it keeps, plus a few blocks of rows.
 """
 
 import tracemalloc

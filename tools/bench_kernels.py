@@ -20,9 +20,12 @@ machine speed hits both alike.  A case is one call, timed with
 
 Each version builds its own objectives, so its oracles are timed too.  The
 report gives, per case and version, the min and the median in microseconds
-per step, the median over the rounds of the after/before ratio of the
-round's pair, and the ``tracemalloc`` peak of one call in bytes, which
-unlike the times is the same on every run.  BLAS runs on one thread.
+per step, the median and the first and third quartiles over the rounds of
+the after/before ratio of the round's pair, and the ``tracemalloc`` peak
+of one call in bytes, which unlike the times is the same on every run.
+Read a case as slower only when its first-quartile ratio is above 1: the
+median ratio of a case whose code did not change has read as low as 0.88.
+BLAS runs on one thread.
 
 The ``lane`` section times the library in ``src/`` alone, each case once
 on the per-coordinate lane and once on the array path, in alternation:
@@ -40,7 +43,7 @@ For the one the cutoffs ``optimizers._LANE_MAX_DIM`` and
 ``_COUPLED_LANE_MAX_DIM`` are set to the largest d and every method takes
 the coupled lane, and for the other both cutoffs are set to 0, so both
 time the same objective; the report gives each path's min and median and
-the median lane/array ratio, which places the cutoffs.
+the quartiles of the lane/array ratio, which place the cutoffs.
 """
 
 from __future__ import annotations
@@ -158,13 +161,16 @@ def timed(call, steps: int) -> float:
 
 
 def summary(by_side: dict, num: str, den: str) -> dict:
-    """The min and median of each side's samples, and the median over the
-    rounds of the ``num``/``den`` ratio of the round's pair."""
+    """The min and median of each side's samples, and the median and the
+    first and third quartiles over the rounds of the ``num``/``den`` ratio
+    of the round's pair."""
+    ratios = [a / b for a, b in zip(by_side[num], by_side[den])]
+    q1, _, q3 = statistics.quantiles(ratios, n=4)
     return {**{side: {"min_us": round(min(t), 3),
                       "median_us": round(statistics.median(t), 3)}
                for side, t in by_side.items()},
-            "median_ratio": round(statistics.median(
-                a / b for a, b in zip(by_side[num], by_side[den])), 4)}
+            "median_ratio": round(statistics.median(ratios), 4),
+            "q1_ratio": round(q1, 4), "q3_ratio": round(q3, 4)}
 
 
 def peak_bytes(call) -> int:
@@ -248,13 +254,15 @@ def main(argv=None) -> int:
     for name, r in report.items():
         print(f"{name:32s} {r['before']['median_us']:9.3f} -> "
               f"{r['after']['median_us']:9.3f} us/step  "
-              f"(ratio {r['median_ratio']:.3f})  "
+              f"(ratio {r['median_ratio']:.3f}, "
+              f"{r['q1_ratio']:.3f}-{r['q3_ratio']:.3f})  "
               f"{r['peak_bytes']['before']:>10,} -> "
               f"{r['peak_bytes']['after']:>10,} B peak")
     for name, r in lane_report.items():
         print(f"{name:32s} {r['array']['median_us']:9.3f} array "
               f"{r['lane']['median_us']:9.3f} lane us/step  "
-              f"(ratio {r['median_ratio']:.3f})")
+              f"(ratio {r['median_ratio']:.3f}, "
+              f"{r['q1_ratio']:.3f}-{r['q3_ratio']:.3f})")
     return 0
 
 
