@@ -241,10 +241,11 @@ def attach_bound(trajectory: Trajectory, theorem: str) -> np.ndarray:
 def gaps_at(f: Objective, points: np.ndarray) -> np.ndarray:
     """f(p) - f* at each row p of ``points``, a point no run recorded a gap
     at, from :meth:`~accelcert.objectives.Objective.value_and_grad_rows`,
-    a block of ``optimizers._BLOCK_ROWS`` rows at a time."""
+    a block of rows at a time (``optimizers._blocks``, d values wide, so
+    each of its temporaries is bounded in bytes at any d)."""
     require_minimizer(f)
     out = np.empty(len(points))
-    for rows in _blocks(len(out)):
+    for rows in _blocks(len(out), f.dim):
         out[rows] = f.value_and_grad_rows(points[rows])[0] - f.min_value
     return out
 

@@ -350,11 +350,12 @@ def _record(cells) -> str:
 def write_csv(columns: dict, path: Path):
     """Write ``columns`` (header -> equal-length column) as CSV: the header,
     then one row per index, every cell formatted by :func:`fmt`.  Rows are
-    converted a block at a time, never the whole table at once."""
+    converted a block at a time (``optimizers._blocks``, one value wide per
+    column), never the whole table at once."""
     n_rows = len(next(iter(columns.values()), ()))
     with open(path, "w", newline="") as fh:
         fh.write(_record(_cells(list(columns))))
-        for rows in _blocks(n_rows):
+        for rows in _blocks(n_rows, len(columns)):
             fh.writelines(map(_record, zip(*[_cells(col[rows])
                                              for col in columns.values()])))
 

@@ -205,7 +205,9 @@ def integrate(f: Objective, x0: Vector, s: float, T: float, h: float,
 
     A non-finite state raises :class:`NonFiniteSolutionError` with the
     time of the first sample after t = 0 whose X or X' is non-finite,
-    checked once per block of ``optimizers._BLOCK_ROWS`` rows.
+    checked once per block of samples (``optimizers._blocks``, 2 d values
+    wide): ``optimizers._BLOCK_ROWS`` samples up to d = 128, fewer above,
+    so at large d a diverging solution overruns by fewer steps.
     """
     k, xddot, accel = _flow(f, s, which)
     if not 0 < h < math.inf:
@@ -237,7 +239,7 @@ def integrate(f: Objective, x0: Vector, s: float, T: float, h: float,
     lams = _lane(f)
     lane_k = step_coefficients(f.mu, s)
     # steps lo..hi-1 fill rows lo+1..hi
-    for steps in _blocks(n):
+    for steps in _blocks(n, 2 * f.dim):
         lo, hi = steps.start, steps.stop
         if lams is None:
             for i in range(lo, hi):

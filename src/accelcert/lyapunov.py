@@ -63,7 +63,7 @@ def ode_energies(solution: OdeSolution) -> np.ndarray:
     require_minimizer(f)
     k = step_coefficients(f.mu, solution.s)
     out = np.empty(len(solution))
-    for rows in _blocks(len(out)):
+    for rows in _blocks(len(out), f.dim):
         out[rows] = _iv_energy(solution.f_gap[rows], solution.Xdot[rows],
                                solution.X[rows], f.minimizer, k, f.mu)
     return out
@@ -87,7 +87,8 @@ def energies(trajectory: Trajectory, form: str) -> np.ndarray:
     form makes no oracle call.  The gc form takes g_k, which the run does
     not record, from
     :meth:`~accelcert.objectives.Objective.value_and_grad_rows`, a block of
-    ``optimizers._BLOCK_ROWS`` rows at a time, and reads y a block at a
+    rows at a time (``optimizers._blocks``, d values wide, so each of its
+    temporaries is bounded in bytes at any d), and reads y a block at a
     time too, since gc-phase's y is rebuilt from x and v.
     """
     require_claim("form", ENERGIES, form, trajectory.method_id)
@@ -97,7 +98,7 @@ def energies(trajectory: Trajectory, form: str) -> np.ndarray:
     gaps, vs, xs = trajectory.f_gap, trajectory.vs, trajectory.xs
     out = np.empty(trajectory.K)
     y_prev = None  # the y row before the block
-    for rows in _blocks(len(out)):
+    for rows in _blocks(len(out), f.dim):
         nxt = slice(rows.start + 1, rows.stop + 1)
         if form == "gc":
             Y = _y_rows(trajectory, slice(rows.start, nxt.stop), y_prev)

@@ -222,13 +222,6 @@ class SpectrumSpec:
         return len(self.eigenvalues)
 
 
-def _orthogonal_matrix(dim: int, seed: int) -> np.ndarray:
-    """Seeded random orthogonal matrix (QR of a Gaussian, sign-fixed)."""
-    rng = np.random.default_rng(seed)
-    q, r = np.linalg.qr(rng.standard_normal((dim, dim)))
-    return q * np.sign(np.diag(r))
-
-
 def _spectrum_label(spec: SpectrumSpec) -> str:
     if spec.dim <= 4:
         return "[" + ",".join(f"{v:g}" for v in spec.eigenvalues) + "]"
@@ -267,9 +260,19 @@ def make_quadratic(spec: SpectrumSpec | Sequence[float],
         def grad_rows(X: np.ndarray) -> np.ndarray:
             return X * lams
     else:
-        q = _orthogonal_matrix(spec.dim, rotation_seed)
-        hessian = (q * lams) @ q.T  # q diag(lams) q^T, bit for bit
-        hessian = 0.5 * (hessian + hessian.T)  # exact symmetry
+        # q diag(lams) q^T, symmetrized exactly, for the seeded random
+        # orthogonal q (QR of a Gaussian, sign-fixed).  The draw's own
+        # buffer becomes the Hessian: it is the first d x d array the build
+        # allocates, so every temporary is freed above it and none stays
+        # resident.  Each in-place step is its out-of-place form, bit for
+        # bit; numpy buffers the overlap of hessian.T.
+        rng = np.random.default_rng(rotation_seed)
+        hessian = rng.standard_normal((spec.dim, spec.dim))
+        q, r = np.linalg.qr(hessian)
+        q *= np.sign(np.diag(r))
+        np.matmul(q * lams, q.T, out=hessian)  # q diag(lams) q^T, bit for bit
+        np.add(hessian, hessian.T, out=hessian)
+        hessian *= 0.5
         name = f"quad-rot{_spectrum_label(spec)}#{rotation_seed}"
 
         def grad_fn(x: Vector) -> Vector:

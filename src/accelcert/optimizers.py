@@ -209,24 +209,38 @@ STEPS = {
 
 METHODS = tuple(STEPS)
 
-#: Rows per block.  ``run`` and ``hires_ode.integrate`` test the rows they
-#: recorded for non-finite entries once per block instead of once per step,
-#: where the test would cost as much as a step at small d, so a diverging
-#: run steps on to the end of its block before it raises: the oracle may
-#: see up to 255 more points past the first non-finite one, and those steps
-#: may emit numpy RuntimeWarnings.  ``run`` takes the squared norms of a
-#: block's gradients in one ``np.vecdot``, the BLAS dot product of
-#: ``g @ g`` at each step, bit for bit.  The certificates evaluate their
-#: column formulas and row-batched oracle calls a block at a time, because
-#: over a whole column their (K, d) temporaries raise the peak memory of a
-#: long run at large d.
+#: Rows per block, at most.  ``run`` and ``hires_ode.integrate`` test the
+#: rows they recorded for non-finite entries once per block instead of once
+#: per step, where the test would cost as much as a step at small d, so a
+#: diverging run steps on to the end of its block before it raises: the
+#: oracle may see up to a block's rows less one (255 at d <= 256) more
+#: points past the first non-finite one, and those steps may emit numpy
+#: RuntimeWarnings.  ``run`` takes the squared norms of a block's gradients
+#: in one ``np.vecdot``, the BLAS dot product of ``g @ g`` at each step,
+#: bit for bit.  The certificates evaluate their column formulas and
+#: row-batched oracle calls a block at a time, because over a whole column
+#: their (K, d) temporaries raise the peak memory of a long run at large d.
 _BLOCK_ROWS = 256
 
+#: Values per block, at most: a block of rows ``width`` values wide holds
+#: ``min(_BLOCK_ROWS, _BLOCK_VALUES // width)`` rows (:func:`_blocks`), so
+#: each of its temporaries takes at most 512 KB of float64 whatever d is,
+#: and a row of at most 256 values gets the full ``_BLOCK_ROWS``.
+_BLOCK_VALUES = 1 << 16
 
-def _blocks(stop: int, start: int = 0):
-    """Slices of at most ``_BLOCK_ROWS`` rows that cover rows start..stop-1."""
-    for lo in range(start, stop, _BLOCK_ROWS):
-        yield slice(lo, min(lo + _BLOCK_ROWS, stop))
+
+def _block_rows(width: int) -> int:
+    """Rows in a block of rows ``width`` values wide, at least one (a width
+    of 0 counts as 1)."""
+    return min(_BLOCK_ROWS, max(1, _BLOCK_VALUES // max(1, width)))
+
+
+def _blocks(stop: int, width: int, start: int = 0):
+    """Slices of ``_block_rows(width)`` rows, the last one shorter, that
+    cover rows start..stop-1 of a column ``width`` values wide."""
+    n = _block_rows(width)
+    for lo in range(start, stop, n):
+        yield slice(lo, min(lo + n, stop))
 
 
 #: The largest dimension that :func:`run` and ``hires_ode.integrate`` step
@@ -259,9 +273,10 @@ def _lane(f: Objective) -> Optional[tuple[float, ...]]:
     replacing either sends a run off the lane.  On it every
     scheme splits into one scalar recursion per coordinate, whose gradient
     is lam_j y_j, so each coordinate is stepped on Python floats, a block
-    of ``_BLOCK_ROWS`` rows at a time, and the block's rows are written
-    into the records at once; numpy's dispatch, which dominates every
-    operation on arrays of so few entries, is paid once a block.
+    of rows at a time (:func:`_blocks`: ``_BLOCK_ROWS`` rows at so small a
+    d), and the block's rows are written into the records at once; numpy's
+    dispatch, which dominates every operation on arrays of so few entries,
+    is paid once a block.
 
     ``run`` steps any other objective of at most ``_COUPLED_LANE_MAX_DIM``
     coordinates on Python floats too, in the coupled lane: each step runs
@@ -464,7 +479,9 @@ def run(f: Objective, method: str, x0: Vector, s: float, K: int, *,
     every coordinate a step.  A
     non-finite iterate raises :class:`NonFiniteIterateError` naming the
     first step k >= 1 whose x_k is non-finite, checked once per block of
-    ``_BLOCK_ROWS`` rows.
+    rows (:func:`_blocks`, d values wide): ``_BLOCK_ROWS`` rows up to
+    d = 256, fewer above, so at large d a diverging run overruns by fewer
+    points.
     """
     if isinstance(K, bool) or not isinstance(K, numbers.Integral):
         raise ValueError(f"K must be an integer, not {K!r}")
@@ -521,7 +538,6 @@ def run(f: Objective, method: str, x0: Vector, s: float, K: int, *,
         grad_sq=grad_sq,
         objective=f,
     )
-    grads = np.empty((min(K, _BLOCK_ROWS), f.dim))  # the block's gradients
     lams = _lane(f)
     on_floats = lams is not None or f.dim <= _COUPLED_LANE_MAX_DIM
     if on_floats:  # the lane's state, a list of floats per coordinate
@@ -532,10 +548,13 @@ def run(f: Objective, method: str, x0: Vector, s: float, K: int, *,
     if lams is not None:
         lanes = [list(state) for state in zip(lams, x, y, v, g, carry)]
         prev = x0  # the y row before the block, which _y_rows continues
+    else:  # the block's gradients, which the other paths fill
+        grads = np.empty((min(K, _block_rows(f.dim)), f.dim))
 
-    for rows in _blocks(K + 1, start=1):
-        lo = rows.start
-        block = grads[:rows.stop - lo]
+    for rows in _blocks(K + 1, f.dim, start=1):
+        lo, n = rows.start, rows.stop - rows.start
+        if lams is None:
+            block = grads[:n]
         if not on_floats:
             for i in range(lo, rows.stop):
                 x, y, v, carry = step(k, x, y, v, g, carry)
@@ -550,7 +569,7 @@ def run(f: Objective, method: str, x0: Vector, s: float, K: int, *,
             # the block's rows, flat: numpy takes a flat list of floats
             # faster than a list of rows
             xr, yr, vr, gr, values = [], [], [], [], []
-            for _ in range(len(block)):
+            for _ in range(n):
                 x, y, v, carry = zip(*map(step, ks, x, y, v, g, carry))
                 value, g = value_and_grad(np.array(y))
                 g = g.tolist()
@@ -570,8 +589,8 @@ def run(f: Objective, method: str, x0: Vector, s: float, K: int, *,
                 vs[rows] = np.reshape(vr, block.shape)
         else:  # one coordinate at a time
             for j, lane in enumerate(lanes):
-                xj, yj, vj = _lane_steps(step, k, lane, len(block),
-                                         store_y, record_v)
+                xj, yj, vj = _lane_steps(step, k, lane, n, store_y,
+                                         record_v)
                 xs[rows, j] = xj
                 if store_y:
                     ys[rows, j] = yj

@@ -101,18 +101,18 @@ def test_nonfinite_step_is_the_loop_index():
 B = _BLOCK_ROWS
 
 
-def counted_doubling(j):
-    """(f, x0, calls): gd at s = 3 on f(x) = x^2 / 2 maps x to -2x, so from
-    x0 = 2^(1024 - j) the iterate first overflows at step j; ``calls``
-    counts f's fused oracle calls."""
-    f = make_quadratic([1.0])
+def counted_doubling(j, dim=1):
+    """(f, x0, calls): gd at s = 3 on f(x) = ||x||^2 / 2 maps x to -2x, so
+    from x0 = 2^(1024 - j) in every coordinate the iterate first overflows
+    at step j; ``calls`` counts f's fused oracle calls."""
+    f = make_quadratic(np.ones(dim))
     calls = []
 
     def value_and_grad_fn(x):
         calls.append(x)
         return f.value_and_grad_fn(x)
     return (replace(f, value_and_grad_fn=value_and_grad_fn),
-            np.array([2.0 ** (1024 - j)]), calls)
+            np.full(dim, 2.0 ** (1024 - j)), calls)
 
 
 @pytest.mark.parametrize("j", [1, 2, B - 1, B, B + 1, 2 * B + 3])
@@ -133,6 +133,18 @@ def test_nonfinite_step_at_block_boundaries(j, extra):
     assert err.value.k == j
     # records 0..j took j + 1 calls; the run stops at the end of j's block
     assert j + 1 <= len(calls) <= j + B
+
+
+@pytest.mark.parametrize("j", [1, 108, 109, 110, 300])
+def test_a_wide_run_overruns_by_less_than_its_block(j):
+    # at d = 600 a block holds 109 rows, so the run stops fewer steps past
+    # the first non-finite one than a 256-row block would let it
+    f, x0, calls = counted_doubling(j, dim=600)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.warns(UserWarning, match="exceeds 1/L"):
+            with pytest.raises(NonFiniteIterateError, match=f"at step {j}$"):
+                run(f, "gd", x0, 3.0, 2 * B)
+    assert j + 1 <= len(calls) <= j + 109
 
 
 def test_nonfinite_start():

@@ -54,7 +54,7 @@ def energies_per_row(traj, form, grads=None):
     if form == "gc":
         if grads is None:
             grads = np.empty((traj.K, f.dim))
-            for block in _blocks(traj.K):
+            for block in _blocks(traj.K, f.dim):
                 grads[block] = f.value_and_grad_rows(ys[block])[1]
         rows = [gc_energy_row(gaps[k], grads[k], ys[k + 1], vs[k + 1],
                               f.minimizer, traj.s, f.mu)

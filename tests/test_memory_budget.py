@@ -11,18 +11,27 @@ block at a time, so no certificate builds the column, and the
 per-coordinate lane takes its recorded gaps and gradients at those rebuilt
 rows a block at a time, so it holds no y column either.  The runs the
 acceptance gate caches keep that sharing, and the peak traced memory of a
-long run is the bytes of the columns it keeps, plus a few blocks of rows.
+long run is the bytes of the columns it keeps, plus a few blocks, each of
+at most ``_BLOCK_VALUES`` values (``optimizers._blocks``): 256 rows up to
+d = 256, fewer above, 109 at d = 600.  So whatever K and d are, ``run``
+above its kept columns, the gc energy and ``gaps_at`` each hold a few
+times 512 KB; and since every block formula is taken row by row, with an
+elementwise row oracle their values are those of 256-row blocks, bit for
+bit.
 """
 
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from accelcert import (Trajectory, acceptance, energies, make_quadratic,
-                       make_reg_logistic, resolve_minimizer, run)
-from accelcert.optimizers import (_BLOCK_ROWS, METHODS, STEPS,
-                                  _step_operands)
+                       make_reg_logistic, resolve_minimizer, run,
+                       step_coefficients)
+from accelcert.analysis import gaps_at
+from accelcert.optimizers import (_BLOCK_ROWS, _BLOCK_VALUES, METHODS, STEPS,
+                                  _block_rows, _step_operands)
 
 
 @pytest.fixture(scope="module")
@@ -151,3 +160,91 @@ def test_gc_energy_reads_y_a_block_at_a_time():
     finally:
         tracemalloc.stop()
     assert peak < traj.xs.nbytes
+
+
+#: A block's bytes: ``_BLOCK_VALUES`` float64 values.
+BLOCK_BYTES = 8 * _BLOCK_VALUES
+
+
+@pytest.mark.parametrize("width, rows", [
+    (1, 256), (256, 256), (257, 255), (600, 109), (1000, 65),
+    (2 * _BLOCK_VALUES, 1), (0, 256)])
+def test_a_block_is_capped_in_values(width, rows):
+    assert _block_rows(width) == rows
+
+
+@pytest.fixture(scope="module")
+def wide():
+    """A diagonal quadratic past the row cap, d = 600 (109 rows a block),
+    on the array path.  Its row oracle is elementwise, so its rows do not
+    depend on how many rows a call has, as a BLAS product's may."""
+    return make_quadratic(np.logspace(0, 2, 600))
+
+
+def traced(call):
+    """(call(), the peak ``tracemalloc`` traces during it), after one
+    untraced call, so that first-call allocations stay out."""
+    call()
+    tracemalloc.start()
+    try:
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+WIDE_K = [2 * 109 + 5, 12 * 109]
+
+
+@pytest.mark.parametrize("K", WIDE_K)
+@pytest.mark.parametrize("method", ["gd", "nag-modified", "iv-phase",
+                                    "gc-phase"])
+def test_run_holds_a_few_blocks_above_its_columns(wide, method, K):
+    x0 = np.ones(wide.dim)
+    traj, peak = traced(lambda: run(wide, method, x0, 1.0 / wide.lipschitz,
+                                    K))
+    kept = {id(col): col.nbytes
+            for col in (traj.xs, traj._ys, traj.vs, traj.f_gap,
+                        traj.grad_sq)
+            if col is not None and col.flags.writeable}
+    assert peak - sum(kept.values()) <= 2 * BLOCK_BYTES
+
+
+@pytest.mark.parametrize("K", WIDE_K)
+def test_gc_energy_holds_a_few_blocks(wide, K):
+    traj = run(wide, "gc-phase", np.ones(wide.dim), 1.0 / wide.lipschitz, K)
+    e, peak = traced(lambda: energies(traj, "gc"))
+    assert peak - e.nbytes <= 6 * BLOCK_BYTES
+
+
+@pytest.mark.parametrize("K", WIDE_K)
+def test_gaps_at_holds_a_few_blocks(wide, K):
+    traj = run(wide, "gc-phase", np.ones(wide.dim), 1.0 / wide.lipschitz, K)
+    gaps, peak = traced(lambda: gaps_at(wide, traj.xs))
+    assert peak - gaps.nbytes <= 2 * BLOCK_BYTES
+
+
+def in_256_row_blocks(n):
+    for lo in range(0, n, 256):
+        yield slice(lo, min(lo + 256, n))
+
+
+def test_wide_certificates_equal_256_row_blocks(wide):
+    traj = run(wide, "gc-phase", np.linspace(-1.0, 1.0, wide.dim),
+               1.0 / wide.lipschitz, 3 * 256 + 17)
+    k = step_coefficients(wide.mu, traj.s)
+    ys, vs, xstar = traj.ys, traj.vs, wide.minimizer
+    want = np.empty(traj.K)
+    for rows in in_256_row_blocks(traj.K):
+        nxt = slice(rows.start + 1, rows.stop + 1)
+        G = wide.value_and_grad_rows(ys[rows])[1]
+        V = vs[nxt]
+        combo = V + 2.0 * math.sqrt(wide.mu) * (ys[nxt] - xstar) + k.root_s * G
+        want[rows] = (traj.f_gap[rows] + 0.25 * np.vecdot(V, V)
+                      + 0.25 * np.vecdot(combo, combo)
+                      - 0.5 * k.s * np.vecdot(G, G))
+    assert energies(traj, "gc").tobytes() == want.tobytes()
+    want = np.empty(len(traj))
+    for rows in in_256_row_blocks(len(traj)):
+        want[rows] = wide.value_and_grad_rows(traj.xs[rows])[0]
+    assert gaps_at(wide, traj.xs).tobytes() == want.tobytes()

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from accelcert import (Objective, certify_class, make_quadratic, make_reg_logistic,
                        reg_logistic_from_data, resolve_minimizer)
-from accelcert.objectives import SpectrumSpec, _orthogonal_matrix
+from accelcert.objectives import SpectrumSpec
 
 #: Central-difference step of every finite-difference check.
 FD_STEP = 1e-6
@@ -75,12 +75,16 @@ class TestMakeQuadratic:
         np.testing.assert_allclose(eigs, [0.1, 0.4], atol=1e-12)
         assert abs(f.hessian[0, 1]) > 1e-3  # actually rotated
 
-    @pytest.mark.parametrize("dim", [1, 2, 50])
+    @pytest.mark.parametrize("dim", [1, 2, 50, 300])
     def test_rotated_hessian_matches_diagonal_product(self, dim):
+        # the in-place build is q diag(lams) q^T for the sign-fixed QR
+        # factor of the seeded Gaussian draw, symmetrized, bit for bit:
         # scaling q's columns by the eigenvalues is the product with
-        # diag(lams), bit for bit
+        # diag(lams)
         lams = np.logspace(0, 2, dim)
-        q = _orthogonal_matrix(dim, 5)
+        rng = np.random.default_rng(5)
+        q, r = np.linalg.qr(rng.standard_normal((dim, dim)))
+        q = q * np.sign(np.diag(r))
         reference = q @ np.diag(lams) @ q.T
         reference = 0.5 * (reference + reference.T)
         np.testing.assert_array_equal(

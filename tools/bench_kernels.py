@@ -27,6 +27,17 @@ Read a case as slower only when its first-quartile ratio is above 1: the
 median ratio of a case whose code did not change has read as low as 0.88.
 BLAS runs on one thread.
 
+The ``certificates`` section compares the two versions the same way, in
+``CERT_ALTERNATIONS`` rounds, on a d = 1000 rotated quadratic like the
+``execute-rot1000`` benchmark workload's (spectrum ``logspace(0, 4,
+1000)``, ``rotation_seed`` 11), one call per case, in microseconds per
+call, with each call's ``tracemalloc`` peak:
+
+* ``make_quadratic(spectrum, rotation_seed=11)``, the Hessian's build;
+* ``energies(traj, "gc")`` and ``check_bound(traj, "rate-gc")`` on a
+  gc-phase run of ``CERT_STEPS`` steps at s = 1/L from a seeded start,
+  made once per version.
+
 The ``lane`` section times the library in ``src/`` alone, each case once
 on the per-coordinate lane and once on the array path, in alternation:
 
@@ -79,6 +90,9 @@ ALTERNATIONS = 100
 LANE_DIMS = (1, 2, 4, 8, 12)
 LOGISTIC_LANE_DIMS = (2, 8)
 LANE_STEPS = {"run": 2000, "integrate": 1000}
+CERT_DIM = 1000
+CERT_STEPS = 2000
+CERT_ALTERNATIONS = 20
 
 
 def load(src: Path, name: str):
@@ -115,6 +129,22 @@ def cases(ac) -> dict:
         lambda: ac.integrate(logistic, x0, 1.0 / logistic.lipschitz,
                              n * 1e-3, 1e-3), n)
     return out
+
+
+def certificate_cases(ac) -> dict:
+    """{case: (call, 1)} of the certificates section on the package
+    ``ac``."""
+    spectrum = np.logspace(0, 4, CERT_DIM)
+    f = ac.make_quadratic(spectrum, rotation_seed=11)
+    x0 = ac.sample_in_ball(np.random.default_rng(CERT_DIM), CERT_DIM, 2.0)
+    traj = ac.run(f, "gc-phase", x0, 1.0 / f.lipschitz, CERT_STEPS)
+    return {
+        f"make_quadratic rot d={CERT_DIM}": (
+            lambda: ac.make_quadratic(spectrum, rotation_seed=11), 1),
+        f"energies gc d={CERT_DIM}": (lambda: ac.energies(traj, "gc"), 1),
+        f"check_bound rate-gc d={CERT_DIM}": (
+            lambda: ac.check_bound(traj, "rate-gc"), 1),
+    }
 
 
 def lane_cases(ac) -> dict:
@@ -183,6 +213,27 @@ def peak_bytes(call) -> int:
         tracemalloc.stop()
 
 
+def compare(built: dict, rounds: int) -> dict:
+    """``summary`` of the after/before ratio and the ``peak_bytes`` of each
+    case of ``built`` ({version: {case: (call, steps)}}), timed on the
+    versions in alternation for ``rounds`` rounds after one untimed
+    warm-up call each."""
+    names = list(built["after"])
+    samples = {name: {v: [] for v in built} for name in names}
+    for name in names:
+        for v in built:
+            built[v][name][0]()
+    peaks = {name: {v: peak_bytes(built[v][name][0]) for v in built}
+             for name in names}
+    for i in range(rounds):
+        order = list(built) if i % 2 == 0 else list(built)[::-1]
+        for name in names:
+            for v in order:
+                samples[name][v].append(timed(*built[v][name]))
+    return {name: {**summary(samples[name], "after", "before"),
+                   "peak_bytes": peaks[name]} for name in names}
+
+
 def extract(rev: str, into: Path) -> Path:
     """``src/`` of git revision ``rev``, extracted under ``into``."""
     tar = subprocess.run(["git", "-C", str(ROOT), "archive", rev, "src"],
@@ -202,20 +253,13 @@ def main(argv=None) -> int:
         versions = {"before": load(extract(args.before, Path(tmp)),
                                    "accelcert_before"),
                     "after": load(ROOT / "src", "accelcert_after")}
-        built = {name: cases(ac) for name, ac in versions.items()}
-        names = list(built["after"])
-        samples = {name: {v: [] for v in versions} for name in names}
         with np.errstate(all="ignore"):
-            for name in names:  # one untimed warm-up call each
-                for v in versions:
-                    built[v][name][0]()
-            peaks = {name: {v: peak_bytes(built[v][name][0])
-                            for v in versions} for name in names}
-            for i in range(ALTERNATIONS):
-                order = list(versions) if i % 2 == 0 else list(versions)[::-1]
-                for name in names:
-                    for v in order:
-                        samples[name][v].append(timed(*built[v][name]))
+            report = compare({name: cases(ac)
+                              for name, ac in versions.items()},
+                             ALTERNATIONS)
+            cert_report = compare({name: certificate_cases(ac)
+                                   for name, ac in versions.items()},
+                                  CERT_ALTERNATIONS)
             after = versions["after"]
             lanes = lane_cases(after)
             paths = {"lane": True, "array": False}
@@ -230,13 +274,11 @@ def main(argv=None) -> int:
                         lane_samples[name][p].append(
                             on_path(after, paths[p], *case))
 
-    report = {name: {**summary(samples[name], "after", "before"),
-                     "peak_bytes": peaks[name]} for name in names}
     lane_report = {name: summary(by_path, "lane", "array")
                    for name, by_path in lane_samples.items()}
     out = {
         "about": __doc__.split("\n\n")[0].replace("\n", " "),
-        "unit": "us/step; peak_bytes in B per call",
+        "unit": "us/step (us/call in certificates); peak_bytes in B per call",
         "before": args.before,
         "after": "src/ of the working tree",
         "alternations": ALTERNATIONS,
@@ -247,13 +289,17 @@ def main(argv=None) -> int:
                     "processor": platform.machine(),
                     "blas_threads": os.environ["OPENBLAS_NUM_THREADS"]},
         "cases": report,
+        "certificate_steps": CERT_STEPS,
+        "certificate_alternations": CERT_ALTERNATIONS,
+        "certificates": cert_report,
         "lane_steps": LANE_STEPS,
         "lane": lane_report,
     }
     Path(args.out).write_text(json.dumps(out, indent=1) + "\n")
-    for name, r in report.items():
+    for name, r in {**report, **cert_report}.items():
+        unit = "us/call" if name in cert_report else "us/step"
         print(f"{name:32s} {r['before']['median_us']:9.3f} -> "
-              f"{r['after']['median_us']:9.3f} us/step  "
+              f"{r['after']['median_us']:9.3f} {unit}  "
               f"(ratio {r['median_ratio']:.3f}, "
               f"{r['q1_ratio']:.3f}-{r['q3_ratio']:.3f})  "
               f"{r['peak_bytes']['before']:>10,} -> "

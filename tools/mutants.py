@@ -10,10 +10,13 @@ Each names the tier-1 test that must kill it, one that checks a verdict
 rather than pins a value.  For each mutant, the tool copies the repository
 into a temporary directory, applies the substitution there (``old`` must
 occur exactly once) and reports the verdict of its test: "killed" when it
-fails, "survived" when it passes.  With ``--full`` it also reports the
-verdicts of ``accelcert suite acceptance`` and of the tier-1 tests
-without the byte pins (``tests/test_golden_digests.py`` and
-``tests/test_demos.py``), which a re-recorded digest cannot protect.
+fails, "survived" when it passes.  It also runs ``accelcert suite
+acceptance`` on each mutant that the committed ``BENCH_mutants.json``
+records as killed by the gate (``GATE_KILLS``, about 1 s each), so that a
+gate which stops catching one fails the census.  With ``--full`` it
+reports the verdicts of the gate and of the tier-1 tests without the byte
+pins (``tests/test_golden_digests.py`` and ``tests/test_demos.py``),
+which a re-recorded digest cannot protect, on every mutant.
 
 The ODE damping mutant 2 sqrt(mu) -> sqrt(mu) is a control, run only
 with ``--full``: it changes no claim, so it names no test, and the
@@ -21,8 +24,9 @@ acceptance gate kills it.  An unmutated copy is checked first and must
 pass every check that is run, or the census means nothing.
 
 The report goes to ``--out``.  The exit status is 1 when the unmutated copy
-fails a check, when a mutant survives the test it names, or, with
-``--full``, when the gate lets the control through.
+fails a check, when a mutant survives the test it names, when the gate
+lets through a mutant of ``GATE_KILLS``, or, with ``--full``, when the
+gate lets the control through.
 """
 
 from __future__ import annotations
@@ -137,6 +141,11 @@ CHECKS = {
         "--ignore=tests/test_golden_digests.py",
         "--ignore=tests/test_demos.py"],
 }
+#: The mutants that the committed census records as killed by the gate.
+GATE_KILLS = frozenset(
+    row["id"] for row in json.loads(
+        (ROOT / "BENCH_mutants.json").read_text())["mutants"]
+    if row["checks"].get("gate", {}).get("verdict") == "killed")
 SKIP = shutil.ignore_patterns(".git", ".bench_out", ".bench_build",
                               "__pycache__", ".pytest_cache", ".hypothesis",
                               "*.egg-info")
@@ -184,7 +193,7 @@ def main(argv=None) -> int:
     checks = list(CHECKS) if args.full else ["named_test"]
 
     print("unmutated", flush=True)
-    baseline = census(None, checks)
+    baseline = census(None, checks if args.full else ["named_test", "gate"])
     bad = [f"unmutated copy fails {name}" for name, r in baseline.items()
            if not r["passed"]]
     rows = []
@@ -193,8 +202,9 @@ def main(argv=None) -> int:
         if test is None and not args.full:
             continue
         print(ident, flush=True)
-        mutant_checks = [c for c in checks
-                         if test is not None or c != "named_test"]
+        mutant_checks = [c for c in CHECKS
+                         if (c in checks or c == "gate" and ident in GATE_KILLS)
+                         and not (c == "named_test" and test is None)]
         verdicts = {name: {"verdict": "survived" if r["passed"] else "killed",
                            "seconds": r["seconds"]}
                     for name, r in census(mutant, mutant_checks).items()}
@@ -202,13 +212,14 @@ def main(argv=None) -> int:
                      "test": test, "checks": verdicts})
         if test is not None and verdicts["named_test"]["verdict"] == "survived":
             bad.append(f"{ident} survives {test}")
-        if test is None and verdicts["gate"]["verdict"] == "survived":
-            bad.append(f"the gate lets the control {ident} through")
+        gate = verdicts.get("gate", {}).get("verdict")
+        if gate == "survived" and (test is None or ident in GATE_KILLS):
+            bad.append(f"the gate lets {ident} through")
     report = {
         "about": __doc__.split("\n\n")[0],
         "checks": {name: " ".join(CHECKS[name][1:]) + (
             " <the mutant's test>" if name == "named_test" else "")
-            for name in checks},
+            for name in baseline},
         "machine": {"python": platform.python_version(),
                     "cpus": os.cpu_count()},
         "unmutated": baseline,
