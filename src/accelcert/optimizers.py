@@ -246,19 +246,19 @@ def _blocks(stop: int, width: int, start: int = 0):
 #: The largest dimension that :func:`run` and ``hires_ode.integrate`` step
 #: in the per-coordinate lane (:func:`_lane`).  ``tools/bench_kernels.py``
 #: times both paths at d = 1, 2, 4, 8 and 12 (``BENCH_kernels.json``): at
-#: d = 8 the lane takes 0.49-0.62 of the array path's time per ``run`` step,
-#: by method, and 0.42 per RK4 step, and at d = 12 still 0.71-0.91 and
-#: 0.61, so both crossovers lie above 12; no objective the acceptance gate
-#: runs has 8 < d <= 12.
+#: d = 8 the lane takes 0.51-0.65 of the array path's time per ``run`` step
+#: at s = 0.5/L, by method, and 0.45 per RK4 step, and at d = 12 still
+#: 0.73-0.94 and 0.66, so both crossovers lie above 12; no objective the
+#: acceptance gate runs has 8 < d <= 12.
 _LANE_MAX_DIM = 8
 
 #: The largest dimension at which :func:`run` steps any other objective on
 #: floats, in the coupled lane (:func:`_lane`), whatever the method.  On the
-#: rotated quadratic (``BENCH_kernels.json``) the lane takes 0.48-1.17 of
-#: the array path's time per step at d = 2, by method, 0.64-1.45 at d = 4
-#: and 0.95-1.94 at d = 8; on the logistic, whose oracle costs the same on
-#: both paths, 0.74-1.06 at d = 2 and 0.98-1.25 at d = 8.  The top of each
-#: range is gd's, whose array step is two ufunc calls.
+#: rotated quadratic (``BENCH_kernels.json``, s = 0.5/L) the lane takes
+#: 0.48-1.17 of the array path's time per step at d = 2, by method,
+#: 0.64-1.47 at d = 4 and 0.96-1.97 at d = 8; on the logistic, whose oracle
+#: costs the same on both paths, 0.75-1.06 at d = 2 and 1.00-1.28 at d = 8.
+#: The top of each range is gd's, whose array step is two ufunc calls.
 _COUPLED_LANE_MAX_DIM = 4
 
 
@@ -302,25 +302,59 @@ def _lane(f: Objective) -> Optional[tuple[float, ...]]:
     row's dot product with the BLAS ddot that the fused oracle's
     ``0.5 * float(y.dot(g))`` and ``g @ g`` call.  Only side effects
     differ: the per-coordinate lane evaluates the fused oracle once, not
-    once a step, and the row-batched one once a block, and a run that
-    overflows warns only from the numpy operations the lanes take once a
-    block, not from their Python floats.
+    once a step, and the row-batched one once a block; it fills rather
+    than steps a coordinate whose state a block's first step leaves
+    unchanged bit for bit, a fixed point of the kernel
+    (:func:`_lane_steps`), so it calls the kernel fewer times; and a run
+    that overflows warns only from the numpy operations the lanes take
+    once a block, not from their Python floats.
     """
     return _diagonal_eigenvalues(f) if f.dim <= _LANE_MAX_DIM else None
+
+
+def _same_bits(a, b) -> bool:
+    """Whether the state entries ``a`` and ``b`` are the same bit for bit:
+    floats equal in value and in the sign of zero (a NaN matches nothing),
+    None only None, tuples entry by entry, and other numbers (``Fraction``)
+    by ``==``."""
+    if isinstance(a, float) and isinstance(b, float):
+        return a == b and (a != 0.0
+                           or math.copysign(1.0, a) == math.copysign(1.0, b))
+    if a is None or b is None:
+        return a is b
+    if isinstance(a, tuple):
+        return (isinstance(b, tuple) and len(a) == len(b)
+                and all(map(_same_bits, a, b)))
+    return a == b
 
 
 def _lane_steps(step, k, lane: list, n: int, record_y: bool,
                 record_v: bool) -> tuple[list, ...]:
     """n steps of one coordinate of :func:`run`'s per-coordinate lane
     (:func:`_lane`).  ``lane`` is the coordinate's [lam, x, y, v, g,
-    carry], on floats, and is advanced in place; returns the lists of the
-    n new x, and of the n new y and v where the trajectory stores them
-    (else None)."""
+    carry], on floats or any other number type the kernels take, and is
+    advanced in place; returns the lists of the n new x, and of the n new
+    y and v where the trajectory stores them (else None).
+
+    A coordinate whose whole state is a fixed point of the kernel is
+    filled, not stepped: when the first step leaves (x, y, v, g, carry)
+    the same bit for bit (:func:`_same_bits`), every later step repeats
+    it, since a kernel is a deterministic function of (k, state), so the
+    lists are n copies of that state, the bits stepping would record.  The
+    test is taken at the first step of each call (n >= 1), once a
+    block."""
     lam, x, y, v, g, carry = lane
-    xs = []
-    ys = [] if record_y else None
-    vs = [] if record_v else None
-    for _ in range(n):
+    state = x, y, v, g, carry
+    x, y, v, carry = step(k, x, y, v, g, carry)
+    g = lam * y
+    # the plain == on x rejects a moving coordinate in one comparison
+    if x == state[0] and _same_bits((x, y, v, g, carry), state):
+        return ([x] * n, [y] * n if record_y else None,
+                [v] * n if record_v else None)
+    xs = [x]
+    ys = [y] if record_y else None
+    vs = [v] if record_v else None
+    for _ in range(n - 1):
         x, y, v, carry = step(k, x, y, v, g, carry)
         g = lam * y
         xs.append(x)
@@ -475,8 +509,9 @@ def run(f: Objective, method: str, x0: Vector, s: float, K: int, *,
     from ``xs`` and ``vs``.  A small objective steps on
     Python floats (:func:`_lane`), with the same bits: a diagonal
     quadratic one coordinate at a time, evaluating the fused oracle at y_0
-    alone and the row-batched one at a block's y rows, and any other one
-    every coordinate a step.  A
+    alone and the row-batched one at a block's y rows, and filling rather
+    than stepping a coordinate whose state a block's first step leaves
+    unchanged bit for bit, and any other one every coordinate a step.  A
     non-finite iterate raises :class:`NonFiniteIterateError` naming the
     first step k >= 1 whose x_k is non-finite, checked once per block of
     rows (:func:`_blocks`, d values wide): ``_BLOCK_ROWS`` rows up to

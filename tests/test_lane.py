@@ -16,6 +16,7 @@ import functools
 import math
 import warnings
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -87,6 +88,75 @@ def test_run_lane_records_the_array_path_bits(method, first_velocity, K, d):
     lane, array = on_both_paths(lambda: run(
         f, method, x0, 1.0 / f.lipschitz, K, first_velocity=first_velocity))
     assert_same_run(lane, array)
+
+
+#: Starts of the fixed-point runs: signed zeros and the least denormal.
+FIXED_POINT_STARTS = ([1.0, -0.5], [-0.0, 1.0], [5e-324, -0.0])
+
+
+@pytest.mark.parametrize("K", [B - 1, B, B + 1, 3 * B + 5])
+@pytest.mark.parametrize("frac", [1.0, 0.999], ids=["s=1/L", "s=0.999/L"])
+@pytest.mark.parametrize("spectrum", [[1.0, 1e4], [1.0, 100.0]])
+@pytest.mark.parametrize("first_velocity", FIRST_VELOCITY_CONVENTIONS)
+@pytest.mark.parametrize("method", METHODS)
+def test_lane_fixed_points_record_the_array_path_bits(method, first_velocity,
+                                                      spectrum, frac, K):
+    # at s = 1/L the stiff coordinate reaches a fixed point, which the
+    # lane fills rather than steps; at s = 0.999/L nothing is fixed
+    f = make_quadratic(spectrum)
+    for x0 in FIXED_POINT_STARTS:
+        lane, array = on_both_paths(lambda: run(
+            f, method, np.array(x0), frac / f.lipschitz, K,
+            first_velocity=first_velocity))
+        assert_same_run(lane, array)
+
+
+def test_criterion_10_gd_run_records_the_array_path_bits():
+    f = make_quadratic([1.0, 1e4])
+    lane, array = on_both_paths(lambda: run(
+        f, "gd", np.array([1.0, 1.0]), 1.0 / f.lipschitz, 150_000))
+    assert_same_run(lane, array)
+
+
+@pytest.mark.parametrize("first_velocity", FIRST_VELOCITY_CONVENTIONS)
+@pytest.mark.parametrize("method", ["iv-phase", "gc-phase"])
+def test_a_stalled_x_with_a_moving_v_is_stepped(method, first_velocity):
+    # on the 1e-20 coordinate x stops changing while v still moves: a
+    # fixed-point test of x alone would fill it with a stale v
+    f = make_quadratic([1e-20, 1.0])
+    lane, array = on_both_paths(lambda: run(
+        f, method, np.array([1.0, 1.0]), 1.0 / f.lipschitz, 600,
+        first_velocity=first_velocity))
+    assert_same_run(lane, array)
+
+
+def test_a_coordinate_at_a_fixed_point_is_not_stepped(monkeypatch):
+    # gd's stiff coordinate of quad [1, 1e4] at s = 1/L is 0.0 from its
+    # second step on: each block after the first steps it once, where the
+    # array path makes 2K kernel calls for the two coordinates
+    kernel, calls = optimizers.STEPS["gd"], []
+    monkeypatch.setitem(optimizers.STEPS, "gd",
+                        lambda *state: calls.append(1) or kernel(*state))
+    f = make_quadratic([1.0, 1e4])
+    K = 10 * B
+    traj = run(f, "gd", np.array([1.0, 1.0]), 1.0 / f.lipschitz, K)
+    assert len(calls) < K + 2 * B
+    assert not traj.xs[2:, 1].any()
+
+
+@pytest.mark.parametrize("a, b, same", [
+    (0.0, 0.0, True), (-0.0, -0.0, True), (-0.0, 0.0, False),
+    (0.0, -0.0, False), (5e-324, 5e-324, True), (1.0, 1.0 + 2**-52, False),
+    (math.nan, math.nan, False), (math.inf, math.inf, True),
+    (None, None, True), (None, 0.0, False), (0.0, None, False),
+    ((1.0, (2.0, -0.0)), (1.0, (2.0, -0.0)), True),
+    ((1.0, (2.0, -0.0)), (1.0, (2.0, 0.0)), False),
+    ((1.0, 2.0), (1.0, 2.0, 3.0), False), ((0.0, 0.0), 0.0, False),
+    (Fraction(1, 3), Fraction(1, 3), True), (Fraction(0), Fraction(0), True),
+    (Fraction(1, 3), Fraction(2, 3), False),
+    ((Fraction(1, 3), None), (Fraction(1, 3), None), True)])
+def test_same_bits(a, b, same):
+    assert optimizers._same_bits(a, b) is same
 
 
 class Counter:

@@ -6,8 +6,9 @@ import pytest
 
 from accelcert import (Objective, bound_curve, make_quadratic,
                        make_reg_logistic, resolve_minimizer, run)
-from accelcert.optimizers import (METHODS, STEPS, NonFiniteIterateError,
-                                  StepCoefficients, _step_operands,
+from accelcert.optimizers import (_BLOCK_ROWS, METHODS, STEPS,
+                                  NonFiniteIterateError, StepCoefficients,
+                                  _blocks, _lane_steps, _step_operands,
                                   step_coefficients, step_guaranteed)
 
 
@@ -315,21 +316,23 @@ EXACT = StepCoefficients(s=Fraction(1, 100), root_s=Fraction(1, 10),
 def exact_run(method, lam, K, first_velocity="scheme"):
     """The states (x_k, y_k, v_k), k = 0..K, of ``run`` from x_0 = 1 on
     f(x) = lam x^2 / 2 (d = 1) at the ``EXACT`` coefficients, stepped on
-    Fractions; every output of every step is checked to be a Fraction."""
-    x = y = Fraction(1)
-    v = Fraction(0)
+    Fractions through ``run``'s per-coordinate stepper ``_lane_steps``, a
+    block of rows at a time as ``run`` steps it; every output of every
+    step, and the carry the run ends with, is checked to be a Fraction."""
+    x, v = Fraction(1), Fraction(0)
     g = lam * x
-    carry = {"gc-phase": g, "gc-modified": (y, g)}.get(method)
-    if method == "iv-phase" and first_velocity == "corollary":
-        carry = 2 * EXACT.r * g
-    states = [(x, y, v)]
-    for _ in range(K):
-        x, y, v, carry = STEPS[method](EXACT, x, y, v, g, carry)
-        leaves = [x, y, v, *(carry if isinstance(carry, tuple) else [carry])]
-        assert all(isinstance(leaf, Fraction)
-                   for leaf in leaves if leaf is not None), method
-        g = lam * y
-        states.append((x, y, v))
+    carry = (2 * EXACT.r * g if method == "iv-phase"
+             and first_velocity == "corollary" else None)
+    lane = [lam, x, x, v, g, carry]
+    states = [(x, x, v)]
+    for rows in _blocks(K + 1, 1, start=1):
+        states += zip(*_lane_steps(STEPS[method], EXACT, lane,
+                                   rows.stop - rows.start, True, True))
+    carry = lane[-1]
+    leaves = [*(leaf for state in states for leaf in state),
+              *(carry if isinstance(carry, tuple) else [carry])]
+    assert all(isinstance(leaf, Fraction)
+               for leaf in leaves if leaf is not None), method
     return states
 
 
@@ -358,6 +361,17 @@ class TestExactArithmetic:
                          dtype=float)
         got = np.stack([traj.xs[:, 0], traj.ys[:, 0], traj.vs[:, 0]], axis=1)
         assert np.max(np.abs(got - exact)) <= 1e-14
+
+    def test_exact_gd_is_filled_at_its_fixed_point(self, monkeypatch):
+        # at lam = 100, s lam = 1 exactly: gd's first step lands on the
+        # fixed point x = 0, so each later block takes one kernel call and
+        # is filled with that state, in exact arithmetic too
+        kernel, calls = STEPS["gd"], []
+        monkeypatch.setitem(STEPS, "gd",
+                            lambda *state: calls.append(1) or kernel(*state))
+        K = 3 * _BLOCK_ROWS
+        assert exact_run("gd", 100, K)[1:] == [(0, 0, 0)] * K
+        assert len(calls) == _BLOCK_ROWS + 2
 
 
 class TestRewritingEquivalences:

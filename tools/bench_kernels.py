@@ -12,7 +12,12 @@ machine speed hits both alike.  A case is one call, timed with
 
 * ``run`` of each method in ``STEPS`` for K steps at s = 1/L on the diagonal
   quadratic with spectrum ``logspace(0, 2, d)``, d = 2, 20 and 1000, from a
-  seeded start (the fused oracle is one elementwise product);
+  seeded start (the fused oracle is one elementwise product), and at d = 2
+  also at s = 0.5/L, where no coordinate of the per-coordinate lane
+  reaches a fixed point (at s = 1/L the lane fills the stiff one);
+* ``run`` of gd on quad [1, 1e4] at s = 1/L from (1, 1) for 150,000
+  steps, acceptance criterion 10's run, whose stiff coordinate is 0.0
+  from its second step on;
 * ``integrate`` of the simplified equation for n steps: on quad [1, 4] at
   s = 0.25, h = 1e-3 from (1, 0.5), acceptance criterion 7's problem, and
   on the ode-logistic workload's objective, ``make_reg_logistic(seed, 2000,
@@ -42,10 +47,10 @@ The ``lane`` section times the library in ``src/`` alone, each case once
 on the per-coordinate lane and once on the array path, in alternation:
 
 * on the diagonal quadratic with spectrum ``logspace(0, 2, d)`` at d = 1,
-  2, 4, 8 and 12, ``run`` of each method for K steps at s = 1/L and
+  2, 4, 8 and 12, ``run`` of each method for K steps at s = 0.5/L and
   ``integrate`` of the simplified equation at s = 1/L, h = 1e-3;
 * on the coupled objectives, which ``run`` steps on floats with one oracle
-  call a step, ``run`` of each method for K steps at s = 1/L: the
+  call a step, ``run`` of each method for K steps at s = 0.5/L: the
   quadratic with that spectrum rotated by ``rotation_seed`` 11 at the same
   d, and ``make_reg_logistic(3, 50, d, 0.1)`` after ``resolve_minimizer``
   at d = 2 and 8.
@@ -54,7 +59,10 @@ For the one the cutoffs ``optimizers._LANE_MAX_DIM`` and
 ``_COUPLED_LANE_MAX_DIM`` are set to the largest d and every method takes
 the coupled lane, and for the other both cutoffs are set to 0, so both
 time the same objective; the report gives each path's min and median and
-the quartiles of the lane/array ratio, which place the cutoffs.
+the quartiles of the lane/array ratio, which place the cutoffs.  The runs
+take s = 0.5/L because at s = 1/L the per-coordinate lane fills the
+coordinate of eigenvalue L, at a fixed point, where the array path steps
+it, and the ratio would credit the lane with work it skips.
 """
 
 from __future__ import annotations
@@ -84,6 +92,8 @@ ROOT = Path(__file__).resolve().parent.parent
 DIMS = (2, 20, 1000)
 #: Steps per timed ``run`` call, by dimension.
 RUN_STEPS = {2: 2000, 20: 2000, 1000: 500}
+#: Steps of acceptance criterion 10's gd run on quad [1, 1e4].
+CRITERION_10_STEPS = 150_000
 ODE_STEPS = {"quad[1,4]": 2000, "ode-logistic": 300}
 #: Timed rounds per case and version.
 ALTERNATIONS = 100
@@ -113,15 +123,21 @@ def cases(ac) -> dict:
         f = ac.make_quadratic(np.logspace(0, 2, d))
         x0 = ac.sample_in_ball(np.random.default_rng(d), d, 2.0)
         K = RUN_STEPS[d]
-        for method in ac.optimizers.METHODS:
-            out[f"run {method} d={d}"] = (
-                lambda f=f, x0=x0, K=K, method=method:
-                ac.run(f, method, x0, 1.0 / f.lipschitz, K), K)
+        for frac in (1.0, 0.5) if d == 2 else (1.0,):
+            label = "" if frac == 1.0 else f" s={frac}/L"
+            for method in ac.optimizers.METHODS:
+                out[f"run {method} d={d}{label}"] = (
+                    lambda f=f, x0=x0, K=K, method=method, frac=frac:
+                    ac.run(f, method, x0, frac / f.lipschitz, K), K)
+    stiff = ac.make_quadratic([1.0, 1e4])
+    out["run gd criterion 10"] = (
+        lambda: ac.run(stiff, "gd", np.ones(2), 1.0 / stiff.lipschitz,
+                       CRITERION_10_STEPS), CRITERION_10_STEPS)
     quad = ac.make_quadratic([1.0, 4.0])
     n = ODE_STEPS["quad[1,4]"]
     out["integrate quad[1,4]"] = (
-        lambda: ac.integrate(quad, np.array([1.0, 0.5]), 0.25, n * 1e-3, 1e-3),
-        n)
+        lambda n=n: ac.integrate(quad, np.array([1.0, 0.5]), 0.25, n * 1e-3,
+                                 1e-3), n)
     logistic = ac.resolve_minimizer(ac.make_reg_logistic(7, 2000, 20, 0.1))
     x0 = ac.sample_in_ball(np.random.default_rng(8), 20, 2.0)
     n = ODE_STEPS["ode-logistic"]
@@ -157,7 +173,7 @@ def lane_cases(ac) -> dict:
         for method in ac.optimizers.METHODS:
             out[f"run {method} d={d}"] = (
                 lambda f=f, x0=x0, s=s, method=method:
-                ac.run(f, method, x0, s, K), K)
+                ac.run(f, method, x0, 0.5 * s, K), K)
         out[f"integrate d={d}"] = (
             lambda f=f, x0=x0, s=s: ac.integrate(f, x0, s, n * 1e-3, 1e-3), n)
     coupled = {f"quad-rot d={d}": ac.make_quadratic(np.logspace(0, 2, d),
@@ -167,7 +183,7 @@ def lane_cases(ac) -> dict:
         ac.make_reg_logistic(3, 50, d, 0.1)) for d in LOGISTIC_LANE_DIMS})
     for label, f in coupled.items():
         x0 = ac.sample_in_ball(np.random.default_rng(f.dim), f.dim, 2.0)
-        s, K = 1.0 / f.lipschitz, LANE_STEPS["run"]
+        s, K = 0.5 / f.lipschitz, LANE_STEPS["run"]
         for method in ac.optimizers.METHODS:
             out[f"run {method} {label}"] = (
                 lambda f=f, x0=x0, s=s, method=method:
@@ -283,6 +299,7 @@ def main(argv=None) -> int:
         "after": "src/ of the working tree",
         "alternations": ALTERNATIONS,
         "run_steps": RUN_STEPS,
+        "criterion_10_steps": CRITERION_10_STEPS,
         "integrate_steps": ODE_STEPS,
         "machine": {"python": platform.python_version(),
                     "numpy": np.__version__, "cpus": os.cpu_count(),

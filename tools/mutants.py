@@ -4,8 +4,9 @@
 
 Each mutant in ``MUTANTS`` is a one-line substitution (file, old, new) that
 weakens one claim of ``accelcert.analysis``'s tables, the way a
-certificate reads it, the slack and margins every certificate scans, or
-the y column that ``Trajectory.ys`` rebuilds for iv-phase and gc-phase.
+certificate reads it, the slack and margins every certificate scans, the
+y column that ``Trajectory.ys`` rebuilds for iv-phase and gc-phase, or the
+lane's fixed-point test, which ``freeze-on-x`` makes compare x alone.
 Each names the tier-1 test that must kill it, one that checks a verdict
 rather than pins a value.  For each mutant, the tool copies the repository
 into a temporary directory, applies the substitution there (``old`` must
@@ -55,6 +56,7 @@ HUNDREDTH = ("tests/test_analysis.py::TestCheckBound::"
              "test_suite_run_fails_a_hundredth_of_rate_iv")
 REBUILT_YS = ("tests/test_memory_budget.py::"
               "test_rebuilt_ys_are_the_kernel_ys")
+STALLED_X = "tests/test_lane.py::test_a_stalled_x_with_a_moving_v_is_stepped"
 
 #: (id, file, old, new, the test that must kill it; None for the control).
 #: A "/8" in an id is a rate of sqrt(mu s)/8 or sqrt(mu)/8 where the claim
@@ -125,6 +127,10 @@ MUTANTS = [
      "        ys = probe_point(xs, vs, k)\n",
      "        ys = xs + k.root_s * vs\n",
      REBUILT_YS),
+    ("freeze-on-x", OPTIMIZERS,
+     "    if x == state[0] and _same_bits((x, y, v, g, carry), state):\n",
+     "    if _same_bits(x, state[0]):\n",
+     STALLED_X),
     ("ode-damping-control", HIRES,
      "    damping = -2.0 * math.sqrt(f.mu)",
      "    damping = -1.0 * math.sqrt(f.mu)",
