@@ -23,7 +23,7 @@ trajectories = {m: run(f, m, x0, s, K) for m in methods}
 print(f"objective: {f.name}   kappa = {f.kappa:g}   s = 1/L = {s}")
 print(f"{'method':>14}  {'fitted factor':>14}  {'iters to 1e-8':>14}")
 for method, traj in trajectories.items():
-    rate = empirical_rate(traj)
+    rate = empirical_rate(traj.f_gap)
     hits = np.flatnonzero(traj.f_gap <= 1e-8)
     iters = int(hits[0]) if len(hits) else None
     print(f"{method:>14}  {rate:>14.6f}  {str(iters):>14}")

@@ -268,16 +268,17 @@ def check_bound(trajectory: Trajectory, theorem: str) -> CertReport:
                          {"slack": slack, "bound_at_0": float(curve[0])})
 
 
-def empirical_rate(trajectory: Trajectory) -> Optional[float]:
-    """Per-iteration contraction factor fitted to the gap sequence.
+def empirical_rate(f_gap: np.ndarray) -> Optional[float]:
+    """Per-iteration contraction factor fitted to a gap sequence, such as
+    a trajectory's ``f_gap``.
 
     Log-linear least squares of f_gap over the trailing half of the
-    records that still resolve above 1e-14; returns the factor r with
-    f_gap(k) ~ C r^k, or None when fewer than 10 usable records remain
-    (the gap underflowed or the run started at the optimum).
+    records that are finite and still resolve above 1e-14; returns the
+    factor r with f_gap(k) ~ C r^k, or None when fewer than 10 usable
+    records remain (the gap underflowed or the run started at the
+    optimum).
     """
-    gaps = trajectory.f_gap
-    usable = np.flatnonzero(np.isfinite(gaps) & (gaps > 1e-14))
+    usable = np.flatnonzero(np.isfinite(f_gap) & (f_gap > 1e-14))
     n_tail = math.ceil(0.5 * len(usable))
     tail = usable[len(usable) - n_tail:]
     if len(tail) < 10:
@@ -285,7 +286,7 @@ def empirical_rate(trajectory: Trajectory) -> Optional[float]:
     # the least-squares slope in closed form, on centered k: it builds
     # no Vandermonde matrix and no lstsq workspace
     k = tail - tail.mean()
-    y = np.log(gaps[tail])
+    y = np.log(f_gap[tail])
     slope = k.dot(y - y.mean()) / k.dot(k)
     return float(np.exp(slope))
 

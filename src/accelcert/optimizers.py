@@ -246,18 +246,18 @@ def _blocks(stop: int, width: int, start: int = 0):
 #: The largest dimension that :func:`run` and ``hires_ode.integrate`` step
 #: in the per-coordinate lane (:func:`_lane`).  ``tools/bench_kernels.py``
 #: times both paths at d = 1, 2, 4, 8 and 12 (``BENCH_kernels.json``): at
-#: d = 8 the lane takes 0.51-0.65 of the array path's time per ``run`` step
+#: d = 8 the lane takes 0.50-0.64 of the array path's time per ``run`` step
 #: at s = 0.5/L, by method, and 0.45 per RK4 step, and at d = 12 still
-#: 0.73-0.94 and 0.66, so both crossovers lie above 12; no objective the
+#: 0.73-0.95 and 0.65, so both crossovers lie above 12; no objective the
 #: acceptance gate runs has 8 < d <= 12.
 _LANE_MAX_DIM = 8
 
 #: The largest dimension at which :func:`run` steps any other objective on
 #: floats, in the coupled lane (:func:`_lane`), whatever the method.  On the
 #: rotated quadratic (``BENCH_kernels.json``, s = 0.5/L) the lane takes
-#: 0.48-1.17 of the array path's time per step at d = 2, by method,
-#: 0.64-1.47 at d = 4 and 0.96-1.97 at d = 8; on the logistic, whose oracle
-#: costs the same on both paths, 0.75-1.06 at d = 2 and 1.00-1.28 at d = 8.
+#: 0.48-1.18 of the array path's time per step at d = 2, by method,
+#: 0.64-1.46 at d = 4 and 0.95-1.97 at d = 8; on the logistic, whose oracle
+#: costs the same on both paths, 0.75-1.06 at d = 2 and 0.98-1.27 at d = 8.
 #: The top of each range is gd's, whose array step is two ufunc calls.
 _COUPLED_LANE_MAX_DIM = 4
 

@@ -5,7 +5,9 @@ suite acceptance`` (exit 0 only when all pass).
 """
 
 import functools
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from accelcert import acceptance, analysis, hires_ode, lyapunov
@@ -80,3 +82,26 @@ def test_criterion_6_reads_suite_run_prefixes_bit_for_bit(monkeypatch):
     monkeypatch.setattr(acceptance, "_suite_run", fresh_run)
     fresh = acceptance.criterion_6()
     assert (fresh.passed, fresh.lines) == (cold.passed, cold.lines)
+
+
+@pytest.mark.parametrize("method, gap, cause", [
+    ("gd", 1.0, "iterations to 1e-8: gd not reached"),
+    ("iv-phase", np.nan, "r(iv)=undefined")], ids=["gd-stalls", "iv-nan"])
+def test_criterion_10_fails_where_a_fit_or_hitting_time_is_missing(
+        monkeypatch, method, gap, cause):
+    # gd gaps that stay at 1.0 never reach 1e-8, and NaN iv-phase gaps
+    # leave no record to fit: the criterion fails and names the cause,
+    # with no iteration ratio to grow
+    real_run = acceptance.run
+
+    def run(f, name, *args):
+        traj = real_run(f, name, *args)
+        if name == method:
+            traj = replace(traj, f_gap=np.full_like(traj.f_gap, gap))
+        return traj
+
+    monkeypatch.setattr(acceptance, "run", run)
+    result = acceptance.criterion_10()
+    assert not result.passed
+    assert any(cause in line for line in result.lines), result.lines
+    assert result.lines[-1].endswith("over 100x kappa: undefined")

@@ -246,40 +246,38 @@ class TestEmpiricalRate:
         # x contracts by (1 - mu s) = 0.9, the gap by 0.81
         f = make_quadratic([0.1])
         traj = run(f, "gd", np.array([1.0]), 1.0, 200)
-        rate = empirical_rate(traj)
+        rate = empirical_rate(traj.f_gap)
         assert rate == pytest.approx(0.81, abs=1e-6)
 
     @pytest.mark.parametrize("holes", [False, True],
                              ids=["contiguous", "holes-in-tail"])
     def test_closed_form_matches_polyfit(self, holes):
-        # the fit reads only f_gap; a noisy geometric gap, and one whose
-        # tail skips records that are NaN or below the 1e-14 floor
+        # a noisy geometric gap, and one whose tail skips records that
+        # are NaN or below the 1e-14 floor
         rng = np.random.default_rng(5)
         k = np.arange(400)
         gaps = 3.0 * 0.97 ** k * np.exp(0.3 * rng.standard_normal(k.size))
         if holes:
             gaps[[250, 251, 300, 377]] = np.nan
             gaps[[260, 333, 398]] = 1e-15
-        traj = run(make_quadratic([1.0]), "gd", np.ones(1), 1.0, 399)
-        traj = replace(traj, f_gap=gaps)
         usable = np.flatnonzero(np.isfinite(gaps) & (gaps > 1e-14))
         tail = usable[len(usable) - math.ceil(0.5 * len(usable)):]
         assert (np.diff(tail) > 1).any() == holes
         expected = np.exp(np.polyfit(tail.astype(float), np.log(gaps[tail]),
                                      1)[0])
-        assert empirical_rate(traj) == pytest.approx(expected, rel=1e-12)
+        assert empirical_rate(gaps) == pytest.approx(expected, rel=1e-12)
 
     def test_degenerate_run_undefined(self):
         f = make_quadratic([1, 100])
         traj = run(f, "gd", np.zeros(2), 0.01, 100)
-        assert empirical_rate(traj) is None
+        assert empirical_rate(traj.f_gap) is None
 
     def test_accelerated_vs_plain_fit(self):
         f = make_quadratic([1, 10_000])
         s = 1.0 / f.lipschitz
         x0 = np.array([1.0, 1.0])
-        r_iv = empirical_rate(run(f, "iv-phase", x0, s, 4000))
-        r_gd = empirical_rate(run(f, "gd", x0, s, 4000))
+        r_iv = empirical_rate(run(f, "iv-phase", x0, s, 4000).f_gap)
+        r_gd = empirical_rate(run(f, "gd", x0, s, 4000).f_gap)
         assert r_iv <= 1.0 - 0.5 * math.sqrt(f.mu / f.lipschitz)
         assert r_iv < r_gd < 1.0
 

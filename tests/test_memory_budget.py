@@ -10,14 +10,14 @@ stepped with, from x_0 itself at row 0.  The gc energy reads that y a
 block at a time, so no certificate builds the column, and the
 per-coordinate lane takes its recorded gaps and gradients at those rebuilt
 rows a block at a time, so it holds no y column either.  The runs the
-acceptance gate caches keep that sharing, and the peak traced memory of a
-long run is the bytes of the columns it keeps, plus a few blocks, each of
-at most ``_BLOCK_VALUES`` values (``optimizers._blocks``): 256 rows up to
-d = 256, fewer above, 109 at d = 600.  So whatever K and d are, ``run``
-above its kept columns, the gc energy and ``gaps_at`` each hold a few
-times 512 KB; and since every block formula is taken row by row, with an
-elementwise row oracle their values are those of 256-row blocks, bit for
-bit.
+acceptance gate caches keep that sharing, and criterion 10 keeps only its
+runs' gap columns.  The peak traced memory of a long run is the bytes of
+the columns it keeps, plus a few blocks, each of at most
+``_BLOCK_VALUES`` values (``optimizers._blocks``): 256 rows up to d = 256,
+fewer above, 109 at d = 600.  So whatever K and d are, ``run`` above its
+kept columns, the gc energy and ``gaps_at`` each hold a few times 512 KB;
+and since every block formula is taken row by row, with an elementwise
+row oracle their values are those of 256-row blocks, bit for bit.
 """
 
 import math
@@ -222,6 +222,15 @@ def test_gaps_at_holds_a_few_blocks(wide, K):
     traj = run(wide, "gc-phase", np.ones(wide.dim), 1.0 / wide.lipschitz, K)
     gaps, peak = traced(lambda: gaps_at(wide, traj.xs))
     assert peak - gaps.nbytes <= 2 * BLOCK_BYTES
+
+
+def test_criterion_10_peaks_at_its_gd_runs_kept_columns():
+    # the kappa = 1e4 gd run keeps xs (2 columns), f_gap and grad_sq of
+    # 150,001 records; the criterion keeps each run's f_gap alone, so the
+    # other columns are freed before the fits, whose temporaries are smaller
+    result, peak = traced(acceptance.criterion_10)
+    assert result.passed
+    assert peak <= 150_001 * (2 + 2) * 8 + BLOCK_BYTES
 
 
 def in_256_row_blocks(n):
