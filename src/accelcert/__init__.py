@@ -7,10 +7,9 @@ them numerically.
 """
 
 from .report import CertReport
-from .objectives import (Objective, SpectrumSpec, certify_class,
-                         make_quadratic, make_reg_logistic,
-                         reg_logistic_from_data, resolve_minimizer,
-                         sample_in_ball)
+from .objectives import (Objective, certify_class, make_quadratic,
+                         make_reg_logistic, reg_logistic_from_data,
+                         resolve_minimizer, sample_in_ball)
 from .optimizers import (METHODS, Trajectory, probe_point, run,
                          step_coefficients)
 from .lyapunov import (certify_contraction, energies, initial_energy,
@@ -26,7 +25,7 @@ from .harness import (ExperimentConfig, ConfigError, execute, load_config,
 __version__ = "0.1.0"
 
 __all__ = [
-    "CertReport", "Objective", "SpectrumSpec", "certify_class",
+    "CertReport", "Objective", "certify_class",
     "make_quadratic", "make_reg_logistic", "reg_logistic_from_data",
     "resolve_minimizer",
     "sample_in_ball", "METHODS", "Trajectory", "step_coefficients", "run",

@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import analysis, lyapunov
+from . import analysis, hires_ode, lyapunov
 from .harness import output_file
 from .hires_ode import check_continuous_bound, integrate
 from .objectives import (Objective, make_quadratic, make_reg_logistic,
@@ -241,7 +241,8 @@ def criterion_7() -> CriterionResult:
              f"{report.details['decay_failures']}",
              f"worst bound margin {report.worst_margin:.3e}, worst energy "
              f"ratio {report.details['worst_energy_ratio']:.10f}"]
-    return _result(7, "continuous bound and energy decay (tol 1e-6 / 1e-8)",
+    return _result(7, "continuous bound and energy decay (tol "
+                      f"{hires_ode.BOUND_TOL:g} / {hires_ode.DECAY_TOL:g})",
                    report.passed, lines)
 
 

@@ -37,7 +37,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .objectives import (Objective, SpectrumSpec, make_quadratic,
+from .objectives import (Objective, _diagonal_eigenvalues, make_quadratic,
                          require_minimizer, sample_in_ball)
 from .optimizers import (Trajectory, _blocks, run, step_coefficients,
                          step_guaranteed)
@@ -318,12 +318,18 @@ def observed_monotone(f_gap: np.ndarray) -> bool:
     return bool(np.all(np.diff(f_gap) <= tol))
 
 
-def monotonicity_scan(mu: float, spectrum: SpectrumSpec | Sequence[float],
+def monotonicity_scan(mu: float, spectrum: Sequence[float],
                       s_grid: Sequence[float], K: int,
                       x0: Optional[Sequence[float]] = None,
                       x0_seed: int = 0) -> ScanReport:
     """Compare predicted and observed monotonicity of the gradient-correction
     scheme on a quadratic, across a grid of step sizes.
+
+    The quadratic is ``make_quadratic(spectrum)``, which validates and
+    sorts the eigenvalues, and the scan reads them back from it.  ``mu``
+    may lie below the smallest eigenvalue, a weaker modulus that is still
+    valid, and both the roots and the runs then take it; above it by more
+    than 1e-12, ValueError.
 
     For each s the prediction is "all characteristic roots real" across the
     spectrum; the observation runs gc-phase for K steps from ``x0`` (or a
@@ -335,22 +341,21 @@ def monotonicity_scan(mu: float, spectrum: SpectrumSpec | Sequence[float],
     """
     if len(s_grid) == 0:
         raise ValueError("s_grid must hold at least one step size")
-    if not isinstance(spectrum, SpectrumSpec):
-        spectrum = SpectrumSpec(spectrum)
-    if mu > spectrum.mu + 1e-12:
-        raise ValueError("mu may not exceed the smallest eigenvalue")
     f = make_quadratic(spectrum)
+    lams = _diagonal_eigenvalues(f)
+    if mu > f.mu + 1e-12:
+        raise ValueError("mu may not exceed the smallest eigenvalue")
     if mu != f.mu:
         f = replace(f, mu=mu)  # weaker declared modulus is still valid
     if x0 is None:
         rng = np.random.default_rng(x0_seed)
-        x0 = sample_in_ball(rng, spectrum.dim, 2.0)
+        x0 = sample_in_ball(rng, f.dim, 2.0)
     x0 = np.asarray(x0, dtype=float)
 
     rows = []
     per_s = {}
     for s in s_grid:
-        pairs = [characteristic_roots(lam, mu, s) for lam in spectrum.eigenvalues]
+        pairs = [characteristic_roots(lam, mu, s) for lam in lams]
         predicted = all(p.real for p in pairs)
         with warnings.catch_warnings():
             # a scan checks no bound, so run's step-window warning is noise
@@ -358,7 +363,7 @@ def monotonicity_scan(mu: float, spectrum: SpectrumSpec | Sequence[float],
             traj = run(f, "gc-phase", x0, s, K)
         observed = observed_monotone(traj.f_gap)
         per_s[float(s)] = (predicted, observed)
-        for lam, pair in zip(spectrum.eigenvalues, pairs):
+        for lam, pair in zip(lams, pairs):
             rows.append(ScanRow(s=float(s), lam=float(lam), pair=pair,
                                 predicted_monotone=predicted,
                                 observed_monotone=observed))

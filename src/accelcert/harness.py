@@ -20,8 +20,8 @@ import numpy as np
 
 from . import analysis, lyapunov
 from .hires_ode import OdeSolution, require_integrated_with
-from .objectives import (Objective, SpectrumSpec, make_quadratic,
-                         make_reg_logistic, resolve_minimizer, sample_in_ball)
+from .objectives import (Objective, make_quadratic, make_reg_logistic,
+                         resolve_minimizer, sample_in_ball)
 from .optimizers import (METHODS, NonFiniteIterateError, Trajectory, _blocks,
                          run, step_guaranteed)
 from .report import CertReport
@@ -241,11 +241,8 @@ def objective_from_params(objective: str, params: dict) -> Objective:
     if f is not None:
         return f
     _last_objective.clear()
-    if objective == "quad":
-        f = make_quadratic(SpectrumSpec(params["spectrum"]))
-    elif objective == "quad-rot":
-        f = make_quadratic(SpectrumSpec(params["spectrum"]),
-                           rotation_seed=params["rotation_seed"])
+    if objective in ("quad", "quad-rot"):
+        f = make_quadratic(params["spectrum"], params.get("rotation_seed"))
     else:
         f = make_reg_logistic(params["data_seed"], params["n_samples"],
                               params["dim"], params["reg"])

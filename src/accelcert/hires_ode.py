@@ -105,7 +105,13 @@ def _flow(f: Objective, s: float, which: str):
         X'' = (-2 sqrt(mu) X' - gain * grad f(probe)) / mass,
 
     with (mass, gain) = (1 + sqrt(mu s), c) for the original equation and
-    (1, 1), left out, for the simplified one.  ``xddot(Xdot, g, out)``
+    (1, 1), left out, for the simplified one.  Leaving them out saves a
+    temporary and a division per call, 1.17 against 2.15 us at d = 20:
+    with the general formula, :func:`integrate` on
+    ``resolve_minimizer(make_reg_logistic(5, 2000, 20, 0.1))`` at s = 1/L,
+    h = 1e-3 and T = 1 (0.17 s) runs 1.04x slower, the median of 100
+    alternating calls with quartiles 1.00-1.07 (Python 3.11.7, numpy
+    2.4.6, x86-64).  ``xddot(Xdot, g, out)``
     writes X'' into ``out`` and returns it; with ``out`` None it returns a
     new array.  ``accel(v, g)`` is the same formula on the floats of one
     coordinate, for the per-coordinate lane

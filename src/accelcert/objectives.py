@@ -195,47 +195,24 @@ def require_minimizer(f: Objective):
             f"objective {f.name!r} has no known minimizer; resolve it first")
 
 
-@dataclass(frozen=True)
-class SpectrumSpec:
-    """Ascending positive eigenvalues of a quadratic's Hessian."""
-
-    eigenvalues: tuple
-
-    def __init__(self, eigenvalues: Sequence[float]):
-        lams = tuple(float(v) for v in eigenvalues)
-        if len(lams) == 0:
-            raise ValueError("spectrum must be nonempty")
-        if not all(0 < v < np.inf for v in lams):
-            raise ValueError("all eigenvalues must be positive and finite")
-        object.__setattr__(self, "eigenvalues", tuple(sorted(lams)))
-
-    @property
-    def mu(self) -> float:
-        return self.eigenvalues[0]
-
-    @property
-    def lipschitz(self) -> float:
-        return self.eigenvalues[-1]
-
-    @property
-    def dim(self) -> int:
-        return len(self.eigenvalues)
+def _spectrum_label(lams: tuple) -> str:
+    if len(lams) <= 4:
+        return "[" + ",".join(f"{v:g}" for v in lams) + "]"
+    return f"[d={len(lams)},mu={lams[0]:g},L={lams[-1]:g}]"
 
 
-def _spectrum_label(spec: SpectrumSpec) -> str:
-    if spec.dim <= 4:
-        return "[" + ",".join(f"{v:g}" for v in spec.eigenvalues) + "]"
-    return f"[d={spec.dim},mu={spec.mu:g},L={spec.lipschitz:g}]"
-
-
-def make_quadratic(spec: SpectrumSpec | Sequence[float],
+def make_quadratic(spec: Sequence[float],
                    rotation_seed: Optional[int] = None) -> Objective:
     """Quadratic objective ``f(x) = 0.5 x^T A x`` with prescribed spectrum.
 
-    Without ``rotation_seed`` the Hessian A is exactly ``diag(spec)``;
-    with it, A is conjugated by a seeded random orthogonal matrix, which
-    keeps the spectrum (hence mu and L) unchanged.  The minimizer is the
-    origin with minimum value 0.
+    ``spec`` is the Hessian's eigenvalues in any order: they are taken as
+    floats and sorted, so mu is the smallest and L the largest, and a
+    spectrum that is empty, or holds an eigenvalue that is not positive
+    and finite, raises ValueError.  Without ``rotation_seed`` the Hessian
+    A is exactly ``diag`` of the sorted eigenvalues; with it, A is
+    conjugated by a seeded random orthogonal matrix, which keeps the
+    spectrum (hence mu and L) unchanged.  The minimizer is the origin
+    with minimum value 0.
 
     The gradient is ``A.dot(x)``, elementwise ``lams * x`` for a diagonal
     A (the same bits in O(d)), and the value is ``0.5 * x.dot(grad)``, so
@@ -247,12 +224,16 @@ def make_quadratic(spec: SpectrumSpec | Sequence[float],
     dot product with the same BLAS ddot: for a diagonal A the same bits
     as the per-row oracle, which the per-coordinate lane relies on.
     """
-    if not isinstance(spec, SpectrumSpec):
-        spec = SpectrumSpec(spec)
-    lams = np.array(spec.eigenvalues, dtype=float)
+    eigenvalues = tuple(sorted(float(v) for v in spec))
+    if len(eigenvalues) == 0:
+        raise ValueError("spectrum must be nonempty")
+    if not all(0 < v < np.inf for v in eigenvalues):
+        raise ValueError("all eigenvalues must be positive and finite")
+    dim = len(eigenvalues)
+    lams = np.array(eigenvalues, dtype=float)
     if rotation_seed is None:
         hessian = np.diag(lams)
-        name = f"quad{_spectrum_label(spec)}"
+        name = f"quad{_spectrum_label(eigenvalues)}"
 
         def grad_fn(x: Vector) -> Vector:
             return lams * x
@@ -267,13 +248,13 @@ def make_quadratic(spec: SpectrumSpec | Sequence[float],
         # resident.  Each in-place step is its out-of-place form, bit for
         # bit; numpy buffers the overlap of hessian.T.
         rng = np.random.default_rng(rotation_seed)
-        hessian = rng.standard_normal((spec.dim, spec.dim))
+        hessian = rng.standard_normal((dim, dim))
         q, r = np.linalg.qr(hessian)
         q *= np.sign(np.diag(r))
         np.matmul(q * lams, q.T, out=hessian)  # q diag(lams) q^T, bit for bit
         np.add(hessian, hessian.T, out=hessian)
         hessian *= 0.5
-        name = f"quad-rot{_spectrum_label(spec)}#{rotation_seed}"
+        name = f"quad-rot{_spectrum_label(eigenvalues)}#{rotation_seed}"
 
         def grad_fn(x: Vector) -> Vector:
             return hessian.dot(x)
@@ -291,18 +272,18 @@ def make_quadratic(spec: SpectrumSpec | Sequence[float],
 
     if rotation_seed is None:  # the mark _diagonal_eigenvalues reads
         value_and_grad_fn._diagonal = (
-            value_and_grad_fn, value_and_grad_rows_fn, spec.eigenvalues)
+            value_and_grad_fn, value_and_grad_rows_fn, eigenvalues)
 
     def value_fn(x: Vector) -> float:
         return value_and_grad_fn(x)[0]
 
     return Objective(
-        dim=spec.dim,
-        mu=spec.mu,
-        lipschitz=spec.lipschitz,
+        dim=dim,
+        mu=eigenvalues[0],
+        lipschitz=eigenvalues[-1],
         value_fn=value_fn,
         grad_fn=grad_fn,
-        minimizer=np.zeros(spec.dim),
+        minimizer=np.zeros(dim),
         min_value=0.0,
         name=name,
         hessian=hessian,

@@ -10,7 +10,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from accelcert import acceptance, analysis, hires_ode, lyapunov
+from accelcert import acceptance, analysis, cli, harness, hires_ode, lyapunov
 from accelcert.acceptance import CRITERIA
 
 
@@ -105,3 +105,68 @@ def test_criterion_10_fails_where_a_fit_or_hitting_time_is_missing(
     assert not result.passed
     assert any(cause in line for line in result.lines), result.lines
     assert result.lines[-1].endswith("over 100x kappa: undefined")
+
+
+@pytest.mark.parametrize("fails, passed, line", [
+    ("scheme", True, "quad-ill: scheme v1 violates at k=3; literal-corollary "
+                     "v1 passes (reported, not failed)"),
+    ("both", False, "quad-ill: both v1 conventions violate the bound")],
+    ids=["scheme-fails", "both-fail"])
+def test_criterion_4_falls_back_to_the_corollary_v1(monkeypatch, fails,
+                                                    passed, line):
+    # the criterion checks each objective's scheme v1 run, then its
+    # literal-corollary v1 run: on every objective, fail the first and
+    # pass the second, or fail both
+    real_check_bound = analysis.check_bound
+    calls = []
+
+    def check_bound(traj, theorem):
+        report = real_check_bound(traj, theorem)
+        scheme = len(calls) % 2 == 0
+        calls.append(theorem)
+        if scheme or fails == "both":
+            return replace(report, n_failed=1, first_failure=3)
+        return replace(report, n_failed=0, first_failure=None)
+
+    monkeypatch.setattr(analysis, "check_bound", check_bound)
+    result = acceptance.criterion_4()
+    assert calls == ["rate-iv-x"] * 2 * len(acceptance._suite())
+    assert result.passed is passed
+    assert result.lines[0] == line
+    assert len(result.lines) == len(acceptance._suite())
+
+
+def stub(number, passed):
+    """A criterion that reports ``passed`` and two lines."""
+    return lambda: acceptance._result(number, f"stub {number}", passed,
+                                      [f"line {number}a", f"line {number}b"])
+
+
+def test_run_all_prints_verdicts_and_writes_the_summary(monkeypatch, tmp_path,
+                                                        capsys):
+    monkeypatch.setattr(acceptance, "CRITERIA", (stub(1, True), stub(2, False)))
+    assert acceptance.run_all(tmp_path) == 1
+    # only a failed criterion's lines are printed, indented under it
+    assert capsys.readouterr().out.splitlines() == [
+        "criterion  1 PASS - stub 1",
+        "criterion  2 FAIL - stub 2",
+        "    line 2a",
+        "    line 2b",
+        "acceptance: 1/2 criteria passed"]
+    assert (tmp_path / "acceptance_summary.txt").read_text() == (
+        "criterion_1: pass\n  line 1a\n  line 1b\n"
+        "criterion_2: fail\n  line 2a\n  line 2b\n")
+
+
+@pytest.mark.parametrize("second, status", [(True, 0), (False, 1)])
+def test_suite_acceptance_exit_status(monkeypatch, tmp_path, capsys, second,
+                                      status):
+    monkeypatch.setattr(acceptance, "CRITERIA",
+                        (stub(1, True), stub(2, second)))
+    assert harness.suite("acceptance", out_root=tmp_path / "api") == status
+    assert cli.main(["suite", "acceptance",
+                     "--out", str(tmp_path / "cli")]) == status
+    out = capsys.readouterr().out
+    assert out.count(f"acceptance: {2 - status}/2 criteria passed\n") == 2
+    assert ((tmp_path / "api" / "acceptance_summary.txt").read_bytes()
+            == (tmp_path / "cli" / "acceptance_summary.txt").read_bytes())

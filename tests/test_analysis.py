@@ -11,7 +11,7 @@ from accelcert import (METHODS, bound_curve, characteristic_roots,
                        max_reality_threshold, make_reg_logistic,
                        monotonic_window, monotonicity_scan, reality_threshold,
                        resolve_minimizer, run)
-from accelcert import acceptance
+from accelcert import acceptance, analysis
 from accelcert.analysis import THEOREMS, attach_bound
 from accelcert.objectives import MinimizerUnknownError
 from accelcert.report import margin_report
@@ -312,6 +312,26 @@ class TestMonotonicityScan:
     def test_mu_above_spectrum_rejected(self):
         with pytest.raises(ValueError):
             monotonicity_scan(2.0, [1.0, 3.0], [0.3], K=10)
+
+    def test_weaker_mu_takes_roots_and_runs_at_declared_mu(self, monkeypatch):
+        # a declared mu below the smallest eigenvalue is still a valid
+        # modulus: both the roots and the gc-phase runs take it
+        real_run = analysis.run
+        mus = []
+
+        def run_spy(f, method, x0, s, K):
+            mus.append(f.mu)
+            return real_run(f, method, x0, s, K)
+
+        monkeypatch.setattr(analysis, "run", run_spy)
+        report = monotonicity_scan(0.5, [3.0, 1.0], [0.26, 0.30], K=50,
+                                   x0_seed=8)
+        assert mus == [0.5, 0.5]
+        assert [(r.s, r.lam) for r in report.rows] == [
+            (0.26, 1.0), (0.26, 3.0), (0.30, 1.0), (0.30, 3.0)]
+        for r in report.rows:
+            assert r.pair == characteristic_roots(r.lam, 0.5, r.s)
+            assert r.pair != characteristic_roots(r.lam, 1.0, r.s)
 
     def test_empty_grid_rejected(self):
         # a scan of no run would report agreement vacuously

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from accelcert import ConfigError, execute, parse_config
-from accelcert import harness
+from accelcert import analysis, harness
 from accelcert.harness import (ExperimentConfig, build_objective,
                                check_x0_length, fmt, load_config, output_file,
                                resolve_s, resolve_x0, suite, write_csv,
@@ -357,6 +357,25 @@ class TestSuites:
         assert not result.passed
 
 
+#: A run that checks both iv certificates.
+CERTIFIED = {**MINIMAL, "x0": [1.0, 1.0], "bound": "rate-iv",
+             "lyapunov": "iv"}
+
+
+def overtight(monkeypatch, table, key, times):
+    """Claim ``times`` the rate of ``table[key]`` for the rest of a test."""
+    claim = table[key]
+    monkeypatch.setitem(table, key, claim._replace(
+        rate=lambda mu, L, s: times * claim.rate(mu, L, s)))
+
+
+def run_cli(tmp_path, doc, out):
+    path = tmp_path / f"{out}.json"
+    path.write_text(json.dumps(doc))
+    return cli.main(["run", "--config", str(path),
+                     "--out", str(tmp_path / out)])
+
+
 class TestCli:
     def test_run_exit_codes(self, tmp_path):
         path = tmp_path / "config.json"
@@ -364,6 +383,41 @@ class TestCli:
                                     "bound": "rate-iv"}))
         assert cli.main(["run", "--config", str(path),
                          "--out", str(tmp_path)]) == 0
+
+    @pytest.mark.parametrize("theorem_times, energy_times, violations", [
+        (16.0, 1.0, (29, 0)), (1.0, 16.0, (0, 91)), (16.0, 16.0, (29, 91))],
+        ids=["bound", "contraction", "both"])
+    def test_run_exits_1_on_a_failed_certificate(
+            self, tmp_path, monkeypatch, capsys, theorem_times, energy_times,
+            violations):
+        # at s = 1/L each certificate is guaranteed, and 16 times its
+        # claimed rate is a claim the 100-step run breaks
+        overtight(monkeypatch, analysis.THEOREMS, "rate-iv", theorem_times)
+        overtight(monkeypatch, analysis.ENERGIES, "iv", energy_times)
+        result = execute(parse_config(json.dumps(CERTIFIED)),
+                         out_root=tmp_path / "api")
+        assert result.ok is False
+        assert result.summary["bound_guaranteed"] == "true"
+        assert (result.summary["bound_violations"],
+                result.summary["lyapunov_contraction_violations"]) == violations
+        assert run_cli(tmp_path, CERTIFIED, "cli") == 1
+        out = capsys.readouterr().out
+        assert f"bound_violations: {violations[0]}\n" in out
+        assert f"lyapunov_contraction_violations: {violations[1]}\n" in out
+
+    def test_run_above_one_over_L_passes_with_violations(self, tmp_path):
+        # above 1/L the certificates are informational: their violations
+        # are counted, and the run is still ok
+        doc = {**CERTIFIED, "s": 0.015}
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            result = execute(parse_config(json.dumps(doc)),
+                             out_root=tmp_path / "api")
+            status = run_cli(tmp_path, doc, "cli")
+        assert result.ok is True and status == 0
+        assert result.summary["bound_guaranteed"] == "false"
+        assert (result.summary["bound_violations"],
+                result.summary["lyapunov_contraction_violations"]) == (95, 99)
 
     def test_bad_config_exits_2(self, tmp_path):
         path = tmp_path / "bad.json"

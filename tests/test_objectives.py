@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from accelcert import (Objective, certify_class, make_quadratic, make_reg_logistic,
                        reg_logistic_from_data, resolve_minimizer)
-from accelcert.objectives import SpectrumSpec
+from accelcert.objectives import _diagonal_eigenvalues
 
 #: Central-difference step of every finite-difference check.
 FD_STEP = 1e-6
@@ -32,14 +32,15 @@ def shipped_objectives():
     ]
 
 
-class TestSpectrumSpec:
+class TestSpectrum:
     def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            SpectrumSpec([1.0, -2.0])
-        with pytest.raises(ValueError):
-            SpectrumSpec([0.0, 1.0])
-        with pytest.raises(ValueError):
-            SpectrumSpec([])
+        positive = "all eigenvalues must be positive and finite"
+        with pytest.raises(ValueError, match=positive):
+            make_quadratic([1.0, -2.0])
+        with pytest.raises(ValueError, match=positive):
+            make_quadratic([0.0, 1.0])
+        with pytest.raises(ValueError, match="spectrum must be nonempty"):
+            make_quadratic([])
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_rejects_nonfinite(self, bad):
@@ -49,10 +50,10 @@ class TestSpectrumSpec:
             make_quadratic([1.0, bad])
 
     def test_sorted_and_extremes(self):
-        spec = SpectrumSpec([3.0, 0.5, 1.0])
-        assert spec.eigenvalues == (0.5, 1.0, 3.0)
-        assert spec.mu == 0.5
-        assert spec.lipschitz == 3.0
+        f = make_quadratic([3.0, 0.5, 1.0])
+        assert _diagonal_eigenvalues(f) == (0.5, 1.0, 3.0)
+        assert f.mu == 0.5
+        assert f.lipschitz == 3.0
 
 
 class TestMakeQuadratic:

@@ -263,9 +263,27 @@ class TestRun:
         with pytest.raises(ValueError, match="K must be an integer"):
             run(quad_ill, "gd", np.ones(2), 0.01, K)
 
+    @pytest.mark.parametrize("K", [-1, np.int64(-3)])
+    def test_negative_K_rejected(self, quad_ill, K):
+        with pytest.raises(ValueError, match="K must be nonnegative"):
+            run(quad_ill, "gd", np.ones(2), 0.01, K)
+
     @pytest.mark.parametrize("K", [np.int64(3), np.uint8(255)])
     def test_numpy_integer_K(self, quad_ill, K):
         assert run(quad_ill, "gd", np.ones(2), 0.01, K).K == int(K)
+
+    @pytest.mark.parametrize("method, s, warned", [
+        ("nag-classic", 1.0, False), ("nag-classic", 1.5, True),
+        ("nag-modified", 1.5, False)])
+    def test_nag_classic_warns_above_mu_s_1(self, method, s, warned):
+        # on quad [1] (mu = L = 1), s = 1.5 is also above 1/L, which warns
+        # of its own; only nag-classic's momentum coefficient turns negative
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            run(make_quadratic([1]), method, np.ones(1), s, 3)
+        negative = [w for w in caught if "momentum coefficient is negative"
+                    in str(w.message)]
+        assert len(negative) == warned
 
     def test_warns_above_one_over_L(self, quad_ill):
         with pytest.warns(UserWarning, match="exceeds 1/L"):
